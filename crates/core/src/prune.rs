@@ -14,7 +14,7 @@
 //! waiting to read the value.
 
 use crate::ddg::effects;
-use crate::ir::{Interval, Resource};
+use crate::ir::Resource;
 use crate::pipeline::{BlockInfo, Stage};
 use ehdl_ebpf::vm::STACK_SIZE;
 
@@ -48,42 +48,88 @@ impl PruneInfo {
     }
 }
 
-/// Dominator sets over the effective (assembled) control structure.
-fn dominators(blocks: &[BlockInfo]) -> Vec<Vec<bool>> {
+/// Words of a block bitset over `nb` blocks.
+fn words(nb: usize) -> usize {
+    nb.div_ceil(64)
+}
+
+/// Per block `b`, the set of blocks `b` does **not** dominate, as a
+/// bitset over the effective (assembled) control structure: a write in
+/// `b` keeps exactly these pending uses, so a kill is one `and` per word.
+/// (A block without predecessors other than the entry is unreachable and
+/// counts as dominated by every block.)
+fn not_dominated_by(blocks: &[BlockInfo]) -> Vec<u64> {
     let n = blocks.len();
-    let mut dom = vec![vec![true; n]; n];
+    let nw = words(n);
+    // dom[u]: the blocks dominating `u`; iterate to the greatest fixpoint.
+    let mut dom = vec![u64::MAX; n * nw];
     if n == 0 {
         return dom;
     }
-    dom[0] = vec![false; n];
-    dom[0][0] = true;
+    dom[..nw].fill(0);
+    dom[0] = 1;
+    let mut new = vec![0u64; nw];
     let mut changed = true;
     while changed {
         changed = false;
         for b in 1..n {
             if blocks[b].preds.is_empty() {
-                continue; // unreachable (or entry)
+                continue;
             }
-            let mut new: Vec<bool> = vec![true; n];
-            for (p, _) in &blocks[b].preds {
-                for (i, val) in new.iter_mut().enumerate() {
-                    *val = *val && dom[*p][i];
+            new.fill(u64::MAX);
+            for &(p, _) in &blocks[b].preds {
+                for (w, d) in new.iter_mut().zip(&dom[p * nw..(p + 1) * nw]) {
+                    *w &= d;
                 }
             }
-            new[b] = true;
-            if new != dom[b] {
-                dom[b] = new;
+            new[b / 64] |= 1 << (b % 64);
+            if new != dom[b * nw..(b + 1) * nw] {
+                dom[b * nw..(b + 1) * nw].copy_from_slice(&new);
                 changed = true;
             }
         }
     }
-    dom
+    // Transpose and complement: keep[b] has bit `u` iff `b ∉ dom[u]`.
+    let mut keep = vec![0u64; n * nw];
+    for u in 0..n {
+        for b in 0..n {
+            if dom[u * nw + b / 64] & (1 << (b % 64)) == 0 {
+                keep[b * nw + u / 64] |= 1 << (u % 64);
+            }
+        }
+    }
+    keep
+}
+
+/// First register slot: state slots are the 512 stack bytes, then r0-r10,
+/// so words 0..8 of a slot bitset are the live-stack mask and word 8 holds
+/// the live-register mask.
+const REG_SLOT: usize = STACK_SIZE as usize;
+
+/// The state slots a resource names. A write through an unknown stack
+/// offset names none (it can end no lifetime), a read through one names
+/// the whole frame; offsets outside the frame are dropped.
+fn slots(res: Resource, write: bool) -> std::ops::Range<usize> {
+    let size = STACK_SIZE as i64;
+    match res {
+        Resource::Reg(r) => REG_SLOT + r as usize..REG_SLOT + r as usize + 1,
+        Resource::Stack(iv) if iv.is_top() => 0..if write { 0 } else { REG_SLOT },
+        Resource::Stack(iv) if iv.hi >= -size && iv.lo < 0 => {
+            (iv.lo.max(-size) + size) as usize..(iv.hi.min(-1) + size) as usize + 1
+        }
+        _ => 0..0,
+    }
 }
 
 /// Run the liveness analysis over the final stage list.
 ///
 /// With `enabled == false` the result reports the unpruned baseline: all
 /// eleven registers and the full stack live at every boundary.
+///
+/// The walk is backwards over the stages with, per state slot, the bitset
+/// of blocks still waiting to read it; the live mask is maintained as
+/// those sets empty and fill, so a stage costs the slots its ops touch
+/// (× one word per 64 blocks), not the state size.
 pub fn analyze(stages: &[Stage], blocks: &[BlockInfo], enabled: bool) -> PruneInfo {
     let n = stages.len();
     if !enabled {
@@ -95,115 +141,55 @@ pub fn analyze(stages: &[Stage], blocks: &[BlockInfo], enabled: bool) -> PruneIn
         };
     }
 
-    let dom = dominators(blocks);
-    let nb = blocks.len();
-
-    // Pending-use block sets: for each register and stack byte, the set of
-    // blocks that still need the value downstream of the cursor.
-    let mut reg_pending: Vec<Vec<bool>> = vec![vec![false; nb]; 11];
-    let mut stack_pending: Vec<Vec<bool>> = vec![vec![false; nb]; STACK_SIZE as usize];
+    let keep = not_dominated_by(blocks);
+    let nw = words(blocks.len());
+    // Per slot, the `nw`-word set of blocks waiting to read it, and the
+    // slots whose set is not empty.
+    let mut pending = vec![0u64; (REG_SLOT + 11) * nw];
+    let mut live = [0u64; 9];
 
     let mut live_regs = vec![0u16; n];
     let mut live_stack_bytes = vec![0usize; n];
     let mut live_stack: Vec<Box<[u64; 8]>> = vec![Box::new([0u64; 8]); n];
 
-    let stack_idx = |off: i64| -> Option<usize> {
-        // Stack offsets are negative from r10 (= stack top).
-        if (-(STACK_SIZE as i64)..0).contains(&off) {
-            Some((off + STACK_SIZE as i64) as usize)
-        } else {
-            None
-        }
-    };
-
-    for i in (0..n).rev() {
-        let stage = &stages[i];
+    for (i, stage) in stages.iter().enumerate().rev() {
         let b = stage.block;
+        let keep_b = &keep[b * nw..(b + 1) * nw];
+        let effs: Vec<_> = stage.ops.iter().map(effects).collect();
 
-        // Writes first kill dominated pending uses, then reads create new
-        // pending uses — but inside one stage all ops act on the *input*
-        // state, so process kills from writes and then add reads (ops in a
-        // stage are parallel: reads see the incoming boundary).
-        for op in &stage.ops {
-            let eff = effects(op);
-            for w in &eff.writes {
-                match *w {
-                    Resource::Reg(r) => {
-                        let pend = &mut reg_pending[r as usize];
-                        for u in 0..nb {
-                            if pend[u] && dom[u][b] {
-                                pend[u] = false;
-                            }
-                        }
-                    }
-                    Resource::Stack(iv) => {
-                        if iv.is_top() {
-                            continue;
-                        }
-                        for off in iv.lo..=iv.hi {
-                            if let Some(s) = stack_idx(off) {
-                                let pend = &mut stack_pending[s];
-                                for u in 0..nb {
-                                    if pend[u] && dom[u][b] {
-                                        pend[u] = false;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
+        // Ops in a stage are parallel and all act on the *input* state, so
+        // first every write kills the pending uses its block dominates,
+        // then every read becomes a pending use of this block.
+        for w in effs.iter().flat_map(|e| &e.writes) {
+            for s in slots(*w, true) {
+                if live[s / 64] & (1 << (s % 64)) == 0 {
+                    continue;
+                }
+                let mut left = 0;
+                for (p, k) in pending[s * nw..(s + 1) * nw].iter_mut().zip(keep_b) {
+                    *p &= k;
+                    left |= *p;
+                }
+                if left == 0 {
+                    live[s / 64] &= !(1 << (s % 64));
                 }
             }
         }
-        for op in &stage.ops {
-            let eff = effects(op);
-            for r in &eff.reads {
-                match *r {
-                    Resource::Reg(reg) => reg_pending[reg as usize][b] = true,
-                    Resource::Stack(iv) => {
-                        let (lo, hi) =
-                            if iv.is_top() { (-(STACK_SIZE as i64), -1) } else { (iv.lo, iv.hi) };
-                        for off in lo..=hi {
-                            if let Some(s) = stack_idx(off) {
-                                stack_pending[s][b] = true;
-                            }
-                        }
-                    }
-                    _ => {}
-                }
+        for r in effs.iter().flat_map(|e| &e.reads) {
+            for s in slots(*r, false) {
+                pending[s * nw + b / 64] |= 1 << (b % 64);
+                live[s / 64] |= 1 << (s % 64);
             }
         }
 
         // Record the boundary entering this stage.
-        let mut mask = 0u16;
-        for (r, pend) in reg_pending.iter().enumerate() {
-            if pend.iter().any(|&x| x) {
-                mask |= 1 << r;
-            }
-        }
-        live_regs[i] = mask;
-        let mut count = 0usize;
-        let mut bits = [0u64; 8];
-        for (s, pend) in stack_pending.iter().enumerate() {
-            if pend.iter().any(|&x| x) {
-                count += 1;
-                bits[s / 64] |= 1 << (s % 64);
-            }
-        }
-        live_stack_bytes[i] = count;
-        *live_stack[i] = bits;
+        live_regs[i] = live[8] as u16;
+        live_stack[i].copy_from_slice(&live[..8]);
+        live_stack_bytes[i] = live[..8].iter().map(|w| w.count_ones() as usize).sum();
     }
 
     PruneInfo { live_regs, live_stack_bytes, live_stack, enabled: true }
 }
-
-/// Convenience: the interval of stack bytes a design ever keeps live.
-pub fn max_live_stack(info: &PruneInfo) -> usize {
-    info.live_stack_bytes.iter().copied().max().unwrap_or(0)
-}
-
-/// The `Interval` helper re-exported for resource accounting.
-pub type StackInterval = Interval;
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]

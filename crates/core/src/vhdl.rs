@@ -14,7 +14,10 @@ use std::fmt::Write as _;
 
 /// Emit the complete VHDL source for a design.
 pub fn emit(design: &PipelineDesign) -> String {
-    let mut o = String::new();
+    // The text is close to 1 KB per stage (state signals, enable, process)
+    // on top of the fixed entities: size the buffer once instead of
+    // doubling it a dozen times on the way there.
+    let mut o = String::with_capacity(8192 + 1280 * design.stages.len());
     let name = sanitize(&design.name);
 
     header(&mut o, design);
@@ -260,15 +263,18 @@ pub fn emit(design: &PipelineDesign) -> String {
     let _ = writeln!(o, "  s_axis_tready <= not rst;");
     let _ = writeln!(o);
     let _ = writeln!(o, "  -- Predication (sec. 3.5): per-stage enable equations.");
-    let preds = crate::predicate::block_predicates(&design.blocks);
+    // One rendering per block: every stage of a block shares its enable.
+    let enables: Vec<Option<String>> = crate::predicate::block_predicates(&design.blocks)
+        .iter()
+        .map(|p| (*p != crate::predicate::PredExpr::True).then(|| p.to_vhdl()))
+        .collect();
     for (i, stage) in design.stages.iter().enumerate() {
-        let expr = &preds[stage.block];
-        match expr {
-            crate::predicate::PredExpr::True => {
+        match &enables[stage.block] {
+            None => {
                 let _ = writeln!(o, "  st{i}_en <= '1';");
             }
-            other => {
-                let _ = writeln!(o, "  st{i}_en <= '1' when {} else '0';", other.to_vhdl());
+            Some(cond) => {
+                let _ = writeln!(o, "  st{i}_en <= '1' when {cond} else '0';");
             }
         }
     }
@@ -280,27 +286,24 @@ pub fn emit(design: &PipelineDesign) -> String {
     }
 
     for (i, stage) in design.stages.iter().enumerate() {
+        let _ = write!(o, "\n  -- stage {i} (block {}, {:?}): ", stage.block, stage.kind);
+        if stage.ops.is_empty() {
+            o.push_str("pass-through");
+        }
+        for (k, op) in stage.ops.iter().enumerate() {
+            o.push_str(if k == 0 { "" } else { " || " });
+            op_comment(&mut o, op);
+        }
         let _ = writeln!(o);
-        let _ = writeln!(
-            o,
-            "  -- stage {i} (block {}, {:?}): {}",
-            stage.block,
-            stage.kind,
-            if stage.ops.is_empty() {
-                "pass-through".to_string()
-            } else {
-                stage.ops.iter().map(op_comment).collect::<Vec<_>>().join(" || ")
-            }
-        );
         let _ = writeln!(o, "  stage_{i} : process (clk)");
         let _ = writeln!(o, "  begin");
         let _ = writeln!(o, "    if rising_edge(clk) then");
         let _ = writeln!(o, "      if st{i}_en = '1' then");
         for op in &stage.ops {
-            let _ = writeln!(o, "        -- {}", op_comment(op));
-            for line in op_vhdl(i, stage.block, op) {
-                let _ = writeln!(o, "        {line}");
-            }
+            o.push_str("        -- ");
+            op_comment(&mut o, op);
+            let _ = writeln!(o);
+            op_vhdl(&mut o, i, stage.block, op);
         }
         if stage.ops.is_empty() {
             let _ = writeln!(o, "        null;  -- disabled/wait stage forwards state");
@@ -397,111 +400,117 @@ fn sanitize(name: &str) -> String {
     name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
 }
 
-fn op_comment(op: &crate::pipeline::StageOp) -> String {
-    let base = match op.insn {
-        HwInsn::Alu3 { op: o, dst, a, b, .. } => format!("r{dst} = r{a} {} {b}", o.symbol()),
-        HwInsn::Simple(i) => crate::disasm_one(&i).to_string(),
-    };
-    match op.proof {
-        Some(p) => {
-            format!("{base}  [unguarded: proven in [{}, {}], len >= {}]", p.lo, p.hi, p.min_len)
+/// Append the one-line comment naming `op`.
+fn op_comment(o: &mut String, op: &crate::pipeline::StageOp) {
+    match op.insn {
+        HwInsn::Alu3 { op: alu, dst, a, b, .. } => {
+            let _ = write!(o, "r{dst} = r{a} {} {b}", alu.symbol());
         }
-        None => base,
+        HwInsn::Simple(i) => o.push_str(&crate::disasm_one(&i)),
+    }
+    if let Some(p) = op.proof {
+        let _ = write!(o, "  [unguarded: proven in [{}, {}], len >= {}]", p.lo, p.hi, p.min_len);
     }
 }
 
-fn op_vhdl(stage: usize, block: usize, op: &crate::pipeline::StageOp) -> Vec<String> {
+/// A source operand of stage `stage`: its input register or an immediate.
+struct Src(usize, Operand);
+
+impl std::fmt::Display for Src {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.1 {
+            Operand::Reg(r) => write!(f, "st{}_r{r}", self.0),
+            Operand::Imm(v) => write!(f, "std_logic_vector(to_signed({v}, 64))"),
+        }
+    }
+}
+
+/// Append the statements of `op` in stage `stage`, one indented line each.
+fn op_vhdl(o: &mut String, stage: usize, block: usize, op: &crate::pipeline::StageOp) {
     let nxt = stage + 1;
-    let reg = |s: usize, r: u8| format!("st{s}_r{r}");
-    match op.insn {
+    const INDENT: &str = "        ";
+    let start = o.len();
+    o.push_str(INDENT);
+    let _ = match op.insn {
         HwInsn::Alu3 { dst, a, b, .. } => {
-            let bstr = match b {
-                Operand::Reg(r) => reg(stage, r),
-                Operand::Imm(i) => format!("std_logic_vector(to_signed({i}, 64))"),
-            };
-            vec![format!("{} <= alu_op({}, {});", reg(nxt, dst), reg(stage, a), bstr)]
+            write!(o, "st{nxt}_r{dst} <= alu_op(st{stage}_r{a}, {});", Src(stage, b))
         }
         HwInsn::Simple(i) => match i {
             Instruction::Alu { dst, src, .. } => {
-                let s = match src {
-                    Operand::Reg(r) => reg(stage, r),
-                    Operand::Imm(v) => format!("std_logic_vector(to_signed({v}, 64))"),
-                };
-                vec![format!("{} <= alu_op({}, {});", reg(nxt, dst), reg(stage, dst), s)]
+                write!(o, "st{nxt}_r{dst} <= alu_op(st{stage}_r{dst}, {});", Src(stage, src))
             }
             Instruction::Endian { dst, bits, .. } => {
-                vec![format!("{} <= bswap{bits}({});", reg(nxt, dst), reg(stage, dst))]
+                write!(o, "st{nxt}_r{dst} <= bswap{bits}(st{stage}_r{dst});")
             }
             Instruction::LoadImm64 { dst, imm, .. } => {
-                vec![format!("{} <= x\"{imm:016x}\";", reg(nxt, dst))]
+                write!(o, "st{nxt}_r{dst} <= x\"{imm:016x}\";")
             }
             Instruction::Load { dst, off, .. } => match op.label {
-                MemLabel::Packet(iv) => vec![format!(
-                    "{} <= pkt_bytes(st{stage}_frame, {});  -- packet[{iv}]",
-                    reg(nxt, dst),
+                MemLabel::Packet(iv) => write!(
+                    o,
+                    "st{nxt}_r{dst} <= pkt_bytes(st{stage}_frame, {});  -- packet[{iv}]",
                     iv.lo.max(0)
-                )],
-                MemLabel::Stack(iv) => vec![format!(
-                    "{} <= stack_bytes(st{stage}_stack, {});  -- stack[{iv}]",
-                    reg(nxt, dst),
+                ),
+                MemLabel::Stack(iv) => write!(
+                    o,
+                    "st{nxt}_r{dst} <= stack_bytes(st{stage}_stack, {});  -- stack[{iv}]",
                     iv.lo
-                )],
+                ),
                 MemLabel::Map(m) => {
-                    vec![format!("{} <= map{m}_rd_value;  -- map value load", reg(nxt, dst))]
+                    write!(o, "st{nxt}_r{dst} <= map{m}_rd_value;  -- map value load")
                 }
-                _ => vec![format!("{} <= ctx_field({off});", reg(nxt, dst))],
+                _ => write!(o, "st{nxt}_r{dst} <= ctx_field({off});"),
             },
             Instruction::Store { src, .. } => {
-                let s = match src {
-                    Operand::Reg(r) => reg(stage, r),
-                    Operand::Imm(v) => format!("std_logic_vector(to_signed({v}, 64))"),
-                };
+                let s = Src(stage, src);
                 match op.label {
-                    MemLabel::Packet(iv) => vec![format!(
+                    MemLabel::Packet(iv) => write!(
+                        o,
                         "st{nxt}_frame <= pkt_store(st{stage}_frame, {}, {s});  -- packet[{iv}]",
                         iv.lo.max(0)
-                    )],
-                    MemLabel::Stack(iv) => vec![format!(
+                    ),
+                    MemLabel::Stack(iv) => write!(
+                        o,
                         "st{nxt}_stack <= stack_store(st{stage}_stack, {}, {s});  -- stack[{iv}]",
                         iv.lo
-                    )],
+                    ),
                     MemLabel::Map(m) => {
-                        vec![format!("map{m}_wr_value <= {s}; map{m}_wr_en <= '1';")]
+                        write!(o, "map{m}_wr_value <= {s}; map{m}_wr_en <= '1';")
                     }
-                    _ => vec![],
+                    _ => Ok(()),
                 }
             }
             Instruction::Atomic { src, .. } => match op.label {
-                MemLabel::Map(m) => vec![
-                    format!("map{m}_atomic_en <= '1';"),
-                    format!("map{m}_atomic_delta <= {};", reg(stage, src)),
-                ],
-                _ => vec!["-- atomic on local state".to_string()],
+                MemLabel::Map(m) => write!(
+                    o,
+                    "map{m}_atomic_en <= '1';\n        map{m}_atomic_delta <= st{stage}_r{src};"
+                ),
+                _ => write!(o, "-- atomic on local state"),
             },
-            Instruction::Jump { cond, .. } => match cond {
-                Some(c) => {
-                    let rhs = match c.rhs {
-                        Operand::Reg(r) => reg(stage, r),
-                        Operand::Imm(v) => format!("to_signed({v}, 64)"),
-                    };
-                    let cmp = match c.op.symbol() {
-                        "==" => "=",
-                        "!=" => "/=",
-                        s => s,
-                    };
-                    vec![format!(
-                        "blk{block}_taken <= '1' when signed({}) {cmp} {rhs} else '0';",
-                        reg(stage, c.lhs)
-                    )]
+            Instruction::Jump { cond: Some(c), .. } => {
+                let cmp = match c.op.symbol() {
+                    "==" => "=",
+                    "!=" => "/=",
+                    s => s,
+                };
+                let _ =
+                    write!(o, "blk{block}_taken <= '1' when signed(st{stage}_r{}) {cmp} ", c.lhs);
+                match c.rhs {
+                    Operand::Reg(r) => write!(o, "st{stage}_r{r} else '0';"),
+                    Operand::Imm(v) => write!(o, "to_signed({v}, 64) else '0';"),
                 }
-                None => vec![],
-            },
-            Instruction::Call { helper } => vec![format!(
-                "-- helper block instance: {}",
-                ehdl_ebpf::helpers::helper_name(helper)
-            )],
-            Instruction::Exit => vec![format!("xdp_action <= {}(2 downto 0);", reg(stage, 0))],
+            }
+            Instruction::Jump { cond: None, .. } => Ok(()),
+            Instruction::Call { helper } => {
+                write!(o, "-- helper block instance: {}", ehdl_ebpf::helpers::helper_name(helper))
+            }
+            Instruction::Exit => write!(o, "xdp_action <= st{stage}_r0(2 downto 0);"),
         },
+    };
+    if o.len() == start + INDENT.len() {
+        o.truncate(start); // an op with no statement of its own
+    } else {
+        o.push('\n');
     }
 }
 

@@ -1,16 +1,18 @@
 //! Randomized tests on compiler invariants: schedules respect dependences,
 //! pruning is sound relative to a re-analysis, framing waits are exactly
-//! what late accesses require, and the analytical model is monotone.
+//! what late accesses require, the bitset liveness pass equals the §4.3
+//! rule applied per (resource, block), and the analytical model is monotone.
 //!
 //! Formerly proptest-based; rewritten as deterministic seeded campaigns so
 //! the workspace builds without crates.io access.
 
 use ehdl_core::analytical;
-use ehdl_core::ir::HwInsn;
-use ehdl_core::{Compiler, CompilerOptions};
+use ehdl_core::ddg::effects;
+use ehdl_core::ir::{HwInsn, Resource};
+use ehdl_core::{Compiler, CompilerOptions, PipelineDesign};
 use ehdl_ebpf::asm::Asm;
 use ehdl_ebpf::insn::{Instruction, Operand};
-use ehdl_ebpf::opcode::{AluOp, MemSize};
+use ehdl_ebpf::opcode::{AluOp, JmpOp, MemSize};
 use ehdl_ebpf::Program;
 use ehdl_rng::Rng;
 
@@ -161,6 +163,133 @@ fn prune_is_subset() {
         // final stage (exit) needs nothing but r0.
         let last = *design.prune.live_regs.last().unwrap();
         assert_eq!(last & !1, 0, "exit stage carries at most r0");
+    }
+}
+
+/// State slots of the §4.3 rule's reference: r0-r10, then 512 stack bytes.
+const SLOTS: usize = 11 + 512;
+
+/// The slots a resource names. A write through an unknown stack offset
+/// names none (it can end no lifetime); a read through one names them all.
+fn slots_of(res: Resource, write: bool) -> std::ops::Range<usize> {
+    match res {
+        Resource::Reg(r) => r as usize..r as usize + 1,
+        Resource::Stack(iv) if iv.is_top() => 11..if write { 11 } else { SLOTS },
+        Resource::Stack(iv) if iv.hi >= -512 && iv.lo < 0 => {
+            (iv.lo.max(-512) + 523) as usize..(iv.hi.min(-1) + 524) as usize
+        }
+        _ => 0..0,
+    }
+}
+
+/// §4.3 as written, one boolean per (slot, block): walking the stages
+/// backwards, "a write kills a pending use only if its block dominates the
+/// waiting block", then every read is a pending use of its own block; a
+/// slot is live while any block waits. `b` dominates `u` when `u` cannot
+/// be reached from the entry without passing `b`.
+fn naive_liveness(d: &PipelineDesign) -> (Vec<u16>, Vec<usize>, Vec<[u64; 8]>) {
+    let nb = d.blocks.len();
+    let dominates: Vec<Vec<bool>> = (0..nb)
+        .map(|b| {
+            let mut reached = vec![false; nb];
+            let mut todo = if b == 0 { vec![] } else { vec![0] };
+            while let Some(x) = todo.pop() {
+                if !std::mem::replace(&mut reached[x], true) {
+                    let succs = (0..nb).filter(|&s| d.blocks[s].preds.iter().any(|&(p, _)| p == x));
+                    todo.extend(succs.filter(|&s| s != b));
+                }
+            }
+            reached.iter().map(|r| !r).collect()
+        })
+        .collect();
+    let mut pending = vec![vec![false; nb]; SLOTS];
+    let mut out = (vec![], vec![], vec![]);
+    for stage in d.stages.iter().rev() {
+        let effs: Vec<_> = stage.ops.iter().map(effects).collect();
+        for w in effs.iter().flat_map(|e| &e.writes) {
+            for slot in slots_of(*w, true) {
+                for u in 0..nb {
+                    pending[slot][u] &= !dominates[stage.block][u];
+                }
+            }
+        }
+        for r in effs.iter().flat_map(|e| &e.reads) {
+            for slot in slots_of(*r, false) {
+                pending[slot][stage.block] = true;
+            }
+        }
+        let live: Vec<bool> = pending.iter().map(|p| p.contains(&true)).collect();
+        out.0.push((0..11).fold(0u16, |m, r| m | u16::from(live[r]) << r));
+        let mut bits = [0u64; 8];
+        for s in (0..512).filter(|&s| live[11 + s]) {
+            bits[s / 64] |= 1 << (s % 64);
+        }
+        out.1.push(bits.iter().map(|w| w.count_ones() as usize).sum());
+        out.2.push(bits);
+    }
+    out.0.reverse();
+    out.1.reverse();
+    out.2.reverse();
+    out
+}
+
+fn assert_liveness_matches(program: &Program) -> PipelineDesign {
+    let d = Compiler::new().compile(program).unwrap();
+    let (regs, bytes, stack) = naive_liveness(&d);
+    assert_eq!(d.prune.live_regs, regs, "{}: live_regs", d.name);
+    assert_eq!(d.prune.live_stack_bytes, bytes, "{}: live_stack_bytes", d.name);
+    let got: Vec<[u64; 8]> = d.prune.live_stack.iter().map(|b| **b).collect();
+    assert_eq!(got, stack, "{}: live_stack", d.name);
+    d
+}
+
+/// A ladder of `rungs` undecidable branches, each guarding a predicated
+/// register write and a predicated stack store whose old values are read
+/// after the ladder: two blocks per rung, and pending uses that only the
+/// dominating stores in the entry block may kill.
+fn branch_ladder(rungs: usize) -> Program {
+    let mut a = Asm::new();
+    a.load(MemSize::W, 2, 1, 8);
+    a.mov64_imm(3, 7);
+    a.store_reg(MemSize::Dw, 10, -8, 3);
+    a.store_reg(MemSize::Dw, 10, -16, 3);
+    for k in 0..rungs {
+        let skip = a.new_label();
+        a.jmp_imm(JmpOp::Jeq, 2, k as i32, skip);
+        a.alu64_imm(AluOp::Add, 3, 1);
+        a.store_reg(MemSize::W, 10, if k % 2 == 0 { -8 } else { -12 }, 3);
+        a.bind(skip);
+    }
+    a.load(MemSize::Dw, 4, 10, -8);
+    a.load(MemSize::Dw, 5, 10, -16);
+    a.alu64_reg(AluOp::Add, 4, 5);
+    a.alu64_reg(AluOp::Add, 4, 3);
+    a.mov64_reg(0, 4);
+    a.alu64_imm(AluOp::And, 0, 1);
+    a.exit();
+    Program::from_insns(a.into_insns())
+}
+
+/// `prune::analyze` (block bitsets, incremental live masks) gives, field
+/// for field, what the per-(slot, block) reference gives: on the bundled
+/// programs, on random straight-line programs, and on control flow wide
+/// enough that a block set spans more than one word.
+#[test]
+fn liveness_matches_naive_reference() {
+    let mut zoo: Vec<Program> = ehdl_programs::App::ALL.iter().map(|a| a.program()).collect();
+    zoo.push(ehdl_programs::toy_counter::program());
+    zoo.push(ehdl_programs::leaky_bucket::program());
+    for program in &zoo {
+        assert_liveness_matches(program);
+    }
+    let mut rng = Rng::seed_from_u64(0x9205);
+    for _ in 0..128 {
+        assert_liveness_matches(&build_program(&rand_alu_vec(&mut rng, 39)));
+    }
+    for rungs in [1, 31, 40, 70] {
+        let d = assert_liveness_matches(&branch_ladder(rungs));
+        assert!(d.blocks.len() > 2 * rungs, "{} blocks for {rungs} rungs", d.blocks.len());
+        assert!(d.prune.total_stack_bytes() > 0 && d.prune.total_reg_slots() > 0);
     }
 }
 

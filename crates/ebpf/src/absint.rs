@@ -617,6 +617,9 @@ fn join_states(old: &mut State, new: &State, widen: bool) -> bool {
     for (o, n) in
         old.regs.iter_mut().zip(new.regs.iter()).chain(old.stack.iter_mut().zip(&new.stack))
     {
+        if o == n {
+            continue; // join is idempotent; most slots agree at a merge
+        }
         let mut j = o.join(*n);
         if widen && j != *o {
             j.iv = widen_iv(o.iv, j.iv);
@@ -1093,9 +1096,13 @@ fn sane(iv: Iv) -> bool {
 
 /// Refine the taken/fall states of a conditional branch: packet-length
 /// bounds checks, null checks, and constant comparisons.
-fn refine_edges(c: crate::insn::JumpCond, st: &State, taken: &mut State, fall: &mut State) {
-    let l = st.regs[c.lhs as usize];
-    let r = operand_val(st, c.rhs);
+fn refine_edges(
+    c: crate::insn::JumpCond,
+    l: AbsVal,
+    r: AbsVal,
+    taken: &mut State,
+    fall: &mut State,
+) {
     let lr = c.lhs as usize;
 
     if c.width == Width::W64 {
@@ -1379,6 +1386,99 @@ fn store_effect(st: &mut State, base: AbsVal, off: i16, size: MemSize, val: Opti
 // The fixpoint driver.
 // ---------------------------------------------------------------------------
 
+/// The instruction stream cut at its block leaders — the entry and every
+/// jump target, the only instructions with more than one way in. Only a
+/// leader keeps a state; between leaders one state is moved down the
+/// straight-line code, so a state is cloned per block and per branch
+/// rather than per instruction.
+struct Blocks<'a> {
+    decoded: &'a [Decoded],
+    /// Slot pc → decoded index (`usize::MAX` inside a wide instruction).
+    idx_of: Vec<usize>,
+    leader: Vec<bool>,
+}
+
+impl<'a> Blocks<'a> {
+    fn new(decoded: &'a [Decoded]) -> Blocks<'a> {
+        let max_slot = decoded.last().map(|d| d.pc + d.slots).unwrap_or(0);
+        let mut idx_of = vec![usize::MAX; max_slot + 1];
+        for (i, d) in decoded.iter().enumerate() {
+            idx_of[d.pc] = i;
+        }
+        let mut blocks = Blocks { decoded, idx_of, leader: vec![false; decoded.len()] };
+        blocks.leader[0] = true;
+        for d in decoded {
+            if let Instruction::Jump { target, .. } = d.insn {
+                if let Some(j) = blocks.target_idx(target) {
+                    blocks.leader[j] = true;
+                }
+            }
+        }
+        blocks
+    }
+
+    fn target_idx(&self, slot: usize) -> Option<usize> {
+        self.idx_of.get(slot).copied().filter(|&i| i != usize::MAX)
+    }
+
+    /// Walk from leader `b` until the code ends, exits, jumps away or runs
+    /// into the next leader: `visit(i, &st)` sees the state in front of
+    /// every instruction reached, `flow(j, st)` the state each edge carries
+    /// into leader `j`.
+    fn walk(
+        &self,
+        b: usize,
+        mut st: State,
+        mut visit: impl FnMut(usize, &State),
+        mut flow: impl FnMut(usize, State),
+    ) {
+        for i in b..self.decoded.len() {
+            if i > b && self.leader[i] {
+                return flow(i, st);
+            }
+            visit(i, &st);
+            match self.decoded[i].insn {
+                Instruction::Jump { cond: None, target } => {
+                    if let Some(j) = self.target_idx(target) {
+                        flow(j, st);
+                    }
+                    return;
+                }
+                Instruction::Jump { cond: Some(c), target } => {
+                    let l = st.regs[c.lhs as usize];
+                    let r = operand_val(&st, c.rhs);
+                    let outcome = decide(c.op, c.width, l, r);
+                    let mut taken = st.clone();
+                    refine_edges(c, l, r, &mut taken, &mut st);
+                    if outcome != Some(false) {
+                        if let Some(j) = self.target_idx(target) {
+                            flow(j, taken);
+                        }
+                    }
+                    if outcome == Some(true) {
+                        return;
+                    }
+                }
+                ref insn => {
+                    if !step(&mut st, insn) {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Can [`step`] change the tracked stack on this instruction? Stores and
+/// atomics write it and helpers may clobber it; everything else writes
+/// registers only.
+fn may_write_stack(insn: &Instruction) -> bool {
+    matches!(
+        insn,
+        Instruction::Store { .. } | Instruction::Atomic { .. } | Instruction::Call { .. }
+    )
+}
+
 /// Run the abstract interpretation over a decoded instruction stream.
 ///
 /// Total and panic-free for arbitrary (even unverifiable) input: paths the
@@ -1389,222 +1489,198 @@ pub fn analyze(decoded: &[Decoded]) -> Analysis {
     if n == 0 {
         return Analysis::default();
     }
-    // Slot pc → decoded index.
-    let max_slot = decoded.last().map(|d| d.pc + d.slots).unwrap_or(0);
-    let mut idx_of = vec![usize::MAX; max_slot + 1];
-    for (i, d) in decoded.iter().enumerate() {
-        idx_of[d.pc] = i;
-    }
-    let target_idx =
-        |slot: usize| -> Option<usize> { idx_of.get(slot).copied().filter(|&i| i != usize::MAX) };
+    let blocks = Blocks::new(decoded);
 
-    let mut states: Vec<Option<State>> = vec![None; n];
+    let mut states: Vec<Option<Box<State>>> = vec![None; n];
     let mut joins = vec![0u32; n];
-    states[0] = Some(State::entry());
+    states[0] = Some(Box::new(State::entry()));
     let mut work = std::collections::VecDeque::with_capacity(n);
     work.push_back(0usize);
     let mut queued = vec![false; n];
     queued[0] = true;
 
     let mut pops = 0usize;
-    while let Some(i) = work.pop_front() {
-        queued[i] = false;
-        pops += 1;
+    while let Some(b) = work.pop_front() {
+        queued[b] = false;
         if pops > POP_BUDGET {
             return Analysis::default();
         }
-        let Some(st) = states[i].clone() else { continue };
-        let propagate = |j: usize,
-                         out: State,
-                         states: &mut Vec<Option<State>>,
-                         work: &mut std::collections::VecDeque<usize>,
-                         queued: &mut Vec<bool>,
-                         joins: &mut Vec<u32>| {
-            if j >= n {
-                return;
-            }
-            let changed = match &mut states[j] {
-                slot @ None => {
-                    *slot = Some(out);
-                    true
-                }
-                Some(prev) => {
-                    joins[j] += 1;
-                    let widen = joins[j] >= WIDEN_AFTER;
-                    join_states(prev, &out, widen)
-                }
-            };
-            if changed && !queued[j] {
-                queued[j] = true;
-                work.push_back(j);
-            }
-        };
-        match decoded[i].insn {
-            Instruction::Jump { cond: None, target } => {
-                if let Some(j) = target_idx(target) {
-                    propagate(j, st, &mut states, &mut work, &mut queued, &mut joins);
-                }
-            }
-            Instruction::Jump { cond: Some(c), target } => {
-                let l = st.regs[c.lhs as usize];
-                let r = operand_val(&st, c.rhs);
-                let outcome = decide(c.op, c.width, l, r);
-                let mut taken_st = st.clone();
-                let mut fall_st = st.clone();
-                refine_edges(c, &st, &mut taken_st, &mut fall_st);
-                if outcome != Some(false) {
-                    if let Some(j) = target_idx(target) {
-                        propagate(j, taken_st, &mut states, &mut work, &mut queued, &mut joins);
+        let Some(st) = states[b].as_deref().cloned() else { continue };
+        blocks.walk(
+            b,
+            st,
+            |_, _| pops += 1,
+            |j, out| {
+                let changed = match &mut states[j] {
+                    slot @ None => {
+                        *slot = Some(Box::new(out));
+                        true
                     }
+                    Some(prev) => {
+                        joins[j] += 1;
+                        join_states(prev, &out, joins[j] >= WIDEN_AFTER)
+                    }
+                };
+                if changed && !queued[j] {
+                    queued[j] = true;
+                    work.push_back(j);
                 }
-                if outcome != Some(true) {
-                    propagate(i + 1, fall_st, &mut states, &mut work, &mut queued, &mut joins);
-                }
-            }
-            ref insn => {
-                let mut out = st;
-                if step(&mut out, insn) {
-                    propagate(i + 1, out, &mut states, &mut work, &mut queued, &mut joins);
-                }
-            }
-        }
+            },
+        );
     }
 
-    // Final pass: read facts off the stable per-instruction states.
+    // Final pass: walk every reached block once more from its stable
+    // leader state and read the facts off the state in front of each
+    // instruction.
     let mut analysis =
         Analysis { stack_slots: vec![SlotInfo::default(); STACK_SLOTS], ..Analysis::default() };
-    let mut slot_acc: [Option<AbsVal>; STACK_SLOTS] = [None; STACK_SLOTS];
+    // Join of every value each slot holds anywhere, starting from the
+    // entry state (which every join below covers). `seen` is the stack as
+    // last folded in: joining a value twice changes nothing, so a slot is
+    // folded only when it differs, and looked at only after an instruction
+    // that can write the stack or at a block start.
+    let mut slot_acc = State::entry().stack;
+    let mut seen = slot_acc;
     // Constant tracking ignores the implicit zero initialization:
     // None = only zeros seen, Some(Some(k)) = zeros and the constant k,
     // Some(None) = varying values.
     let mut const_acc: [Option<Option<u64>>; STACK_SLOTS] = [None; STACK_SLOTS];
-    for (i, d) in decoded.iter().enumerate() {
-        let Some(st) = &states[i] else { continue };
-        for ((acc, cacc), v) in slot_acc.iter_mut().zip(const_acc.iter_mut()).zip(&st.stack) {
-            *acc = Some(acc.map_or(*v, |a| a.join(*v)));
-            let k = (v.prov == Prov::Scalar).then(|| v.tn.as_const()).flatten();
-            match (k, *cacc) {
-                (Some(0), _) => {}
-                (Some(k), None) => *cacc = Some(Some(k)),
-                (Some(k), Some(Some(prev))) if k == prev => {}
-                _ => *cacc = Some(None),
+    let reached = (0..n).filter_map(|b| states[b].as_deref().map(|st| (b, st)));
+    for (b, leader_state) in reached {
+        let visit = |i: usize, st: &State| {
+            let d = &decoded[i];
+            if i == b || may_write_stack(&decoded[i - 1].insn) {
+                for (s, v) in st.stack.iter().enumerate() {
+                    if *v == seen[s] {
+                        continue;
+                    }
+                    seen[s] = *v;
+                    slot_acc[s] = slot_acc[s].join(*v);
+                    let k = (v.prov == Prov::Scalar).then(|| v.tn.as_const()).flatten();
+                    match (k, const_acc[s]) {
+                        (Some(0), _) => {}
+                        (Some(k), None) => const_acc[s] = Some(Some(k)),
+                        (Some(k), Some(Some(prev))) if k == prev => {}
+                        _ => const_acc[s] = Some(None),
+                    }
+                }
             }
-        }
-        match d.insn {
-            Instruction::Call { helper }
-                if matches!(
-                    helper,
-                    crate::helpers::BPF_MAP_LOOKUP_ELEM
-                        | crate::helpers::BPF_MAP_UPDATE_ELEM
-                        | crate::helpers::BPF_MAP_DELETE_ELEM
-                ) =>
-            {
-                if let Prov::MapHandle(m) = st.regs[1].prov {
-                    let ptr_bytes = |r: usize| {
-                        let p = st.regs[r];
-                        (p.prov == Prov::StackPtr)
-                            .then(|| p.iv.as_const())
-                            .flatten()
-                            .and_then(|c| st.stack_bytes(c, 64))
-                    };
-                    analysis.map_keys.push(MapKeyFact {
-                        pc: d.pc,
-                        map: m,
+            debug_assert!(st.stack == seen, "only stores, atomics and calls write the stack");
+            match d.insn {
+                Instruction::Call { helper }
+                    if matches!(
                         helper,
-                        key: ptr_bytes(2),
-                        value: (helper == crate::helpers::BPF_MAP_UPDATE_ELEM)
-                            .then(|| ptr_bytes(3))
-                            .flatten(),
-                        tuple_guarded: st.tuple_guarded(),
-                        proto: match st.pkt_guard[2] {
-                            Guard::One(v) => Some(v),
-                            _ => None,
-                        },
-                        min_len: st.pkt_len_min,
-                    });
+                        crate::helpers::BPF_MAP_LOOKUP_ELEM
+                            | crate::helpers::BPF_MAP_UPDATE_ELEM
+                            | crate::helpers::BPF_MAP_DELETE_ELEM
+                    ) =>
+                {
+                    if let Prov::MapHandle(m) = st.regs[1].prov {
+                        let ptr_bytes = |r: usize| {
+                            let p = st.regs[r];
+                            (p.prov == Prov::StackPtr)
+                                .then(|| p.iv.as_const())
+                                .flatten()
+                                .and_then(|c| st.stack_bytes(c, 64))
+                        };
+                        analysis.map_keys.push(MapKeyFact {
+                            pc: d.pc,
+                            map: m,
+                            helper,
+                            key: ptr_bytes(2),
+                            value: (helper == crate::helpers::BPF_MAP_UPDATE_ELEM)
+                                .then(|| ptr_bytes(3))
+                                .flatten(),
+                            tuple_guarded: st.tuple_guarded(),
+                            proto: match st.pkt_guard[2] {
+                                Guard::One(v) => Some(v),
+                                _ => None,
+                            },
+                            min_len: st.pkt_len_min,
+                        });
+                    }
                 }
-            }
-            Instruction::Load { src, .. } => {
-                if let Prov::MapValue(m) = st.regs[src as usize].prov {
-                    analysis.map_val_accesses.push(MapValAccessFact {
-                        pc: d.pc,
-                        map: m,
-                        kind: MapValAccessKind::Load,
-                    });
+                Instruction::Load { src, .. } => {
+                    if let Prov::MapValue(m) = st.regs[src as usize].prov {
+                        analysis.map_val_accesses.push(MapValAccessFact {
+                            pc: d.pc,
+                            map: m,
+                            kind: MapValAccessKind::Load,
+                        });
+                    }
                 }
-            }
-            Instruction::Store { dst, .. } => {
-                if let Prov::MapValue(m) = st.regs[dst as usize].prov {
-                    analysis.map_val_accesses.push(MapValAccessFact {
-                        pc: d.pc,
-                        map: m,
-                        kind: MapValAccessKind::Store,
-                    });
+                Instruction::Store { dst, .. } => {
+                    if let Prov::MapValue(m) = st.regs[dst as usize].prov {
+                        analysis.map_val_accesses.push(MapValAccessFact {
+                            pc: d.pc,
+                            map: m,
+                            kind: MapValAccessKind::Store,
+                        });
+                    }
                 }
-            }
-            Instruction::Atomic { op, dst, src, .. } => {
-                if let Prov::MapValue(m) = st.regs[dst as usize].prov {
-                    let kind = match op {
-                        AtomicOp::Add { fetch } => {
-                            let v = st.regs[src as usize];
-                            let pure = v.prov == Prov::Scalar
-                                && v.src
-                                    .iter()
-                                    .all(|b| matches!(b, ByteSrc::Zero | ByteSrc::Const));
-                            MapValAccessKind::AtomicAdd { fetch, pure_operand: pure }
-                        }
-                        _ => MapValAccessKind::AtomicOther,
-                    };
-                    analysis.map_val_accesses.push(MapValAccessFact { pc: d.pc, map: m, kind });
+                Instruction::Atomic { op, dst, src, .. } => {
+                    if let Prov::MapValue(m) = st.regs[dst as usize].prov {
+                        let kind = match op {
+                            AtomicOp::Add { fetch } => {
+                                let v = st.regs[src as usize];
+                                let pure = v.prov == Prov::Scalar
+                                    && v.src
+                                        .iter()
+                                        .all(|b| matches!(b, ByteSrc::Zero | ByteSrc::Const));
+                                MapValAccessKind::AtomicAdd { fetch, pure_operand: pure }
+                            }
+                            _ => MapValAccessKind::AtomicOther,
+                        };
+                        analysis.map_val_accesses.push(MapValAccessFact { pc: d.pc, map: m, kind });
+                    }
                 }
+                _ => {}
             }
-            _ => {}
-        }
-        let fact = match d.insn {
-            Instruction::Load { size, src, off, .. } => {
-                access_fact(st, st.regs[src as usize], off, size, d.pc)
-            }
-            Instruction::Store { size, dst, off, .. }
-            | Instruction::Atomic { size, dst, off, .. } => {
-                access_fact(st, st.regs[dst as usize], off, size, d.pc)
-            }
-            Instruction::Jump { cond: Some(c), .. } => {
-                let l = st.regs[c.lhs as usize];
-                let r = operand_val(st, c.rhs);
-                if let Some(b) = decide(c.op, c.width, l, r) {
-                    analysis.branches.insert(d.pc, b);
+            let fact = match d.insn {
+                Instruction::Load { size, src, off, .. } => {
+                    access_fact(st, st.regs[src as usize], off, size, d.pc)
                 }
-                None
+                Instruction::Store { size, dst, off, .. }
+                | Instruction::Atomic { size, dst, off, .. } => {
+                    access_fact(st, st.regs[dst as usize], off, size, d.pc)
+                }
+                Instruction::Jump { cond: Some(c), .. } => {
+                    let l = st.regs[c.lhs as usize];
+                    let r = operand_val(st, c.rhs);
+                    if let Some(b) = decide(c.op, c.width, l, r) {
+                        analysis.branches.insert(d.pc, b);
+                    }
+                    None
+                }
+                _ => None,
+            };
+            if let Some(f) = fact {
+                analysis.packet_accesses += 1;
+                if f.proven {
+                    analysis.proven_accesses += 1;
+                    let end = f.hi + f.size;
+                    analysis.max_proven_end =
+                        Some(analysis.max_proven_end.map_or(end, |m: i64| m.max(end)));
+                }
+                analysis.facts.insert(f.pc, f);
             }
-            _ => None,
         };
-        if let Some(f) = fact {
-            analysis.packet_accesses += 1;
-            if f.proven {
-                analysis.proven_accesses += 1;
-                let end = f.hi + f.size;
-                analysis.max_proven_end =
-                    Some(analysis.max_proven_end.map_or(end, |m: i64| m.max(end)));
-            }
-            analysis.facts.insert(f.pc, f);
-        }
+        blocks.walk(b, leader_state.clone(), visit, |_, _| {});
     }
     analysis.all_packet_proven = analysis.proven_accesses == analysis.packet_accesses;
-    for ((info, acc), cacc) in analysis.stack_slots.iter_mut().zip(slot_acc).zip(const_acc) {
-        if let Some(v) = acc {
-            if v.prov == Prov::Scalar {
-                info.constant = match cacc {
-                    None => Some(0),
-                    Some(k) => k,
-                };
-                let highest = 64 - (v.tn.value | v.tn.mask).leading_zeros();
-                let mut width = highest as u8;
-                if v.iv.lo >= 0 && !v.iv.is_top() {
-                    let iv_bits = (64 - (v.iv.hi as u64).leading_zeros()) as u8;
-                    width = width.min(iv_bits);
-                }
-                info.width = width;
+    for ((info, v), cacc) in analysis.stack_slots.iter_mut().zip(slot_acc).zip(const_acc) {
+        if v.prov == Prov::Scalar {
+            info.constant = match cacc {
+                None => Some(0),
+                Some(k) => k,
+            };
+            let highest = 64 - (v.tn.value | v.tn.mask).leading_zeros();
+            let mut width = highest as u8;
+            if v.iv.lo >= 0 && !v.iv.is_top() {
+                let iv_bits = (64 - (v.iv.hi as u64).leading_zeros()) as u8;
+                width = width.min(iv_bits);
             }
+            info.width = width;
         }
     }
     analysis

@@ -3,7 +3,7 @@
 #
 # Usage:
 #   scripts/check.sh           # the full gate (benches included)
-#   scripts/check.sh --quick   # build + tests + lints only (edit loop)
+#   scripts/check.sh --quick   # build + tests + lints + perf smoke (edit loop)
 #
 # The speed smoke replays the Figure-9a firewall workload (40k packets at
 # 64 B line rate) under both stage engines (reference interpreter and the
@@ -86,17 +86,6 @@ cargo test --workspace -q
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
-# Every library crate carries #![deny(clippy::unwrap_used)]; lint them
-# standalone so a workspace-level cap change can't mask it.
-cargo clippy -p ehdl-hwsim -- -D warnings
-cargo clippy -p ehdl-core --all-targets -- -D warnings
-cargo clippy -p ehdl-runtime --all-targets -- -D warnings
-cargo clippy -p ehdl-programs --all-targets -- -D warnings
-cargo clippy -p ehdl-net --all-targets -- -D warnings
-cargo clippy -p ehdl-baselines --all-targets -- -D warnings
-cargo clippy -p ehdl-rng --all-targets -- -D warnings
-cargo clippy -p ehdl-bench --all-targets -- -D warnings
-cargo clippy -p ehdl-serve --all-targets -- -D warnings
 
 echo "== fmt =="
 cargo fmt --all -- --check
@@ -104,8 +93,16 @@ cargo fmt --all -- --check
 echo "== docs (rustdoc warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+# Last step of both modes: every perf/ workload at 1/50 size, each output
+# checked against the reference VM (exit code 0 only if all are correct).
+perf_smoke() {
+  echo "== perf smoke (six workloads, outputs checked against the VM) =="
+  bash perf/run.sh --smoke
+}
+
 if [[ "$quick" == "1" ]]; then
-  echo "check.sh --quick: build, tests and lints passed (bench gates skipped)"
+  perf_smoke
+  echo "check.sh --quick: build, tests, lints and perf smoke passed (bench gates skipped)"
   exit 0
 fi
 
@@ -143,4 +140,5 @@ EHDL_CHECK_BENCH=1 cargo bench -p ehdl-bench --bench shardcheck
 echo "== SLO gate (long-haul serving campaign x kill storm x lossy ctrl) =="
 EHDL_CHECK_BENCH=1 cargo bench -p ehdl-bench --bench slo
 
+perf_smoke
 echo "check.sh: all gates passed"

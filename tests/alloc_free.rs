@@ -5,11 +5,14 @@
 //! steady-state `step()` that neither completes a packet nor fires a
 //! hazard must perform exactly zero of them.
 //!
-//! This test lives in its own binary on purpose — any other test running
-//! concurrently in the same process would perturb the counter.
+//! The count is per thread (a const-initialised `thread_local!` cell, as
+//! in `perf/src/alloc.rs`): the harness runs these tests on parallel
+//! threads, and a window measured on one thread must not see another
+//! test's set-up allocating. No lock, so a failing test cannot poison its
+//! siblings either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use ehdl::core::Compiler;
 use ehdl::ebpf::asm::Asm;
@@ -19,37 +22,49 @@ use ehdl::ebpf::opcode::{AluOp, JmpOp, MemSize};
 use ehdl::ebpf::Program;
 use ehdl::hwsim::{Backend, PipelineSim, SimOptions};
 
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+fn bump() {
+    // `try_with`: the allocator may run while the thread's locals are
+    // being torn down; those allocations are simply not counted.
+    let _ = ALLOCS.try_with(|c| c.set(c.get().wrapping_add(1)));
+}
 
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the only addition is a thread-local counter bump, which
+// neither allocates (the cell is const-initialised) nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        bump();
+        // SAFETY: same contract as `GlobalAlloc::alloc`, forwarded as is.
+        unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
+        bump();
+        // SAFETY: same contract as `GlobalAlloc::alloc_zeroed`, forwarded as is.
+        unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        bump();
+        // SAFETY: same contract as `GlobalAlloc::realloc`, forwarded as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: same contract as `GlobalAlloc::dealloc`, forwarded as is.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The harness runs tests on parallel threads; the counter is
-/// process-global, so measuring tests must not overlap.
-static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
+/// Allocations made by the calling thread so far.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A branchy, map-free packet transform: reads two bytes, takes one of
@@ -103,7 +118,6 @@ fn map_write_program() -> Program {
 /// (Retiring cycles legitimately hand the packet buffer to the outcome
 /// queue, whose growth is not steady-state.)
 fn assert_steady_state_alloc_free(sim: &mut PipelineSim, packets: &[Vec<u8>]) {
-    let _exclusive = MEASURE.lock().unwrap();
     // Two warm-up batches: the first grows the long-lived buffers, the
     // second lets pooled snapshot boxes and recycled frames reach their
     // high-water capacities (a box recycled early in batch one can carry

@@ -125,3 +125,71 @@ fn all_apps_roundtrip_through_elf_objects() {
         assert_eq!(d1.stage_count(), d2.stage_count(), "{app}");
     }
 }
+
+/// One bundled program's design, reduced to the numbers a compile-path
+/// change must not move: stages, hw insns, FEBs, max `L`, max `K`,
+/// carried register slots, carried stack bytes, LUTs, FFs, VHDL bytes,
+/// reads sunk by the hazard-window pass.
+type Fingerprint = [u64; 11];
+
+fn fingerprint(program: &ehdl::ebpf::Program) -> (Fingerprint, String) {
+    use ehdl::core::fusion::{lower, FusionOptions};
+    use ehdl::core::{cfg::Cfg, ddg, hazardopt, label::label, schedule::schedule, vhdl};
+    let design = Compiler::new().compile(program).unwrap();
+    let est = resource::estimate_with_shell(&design);
+    let text = vhdl::emit(&design);
+    // The hazard-window pass on its own, on the plain lowering.
+    let decoded = program.decode().unwrap();
+    let cfg = Cfg::build(&decoded);
+    let lab = label(program, &decoded, &cfg).unwrap();
+    let lowered = lower(&decoded, &lab, &cfg, FusionOptions::default());
+    let deps = ddg::build(&lowered);
+    let (_, report) =
+        hazardopt::optimize_with_report(&lowered, &deps, schedule(&lowered, &deps, true));
+    let counts = [
+        design.stage_count(),
+        design.stats.hw_insns,
+        design.hazards.febs.len(),
+        design.hazards.max_raw_window().unwrap_or(0),
+        design.hazards.max_partial_flush_depth().unwrap_or(0),
+        design.prune.total_reg_slots(),
+        design.prune.total_stack_bytes(),
+        est.luts as usize,
+        est.ffs as usize,
+        text.len(),
+        report.sunk_reads,
+    ];
+    (counts.map(|c| c as u64), text)
+}
+
+/// The designs of the seven bundled programs, pinned: a refactor of the
+/// compile path (scheduling, flush scoring, liveness, value analysis,
+/// emission) that changes what comes out fails here rather than only in
+/// `perf/`. A change that means to alter a design updates its row.
+#[test]
+fn bundled_designs_match_their_golden_fingerprints() {
+    let golden: [(&str, ehdl::ebpf::Program, Fingerprint); 7] = [
+        (
+            "firewall",
+            App::Firewall.program(),
+            [54, 79, 1, 22, 26, 136, 660, 76547, 123308, 53802, 0],
+        ),
+        ("router", App::Router.program(), [60, 87, 0, 0, 0, 218, 84, 76816, 126691, 52778, 0]),
+        ("tunnel", App::Tunnel.program(), [75, 114, 0, 0, 0, 287, 92, 80406, 137988, 66557, 0]),
+        ("dnat", App::Dnat.program(), [72, 115, 1, 12, 20, 290, 548, 84543, 143537, 77742, 2]),
+        ("suricata", App::Suricata.program(), [87, 112, 0, 0, 0, 247, 76, 83949, 142498, 89334, 0]),
+        ("toy_counter", toy_counter::program(), [19, 27, 0, 0, 0, 42, 48, 61411, 92959, 18266, 0]),
+        (
+            "leaky_bucket",
+            leaky_bucket::program(),
+            [48, 69, 4, 25, 29, 153, 277, 76335, 118570, 47528, 1],
+        ),
+    ];
+    for (name, program, want) in golden {
+        let (got, text) = fingerprint(&program);
+        assert_eq!(got, want, "{name}");
+        let (again, text_again) = fingerprint(&program);
+        assert_eq!(again, want, "{name}: second compile");
+        assert!(text == text_again, "{name}: two compiles emit different VHDL");
+    }
+}

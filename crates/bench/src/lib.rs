@@ -14,7 +14,6 @@ pub mod flush_opt;
 pub mod runtime_ops;
 pub mod scale_out;
 pub mod shardcheck;
-pub mod sim_speed;
 pub mod slo;
 
 use ehdl_baselines::{hxdp, sdnet, BluefieldModel, HxdpModel, SdnetCompiler};

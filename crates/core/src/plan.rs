@@ -4,10 +4,10 @@
 //! every in-flight packet; going back to [`PipelineDesign`]'s nested
 //! `Vec`s on each visit forced it to clone op lists and predecessor
 //! tables to satisfy the borrow checker. [`ExecPlan`] flattens everything
-//! the hot loop needs — per-stage op slices, the block predecessor table
-//! in topological order, and a per-block guard index — into contiguous
-//! storage built once per design. Shared behind an `Arc`, it lets the
-//! executor borrow instead of clone.
+//! the hot loop needs — per-stage op slices and the block predecessor table
+//! in topological order — into contiguous storage built once per design
+//! (the per-block guard index is baked into [`LoweredPlan`]'s stages).
+//! Shared behind an `Arc`, it lets the executor borrow instead of clone.
 
 use crate::ir::{HwInsn, Interval, MapUse, MemLabel};
 use crate::pipeline::{EdgeCond, PipelineDesign, Protection, StageOp};
@@ -134,8 +134,6 @@ pub fn control_inventory(design: &PipelineDesign) -> ControlInventory {
 pub struct ExecPlan {
     nblocks: usize,
     nmaps: usize,
-    /// Owning block of each stage.
-    stage_block: Vec<u32>,
     /// All stage ops, flattened; `stage_ops[s]` indexes `ops[a..b]`.
     ops: Vec<StageOp>,
     stage_ops: Vec<(u32, u32)>,
@@ -145,9 +143,6 @@ pub struct ExecPlan {
     /// iterative forward walk resolves all enable signals.
     preds: Vec<(u32, EdgeCond)>,
     block_preds: Vec<(u32, u32)>,
-    /// Strictest implicit length guard per block (§4.4), or `i64::MIN`
-    /// when the block carries none: a packet shorter than this faults.
-    guard_min_len: Vec<i64>,
     /// Checkpoint schedule for partial flushes: `true` at every stage some
     /// FEB lists as a protected read stage. The simulator snapshots state
     /// *before* executing these stages so a flush can resume the window
@@ -180,12 +175,10 @@ impl ExecPlan {
         let nblocks = design.blocks.len();
         let mut ops = Vec::new();
         let mut stage_ops = Vec::with_capacity(design.stages.len());
-        let mut stage_block = Vec::with_capacity(design.stages.len());
         for stage in &design.stages {
             let a = ops.len() as u32;
             ops.extend(stage.ops.iter().cloned());
             stage_ops.push((a, ops.len() as u32));
-            stage_block.push(stage.block as u32);
         }
         let mut preds = Vec::new();
         let mut block_preds = Vec::with_capacity(nblocks);
@@ -196,10 +189,6 @@ impl ExecPlan {
                 preds.push((p as u32, cond));
             }
             block_preds.push((a, preds.len() as u32));
-        }
-        let mut guard_min_len = vec![i64::MIN; nblocks];
-        for &(gb, min_len) in &design.guards {
-            guard_min_len[gb] = guard_min_len[gb].max(min_len);
         }
         let mut checkpoint_stage = vec![false; design.stages.len()];
         for feb in &design.hazards.febs {
@@ -229,12 +218,10 @@ impl ExecPlan {
         ExecPlan {
             nblocks,
             nmaps: design.maps.len(),
-            stage_block,
             ops,
             stage_ops,
             preds,
             block_preds,
-            guard_min_len,
             checkpoint_stage,
             protect: design.protect,
             control: control_inventory(design),
@@ -261,12 +248,6 @@ impl ExecPlan {
         self.nmaps
     }
 
-    /// The block owning stage `s`.
-    #[inline]
-    pub fn stage_block(&self, s: usize) -> usize {
-        self.stage_block[s] as usize
-    }
-
     /// The ops scheduled in stage `s` (empty for wait/latency stages).
     #[inline]
     pub fn stage_ops(&self, s: usize) -> &[StageOp] {
@@ -279,12 +260,6 @@ impl ExecPlan {
     pub fn preds_of(&self, b: usize) -> &[(u32, EdgeCond)] {
         let (a, z) = self.block_preds[b];
         &self.preds[a as usize..z as usize]
-    }
-
-    /// The strictest implicit length guard on block `b`, or `i64::MIN`.
-    #[inline]
-    pub fn guard_min_len(&self, b: usize) -> i64 {
-        self.guard_min_len[b]
     }
 
     /// Whether stage `s` is a FEB-protected read stage and must take a
@@ -327,18 +302,18 @@ impl ExecPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Lowered plan: the compiled simulator backend's specialized form.
+// Lowered plan: the simulator's attach-time specialized form.
 // ---------------------------------------------------------------------------
 
-/// Why a design could not be lowered for the compiled simulator backend.
+/// Why a design could not be lowered for the simulator.
 ///
-/// A lowering failure is *not* a compile error: the simulator falls back
-/// to the interpreter, which executes every plan. The typed error exists
-/// so callers can tell a deliberate fallback from a silent one.
+/// The verifier rejects both causes at load time, so a compiled design
+/// always lowers; the simulator panics with this error on a design edited
+/// by hand into one that does not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LowerError {
     /// A stage calls a helper the executor has no semantics for; the
-    /// interpreter would fault the packet at runtime, so the lowerer
+    /// generic op path would fault the packet at runtime, so the lowerer
     /// rejects the plan outright instead of baking a guaranteed fault.
     UnsupportedHelper {
         /// Pipeline stage of the offending call.
@@ -389,8 +364,8 @@ pub enum RegOrImm {
 ///
 /// Fused ops are in 1:1 correspondence with the stage's [`StageOp`]s (same
 /// order, same count): op `i` of a lowered stage specializes op `i` of the
-/// interpreter's stage. That invariant lets the executor fall back to the
-/// interpreter's generic op path *per op* when a runtime guard fails.
+/// plan's stage. That invariant lets the executor fall back to the generic
+/// op path *per op* when a runtime guard fails.
 ///
 /// All plan-derived constants — immediates (pre-sign-extended), map handle
 /// values, key/value geometry, WAR delays and FEB read stages — are baked
@@ -649,7 +624,7 @@ pub enum FusedOp {
     /// `bpf_redirect`.
     Redirect,
     /// No specialization: the executor runs the original [`StageOp`] at
-    /// the same index through the interpreter's per-op path. Any stage
+    /// the same index through the generic per-op path. Any stage
     /// containing one of these is forced to delta (two-phase) mode.
     Interp,
 }
@@ -664,8 +639,8 @@ pub struct LoweredStage {
     pub guard_min_len: i64,
     /// Index range into the plan's fused-op array.
     ops: (u32, u32),
-    /// Execute in two-phase (delta) mode through the interpreter's op
-    /// loop: set when the stage has an intra-stage read-after-write, a
+    /// Execute in two-phase (delta) mode through the generic op loop:
+    /// set when the stage has an intra-stage read-after-write, a
     /// flush-capable op past index 0, or an op with no specialization.
     /// Direct mode (the fast path) writes packet state in place.
     pub delta: bool,
@@ -682,18 +657,18 @@ pub struct LowerStats {
     pub fused_ops: usize,
 }
 
-/// The compiled simulator backend's specialized execution plan.
+/// The simulator's specialized execution plan.
 ///
 /// Produced once at attach time by [`LoweredPlan::try_lower`]: every
 /// [`StageOp`] is monomorphized into a [`FusedOp`] with its operands
 /// resolved and its plan constants (immediates, map geometry, WAR delays,
 /// FEB schedules, block guards) baked in, and every stage is classified
 /// as *direct* (ops write packet state in place — no per-stage write-set
-/// indirection) or *delta* (two-phase, bit-identical to the interpreter
-/// by construction because it *is* the interpreter's op loop).
+/// indirection) or *delta* (two-phase: every op reads the stage-entry
+/// state and the writes commit together at the stage boundary).
 ///
 /// Direct mode is sound only when no op observes an earlier op's write
-/// within the same stage — the interpreter's two-phase semantics make all
+/// within the same stage — a stage's two-phase semantics make all
 /// reads see the stage-entry state. The lowerer proves that per stage
 /// from register read/write masks and the §3.1 memory labels, and demotes
 /// any stage it cannot prove.
@@ -772,14 +747,14 @@ const HELPER_WRITES: u16 = 0b11_1111;
 const HELPER_READS: u16 = 0b11_1110;
 
 impl LoweredPlan {
-    /// Lower `design` into a compiled-backend plan.
+    /// Lower `design` into the simulator's specialized plan.
     ///
     /// # Errors
     ///
     /// [`LowerError::UnsupportedHelper`] for helper calls the executor
     /// has no semantics for, [`LowerError::UnknownMap`] when a
-    /// map-touching op names a map the design does not declare. Callers
-    /// are expected to fall back to the interpreter on error.
+    /// map-touching op names a map the design does not declare. The
+    /// simulator cannot execute a design that does not lower.
     pub fn try_lower(design: &PipelineDesign) -> Result<LoweredPlan, LowerError> {
         let mut guard_min_len = vec![i64::MIN; design.blocks.len()];
         for &(gb, min_len) in &design.guards {
@@ -1065,7 +1040,7 @@ fn lower_op(
                 match helper {
                     BPF_MAP_LOOKUP_ELEM => {
                         let Some(MapUse::Lookup(m)) = op.map_use else {
-                            // No resolved map: run the interpreter's
+                            // No resolved map: run the generic
                             // handle-decoding path.
                             return Ok((
                                 FusedOp::Interp,
@@ -1163,7 +1138,6 @@ mod tests {
         assert_eq!(plan.block_count(), design.blocks.len());
         assert_eq!(plan.map_count(), design.maps.len());
         for (s, stage) in design.stages.iter().enumerate() {
-            assert_eq!(plan.stage_block(s), stage.block);
             assert_eq!(plan.stage_ops(s).len(), stage.ops.len());
         }
         for (b, info) in design.blocks.iter().enumerate() {
@@ -1240,16 +1214,6 @@ mod tests {
     }
 
     #[test]
-    fn guard_index_takes_strictest() {
-        let mut design = branchy_design();
-        design.guards = vec![(0, 14), (0, 34), (1, 20)];
-        let plan = ExecPlan::new(&design);
-        assert_eq!(plan.guard_min_len(0), 34);
-        assert_eq!(plan.guard_min_len(1), 20);
-        assert_eq!(plan.guard_min_len(2), i64::MIN);
-    }
-
-    #[test]
     fn lowering_is_one_to_one_with_stage_ops() {
         let design = branchy_design();
         let lowered = LoweredPlan::try_lower(&design).expect("branchy design lowers");
@@ -1272,11 +1236,15 @@ mod tests {
     #[test]
     fn lowering_bakes_strictest_guard_per_block() {
         let mut design = branchy_design();
-        design.guards = vec![(0, 14), (0, 34)];
+        design.guards = vec![(0, 14), (0, 34), (1, 20)];
         let lowered = LoweredPlan::try_lower(&design).unwrap();
-        let plan = ExecPlan::new(&design);
         for s in 0..lowered.stage_count() {
-            assert_eq!(lowered.stage(s).guard_min_len, plan.guard_min_len(plan.stage_block(s)));
+            let expected = match lowered.stage(s).block {
+                0 => 34,
+                1 => 20,
+                _ => i64::MIN,
+            };
+            assert_eq!(lowered.stage(s).guard_min_len, expected);
         }
     }
 

@@ -141,6 +141,13 @@ pub fn apply_host_op_to_store(maps: &mut MapStore, op: &HostOp) -> Result<HostOp
     }
 }
 
+/// Simulator options of the differential entry points: the clock frozen
+/// at the VM's constant `ktime`, and every compile-time packet-bounds proof
+/// rechecked against the concrete access.
+pub(crate) fn harness_options() -> SimOptions {
+    SimOptions { freeze_time_ns: Some(1000), check_proofs: true, ..Default::default() }
+}
+
 /// Compare VM and pipeline over a packet sequence. Returns all
 /// divergences (empty = equivalent).
 ///
@@ -176,14 +183,7 @@ pub fn compare_ignoring(
     setup: impl Fn(&mut ehdl_ebpf::maps::MapStore),
     ignore_maps: &[u32],
 ) -> Vec<Divergence> {
-    compare_full(
-        program,
-        design,
-        packets,
-        setup,
-        ignore_maps,
-        SimOptions { freeze_time_ns: Some(1000), check_proofs: true, ..Default::default() },
-    )
+    compare_full(program, design, packets, setup, ignore_maps, harness_options())
 }
 
 /// Fully parameterized comparison (explicit simulator options, e.g. the
@@ -516,6 +516,13 @@ pub fn compare_sharded(
     for v in vm.proof_violations() {
         divs.push(Divergence::Proof { detail: format!("vm: {v}") });
     }
+    replica_proof_divergences(&nic, replicas, &mut divs);
+    divs
+}
+
+/// One [`Divergence::Proof`] per replica whose unguarded accesses left
+/// their proven bounds.
+fn replica_proof_divergences(nic: &ShardedNic, replicas: usize, divs: &mut Vec<Divergence>) {
     for r in 0..replicas {
         let hw_violations = nic.sim(r).counters().proof_violations;
         if hw_violations > 0 {
@@ -526,7 +533,6 @@ pub fn compare_sharded(
             });
         }
     }
-    divs
 }
 
 /// Assert that a sharded run is equivalent to the sequential reference
@@ -544,7 +550,6 @@ pub fn assert_equivalent_sharded(
     merge: &[(u32, MergeStrategy)],
     fabric: SharedMapOptions,
 ) -> Vec<Divergence> {
-    let sim_options = SimOptions { freeze_time_ns: Some(1000), ..Default::default() };
     let divs = compare_sharded(
         program,
         design,
@@ -555,7 +560,7 @@ pub fn assert_equivalent_sharded(
         setup,
         merge,
         fabric,
-        sim_options,
+        harness_options(),
     );
     assert!(
         divs.is_empty(),
@@ -613,13 +618,12 @@ pub fn compare_sharded_failover(
     merge: &[(u32, MergeStrategy)],
     fabric: SharedMapOptions,
 ) -> FailoverDiff {
-    let sim_options = SimOptions { freeze_time_ns: Some(1000), ..Default::default() };
     let mut vm = Vm::new(program);
     vm.set_time_ns(1000);
     let mut fabric = fabric;
     fabric.log_events = true;
     let shared_ids = fabric.shared_maps.clone();
-    let mut nic = ShardedNic::new(design, replicas, seed, sim_options, fabric);
+    let mut nic = ShardedNic::new(design, replicas, seed, harness_options(), fabric);
     nic.attach_replica_faults(rfault.clone(), merge.to_vec());
     setup(vm.maps_mut());
     nic.setup_maps(&setup);
@@ -715,6 +719,7 @@ pub fn compare_sharded_failover(
     if let Err(v) = check_linearizable(&initial, &shared_ids, &report.events) {
         divs.push(Divergence::Coherence { detail: v.to_string() });
     }
+    replica_proof_divergences(&nic, replicas, &mut divs);
 
     FailoverDiff { divergences: divs, report }
 }
@@ -852,14 +857,12 @@ fn compare_ops_core(
     ignore_maps: &[u32],
     ctrl: CtrlOptions,
 ) -> Vec<Divergence> {
-    let sim_options =
-        SimOptions { freeze_time_ns: Some(1000), check_proofs: true, ..Default::default() };
     let mut vm = Vm::new(program);
     vm.set_time_ns(1000);
     if let Ok(decoded) = program.decode() {
         vm.check_facts(ehdl_ebpf::absint::analyze(&decoded));
     }
-    let mut sim = PipelineSim::with_options(design, sim_options);
+    let mut sim = PipelineSim::with_options(design, harness_options());
     setup(vm.maps_mut());
     setup(sim.maps_mut());
     let nops = hw_events.iter().filter(|e| matches!(e, HostEvent::Op(_))).count();
@@ -1092,6 +1095,8 @@ pub fn compare_under_faults(
     ignore_maps: &[u32],
     fault: FaultConfig,
 ) -> FaultCompareReport {
+    // Proof rechecks stay off: an injected bit flip may legitimately push
+    // an address outside its proof.
     let sim_options = SimOptions { freeze_time_ns: Some(1000), ..Default::default() };
     let mut vm = Vm::new(program);
     vm.set_time_ns(1000);

@@ -67,4 +67,4 @@ pub use shared::{
     SharedEvent, SharedMapOptions, SharedMapStats, SharedOpCompletion, HOST_REPLICA,
 };
 pub use shell::{NicShell, ShellOptions, ShellReport};
-pub use sim::{Backend, PipelineSim, SimCounters, SimError, SimOptions, SimOutcome};
+pub use sim::{PipelineSim, SimCounters, SimError, SimOptions, SimOutcome};

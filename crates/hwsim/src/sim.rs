@@ -2,7 +2,7 @@
 
 use ehdl_core::ir::{HwInsn, MapUse};
 use ehdl_core::pipeline::{EdgeCond, PipelineDesign};
-use ehdl_core::{ExecPlan, LowerError, LoweredPlan};
+use ehdl_core::{ExecPlan, LoweredPlan};
 use ehdl_ebpf::helpers::*;
 use ehdl_ebpf::insn::{Instruction, Operand};
 use ehdl_ebpf::maps::{MapStore, UpdateFlags};
@@ -65,29 +65,6 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Which execution engine runs the pipeline stages.
-///
-/// Both engines are cycle-accurate and bit-identical on every observable
-/// (outcomes, counters, telemetry, map state); the compiled backend is
-/// simply specialized at attach time. See the "Compiled backend" section
-/// of DESIGN.md.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// Lower the plan at attach time and use the compiled engine; fall
-    /// back to the interpreter (recording the typed [`LowerError`]) if
-    /// the plan has a feature the lowerer rejects, or when
-    /// [`SimOptions::check_proofs`] asks for per-access proof rechecks
-    /// (a validation mode the specialized ops deliberately elide).
-    #[default]
-    Auto,
-    /// Always interpret the [`ExecPlan`] op by op.
-    Interpreter,
-    /// Require the compiled engine; construction panics if the plan
-    /// cannot be lowered. For benches and tests that must not silently
-    /// measure the wrong engine.
-    Compiled,
-}
-
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SimOptions {
@@ -115,8 +92,6 @@ pub struct SimOptions {
     /// violations increment [`SimCounters::proof_violations`] without
     /// changing the verdict (the unguarded hardware would simply read).
     pub check_proofs: bool,
-    /// Stage execution engine; see [`Backend`].
-    pub backend: Backend,
 }
 
 impl Default for SimOptions {
@@ -128,7 +103,6 @@ impl Default for SimOptions {
             poison_dead_state: false,
             partial_flush: true,
             check_proofs: false,
-            backend: Backend::Auto,
         }
     }
 }
@@ -285,9 +259,8 @@ struct PacketState {
 struct StatePool {
     #[allow(clippy::vec_box)] // boxed so snapshot/restore moves a pointer
     free: Vec<Box<PacketState>>,
-    /// Retired unconfirmed-read key buffers. The compiled backend records
-    /// reads with pooled keys (instead of the interpreter's fresh
-    /// `to_vec`), so its lookup path is allocation-free once warm.
+    /// Retired unconfirmed-read key buffers: a lookup records its read
+    /// with a pooled key, so the lookup path is allocation-free once warm.
     keys: Vec<Vec<u8>>,
     /// Retired whole in-flight frames: a completed packet's box (state
     /// buffers, checkpoint vector, original-bytes buffer) is reused by the
@@ -405,11 +378,13 @@ pub struct PipelineSim {
     /// predecessor table and guard index, shared so the hot loop can
     /// borrow design data while mutating the simulator.
     plan: Arc<ExecPlan>,
-    /// Attach-time specialized plan for the compiled backend; `None`
-    /// runs the interpreter (requested, proof-check mode, or fallback).
-    lowered: Option<Arc<LoweredPlan>>,
-    /// Why lowering failed, when [`Backend::Auto`] fell back.
-    lower_error: Option<LowerError>,
+    /// Attach-time specialization of `plan`, op for op: operands resolved,
+    /// plan constants baked in, each stage classified direct or delta.
+    lowered: Arc<LoweredPlan>,
+    /// Run every stage through the two-phase executor on the hooked walk:
+    /// the reference the direct lowering is tested against.
+    #[cfg(test)]
+    two_phase_reference: bool,
     options: SimOptions,
     maps: MapStore,
     slots: Vec<Option<Box<InFlight>>>,
@@ -424,8 +399,6 @@ pub struct PipelineSim {
     /// Post-flush reload bubble.
     stall: u64,
     prandom_state: u64,
-    /// Delay (cycles) per write stage, from the WAR plan.
-    war_delay: std::collections::BTreeMap<(u32, usize), u64>,
     /// Per stage: how many packet-visits executed (enabled) vs passed
     /// through disabled — the disable-signal picture of Figure 8.
     stage_enabled: Vec<u64>,
@@ -512,51 +485,29 @@ impl PipelineSim {
     ///
     /// # Panics
     ///
-    /// With [`Backend::Compiled`], panics if the plan cannot be lowered
-    /// or `check_proofs` is set (the compiled ops elide exactly the
-    /// rechecks that mode exists to perform) — a forced backend must
-    /// never silently measure the wrong engine. [`Backend::Auto`] falls
-    /// back to the interpreter in both cases instead.
+    /// Panics if the design has more than 512 control blocks, or if it does
+    /// not lower ([`ehdl_core::LowerError`]). The verifier rejects unknown
+    /// helpers and undeclared maps at load time, so only a design edited by
+    /// hand after compilation can fail to lower.
     pub fn with_options(design: &PipelineDesign, options: SimOptions) -> PipelineSim {
         assert!(
             design.blocks.len() <= MAX_BLOCKS,
             "design has {} blocks; the simulator supports at most {MAX_BLOCKS}",
             design.blocks.len()
         );
-        let (lowered, lower_error) = match options.backend {
-            Backend::Interpreter => (None, None),
-            Backend::Auto if options.check_proofs => (None, None),
-            Backend::Auto => match LoweredPlan::try_lower(design) {
-                Ok(lp) => (Some(Arc::new(lp)), None),
-                Err(e) => (None, Some(e)),
-            },
-            Backend::Compiled => {
-                assert!(
-                    !options.check_proofs,
-                    "check_proofs requires the interpreter (proof rechecks are \
-                     exactly what the compiled ops elide); use Backend::Auto \
-                     or Backend::Interpreter"
-                );
-                match LoweredPlan::try_lower(design) {
-                    Ok(lp) => (Some(Arc::new(lp)), None),
-                    Err(e) => panic!("Backend::Compiled forced but the plan does not lower: {e}"),
-                }
-            }
+        let lowered = match LoweredPlan::try_lower(design) {
+            Ok(lp) => Arc::new(lp),
+            Err(e) => panic!("the design does not lower: {e}"),
         };
         let maps = MapStore::new(&design.maps);
         let nstages = design.stages.len();
-        let war_delay = design
-            .hazards
-            .war_buffers
-            .iter()
-            .map(|w| ((w.map, w.write_stage), w.delay as u64))
-            .collect();
         let plan = Arc::new(ExecPlan::new(design));
         PipelineSim {
             design: Arc::new(design.clone()),
             plan,
             lowered,
-            lower_error,
+            #[cfg(test)]
+            two_phase_reference: false,
             options,
             maps,
             slots: vec![None; nstages],
@@ -569,7 +520,6 @@ impl PipelineSim {
             inject_busy: 0,
             stall: 0,
             prandom_state: 0x9e37_79b9_7f4a_7c15,
-            war_delay,
             stage_enabled: vec![0; nstages],
             stage_disabled: vec![0; nstages],
             scratch: Some(Box::default()),
@@ -631,27 +581,10 @@ impl PipelineSim {
         &self.design
     }
 
-    /// The engine actually executing stages: [`Backend::Compiled`] when a
-    /// lowered plan is attached, [`Backend::Interpreter`] otherwise.
-    /// Never [`Backend::Auto`] — that is a request, not a resolution.
-    pub fn active_backend(&self) -> Backend {
-        if self.lowered.is_some() {
-            Backend::Compiled
-        } else {
-            Backend::Interpreter
-        }
-    }
-
-    /// Why [`Backend::Auto`] fell back to the interpreter, if it did
-    /// because the plan would not lower. `None` under a compiled engine,
-    /// a requested interpreter, or a `check_proofs` fallback.
-    pub fn lower_error(&self) -> Option<&LowerError> {
-        self.lower_error.as_ref()
-    }
-
-    /// Lowering statistics of the attached compiled plan, if any.
-    pub fn lower_stats(&self) -> Option<ehdl_core::LowerStats> {
-        self.lowered.as_ref().map(|lp| lp.stats())
+    /// How the design lowered: stages executing in place (direct) versus
+    /// two-phase (delta), and the fused op count.
+    pub fn lower_stats(&self) -> ehdl_core::LowerStats {
+        self.lowered.stats()
     }
 
     /// Per-map pipeline lookup counts (telemetry CSRs).
@@ -825,28 +758,35 @@ impl PipelineSim {
             self.ctrl_cycle();
         }
 
-        // 2. Advance the pipeline from the back. One refcount bump per
-        // cycle lets every stage borrow the plan while `self` stays
-        // mutable. The compiled backend runs a specialized walk whenever
-        // the cycle is provably regular; anything irregular (fault engine,
-        // host channel, pending replay stream, poison diagnostics) takes
-        // the reference walk with the same per-stage semantics.
+        // 2. Advance the pipeline from the back. One refcount bump per plan
+        // per cycle lets every stage borrow them while `self` stays mutable.
+        // A regular cycle (no fault engine, host channel, queued replay
+        // stream or poison diagnostics) starts on the no-hook walk; the
+        // first flush makes the pipeline irregular, and the stages below it
+        // finish the cycle on the hooked walk. The flushing stage's own
+        // re-entry port needs no poll: a replay stream re-enters strictly
+        // below the stage that raised it (a FEB read precedes its write).
         let plan = Arc::clone(&self.plan);
+        let lp = Arc::clone(&self.lowered);
         let nstages = self.design.stages.len();
-        match self.lowered.clone() {
-            Some(lp)
-                if self.fault.is_none()
-                    && self.ctrl.is_none()
-                    && self.replay.is_empty()
-                    && !self.options.poison_dead_state =>
-            {
-                self.step_compiled_cycle(&lp, &plan, nstages);
-            }
-            lowered => {
-                for s in (0..nstages).rev() {
-                    self.step_stage(s, nstages, &plan, lowered.as_deref());
+        let mut s = nstages;
+        let regular = self.fault.is_none()
+            && self.ctrl.is_none()
+            && self.replay.is_empty()
+            && !self.options.poison_dead_state;
+        #[cfg(test)]
+        let regular = regular && !self.two_phase_reference;
+        if regular {
+            while s > 0 {
+                s -= 1;
+                if self.step_stage::<false>(s, nstages, &plan, &lp) {
+                    break;
                 }
             }
+        }
+        while s > 0 {
+            s -= 1;
+            self.step_stage::<true>(s, nstages, &plan, &lp);
         }
 
         // 3. Injection.
@@ -854,15 +794,24 @@ impl PipelineSim {
         self.cycle += 1;
     }
 
-    /// One stage of the reference pipeline walk: stall checks, execution,
-    /// advance/flush handling, and the partial-flush re-entry port.
-    fn step_stage(
+    /// One stage of the pipeline walk: stall checks, execution,
+    /// advance/flush handling, and the partial-flush re-entry port. Returns
+    /// whether the stage raised a flush.
+    ///
+    /// `HOOKS` compiles in what only an irregular pipeline needs: the stall
+    /// checks, the dead-state poison and the re-entry port. Without a fault
+    /// engine, a host channel or a queued replay stream none of them can
+    /// fire — the walk runs back to front, so the slot ahead of every packet
+    /// has already been vacated — and the `false` instantiation drops them
+    /// from the hot loop.
+    fn step_stage<const HOOKS: bool>(
         &mut self,
         s: usize,
         nstages: usize,
         plan: &ExecPlan,
-        lowered: Option<&LoweredPlan>,
-    ) {
+        lp: &LoweredPlan,
+    ) -> bool {
+        let mut flushed = false;
         if let Some(mut pkt) = self.slots[s].take() {
             self.stage_occupied[s] = self.stage_occupied[s].saturating_add(1);
             // A packet may not advance into an occupied slot, nor past
@@ -875,45 +824,40 @@ impl PipelineSim {
             // younger packets stall before irreversibly writing the
             // op's map, and before retiring a read the op is about to
             // invalidate.
-            let hung_here = self.fault.as_ref().is_some_and(|f| f.hang.map(|h| h.stage) == Some(s));
-            let blocked = hung_here
-                || (s + 1 < nstages
-                    && (self.slots[s + 1].is_some()
-                        || (s + 1 == self.replay_entry && !self.replay.is_empty())))
-                || self.ctrl_effect_stall(s, pkt.seq)
-                || (s + 1 == nstages && self.ctrl_retire_stall(s, &pkt));
+            let blocked = HOOKS
+                && (self.fault.as_ref().is_some_and(|f| f.hang.map(|h| h.stage) == Some(s))
+                    || (s + 1 < nstages
+                        && (self.slots[s + 1].is_some()
+                            || (s + 1 == self.replay_entry && !self.replay.is_empty())))
+                    || self.ctrl_effect_stall(s, pkt.seq)
+                    || (s + 1 == nstages && self.ctrl_retire_stall(s, &pkt)));
             if blocked {
                 self.slots[s] = Some(pkt);
             } else {
-                let result = match lowered {
-                    Some(lp) => self.exec_stage_compiled(s, &mut pkt, lp, plan),
-                    None => self.exec_stage(s, &mut pkt, plan),
-                };
-                match result {
-                    StageResult::Ok => {
-                        if s + 1 == nstages {
-                            self.complete(pkt);
-                        } else {
-                            self.poison_dead(&mut pkt, s + 1);
-                            self.place_in_slot(s + 1, pkt);
-                        }
-                    }
-                    StageResult::FlushBelow { boundary, read_stage, map, key } => {
-                        // The writer (this packet) keeps going.
-                        if s + 1 == nstages {
-                            self.complete(pkt);
-                        } else {
-                            self.poison_dead(&mut pkt, s + 1);
-                            self.place_in_slot(s + 1, pkt);
-                        }
-                        self.flush_below(boundary, read_stage, Some((map, key)));
-                    }
+                match self.exec_stage(s, &mut pkt, lp, plan) {
                     StageResult::FlushSelf => {
                         // Reading packet saw a stale location: it and
                         // everything younger re-executes (re-reading from
                         // its latest checkpoint repairs the value).
                         self.slots[s] = Some(pkt);
                         self.flush_below(s + 1, s, None);
+                        flushed = true;
+                    }
+                    result => {
+                        // On a flush below, the writer (this packet) keeps
+                        // going.
+                        if s + 1 == nstages {
+                            self.complete(pkt);
+                        } else {
+                            if HOOKS {
+                                self.poison_dead(&mut pkt, s + 1);
+                            }
+                            self.place_in_slot(s + 1, pkt);
+                        }
+                        if let StageResult::FlushBelow { boundary, read_stage, map, key } = result {
+                            self.flush_below(boundary, read_stage, Some((map, key)));
+                            flushed = true;
+                        }
                     }
                 }
             }
@@ -921,7 +865,7 @@ impl PipelineSim {
         // Partial-flush replay stream: evictees re-enter at the
         // window's read stage, one per cycle after the reload bubble,
         // once the triggering write has retired from its delay buffer.
-        if s == self.replay_entry && !self.replay.is_empty() && self.slots[s].is_none() {
+        if HOOKS && s == self.replay_entry && !self.replay.is_empty() && self.slots[s].is_none() {
             if self.replay_stall > 0 {
                 self.replay_stall -= 1;
             } else {
@@ -932,60 +876,7 @@ impl PipelineSim {
                 }
             }
         }
-    }
-
-    /// The compiled backend's specialized pipeline walk for a *regular*
-    /// cycle: no fault engine, no host channel, no queued replay stream,
-    /// no poison diagnostics. Under those preconditions no stall condition
-    /// can hold — the walk runs back-to-front, so the slot ahead of every
-    /// packet has already been vacated — and the per-stage stall checks,
-    /// hang probes and replay-port polls drop out of the hot loop
-    /// entirely. The instant a stage produces anything but
-    /// [`StageResult::Ok`] (a hazard flush), the rest of the cycle
-    /// degrades to [`PipelineSim::step_stage`], which handles the now
-    /// irregular pipeline exactly like the reference walk.
-    fn step_compiled_cycle(&mut self, lp: &LoweredPlan, plan: &ExecPlan, nstages: usize) {
-        for s in (0..nstages).rev() {
-            let Some(mut pkt) = self.slots[s].take() else { continue };
-            self.stage_occupied[s] = self.stage_occupied[s].saturating_add(1);
-            match self.exec_stage_compiled(s, &mut pkt, lp, plan) {
-                StageResult::Ok => {
-                    if s + 1 == nstages {
-                        self.complete(pkt);
-                    } else {
-                        self.place_in_slot(s + 1, pkt);
-                    }
-                }
-                StageResult::FlushBelow { boundary, read_stage, map, key } => {
-                    // The writer (this packet) keeps going.
-                    if s + 1 == nstages {
-                        self.complete(pkt);
-                    } else {
-                        self.place_in_slot(s + 1, pkt);
-                    }
-                    self.flush_below(boundary, read_stage, Some((map, key)));
-                    // The replay stream is now pending: finish the cycle on
-                    // the reference walk. Its re-entry stage is strictly
-                    // below `s` (a FEB read precedes its write), so the
-                    // skipped stage-`s` replay port could not have fired.
-                    for t in (0..s).rev() {
-                        self.step_stage(t, nstages, plan, Some(lp));
-                    }
-                    return;
-                }
-                StageResult::FlushSelf => {
-                    // Reading packet saw a stale location: it and
-                    // everything younger re-executes (re-reading from
-                    // its latest checkpoint repairs the value).
-                    self.slots[s] = Some(pkt);
-                    self.flush_below(s + 1, s, None);
-                    for t in (0..s).rev() {
-                        self.step_stage(t, nstages, plan, Some(lp));
-                    }
-                    return;
-                }
-            }
-        }
+        flushed
     }
 
     /// Stage-0 injection port: reload bubbles, multi-frame pacing, and the
@@ -1529,16 +1420,9 @@ impl PipelineSim {
 
     /// Does any *other* packet have an uncommitted write to `key` on `map`?
     fn stale_risk(&self, map: u32, seq: u64, key: &[u8]) -> bool {
-        self.pending_writes.iter().any(|w| {
-            w.map == map
-                && w.seq != seq
-                && match &w.kind {
-                    WriteKind::Update { key: k, .. } | WriteKind::Delete { key: k } => k == key,
-                    WriteKind::StoreValue { slot, .. } => {
-                        self.maps.get(map).is_some_and(|m| m.key_of(*slot) == key)
-                    }
-                }
-        })
+        self.pending_writes
+            .iter()
+            .any(|w| w.map == map && w.seq != seq && self.pending_write_key_matches(w, key))
     }
 
     fn time_ns(&self) -> u64 {
@@ -1579,45 +1463,11 @@ impl PipelineSim {
         e
     }
 
-    fn exec_stage(&mut self, s: usize, pkt: &mut InFlight, plan: &ExecPlan) -> StageResult {
-        // Flush-replay fast path: skip until the checkpointed stage.
-        if let Some((resume_stage, _)) = pkt.resume {
-            if s < resume_stage {
-                return StageResult::Ok;
-            }
-            let (_, mut snap) = pkt.resume.take().expect("resume checked above");
-            std::mem::swap(&mut pkt.state, &mut *snap);
-            self.pool.recycle(snap);
-        }
-
-        let block = plan.stage_block(s);
-        let ops = plan.stage_ops(s);
-        if ops.is_empty() {
-            // Frame-wait / helper-latency stages forward state.
-            return StageResult::Ok;
-        }
-        if pkt.state.faulted || !self.block_enabled(&mut pkt.state, block) {
-            self.stage_disabled[s] = self.stage_disabled[s].saturating_add(1);
-            return StageResult::Ok;
-        }
-        self.stage_enabled[s] = self.stage_enabled[s].saturating_add(1);
-        // Implicit length guards from elided bounds checks (§4.4): the
-        // frame interface drops packets shorter than the guarded length.
-        let pkt_len = (pkt.state.end_off - pkt.state.data_off) as i64;
-        if pkt_len < plan.guard_min_len(block) {
-            pkt.state.faulted = true;
-            return StageResult::Ok;
-        }
-
-        self.exec_stage_two_phase(s, block, pkt, plan)
-    }
-
-    /// The interpreter's two-phase stage body: every op reads the incoming
-    /// state; writes land in the recycled scratch write set and commit
-    /// together at the stage boundary. Also the execution engine for
-    /// compiled *delta* stages (stages whose ops the lowerer could not
-    /// prove order-independent), which makes those stages bit-identical to
-    /// the interpreter by construction.
+    /// The two-phase stage body: every op reads the incoming state; writes
+    /// land in the recycled scratch write set and commit together at the
+    /// stage boundary (§4.1, Fig. 8). Executes the *delta* stages — those
+    /// whose ops the lowerer could not prove order-independent — through
+    /// the generic per-op path, [`PipelineSim::exec_op`].
     fn exec_stage_two_phase(
         &mut self,
         s: usize,
@@ -1700,14 +1550,35 @@ impl PipelineSim {
                     let addr = regs[dst as usize].wrapping_add(off as i64 as u64);
                     self.check_proof(op, addr, state);
                     let v = operand(regs, src);
-                    self.mem_write(stage_idx, state, seq, addr, size, v, delta)?;
+                    if let Some((map, slot, off, value_size)) = self.map_value_at(addr) {
+                        let (delay, feb) = self.write_schedule(map, stage_idx);
+                        let fx = self.map_value_store(
+                            stage_idx, map, slot, off, size, v, value_size, delay, feb, seq,
+                        )?;
+                        delta.land(fx);
+                    } else {
+                        self.local_write(state, addr, size, v, delta)?;
+                    }
                 }
                 Instruction::Atomic { op: aop, size, dst, off, src } => {
                     let addr = regs[dst as usize].wrapping_add(off as i64 as u64);
                     self.check_proof(op, addr, state);
                     let operand_v = regs[src as usize];
-                    let old =
-                        self.atomic_rmw(state, seq, addr, size, aop, operand_v, regs[0], delta)?;
+                    let old = if let Some((map, slot, off, value_size)) = self.map_value_at(addr) {
+                        // Atomics on map values execute in the map block
+                        // immediately.
+                        let fx = self.map_atomic(
+                            map, slot, off, size, value_size, aop, operand_v, regs[0], seq,
+                        )?;
+                        delta.land(fx)
+                    } else {
+                        // Stack/packet atomics are local read-modify-writes;
+                        // the store path commits the write at the boundary.
+                        let old = self.mem_read(state, seq, addr, size)?;
+                        let new = atomic_new_value(aop, old, operand_v, regs[0] & mask_for(size));
+                        self.local_write(state, addr, size, new, delta)?;
+                        old
+                    };
                     match aop {
                         AtomicOp::Cmpxchg => delta.set_reg(0, old),
                         _ if aop.fetches() => delta.set_reg(src, old),
@@ -1734,62 +1605,6 @@ impl PipelineSim {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn atomic_rmw(
-        &mut self,
-        state: &PacketState,
-        seq: u64,
-        addr: u64,
-        size: MemSize,
-        aop: AtomicOp,
-        operand_v: u64,
-        r0: u64,
-        delta: &mut Delta,
-    ) -> Result<u64, OpAbort> {
-        // Atomics on map values execute in the map block immediately.
-        if let Some((map_id, slot, off)) =
-            decode_map_value_addr(addr, |m| self.maps.get(m).map(|x| x.def().value_stride()))
-        {
-            self.forward_own_writes(map_id, seq);
-            if self.fault.is_some() {
-                self.fault_map_read(map_id, slot as u32);
-            }
-            let n = size.bytes();
-            {
-                let map = self.maps.get(map_id).ok_or(OpAbort::Fault)?;
-                if self.stale_risk(map_id, seq, map.key_of(slot)) {
-                    return Err(OpAbort::FlushSelf);
-                }
-                if off + n > map.def().value_size as usize {
-                    return Err(OpAbort::Fault);
-                }
-            }
-            let map = self.maps.get_mut(map_id).expect("map checked above");
-            let mut cur = [0u8; 8];
-            cur[..n].copy_from_slice(&map.value(slot)[off..off + n]);
-            let old = u64::from_le_bytes(cur);
-            let new = atomic_new_value(aop, old, operand_v, r0 & mask_for(size));
-            let bytes = new.to_le_bytes();
-            map.value_mut(slot)[off..off + n].copy_from_slice(&bytes[..n]);
-            if self.shared.is_some() {
-                self.note_map_atomic(map_id, slot);
-            }
-            delta.side_effect = true;
-            if self.debug_trace {
-                eprintln!("[sim {}] atomic map{map_id} slot{slot} seq{seq} old={old}", self.cycle);
-            }
-            Ok(old)
-        } else {
-            // Stack/packet atomics are local read-modify-writes.
-            let old = self.mem_read(state, seq, addr, size)?;
-            let new = atomic_new_value(aop, old, operand_v, r0 & mask_for(size));
-            // Reuse the store path so writes commit at the boundary.
-            let fake_delta_write = new;
-            self.local_write(state, addr, size, fake_delta_write, delta)?;
-            Ok(old)
-        }
-    }
-
     fn exec_helper(
         &mut self,
         stage_idx: usize,
@@ -1802,41 +1617,24 @@ impl PipelineSim {
         let r0 = match helper {
             BPF_MAP_LOOKUP_ELEM => {
                 let map_id = map_handle(regs[1]).ok_or(OpAbort::Fault)?;
-                let (key_size, stride) = {
-                    let m = self.maps.get(map_id).ok_or(OpAbort::Fault)?;
-                    (m.def().key_size as usize, m.def().value_stride())
-                };
-                // The key lands in a recycled buffer; the only per-lookup
-                // allocation left is the unconfirmed-read record.
-                let mut key = std::mem::take(&mut self.scratch_key);
-                key.clear();
-                key.resize(key_size, 0);
-                let r = self.lookup_with_key(
-                    stage_idx, map_id, stride, seq, state, regs[2], &mut key, delta,
-                );
-                key.clear();
-                self.scratch_key = key;
-                r?
+                let def = self.maps.get(map_id).ok_or(OpAbort::Fault)?.def();
+                let (key_size, stride) = (def.key_size as usize, def.value_stride());
+                let fx = self.map_lookup(stage_idx, map_id, key_size, stride, seq, state)?;
+                delta.land(fx)
             }
             BPF_MAP_UPDATE_ELEM | BPF_MAP_DELETE_ELEM => {
                 let map_id = map_handle(regs[1]).ok_or(OpAbort::Fault)?;
-                let (key_size, value_size) = {
-                    let m = self.maps.get(map_id).ok_or(OpAbort::Fault)?;
-                    (m.def().key_size as usize, m.def().value_size as usize)
+                let def = self.maps.get(map_id).ok_or(OpAbort::Fault)?.def();
+                let (key_size, value_size) = (def.key_size as usize, def.value_size as usize);
+                let (delay, feb) = self.write_schedule(map_id, stage_idx);
+                let fx = if helper == BPF_MAP_UPDATE_ELEM {
+                    self.map_update(
+                        stage_idx, map_id, key_size, value_size, delay, feb, seq, state,
+                    )?
+                } else {
+                    self.map_delete(stage_idx, map_id, key_size, delay, feb, seq, state)?
                 };
-                // Like the lookup path, the key lands in a recycled
-                // buffer; delayed writes copy it into pooled storage, so
-                // the steady-state write path performs no allocation.
-                let mut key = std::mem::take(&mut self.scratch_key);
-                key.clear();
-                key.resize(key_size, 0);
-                let r = self.map_write_with_key(
-                    stage_idx, helper, map_id, value_size, seq, state, &mut key, delta,
-                );
-                key.clear();
-                self.scratch_key = key;
-                r?;
-                0
+                delta.land(fx)
             }
             BPF_KTIME_GET_NS => self.time_ns(),
             BPF_GET_PRANDOM_U32 => self.prandom(),
@@ -1920,16 +1718,33 @@ impl PipelineSim {
         pkt.state.stack_lo = 0;
     }
 
-    /// The protected read stage of the FEB guarding (`map`, `write_stage`).
-    fn feb_read_stage(&self, map: u32, write_stage: usize) -> usize {
-        self.design
-            .hazards
+    /// Decode `addr` as a map value address, `(map, slot, offset)`, and
+    /// resolve that map's value size — the geometry lowering bakes into the
+    /// fused map-memory ops.
+    fn map_value_at(&self, addr: u64) -> Option<(u32, usize, usize, usize)> {
+        let (map, slot, off) =
+            decode_map_value_addr(addr, |m| self.maps.get(m).map(|x| x.def().value_stride()))?;
+        Some((map, slot, off, self.maps.get(map)?.def().value_size as usize))
+    }
+
+    /// The hazard schedule of a write to `map` at `stage`: its WAR delay
+    /// and the protected read stage of its FEB. Lowering bakes both into the
+    /// fused write ops; the generic path resolves them here.
+    fn write_schedule(&self, map: u32, stage: usize) -> (u64, usize) {
+        let hazards = &self.design.hazards;
+        let delay = hazards
+            .war_buffers
+            .iter()
+            .find(|w| w.map == map && w.write_stage == stage)
+            .map_or(0, |w| w.delay as u64);
+        let feb_read_stage = hazards
             .febs
             .iter()
-            .filter(|f| f.map == map && f.write_stage == write_stage)
+            .filter(|f| f.map == map && f.write_stage == stage)
             .map(|f| f.read_stage)
             .min()
-            .unwrap_or(0)
+            .unwrap_or(0);
+        (delay, feb_read_stage)
     }
 
     /// FEB comparison: does a younger in-flight packet (or a queued replay)
@@ -2012,142 +1827,276 @@ impl PipelineSim {
             }
             return Err(OpAbort::Fault);
         }
-        if let Some((map_id, slot, off)) =
-            decode_map_value_addr(addr, |m| self.maps.get(m).map(|x| x.def().value_stride()))
-        {
-            self.forward_own_writes(map_id, seq);
-            if self.fault.is_some() {
-                self.fault_map_read(map_id, slot as u32);
-            }
-            let map = self.maps.get(map_id).ok_or(OpAbort::Fault)?;
-            if off + n > map.def().value_size as usize {
-                return Err(OpAbort::Fault);
-            }
-            if self.stale_risk(map_id, seq, map.key_of(slot)) {
-                return Err(OpAbort::FlushSelf);
-            }
-            out.copy_from_slice(&map.value(slot)[off..off + n]);
-            return Ok(());
+        if let Some((map_id, slot, off, value_size)) = self.map_value_at(addr) {
+            return self.map_value_read(map_id, slot, off, value_size, seq, out);
         }
         Err(OpAbort::Fault)
     }
 
-    /// Lookup body, split out so the recycled key buffer is restored on
-    /// every exit path.
-    #[allow(clippy::too_many_arguments)]
-    fn lookup_with_key(
+    /// Run `f` on the recycled key buffer, sized to `key_size` and zeroed;
+    /// the buffer is restored on every exit path.
+    fn with_scratch_key<R>(
         &mut self,
-        stage_idx: usize,
-        map_id: u32,
+        key_size: usize,
+        f: impl FnOnce(&mut PipelineSim, &mut [u8]) -> R,
+    ) -> R {
+        let mut key = std::mem::take(&mut self.scratch_key);
+        key.clear();
+        key.resize(key_size, 0);
+        let r = f(self, &mut key);
+        key.clear();
+        self.scratch_key = key;
+        r
+    }
+
+    /// Load `out.len()` bytes at `off` of a map value. An access past the
+    /// value faults before the stale-risk interlock is consulted.
+    #[inline(always)]
+    fn map_value_read(
+        &mut self,
+        map: u32,
+        slot: usize,
+        off: usize,
+        value_size: usize,
+        seq: u64,
+        out: &mut [u8],
+    ) -> Result<(), OpAbort> {
+        self.forward_own_writes(map, seq);
+        if self.fault.is_some() {
+            self.fault_map_read(map, slot as u32);
+        }
+        let m = self.maps.get(map).ok_or(OpAbort::Fault)?;
+        if off + out.len() > value_size {
+            return Err(OpAbort::Fault);
+        }
+        if self.stale_risk(map, seq, m.key_of(slot)) {
+            return Err(OpAbort::FlushSelf);
+        }
+        out.copy_from_slice(&m.value(slot)[off..off + out.len()]);
+        Ok(())
+    }
+
+    /// Store `value` at `off` of a map value, through the WAR delay buffer
+    /// when the stage has one.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn map_value_store(
+        &mut self,
+        stage: usize,
+        map: u32,
+        slot: usize,
+        off: usize,
+        size: MemSize,
+        value: u64,
+        value_size: usize,
+        delay: u64,
+        feb_read_stage: usize,
+        seq: u64,
+    ) -> Result<MapEffects, OpAbort> {
+        let m = self.maps.get(map).ok_or(OpAbort::Fault)?;
+        if off + size.bytes() > value_size {
+            return Err(OpAbort::Fault);
+        }
+        // Only a fired hazard needs an owned copy of the key.
+        let flush = self
+            .younger_read_matches(stage, map, m.key_of(slot))
+            .then(|| (map, m.key_of(slot).to_vec(), feb_read_stage));
+        let w = PendingWrite {
+            commit_cycle: self.cycle + delay,
+            map,
+            seq,
+            kind: WriteKind::StoreValue { slot, off, size, value },
+        };
+        if delay == 0 {
+            self.apply_write(&w);
+        } else {
+            self.pending_writes.push(w);
+        }
+        Ok(MapEffects { side_effect: true, flush, ..MapEffects::default() })
+    }
+
+    /// Atomic read-modify-write on a map value, executed in the map block
+    /// immediately; the effects carry the fetched (old) word. Unlike a
+    /// plain load, the stale-risk interlock is consulted before the bounds
+    /// check.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn map_atomic(
+        &mut self,
+        map: u32,
+        slot: usize,
+        off: usize,
+        size: MemSize,
+        value_size: usize,
+        aop: AtomicOp,
+        operand_v: u64,
+        r0: u64,
+        seq: u64,
+    ) -> Result<MapEffects, OpAbort> {
+        self.forward_own_writes(map, seq);
+        if self.fault.is_some() {
+            self.fault_map_read(map, slot as u32);
+        }
+        let n = size.bytes();
+        let m = self.maps.get(map).ok_or(OpAbort::Fault)?;
+        if self.stale_risk(map, seq, m.key_of(slot)) {
+            return Err(OpAbort::FlushSelf);
+        }
+        if off + n > value_size {
+            return Err(OpAbort::Fault);
+        }
+        let m = self.maps.get_mut(map).expect("map checked above");
+        let mut cur = [0u8; 8];
+        cur[..n].copy_from_slice(&m.value(slot)[off..off + n]);
+        let old = u64::from_le_bytes(cur);
+        let new = atomic_new_value(aop, old, operand_v, r0 & mask_for(size));
+        let bytes = new.to_le_bytes();
+        m.value_mut(slot)[off..off + n].copy_from_slice(&bytes[..n]);
+        if self.shared.is_some() {
+            self.note_map_atomic(map, slot);
+        }
+        if self.debug_trace {
+            eprintln!("[sim {}] atomic map{map} slot{slot} seq{seq} old={old}", self.cycle);
+        }
+        Ok(MapEffects { value: old, side_effect: true, ..MapEffects::default() })
+    }
+
+    /// `bpf_map_lookup_elem`: the effects carry the value address (0 on a
+    /// miss) and the unconfirmed-read record, its key in a pooled buffer.
+    #[inline(always)]
+    fn map_lookup(
+        &mut self,
+        stage: usize,
+        map: u32,
+        key_size: usize,
         stride: u32,
         seq: u64,
         state: &PacketState,
-        key_addr: u64,
-        key: &mut [u8],
-        delta: &mut Delta,
-    ) -> Result<u64, OpAbort> {
-        self.read_into(state, seq, key_addr, key)?;
-        self.forward_own_writes(map_id, seq);
-        if self.stale_risk(map_id, seq, key) {
-            return Err(OpAbort::FlushSelf);
-        }
-        delta.record_read(map_id, stage_idx as u32, key.to_vec());
-        let map = self.maps.get_mut(map_id).expect("map exists");
-        let slot = map.lookup(key).ok().flatten();
-        if let Some(c) = self.map_lookups.get_mut(map_id as usize) {
-            *c = c.saturating_add(1);
-        }
-        if slot.is_some() {
-            if let Some(c) = self.map_hits.get_mut(map_id as usize) {
+    ) -> Result<MapEffects, OpAbort> {
+        self.with_scratch_key(key_size, |sim, key| {
+            sim.read_into(state, seq, state.regs[2], key)?;
+            sim.forward_own_writes(map, seq);
+            if sim.stale_risk(map, seq, key) {
+                return Err(OpAbort::FlushSelf);
+            }
+            let mut record = sim.pool.take_key();
+            record.extend_from_slice(key);
+            let slot = sim.maps.get_mut(map).expect("map exists").lookup(key).ok().flatten();
+            if let Some(c) = sim.map_lookups.get_mut(map as usize) {
                 *c = c.saturating_add(1);
             }
-        }
-        if self.shared.is_some() {
-            self.note_map_read(map_id, key, slot);
-        }
-        Ok(match slot {
-            Some(slot) => {
-                if self.fault.is_some() {
-                    self.fault_map_read(map_id, slot as u32);
+            if slot.is_some() {
+                if let Some(c) = sim.map_hits.get_mut(map as usize) {
+                    *c = c.saturating_add(1);
                 }
-                map_value_addr(map_id, slot, stride)
             }
-            None => 0,
+            if sim.shared.is_some() {
+                sim.note_map_read(map, key, slot);
+            }
+            let value = match slot {
+                Some(slot) => {
+                    if sim.fault.is_some() {
+                        sim.fault_map_read(map, slot as u32);
+                    }
+                    map_value_addr(map, slot, stride)
+                }
+                None => 0,
+            };
+            let read = Some((map, stage as u32, record));
+            Ok(MapEffects { value, read, ..MapEffects::default() })
         })
     }
 
-    /// Map update/delete body, split out so the recycled key buffer is
-    /// restored on every exit path. Immediate (undelayed) writes commit
-    /// straight from the scratch buffers; WAR-delayed writes copy into
+    /// `bpf_map_update_elem`. An immediate (undelayed) write commits
+    /// straight from the scratch buffers; a WAR-delayed write copies into
     /// pooled storage recycled at commit time — no allocation either way.
+    /// A value that cannot be read commits nothing, raises no hazard and
+    /// faults the packet.
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn map_write_with_key(
+    fn map_update(
         &mut self,
-        stage_idx: usize,
-        helper: u32,
-        map_id: u32,
+        stage: usize,
+        map: u32,
+        key_size: usize,
         value_size: usize,
+        delay: u64,
+        feb_read_stage: usize,
         seq: u64,
         state: &PacketState,
-        key: &mut [u8],
-        delta: &mut Delta,
-    ) -> Result<(), OpAbort> {
-        let regs = &state.regs;
-        self.read_into(state, seq, regs[2], key)?;
-        // FEB: compare the write key against unconfirmed reads of
-        // younger in-flight packets (§4.1.2).
-        let hazard = self.younger_read_matches(stage_idx, map_id, key);
-        let delay = self.war_delay.get(&(map_id, stage_idx)).copied().unwrap_or(0);
-        if helper == BPF_MAP_UPDATE_ELEM {
-            let flags = UpdateFlags::from_raw(regs[4]).unwrap_or(UpdateFlags::Any);
-            let mut value = std::mem::take(&mut self.scratch_val);
+    ) -> Result<MapEffects, OpAbort> {
+        self.with_scratch_key(key_size, |sim, key| {
+            sim.read_into(state, seq, state.regs[2], key)?;
+            // FEB: compare the write key against unconfirmed reads of
+            // younger in-flight packets (§4.1.2).
+            let hazard = sim.younger_read_matches(stage, map, key);
+            let flags = UpdateFlags::from_raw(state.regs[4]).unwrap_or(UpdateFlags::Any);
+            let mut value = std::mem::take(&mut sim.scratch_val);
             value.clear();
             value.resize(value_size, 0);
-            let read = self.read_into(state, seq, regs[3], &mut value);
+            let read = sim.read_into(state, seq, state.regs[3], &mut value);
             if read.is_ok() {
                 if delay == 0 {
-                    if let Some(map) = self.maps.get_mut(map_id) {
-                        let _ = map.update(key, &value, flags);
+                    if let Some(m) = sim.maps.get_mut(map) {
+                        let _ = m.update(key, &value, flags);
                     }
-                    if self.shared.is_some() {
-                        self.note_map_update(map_id, key, &value);
+                    if sim.shared.is_some() {
+                        sim.note_map_update(map, key, &value);
                     }
                 } else {
-                    let k = self.pooled_copy(key);
-                    let v = self.pooled_copy(&value);
-                    self.pending_writes.push(PendingWrite {
-                        commit_cycle: self.cycle + delay,
-                        map: map_id,
+                    let k = sim.pooled_copy(key);
+                    let v = sim.pooled_copy(&value);
+                    sim.pending_writes.push(PendingWrite {
+                        commit_cycle: sim.cycle + delay,
+                        map,
                         seq,
                         kind: WriteKind::Update { key: k, value: v, flags },
                     });
                 }
             }
             value.clear();
-            self.scratch_val = value;
+            sim.scratch_val = value;
             read?;
-        } else if delay == 0 {
-            if let Some(map) = self.maps.get_mut(map_id) {
-                let _ = map.delete(key);
+            let flush = hazard.then(|| (map, key.to_vec(), feb_read_stage));
+            Ok(MapEffects { side_effect: true, flush, ..MapEffects::default() })
+        })
+    }
+
+    /// `bpf_map_delete_elem`, immediate or WAR-delayed like an update.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn map_delete(
+        &mut self,
+        stage: usize,
+        map: u32,
+        key_size: usize,
+        delay: u64,
+        feb_read_stage: usize,
+        seq: u64,
+        state: &PacketState,
+    ) -> Result<MapEffects, OpAbort> {
+        self.with_scratch_key(key_size, |sim, key| {
+            sim.read_into(state, seq, state.regs[2], key)?;
+            let hazard = sim.younger_read_matches(stage, map, key);
+            if delay == 0 {
+                if let Some(m) = sim.maps.get_mut(map) {
+                    let _ = m.delete(key);
+                }
+                if sim.shared.is_some() {
+                    sim.note_map_delete(map, key);
+                }
+            } else {
+                let k = sim.pooled_copy(key);
+                sim.pending_writes.push(PendingWrite {
+                    commit_cycle: sim.cycle + delay,
+                    map,
+                    seq,
+                    kind: WriteKind::Delete { key: k },
+                });
             }
-            if self.shared.is_some() {
-                self.note_map_delete(map_id, key);
-            }
-        } else {
-            let k = self.pooled_copy(key);
-            self.pending_writes.push(PendingWrite {
-                commit_cycle: self.cycle + delay,
-                map: map_id,
-                seq,
-                kind: WriteKind::Delete { key: k },
-            });
-        }
-        delta.side_effect = true;
-        if hazard {
-            delta.flush_below =
-                Some((map_id, key.to_vec(), self.feb_read_stage(map_id, stage_idx)));
-        }
-        Ok(())
+            let flush = hazard.then(|| (map, key.to_vec(), feb_read_stage));
+            Ok(MapEffects { side_effect: true, flush, ..MapEffects::default() })
+        })
     }
 
     /// Copy `src` into a pooled byte buffer (allocation-free when warm).
@@ -2197,50 +2146,6 @@ impl PipelineSim {
             sum += i64::from(u32::from_le_bytes(b));
         }
         Ok(sum)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn mem_write(
-        &mut self,
-        stage_idx: usize,
-        state: &PacketState,
-        seq: u64,
-        addr: u64,
-        size: MemSize,
-        value: u64,
-        delta: &mut Delta,
-    ) -> Result<(), OpAbort> {
-        if let Some((map_id, slot, off)) =
-            decode_map_value_addr(addr, |m| self.maps.get(m).map(|x| x.def().value_stride()))
-        {
-            let n = size.bytes();
-            let map = self.maps.get(map_id).ok_or(OpAbort::Fault)?;
-            if off + n > map.def().value_size as usize {
-                return Err(OpAbort::Fault);
-            }
-            // Only a fired hazard needs an owned copy of the key.
-            let flush_key = self
-                .younger_read_matches(stage_idx, map_id, map.key_of(slot))
-                .then(|| map.key_of(slot).to_vec());
-            let delay = self.war_delay.get(&(map_id, stage_idx)).copied().unwrap_or(0);
-            let w = PendingWrite {
-                commit_cycle: self.cycle + delay,
-                map: map_id,
-                seq,
-                kind: WriteKind::StoreValue { slot, off, size, value },
-            };
-            if delay == 0 {
-                self.apply_write(&w);
-            } else {
-                self.pending_writes.push(w);
-            }
-            delta.side_effect = true;
-            if let Some(key) = flush_key {
-                delta.flush_below = Some((map_id, key, self.feb_read_stage(map_id, stage_idx)));
-            }
-            return Ok(());
-        }
-        self.local_write(state, addr, size, value, delta)
     }
 
     fn local_write(
@@ -3406,6 +3311,24 @@ impl InFlight {
     }
 }
 
+/// What one map operation reports besides its changes to the maps. Each
+/// operation has a single body returning one of these; the direct and the
+/// two-phase caller differ only in where they land it (packet state in
+/// place, or the stage's [`Delta`]). The bodies are always inlined into
+/// their two call sites, which dissolves this struct into the caller's own
+/// accumulators: a call per map op costs the firewall several percent.
+#[derive(Debug, Default)]
+struct MapEffects {
+    /// Result value: `r0` of a helper, the fetched word of an atomic.
+    value: u64,
+    /// Map state changed irreversibly: checkpoint after this stage.
+    side_effect: bool,
+    /// FEB hit `(map, key, read_stage)`: younger readers of the key flush.
+    flush: Option<(u32, Vec<u8>, usize)>,
+    /// Unconfirmed-read record `(map, stage, key)` of a lookup.
+    read: Option<(u32, u32, Vec<u8>)>,
+}
+
 /// Pending writes of one stage, applied at the boundary (two-phase).
 #[derive(Debug, Clone, Default)]
 struct Delta {
@@ -3428,8 +3351,14 @@ impl Delta {
         self.regs.push((r, v));
     }
 
-    fn record_read(&mut self, map: u32, stage: u32, key: Vec<u8>) {
-        self.map_read_records.push((map, stage, key));
+    /// Land a map op's control effects in the write set; returns its value.
+    fn land(&mut self, fx: MapEffects) -> u64 {
+        self.side_effect |= fx.side_effect;
+        if fx.flush.is_some() {
+            self.flush_below = fx.flush;
+        }
+        self.map_read_records.extend(fx.read);
+        fx.value
     }
 
     /// Reset to the empty write set, keeping buffer capacity.
@@ -4148,5 +4077,269 @@ mod ctrl_tests {
         assert!(sim.map_hits()[0] >= 3, "hits {:?}", sim.map_hits());
         assert!(sim.map_hits()[0] < sim.map_lookups()[0]);
         assert!(sim.stage_occupancy().iter().any(|&c| c > 0));
+    }
+}
+
+/// Direct lowering against the all-two-phase reference. The VM oracle cannot
+/// see a missed intra-stage dependence in the lowerer's direct-eligibility
+/// analysis — in-place execution would *agree* with the sequential VM while
+/// the modelled hardware (every op reads the stage-entry state) would not —
+/// so these runs compare the two executors directly, bit for bit.
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod two_phase_reference_tests {
+    use super::*;
+    use crate::ctrl::{CtrlOptions, HostCompletion, HostOp};
+    use crate::diff::{compare_full, harness_options, Divergence};
+    use ehdl_core::ir::PacketProof;
+    use ehdl_core::{Compiler, FusedOp};
+    use ehdl_ebpf::Program;
+    use ehdl_programs::{leaky_bucket, router, simple_firewall, suricata, tunnel, App};
+    use ehdl_traffic::{
+        interleave_ops, ControlOpGen, ControlOpKind, FlowSet, OpMix, Popularity, ScheduleItem,
+        Workload,
+    };
+
+    const TRACE_PACKETS: usize = 1_000;
+
+    /// One retired packet: (seq, action, redirect ifindex, bytes, latency).
+    type OutcomeRow = (u64, XdpAction, Option<u32>, Vec<u8>, u64);
+    /// Sorted (key, value) entries of one map.
+    type MapEntries = Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// Every observable of one finished run, in comparable form.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        outcomes: Vec<OutcomeRow>,
+        counters: SimCounters,
+        cycles: u64,
+        maps: Vec<MapEntries>,
+    }
+
+    fn observe(sim: &mut PipelineSim) -> Observed {
+        let outcomes = sim
+            .drain()
+            .into_iter()
+            .map(|o| (o.seq, o.action, o.redirect_ifindex, o.packet, o.latency_cycles))
+            .collect();
+        let maps = sim
+            .maps()
+            .iter()
+            .map(|m| {
+                let mut e: MapEntries =
+                    m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
+                e.sort();
+                e
+            })
+            .collect();
+        Observed { outcomes, counters: *sim.counters(), cycles: sim.cycle(), maps }
+    }
+
+    fn sim_for(design: &PipelineDesign, two_phase_reference: bool) -> PipelineSim {
+        let options = SimOptions { freeze_time_ns: Some(1000), ..Default::default() };
+        let mut sim = PipelineSim::with_options(design, options);
+        sim.two_phase_reference = two_phase_reference;
+        sim
+    }
+
+    /// The evaluation trace of the five apps: 10k flows, 64 B packets.
+    fn eval_packets(app: App, n: usize) -> Vec<Vec<u8>> {
+        let flows = match app {
+            App::Suricata => FlowSet::tcp(10_000, 42),
+            _ => FlowSet::udp(10_000, 42),
+        };
+        Workload::new(flows, Popularity::Uniform, 64, 43).packets(n)
+    }
+
+    /// Host-side map setup per app (routes, endpoints, rules).
+    fn setup_app(app: App, maps: &mut MapStore) {
+        match app {
+            App::Router => {
+                router::install_route(maps, [0, 0, 0, 0], 0, 1, [0xaa; 6], [0x02; 6]);
+                router::install_route(maps, [192, 168, 0, 0], 16, 2, [0xbb; 6], [0x02; 6]);
+            }
+            App::Tunnel => {
+                for i in 0..32u8 {
+                    tunnel::install_endpoint(
+                        maps,
+                        [192, 168, i, i],
+                        [172, 16, 0, 1],
+                        [172, 16, 0, 2],
+                        [0xaa; 6],
+                        [0xbb; 6],
+                    );
+                }
+            }
+            App::Suricata => {
+                for f in FlowSet::tcp(10_000, 42).flows().iter().take(64) {
+                    suricata::install_rule(maps, f);
+                }
+            }
+            App::Firewall | App::Dnat => {}
+        }
+    }
+
+    /// Run `packets` through the direct lowering and through the reference
+    /// and demand identical observables; returns the flush count.
+    fn assert_direct_matches_two_phase(
+        name: &str,
+        program: &Program,
+        setup: impl Fn(&mut MapStore),
+        packets: &[Vec<u8>],
+    ) -> u64 {
+        let design = Compiler::new().compile(program).unwrap();
+        let run = |two_phase_reference| {
+            let mut sim = sim_for(&design, two_phase_reference);
+            assert!(sim.lower_stats().direct_stages > 0, "{name} must lower direct stages");
+            setup(sim.maps_mut());
+            for p in packets {
+                sim.enqueue(p.clone());
+            }
+            sim.settle(50_000_000);
+            observe(&mut sim)
+        };
+        let direct = run(false);
+        assert_eq!(direct.outcomes.len(), packets.len(), "{name}: every packet retires");
+        assert_eq!(direct, run(true), "{name}: direct lowering must match two-phase");
+        direct.counters.flushes
+    }
+
+    #[test]
+    fn direct_lowering_matches_two_phase_on_all_apps() {
+        let mut flushes = 0;
+        for app in App::ALL {
+            flushes += assert_direct_matches_two_phase(
+                app.name(),
+                &app.program(),
+                |maps| setup_app(app, maps),
+                &eval_packets(app, TRACE_PACKETS),
+            );
+        }
+        // Leaky bucket under a hot flow: flushes, checkpoints and replay.
+        let hot = Workload::new(FlowSet::udp(64, 42), Popularity::Hot { p_hot: 0.5 }, 64, 43)
+            .packets(TRACE_PACKETS);
+        flushes +=
+            assert_direct_matches_two_phase("leaky_bucket", &leaky_bucket::program(), |_| {}, &hot);
+        assert!(flushes > 0, "the traces must exercise flush and replay");
+    }
+
+    /// One seeded host-op/packet interleaving on the firewall through the
+    /// control channel: fences, forced checkpoints, host-write flushes.
+    fn host_ops_run(two_phase_reference: bool) -> (Observed, Vec<HostCompletion>) {
+        let flows = FlowSet::udp(32, 81);
+        let packets = Workload::new(flows.clone(), Popularity::Hot { p_hot: 0.6 }, 64, 82)
+            .packets(TRACE_PACKETS);
+        let keys = flows.flows().iter().map(|f| f.to_key().to_vec()).collect();
+        let mut gen = ControlOpGen::new(
+            simple_firewall::SESSIONS_MAP,
+            keys,
+            8,
+            OpMix::default(),
+            Popularity::Hot { p_hot: 0.7 },
+            83,
+        );
+        let design = Compiler::new().compile(&simple_firewall::program()).unwrap();
+        let mut sim = sim_for(&design, two_phase_reference);
+        sim.attach_ctrl(CtrlOptions { latency_cycles: 2, queue_depth: 1024 });
+        for item in interleave_ops(packets, &mut gen, 0.1, 84) {
+            match item {
+                ScheduleItem::Packet(p) => assert!(sim.enqueue(p)),
+                ScheduleItem::Op(op) => {
+                    let (map, key) = (op.map, op.key);
+                    let op = match op.kind {
+                        ControlOpKind::Lookup => HostOp::Lookup { map, key },
+                        ControlOpKind::Update => {
+                            HostOp::Update { map, key, value: op.value, flags: UpdateFlags::Any }
+                        }
+                        ControlOpKind::Delete => HostOp::Delete { map, key },
+                        ControlOpKind::Dump => HostOp::Dump { map },
+                    };
+                    sim.submit_host_op(op).unwrap();
+                }
+            }
+        }
+        sim.settle(50_000_000);
+        let completions = sim.host_completions();
+        (observe(&mut sim), completions)
+    }
+
+    #[test]
+    fn host_op_interleaving_matches_two_phase() {
+        let direct = host_ops_run(false);
+        assert!(
+            direct.0.counters.host_op_flushes > 0,
+            "the schedule must exercise host-write flushes"
+        );
+        assert_eq!(direct, host_ops_run(true), "host-op schedule must match two-phase");
+    }
+
+    #[test]
+    fn fault_campaign_matches_two_phase() {
+        let app = App::Firewall;
+        let design = Compiler::new().compile(&app.program()).unwrap();
+        let run = |two_phase_reference| {
+            let mut sim = sim_for(&design, two_phase_reference);
+            sim.attach_faults(FaultConfig {
+                seed: 7,
+                rate: 0.01,
+                stuck_fraction: 0.2,
+                hang_fraction: 0.1,
+                watchdog_timeout: 256,
+                ..Default::default()
+            });
+            for p in eval_packets(app, TRACE_PACKETS) {
+                sim.enqueue(p);
+            }
+            sim.settle(50_000_000);
+            let stats = *sim.fault_engine().unwrap().stats();
+            (observe(&mut sim), stats)
+        };
+        let direct = run(false);
+        assert!(direct.1.injected > 0, "campaign must actually inject faults");
+        assert_eq!(direct, run(true), "fault campaign must match two-phase");
+    }
+
+    /// The verifier rejects unknown helpers at load time, so splice one
+    /// into an already-compiled design.
+    #[test]
+    #[should_panic(expected = "does not lower: stage 0")]
+    fn attaching_an_unlowerable_design_panics_with_the_typed_error() {
+        let mut design = Compiler::new().compile(&App::Firewall.program()).unwrap();
+        design.stages[0].ops[0].insn = HwInsn::Simple(Instruction::Call { helper: BPF_FIB_LOOKUP });
+        let _ = PipelineSim::new(&design);
+    }
+
+    /// The pipeline-side proof recheck: falsify the proof of a packet load
+    /// on a direct stage and the harness options must report it.
+    #[test]
+    fn falsified_proof_on_a_direct_stage_is_reported() {
+        let program = App::Firewall.program();
+        let mut design = Compiler::new().compile(&program).unwrap();
+        let lp = LoweredPlan::try_lower(&design).unwrap();
+        let (s, i) = (0..lp.stage_count())
+            .filter(|&s| !lp.stage(s).delta)
+            .find_map(|s| {
+                let at = |op: &FusedOp| matches!(op, FusedOp::LdPkt { proven: true, .. });
+                lp.stage_fused(s).iter().position(at).map(|i| (s, i))
+            })
+            .expect("the firewall has a proven packet load on a direct stage");
+        design.stages[s].ops[i].proof = Some(PacketProof { lo: 0, hi: 0, min_len: 1 << 20 });
+
+        let options = harness_options();
+        assert!(options.check_proofs, "the differential harness rechecks proofs");
+        let mut sim = PipelineSim::with_options(&design, options);
+        assert!(sim.lower_stats().direct_stages > 0, "and still executes direct stages");
+        sim.enqueue(eval_packets(App::Firewall, 1).remove(0));
+        sim.settle(100_000);
+        assert!(sim.counters().proof_violations > 0, "{:?}", sim.counters());
+
+        let packets = eval_packets(App::Firewall, 8);
+        let divs = compare_full(&program, &design, &packets, |_| {}, &[], options);
+        assert!(
+            divs.iter().any(
+                |d| matches!(d, Divergence::Proof { detail } if detail.starts_with("pipeline"))
+            ),
+            "{divs:?}"
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! The compiled stage-execution engine.
+//! The stage executor.
 //!
 //! At attach time [`LoweredPlan::try_lower`] monomorphizes every
 //! [`ehdl_core::StageOp`] into a [`FusedOp`] with its plan constants baked
@@ -12,20 +12,23 @@
 //!   scratch write set, no per-stage `Delta` push/apply/clear, no plan
 //!   indirection. The lowerer only marks a stage direct when it proved no
 //!   op observes an earlier op's write within the stage, which makes
-//!   in-place execution bit-identical to the interpreter's two-phase
-//!   semantics by construction.
-//! - **Delta** stages run through [`PipelineSim::exec_stage_two_phase`] —
-//!   literally the interpreter's op loop — so anything the lowerer could
-//!   not prove safe (intra-stage dependences, geometry-moving helpers,
-//!   ops without a specialization) stays on the reference path.
+//!   in-place execution bit-identical to the stage's two-phase semantics
+//!   (read the incoming state copy, write the next boundary).
+//! - **Delta** stages run through [`PipelineSim::exec_stage_two_phase`],
+//!   which implements those semantics literally, so anything the lowerer
+//!   could not prove safe (intra-stage dependences, geometry-moving
+//!   helpers, ops without a specialization) keeps them.
 //!
 //! Every specialized op re-validates the compile-time memory label with a
-//! cheap range guard; a guard miss falls back to the interpreter's generic
+//! cheap range guard; a guard miss runs the original op through the generic
 //! per-op path ([`PipelineSim::exec_op_cold`]) at the same op index, which
-//! the 1:1 `FusedOp`↔`StageOp` correspondence makes exact. The one
-//! deliberate elision is the packet bounds compare for accesses the
-//! abstract interpreter proved in range (`proven`), per the §4.4 hardware
-//! semantics of dropping the check entirely.
+//! the 1:1 `FusedOp`↔`StageOp` correspondence makes exact. The map
+//! operations have one body each in the parent module; a fused arm passes
+//! it the geometry lowering baked, the generic arm what it resolved at run
+//! time. The one deliberate elision is the packet bounds compare for
+//! accesses the abstract interpreter proved in range (`proven`), per the
+//! §4.4 hardware semantics of dropping the check entirely;
+//! [`SimOptions::check_proofs`] rechecks those proofs instead.
 
 use super::*;
 use ehdl_core::{FusedOp, RegOrImm};
@@ -38,10 +41,27 @@ struct DirectCtl {
     flush: Option<(u32, Vec<u8>, usize)>,
 }
 
-/// Decode `addr` as a value address of the *baked* map, mirroring
-/// [`decode_map_value_addr`] specialized to one `(map, stride)` pair:
+impl DirectCtl {
+    /// Land a map op's control effects — the read record straight in the
+    /// packet state; returns the op's value.
+    #[inline(always)]
+    fn land(&mut self, state: &mut PacketState, fx: MapEffects) -> u64 {
+        self.side_effect |= fx.side_effect;
+        if fx.flush.is_some() {
+            self.flush = fx.flush;
+        }
+        if let Some((map, stage, key)) = fx.read {
+            state.read_filter |= read_key_bit(map, &key);
+            state.map_reads.push((map, stage, key));
+        }
+        fx.value
+    }
+}
+
+/// Decode `addr` as a value address of the *baked* map:
+/// [`decode_map_value_addr`] specialized to one `(map, stride)` pair.
 /// `Some((slot, offset))` only when the address lands in that map's
-/// window, so a label mismatch routes to the interpreter path instead.
+/// window, so a label mismatch routes to the generic path instead.
 #[inline]
 fn map_slot_of(addr: u64, map: u32, stride: u32) -> Option<(usize, usize)> {
     if !(MAP_VALUE_BASE..MAP_HANDLE_BASE).contains(&addr) {
@@ -57,7 +77,7 @@ fn map_slot_of(addr: u64, map: u32, stride: u32) -> Option<(usize, usize)> {
 }
 
 /// The helper-call epilogue: `r0` takes the result, `r1`–`r5` are
-/// clobbered (caller-saved), exactly as the interpreter's delta commit.
+/// clobbered (caller-saved).
 #[inline]
 fn helper_epilogue(state: &mut PacketState, r0: u64) {
     state.regs[0] = r0;
@@ -69,11 +89,11 @@ fn helper_epilogue(state: &mut PacketState, r0: u64) {
 }
 
 impl PipelineSim {
-    /// Compiled twin of [`PipelineSim::exec_stage`]: same prologue
-    /// (resume fast path, empty-stage forward, predication, implicit
-    /// length guard — all against baked constants), then either the
-    /// in-place direct loop or the shared two-phase body.
-    pub(super) fn exec_stage_compiled(
+    /// Execute stage `s` on `pkt`: the prologue (resume fast path,
+    /// empty-stage forward, predication, implicit length guard — all
+    /// against baked constants), then either the in-place direct loop or
+    /// the two-phase body.
+    pub(super) fn exec_stage(
         &mut self,
         s: usize,
         pkt: &mut InFlight,
@@ -102,13 +122,19 @@ impl PipelineSim {
             return StageResult::Ok;
         }
         self.stage_enabled[s] = self.stage_enabled[s].saturating_add(1);
+        // Implicit length guards from elided bounds checks (§4.4): the
+        // frame interface drops packets shorter than the guarded length.
         let pkt_len = (pkt.state.end_off - pkt.state.data_off) as i64;
         if pkt_len < st.guard_min_len {
             pkt.state.faulted = true;
             return StageResult::Ok;
         }
 
-        if st.delta {
+        #[cfg(test)]
+        let two_phase = st.delta || self.two_phase_reference;
+        #[cfg(not(test))]
+        let two_phase = st.delta;
+        if two_phase {
             return self.exec_stage_two_phase(s, block, pkt, plan);
         }
 
@@ -145,9 +171,9 @@ impl PipelineSim {
         result
     }
 
-    /// Execute one fused op in place. `Err` aborts the stage with the
-    /// interpreter's exact semantics: `Fault` keeps earlier writes and
-    /// poisons the packet, `FlushSelf` re-executes it from a checkpoint.
+    /// Execute one fused op in place. `Err` aborts the stage: `Fault`
+    /// keeps earlier writes and poisons the packet, `FlushSelf` re-executes
+    /// it from a checkpoint.
     ///
     /// Always inlined into the direct-stage loop: the ALU/memory arms
     /// below compile to a few instructions each, and keeping them in the
@@ -231,6 +257,9 @@ impl PipelineSim {
                 if (PACKET_BASE..STACK_BASE).contains(&addr) {
                     let o = (addr - PACKET_BASE) as usize;
                     let n = size.bytes();
+                    if proven && self.options.check_proofs {
+                        self.recheck_proof(s, i, addr, state, plan);
+                    }
                     // The §4.4 elision: a proof from the abstract
                     // interpreter stands in for the dynamic bounds compare.
                     if !(proven || o >= state.data_off && o + n <= state.end_off) {
@@ -266,6 +295,9 @@ impl PipelineSim {
                 if (PACKET_BASE..STACK_BASE).contains(&addr) {
                     let o = (addr - PACKET_BASE) as usize;
                     let n = size.bytes();
+                    if proven && self.options.check_proofs {
+                        self.recheck_proof(s, i, addr, state, plan);
+                    }
                     if !(proven || o >= state.data_off && o + n <= state.end_off) {
                         return Err(OpAbort::Fault);
                     }
@@ -308,12 +340,29 @@ impl PipelineSim {
         Ok(())
     }
 
+    /// The [`SimOptions::check_proofs`] hook of a fused packet access whose
+    /// bounds compare was elided: recheck the proof of the
+    /// [`ehdl_core::StageOp`] it was lowered from. Out of line, so the
+    /// direct loop pays for the option test only.
+    #[cold]
+    #[inline(never)]
+    fn recheck_proof(
+        &mut self,
+        s: usize,
+        i: usize,
+        addr: u64,
+        state: &PacketState,
+        plan: &ExecPlan,
+    ) {
+        self.check_proof(&plan.stage_ops(s)[i], addr, state);
+    }
+
     /// The map-op arms of [`PipelineSim::exec_fused`], out of line: each
     /// body is tens of instructions of shared-state machinery (hazard
     /// interlocks, delay buffers, hash lookups), so keeping them off the
     /// inlined dispatch path keeps the hot ALU/memory loop tight.
     #[inline(never)]
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+    #[allow(clippy::too_many_arguments)]
     fn exec_fused_map(
         &mut self,
         s: usize,
@@ -331,21 +380,9 @@ impl PipelineSim {
                 let Some((slot, o)) = map_slot_of(addr, map, stride) else {
                     return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
                 };
-                self.forward_own_writes(map, seq);
-                if self.fault.is_some() {
-                    self.fault_map_read(map, slot as u32);
-                }
-                let n = size.bytes();
-                let m = self.maps.get(map).ok_or(OpAbort::Fault)?;
-                // Interpreter read order: bounds fault before stale risk.
-                if o + n > value_size as usize {
-                    return Err(OpAbort::Fault);
-                }
-                if self.stale_risk(map, seq, m.key_of(slot)) {
-                    return Err(OpAbort::FlushSelf);
-                }
                 let mut v = [0u8; 8];
-                v[..n].copy_from_slice(&m.value(slot)[o..o + n]);
+                let out = &mut v[..size.bytes()];
+                self.map_value_read(map, slot, o, value_size as usize, seq, out)?;
                 state.regs[dst as usize] = u64::from_le_bytes(v);
             }
             FusedOp::StMap {
@@ -363,71 +400,37 @@ impl PipelineSim {
                 let Some((slot, o)) = map_slot_of(addr, map, stride) else {
                     return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
                 };
-                let n = size.bytes();
-                let value = reg_or_imm_value(state, src);
-                let m = self.maps.get(map).ok_or(OpAbort::Fault)?;
-                if o + n > value_size as usize {
-                    return Err(OpAbort::Fault);
-                }
-                // Only a fired hazard needs an owned copy of the key.
-                let flush_key = self
-                    .younger_read_matches(s, map, m.key_of(slot))
-                    .then(|| m.key_of(slot).to_vec());
-                let w = PendingWrite {
-                    commit_cycle: self.cycle + u64::from(delay),
+                let fx = self.map_value_store(
+                    s,
                     map,
+                    slot,
+                    o,
+                    size,
+                    reg_or_imm_value(state, src),
+                    value_size as usize,
+                    u64::from(delay),
+                    feb_read_stage as usize,
                     seq,
-                    kind: WriteKind::StoreValue { slot, off: o, size, value },
-                };
-                if delay == 0 {
-                    self.apply_write(&w);
-                } else {
-                    self.pending_writes.push(w);
-                }
-                ctl.side_effect = true;
-                if let Some(key) = flush_key {
-                    ctl.flush = Some((map, key, feb_read_stage as usize));
-                }
+                )?;
+                ctl.land(state, fx);
             }
             FusedOp::AtomicMap { op, size, dst, src, off, map, stride, value_size } => {
                 let addr = state.regs[dst as usize].wrapping_add(off as i64 as u64);
                 let Some((slot, o)) = map_slot_of(addr, map, stride) else {
                     return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
                 };
-                self.forward_own_writes(map, seq);
-                if self.fault.is_some() {
-                    self.fault_map_read(map, slot as u32);
-                }
-                let n = size.bytes();
-                {
-                    let m = self.maps.get(map).ok_or(OpAbort::Fault)?;
-                    // Interpreter atomic order: stale risk before bounds.
-                    if self.stale_risk(map, seq, m.key_of(slot)) {
-                        return Err(OpAbort::FlushSelf);
-                    }
-                    if o + n > value_size as usize {
-                        return Err(OpAbort::Fault);
-                    }
-                }
-                let m = self.maps.get_mut(map).expect("map checked above");
-                let mut cur = [0u8; 8];
-                cur[..n].copy_from_slice(&m.value(slot)[o..o + n]);
-                let old = u64::from_le_bytes(cur);
-                let new = atomic_new_value(
+                let fx = self.map_atomic(
+                    map,
+                    slot,
+                    o,
+                    size,
+                    value_size as usize,
                     op,
-                    old,
                     state.regs[src as usize],
-                    state.regs[0] & mask_for(size),
-                );
-                let bytes = new.to_le_bytes();
-                m.value_mut(slot)[o..o + n].copy_from_slice(&bytes[..n]);
-                if self.shared.is_some() {
-                    self.note_map_atomic(map, slot);
-                }
-                ctl.side_effect = true;
-                if self.debug_trace {
-                    eprintln!("[sim {}] atomic map{map} slot{slot} seq{seq} old={old}", self.cycle);
-                }
+                    state.regs[0],
+                    seq,
+                )?;
+                let old = ctl.land(state, fx);
                 match op {
                     AtomicOp::Cmpxchg => state.regs[0] = old,
                     _ if op.fetches() => state.regs[src as usize] = old,
@@ -438,58 +441,42 @@ impl PipelineSim {
                 if map_handle(state.regs[1]) != Some(map) {
                     return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
                 }
-                let mut key = std::mem::take(&mut self.scratch_key);
-                key.clear();
-                key.resize(key_size as usize, 0);
-                let r = self.compiled_lookup(s, map, stride, seq, state, &mut key);
-                key.clear();
-                self.scratch_key = key;
-                helper_epilogue(state, r?);
+                let fx = self.map_lookup(s, map, key_size as usize, stride, seq, state)?;
+                let r0 = ctl.land(state, fx);
+                helper_epilogue(state, r0);
             }
             FusedOp::MapUpdate { map, key_size, value_size, delay, feb_read_stage } => {
                 if map_handle(state.regs[1]) != Some(map) {
                     return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
                 }
-                let mut key = std::mem::take(&mut self.scratch_key);
-                key.clear();
-                key.resize(key_size as usize, 0);
-                let r = self.compiled_map_update(
+                let fx = self.map_update(
                     s,
                     map,
-                    value_size,
-                    delay,
-                    feb_read_stage,
+                    key_size as usize,
+                    value_size as usize,
+                    u64::from(delay),
+                    feb_read_stage as usize,
                     seq,
                     state,
-                    &mut key,
-                    ctl,
-                );
-                key.clear();
-                self.scratch_key = key;
-                r?;
-                helper_epilogue(state, 0);
+                )?;
+                let r0 = ctl.land(state, fx);
+                helper_epilogue(state, r0);
             }
             FusedOp::MapDelete { map, key_size, delay, feb_read_stage } => {
                 if map_handle(state.regs[1]) != Some(map) {
                     return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
                 }
-                let mut key = std::mem::take(&mut self.scratch_key);
-                key.clear();
-                key.resize(key_size as usize, 0);
-                let r = self.compiled_map_delete(
+                let fx = self.map_delete(
                     s,
                     map,
-                    delay,
-                    feb_read_stage,
+                    key_size as usize,
+                    u64::from(delay),
+                    feb_read_stage as usize,
                     seq,
                     state,
-                    &mut key,
-                    ctl,
-                );
-                key.clear();
-                self.scratch_key = key;
-                r?;
-                helper_epilogue(state, 0);
+                )?;
+                let r0 = ctl.land(state, fx);
+                helper_epilogue(state, r0);
             }
             // Routed here only for the map-op variants.
             _ => unreachable!("exec_fused_map handles map ops only"),
@@ -497,7 +484,7 @@ impl PipelineSim {
         Ok(())
     }
 
-    /// Per-op interpreter fallback for a direct stage: run the original
+    /// Generic per-op fallback for a direct stage: run the original
     /// [`ehdl_core::StageOp`] at the same index through [`PipelineSim::exec_op`]
     /// with the scratch write set, then commit immediately. Exact because
     /// a direct stage's ops are proven order-independent, so "reads
@@ -533,144 +520,6 @@ impl PipelineSim {
         delta.clear();
         self.scratch = Some(delta);
         res
-    }
-
-    /// [`PipelineSim::lookup_with_key`] with baked geometry and a pooled
-    /// unconfirmed-read record (the interpreter allocates one per lookup;
-    /// this path must not).
-    fn compiled_lookup(
-        &mut self,
-        stage_idx: usize,
-        map_id: u32,
-        stride: u32,
-        seq: u64,
-        state: &mut PacketState,
-        key: &mut [u8],
-    ) -> Result<u64, OpAbort> {
-        let key_addr = state.regs[2];
-        self.read_into(state, seq, key_addr, key)?;
-        self.forward_own_writes(map_id, seq);
-        if self.stale_risk(map_id, seq, key) {
-            return Err(OpAbort::FlushSelf);
-        }
-        let mut k = self.pool.take_key();
-        k.clear();
-        k.extend_from_slice(key);
-        state.read_filter |= read_key_bit(map_id, &k);
-        state.map_reads.push((map_id, stage_idx as u32, k));
-        let map = self.maps.get_mut(map_id).expect("map exists");
-        let slot = map.lookup(key).ok().flatten();
-        if let Some(c) = self.map_lookups.get_mut(map_id as usize) {
-            *c = c.saturating_add(1);
-        }
-        if slot.is_some() {
-            if let Some(c) = self.map_hits.get_mut(map_id as usize) {
-                *c = c.saturating_add(1);
-            }
-        }
-        if self.shared.is_some() {
-            self.note_map_read(map_id, key, slot);
-        }
-        Ok(match slot {
-            Some(slot) => {
-                if self.fault.is_some() {
-                    self.fault_map_read(map_id, slot as u32);
-                }
-                map_value_addr(map_id, slot, stride)
-            }
-            None => 0,
-        })
-    }
-
-    /// `bpf_map_update_elem` body with baked geometry and hazard schedule;
-    /// mirrors [`PipelineSim::map_write_with_key`]'s update arm exactly
-    /// (value-read failure restores the scratch buffer, commits nothing,
-    /// raises no hazard, and propagates the fault).
-    #[allow(clippy::too_many_arguments)]
-    fn compiled_map_update(
-        &mut self,
-        stage_idx: usize,
-        map_id: u32,
-        value_size: u32,
-        delay: u32,
-        feb_read_stage: u32,
-        seq: u64,
-        state: &PacketState,
-        key: &mut [u8],
-        ctl: &mut DirectCtl,
-    ) -> Result<(), OpAbort> {
-        self.read_into(state, seq, state.regs[2], key)?;
-        let hazard = self.younger_read_matches(stage_idx, map_id, key);
-        let flags = UpdateFlags::from_raw(state.regs[4]).unwrap_or(UpdateFlags::Any);
-        let mut value = std::mem::take(&mut self.scratch_val);
-        value.clear();
-        value.resize(value_size as usize, 0);
-        let read = self.read_into(state, seq, state.regs[3], &mut value);
-        if read.is_ok() {
-            if delay == 0 {
-                if let Some(map) = self.maps.get_mut(map_id) {
-                    let _ = map.update(key, &value, flags);
-                }
-                if self.shared.is_some() {
-                    self.note_map_update(map_id, key, &value);
-                }
-            } else {
-                let k = self.pooled_copy(key);
-                let v = self.pooled_copy(&value);
-                self.pending_writes.push(PendingWrite {
-                    commit_cycle: self.cycle + u64::from(delay),
-                    map: map_id,
-                    seq,
-                    kind: WriteKind::Update { key: k, value: v, flags },
-                });
-            }
-        }
-        value.clear();
-        self.scratch_val = value;
-        read?;
-        ctl.side_effect = true;
-        if hazard {
-            ctl.flush = Some((map_id, key.to_vec(), feb_read_stage as usize));
-        }
-        Ok(())
-    }
-
-    /// `bpf_map_delete_elem` body with baked geometry and hazard schedule.
-    #[allow(clippy::too_many_arguments)]
-    fn compiled_map_delete(
-        &mut self,
-        stage_idx: usize,
-        map_id: u32,
-        delay: u32,
-        feb_read_stage: u32,
-        seq: u64,
-        state: &PacketState,
-        key: &mut [u8],
-        ctl: &mut DirectCtl,
-    ) -> Result<(), OpAbort> {
-        self.read_into(state, seq, state.regs[2], key)?;
-        let hazard = self.younger_read_matches(stage_idx, map_id, key);
-        if delay == 0 {
-            if let Some(map) = self.maps.get_mut(map_id) {
-                let _ = map.delete(key);
-            }
-            if self.shared.is_some() {
-                self.note_map_delete(map_id, key);
-            }
-        } else {
-            let k = self.pooled_copy(key);
-            self.pending_writes.push(PendingWrite {
-                commit_cycle: self.cycle + u64::from(delay),
-                map: map_id,
-                seq,
-                kind: WriteKind::Delete { key: k },
-            });
-        }
-        ctl.side_effect = true;
-        if hazard {
-            ctl.flush = Some((map_id, key.to_vec(), feb_read_stage as usize));
-        }
-        Ok(())
     }
 }
 

@@ -1,24 +1,10 @@
 #!/usr/bin/env bash
-# Repo gate: build, test, lint, simulator-speed smoke, and scale-out gate.
+# Repo gate: build, test, lint, the BENCH_* gates, and the perf smoke.
 #
 # Usage:
 #   scripts/check.sh           # the full gate (benches included)
 #   scripts/check.sh --quick   # build + tests + lints + perf smoke (edit loop)
 #
-# The speed smoke replays the Figure-9a firewall workload (40k packets at
-# 64 B line rate) under both stage engines (reference interpreter and the
-# compiled backend) and fails if:
-#   - any (app, backend) pair sustains less than half the cycles/sec
-#     recorded in BENCH_sim_speed.json (hot-loop regression);
-#   - the compiled backend's live speedup over the interpreter on the
-#     firewall run drops below the bar in benches/sim_speed.rs
-#     (MIN_FIREWALL_SPEEDUP, interleaved min-of-3 measurement);
-#   - any of the five evaluation apps stops lowering to the compiled
-#     backend — forced Backend::Compiled aborts instead of silently
-#     measuring the interpreter, and a pre-flight try_lower pass names
-#     every offender;
-#   - the two backends diverge on cycles/flushes/replays (they must be
-#     bit-identical on the deterministic workload).
 # The scale-out gate sweeps RSS-sharded pipeline replicas {1,2,4,8} over
 # uniform and Zipf workloads (Firewall, DNAT) through the banked
 # shared-map fabric and fails if:
@@ -64,7 +50,6 @@
 #
 # Re-record an intentional change with:
 #
-#   EHDL_WRITE_BENCH=1 cargo bench -p ehdl-bench --bench sim_speed
 #   EHDL_WRITE_BENCH=1 cargo bench -p ehdl-bench --bench scale_out
 #   EHDL_WRITE_BENCH=1 cargo bench -p ehdl-bench --bench chaos
 #   EHDL_WRITE_BENCH=1 cargo bench -p ehdl-bench --bench shardcheck
@@ -105,9 +90,6 @@ if [[ "$quick" == "1" ]]; then
   echo "check.sh --quick: build, tests, lints and perf smoke passed (bench gates skipped)"
   exit 0
 fi
-
-echo "== sim speed smoke (40k packets) =="
-EHDL_CHECK_BENCH=1 cargo bench -p ehdl-bench --bench sim_speed
 
 echo "== scale-out gate (RSS sharding x banked shared maps) =="
 EHDL_CHECK_BENCH=1 cargo bench -p ehdl-bench --bench scale_out

@@ -20,7 +20,9 @@ use ehdl::ebpf::helpers::{BPF_MAP_LOOKUP_ELEM, BPF_MAP_UPDATE_ELEM};
 use ehdl::ebpf::maps::{MapDef, MapKind};
 use ehdl::ebpf::opcode::{AluOp, JmpOp, MemSize};
 use ehdl::ebpf::Program;
-use ehdl::hwsim::{Backend, PipelineSim, SimOptions};
+use ehdl::hwsim::PipelineSim;
+use ehdl::programs::App;
+use ehdl_bench::{eval_packets, setup_app};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -167,12 +169,7 @@ fn enabled_stage_fast_path_is_allocation_free() {
             p
         })
         .collect();
-    for backend in [Backend::Interpreter, Backend::Compiled] {
-        let mut sim =
-            PipelineSim::with_options(&design, SimOptions { backend, ..SimOptions::default() });
-        assert_eq!(sim.active_backend(), backend);
-        assert_steady_state_alloc_free(&mut sim, &packets);
-    }
+    assert_steady_state_alloc_free(&mut PipelineSim::new(&design), &packets);
 }
 
 #[test]
@@ -190,20 +187,16 @@ fn map_write_steps_are_allocation_free() {
             p
         })
         .collect();
-    for backend in [Backend::Interpreter, Backend::Compiled] {
-        let mut sim =
-            PipelineSim::with_options(&design, SimOptions { backend, ..SimOptions::default() });
-        assert_eq!(sim.active_backend(), backend);
-        assert_steady_state_alloc_free(&mut sim, &packets);
-        assert_eq!(sim.counters().flushes, 0, "write-only program never flushes");
-    }
+    let mut sim = PipelineSim::new(&design);
+    assert_steady_state_alloc_free(&mut sim, &packets);
+    assert_eq!(sim.counters().flushes, 0, "write-only program never flushes");
 }
 
 /// A session-tracking shape: look the key up, then update it. The lookup
 /// leaves an unconfirmed-read record (pooled key + read-filter bit) and
-/// the RAW window forces FEB checkpoints, so this covers the compiled
-/// backend's full hot loop: fused lookup, snapshot pooling, WAR-delayed
-/// writes and whole-frame recycling through `complete()`.
+/// the RAW window forces FEB checkpoints, so this covers the full hot
+/// loop: fused lookup, snapshot pooling, WAR-delayed writes and
+/// whole-frame recycling through `complete()`.
 fn lookup_update_program() -> Program {
     let mut a = Asm::new();
     let skip = a.new_label();
@@ -242,11 +235,22 @@ fn compiled_lookup_hot_loop_is_allocation_free() {
             p
         })
         .collect();
-    let mut sim = PipelineSim::with_options(
-        &design,
-        SimOptions { backend: Backend::Compiled, ..SimOptions::default() },
-    );
-    assert_eq!(sim.active_backend(), Backend::Compiled, "lookup program must lower");
+    let mut sim = PipelineSim::new(&design);
     assert_steady_state_alloc_free(&mut sim, &packets);
     assert_eq!(sim.counters().flushes, 0, "distinct in-flight keys never collide");
+}
+
+/// The router's route lookup shares its stage with a packet store, so the
+/// stage lowers as a delta stage and the lookup runs through the two-phase
+/// executor. Its read record must come from the key pool there too.
+#[test]
+fn router_delta_stage_lookup_is_allocation_free() {
+    let design = Compiler::new().compile(&App::Router.program()).expect("compiles");
+    let mut sim = PipelineSim::new(&design);
+    assert!(sim.lower_stats().delta_stages > 0, "router must keep a delta stage");
+    setup_app(App::Router, sim.maps_mut());
+    let lookups_before: u64 = sim.map_lookups().iter().sum();
+    assert_steady_state_alloc_free(&mut sim, &eval_packets(App::Router, 64));
+    let lookups: u64 = sim.map_lookups().iter().sum();
+    assert!(lookups > lookups_before, "the trace must reach the route lookup");
 }

@@ -11,8 +11,8 @@ use ehdl::core::Compiler;
 use ehdl::ebpf::vm::XdpAction;
 use ehdl::hwsim::diff::compare_with;
 use ehdl::hwsim::{
-    rss_flow_hash, Backend, MultiNic, PipelineSim, ShardedNic, SharedMapOptions, SimCounters,
-    SimOptions, Steering,
+    rss_flow_hash, MultiNic, PipelineSim, ShardedNic, SharedMapOptions, SimCounters, SimOptions,
+    Steering,
 };
 use ehdl::net::{IPPROTO_TCP, IPPROTO_UDP};
 use ehdl::programs::App;
@@ -39,16 +39,9 @@ struct RunRecord {
 }
 
 fn run_once(app: App, packets: &[Vec<u8>]) -> RunRecord {
-    run_once_on(app, packets, Backend::Auto)
-}
-
-fn run_once_on(app: App, packets: &[Vec<u8>], backend: Backend) -> RunRecord {
     let program = app.program();
     let design = Compiler::new().compile(&program).expect("app compiles");
-    let mut sim = PipelineSim::with_options(&design, SimOptions { backend, ..opts() });
-    if backend != Backend::Auto {
-        assert_eq!(sim.active_backend(), backend, "{} must honor the request", app.name());
-    }
+    let mut sim = PipelineSim::with_options(&design, opts());
     setup_app(app, sim.maps_mut());
     for p in packets {
         sim.enqueue(p.clone());
@@ -306,10 +299,9 @@ fn sharded_runs_replay_bit_identically() {
     }
 }
 
-/// One seeded host-op/packet interleaving through the runtime, on the
-/// requested stage engine, in comparable form.
+/// One seeded host-op/packet interleaving through the runtime, in
+/// comparable form.
 fn host_ops_run(
-    backend: Backend,
 ) -> (Vec<OutcomeRow>, Vec<ehdl::hwsim::HostCompletion>, SimCounters, u64, MapEntries) {
     use ehdl::hwsim::CtrlOptions;
     use ehdl::programs::simple_firewall;
@@ -334,14 +326,11 @@ fn host_ops_run(
     let mut rt = Runtime::new(
         &design,
         RuntimeOptions {
-            sim: SimOptions { backend, ..opts() },
+            sim: opts(),
             ctrl: CtrlOptions { latency_cycles: 2, queue_depth: 1024 },
             ..Default::default()
         },
     );
-    if backend != Backend::Auto {
-        assert_eq!(rt.sim_mut().active_backend(), backend, "runtime must honor the request");
-    }
     let report = rt.run_schedule(&schedule);
     let outcomes: Vec<OutcomeRow> = report
         .outcomes
@@ -365,125 +354,11 @@ fn host_ops_run(
 /// apply cycles), same counters, same final map state.
 #[test]
 fn interleaved_host_ops_are_bit_identical() {
-    let first = host_ops_run(Backend::Auto);
-    let second = host_ops_run(Backend::Auto);
+    let first = host_ops_run();
+    let second = host_ops_run();
     assert!(
         first.1.iter().any(|c| c.flushed_readers > 0) || first.2.host_op_flushes > 0,
         "trace should exercise host-write flushes to make the check meaningful"
     );
     assert_eq!(first, second, "host-op interleaving must replay bit-identically");
-}
-
-/// The compiled backend locksteps with the interpreter on every
-/// evaluation app: same outcome bytes, same counters, same final map
-/// state, same cycle count, over the full 1k-packet traces with their
-/// flush/replay traffic.
-#[test]
-fn compiled_backend_locksteps_with_interpreter_on_all_apps() {
-    for app in App::ALL {
-        let packets = eval_packets(app, TRACE_PACKETS);
-        let interp = run_once_on(app, &packets, Backend::Interpreter);
-        let compiled = run_once_on(app, &packets, Backend::Compiled);
-        assert_eq!(interp, compiled, "{}: backends must be bit-identical", app.name());
-    }
-}
-
-/// The same seeded host-op interleaving — control-channel fences, forced
-/// checkpoints, host-write flushes — is bit-identical across the two
-/// stage engines, completions and apply cycles included.
-#[test]
-fn host_op_interleaving_locksteps_across_backends() {
-    let interp = host_ops_run(Backend::Interpreter);
-    let compiled = host_ops_run(Backend::Compiled);
-    assert_eq!(interp, compiled, "host-op schedule must be backend-independent");
-}
-
-/// A seeded fault campaign (transients, stuck-ats, hangs, watchdog
-/// recoveries) resolves identically under both stage engines: same
-/// packet outcomes, same counters and map state, same fault statistics.
-#[test]
-fn fault_campaign_locksteps_across_backends() {
-    use ehdl::hwsim::FaultConfig;
-
-    let run = |backend: Backend| {
-        let app = App::Firewall;
-        let program = app.program();
-        let design = Compiler::new().compile(&program).expect("app compiles");
-        let mut sim = PipelineSim::with_options(&design, SimOptions { backend, ..opts() });
-        assert_eq!(sim.active_backend(), backend, "campaign must run on the requested engine");
-        setup_app(app, sim.maps_mut());
-        sim.attach_faults(FaultConfig {
-            seed: 7,
-            rate: 0.01,
-            stuck_fraction: 0.2,
-            hang_fraction: 0.1,
-            watchdog_timeout: 256,
-            ..Default::default()
-        });
-        for p in eval_packets(app, TRACE_PACKETS) {
-            sim.enqueue(p);
-        }
-        sim.settle(50_000_000);
-        let outcomes: Vec<OutcomeRow> = sim
-            .drain()
-            .into_iter()
-            .map(|o| (o.seq, o.action, o.redirect_ifindex, o.packet, o.latency_cycles))
-            .collect();
-        let stats = *sim.fault_engine().expect("engine attached").stats();
-        (outcomes, *sim.counters(), sim.cycle(), stats)
-    };
-
-    let interp = run(Backend::Interpreter);
-    let compiled = run(Backend::Compiled);
-    assert!(interp.3.injected > 0, "campaign must actually inject faults");
-    assert_eq!(interp, compiled, "fault campaign must be backend-independent");
-}
-
-/// An unlowerable plan feature under [`Backend::Auto`] falls back to the
-/// interpreter *loudly* — typed error recorded, active backend reported —
-/// and the fallback run matches a forced interpreter run bit-for-bit.
-#[test]
-fn unlowerable_plan_falls_back_cleanly_under_auto() {
-    use ehdl::core::ir::HwInsn;
-    use ehdl::core::LowerError;
-    use ehdl::ebpf::helpers::BPF_FIB_LOOKUP;
-    use ehdl::ebpf::insn::Instruction;
-
-    // The verifier rejects unknown helpers at load time, so splice one
-    // into an already-compiled design to model a future compiler feature
-    // the executor has no specialization for.
-    let mut design = Compiler::new().compile(&App::Firewall.program()).expect("compiles");
-    let op = &mut design.stages[0].ops[0];
-    op.insn = HwInsn::Simple(Instruction::Call { helper: BPF_FIB_LOOKUP });
-
-    let run = |backend: Backend| {
-        let mut sim = PipelineSim::with_options(&design, SimOptions { backend, ..opts() });
-        setup_app(App::Firewall, sim.maps_mut());
-        for p in eval_packets(App::Firewall, 200) {
-            sim.enqueue(p);
-        }
-        sim.settle(10_000_000);
-        let outcomes: Vec<OutcomeRow> = sim
-            .drain()
-            .into_iter()
-            .map(|o| (o.seq, o.action, o.redirect_ifindex, o.packet, o.latency_cycles))
-            .collect();
-        let fell_back = sim.lower_error().cloned();
-        (outcomes, *sim.counters(), sim.cycle(), sim.active_backend(), fell_back)
-    };
-
-    let auto = run(Backend::Auto);
-    assert_eq!(auto.3, Backend::Interpreter, "auto must fall back");
-    match auto.4 {
-        Some(LowerError::UnsupportedHelper { helper, .. }) => {
-            assert_eq!(helper, BPF_FIB_LOOKUP);
-        }
-        other => panic!("expected a typed UnsupportedHelper fallback, got {other:?}"),
-    }
-    let forced = run(Backend::Interpreter);
-    assert_eq!(
-        (&auto.0, &auto.1, auto.2),
-        (&forced.0, &forced.1, forced.2),
-        "fallback run must match the forced interpreter bit-for-bit"
-    );
 }

@@ -75,7 +75,7 @@ pub struct SloSummary {
     pub ops_out: u64,
     /// Same-key updates collapsed to the last write.
     pub updates_collapsed: u64,
-    /// Lookups served from a shared dump frame.
+    /// Lookups served from a shared gather frame.
     pub lookups_shared: u64,
     /// Kill storm: packets offered / completed (incl. host retries).
     pub kill_offered: u64,

@@ -9,6 +9,15 @@
 //! value" (what `bpf_map_lookup_elem` returns) can be represented as a
 //! compact virtual address by the VM and as a `(map, slot)` port address by
 //! the hardware simulator.
+//!
+//! Only array maps are preallocated. A hash-like map starts empty and its
+//! slab grows to the high-water mark of its occupancy, so creating, cloning,
+//! iterating and evicting cost the entries that were ever live, not
+//! `max_entries`. A new key takes the most recently freed slot, else the
+//! next never-used slot, else (at capacity) evicts or fails — the slot
+//! sequence a free stack preloaded with `max_entries-1 ..= 0` would hand
+//! out, so value addresses, iteration order and eviction victims are those
+//! of a preallocated table.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -215,6 +224,8 @@ impl std::error::Error for MapError {}
 struct Entry {
     key: Vec<u8>,
     value: Vec<u8>,
+    /// `Map::tick` at the entry's last use, for LRU eviction.
+    last_use: u64,
 }
 
 /// A runtime map instance.
@@ -231,41 +242,35 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct Map {
     def: MapDef,
-    /// Stable-slot storage; `None` slots are free.
+    /// Stable-slot storage; `None` slots are free. Arrays hold all
+    /// `max_entries` slots; hash-like kinds hold the slots ever used.
     slab: Vec<Option<Entry>>,
     /// Hash index: key bytes → slot (hash-like kinds only).
     index: HashMap<Vec<u8>, usize>,
+    /// Freed slots of `slab`, most recently freed last.
     free: Vec<usize>,
-    /// Monotonic use counter per slot for LRU eviction.
-    last_use: Vec<u64>,
+    /// Monotonic use counter for LRU eviction.
     tick: u64,
 }
 
 impl Map {
     /// Instantiate a map from its definition. Array maps are preallocated
-    /// and zero-filled, exactly like the kernel's.
+    /// and zero-filled, exactly like the kernel's; hash-like maps start
+    /// empty and grow with use (see the module docs).
     pub fn new(def: MapDef) -> Map {
-        let n = def.max_entries as usize;
-        let mut slab = Vec::new();
-        let mut index = HashMap::new();
-        let mut free = Vec::new();
-        match def.kind {
-            MapKind::Array | MapKind::PerCpuArray => {
-                for i in 0..n {
-                    slab.push(Some(Entry {
-                        key: (i as u32).to_le_bytes().to_vec(),
+        let slab = match def.kind {
+            MapKind::Array | MapKind::PerCpuArray => (0..def.max_entries)
+                .map(|i| {
+                    Some(Entry {
+                        key: i.to_le_bytes().to_vec(),
                         value: vec![0; def.value_size as usize],
-                    }));
-                }
-            }
-            _ => {
-                slab.resize_with(n, || None);
-                free.extend((0..n).rev());
-                index.reserve(n);
-            }
-        }
-        let last_use = vec![0; n];
-        Map { def, slab, index, free, last_use, tick: 0 }
+                        last_use: 0,
+                    })
+                })
+                .collect(),
+            MapKind::Hash | MapKind::LruHash | MapKind::LpmTrie => Vec::new(),
+        };
+        Map { def, slab, index: HashMap::new(), free: Vec::new(), tick: 0 }
     }
 
     /// The static definition.
@@ -275,7 +280,10 @@ impl Map {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.slab.iter().filter(|e| e.is_some()).count()
+        match self.def.kind {
+            MapKind::Array | MapKind::PerCpuArray => self.slab.len(),
+            MapKind::Hash | MapKind::LruHash | MapKind::LpmTrie => self.index.len(),
+        }
     }
 
     /// True if no entries are live (never true for array maps).
@@ -325,8 +333,7 @@ impl Map {
             MapKind::Hash => Ok(self.index.get(key).copied()),
             MapKind::LruHash => {
                 if let Some(&slot) = self.index.get(key) {
-                    self.tick += 1;
-                    self.last_use[slot] = self.tick;
+                    self.touch(slot);
                     Ok(Some(slot))
                 } else {
                     Ok(None)
@@ -442,13 +449,7 @@ impl Map {
                     if flags == UpdateFlags::NoExist {
                         return Err(MapError::KeyExists);
                     }
-                    self.tick += 1;
-                    self.last_use[slot] = self.tick;
-                    self.slab[slot]
-                        .as_mut()
-                        .expect("indexed slot is live")
-                        .value
-                        .copy_from_slice(value);
+                    self.touch(slot).value.copy_from_slice(value);
                     return Ok(slot);
                 }
                 if flags == UpdateFlags::Exist {
@@ -456,16 +457,28 @@ impl Map {
                 }
                 let slot = match self.free.pop() {
                     Some(s) => s,
+                    None if self.slab.len() < self.def.max_entries as usize => {
+                        self.slab.push(None);
+                        self.slab.len() - 1
+                    }
                     None if self.def.kind == MapKind::LruHash => self.evict_lru(),
                     None => return Err(MapError::Full),
                 };
                 self.tick += 1;
-                self.last_use[slot] = self.tick;
-                self.slab[slot] = Some(Entry { key: key.to_vec(), value: value.to_vec() });
+                self.slab[slot] =
+                    Some(Entry { key: key.to_vec(), value: value.to_vec(), last_use: self.tick });
                 self.index.insert(key.to_vec(), slot);
                 Ok(slot)
             }
         }
+    }
+
+    /// Mark the live entry at `slot` as just used.
+    fn touch(&mut self, slot: usize) -> &mut Entry {
+        self.tick += 1;
+        let e = self.slab[slot].as_mut().expect("indexed slot is live");
+        e.last_use = self.tick;
+        e
     }
 
     fn evict_lru(&mut self) -> usize {
@@ -473,8 +486,8 @@ impl Map {
             .slab
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.is_some())
-            .min_by_key(|(i, _)| self.last_use[*i])
+            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e.last_use)))
+            .min_by_key(|&(_, last_use)| last_use)
             .map(|(i, _)| i)
             .expect("lru map at capacity has live entries");
         let old = self.slab[slot].take().expect("evicted slot was live");
@@ -691,6 +704,84 @@ mod tests {
             m.update(&k, &0u32.to_le_bytes(), UpdateFlags::Any),
             Err(MapError::BadPrefixLen { prefix: 33, max: 32 })
         );
+    }
+
+    /// The reference layout the grown slab's slot sequence is pinned
+    /// against: a preallocated table, every slot present and free, the
+    /// free stack handing out `0, 1, 2, …`.
+    fn eager(def: MapDef) -> Map {
+        let n = def.max_entries as usize;
+        let mut m = Map::new(def);
+        m.slab.resize_with(n, || None);
+        m.free.extend((0..n).rev());
+        m
+    }
+
+    #[test]
+    fn grown_slab_hands_out_the_preallocated_slot_sequence() {
+        type Entries = Vec<(usize, Vec<u8>, Vec<u8>)>;
+        fn entries(m: &Map) -> Entries {
+            m.iter().map(|(s, k, v)| (s, k.to_vec(), v.to_vec())).collect()
+        }
+        // LPM keys carry a valid prefix length in front of the key byte.
+        let defs = [
+            MapDef::new(0, "h", MapKind::Hash, 1, 2, 12),
+            MapDef::new(0, "lru", MapKind::LruHash, 1, 2, 12),
+            MapDef::new(0, "lpm", MapKind::LpmTrie, 5, 2, 12),
+        ];
+        for def in defs {
+            let lpm = def.kind == MapKind::LpmTrie;
+            let mut rng = ehdl_rng::Rng::seed_from_u64(0x5107 + u64::from(def.key_size));
+            let (mut lazy, mut reference) = (Map::new(def.clone()), eager(def.clone()));
+            assert_eq!(lazy.try_value(0), None, "nothing is allocated before the first insert");
+            let (mut full, mut missing, mut evictions) = (0u32, 0u32, 0u32);
+            for step in 0..10_000 {
+                // 24 keys over 12 slots: the table sits at capacity, so
+                // `Full` (hash, LPM) and eviction (LRU) both fire.
+                let byte = rng.gen_index(24) as u8;
+                let key: Vec<u8> = if lpm {
+                    let mut k = (rng.gen_index(9) as u32).to_le_bytes().to_vec();
+                    k.push(byte);
+                    k
+                } else {
+                    vec![byte]
+                };
+                let value = rng.gen_u16().to_le_bytes();
+                let flags =
+                    [UpdateFlags::Any, UpdateFlags::NoExist, UpdateFlags::Exist][rng.gen_index(3)];
+                let before = entries(&reference);
+                match rng.gen_index(4) {
+                    0 | 1 => {
+                        let want = reference.update(&key, &value, flags);
+                        assert_eq!(lazy.update(&key, &value, flags), want, "step {step}");
+                        full += u32::from(want == Err(MapError::Full));
+                        // An insert into a full LRU map replaces its victim.
+                        let evicted = want.is_ok()
+                            && before.len() == 12
+                            && !before.iter().any(|(_, k, _)| *k == key);
+                        evictions += u32::from(evicted);
+                    }
+                    2 => {
+                        let want = reference.delete(&key);
+                        assert_eq!(lazy.delete(&key), want, "step {step}");
+                        missing += u32::from(want == Err(MapError::NoSuchKey));
+                    }
+                    _ => assert_eq!(lazy.lookup(&key), reference.lookup(&key), "step {step}"),
+                }
+                assert_eq!(entries(&lazy), entries(&reference), "step {step}");
+                assert_eq!(lazy.len(), reference.len(), "step {step}");
+                assert_eq!(lazy.len(), entries(&lazy).len(), "step {step}");
+            }
+            assert!(missing > 0, "{}: no delete missed", def.name);
+            if def.kind == MapKind::LruHash {
+                assert!(full == 0 && evictions > 0, "lru: {full} full, {evictions} evictions");
+            } else {
+                assert!(full > 0 && evictions == 0, "{}: {full} full", def.name);
+            }
+            // Slots past the high-water mark stay unallocated, not free-and-present.
+            assert_eq!(lazy.try_value(12), None);
+            assert!(lazy.slab.len() <= 12);
+        }
     }
 
     #[test]

@@ -13,9 +13,15 @@
 //!   bit-equivalent to sequential execution: the slot taken, the final
 //!   value, and the success/`Full` outcome are identical in every case.
 //! * **Lookup sharing**: consecutive lookups on the same map (again with
-//!   no intervening same-map op) are served by one `Dump` of that map;
-//!   each lookup's answer is reconstructed from the dump's entries.
-//!   A client-issued `Dump` also absorbs following lookups.
+//!   no intervening same-map op) are served by one `Gather` of their keys
+//!   — one frame, one queue slot, and device work proportional to the
+//!   keys named, not to the table; each lookup's answer is the gathered
+//!   result at its position — value, miss, or that key's own error (an
+//!   array index out of range fails its lookup, not its neighbours'). A
+//!   run longer than one frame holds ([`gather_capacity`]) continues in a
+//!   new carrier; a `Gather` a client submitted itself is never extended.
+//!   A client-issued `Dump` also absorbs following lookups, answered from
+//!   its entries.
 //!
 //! Anything else — deletes, flag-constrained updates (`NoExist`/`Exist`,
 //! whose per-op success depends on position), and ops whose key/value
@@ -28,7 +34,7 @@
 //! replays coalesced schedules against the sequential VM oracle and the
 //! check.sh SLO gate pins bit-equivalence on every campaign.
 
-use crate::ctrl::{HostOp, HostOpResult};
+use crate::ctrl::{gather_capacity, HostOp, HostOpResult};
 use ehdl_ebpf::maps::{MapError, UpdateFlags};
 use std::collections::BTreeMap;
 
@@ -51,13 +57,21 @@ pub enum OpAnswer {
         /// Index of the original op in the input slice.
         orig: usize,
     },
-    /// The original was a `Lookup { key }`; the carrier is a `Dump` and
-    /// the answer is `Value(entries[key])`.
+    /// The original was a `Lookup { key }`; the carrier is a client's
+    /// `Dump` and the answer is `Value(entries[key])`.
     FromDump {
         /// Index of the original op in the input slice.
         orig: usize,
         /// The lookup key to resolve against the dump.
         key: Vec<u8>,
+    },
+    /// The original was a `Lookup`; the carrier is a `Gather` built here
+    /// and the answer is `values[at]`: that key's value, miss or error.
+    FromGather {
+        /// Index of the original op in the input slice.
+        orig: usize,
+        /// Position of the lookup's key in the gather.
+        at: usize,
     },
 }
 
@@ -65,7 +79,9 @@ impl OpAnswer {
     /// Index of the original op this answer serves.
     pub fn orig(&self) -> usize {
         match self {
-            OpAnswer::Direct { orig } | OpAnswer::FromDump { orig, .. } => *orig,
+            OpAnswer::Direct { orig }
+            | OpAnswer::FromDump { orig, .. }
+            | OpAnswer::FromGather { orig, .. } => *orig,
         }
     }
 }
@@ -89,18 +105,18 @@ pub struct CoalesceStats {
     pub ops_out: u64,
     /// Updates absorbed into an earlier same-key update.
     pub updates_collapsed: u64,
-    /// Lookups served from a shared dump.
+    /// Lookups served from a shared gather (or a client's dump).
     pub lookups_shared: u64,
 }
 
 fn op_is_valid(op: &HostOp, shape: &impl Fn(u32) -> Option<MapShape>) -> bool {
     let Some(s) = shape(op.map()) else { return false };
-    let key_ok = op.key().is_none_or(|k| k.len() == s.key_size);
-    let value_ok = match op {
-        HostOp::Update { value, .. } => value.len() == s.value_size,
-        _ => true,
-    };
-    key_ok && value_ok
+    match op {
+        HostOp::Lookup { key, .. } | HostOp::Delete { key, .. } => key.len() == s.key_size,
+        HostOp::Update { key, value, .. } => key.len() == s.key_size && value.len() == s.value_size,
+        HostOp::Dump { .. } => true,
+        HostOp::Gather { keys, .. } => keys.iter().all(|k| k.len() == s.key_size),
+    }
 }
 
 /// Coalesce one op train. `shape` resolves a map id to its geometry
@@ -118,54 +134,66 @@ pub fn coalesce_ops(
     let mut stats = CoalesceStats { ops_in: ops.len() as u64, ..Default::default() };
 
     for (i, op) in ops.iter().enumerate() {
-        if op_is_valid(op, &shape) {
-            // The carrier must itself be a valid op: an invalid one keeps
-            // its individual error result and can absorb nothing.
-            if let Some(&j) =
-                last_on_map.get(&op.map()).filter(|&&j| op_is_valid(&out[j].op, &shape))
-            {
-                let absorbed = match (&mut out[j].op, op) {
-                    (
-                        HostOp::Update { key: k0, value: v0, flags: UpdateFlags::Any, .. },
-                        HostOp::Update { key, value, flags: UpdateFlags::Any, .. },
-                    ) if k0 == key => {
-                        // Last-write-wins collapse into the earlier slot.
-                        *v0 = value.clone();
-                        out[j].answers.push(OpAnswer::Direct { orig: i });
-                        stats.updates_collapsed += 1;
-                        true
-                    }
-                    (HostOp::Lookup { .. }, HostOp::Lookup { key, .. }) => {
-                        // Promote the pending lookup to a shared dump and
-                        // serve both from it.
-                        let (prev_orig, prev_key) = match (&out[j].op, &out[j].answers[..]) {
-                            (HostOp::Lookup { key: k0, .. }, [OpAnswer::Direct { orig }]) => {
-                                (*orig, k0.clone())
-                            }
-                            _ => unreachable!("a pending lookup has exactly one direct answer"),
-                        };
-                        out[j].op = HostOp::Dump { map: op.map() };
-                        out[j].answers =
-                            vec![OpAnswer::FromDump { orig: prev_orig, key: prev_key }];
-                        out[j].answers.push(OpAnswer::FromDump { orig: i, key: key.clone() });
-                        stats.lookups_shared += 2;
-                        true
-                    }
-                    (HostOp::Dump { .. }, HostOp::Lookup { key, .. }) => {
-                        out[j].answers.push(OpAnswer::FromDump { orig: i, key: key.clone() });
-                        stats.lookups_shared += 1;
-                        true
-                    }
-                    _ => false,
-                };
-                if absorbed {
-                    continue;
+        let valid = op_is_valid(op, &shape);
+        // `last_on_map` holds valid carriers only (below), and absorbing a
+        // valid op keeps a carrier valid.
+        if let Some(&j) = last_on_map.get(&op.map()).filter(|_| valid) {
+            // Only a gather built here grows: a client's own `Gather` is
+            // answered verbatim and must keep exactly its keys.
+            let built = matches!(out[j].answers[0], OpAnswer::FromGather { .. });
+            let absorbed = match (&mut out[j].op, op) {
+                (
+                    HostOp::Update { key: k0, value: v0, flags: UpdateFlags::Any, .. },
+                    HostOp::Update { key, value, flags: UpdateFlags::Any, .. },
+                ) if k0 == key => {
+                    // Last-write-wins collapse into the earlier slot.
+                    *v0 = value.clone();
+                    out[j].answers.push(OpAnswer::Direct { orig: i });
+                    stats.updates_collapsed += 1;
+                    true
                 }
+                (HostOp::Lookup { key: k0, .. }, HostOp::Lookup { key, .. })
+                    if gather_capacity(key.len()) >= 2 =>
+                {
+                    // Turn the pending lookup into a gather of both.
+                    let keys = vec![std::mem::take(k0), key.clone()];
+                    let orig = out[j].answers[0].orig();
+                    out[j].op = HostOp::Gather { map: op.map(), keys };
+                    out[j].answers = vec![
+                        OpAnswer::FromGather { orig, at: 0 },
+                        OpAnswer::FromGather { orig: i, at: 1 },
+                    ];
+                    stats.lookups_shared += 2;
+                    true
+                }
+                (HostOp::Gather { keys, .. }, HostOp::Lookup { key, .. })
+                    if built && keys.len() < gather_capacity(key.len()) =>
+                {
+                    let at = keys.len();
+                    keys.push(key.clone());
+                    out[j].answers.push(OpAnswer::FromGather { orig: i, at });
+                    stats.lookups_shared += 1;
+                    true
+                }
+                (HostOp::Dump { .. }, HostOp::Lookup { key, .. }) => {
+                    out[j].answers.push(OpAnswer::FromDump { orig: i, key: key.clone() });
+                    stats.lookups_shared += 1;
+                    true
+                }
+                _ => false,
+            };
+            if absorbed {
+                continue;
             }
         }
-        let idx = out.len();
+        // An invalid op keeps its individual error result: it is a barrier
+        // on its map and a carrier for nothing.
+        if valid {
+            last_on_map.insert(op.map(), out.len());
+        } else {
+            last_on_map.remove(&op.map());
+        }
         out.push(CoalescedOp { op: op.clone(), answers: vec![OpAnswer::Direct { orig: i }] });
-        last_on_map.insert(op.map(), idx);
     }
     stats.ops_out = out.len() as u64;
     (out, stats)
@@ -189,6 +217,13 @@ pub fn expand_results(
                         entries.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()),
                     )),
                     Ok(_) => unreachable!("a FromDump answer's carrier completes with Entries"),
+                    Err(e) => Err(e.clone()),
+                },
+                OpAnswer::FromGather { at, .. } => match r {
+                    Ok(HostOpResult::Values(values)) => {
+                        values[*at].clone().map(HostOpResult::Value)
+                    }
+                    Ok(_) => unreachable!("a FromGather answer's carrier completes with Values"),
                     Err(e) => Err(e.clone()),
                 },
             };
@@ -265,18 +300,93 @@ mod tests {
         assert_eq!(out.len(), 2);
     }
 
+    fn gather(map: u32, keys: &[u64]) -> HostOp {
+        HostOp::Gather { map, keys: keys.iter().map(|k| k.to_le_bytes().to_vec()).collect() }
+    }
+
     #[test]
-    fn consecutive_lookups_share_one_dump() {
+    fn consecutive_lookups_share_one_gather() {
         let ops = [look(0, 1), look(0, 2), look(0, 1)];
         let (out, stats) = coalesce_ops(&ops, shape_8_8);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].op, HostOp::Dump { map: 0 });
+        assert_eq!(out[0].op, gather(0, &[1, 2, 1]));
         assert_eq!(stats.lookups_shared, 3);
-        let entries = vec![(1u64.to_le_bytes().to_vec(), 11u64.to_le_bytes().to_vec())];
-        let expanded = expand_results(&out, &[Ok(HostOpResult::Entries(entries))]);
-        assert_eq!(expanded[0], Ok(HostOpResult::Value(Some(11u64.to_le_bytes().to_vec()))));
+        // Answers go by position: the miss in the middle stays a miss and
+        // the repeated key is answered twice.
+        let hit = Some(11u64.to_le_bytes().to_vec());
+        let values = vec![Ok(hit.clone()), Ok(None), Ok(hit.clone())];
+        let expanded = expand_results(&out, &[Ok(HostOpResult::Values(values))]);
+        assert_eq!(expanded[0], Ok(HostOpResult::Value(hit.clone())));
         assert_eq!(expanded[1], Ok(HostOpResult::Value(None)));
         assert_eq!(expanded[2], expanded[0]);
+        // A key's own error fails that lookup and no other.
+        let oob = MapError::IndexOutOfBounds { index: 2, max: 2 };
+        let values = vec![Ok(hit.clone()), Err(oob.clone()), Ok(hit)];
+        let expanded = expand_results(&out, &[Ok(HostOpResult::Values(values))]);
+        assert_eq!(expanded[1], Err(oob));
+        assert!(expanded[0].is_ok());
+        assert_eq!(expanded[2], expanded[0]);
+        // A failed gather fails every lookup it carried.
+        let err = MapError::BadKeySize { expected: 4, got: 8 };
+        let expanded = expand_results(&out, &[Err(err.clone())]);
+        assert_eq!(expanded, vec![Err(err); 3]);
+    }
+
+    #[test]
+    fn a_gather_is_capped_at_one_frame() {
+        let cap = gather_capacity(8);
+        let ops: Vec<HostOp> = (0..2 * cap as u64 + 1).map(|k| look(0, k)).collect();
+        let (out, stats) = coalesce_ops(&ops, shape_8_8);
+        assert_eq!(stats.lookups_shared, 2 * cap as u64, "the odd lookup out travels alone");
+        assert_eq!(out.len(), 3);
+        let mut next = 0u64;
+        for c in &out[..2] {
+            let HostOp::Gather { keys, .. } = &c.op else { panic!("not a gather: {:?}", c.op) };
+            assert_eq!(keys.len(), cap);
+            let frame = crate::ctrl::encode_frame(0, &c.op);
+            assert!(frame.len() <= crate::ctrl::MAX_FRAME_LEN);
+            assert_eq!(crate::ctrl::decode_frame(&frame), Ok((0, c.op.clone())));
+            for (at, (key, a)) in keys.iter().zip(&c.answers).enumerate() {
+                assert_eq!(key, &next.to_le_bytes());
+                assert_eq!(a, &OpAnswer::FromGather { orig: next as usize, at });
+                next += 1;
+            }
+        }
+        assert_eq!(out[2].op, look(0, next));
+    }
+
+    #[test]
+    fn a_same_map_write_ends_the_run() {
+        let del = HostOp::Delete { map: 0, key: 2u64.to_le_bytes().to_vec() };
+        let ops = [look(0, 1), look(0, 2), del.clone(), look(0, 2), upd(0, 3, 3), look(0, 3)];
+        let (out, stats) = coalesce_ops(&ops, shape_8_8);
+        let want = [gather(0, &[1, 2]), del, look(0, 2), upd(0, 3, 3), look(0, 3)];
+        assert_eq!(out.iter().map(|c| c.op.clone()).collect::<Vec<_>>(), want);
+        assert_eq!(stats.lookups_shared, 2);
+        // A write to ANOTHER map does not: different maps commute.
+        let (out, _) = coalesce_ops(&[look(0, 1), upd(9, 5, 5), look(0, 2)], shape_8_8);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].op, gather(0, &[1, 2]));
+    }
+
+    #[test]
+    fn a_client_gather_is_never_extended() {
+        // Its completion is the client's answer verbatim: a neighbour's key
+        // appended to it would change that answer's length and contents.
+        let ops = [gather(0, &[1, 2]), look(0, 3), look(0, 4), look(0, 5)];
+        let (out, stats) = coalesce_ops(&ops, shape_8_8);
+        let want = [gather(0, &[1, 2]), gather(0, &[3, 4, 5])];
+        assert_eq!(out.iter().map(|c| c.op.clone()).collect::<Vec<_>>(), want);
+        assert_eq!(out[0].answers, [OpAnswer::Direct { orig: 0 }]);
+        assert_eq!(stats.lookups_shared, 3);
+        let (out, _) = coalesce_ops(&[gather(0, &[1, 2]), look(0, 3)], shape_8_8);
+        assert_eq!(out.len(), 2);
+        // One with a wrong-size key is an invalid op like any other: it
+        // keeps its error and ends the run before it.
+        let bad = HostOp::Gather { map: 0, keys: vec![vec![0; 8], vec![1, 2, 3]] };
+        let (out, _) = coalesce_ops(&[look(0, 1), bad.clone(), look(0, 2)], shape_8_8);
+        let want = [look(0, 1), bad, look(0, 2)];
+        assert_eq!(out.iter().map(|c| c.op.clone()).collect::<Vec<_>>(), want);
     }
 
     #[test]
@@ -295,6 +405,9 @@ mod tests {
         let bad = HostOp::Lookup { map: 0, key: vec![1, 2, 3] };
         let (out, _) = coalesce_ops(&[look(0, 1), bad.clone(), look(0, 2)], shape_8_8);
         assert_eq!(out.len(), 3, "bad-size lookup neither shares nor is shared");
+        let (out, _) = coalesce_ops(&[look(0, 1), look(0, 2), bad.clone(), look(0, 3)], shape_8_8);
+        let want = [gather(0, &[1, 2]), bad.clone(), look(0, 3)];
+        assert_eq!(out.iter().map(|c| c.op.clone()).collect::<Vec<_>>(), want);
         let bad_upd =
             HostOp::Update { map: 0, key: vec![0; 8], value: vec![1], flags: UpdateFlags::Any };
         let (out, stats) = coalesce_ops(&[upd(0, 1, 1), bad_upd, upd(0, 1, 2)], shape_8_8);

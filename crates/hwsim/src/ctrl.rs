@@ -20,7 +20,7 @@
 //!    flush/replay machinery a pipeline RAW hazard uses, rolling the
 //!    readers back past their stale read.
 
-use ehdl_ebpf::maps::{MapError, UpdateFlags};
+use ehdl_ebpf::maps::{Map, MapError, UpdateFlags};
 use ehdl_rng::Rng;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -57,6 +57,18 @@ pub enum HostOp {
         /// Target map id.
         map: u32,
     },
+    /// Read the values under `keys` against one map state, in key order:
+    /// `keys.len()` lookups in one frame and one queue slot. What a run
+    /// of client lookups is coalesced into ([`crate::batch`]).
+    Gather {
+        /// Target map id.
+        map: u32,
+        /// Keys to read, each of the map's key size; a key of the wrong
+        /// size fails the whole gather, any other per-key error (an array
+        /// index out of range) only that key's answer. One frame carries
+        /// at most [`gather_capacity`] of them.
+        keys: Vec<Vec<u8>>,
+    },
 }
 
 impl HostOp {
@@ -66,7 +78,8 @@ impl HostOp {
             HostOp::Lookup { map, .. }
             | HostOp::Update { map, .. }
             | HostOp::Delete { map, .. }
-            | HostOp::Dump { map } => *map,
+            | HostOp::Dump { map }
+            | HostOp::Gather { map, .. } => *map,
         }
     }
 
@@ -76,7 +89,7 @@ impl HostOp {
             HostOp::Lookup { key, .. }
             | HostOp::Update { key, .. }
             | HostOp::Delete { key, .. } => Some(key),
-            HostOp::Dump { .. } => None,
+            HostOp::Dump { .. } | HostOp::Gather { .. } => None,
         }
     }
 
@@ -98,6 +111,26 @@ pub enum HostOpResult {
     Deleted,
     /// Dump result: `(key, value)` pairs in slot order.
     Entries(Vec<(Vec<u8>, Vec<u8>)>),
+    /// Gather result: per key, in key order, what a `Lookup` of that key
+    /// returns — the value, `None` for a miss, or that key's own error.
+    Values(Vec<Result<Option<Vec<u8>>, MapError>>),
+}
+
+/// The value under `key`, copied out: the body of a [`HostOp::Lookup`] and
+/// of each key of a [`HostOp::Gather`].
+pub(crate) fn read_value(m: &mut Map, key: &[u8]) -> Result<Option<Vec<u8>>, MapError> {
+    Ok(m.lookup(key)?.map(|slot| m.value(slot).to_vec()))
+}
+
+/// [`HostOp::Gather`] against `m`: every key read in order and answered
+/// on its own. A key of the wrong size makes the op itself malformed and
+/// fails it before any key is read (an LRU map is not touched).
+pub(crate) fn gather_values(m: &mut Map, keys: &[Vec<u8>]) -> Result<HostOpResult, MapError> {
+    let expected = m.def().key_size;
+    if let Some(bad) = keys.iter().find(|k| k.len() != expected as usize) {
+        return Err(MapError::BadKeySize { expected, got: bad.len() });
+    }
+    Ok(HostOpResult::Values(keys.iter().map(|k| read_value(m, k)).collect()))
 }
 
 /// A retired host op with its timing.
@@ -343,6 +376,13 @@ const KIND_LOOKUP: u8 = 0;
 const KIND_UPDATE: u8 = 1;
 const KIND_DELETE: u8 = 2;
 const KIND_DUMP: u8 = 3;
+const KIND_GATHER: u8 = 4;
+
+/// Keys of `key_size` bytes one [`HostOp::Gather`] frame can carry within
+/// [`MAX_FRAME_LEN`].
+pub fn gather_capacity(key_size: usize) -> usize {
+    (MAX_FRAME_LEN - FRAME_HEADER_LEN - 2 - 4).checked_div(key_size).unwrap_or(0)
+}
 
 /// Why a wire frame failed to decode. All variants are typed and `Copy`;
 /// a malformed frame must never panic the decoder (fuzzed in
@@ -381,7 +421,8 @@ pub enum FrameError {
         /// Bytes actually present.
         got: usize,
     },
-    /// Keyed op with a zero-length key, or a dump with a payload.
+    /// Keyed op with a zero-length key, a dump with a payload, or a
+    /// gather whose key bytes are not a whole number of keys.
     BadShape {
         /// Op kind byte.
         kind: u8,
@@ -418,15 +459,28 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// CRC-32 remainders of every byte value (reflected polynomial 0xEDB88320).
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[byte] = crc;
+        byte += 1;
+    }
+    table
+};
+
 /// CRC-32 (IEEE 802.3, reflected) over `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xffff_ffffu32;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC_TABLE[usize::from(crc as u8 ^ b)];
     }
     !crc
 }
@@ -438,25 +492,41 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// key[key_len]  value[val_len]  crc32:u32          (all little-endian)
 /// ```
 ///
+/// A gather's key field is its keys back to back and its value field the
+/// length of one key (`u16`); keys of unequal length have no wire form and
+/// encode to a frame [`decode_frame`] rejects as [`FrameError::BadShape`].
+///
 /// `seq` is the host's retransmission sequence number: frames carrying the
 /// same `seq` are the same logical op, and the channel applies it at most
 /// once no matter how many copies arrive.
 pub fn encode_frame(seq: u64, op: &HostOp) -> Vec<u8> {
-    let (kind, flags, key, value): (u8, u8, &[u8], &[u8]) = match op {
-        HostOp::Lookup { key, .. } => (KIND_LOOKUP, 0, key, &[]),
-        HostOp::Update { key, value, flags, .. } => (KIND_UPDATE, *flags as u8, key, value),
-        HostOp::Delete { key, .. } => (KIND_DELETE, 0, key, &[]),
+    let per_key: [u8; 2];
+    let (kind, flags, keys, value): (u8, u8, &[Vec<u8>], &[u8]) = match op {
+        HostOp::Lookup { key, .. } => (KIND_LOOKUP, 0, std::slice::from_ref(key), &[]),
+        HostOp::Update { key, value, flags, .. } => {
+            (KIND_UPDATE, *flags as u8, std::slice::from_ref(key), value)
+        }
+        HostOp::Delete { key, .. } => (KIND_DELETE, 0, std::slice::from_ref(key), &[]),
         HostOp::Dump { .. } => (KIND_DUMP, 0, &[], &[]),
+        HostOp::Gather { keys, .. } => {
+            let len = keys.first().map_or(0, Vec::len);
+            let uniform = keys.iter().all(|k| k.len() == len);
+            per_key = (if uniform { len as u16 } else { 0 }).to_le_bytes();
+            (KIND_GATHER, 0, keys, &per_key)
+        }
     };
-    let mut f = Vec::with_capacity(FRAME_HEADER_LEN + key.len() + value.len() + 4);
+    let key_len: usize = keys.iter().map(Vec::len).sum();
+    let mut f = Vec::with_capacity(FRAME_HEADER_LEN + key_len + value.len() + 4);
     f.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
     f.push(kind);
     f.push(flags);
     f.extend_from_slice(&op.map().to_le_bytes());
     f.extend_from_slice(&seq.to_le_bytes());
-    f.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    f.extend_from_slice(&(key_len as u16).to_le_bytes());
     f.extend_from_slice(&(value.len() as u16).to_le_bytes());
-    f.extend_from_slice(key);
+    for key in keys {
+        f.extend_from_slice(key);
+    }
     f.extend_from_slice(value);
     let crc = crc32(&f);
     f.extend_from_slice(&crc.to_le_bytes());
@@ -499,8 +569,8 @@ pub fn decode_frame(frame: &[u8]) -> Result<(u64, HostOp), FrameError> {
     if want != got {
         return Err(FrameError::BadChecksum { want, got });
     }
-    let key = frame[FRAME_HEADER_LEN..FRAME_HEADER_LEN + key_len].to_vec();
-    let value = frame[FRAME_HEADER_LEN + key_len..body_end].to_vec();
+    let key = &frame[FRAME_HEADER_LEN..FRAME_HEADER_LEN + key_len];
+    let value = &frame[FRAME_HEADER_LEN + key_len..body_end];
     let op = match kind {
         KIND_LOOKUP | KIND_DELETE => {
             if flags != 0 {
@@ -510,9 +580,9 @@ pub fn decode_frame(frame: &[u8]) -> Result<(u64, HostOp), FrameError> {
                 return Err(FrameError::BadShape { kind });
             }
             if kind == KIND_LOOKUP {
-                HostOp::Lookup { map, key }
+                HostOp::Lookup { map, key: key.to_vec() }
             } else {
-                HostOp::Delete { map, key }
+                HostOp::Delete { map, key: key.to_vec() }
             }
         }
         KIND_UPDATE => {
@@ -522,7 +592,7 @@ pub fn decode_frame(frame: &[u8]) -> Result<(u64, HostOp), FrameError> {
             if key_len == 0 {
                 return Err(FrameError::BadShape { kind });
             }
-            HostOp::Update { map, key, value, flags }
+            HostOp::Update { map, key: key.to_vec(), value: value.to_vec(), flags }
         }
         KIND_DUMP => {
             if flags != 0 {
@@ -532,6 +602,17 @@ pub fn decode_frame(frame: &[u8]) -> Result<(u64, HostOp), FrameError> {
                 return Err(FrameError::BadShape { kind });
             }
             HostOp::Dump { map }
+        }
+        KIND_GATHER => {
+            if flags != 0 {
+                return Err(FrameError::BadFlags { flags });
+            }
+            let &[lo, hi] = value else { return Err(FrameError::BadShape { kind }) };
+            let per_key = usize::from(u16::from_le_bytes([lo, hi]));
+            if per_key == 0 || key_len == 0 || !key_len.is_multiple_of(per_key) {
+                return Err(FrameError::BadShape { kind });
+            }
+            HostOp::Gather { map, keys: key.chunks_exact(per_key).map(<[u8]>::to_vec).collect() }
         }
         kind => return Err(FrameError::BadKind { kind }),
     };
@@ -621,6 +702,8 @@ mod tests {
             HostOp::Update { map: 2, key: vec![1], value: vec![], flags: UpdateFlags::Exist },
             HostOp::Delete { map: 1, key: vec![0xff; 2] },
             HostOp::Dump { map: 42 },
+            HostOp::Gather { map: 5, keys: vec![vec![1, 2, 3], vec![4, 5, 6], vec![1, 2, 3]] },
+            HostOp::Gather { map: 0, keys: vec![vec![0xaa; 13]; gather_capacity(13)] },
         ];
         for (i, op) in ops.iter().enumerate() {
             let seq = 1000 + i as u64;
@@ -648,6 +731,26 @@ mod tests {
         let mut longer = frame.clone();
         longer.push(0);
         assert!(matches!(decode_frame(&longer), Err(FrameError::LengthMismatch { .. })));
+    }
+
+    #[test]
+    fn crc_table_computes_the_ieee_remainder() {
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926, "the CRC-32/ISO-HDLC check value");
+        // Bit at a time, as the polynomial is defined.
+        let bitwise = |bytes: &[u8]| {
+            !bytes.iter().fold(!0u32, |crc, &b| {
+                (0..8).fold(crc ^ u32::from(b), |c, _| {
+                    (c >> 1) ^ (0xedb8_8320 & (c & 1).wrapping_neg())
+                })
+            })
+        };
+        let mut rng = Rng::seed_from_u64(32);
+        for len in 0..300 {
+            let mut bytes = vec![0u8; len];
+            rng.fill_bytes(&mut bytes);
+            assert_eq!(crc32(&bytes), bitwise(&bytes), "{len} bytes");
+        }
     }
 
     #[test]

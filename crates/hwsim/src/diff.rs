@@ -9,7 +9,7 @@
 //! cycles, never correctness.
 
 use crate::batch::{coalesce_ops, expand_results, CoalescedOp, MapShape};
-use crate::ctrl::{CtrlOptions, HostOp, HostOpResult};
+use crate::ctrl::{gather_values, read_value, CtrlOptions, HostOp, HostOpResult};
 use crate::fault::{FaultConfig, FaultEvent, FaultStats, ReplicaFaultConfig};
 use crate::shared::{check_linearizable, ShardedNic, SharedMapOptions};
 use crate::sim::{PipelineSim, SimCounters, SimOptions};
@@ -119,10 +119,7 @@ pub fn apply_host_op_to_store(maps: &mut MapStore, op: &HostOp) -> Result<HostOp
     match op {
         HostOp::Lookup { map, key } => {
             let m = maps.get_mut(*map).expect("host op targets a known map");
-            match m.lookup(key)? {
-                Some(slot) => Ok(HostOpResult::Value(Some(m.value(slot).to_vec()))),
-                None => Ok(HostOpResult::Value(None)),
-            }
+            read_value(m, key).map(HostOpResult::Value)
         }
         HostOp::Update { map, key, value, flags } => maps
             .get_mut(*map)
@@ -137,6 +134,9 @@ pub fn apply_host_op_to_store(maps: &mut MapStore, op: &HostOp) -> Result<HostOp
         HostOp::Dump { map } => {
             let m = maps.get(*map).expect("host op targets a known map");
             Ok(HostOpResult::Entries(m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect()))
+        }
+        HostOp::Gather { map, keys } => {
+            gather_values(maps.get_mut(*map).expect("host op targets a known map"), keys)
         }
     }
 }

@@ -44,8 +44,9 @@ pub mod sim;
 
 pub use batch::{coalesce_ops, expand_results, CoalesceStats, CoalescedOp, MapShape, OpAnswer};
 pub use ctrl::{
-    crc32, decode_frame, encode_frame, CtrlError, CtrlLossConfig, CtrlOptions, CtrlStats,
-    FrameError, HostCompletion, HostOp, HostOpResult, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_LEN,
+    crc32, decode_frame, encode_frame, gather_capacity, CtrlError, CtrlLossConfig, CtrlOptions,
+    CtrlStats, FrameError, HostCompletion, HostOp, HostOpResult, FRAME_HEADER_LEN, FRAME_MAGIC,
+    MAX_FRAME_LEN,
 };
 pub use diff::{
     assert_equivalent_ops, assert_equivalent_ops_coalesced, compare_sharded,

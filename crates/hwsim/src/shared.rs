@@ -809,33 +809,50 @@ impl ShardedNic {
         }
     }
 
-    /// Mirror a host op into the shared event history.
+    /// Mirror a host op into the shared event history: one event per key
+    /// it read or wrote. A failed op (or failed key of a gather) touched
+    /// nothing, and a dump names no key to check.
     fn log_host_event(&mut self, op: &HostOp, result: &Result<HostOpResult, MapError>) {
-        let shared = |m: &u32| self.shared_ids.binary_search(m).is_ok();
-        let event = match (op, result) {
-            (HostOp::Update { map, key, value, .. }, Ok(HostOpResult::Updated)) if shared(map) => {
-                MapEvent {
-                    map: *map,
-                    key: key.clone(),
-                    value: value.clone(),
-                    kind: MapEventKind::Write,
+        let map = op.map();
+        if self.shared_ids.binary_search(&map).is_err() {
+            return;
+        }
+        let cycle = self.cycle;
+        let mut log = |key: &[u8], value: Vec<u8>, kind| {
+            let event = MapEvent { map, key: key.to_vec(), value, kind };
+            self.events.push(SharedEvent { cycle, replica: HOST_REPLICA, event });
+        };
+        let read = |v: &Option<Vec<u8>>| {
+            (v.clone().unwrap_or_default(), MapEventKind::Read { hit: v.is_some() })
+        };
+        match (op, result) {
+            (HostOp::Update { key, value, .. }, Ok(HostOpResult::Updated)) => {
+                log(key, value.clone(), MapEventKind::Write);
+            }
+            (HostOp::Delete { key, .. }, Ok(HostOpResult::Deleted)) => {
+                log(key, Vec::new(), MapEventKind::Delete);
+            }
+            (HostOp::Lookup { key, .. }, Ok(HostOpResult::Value(v))) => {
+                let (value, kind) = read(v);
+                log(key, value, kind);
+            }
+            (HostOp::Gather { keys, .. }, Ok(HostOpResult::Values(vs))) => {
+                for (key, v) in keys.iter().zip(vs) {
+                    if let Ok(v) = v {
+                        let (value, kind) = read(v);
+                        log(key, value, kind);
+                    }
                 }
             }
-            (HostOp::Delete { map, key }, Ok(HostOpResult::Deleted)) if shared(map) => MapEvent {
-                map: *map,
-                key: key.clone(),
-                value: Vec::new(),
-                kind: MapEventKind::Delete,
-            },
-            (HostOp::Lookup { map, key }, Ok(HostOpResult::Value(v))) if shared(map) => MapEvent {
-                map: *map,
-                key: key.clone(),
-                value: v.clone().unwrap_or_default(),
-                kind: MapEventKind::Read { hit: v.is_some() },
-            },
-            _ => return,
-        };
-        self.events.push(SharedEvent { cycle: self.cycle, replica: HOST_REPLICA, event });
+            (HostOp::Dump { .. }, _) | (_, Err(_)) => {}
+            (
+                HostOp::Update { .. }
+                | HostOp::Delete { .. }
+                | HostOp::Lookup { .. }
+                | HostOp::Gather { .. },
+                Ok(other),
+            ) => unreachable!("{op:?} completed with {other:?}"),
+        }
     }
 
     /// One global cycle: run the replica watchdog, step every serving
@@ -883,12 +900,12 @@ impl ShardedNic {
     /// Replica watchdog: inject scheduled faults, detect expired budgets,
     /// mask short brown-outs, and re-admit returned replicas.
     fn replica_fault_cycle(&mut self) {
-        let Some(cfg) = self.rfault.clone() else { return };
+        let Some(cfg) = &self.rfault else { return };
+        let (watchdog_budget, reset_cycles) = (cfg.watchdog_budget, cfg.reset_cycles);
         // Inject faults whose cycle has come. A fault aimed at a replica
         // that is already dark or failed is skipped (and not counted as
         // injected), so `detected == injected` stays a meaningful gate.
-        while cfg.schedule.get(self.next_rfault).is_some_and(|f| f.at <= self.cycle) {
-            let f = cfg.schedule[self.next_rfault];
+        while let Some(&f) = cfg.schedule.get(self.next_rfault).filter(|f| f.at <= self.cycle) {
             self.next_rfault += 1;
             if f.replica >= self.sims.len() || !self.health[f.replica].serving() {
                 continue;
@@ -901,7 +918,7 @@ impl ShardedNic {
                 Health::Dark { since, kind } => {
                     let elapsed = self.cycle - since;
                     if let ReplicaFaultKind::BrownOut { duration } = kind {
-                        if duration < cfg.watchdog_budget && elapsed >= duration {
+                        if duration < watchdog_budget && elapsed >= duration {
                             // Short brown-out: the replica returns before
                             // the watchdog fires. In-flight packets simply
                             // resume — the stall is absorbed, no fail-over.
@@ -910,8 +927,8 @@ impl ShardedNic {
                             continue;
                         }
                     }
-                    if elapsed >= cfg.watchdog_budget {
-                        self.fail_over(r, since, kind, &cfg);
+                    if elapsed >= watchdog_budget {
+                        self.fail_over(r, since, kind, reset_cycles);
                     }
                 }
                 Health::Failed { returns_at: Some(rc) } if rc <= self.cycle => {
@@ -925,13 +942,7 @@ impl ShardedNic {
     /// The watchdog has declared replica `r` dead: account every in-flight
     /// packet, reconcile its private maps into canonical storage, and
     /// re-steer its flows across the survivors.
-    fn fail_over(
-        &mut self,
-        r: usize,
-        since: u64,
-        kind: ReplicaFaultKind,
-        cfg: &ReplicaFaultConfig,
-    ) {
+    fn fail_over(&mut self, r: usize, since: u64, kind: ReplicaFaultKind, reset_cycles: u64) {
         self.fstats.detected += 1;
         let latency = self.cycle - since;
         self.fstats.detection_latency_total += latency;
@@ -971,7 +982,7 @@ impl ShardedNic {
         self.reconcile(r);
         let returns_at = match kind {
             ReplicaFaultKind::Kill => None,
-            ReplicaFaultKind::Hang => Some(self.cycle + cfg.reset_cycles),
+            ReplicaFaultKind::Hang => Some(self.cycle + reset_cycles),
             // A long brown-out is handled as a fail-over; the replica
             // returns when its clock does (never before the next cycle).
             ReplicaFaultKind::BrownOut { duration } => Some((since + duration).max(self.cycle + 1)),
@@ -1060,14 +1071,7 @@ impl ShardedNic {
             0
         };
         self.bank_order.clear();
-        let mut stalls = vec![0u64; n];
-        let mut any = false;
-        for r in 0..n {
-            if !self.acc_scratch[r].is_empty() {
-                any = true;
-            }
-        }
-        if !any {
+        if self.acc_scratch.iter().all(Vec::is_empty) {
             return;
         }
         // Serve replicas in priority order; within a replica, program
@@ -1077,6 +1081,7 @@ impl ShardedNic {
         for rank in 0..n {
             let r = (rr + rank) % n;
             let accs = std::mem::take(&mut self.acc_scratch[r]);
+            let mut stall = 0u64;
             for a in &accs {
                 self.stats.accesses += 1;
                 let bank = (a.key_hash % nb) as usize;
@@ -1090,7 +1095,7 @@ impl ShardedNic {
                 if pos > 0 {
                     self.stats.conflicts += 1;
                 }
-                stalls[r] += pos + lat_extra;
+                stall += pos + lat_extra;
                 if !self.caches.is_empty() {
                     if a.write {
                         // Write-invalidate: every other replica's copy of
@@ -1109,11 +1114,9 @@ impl ShardedNic {
             let mut accs = accs;
             accs.clear();
             self.acc_scratch[r] = accs;
-        }
-        for (r, &s) in stalls.iter().enumerate() {
-            if s > 0 {
-                self.sims[r].add_mem_stall(s);
-                self.stats.stall_cycles[r] += s;
+            if stall > 0 {
+                self.sims[r].add_mem_stall(stall);
+                self.stats.stall_cycles[r] += stall;
             }
         }
     }
@@ -1389,6 +1392,69 @@ mod tests {
         check_linearizable(&initial, &[simple_firewall::STATS_MAP], &report.events)
             .expect("host ops must serialize into the shared history");
         assert!(report.events.iter().any(|e| e.replica == HOST_REPLICA));
+    }
+
+    #[test]
+    fn gathered_reads_join_the_shared_history() {
+        let d = firewall_design();
+        let mut nic = ShardedNic::new(
+            &d,
+            2,
+            9,
+            opts(),
+            SharedMapOptions {
+                shared_maps: vec![simple_firewall::STATS_MAP],
+                log_events: true,
+                ..Default::default()
+            },
+        );
+        let map = simple_firewall::STATS_MAP;
+        let key = |k: u32| k.to_le_bytes().to_vec();
+        let update = HostOp::Update {
+            map,
+            key: key(3),
+            value: 42u64.to_le_bytes().to_vec(),
+            flags: ehdl_ebpf::maps::UpdateFlags::Any,
+        };
+        // Index 4 is out of the 4-entry array's range: that key fails, its
+        // neighbours are answered, and it reads nothing to log.
+        let gather = HostOp::Gather { map, keys: vec![key(3), key(0), key(4), key(3)] };
+        // A gather on a private map leaves no trace in the shared history.
+        let private =
+            HostOp::Gather { map: simple_firewall::SESSIONS_MAP, keys: vec![vec![0; 13]] };
+        let report =
+            nic.run_with_ops(flow_packets(16, 4), &[(32, update), (32, gather), (40, private)]);
+        let Ok(HostOpResult::Values(values)) = &report.host_completions[1].result else {
+            panic!("gather completed with {:?}", report.host_completions[1].result);
+        };
+        assert_eq!(values[0], Ok(Some(42u64.to_le_bytes().to_vec())));
+        assert_eq!(values[2], Err(MapError::IndexOutOfBounds { index: 4, max: 4 }));
+        assert_eq!(values[3], values[0]);
+        assert_eq!(report.host_completions[2].result, Ok(HostOpResult::Values(vec![Ok(None)])));
+        // One read event per gathered key, in key order, after the write.
+        let host: Vec<&MapEvent> =
+            report.events.iter().filter(|e| e.replica == HOST_REPLICA).map(|e| &e.event).collect();
+        assert_eq!(host.len(), 4, "{host:?}");
+        assert_eq!(host[0].kind, MapEventKind::Write);
+        let hits = [(3u32, &values[0]), (0, &values[1]), (3, &values[3])];
+        for (e, (k, v)) in host[1..].iter().zip(hits) {
+            let want = MapEvent {
+                map,
+                key: key(k),
+                value: v.clone().unwrap().expect("in-range array keys always hit"),
+                kind: MapEventKind::Read { hit: true },
+            };
+            assert_eq!(**e, want);
+        }
+        let initial = MapStore::new(&d.maps);
+        check_linearizable(&initial, &[map], &report.events)
+            .expect("gathered reads must serialize into the shared history");
+        // A gathered value that storage never held is caught.
+        let mut events = report.events.clone();
+        let at = events.iter().rposition(|e| e.replica == HOST_REPLICA).unwrap();
+        events[at].event.value[0] ^= 1;
+        let err = check_linearizable(&initial, &[map], &events).unwrap_err();
+        assert_eq!((err.index, err.key), (at, key(3)));
     }
 
     #[test]

@@ -16,8 +16,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::ctrl::{
-    decode_frame, CtrlError, CtrlLossConfig, CtrlOptions, CtrlState, CtrlStats, HostCompletion,
-    HostOp, HostOpResult, LossState, QueuedOp,
+    decode_frame, gather_values, read_value, CtrlError, CtrlLossConfig, CtrlOptions, CtrlState,
+    CtrlStats, HostCompletion, HostOp, HostOpResult, LossState, QueuedOp,
 };
 use crate::fault::{
     FaultConfig, FaultEngine, FaultEvent, FaultKind, FaultOutcome, FaultSite, Hang, MapUpset,
@@ -675,17 +675,12 @@ impl PipelineSim {
         if let Some(mut b) = self.pool.flights.pop() {
             // Reuse a retired in-flight frame wholesale, resetting the state
             // in place (which re-zeros only the dirty regions and recycles
-            // leftover read keys). The datapath buffer was handed to the
-            // outcome, so `reset` allocates its replacement here — the one
-            // unavoidable per-packet allocation, paid at enqueue rather
-            // than inside the cycle loop. The displaced original-bytes
-            // buffer feeds the map-write buffer pool instead of the free
-            // list, so enqueue never starves the WAR delay path.
-            let old_orig = std::mem::replace(&mut b.orig, packet);
-            self.recycle_buf(old_orig);
-            let orig = std::mem::take(&mut b.orig);
-            b.state.reset(&orig, self.pool.words, &mut self.pool.keys);
-            b.orig = orig;
+            // leftover read keys). The frame kept its datapath buffer and
+            // gave its original-bytes buffer to the outcome (`complete`),
+            // so the caller's `packet` takes that place and a warm
+            // enqueue allocates nothing.
+            b.state.reset(&packet, self.pool.words, &mut self.pool.keys);
+            b.orig = packet;
             b.seq = self.next_seq;
             b.injected_cycle = 0;
             self.rx.push_back(b);
@@ -1158,13 +1153,16 @@ impl PipelineSim {
         }
         let latency_cycles = self.cycle - pkt.injected_cycle;
         self.counters.completed = self.counters.completed.saturating_add(1);
-        // Hand the in-flight buffer itself to the outcome instead of
-        // copying the payload out of it. The rest of the frame — the box,
-        // the drained checkpoint/read vectors, the original-bytes buffer —
-        // goes back to the pool whole for the next injection.
-        let mut packet = std::mem::take(&mut pkt.state.buf);
-        packet.truncate(pkt.state.end_off);
-        packet.drain(..pkt.state.data_off);
+        // The outcome leaves in the buffer the packet arrived in (the
+        // original bytes are dead once it retires), refilled with the final
+        // bytes. The rest of the frame — the box, the drained
+        // checkpoint/read vectors, the headroom-sized datapath buffer —
+        // goes back to the pool whole for the next injection, so a packet
+        // costs no allocation and the outcomes hold no headroom.
+        let mut packet = std::mem::take(&mut pkt.orig);
+        packet.clear();
+        let end = pkt.state.end_off.min(pkt.state.buf.len());
+        packet.extend_from_slice(&pkt.state.buf[pkt.state.data_off..end]);
         self.out.push(SimOutcome {
             seq: pkt.seq,
             action,
@@ -2533,12 +2531,7 @@ impl PipelineSim {
         let (result, flushed_readers) = match &q.op {
             HostOp::Lookup { map, key } => {
                 let m = self.maps.get_mut(*map).expect("map id validated at submit");
-                let r = match m.lookup(key) {
-                    Ok(Some(slot)) => Ok(HostOpResult::Value(Some(m.value(slot).to_vec()))),
-                    Ok(None) => Ok(HostOpResult::Value(None)),
-                    Err(e) => Err(e),
-                };
-                (r, 0)
+                (read_value(m, key).map(HostOpResult::Value), 0)
             }
             HostOp::Update { map, key, value, flags } => {
                 let r = self
@@ -2564,6 +2557,10 @@ impl PipelineSim {
                 let m = self.maps.get(*map).expect("map id validated at submit");
                 let entries = m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
                 (Ok(HostOpResult::Entries(entries)), 0)
+            }
+            HostOp::Gather { map, keys } => {
+                let m = self.maps.get_mut(*map).expect("map id validated at submit");
+                (gather_values(m, keys), 0)
             }
         };
         if self.debug_trace {

@@ -11,12 +11,12 @@
 use std::collections::BTreeSet;
 
 use ehdl_core::Compiler;
-use ehdl_ebpf::maps::{MapDef, MapKind, UpdateFlags};
+use ehdl_ebpf::maps::{MapDef, MapError, MapKind, UpdateFlags};
 use ehdl_ebpf::opcode::MemSize;
 use ehdl_ebpf::{asm::Asm, Program};
 use ehdl_hwsim::{
-    decode_frame, encode_frame, CtrlError, CtrlOptions, HostOp, PipelineSim, FRAME_HEADER_LEN,
-    MAX_FRAME_LEN,
+    crc32, decode_frame, encode_frame, gather_capacity, CtrlError, CtrlOptions, FrameError, HostOp,
+    HostOpResult, PipelineSim, FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
 use ehdl_rng::Rng;
 
@@ -59,7 +59,18 @@ fn random_op(rng: &mut Rng) -> HostOp {
         let len = if rng.gen_index(4) == 0 { min + rng.gen_index(64 - min) } else { usual };
         (0..len).map(|_| rng.gen_u8()).collect()
     };
-    match rng.gen_index(4) {
+    match rng.gen_index(5) {
+        // A gather's keys share one length, as on the wire; now and then
+        // it fills its frame to the last key.
+        4 => {
+            let key_len = blob(rng, 1, 8).len();
+            let n = match rng.gen_index(8) {
+                0 => gather_capacity(key_len),
+                _ => 1 + rng.gen_index(12),
+            };
+            let mut key = || (0..key_len).map(|_| rng.gen_u8()).collect();
+            HostOp::Gather { map, keys: (0..n).map(|_| key()).collect() }
+        }
         0 => HostOp::Lookup { map, key: blob(rng, 1, 8) },
         1 => HostOp::Update {
             map,
@@ -150,6 +161,112 @@ fn decoder_is_total_on_mutated_frames() {
         }
     }
     assert!(rejected > 1000, "mutations must actually trip the codec (got {rejected})");
+}
+
+/// The wire kind byte of a [`HostOp::Gather`] frame.
+const KIND_GATHER: u8 = 4;
+
+/// Recompute the CRC trailer after header surgery, so the structural
+/// checks behind the checksum are what a case exercises.
+fn reseal(frame: &mut [u8]) {
+    let body = frame.len() - 4;
+    let crc = crc32(&frame[..body]);
+    frame[body..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Every way a gather frame can be malformed behind a valid checksum —
+/// no keys, key bytes that are not a whole number of keys, more keys
+/// than a frame holds, a kind byte that no longer matches the payload —
+/// is a typed [`FrameError`], and a wrong-size key fails the whole
+/// gather at the device with the map's typed error.
+#[test]
+fn malformed_gathers_are_typed_errors() {
+    let mut rng = Rng::seed_from_u64(0x6A7E);
+    let bad_shape = |kind| Err(FrameError::BadShape { kind });
+    for case in 0..500 {
+        let key_len = 1 + rng.gen_index(40);
+        let n = 1 + rng.gen_index(gather_capacity(key_len).min(50));
+        let keys: Vec<Vec<u8>> =
+            (0..n).map(|_| (0..key_len).map(|_| rng.gen_u8()).collect()).collect();
+        let op = HostOp::Gather { map: 0, keys: keys.clone() };
+        let clean = encode_frame(case, &op);
+        assert_eq!(decode_frame(&clean), Ok((case, op)), "case {case}");
+        let per_key_at = FRAME_HEADER_LEN + n * key_len;
+
+        // No keys: the header claims an empty key field.
+        let mut f = clean[..FRAME_HEADER_LEN].to_vec();
+        f[18..20].copy_from_slice(&0u16.to_le_bytes());
+        f.extend_from_slice(&clean[per_key_at..]);
+        reseal(&mut f);
+        assert_eq!(decode_frame(&f), bad_shape(KIND_GATHER), "case {case}: zero keys");
+
+        // A per-key length that does not divide the key bytes (or is 0).
+        let total = n * key_len;
+        let wrong = std::iter::repeat_with(|| rng.gen_index(total + 2))
+            .find(|&l| l == 0 || !total.is_multiple_of(l))
+            .unwrap();
+        let mut f = clean.clone();
+        f[per_key_at..per_key_at + 2].copy_from_slice(&(wrong as u16).to_le_bytes());
+        reseal(&mut f);
+        assert_eq!(decode_frame(&f), bad_shape(KIND_GATHER), "case {case}: {wrong} into {total}");
+
+        // The kind byte flipped to every other value: the payload no
+        // longer has that kind's shape (an update accepts any).
+        for kind in (0..=255u8).filter(|k| *k != KIND_GATHER) {
+            let mut f = clean.clone();
+            f[4] = kind;
+            reseal(&mut f);
+            match (kind, decode_frame(&f)) {
+                (0 | 2 | 3, r) => assert_eq!(r, bad_shape(kind), "case {case}"),
+                (1, r) => assert!(matches!(r, Ok((_, HostOp::Update { .. }))), "case {case}"),
+                (_, r) => assert_eq!(r, Err(FrameError::BadKind { kind }), "case {case}"),
+            }
+        }
+        // ... and a lookup relabelled as a gather has no length field.
+        let mut f = encode_frame(case, &HostOp::Lookup { map: 0, key: keys[0].clone() });
+        f[4] = KIND_GATHER;
+        reseal(&mut f);
+        assert_eq!(decode_frame(&f), bad_shape(KIND_GATHER), "case {case}: lookup as gather");
+
+        // A gather takes no flags.
+        let mut f = clean.clone();
+        f[5] = 1 + rng.gen_u8() % 0xff;
+        reseal(&mut f);
+        assert_eq!(decode_frame(&f), Err(FrameError::BadFlags { flags: f[5] }), "case {case}");
+
+        // Keys of unequal length have no wire form: what the encoder
+        // emits for them decodes as no gather at all.
+        let mut uneven = keys.clone();
+        uneven.push(vec![0; key_len + 1]);
+        let f = encode_frame(case, &HostOp::Gather { map: 0, keys: uneven });
+        assert_eq!(decode_frame(&f), bad_shape(KIND_GATHER), "case {case}: uneven keys");
+
+        // One key past the frame limit.
+        let over = gather_capacity(key_len) + 1;
+        let f = encode_frame(case, &HostOp::Gather { map: 0, keys: vec![keys[0].clone(); over] });
+        assert!(
+            matches!(decode_frame(&f), Err(FrameError::Oversized { .. })),
+            "case {case}: {over} keys of {key_len} bytes"
+        );
+    }
+
+    // At the device: `cells` has 8-byte keys. A well-sized gather reads
+    // hits and misses in key order; any other key size fails it whole.
+    let mut sim = sim_with_ctrl(8, 1);
+    let key = |k: u64| k.to_le_bytes().to_vec();
+    let upd = HostOp::Update { map: 0, key: key(2), value: key(22), flags: UpdateFlags::Any };
+    sim.submit_host_frame(&encode_frame(0, &upd)).unwrap();
+    let good = HostOp::Gather { map: 0, keys: vec![key(1), key(2), key(2)] };
+    sim.submit_host_frame(&encode_frame(1, &good)).unwrap();
+    let short = HostOp::Gather { map: 0, keys: vec![vec![1, 2, 3], vec![4, 5, 6]] };
+    sim.submit_host_frame(&encode_frame(2, &short)).unwrap();
+    sim.settle(10_000);
+    let results: Vec<_> = sim.host_completions().into_iter().map(|c| c.result).collect();
+    assert_eq!(
+        results[1],
+        Ok(HostOpResult::Values(vec![Ok(None), Ok(Some(key(22))), Ok(Some(key(22)))]))
+    );
+    assert_eq!(results[2], Err(MapError::BadKeySize { expected: 8, got: 3 }));
 }
 
 /// End-to-end: mutated frames through the mailbox. Every submission

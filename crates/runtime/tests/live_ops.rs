@@ -201,7 +201,7 @@ fn runtime_schedule_matches_direct_differential_state() {
 #[test]
 fn firewall_coalesced_schedule_matches_sequential_oracle() {
     // The serving layer's batching rewrite (same-key update collapse +
-    // lookup sharing over one dump) must be invisible: the pipeline runs
+    // lookup sharing over one gather) must be invisible: the pipeline runs
     // the coalesced schedule, the VM oracle runs the original, and every
     // packet outcome, per-op result and final map byte must agree.
     let flows = FlowSet::udp(64, 71);
@@ -280,4 +280,69 @@ fn coalesced_trains_actually_collapse_and_stay_equivalent() {
         &[],
         CtrlOptions { latency_cycles: 16, queue_depth: 256 },
     );
+}
+
+#[test]
+fn gathered_lookup_runs_match_sequential_oracle() {
+    // Seeded trains whose lookup runs (3 to 6 long) each read a key the
+    // same train wrote just before, a key no one ever installs, and keys
+    // the packets themselves are opening sessions for. The pipeline gets
+    // one gather per run; the VM oracle gets the lookups one by one.
+    use ehdl_hwsim::{coalesce_ops, HostOp, MapShape};
+    use ehdl_rng::Rng;
+
+    let map = simple_firewall::SESSIONS_MAP;
+    let absent = vec![0xee; 13];
+    for seed in [91u64, 92, 93] {
+        let mut rng = Rng::seed_from_u64(seed);
+        let flows = FlowSet::udp(16, seed);
+        let keys = key_pool(&flows, 16);
+        let mut events = Vec::new();
+        let (mut gathers, mut gathered) = (0usize, 0u64);
+        for (i, p) in
+            packets_for(&flows, 120, Popularity::Hot { p_hot: 0.5 }, seed).into_iter().enumerate()
+        {
+            if i % 4 == 0 {
+                let written = keys[rng.gen_index(keys.len())].clone();
+                let mut train = vec![HostOp::Update {
+                    map,
+                    key: written.clone(),
+                    value: rng.next_u64().to_le_bytes().to_vec(),
+                    flags: Default::default(),
+                }];
+                if rng.gen_bool() {
+                    train
+                        .push(HostOp::Delete { map, key: keys[rng.gen_index(keys.len())].clone() });
+                }
+                let mut run = vec![written, absent.clone()];
+                run.extend(
+                    (0..1 + rng.gen_index(4)).map(|_| keys[rng.gen_index(keys.len())].clone()),
+                );
+                // Fisher-Yates: the miss and the fresh write land anywhere.
+                for j in (1..run.len()).rev() {
+                    run.swap(j, rng.gen_index(j + 1));
+                }
+                train.extend(run.iter().map(|k| HostOp::Lookup { map, key: k.clone() }));
+                let (carriers, stats) =
+                    coalesce_ops(&train, |_| Some(MapShape { key_size: 13, value_size: 8 }));
+                let Some(HostOp::Gather { keys: got, .. }) = carriers.last().map(|c| &c.op) else {
+                    panic!("seed {seed}: the lookup run did not become a gather: {carriers:?}");
+                };
+                assert_eq!(got, &run, "seed {seed}: keys in submission order");
+                gathers += 1;
+                gathered += stats.lookups_shared;
+                events.extend(train.into_iter().map(HostEvent::Op));
+            }
+            events.push(HostEvent::Packet(p));
+        }
+        assert!(gathers == 30 && gathered >= 90, "seed {seed}: {gathers} gathers of {gathered}");
+        ehdl_hwsim::assert_equivalent_ops_coalesced(
+            &simple_firewall::program(),
+            CompilerOptions::default(),
+            &events,
+            |_| {},
+            &[],
+            CtrlOptions { latency_cycles: 1 + seed % 3 * 20, queue_depth: 256 },
+        );
+    }
 }

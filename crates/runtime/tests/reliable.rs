@@ -48,6 +48,11 @@ fn ops_schedule(n: u64) -> Vec<HostOp> {
         if i % 5 == 4 {
             ops.push(HostOp::Delete { map: 0, key: key((i + 1) % 16) });
         }
+        if i % 4 == 1 {
+            // A hit, a key nobody writes, and a key that may be deleted.
+            let keys = vec![key(i % 16), key(99), key((i + 2) % 16)];
+            ops.push(HostOp::Gather { map: 0, keys });
+        }
     }
     ops
 }
@@ -127,6 +132,51 @@ fn duplicate_completions_are_suppressed_not_delivered() {
         "a 50% duplication rate must produce suppressed duplicates"
     );
     assert_eq!(lossy, reference, "duplicates never change delivered results");
+}
+
+#[test]
+fn a_retransmitted_gather_is_answered_from_the_applied_cache() {
+    let design = Compiler::new().compile(&host_map_program(64)).expect("program compiles");
+    let mut rt = Runtime::new(
+        &design,
+        RuntimeOptions {
+            sim: SimOptions { freeze_time_ns: Some(1000), ..Default::default() },
+            ctrl: CtrlOptions { latency_cycles: 4, queue_depth: 8 },
+            loss: CtrlLossConfig::uniform(0x6A7E, 0.10),
+            retry: RetryPolicy { timeout_cycles: 64, ..Default::default() },
+            ..Default::default()
+        },
+    );
+    // Provision outside the channel, so every frame on it is a gather
+    // and every retry, dedupe hit and device application below is one's.
+    let cells = rt.maps_mut().get_mut(0).expect("cells map");
+    for i in 0..16u64 {
+        cells.update(&key(i), &(i * 7).to_le_bytes(), UpdateFlags::Any).expect("provision");
+    }
+    let gathers = 80u64;
+    let mut want = Vec::new();
+    for g in 0..gathers {
+        let picks = [g % 16, 99, (g * 5 + 3) % 16, g % 16];
+        rt.submit(HostOp::Gather { map: 0, keys: picks.iter().map(|&i| key(i)).collect() })
+            .expect("structurally valid op");
+        let value = |i: u64| (i < 16).then(|| (i * 7).to_le_bytes().to_vec());
+        want.push(Ok(HostOpResult::Values(picks.iter().map(|&i| Ok(value(i))).collect())));
+        for _ in 0..8 {
+            rt.step();
+        }
+    }
+    rt.settle();
+    let results: OpResults = rt.completions().into_iter().map(|c| c.result).collect();
+    assert_eq!(results, want, "one completion per gather, hits and misses in key order");
+    let stats = rt.stats();
+    let reliable = rt.reliable_stats().expect("lossy channel uses the reliable layer");
+    assert_eq!((reliable.gave_up, reliable.completed), (0, gathers));
+    assert!(reliable.retries > 0, "a 10% loss rate must force retransmissions");
+    assert_eq!(stats.counters.host_ops, gathers, "each gather touched the map exactly once");
+    assert!(
+        stats.ctrl.dedupe_hits > 0,
+        "some retransmission followed a lost completion and was answered from the cache"
+    );
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //!   batch collection, device-backpressure-gated submission, and typed
 //!   admission control ([`ServeError::Overloaded`]);
 //! * op **coalescing** — adjacent same-key updates collapse to the last
-//!   write, compatible lookup runs share one dump frame; acks are
+//!   write, compatible lookup runs share one gather frame; acks are
 //!   reconstructed per original op, and the coalesced schedule is pinned
 //!   bit-equivalent to the sequential oracle by
 //!   [`ehdl_hwsim::assert_equivalent_ops_coalesced`];

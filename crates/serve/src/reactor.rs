@@ -14,7 +14,7 @@
 //!    device backpressure propagates to admission instead of piling
 //!    into an unbounded driver queue.
 //! 2. **Coalesce** — adjacent same-key `Update`s in the batch collapse
-//!    to the last write and compatible `Lookup` runs share one `Dump`
+//!    to the last write and compatible `Lookup` runs share one `Gather`
 //!    frame ([`ehdl_hwsim::coalesce_ops`]); every original op still
 //!    gets its own [`Ack`], reconstructed from the carrier results by
 //!    [`ehdl_hwsim::expand_results`]. The schedule the device sees is

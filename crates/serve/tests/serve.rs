@@ -3,7 +3,7 @@
 //! delivery over loss, and the long-haul campaign's SLO gates.
 
 use ehdl_core::{Compiler, PipelineDesign};
-use ehdl_ebpf::maps::UpdateFlags;
+use ehdl_ebpf::maps::{MapError, UpdateFlags};
 use ehdl_hwsim::{CtrlLossConfig, CtrlOptions, HostOp, HostOpResult};
 use ehdl_programs::simple_firewall;
 use ehdl_runtime::{validate_json, RetryPolicy, RuntimeOptions};
@@ -202,6 +202,56 @@ fn coalesced_acks_are_identical_to_uncoalesced() {
     assert_eq!(pin, pout, "no_coalesce must be a true identity schedule");
     assert!(cout < cin, "the storm pattern must actually coalesce ({cout} vs {cin})");
     assert_eq!(plain, coalesced, "coalescing changed a client-visible result");
+}
+
+#[test]
+fn a_shared_frame_answers_each_client_on_its_own() {
+    // Three clients, one op each per turn, on the 4-entry stats array.
+    // Turn one: two in-range lookups and an out-of-range one, whose error
+    // depends on the map rather than on the key's size, so the coalescer
+    // cannot see it coming. Turn two: a gather a client wrote itself
+    // beside two lookups. Whichever client the sweep starts at, sharing
+    // frames must leave each ack what the verbatim schedule gives: the
+    // bad index fails alone, and the client's gather comes back with
+    // exactly its own keys.
+    let stats = simple_firewall::STATS_MAP;
+    let index = |i: u32| i.to_le_bytes().to_vec();
+    let look = |i: u32| HostOp::Lookup { map: stats, key: index(i) };
+    let run = |no_coalesce: bool| -> (Vec<Ack>, u64) {
+        let mut r = reactor(ReactorOptions { no_coalesce, ..Default::default() });
+        let clients = [r.connect(), r.connect(), r.connect()];
+        let set =
+            HostOp::Update { map: stats, key: index(1), value: val(77), flags: UpdateFlags::Any };
+        r.submit(clients[0], set).expect("admitted");
+        r.drain();
+        r.take_acks();
+        let gather = HostOp::Gather { map: stats, keys: vec![index(1), index(9)] };
+        let mut acks = Vec::new();
+        for turn in [[look(1), look(4), look(0)], [gather, look(1), look(0)]] {
+            for (c, op) in clients.iter().zip(turn) {
+                r.submit(*c, op).expect("admitted");
+            }
+            r.drain();
+            let mut got = r.take_acks();
+            got.sort_by_key(|a| a.client.index());
+            acks.append(&mut got);
+        }
+        (acks, r.stats().coalesce.lookups_shared)
+    };
+    let (shared, lookups_shared) = run(false);
+    let (verbatim, _) = run(true);
+    assert!(lookups_shared >= 3, "turn one's lookups must share a frame ({lookups_shared})");
+    assert_eq!(shared, verbatim, "sharing a frame changed a client's answer");
+    let oob = |index| MapError::IndexOutOfBounds { index, max: 4 };
+    let want = [
+        Ok(HostOpResult::Value(Some(val(77)))),
+        Err(oob(4)),
+        Ok(HostOpResult::Value(Some(val(0)))),
+        Ok(HostOpResult::Values(vec![Ok(Some(val(77))), Err(oob(9))])),
+        Ok(HostOpResult::Value(Some(val(77)))),
+        Ok(HostOpResult::Value(Some(val(0)))),
+    ];
+    assert_eq!(shared.iter().map(|a| a.result.clone()).collect::<Vec<_>>(), want);
 }
 
 #[test]

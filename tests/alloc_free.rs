@@ -21,7 +21,9 @@ use ehdl::ebpf::maps::{MapDef, MapKind};
 use ehdl::ebpf::opcode::{AluOp, JmpOp, MemSize};
 use ehdl::ebpf::Program;
 use ehdl::hwsim::PipelineSim;
-use ehdl::programs::App;
+use ehdl::programs::{simple_firewall, App};
+use ehdl::serve::{Ack, Reactor, ReactorOptions};
+use ehdl::traffic::{ControlOp, ControlOpKind};
 use ehdl_bench::{eval_packets, setup_app};
 
 thread_local! {
@@ -117,8 +119,8 @@ fn map_write_program() -> Program {
 
 /// Warm `sim` with one batch of `packets`, then re-run the batch cycle by
 /// cycle asserting every non-retiring `step()` performs zero heap calls.
-/// (Retiring cycles legitimately hand the packet buffer to the outcome
-/// queue, whose growth is not steady-state.)
+/// (Retiring cycles push onto the outcome queue, whose growth is not
+/// steady-state.)
 fn assert_steady_state_alloc_free(sim: &mut PipelineSim, packets: &[Vec<u8>]) {
     // Two warm-up batches: the first grows the long-lived buffers, the
     // second lets pooled snapshot boxes and recycled frames reach their
@@ -253,4 +255,105 @@ fn router_delta_stage_lookup_is_allocation_free() {
     assert_steady_state_alloc_free(&mut sim, &eval_packets(App::Router, 64));
     let lookups: u64 = sim.map_lookups().iter().sum();
     assert!(lookups > lookups_before, "the trace must reach the route lookup");
+}
+
+/// Once the frame pool is warm a packet costs no heap call from `enqueue`
+/// to retirement: the outcome leaves in the buffer the packet arrived in
+/// and the frame keeps its datapath buffer. What is left is the outcome
+/// queue doubling, a handful of calls however many packets pass.
+#[test]
+fn a_warm_packet_costs_no_allocation() {
+    const PACKETS: u64 = 512;
+    let design = Compiler::new().compile(&alu_program()).expect("compiles");
+    let mut sim = PipelineSim::new(&design);
+    let batch = || (0..PACKETS).map(|i| vec![i as u8; 64]).collect::<Vec<_>>();
+    for p in batch() {
+        assert!(sim.enqueue(p));
+        sim.step();
+    }
+    sim.settle(100_000);
+
+    let measured = batch();
+    let before = allocs();
+    for p in measured {
+        assert!(sim.enqueue(p));
+        sim.step();
+    }
+    sim.settle(100_000);
+    let spent = allocs() - before;
+    assert_eq!(sim.counters().completed, 2 * PACKETS);
+    assert!(spent <= 4, "{PACKETS} warm packets made {spent} heap calls");
+    let outs = sim.drain();
+    assert!(outs.iter().all(|o| o.packet.len() == 64 && o.packet.capacity() == 64));
+}
+
+/// Two clients each look one session up in the same turn, against a
+/// table holding 5,000. The reactor shares one frame between them, and
+/// what that frame costs must follow the two keys it names, not the
+/// table (a dump of it makes two heap calls per live entry).
+#[test]
+fn shared_lookups_cost_their_keys_not_the_table() {
+    const SESSIONS: u32 = 5_000;
+    let design = Compiler::new().compile(&simple_firewall::program()).expect("compiles");
+    let session = |i: u32| {
+        let mut key = vec![0u8; 13];
+        key[..4].copy_from_slice(&i.to_le_bytes());
+        key
+    };
+    let op = |kind, key: Vec<u8>, value: Vec<u8>| ControlOp {
+        kind,
+        map: simple_firewall::SESSIONS_MAP,
+        key,
+        value,
+    };
+    // The same two lookups — one hit, one miss — through a coalescing and
+    // a verbatim reactor; returns the acks and the heap calls they cost.
+    let run = |no_coalesce: bool| -> (Vec<Ack>, u64) {
+        let mut reactor =
+            Reactor::new(&design, ReactorOptions { no_coalesce, ..Default::default() });
+        let (a, b) = (reactor.connect(), reactor.connect());
+        for i in 0..SESSIONS {
+            let install =
+                op(ControlOpKind::Update, session(i), u64::from(i).to_le_bytes().to_vec());
+            reactor.submit_control(a, &install).expect("admitted");
+            if i % 32 == 31 {
+                reactor.drain();
+            }
+        }
+        reactor.drain();
+        assert_eq!(reactor.take_acks().len(), SESSIONS as usize);
+        assert_eq!(
+            reactor.runtime().maps().get(simple_firewall::SESSIONS_MAP).expect("sessions").len(),
+            SESSIONS as usize
+        );
+        let lookups = [
+            (a, op(ControlOpKind::Lookup, session(4_321), Vec::new())),
+            (b, op(ControlOpKind::Lookup, session(SESSIONS), Vec::new())),
+        ];
+        let device_ops = reactor.stats().device_ops;
+        let before = allocs();
+        for (client, lookup) in &lookups {
+            reactor.submit_control(*client, lookup).expect("admitted");
+        }
+        let mut acks = Vec::new();
+        while acks.len() < lookups.len() {
+            reactor.turn(8);
+            acks.append(&mut reactor.take_acks());
+        }
+        let spent = allocs() - before;
+        // Round-robin collection starts at either client.
+        acks.sort_by_key(|ack| ack.client.index());
+        let frames = reactor.stats().device_ops - device_ops;
+        assert_eq!(frames, if no_coalesce { 2 } else { 1 }, "the two lookups share one frame");
+        (acks, spent)
+    };
+    let (shared, spent) = run(false);
+    let (verbatim, _) = run(true);
+    assert_eq!(shared, verbatim, "sharing a frame changes no answer");
+    assert_eq!(
+        shared[0].result,
+        Ok(ehdl::hwsim::HostOpResult::Value(Some(4_321u64.to_le_bytes().to_vec())))
+    );
+    assert_eq!(shared[1].result, Ok(ehdl::hwsim::HostOpResult::Value(None)));
+    assert!(spent <= 64, "two shared lookups over {SESSIONS} sessions made {spent} heap calls");
 }

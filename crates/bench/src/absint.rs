@@ -1,15 +1,14 @@
 //! Abstract-interpretation effectiveness tracker: how many packet accesses
 //! the `ehdl_ebpf::absint` pass proves in-bounds per evaluation app, and
-//! what the proofs save in estimated FPGA resources. Tracked as a
-//! first-class number (`BENCH_absint.json`) so an analysis-precision
-//! regression — a transfer function accidentally widened to TOP — fails
-//! `scripts/check.sh` instead of silently re-guarding every access.
+//! what the proofs save in estimated FPGA resources. Recorded as
+//! `BENCH_absint.json` so an analysis-precision regression — a transfer
+//! function accidentally widened to TOP — fails `cargo test` instead of
+//! silently re-guarding every access.
 
+use crate::record::Fields;
 use ehdl_core::{invcheck, resource, Compiler, CompilerOptions};
 use ehdl_programs::App;
-
-/// Where the recorded baseline lives, relative to the workspace root.
-pub const REPORT_PATH: &str = "BENCH_absint.json";
+use ehdl_runtime::json::Json;
 
 /// Per-app effectiveness of the value analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,103 +83,15 @@ pub fn measure() -> Vec<AbsintRow> {
         .collect()
 }
 
-/// The workspace-root path of the recorded baseline.
-pub fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
-}
-
-/// Serialize the rows to the tracked JSON file. Keys are flattened to
-/// `"<app>_<field>"` so [`read_recorded`] can reuse the same hand-rolled
-/// field scanner as the other bench baselines (no serde in the tree).
-pub fn write_report(rows: &[AbsintRow]) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    let mut json = String::from("{\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        let _ = write!(
-            json,
-            "  \"{app}_packet_accesses\": {},\n  \"{app}_proven_accesses\": {},\n  \
-             \"{app}_decided_branches\": {},\n  \"{app}_luts\": {},\n  \
-             \"{app}_luts_baseline\": {},\n  \"{app}_ffs\": {},\n  \
-             \"{app}_ffs_baseline\": {}{sep}\n",
-            r.packet_accesses,
-            r.proven_accesses,
-            r.decided_branches,
-            r.luts,
-            r.luts_baseline,
-            r.ffs,
-            r.ffs_baseline,
-            app = r.app,
-        );
-    }
-    json.push_str("}\n");
-    std::fs::write(report_path(), json)
-}
-
-/// Read the recorded `(packet_accesses, proven_accesses)` for `app`.
-pub fn read_recorded(app: &str) -> Option<(usize, usize)> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    let total = parse_field(&text, &format!("{app}_packet_accesses"))? as usize;
-    let proven = parse_field(&text, &format!("{app}_proven_accesses"))? as usize;
-    Some((total, proven))
-}
-
-fn parse_field(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\"");
-    let rest = &json[json.find(&key)? + key.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_app_mostly_proven_and_cheaper() {
-        for r in measure() {
-            assert!(
-                r.proven_fraction() >= 0.8,
-                "{}: only {}/{} packet accesses proven",
-                r.app,
-                r.proven_accesses,
-                r.packet_accesses
-            );
-            assert!(
-                r.luts <= r.luts_baseline,
-                "{}: analysis must never cost LUTs ({} vs {})",
-                r.app,
-                r.luts,
-                r.luts_baseline
-            );
-        }
-    }
-
-    #[test]
-    fn report_roundtrips_through_json() {
-        let r = AbsintRow {
-            app: "fake".into(),
-            packet_accesses: 10,
-            proven_accesses: 9,
-            decided_branches: 2,
-            luts: 100,
-            luts_baseline: 120,
-            ffs: 50,
-            ffs_baseline: 60,
-        };
-        use std::fmt::Write as _;
-        let mut json = String::from("{\n");
-        let _ = write!(
-            json,
-            "  \"{app}_packet_accesses\": {},\n  \"{app}_proven_accesses\": {}\n",
-            r.packet_accesses,
-            r.proven_accesses,
-            app = r.app,
-        );
-        json.push_str("}\n");
-        assert_eq!(parse_field(&json, "fake_packet_accesses"), Some(10.0));
-        assert_eq!(parse_field(&json, "fake_proven_accesses"), Some(9.0));
-        assert_eq!(parse_field(&json, "fake_missing"), None);
+impl Fields for AbsintRow {
+    fn fields(&self, j: &mut Json) {
+        j.key("app").str(&self.app);
+        j.key("packet_accesses").uint(self.packet_accesses as u64);
+        j.key("proven_accesses").uint(self.proven_accesses as u64);
+        j.key("decided_branches").uint(self.decided_branches as u64);
+        j.key("luts").uint(self.luts);
+        j.key("luts_baseline").uint(self.luts_baseline);
+        j.key("ffs").uint(self.ffs);
+        j.key("ffs_baseline").uint(self.ffs_baseline);
     }
 }

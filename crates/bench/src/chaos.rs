@@ -11,10 +11,11 @@
 //! channel and records retry counts, duplicate suppression, p99 op
 //! latency, and whether the retried sequence stayed reference-identical.
 //!
-//! Everything is simulated-deterministic, so the recorded
-//! `BENCH_chaos.json` gates exactly, not statistically.
+//! Everything is simulated-deterministic, so `BENCH_chaos.json` is
+//! checked for equality, not statistically.
 
 use crate::design_of;
+use crate::record::Fields;
 use ehdl_core::Compiler;
 use ehdl_ebpf::asm::Asm;
 use ehdl_ebpf::maps::{MapDef, MapError, MapKind, UpdateFlags};
@@ -25,11 +26,9 @@ use ehdl_hwsim::{
     ReplicaFaultConfig, ReplicaFaultKind, ShardedNic, SharedMapOptions, SimOptions,
 };
 use ehdl_programs::{dnat, simple_firewall, App};
+use ehdl_runtime::json::Json;
 use ehdl_runtime::{RetryPolicy, Runtime, RuntimeOptions};
 use ehdl_traffic::{FlowSet, Popularity, Workload};
-
-/// Where the recorded baseline lives, relative to the workspace root.
-pub const REPORT_PATH: &str = "BENCH_chaos.json";
 
 /// Replicas in every fault scenario.
 pub const CHAOS_REPLICAS: usize = 4;
@@ -318,135 +317,36 @@ pub fn measure_all_faults() -> Vec<ChaosRow> {
     out
 }
 
-/// The workspace-root path of the recorded baseline.
-pub fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
-}
-
-/// Serialize the campaign to the tracked JSON file (hand-written — no
-/// serde in the tree; one entry object per line, parsed by
-/// [`read_recorded`] / [`read_ctrl_recorded`]).
-pub fn write_report(rows: &[ChaosRow], ctrl: &[CtrlChaosRow]) -> std::io::Result<()> {
-    let mut json = String::from("{\n  \"entries\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"app\": \"{}\", \"scenario\": \"{}\", \"replicas\": {}, \"packets\": {}, \
-             \"injected\": {}, \"detected\": {}, \"masked\": {}, \
-             \"detection_latency_max\": {}, \"mean_detection_latency\": {:.2}, \
-             \"completed\": {}, \"drained\": {}, \"discarded\": {}, \"dropped\": {}, \
-             \"lost\": {}, \"availability\": {:.6}, \"pkts_per_cycle\": {:.6}}}{sep}\n",
-            r.app,
-            r.scenario,
-            r.replicas,
-            r.packets,
-            r.injected,
-            r.detected,
-            r.masked,
-            r.detection_latency_max,
-            r.mean_detection_latency,
-            r.completed,
-            r.drained,
-            r.discarded,
-            r.dropped,
-            r.lost,
-            r.availability,
-            r.pkts_per_cycle,
-        ));
-    }
-    json.push_str("  ],\n  \"ctrl\": [\n");
-    for (i, r) in ctrl.iter().enumerate() {
-        let sep = if i + 1 == ctrl.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"loss_rate\": {:.2}, \"ops\": {}, \"completed_ops\": {}, \"retries\": {}, \
-             \"dup_suppressed\": {}, \"gave_up\": {}, \"p99_op_latency_cycles\": {}, \
-             \"reference_identical\": {}}}{sep}\n",
-            r.loss_rate,
-            r.ops,
-            r.completed_ops,
-            r.retries,
-            r.dup_suppressed,
-            r.gave_up,
-            r.p99_op_latency_cycles,
-            r.reference_identical,
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(report_path(), json)
-}
-
-/// Read one recorded field for an `(app, scenario)` fault entry.
-/// `None` (no recording yet) skips the corresponding gate.
-pub fn read_recorded(app: &str, scenario: &str, field: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    let line = text.lines().find(|l| {
-        l.contains(&format!("\"app\": \"{app}\""))
-            && l.contains(&format!("\"scenario\": \"{scenario}\""))
-    })?;
-    parse_field(line, field)
-}
-
-/// Read one recorded field for a control-loss entry by rate.
-pub fn read_ctrl_recorded(loss_rate: f64, field: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    let line = text.lines().find(|l| l.contains(&format!("\"loss_rate\": {loss_rate:.2},")))?;
-    parse_field(line, field)
-}
-
-pub(crate) fn parse_field(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\"");
-    let rest = &json[json.find(&key)? + key.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    let raw = rest[..end].trim();
-    match raw {
-        "true" => Some(1.0),
-        "false" => Some(0.0),
-        _ => raw.parse().ok(),
+impl Fields for ChaosRow {
+    fn fields(&self, j: &mut Json) {
+        j.key("app").str(&self.app);
+        j.key("scenario").str(&self.scenario);
+        j.key("replicas").uint(self.replicas as u64);
+        j.key("packets").uint(self.packets as u64);
+        j.key("injected").uint(self.injected);
+        j.key("detected").uint(self.detected);
+        j.key("masked").uint(self.masked);
+        j.key("detection_latency_max").uint(self.detection_latency_max);
+        j.key("mean_detection_latency").fixed(self.mean_detection_latency, 2);
+        j.key("completed").uint(self.completed);
+        j.key("drained").uint(self.drained);
+        j.key("discarded").uint(self.discarded);
+        j.key("dropped").uint(self.dropped);
+        j.key("lost").uint(self.lost);
+        j.key("availability").fixed(self.availability, 6);
+        j.key("pkts_per_cycle").fixed(self.pkts_per_cycle, 6);
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_field_reads_numbers_and_bools() {
-        let json = "{\"availability\": 0.931201, \"reference_identical\": true}";
-        assert_eq!(parse_field(json, "availability"), Some(0.931201));
-        assert_eq!(parse_field(json, "reference_identical"), Some(1.0));
-        assert_eq!(parse_field(json, "missing"), None);
-    }
-
-    #[test]
-    fn single_kill_meets_the_availability_and_accounting_gates() {
-        let r = measure_faults(App::Firewall, "kill1");
-        assert_eq!(r.injected, 1);
-        assert_eq!(r.detected, 1, "the kill must be detected");
-        assert!(
-            r.detection_latency_max <= WATCHDOG_BUDGET,
-            "detection within the watchdog budget ({} > {WATCHDOG_BUDGET})",
-            r.detection_latency_max
-        );
-        assert_eq!(
-            r.packets as u64,
-            r.completed + r.lost + r.dropped,
-            "zero silent loss: every packet completed, drained, discarded, or rejected"
-        );
-        let floor = (CHAOS_REPLICAS as f64 - 1.0) / CHAOS_REPLICAS as f64 - 0.05;
-        assert!(
-            r.availability >= floor,
-            "availability {:.4} under a single kill fell below the {floor:.4} floor",
-            r.availability
-        );
-    }
-
-    #[test]
-    fn lossy_ctrl_stays_reference_identical() {
-        let rows = measure_ctrl();
-        let lossy = rows.iter().find(|r| r.loss_rate > 0.0).expect("lossy row");
-        assert_eq!(lossy.gave_up, 0);
-        assert!(lossy.retries > 0, "10% loss must force retransmissions");
-        assert!(lossy.reference_identical, "retried ops must match the lossless reference");
+impl Fields for CtrlChaosRow {
+    fn fields(&self, j: &mut Json) {
+        j.key("loss_rate").fixed(self.loss_rate, 2);
+        j.key("ops").uint(self.ops);
+        j.key("completed_ops").uint(self.completed_ops);
+        j.key("retries").uint(self.retries);
+        j.key("dup_suppressed").uint(self.dup_suppressed);
+        j.key("gave_up").uint(self.gave_up);
+        j.key("p99_op_latency_cycles").uint(self.p99_op_latency_cycles);
+        j.key("reference_identical").bool(self.reference_identical);
     }
 }

@@ -8,17 +8,17 @@
 //! outcome log yields detection/correction coverage. A separate hang
 //! sweep wedges a stage on purpose and measures availability with and
 //! without the watchdog. Campaigns are bit-reproducible: the same seed
-//! replays the same injection schedule, cycle for cycle.
+//! replays the same injection schedule, cycle for cycle, which is what
+//! lets `BENCH_fault_campaign.json` be checked for equality on every run.
 
 use ehdl_core::{Compiler, CompilerOptions, Protection};
 use ehdl_hwsim::diff::{compare_under_faults, Divergence, FaultCompareReport};
 use ehdl_hwsim::{FaultConfig, PipelineSim, SimOptions};
 use ehdl_programs::{dnat, App};
+use ehdl_runtime::json::Json;
 
+use crate::record::Fields;
 use crate::{eval_packets, setup_app};
-
-/// Where the recorded campaign lives, relative to the workspace root.
-pub const REPORT_PATH: &str = "BENCH_fault_campaign.json";
 
 /// Master seed of the recorded campaign.
 pub const CAMPAIGN_SEED: u64 = 7;
@@ -249,92 +249,25 @@ pub fn run() -> Vec<FaultCampaignRow> {
     rows
 }
 
-/// Reproducibility gate: the same seed must replay the identical
-/// campaign — every event, counter and tally.
-pub fn reproducible() -> bool {
-    let a = run_point(App::Firewall, Protection::EccWatchdog, 5e-3);
-    let b = run_point(App::Firewall, Protection::EccWatchdog, 5e-3);
-    a.log == b.log
-        && a.stats == b.stats
-        && a.counters == b.counters
-        && a.affected == b.affected
-        && a.availability == b.availability
-}
-
-/// The workspace-root path of the recorded campaign.
-pub fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
-}
-
-/// Serialize the campaign to the tracked JSON file (no serde in the
-/// tree, so the format is written by hand).
-pub fn write_report(rows: &[FaultCampaignRow]) -> std::io::Result<()> {
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"app\": \"{}\", \"protect\": \"{}\", \"rate\": {}, \"hang\": {}, \"injected\": {}, \"effective\": {}, \"silent\": {}, \"uncorrectable\": {}, \"coverage\": {:.4}, \"fault_replays\": {}, \"watchdog_resets\": {}, \"pkts_lost\": {}, \"missing\": {}, \"completed\": {}, \"availability\": {:.4}, \"clean\": {}, \"map_clean\": {}, \"map_corrupted\": {}}}{}\n",
-            r.app,
-            r.protect,
-            r.rate,
-            r.hang,
-            r.injected,
-            r.effective,
-            r.silent,
-            r.uncorrectable,
-            r.coverage,
-            r.fault_replays,
-            r.watchdog_resets,
-            r.pkts_lost,
-            r.missing,
-            r.completed,
-            r.availability,
-            r.clean,
-            r.map_clean,
-            r.map_corrupted,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(report_path(), json)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unprotected_map_faults_break_equivalence() {
-        // The negative control of the whole campaign: without ECC the
-        // same injections that the hardened designs absorb corrupt the
-        // final map state.
-        let r = run_point(App::Firewall, Protection::None, 5e-3);
-        assert!(r.stats.silent > 0, "unprotected faults corrupt silently");
-        assert!(
-            r.map_storage_corrupted || !r.map_divergences.is_empty() || !r.affected.is_empty(),
-            "corruption must be observable"
-        );
-    }
-
-    #[test]
-    fn protected_point_is_clean_and_covered() {
-        let r = run_point(App::Firewall, Protection::EccWatchdog, 5e-3);
-        assert!(tolerated(App::Firewall, r.divergences.clone()).is_empty(), "{:?}", r.divergences);
-        assert!(r.stats.silent == 0, "nothing slips past parity+ECC");
-        assert!(r.stats.coverage() >= 0.99, "coverage {}", r.stats.coverage());
-        assert_eq!(r.missing, 0);
-    }
-
-    #[test]
-    fn watchdog_restores_availability() {
-        let none = run_hang_point(App::Firewall, Protection::None);
-        let wd = run_hang_point(App::Firewall, Protection::EccWatchdog);
-        assert!(none.availability < wd.availability);
-        assert!(wd.watchdog_resets > 0);
-        assert_eq!(wd.completed, 400);
-    }
-
-    #[test]
-    fn campaign_is_reproducible() {
-        assert!(reproducible());
+impl Fields for FaultCampaignRow {
+    fn fields(&self, j: &mut Json) {
+        j.key("app").str(&self.app);
+        j.key("protect").str(&self.protect);
+        j.key("rate").num(self.rate);
+        j.key("hang").bool(self.hang);
+        j.key("injected").uint(self.injected);
+        j.key("effective").uint(self.effective);
+        j.key("silent").uint(self.silent);
+        j.key("uncorrectable").uint(self.uncorrectable);
+        j.key("coverage").fixed(self.coverage, 4);
+        j.key("fault_replays").uint(self.fault_replays);
+        j.key("watchdog_resets").uint(self.watchdog_resets);
+        j.key("pkts_lost").uint(self.pkts_lost);
+        j.key("missing").uint(self.missing);
+        j.key("completed").uint(self.completed);
+        j.key("availability").fixed(self.availability, 4);
+        j.key("clean").bool(self.clean);
+        j.key("map_clean").bool(self.map_clean);
+        j.key("map_corrupted").bool(self.map_corrupted);
     }
 }

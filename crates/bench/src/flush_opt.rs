@@ -15,15 +15,14 @@
 //! the flush counters, and cross-checks both against
 //! [`analytical::throughput`] with the measured flush probability.
 
+use crate::record::Fields;
 use crate::setup_app;
 use ehdl_core::{analytical, Compiler, CompilerOptions, PipelineDesign};
 use ehdl_hwsim::{diff, PipelineSim, SimOptions};
 use ehdl_net::FiveTuple;
 use ehdl_programs::{dnat, App};
+use ehdl_runtime::json::Json;
 use ehdl_traffic::{FlowSet, Popularity, Workload};
-
-/// Where the recorded sweep lives, relative to the workspace root.
-pub const REPORT_PATH: &str = "BENCH_flush_opt.json";
 
 /// Back-to-back packets per flow draw: the smallest burst that races the
 /// create-path write (packet 2 reads the connection table before packet
@@ -255,40 +254,26 @@ pub fn run() -> Vec<FlushOptRow> {
     rows
 }
 
-/// The workspace-root path of the recorded sweep.
-pub fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
-}
-
-/// Serialize the sweep to the tracked JSON file (no serde in the tree,
-/// so the format is written by hand).
-pub fn write_report(rows: &[FlushOptRow]) -> std::io::Result<()> {
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"app\": \"{}\", \"flows\": {}, \"alpha\": {}, \"base_ppc\": {:.4}, \"opt_ppc\": {:.4}, \"gain_pct\": {:.1}, \"base_flushes\": {}, \"opt_flushes\": {}, \"base_replays\": {}, \"opt_replays\": {}, \"k_full\": {}, \"k_partial\": {}, \"base_model\": {:.4}, \"opt_model\": {:.4}, \"base_dev_pct\": {:.1}, \"opt_dev_pct\": {:.1}, \"identical\": {}}}{}\n",
-            r.app,
-            r.flows,
-            r.alpha,
-            r.base_ppc,
-            r.opt_ppc,
-            r.gain_pct,
-            r.base_flushes,
-            r.opt_flushes,
-            r.base_replays,
-            r.opt_replays,
-            r.k_full,
-            r.k_partial,
-            r.base_model,
-            r.opt_model,
-            r.base_dev_pct,
-            r.opt_dev_pct,
-            r.identical,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
+impl Fields for FlushOptRow {
+    fn fields(&self, j: &mut Json) {
+        j.key("app").str(&self.app);
+        j.key("flows").uint(self.flows as u64);
+        j.key("alpha").num(self.alpha);
+        j.key("base_ppc").fixed(self.base_ppc, 4);
+        j.key("opt_ppc").fixed(self.opt_ppc, 4);
+        j.key("gain_pct").fixed(self.gain_pct, 1);
+        j.key("base_flushes").uint(self.base_flushes);
+        j.key("opt_flushes").uint(self.opt_flushes);
+        j.key("base_replays").uint(self.base_replays);
+        j.key("opt_replays").uint(self.opt_replays);
+        j.key("k_full").uint(self.k_full as u64);
+        j.key("k_partial").uint(self.k_partial as u64);
+        j.key("base_model").fixed(self.base_model, 4);
+        j.key("opt_model").fixed(self.opt_model, 4);
+        j.key("base_dev_pct").fixed(self.base_dev_pct, 1);
+        j.key("opt_dev_pct").fixed(self.opt_dev_pct, 1);
+        j.key("identical").bool(self.identical);
     }
-    json.push_str("]\n");
-    std::fs::write(report_path(), json)
 }
 
 #[cfg(test)]

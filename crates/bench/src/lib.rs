@@ -3,7 +3,9 @@
 //! Every table and figure of the paper's §5 has a `regenerate` function
 //! here returning structured rows; the `benches/` targets print them in
 //! the paper's layout, and integration tests assert the qualitative shape
-//! (who wins, by roughly what factor).
+//! (who wins, by roughly what factor). The eight campaign modules beyond
+//! the paper are recorded as `BENCH_*.json` and checked for equality: see
+//! [`record`].
 
 #![deny(clippy::unwrap_used)]
 
@@ -11,6 +13,7 @@ pub mod absint;
 pub mod chaos;
 pub mod fault_campaign;
 pub mod flush_opt;
+pub mod record;
 pub mod runtime_ops;
 pub mod scale_out;
 pub mod shardcheck;

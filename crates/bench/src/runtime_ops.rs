@@ -1,20 +1,18 @@
-//! Control-plane benchmark: host-op throughput and latency under
-//! increasing packet-interleave rates, drain-and-swap downtime, and the
-//! wall-clock overhead of telemetry polling on the Figure-9a firewall
-//! workload. Recorded as `BENCH_runtime.json` and gated in
-//! `scripts/check.sh` (telemetry overhead must stay under 1%).
+//! Control-plane measurement: host-op throughput and latency under
+//! increasing packet-interleave rates, idle channel latency, and
+//! drain-and-swap downtime, all in simulated cycles. Recorded as
+//! `BENCH_runtime.json`. (What telemetry export costs on the host is
+//! wall-clock, so it is perf's `runtime.telemetry_export_us`, not here.)
 
+use crate::record::Fields;
 use crate::{eval_packets, setup_app};
 use ehdl_core::Compiler;
 use ehdl_hwsim::sim::CLOCK_NS;
 use ehdl_hwsim::CtrlOptions;
 use ehdl_programs::{simple_firewall, App};
-use ehdl_runtime::{PeriodicExporter, Runtime, RuntimeOptions};
+use ehdl_runtime::json::Json;
+use ehdl_runtime::{Runtime, RuntimeOptions};
 use ehdl_traffic::{interleave_ops, ControlOpGen, FlowSet, OpMix, Popularity};
-use std::time::Instant;
-
-/// Where the recorded baseline lives, relative to the workspace root.
-pub const REPORT_PATH: &str = "BENCH_runtime.json";
 
 /// Host-op behaviour at one packet-interleave rate.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,15 +50,6 @@ pub struct RuntimeOpsReport {
     pub swap_downtime_ns: f64,
     /// Map entries carried across the swap.
     pub swap_migrated_entries: u64,
-    /// Wall seconds for the fig9a firewall run without telemetry.
-    pub telemetry_base_secs: f64,
-    /// Wall seconds for the same run polling stats + JSON export.
-    pub telemetry_polled_secs: f64,
-    /// Relative overhead of polling: the smallest paired
-    /// (polled − base) delta across rounds over the base time, floor 0.
-    pub telemetry_overhead_frac: f64,
-    /// Snapshots the exporter emitted during the polled run.
-    pub telemetry_exports: usize,
 }
 
 fn firewall_runtime() -> Runtime {
@@ -139,59 +128,14 @@ fn measure_swap(packets: usize) -> (u64, u64, u64, f64, u64) {
     )
 }
 
-/// Drive the fig9a firewall stream through a [`Runtime`], optionally
-/// polling a stats snapshot + JSON export every `poll_every` packets.
-/// Returns (wall seconds, exports emitted).
-fn timed_run(packets: &[Vec<u8>], poll_every: Option<usize>) -> (f64, usize) {
-    let mut rt = firewall_runtime();
-    let mut exporter = PeriodicExporter::new(8_192);
-    let start = Instant::now();
-    for (i, p) in packets.iter().enumerate() {
-        while !rt.enqueue(p.clone()) {
-            rt.step();
-        }
-        if let Some(every) = poll_every {
-            if i % every == 0 {
-                let stats = rt.stats();
-                exporter.poll(&stats);
-            }
-        }
-    }
-    rt.settle();
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    (wall, exporter.exports().len())
-}
-
-/// Measure everything: op scenarios on `op_packets`-packet schedules, a
-/// swap on the same workload, and telemetry overhead on a
-/// `telemetry_packets`-packet fig9a run (best of `repeats` to suppress
-/// wall-clock noise).
-pub fn measure(op_packets: usize, telemetry_packets: usize, repeats: usize) -> RuntimeOpsReport {
+/// Measure everything: op scenarios on `op_packets`-packet schedules,
+/// idle channel latency, and a swap on the same workload.
+pub fn measure(op_packets: usize) -> RuntimeOpsReport {
     let scenarios =
         [0.02, 0.1, 0.5].iter().map(|&r| run_scenario(r, op_packets)).collect::<Vec<_>>();
     let idle_mean_latency_cycles = measure_idle_latency();
     let (swap_drain_cycles, swap_config_cycles, swap_downtime_cycles, swap_downtime_ns, migrated) =
         measure_swap(op_packets);
-
-    let stream = eval_packets(App::Firewall, telemetry_packets);
-    // Poll every 2048 packets: ~20 snapshots over the 40k-packet run,
-    // matching a host daemon on a few-hundred-µs timer. Scheduler noise
-    // on a shared machine dwarfs the ~µs cost of a snapshot, so the
-    // overhead is taken as the *smallest paired delta*: each round times
-    // the base and polled variants back to back (where external load is
-    // highly correlated) and only the cleanest round counts.
-    let mut base = f64::MAX;
-    let mut polled = f64::MAX;
-    let mut min_delta = f64::MAX;
-    let mut exports = 0;
-    for _ in 0..repeats.max(1) {
-        let b = timed_run(&stream, None).0;
-        let (p, n) = timed_run(&stream, Some(2048));
-        base = base.min(b);
-        polled = polled.min(p);
-        min_delta = min_delta.min(p - b);
-        exports = n;
-    }
     RuntimeOpsReport {
         scenarios,
         idle_mean_latency_cycles,
@@ -200,75 +144,37 @@ pub fn measure(op_packets: usize, telemetry_packets: usize, repeats: usize) -> R
         swap_downtime_cycles,
         swap_downtime_ns,
         swap_migrated_entries: migrated,
-        telemetry_base_secs: base,
-        telemetry_polled_secs: polled,
-        telemetry_overhead_frac: (min_delta / base).max(0.0),
-        telemetry_exports: exports,
     }
-}
-
-/// The workspace-root path of the recorded baseline.
-pub fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
-}
-
-/// Serialize a report to the tracked JSON file (hand-written — no serde
-/// in the tree).
-pub fn write_report(report: &RuntimeOpsReport) -> std::io::Result<()> {
-    let mut s = String::with_capacity(2048);
-    s.push_str("{\n  \"scenarios\": [\n");
-    for (i, sc) in report.scenarios.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"op_rate\": {:.2}, \"packets\": {}, \"ops\": {}, \
-             \"mean_latency_cycles\": {:.2}, \"max_latency_cycles\": {}, \
-             \"host_op_flushes\": {}, \"ops_per_sec_sim\": {:.1}}}{}\n",
-            sc.op_rate,
-            sc.packets,
-            sc.ops,
-            sc.mean_latency_cycles,
-            sc.max_latency_cycles,
-            sc.host_op_flushes,
-            sc.ops_per_sec_sim,
-            if i + 1 < report.scenarios.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"idle_mean_latency_cycles\": {:.2},\n",
-        report.idle_mean_latency_cycles
-    ));
-    s.push_str(&format!("  \"busy_mean_latency_cycles\": {:.2},\n", busy(report)));
-    s.push_str(&format!("  \"swap_drain_cycles\": {},\n", report.swap_drain_cycles));
-    s.push_str(&format!("  \"swap_config_cycles\": {},\n", report.swap_config_cycles));
-    s.push_str(&format!("  \"swap_downtime_cycles\": {},\n", report.swap_downtime_cycles));
-    s.push_str(&format!("  \"swap_downtime_ns\": {:.1},\n", report.swap_downtime_ns));
-    s.push_str(&format!("  \"swap_migrated_entries\": {},\n", report.swap_migrated_entries));
-    s.push_str(&format!("  \"telemetry_base_secs\": {:.6},\n", report.telemetry_base_secs));
-    s.push_str(&format!("  \"telemetry_polled_secs\": {:.6},\n", report.telemetry_polled_secs));
-    s.push_str(&format!("  \"telemetry_overhead_frac\": {:.6},\n", report.telemetry_overhead_frac));
-    s.push_str(&format!("  \"telemetry_exports\": {}\n}}\n", report.telemetry_exports));
-    std::fs::write(report_path(), s)
 }
 
 /// Mean op latency of the busiest recorded scenario.
-pub fn busy(report: &RuntimeOpsReport) -> f64 {
+fn busy(report: &RuntimeOpsReport) -> f64 {
     report.scenarios.last().map_or(0.0, |s| s.mean_latency_cycles)
 }
 
-/// Recorded (busy mean latency cycles, swap downtime cycles), if present.
-pub fn read_recorded() -> Option<(f64, u64)> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    let lat = parse_field(&text, "busy_mean_latency_cycles")?;
-    let downtime = parse_field(&text, "swap_downtime_cycles")? as u64;
-    Some((lat, downtime))
+impl Fields for OpScenario {
+    fn fields(&self, j: &mut Json) {
+        j.key("op_rate").fixed(self.op_rate, 2);
+        j.key("packets").uint(self.packets as u64);
+        j.key("ops").uint(self.ops);
+        j.key("mean_latency_cycles").fixed(self.mean_latency_cycles, 2);
+        j.key("max_latency_cycles").uint(self.max_latency_cycles);
+        j.key("host_op_flushes").uint(self.host_op_flushes);
+        j.key("ops_per_sec_sim").fixed(self.ops_per_sec_sim, 1);
+    }
 }
 
-fn parse_field(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\"");
-    let rest = &json[json.find(&key)? + key.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
+/// Everything but the scenarios (they are rows of their own).
+impl Fields for RuntimeOpsReport {
+    fn fields(&self, j: &mut Json) {
+        j.key("idle_mean_latency_cycles").fixed(self.idle_mean_latency_cycles, 2);
+        j.key("busy_mean_latency_cycles").fixed(busy(self), 2);
+        j.key("swap_drain_cycles").uint(self.swap_drain_cycles);
+        j.key("swap_config_cycles").uint(self.swap_config_cycles);
+        j.key("swap_downtime_cycles").uint(self.swap_downtime_cycles);
+        j.key("swap_downtime_ns").fixed(self.swap_downtime_ns, 1);
+        j.key("swap_migrated_entries").uint(self.swap_migrated_entries);
+    }
 }
 
 #[cfg(test)]
@@ -276,17 +182,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_field_reads_numbers() {
-        let json =
-            "{\n  \"busy_mean_latency_cycles\": 88.5,\n  \"swap_downtime_cycles\": 4096\n}\n";
-        assert_eq!(parse_field(json, "busy_mean_latency_cycles"), Some(88.5));
-        assert_eq!(parse_field(json, "swap_downtime_cycles"), Some(4096.0));
-        assert_eq!(parse_field(json, "missing"), None);
-    }
-
-    #[test]
     fn small_measurement_is_internally_consistent() {
-        let r = measure(512, 512, 1);
+        let r = measure(512);
         assert_eq!(r.scenarios.len(), 3);
         for sc in &r.scenarios {
             assert!(sc.ops > 0, "rate {} produced ops", sc.op_rate);
@@ -298,6 +195,5 @@ mod tests {
         assert!(r.idle_mean_latency_cycles >= 64.0);
         assert!(r.swap_downtime_cycles >= r.swap_config_cycles);
         assert_eq!(r.swap_downtime_cycles, r.swap_drain_cycles + r.swap_config_cycles);
-        assert!(r.telemetry_base_secs > 0.0);
     }
 }

@@ -13,12 +13,11 @@
 //! of the ideal N× headroom survives.
 
 use crate::design_of;
+use crate::record::Fields;
 use ehdl_hwsim::{ShardedNic, SharedMapOptions, SimOptions};
 use ehdl_programs::{dnat, App};
+use ehdl_runtime::json::Json;
 use ehdl_traffic::{FlowSet, Popularity, Workload};
-
-/// Where the recorded baseline lives, relative to the workspace root.
-pub const REPORT_PATH: &str = "BENCH_scale_out.json";
 
 /// Flows in the scale-out workloads (enough that uniform traffic spreads
 /// evenly over 8 replicas, few enough that Zipf skew bites).
@@ -118,68 +117,24 @@ pub fn measure_all() -> Vec<ScaleOutRow> {
     out
 }
 
-/// The workspace-root path of the recorded baseline.
-pub fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
-}
-
-/// Serialize the sweep to the tracked JSON file (hand-written — no serde
-/// in the tree; one entry object per line, parsed by [`read_recorded`]).
-pub fn write_report(rows: &[ScaleOutRow]) -> std::io::Result<()> {
-    let mut json = String::from("{\n  \"entries\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"app\": \"{}\", \"workload\": \"{}\", \"replicas\": {}, \"packets\": {}, \
-             \"pkts_per_cycle\": {:.6}, \"p99_latency_cycles\": {}, \"conflict_rate\": {:.6}, \
-             \"imbalance\": {:.4}, \"stall_cycles\": {}, \"dropped\": {}}}{sep}\n",
-            r.app,
-            r.workload,
-            r.replicas,
-            r.packets,
-            r.pkts_per_cycle,
-            r.p99_latency_cycles,
-            r.conflict_rate,
-            r.imbalance,
-            r.stall_cycles,
-            r.dropped,
-        ));
+impl Fields for ScaleOutRow {
+    fn fields(&self, j: &mut Json) {
+        j.key("app").str(&self.app);
+        j.key("workload").str(&self.workload);
+        j.key("replicas").uint(self.replicas as u64);
+        j.key("packets").uint(self.packets as u64);
+        j.key("pkts_per_cycle").fixed(self.pkts_per_cycle, 6);
+        j.key("p99_latency_cycles").uint(self.p99_latency_cycles);
+        j.key("conflict_rate").fixed(self.conflict_rate, 6);
+        j.key("imbalance").fixed(self.imbalance, 4);
+        j.key("stall_cycles").uint(self.stall_cycles);
+        j.key("dropped").uint(self.dropped);
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(report_path(), json)
-}
-
-/// Read one recorded field for an `(app, workload, replicas)` entry.
-/// `None` (no recording yet) skips the corresponding gate.
-pub fn read_recorded(app: &str, workload: &str, replicas: usize, field: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    let line = text.lines().find(|l| {
-        l.contains(&format!("\"app\": \"{app}\""))
-            && l.contains(&format!("\"workload\": \"{workload}\""))
-            && l.contains(&format!("\"replicas\": {replicas},"))
-    })?;
-    parse_field(line, field)
-}
-
-fn parse_field(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\"");
-    let rest = &json[json.find(&key)? + key.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_field_reads_numbers() {
-        let json = "{\"pkts_per_cycle\": 0.731201, \"replicas\": 4}";
-        assert_eq!(parse_field(json, "pkts_per_cycle"), Some(0.731201));
-        assert_eq!(parse_field(json, "replicas"), Some(4.0));
-        assert_eq!(parse_field(json, "missing"), None);
-    }
 
     #[test]
     fn uniform_firewall_scales_past_the_gate() {

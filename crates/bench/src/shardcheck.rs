@@ -1,19 +1,18 @@
 //! Sharding-soundness effectiveness tracker: how much of the evaluation
 //! app zoo the `ehdl_core::shardcheck` pass classifies with zero manual
 //! hints, how many maps it proves merge-exact, and whether its static
-//! verdicts agree with the dynamic differential checker. Tracked as a
-//! first-class number (`BENCH_shardcheck.json`) so a precision regression
-//! — a key-provenance proof accidentally lost, a commutativity class
-//! widened to `OpaqueRmw` — fails `scripts/check.sh` instead of silently
-//! forcing hand-written sharding configs back in.
+//! verdicts agree with the dynamic differential checker. Recorded as
+//! `BENCH_shardcheck.json` so a precision regression — a key-provenance
+//! proof accidentally lost, a commutativity class widened to `OpaqueRmw`
+//! — fails `cargo test` instead of silently forcing hand-written
+//! sharding configs back in.
 
+use crate::record::Fields;
 use ehdl_core::shardcheck::{MergePolicy, ShardError};
 use ehdl_core::{Compiler, CompilerOptions};
 use ehdl_hwsim::{compare_sharded, fabric_from_plan, merges_from_plan, Divergence, SimOptions};
 use ehdl_programs::App;
-
-/// Where the recorded baseline lives, relative to the workspace root.
-pub const REPORT_PATH: &str = "BENCH_shardcheck.json";
+use ehdl_runtime::json::Json;
 
 /// Packets per dynamic agreement run. Small: the point is exercising
 /// every map's merge path against the sequential reference, not steady
@@ -209,88 +208,22 @@ pub fn diagnostics_exercised() -> usize {
     seen.len()
 }
 
-/// The workspace-root path of the recorded baseline.
-pub fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
-}
-
-/// Serialize the rows to the tracked JSON file. Keys are flattened to
-/// `"<app>_<field>"` (plus the campaign-wide `diagnostics_exercised`)
-/// so [`read_recorded`] can reuse the same hand-rolled field scanner as
-/// the other bench baselines (no serde in the tree).
-pub fn write_report(rows: &[ShardRow], diagnostics: usize) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    let mut json = String::from("{\n");
-    for r in rows {
-        let _ = write!(
-            json,
-            "  \"{app}_maps\": {},\n  \"{app}_sound_maps\": {},\n  \
-             \"{app}_exact_maps\": {},\n  \"{app}_shared_maps\": {},\n  \
-             \"{app}_fabric_banks\": {},\n  \"{app}_agreement_checks\": {},\n  \
-             \"{app}_agreement_failures\": {},\n",
-            r.maps,
-            r.sound_maps,
-            r.exact_maps,
-            r.shared_maps,
-            r.fabric_banks,
-            r.agreement_checks,
-            r.agreement_failures,
-            app = r.app,
-        );
+impl Fields for ShardRow {
+    fn fields(&self, j: &mut Json) {
+        j.key("app").str(&self.app);
+        j.key("maps").uint(self.maps as u64);
+        j.key("sound_maps").uint(self.sound_maps as u64);
+        j.key("exact_maps").uint(self.exact_maps as u64);
+        j.key("shared_maps").uint(self.shared_maps as u64);
+        j.key("fabric_banks").uint(u64::from(self.fabric_banks));
+        j.key("agreement_checks").uint(self.agreement_checks as u64);
+        j.key("agreement_failures").uint(self.agreement_failures as u64);
     }
-    let _ = writeln!(json, "  \"diagnostics_exercised\": {diagnostics}");
-    json.push_str("}\n");
-    std::fs::write(report_path(), json)
-}
-
-/// Read the recorded `(sound_maps, exact_maps, agreement_failures)` for
-/// `app`.
-pub fn read_recorded(app: &str) -> Option<(usize, usize, usize)> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    let sound = parse_field(&text, &format!("{app}_sound_maps"))? as usize;
-    let exact = parse_field(&text, &format!("{app}_exact_maps"))? as usize;
-    let failures = parse_field(&text, &format!("{app}_agreement_failures"))? as usize;
-    Some((sound, exact, failures))
-}
-
-/// Read the recorded campaign-wide diagnostics-coverage count.
-pub fn read_recorded_diagnostics() -> Option<usize> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    Some(parse_field(&text, "diagnostics_exercised")? as usize)
-}
-
-fn parse_field(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\"");
-    let rest = &json[json.find(&key)? + key.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-
-    /// The zero-hint contract: every app-zoo map classifies as
-    /// multi-replica deployable and no static verdict is contradicted
-    /// dynamically.
-    #[test]
-    fn app_zoo_classifies_zero_hint_and_agrees() {
-        for r in measure() {
-            assert_eq!(
-                r.sound_maps, r.maps,
-                "{}: only {}/{} maps auto-classified",
-                r.app, r.sound_maps, r.maps
-            );
-            assert_eq!(
-                r.agreement_failures, 0,
-                "{}: {} of {} static verdicts contradicted dynamically",
-                r.app, r.agreement_failures, r.agreement_checks
-            );
-            assert!(r.agreement_checks >= 2 * r.maps, "{}: agreement runs missing", r.app);
-        }
-    }
 
     /// The derived plan must reproduce what the scale-out and chaos
     /// benches used to hand-configure: DNAT's port allocator (and
@@ -324,20 +257,5 @@ mod tests {
         assert_eq!(plan.fabric_banks(), 1);
         let derived = merges_from_plan(&plan);
         assert!(derived.contains(&(dnat::PORT_ALLOC_MAP, MergeStrategy::Direct)));
-    }
-
-    #[test]
-    fn all_four_diagnostics_fire() {
-        assert_eq!(diagnostics_exercised(), 4);
-    }
-
-    #[test]
-    fn report_roundtrips_through_json() {
-        let json = "{\n  \"DNAT_sound_maps\": 3,\n  \"DNAT_exact_maps\": 1,\n  \
-                    \"DNAT_agreement_failures\": 0,\n  \"diagnostics_exercised\": 4\n}\n";
-        assert_eq!(parse_field(json, "DNAT_sound_maps"), Some(3.0));
-        assert_eq!(parse_field(json, "DNAT_exact_maps"), Some(1.0));
-        assert_eq!(parse_field(json, "diagnostics_exercised"), Some(4.0));
-        assert_eq!(parse_field(json, "DNAT_missing"), None);
     }
 }

@@ -31,8 +31,9 @@
 //! only ever reorder ops across maps, which commutes.
 //!
 //! Soundness is not argued only here: [`crate::diff::compare_with_ops_coalesced`]
-//! replays coalesced schedules against the sequential VM oracle and the
-//! check.sh SLO gate pins bit-equivalence on every campaign.
+//! replays coalesced schedules against the sequential VM oracle, and the
+//! serving campaign recorded in `BENCH_slo.json` runs on coalesced
+//! schedules.
 
 use crate::ctrl::{gather_capacity, HostOp, HostOpResult};
 use ehdl_ebpf::maps::{MapError, UpdateFlags};

@@ -94,9 +94,8 @@ fn setup_app(app: App, maps: &mut MapStore) {
 }
 
 /// Pin the zero-hint classification of every map of the app zoo. These
-/// verdicts are load-bearing: `scripts/check.sh` gates on this test, and
-/// the dynamic-agreement tests below trust `vm_exact` to predict the
-/// differential outcome.
+/// verdicts are load-bearing: the dynamic-agreement tests below trust
+/// `vm_exact` to predict the differential outcome.
 #[test]
 fn app_zoo_classifications_pinned() {
     use MapClass::*;

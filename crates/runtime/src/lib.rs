@@ -9,9 +9,9 @@
 //! * [`Runtime`] — owns a pipeline, its PCIe/AXI-Lite control channel,
 //!   and the arrival schedule; drives interleaved packet/op workloads
 //!   from [`ehdl_traffic::ctrlgen`];
-//! * [`RuntimeStats`] / [`PeriodicExporter`] — telemetry snapshots
-//!   (per-stage occupancy, flush/fault counters, map hit rates, host-op
-//!   latency) serialized to JSON without any external dependency;
+//! * [`RuntimeStats`] — telemetry snapshots (per-stage occupancy,
+//!   flush/fault counters, map hit rates, host-op latency) serialized
+//!   through [`json`], the workspace's one JSON writer (no serde);
 //! * [`Runtime::reload`] — drain-and-swap program replacement: quiesce
 //!   ingress, drain the pipeline, migrate every keyspec-compatible map,
 //!   switch to the new design, and report the measured downtime in
@@ -26,6 +26,7 @@
 #![deny(clippy::unwrap_used)]
 
 mod control;
+pub mod json;
 mod retry;
 mod telemetry;
 
@@ -34,7 +35,4 @@ pub use control::{
     RECONFIG_BASE_CYCLES, RECONFIG_CYCLES_PER_STAGE,
 };
 pub use retry::{ReliableCtrl, ReliableSnapshot, ReliableStats, RetryPolicy, RELIABLE_SEQ_BASE};
-pub use telemetry::{
-    json_escape, validate_json, CsrSnapshot, MapTelemetry, PeriodicExporter, RuntimeStats,
-    SloSnapshot, StageTelemetry,
-};
+pub use telemetry::{MapTelemetry, RuntimeStats, SloSnapshot, StageTelemetry};

@@ -1,6 +1,7 @@
-//! Telemetry: structured snapshots of a running pipeline and a periodic
-//! JSON exporter (hand-written serialization — the tree carries no serde).
+//! Telemetry: structured snapshots of a running pipeline, serialized to
+//! JSON through [`crate::json`].
 
+use crate::json::Json;
 use crate::retry::ReliableSnapshot;
 use ehdl_hwsim::{CtrlStats, SimCounters, SteeringStats};
 
@@ -114,455 +115,116 @@ pub struct SloSnapshot {
     pub op_p999_cycles: u64,
 }
 
-/// Escape `s` for embedding in a JSON string literal (quotes, backslashes
-/// and control characters — program and map names come from ELF section
-/// strings, which the exporter must not trust to be JSON-clean).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl RuntimeStats {
-    /// Serialize the snapshot as a JSON object.
+    /// Serialize the snapshot as a JSON object: one top-level member per
+    /// line, each section on its own line. Program and map names come
+    /// from ELF section strings and are escaped by the writer.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"program\": \"{}\",\n", json_escape(&self.program)));
-        s.push_str(&format!("  \"epoch\": {},\n", self.epoch));
-        s.push_str(&format!("  \"cycle\": {},\n", self.cycle));
-        s.push_str(&format!("  \"total_cycles\": {},\n", self.total_cycles));
-        s.push_str(&format!("  \"throughput_pps\": {:.1},\n", self.throughput_pps));
+        let mut j = Json::pretty();
+        j.begin_obj();
+        j.key("program").str(&self.program);
+        j.key("epoch").uint(self.epoch);
+        j.key("cycle").uint(self.cycle);
+        j.key("total_cycles").uint(self.total_cycles);
+        j.key("throughput_pps").fixed(self.throughput_pps, 1);
         let c = &self.counters;
-        s.push_str(&format!(
-            "  \"counters\": {{\"injected\": {}, \"completed\": {}, \"rx_dropped\": {}, \
-             \"flushes\": {}, \"flush_replays\": {}, \"bounds_faults\": {}, \
-             \"fault_replays\": {}, \"watchdog_resets\": {}, \"host_ops\": {}, \
-             \"host_op_flushes\": {}, \"mem_stall_cycles\": {}}},\n",
-            c.injected,
-            c.completed,
-            c.rx_dropped,
-            c.flushes,
-            c.flush_replays,
-            c.bounds_faults,
-            c.fault_replays,
-            c.watchdog_resets,
-            c.host_ops,
-            c.host_op_flushes,
-            c.mem_stall_cycles,
-        ));
+        j.key("counters").begin_row();
+        j.key("injected").uint(c.injected);
+        j.key("completed").uint(c.completed);
+        j.key("rx_dropped").uint(c.rx_dropped);
+        j.key("flushes").uint(c.flushes);
+        j.key("flush_replays").uint(c.flush_replays);
+        j.key("bounds_faults").uint(c.bounds_faults);
+        j.key("fault_replays").uint(c.fault_replays);
+        j.key("watchdog_resets").uint(c.watchdog_resets);
+        j.key("host_ops").uint(c.host_ops);
+        j.key("host_op_flushes").uint(c.host_op_flushes);
+        j.key("mem_stall_cycles").uint(c.mem_stall_cycles);
+        j.end_obj();
         let k = &self.ctrl;
-        s.push_str(&format!(
-            "  \"ctrl\": {{\"submitted\": {}, \"completed\": {}, \"failed\": {}, \
-             \"rejected\": {}, \"flushes\": {}, \"flushed_readers\": {}, \
-             \"mean_latency_cycles\": {:.2}, \"max_latency_cycles\": {}}},\n",
-            k.submitted,
-            k.completed,
-            k.failed,
-            k.rejected,
-            k.flushes,
-            k.flushed_readers,
-            k.mean_latency_cycles(),
-            k.latency_cycles_max,
-        ));
+        j.key("ctrl").begin_row();
+        j.key("submitted").uint(k.submitted);
+        j.key("completed").uint(k.completed);
+        j.key("failed").uint(k.failed);
+        j.key("rejected").uint(k.rejected);
+        j.key("flushes").uint(k.flushes);
+        j.key("flushed_readers").uint(k.flushed_readers);
+        j.key("mean_latency_cycles").fixed(k.mean_latency_cycles(), 2);
+        j.key("max_latency_cycles").uint(k.latency_cycles_max);
+        j.end_obj();
         if let Some(r) = &self.reliability {
-            s.push_str(&format!(
-                "  \"reliability\": {{\"ops\": {}, \"completed\": {}, \"retries\": {}, \
-                 \"dup_completions_suppressed\": {}, \"gave_up\": {}, \
-                 \"p99_latency_cycles\": {}}},\n",
-                r.ops,
-                r.completed,
-                r.retries,
-                r.dup_completions_suppressed,
-                r.gave_up,
-                r.p99_latency_cycles,
-            ));
+            j.key("reliability").begin_row();
+            j.key("ops").uint(r.ops);
+            j.key("completed").uint(r.completed);
+            j.key("retries").uint(r.retries);
+            j.key("dup_completions_suppressed").uint(r.dup_completions_suppressed);
+            j.key("gave_up").uint(r.gave_up);
+            j.key("p99_latency_cycles").uint(r.p99_latency_cycles);
+            j.end_obj();
         }
         if let Some(o) = &self.slo {
-            s.push_str(&format!(
-                "  \"slo\": {{\"offered\": {}, \"served\": {}, \"failed\": {}, \
-                 \"shed\": {}, \"availability\": {:.6}, \"downtime_cycles\": {}, \
-                 \"error_budget_consumed\": {:.4}, \"burn_rate\": {:.4}, \
-                 \"pkt_latency_cycles\": {{\"p50\": {}, \"p99\": {}, \"p999\": {}}}, \
-                 \"op_latency_cycles\": {{\"p50\": {}, \"p99\": {}, \"p999\": {}}}}},\n",
-                o.offered,
-                o.served,
-                o.failed,
-                o.shed,
-                o.availability,
-                o.downtime_cycles,
-                o.error_budget_consumed,
-                o.burn_rate,
-                o.pkt_p50_cycles,
-                o.pkt_p99_cycles,
-                o.pkt_p999_cycles,
-                o.op_p50_cycles,
-                o.op_p99_cycles,
-                o.op_p999_cycles,
-            ));
+            j.key("slo").begin_row();
+            j.key("offered").uint(o.offered);
+            j.key("served").uint(o.served);
+            j.key("failed").uint(o.failed);
+            j.key("shed").uint(o.shed);
+            j.key("availability").fixed(o.availability, 6);
+            j.key("downtime_cycles").uint(o.downtime_cycles);
+            j.key("error_budget_consumed").fixed(o.error_budget_consumed, 4);
+            j.key("burn_rate").fixed(o.burn_rate, 4);
+            for (name, [p50, p99, p999]) in [
+                ("pkt_latency_cycles", [o.pkt_p50_cycles, o.pkt_p99_cycles, o.pkt_p999_cycles]),
+                ("op_latency_cycles", [o.op_p50_cycles, o.op_p99_cycles, o.op_p999_cycles]),
+            ] {
+                j.key(name).begin_obj();
+                j.key("p50").uint(p50).key("p99").uint(p99).key("p999").uint(p999);
+                j.end_obj();
+            }
+            j.end_obj();
         }
         if let Some(st) = &self.steering {
-            s.push_str(&format!(
-                "  \"steering\": {{\"imbalance\": {:.4}, \"pipelines\": [",
-                st.imbalance
-            ));
-            for i in 0..st.steered.len() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!(
-                    "{{\"steered\": {}, \"dropped\": {}, \"pkts_per_cycle\": {:.4}}}",
-                    st.steered[i],
-                    st.dropped.get(i).copied().unwrap_or(0),
-                    st.pkts_per_cycle.get(i).copied().unwrap_or(0.0),
-                ));
+            j.key("steering").begin_row();
+            j.key("imbalance").fixed(st.imbalance, 4);
+            j.key("pipelines").begin_arr();
+            for (i, steered) in st.steered.iter().enumerate() {
+                j.begin_obj();
+                j.key("steered").uint(*steered);
+                j.key("dropped").uint(st.dropped.get(i).copied().unwrap_or(0));
+                j.key("pkts_per_cycle").fixed(st.pkts_per_cycle.get(i).copied().unwrap_or(0.0), 4);
+                j.end_obj();
             }
-            s.push_str("]},\n");
+            j.end_arr().end_obj();
         }
-        s.push_str("  \"stages\": [");
-        for (i, st) in self.stages.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"stage\": {}, \"occupied_cycles\": {}, \"utilization\": {:.4}}}",
-                st.stage, st.occupied_cycles, st.utilization
-            ));
+        j.key("stages").begin_row_arr();
+        for st in &self.stages {
+            j.begin_obj();
+            j.key("stage").uint(st.stage as u64);
+            j.key("occupied_cycles").uint(st.occupied_cycles);
+            j.key("utilization").fixed(st.utilization, 4);
+            j.end_obj();
         }
-        s.push_str("],\n");
-        s.push_str("  \"maps\": [");
-        for (i, m) in self.maps.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"id\": {}, \"name\": \"{}\", \"lookups\": {}, \"hits\": {}, \
-                 \"hit_rate\": {:.4}, \"entries\": {}, \"capacity\": {}}}",
-                m.id,
-                json_escape(&m.name),
-                m.lookups,
-                m.hits,
-                m.hit_rate(),
-                m.entries,
-                m.capacity
-            ));
+        j.end_arr();
+        j.key("maps").begin_row_arr();
+        for m in &self.maps {
+            j.begin_obj();
+            j.key("id").uint(u64::from(m.id));
+            j.key("name").str(&m.name);
+            j.key("lookups").uint(m.lookups);
+            j.key("hits").uint(m.hits);
+            j.key("hit_rate").fixed(m.hit_rate(), 4);
+            j.key("entries").uint(m.entries as u64);
+            j.key("capacity").uint(m.capacity as u64);
+            j.end_obj();
         }
-        s.push_str("]\n}\n");
-        s
+        j.end_arr().end_obj();
+        j.finish() + "\n"
     }
-}
-
-/// The 32-bit CSR file a host driver would actually read over AXI-Lite:
-/// hardware counter registers are 32 bits wide, so the snapshot
-/// *saturates* rather than wrapping — a long campaign must never make a
-/// counter appear to go backwards or restart from zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CsrSnapshot {
-    /// Completed packets (saturating).
-    pub completed: u32,
-    /// RX drops (saturating).
-    pub rx_dropped: u32,
-    /// Hazard flushes (saturating).
-    pub flushes: u32,
-    /// Flush replays (saturating).
-    pub flush_replays: u32,
-    /// Host ops applied (saturating).
-    pub host_ops: u32,
-    /// Host-write RAW repairs (saturating).
-    pub host_op_flushes: u32,
-    /// Watchdog resets (saturating).
-    pub watchdog_resets: u32,
-}
-
-impl CsrSnapshot {
-    /// Project the 64-bit counters onto the 32-bit CSR registers.
-    pub fn of(c: &SimCounters) -> CsrSnapshot {
-        CsrSnapshot {
-            completed: sat32(c.completed),
-            rx_dropped: sat32(c.rx_dropped),
-            flushes: sat32(c.flushes),
-            flush_replays: sat32(c.flush_replays),
-            host_ops: sat32(c.host_ops),
-            host_op_flushes: sat32(c.host_op_flushes),
-            watchdog_resets: sat32(c.watchdog_resets),
-        }
-    }
-}
-
-/// Saturating 64→32-bit projection for CSR reads.
-fn sat32(v: u64) -> u32 {
-    u32::try_from(v).unwrap_or(u32::MAX)
-}
-
-/// Periodic telemetry export: emits a JSON snapshot every
-/// `interval_cycles` of runtime clock, mirroring a host daemon polling
-/// the NIC's CSRs on a timer.
-#[derive(Debug, Clone)]
-pub struct PeriodicExporter {
-    interval_cycles: u64,
-    next_cycle: u64,
-    exports: Vec<String>,
-}
-
-impl PeriodicExporter {
-    /// Export every `interval_cycles` (panics if zero).
-    pub fn new(interval_cycles: u64) -> PeriodicExporter {
-        assert!(interval_cycles > 0, "export interval must be positive");
-        PeriodicExporter { interval_cycles, next_cycle: interval_cycles, exports: Vec::new() }
-    }
-
-    /// Offer a snapshot; exports (and returns) its JSON if the interval
-    /// elapsed since the last export. Call as often as convenient — the
-    /// cadence is governed by `stats.total_cycles`, not by call count.
-    pub fn poll(&mut self, stats: &RuntimeStats) -> Option<&str> {
-        if stats.total_cycles < self.next_cycle {
-            return None;
-        }
-        // Catch up so a long gap yields one export, not a burst.
-        let intervals = (stats.total_cycles - self.next_cycle) / self.interval_cycles + 1;
-        self.next_cycle += intervals * self.interval_cycles;
-        self.exports.push(stats.to_json());
-        self.exports.last().map(String::as_str)
-    }
-
-    /// Every snapshot exported so far.
-    pub fn exports(&self) -> &[String] {
-        &self.exports
-    }
-}
-
-/// Minimal JSON validity checker for the hand-rolled exporters: parses
-/// one complete JSON value (RFC 8259 grammar, no semantic interpretation)
-/// and rejects trailing garbage. The telemetry and bench writers build
-/// JSON with `format!`, so this is the test oracle that catches a stray
-/// quote, comma or unescaped name before a downstream consumer does.
-///
-/// # Errors
-///
-/// A human-readable description with the byte offset of the first
-/// violation.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let b = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, "true"),
-        Some(b'f') => parse_lit(b, pos, "false"),
-        Some(b'n') => parse_lit(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {:?} at {}", *c as char, *pos)),
-        None => Err(format!("unexpected end of input at {pos}", pos = *pos)),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {}", *pos));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '"'
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => match b.get(*pos + 1) {
-                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
-                Some(b'u') => {
-                    let hex = b
-                        .get(*pos + 2..*pos + 6)
-                        .ok_or_else(|| format!("truncated \\u escape at byte {}", *pos))?;
-                    if !hex.iter().all(u8::is_ascii_hexdigit) {
-                        return Err(format!("bad \\u escape at byte {}", *pos));
-                    }
-                    *pos += 6;
-                }
-                _ => return Err(format!("bad escape at byte {}", *pos)),
-            },
-            0x00..=0x1f => {
-                return Err(format!("unescaped control character at byte {}", *pos));
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b.get(*pos..*pos + lit.len()) == Some(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| -> bool {
-        let s = *pos;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        *pos > s
-    };
-    if !digits(b, pos) {
-        return Err(format!("expected digits at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(b, pos) {
-            return Err(format!("expected fraction digits at byte {}", *pos));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(b, pos) {
-            return Err(format!("expected exponent digits at byte {}", *pos));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn csr_snapshot_saturates_instead_of_wrapping() {
-        // A campaign long enough to exceed 2^32 completions must pin the
-        // 32-bit CSR at its maximum, not wrap to a small number.
-        let c = SimCounters {
-            completed: u64::from(u32::MAX) + 12_345,
-            flushes: u64::MAX,
-            host_ops: 7,
-            ..Default::default()
-        };
-        let csr = CsrSnapshot::of(&c);
-        assert_eq!(csr.completed, u32::MAX);
-        assert_eq!(csr.flushes, u32::MAX);
-        assert_eq!(csr.host_ops, 7);
-        // The wrapped interpretation would have been small — make the
-        // regression explicit.
-        assert_ne!(u64::from(csr.completed), (u64::from(u32::MAX) + 12_345) & 0xffff_ffff);
-    }
-
-    #[test]
-    fn exporter_cadence_follows_cycles() {
-        let mut stats = RuntimeStats {
-            program: "t".into(),
-            epoch: 0,
-            cycle: 0,
-            total_cycles: 0,
-            counters: SimCounters::default(),
-            ctrl: CtrlStats::default(),
-            stages: vec![],
-            maps: vec![],
-            throughput_pps: 0.0,
-            steering: None,
-            reliability: None,
-            slo: None,
-        };
-        let mut exp = PeriodicExporter::new(1000);
-        assert!(exp.poll(&stats).is_none());
-        stats.total_cycles = 999;
-        assert!(exp.poll(&stats).is_none());
-        stats.total_cycles = 1000;
-        assert!(exp.poll(&stats).is_some());
-        assert!(exp.poll(&stats).is_none(), "same cycle exports once");
-        // A long gap emits one catch-up export, not a burst.
-        stats.total_cycles = 10_500;
-        assert!(exp.poll(&stats).is_some());
-        assert!(exp.poll(&stats).is_none());
-        stats.total_cycles = 11_000;
-        assert!(exp.poll(&stats).is_some());
-        assert_eq!(exp.exports().len(), 3);
-    }
+    use crate::json::validate;
 
     #[test]
     fn json_contains_every_section() {
@@ -659,27 +321,24 @@ mod tests {
 
     #[test]
     fn every_snapshot_shape_serializes_to_valid_json() {
-        // The satellite's coverage bar: the minimal parser accepts every
-        // exported shape — bare, partially-populated, and fully populated
-        // (incl. the SLO section) — and the exporter stream too.
+        // The independent parser accepts every exported shape: fully
+        // populated (incl. the SLO section), each optional section
+        // dropped in turn, none of them, and empty arrays.
         let mut stats = full_stats();
-        validate_json(&stats.to_json()).expect("full shape");
+        validate(&stats.to_json()).expect("full shape");
         stats.slo = None;
-        validate_json(&stats.to_json()).expect("no slo");
+        validate(&stats.to_json()).expect("no slo");
         stats.reliability = None;
-        validate_json(&stats.to_json()).expect("no reliability");
+        validate(&stats.to_json()).expect("no reliability");
         stats.steering = None;
-        validate_json(&stats.to_json()).expect("bare shape");
+        let bare = stats.to_json();
+        validate(&bare).expect("bare shape");
+        for section in ["\"steering\"", "\"reliability\"", "\"slo\""] {
+            assert!(!bare.contains(section), "an absent section is omitted, not null: {bare}");
+        }
         stats.stages.clear();
         stats.maps.clear();
-        validate_json(&stats.to_json()).expect("empty arrays");
-
-        let mut exp = PeriodicExporter::new(10);
-        stats.total_cycles = 30;
-        assert!(exp.poll(&stats).is_some());
-        for json in exp.exports() {
-            validate_json(json).expect("exporter output");
-        }
+        validate(&stats.to_json()).expect("empty arrays");
     }
 
     #[test]
@@ -690,37 +349,14 @@ mod tests {
         stats.program = "fw\"1.0\"\\prod\n".into();
         stats.maps[0].name = "tab\tle\u{1}".into();
         let json = stats.to_json();
-        validate_json(&json).unwrap_or_else(|e| panic!("hostile names break JSON: {e}\n{json}"));
+        validate(&json).unwrap_or_else(|e| panic!("hostile names break JSON: {e}\n{json}"));
         assert!(json.contains("fw\\\"1.0\\\"\\\\prod\\n"));
         assert!(json.contains("tab\\tle\\u0001"));
-    }
-
-    #[test]
-    fn validator_accepts_and_rejects_correctly() {
-        for good in [
-            "{}",
-            "[]",
-            "  {\"a\": [1, -2.5, 1e9, true, false, null], \"b\": {\"c\": \"d\\\"e\\u00ff\"}} ",
-            "3.25",
-            "\"\"",
-        ] {
-            validate_json(good).unwrap_or_else(|e| panic!("{good}: {e}"));
-        }
-        for bad in [
-            "",
-            "{",
-            "{\"a\": }",
-            "{\"a\": 1,}",
-            "{'a': 1}",
-            "{\"a\": \"unterminated}",
-            "{\"a\": \"bad\\x\"}",
-            "{\"a\": 01e}",
-            "[1, 2",
-            "{} trailing",
-            "{\"a\": \"raw\ncontrol\"}",
-        ] {
-            assert!(validate_json(bad).is_err(), "accepted invalid JSON: {bad:?}");
-        }
+        // A name made of nothing but control characters.
+        stats.program = "\u{0}\u{7}\u{1f}\r".into();
+        let json = stats.to_json();
+        validate(&json).unwrap_or_else(|e| panic!("control characters break JSON: {e}\n{json}"));
+        assert!(json.contains("\"program\": \"\\u0000\\u0007\\u001f\\r\""));
     }
 
     #[test]

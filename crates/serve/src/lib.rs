@@ -23,7 +23,7 @@
 //! * [`run_campaign`] — the long-haul driver: flow churn, Zipf hot-key
 //!   storms, SYN floods, live reload swaps, replica kill storms, and
 //!   lossy-channel exactly-once delivery, in one deterministic run
-//!   (`BENCH_slo.json` gates its numbers in CI).
+//!   (recorded as `BENCH_slo.json`, checked for equality by `cargo test`).
 
 #![deny(clippy::unwrap_used)]
 

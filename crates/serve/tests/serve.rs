@@ -6,7 +6,7 @@ use ehdl_core::{Compiler, PipelineDesign};
 use ehdl_ebpf::maps::{MapError, UpdateFlags};
 use ehdl_hwsim::{CtrlLossConfig, CtrlOptions, HostOp, HostOpResult};
 use ehdl_programs::simple_firewall;
-use ehdl_runtime::{validate_json, RetryPolicy, RuntimeOptions};
+use ehdl_runtime::{json, RetryPolicy, RuntimeOptions};
 use ehdl_serve::{
     run_campaign, Ack, AdmissionConfig, CampaignConfig, Reactor, ReactorOptions, ServeError,
 };
@@ -67,7 +67,7 @@ fn single_client_acks_follow_sequential_semantics() {
     let slo = stats.slo.expect("reactor fills the SLO section");
     assert_eq!(slo.served, 4);
     assert_eq!(slo.failed, 0);
-    assert!(validate_json(&stats.to_json()).is_ok(), "SLO telemetry serializes to valid JSON");
+    assert!(json::validate(&stats.to_json()).is_ok(), "SLO telemetry serializes to valid JSON");
 }
 
 #[test]

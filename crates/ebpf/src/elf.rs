@@ -39,8 +39,8 @@ pub const EM_BPF: u16 = 247;
 pub const R_BPF_64_64: u32 = 1;
 /// Size of the legacy `struct bpf_map_def`.
 const MAP_DEF_SIZE: usize = 20;
-/// Most backing-store bytes a single loaded map may ask for (64 MiB —
-/// generous for any NIC-resident table, far below an OOM).
+/// Most backing-store bytes one loaded object's maps may ask for together
+/// (64 MiB — generous for any NIC-resident tables, far below an OOM).
 const MAP_BUDGET_BYTES: u64 = 64 << 20;
 /// The program section name used by our writer.
 const PROG_SECTION: &str = "xdp";
@@ -53,6 +53,19 @@ fn map_type_code(kind: MapKind) -> u32 {
         MapKind::PerCpuArray => 6,
         MapKind::LruHash => 9,
         MapKind::LpmTrie => 11,
+    }
+}
+
+/// Why no map of `kind` can have these widths, if none can: every key and
+/// value has at least one byte, an array's key is its `u32` index, and an
+/// LPM key is a `u32` prefix length followed by at least one data byte.
+fn map_shape_error(kind: MapKind, key_size: u32, value_size: u32) -> Option<&'static str> {
+    match kind {
+        _ if key_size == 0 => Some("key_size is 0"),
+        _ if value_size == 0 => Some("value_size is 0"),
+        MapKind::Array | MapKind::PerCpuArray if key_size != 4 => Some("array key_size is not 4"),
+        MapKind::LpmTrie if key_size < 5 => Some("lpm_trie key_size is under 5"),
+        _ => None,
     }
 }
 
@@ -86,13 +99,20 @@ pub enum ElfError {
         /// The raw type code.
         code: u32,
     },
-    /// A map definition's backing store would exceed the loader's memory
-    /// budget (the kernel's memlock charge, approximated).
+    /// The object's maps together would exceed the loader's memory budget
+    /// (the kernel's memlock charge, approximated).
     MapTooLarge {
+        /// Index in the maps section of the map that crosses the budget.
+        map: u32,
+        /// Backing-store bytes of the maps up to and including it.
+        bytes: u64,
+    },
+    /// A map definition no map of its kind can have.
+    BadMapShape {
         /// Index of the offending map in the maps section.
         map: u32,
-        /// Backing-store bytes the definition asks for.
-        bytes: u64,
+        /// What is wrong with it.
+        why: &'static str,
     },
 }
 
@@ -107,8 +127,9 @@ impl fmt::Display for ElfError {
             }
             ElfError::UnknownMapType { code } => write!(f, "unknown bpf_map_type {code}"),
             ElfError::MapTooLarge { map, bytes } => {
-                write!(f, "map {map} asks for {bytes} bytes of storage, over the loader budget")
+                write!(f, "maps 0..={map} ask for {bytes} bytes of storage, over the loader budget")
             }
+            ElfError::BadMapShape { map, why } => write!(f, "map {map}: {why}"),
         }
     }
 }
@@ -398,29 +419,28 @@ pub fn load(bytes: &[u8]) -> Result<Program, ElfError> {
         if data.len() % MAP_DEF_SIZE != 0 {
             return Err(ElfError::Malformed("maps section size"));
         }
+        // Bytes charged so far: the maps' storage at capacity, summed.
+        let mut charged = 0u64;
         for (i, def) in data.chunks_exact(MAP_DEF_SIZE).enumerate() {
+            let map = i as u32;
             let code = u32::from_le_bytes(def[0..4].try_into().expect("4 bytes"));
             let kind = map_kind_of(code).ok_or(ElfError::UnknownMapType { code })?;
             let key_size = u32::from_le_bytes(def[4..8].try_into().expect("4 bytes"));
             let value_size = u32::from_le_bytes(def[8..12].try_into().expect("4 bytes"));
             let max_entries = u32::from_le_bytes(def[12..16].try_into().expect("4 bytes"));
-            // Charge the definition against a memory budget before any
-            // store is instantiated, as the kernel charges memlock — a
-            // hostile object must not be able to trigger a huge (or
-            // failing) allocation just by being loaded.
-            let bytes = (u64::from(key_size) + u64::from(value_size))
-                .saturating_mul(u64::from(max_entries));
-            if bytes > MAP_BUDGET_BYTES {
-                return Err(ElfError::MapTooLarge { map: i as u32, bytes });
+            if let Some(why) = map_shape_error(kind, key_size, value_size) {
+                return Err(ElfError::BadMapShape { map, why });
             }
-            maps.push(MapDef::new(
-                i as u32,
-                &format!("map{i}"),
-                kind,
-                key_size,
-                value_size,
-                max_entries,
-            ));
+            let def = MapDef::new(map, &format!("map{i}"), kind, key_size, value_size, max_entries);
+            // Charge the maps against one memory budget before any store
+            // is instantiated, as the kernel charges memlock — a hostile
+            // object must not be able to trigger a huge (or failing)
+            // allocation just by being loaded.
+            charged = charged.saturating_add(def.storage_bytes());
+            if charged > MAP_BUDGET_BYTES {
+                return Err(ElfError::MapTooLarge { map, bytes: charged });
+            }
+            maps.push(def);
         }
     }
 
@@ -571,6 +591,52 @@ mod tests {
         let mut object = write(&sample());
         object[18] = 0x3e; // EM_X86_64
         assert!(matches!(load(&object), Err(ElfError::NotBpfElf(_))));
+    }
+
+    /// An object declaring `defs` beside a program that uses none of them.
+    fn object_with(defs: Vec<MapDef>) -> Vec<u8> {
+        let mut a = Asm::new();
+        a.mov64_imm(0, 2);
+        a.exit();
+        write(&Program::new("xdp_maps", a.into_insns(), defs))
+    }
+
+    #[test]
+    fn map_definitions_are_charged_what_they_cost() {
+        let array = |id, n| MapDef::new(id, "a", MapKind::Array, 4, 4, n);
+        // 4M 4-byte slots and values: 32 MiB charged, 32 MiB held.
+        let one = load(&object_with(vec![array(0, 4 << 20)])).unwrap();
+        assert_eq!(one.maps[0].storage_bytes(), 32 << 20);
+        assert_eq!(crate::vm::Vm::new(&one).maps().get(0).unwrap().len(), 4 << 20);
+        // The budget covers the object, not each map: the third crosses it.
+        let three = object_with(vec![array(0, 4 << 20), array(1, 4 << 20), array(2, 4 << 20)]);
+        assert_eq!(load(&three).err(), Some(ElfError::MapTooLarge { map: 2, bytes: 96 << 20 }));
+        let huge = MapDef::new(0, "h", MapKind::Hash, 13, 16, 4_000_000_000);
+        assert!(matches!(
+            load(&object_with(vec![huge])),
+            Err(ElfError::MapTooLarge { map: 0, .. })
+        ));
+    }
+
+    #[test]
+    fn ill_shaped_map_definitions_are_refused() {
+        let ok = MapDef::new(0, "ok", MapKind::Array, 4, 8, 4);
+        let refused = |map: MapDef| load(&object_with(vec![ok.clone(), map])).err();
+        // Once charged as 0 bytes, then asked `MapStore::new` for 224 GB.
+        let empty = MapDef::new(1, "z", MapKind::Array, 0, 0, 4_000_000_000);
+        assert_eq!(refused(empty), Some(ElfError::BadMapShape { map: 1, why: "key_size is 0" }));
+        for (kind, key_size, value_size, why) in [
+            (MapKind::Hash, 0, 8, "key_size is 0"),
+            (MapKind::LruHash, 8, 0, "value_size is 0"),
+            (MapKind::Array, 8, 8, "array key_size is not 4"),
+            (MapKind::PerCpuArray, 2, 8, "array key_size is not 4"),
+            (MapKind::LpmTrie, 4, 8, "lpm_trie key_size is under 5"),
+        ] {
+            let map = MapDef::new(1, "bad", kind, key_size, value_size, 16);
+            assert_eq!(refused(map), Some(ElfError::BadMapShape { map: 1, why }));
+        }
+        let lpm = MapDef::new(1, "lpm", MapKind::LpmTrie, 5, 8, 16);
+        assert_eq!(refused(lpm), None);
     }
 
     #[test]

@@ -5,22 +5,42 @@
 //! the hardware pipeline has a single execution domain), `LruHash`
 //! (connection tables with eviction) and `LpmTrie` (IPv4 routing tables).
 //!
-//! Values live in a slab with stable slot indices so that a "pointer to map
-//! value" (what `bpf_map_lookup_elem` returns) can be represented as a
-//! compact virtual address by the VM and as a `(map, slot)` port address by
-//! the hardware simulator.
+//! A map is stored in the shape the hardware gives it (§4.1: maps are
+//! created once, at load time, with fixed key and value widths): one
+//! contiguous key array (slot × key width; an array map stores its 4-byte
+//! index), one contiguous value array (slot × `value_size`) and, for
+//! hash-like kinds, one last-use word per slot (0 while the slot is free;
+//! every array slot is live). Slot numbers are stable, so a "pointer to
+//! map value" (what `bpf_map_lookup_elem` returns) is a compact virtual
+//! address in the VM and a `(map, slot)` port address in the hardware
+//! simulator.
+//!
+//! Hash-like kinds find a key's slot through an open-addressed index of
+//! `u32` slot numbers: a fixed hash picks the home position, triangular
+//! probing walks on, and each candidate is compared in place against the
+//! key array. A delete leaves a tombstone. The index keeps at least two
+//! positions per slot ever used, so live keys fill at most half of it;
+//! when live keys plus tombstones would pass 7/8 it is rebuilt in place
+//! from the key array, which drops the tombstones without allocating. The
+//! hash is fixed, like a hardware hash unit's, not seeded per map: for
+//! keys that do not target it, the load factor and the tombstone rebuilds
+//! bound the expected probe length; keys chosen by someone who knows it
+//! can collide on purpose and lengthen probes up to a scan of the index
+//! (never further: it always keeps an empty position).
 //!
 //! Only array maps are preallocated. A hash-like map starts empty and its
-//! slab grows to the high-water mark of its occupancy, so creating, cloning,
-//! iterating and evicting cost the entries that were ever live, not
-//! `max_entries`. A new key takes the most recently freed slot, else the
-//! next never-used slot, else (at capacity) evicts or fails — the slot
-//! sequence a free stack preloaded with `max_entries-1 ..= 0` would hand
-//! out, so value addresses, iteration order and eviction victims are those
-//! of a preallocated table.
+//! storage grows to the high-water mark of its occupancy (never past
+//! `max_entries`), so creating, cloning, iterating and evicting cost the
+//! entries that were ever live, not `max_entries`. A new key takes the
+//! most recently freed slot, else the next never-used slot, else (at
+//! capacity) evicts or fails — the slot sequence a free stack preloaded
+//! with `max_entries-1 ..= 0` would hand out, so value addresses,
+//! iteration order and eviction victims are those of a preallocated table.
+//! Only a never-used slot can cost a heap call (storage grows by doubling);
+//! reusing a freed slot, evicting and deleting make none.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Map flavour, mirroring `enum bpf_map_type`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,6 +116,21 @@ impl MapDef {
         match self.kind {
             MapKind::Array | MapKind::PerCpuArray => 0,
             _ => u64::from(self.max_entries) * u64::from(self.key_size),
+        }
+    }
+
+    /// The most host memory a [`Map`] of this definition holds: its key
+    /// and value arrays at `max_entries` slots and, for hash-like kinds, a
+    /// last-use word and a free-stack entry per slot plus the index. The
+    /// ELF loader charges this against its budget.
+    pub fn storage_bytes(&self) -> u64 {
+        let n = u64::from(self.max_entries);
+        let value = u64::from(self.value_size);
+        match self.kind {
+            MapKind::Array | MapKind::PerCpuArray => n.saturating_mul(4 + value),
+            _ => n
+                .saturating_mul(u64::from(self.key_size) + value + 8 + 4)
+                .saturating_add(4 * index_positions(n)),
         }
     }
 
@@ -220,12 +255,38 @@ impl fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
-#[derive(Debug, Clone)]
-struct Entry {
-    key: Vec<u8>,
-    value: Vec<u8>,
-    /// `Map::tick` at the entry's last use, for LRU eviction.
-    last_use: u64,
+/// Index word of a position no key has taken since the last rebuild. (No
+/// slot number reaches either marker: that would take 2^32 − 2 slots,
+/// far past what the ELF loader's budget admits.)
+const EMPTY: u32 = u32::MAX;
+/// Index word of a position whose key was deleted or evicted.
+const TOMBSTONE: u32 = u32::MAX - 1;
+
+/// Index positions for `slots` slots ever used: a power of two, at least
+/// eight and at least twice the slot count, so live keys fill at most
+/// half the index.
+fn index_positions(slots: u64) -> u64 {
+    (2 * slots).next_power_of_two().max(8)
+}
+
+/// The index hash: FxHash's multiply-rotate round over little-endian
+/// 8-byte words, the last one zero-padded. Fixed, as a hardware hash unit
+/// is (the module docs weigh the trade-off); the index takes the top bits
+/// of the product, which every key bit reaches.
+#[inline]
+fn hash(key: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let round = |h: u64, word: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..word.len()].copy_from_slice(word);
+        (h.rotate_left(5) ^ u64::from_le_bytes(w)).wrapping_mul(K)
+    };
+    let mut words = key.chunks_exact(8);
+    let h = (&mut words).fold(0, round);
+    match words.remainder() {
+        [] => h,
+        tail => round(h, tail),
+    }
 }
 
 /// A runtime map instance.
@@ -242,13 +303,26 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct Map {
     def: MapDef,
-    /// Stable-slot storage; `None` slots are free. Arrays hold all
-    /// `max_entries` slots; hash-like kinds hold the slots ever used.
-    slab: Vec<Option<Entry>>,
-    /// Hash index: key bytes → slot (hash-like kinds only).
-    index: HashMap<Vec<u8>, usize>,
-    /// Freed slots of `slab`, most recently freed last.
-    free: Vec<usize>,
+    /// Bytes per stored key: `key_size`, or 4 for arrays (the index).
+    key_width: usize,
+    /// Slots with storage: `max_entries` for arrays, the high-water mark
+    /// of occupancy for hash-like kinds.
+    slots: usize,
+    /// Slot `s`'s key is `keys[s * key_width..][..key_width]`.
+    keys: Vec<u8>,
+    /// Slot `s`'s value is `values[s * value_size..][..value_size]`.
+    values: Vec<u8>,
+    /// Hash-like kinds: `tick` at each slot's last use, 0 while it is free.
+    last_use: Vec<u64>,
+    /// Hash-like kinds: open-addressed positions, each a live slot number,
+    /// [`EMPTY`] or [`TOMBSTONE`]; empty until the first insert.
+    index: Vec<u32>,
+    /// Live entries.
+    len: usize,
+    /// [`TOMBSTONE`] words in `index`.
+    tombstones: usize,
+    /// Freed slots, most recently freed last.
+    free: Vec<u32>,
     /// Monotonic use counter for LRU eviction.
     tick: u64,
 }
@@ -258,19 +332,32 @@ impl Map {
     /// and zero-filled, exactly like the kernel's; hash-like maps start
     /// empty and grow with use (see the module docs).
     pub fn new(def: MapDef) -> Map {
-        let slab = match def.kind {
-            MapKind::Array | MapKind::PerCpuArray => (0..def.max_entries)
-                .map(|i| {
-                    Some(Entry {
-                        key: i.to_le_bytes().to_vec(),
-                        value: vec![0; def.value_size as usize],
-                        last_use: 0,
-                    })
-                })
-                .collect(),
-            MapKind::Hash | MapKind::LruHash | MapKind::LpmTrie => Vec::new(),
+        let (key_width, slots, keys, values) = match def.kind {
+            MapKind::Array | MapKind::PerCpuArray => {
+                let n = def.max_entries as usize;
+                let mut keys = Vec::with_capacity(4 * n);
+                for i in 0..def.max_entries {
+                    keys.extend_from_slice(&i.to_le_bytes());
+                }
+                (4, n, keys, vec![0; n * def.value_size as usize])
+            }
+            MapKind::Hash | MapKind::LruHash | MapKind::LpmTrie => {
+                (def.key_size as usize, 0, Vec::new(), Vec::new())
+            }
         };
-        Map { def, slab, index: HashMap::new(), free: Vec::new(), tick: 0 }
+        Map {
+            def,
+            key_width,
+            slots,
+            keys,
+            values,
+            last_use: Vec::new(),
+            index: Vec::new(),
+            len: slots,
+            tombstones: 0,
+            free: Vec::new(),
+            tick: 0,
+        }
     }
 
     /// The static definition.
@@ -280,10 +367,7 @@ impl Map {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        match self.def.kind {
-            MapKind::Array | MapKind::PerCpuArray => self.slab.len(),
-            MapKind::Hash | MapKind::LruHash | MapKind::LpmTrie => self.index.len(),
-        }
+        self.len
     }
 
     /// True if no entries are live (never true for array maps).
@@ -299,13 +383,141 @@ impl Map {
     }
 
     /// The leading `u32` of a key (array index / LPM prefix length).
-    /// Array and LPM definitions narrower than 4 bytes can reach us from
-    /// loaded ELF objects, so a short key is an error, not a panic.
+    /// Array and LPM definitions narrower than 4 bytes can be built in
+    /// code (the ELF loader refuses them), so a short key is an error,
+    /// not a panic.
     fn key_head(&self, key: &[u8]) -> Result<u32, MapError> {
         match key.get(..4) {
             Some(s) => Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]])),
             None => Err(MapError::BadKeySize { expected: 4, got: key.len() }),
         }
+    }
+
+    /// An array key's slot: its leading `u32`, bounds-checked.
+    fn array_slot(&self, key: &[u8]) -> Result<usize, MapError> {
+        let index = self.key_head(key)?;
+        if index >= self.def.max_entries {
+            return Err(MapError::IndexOutOfBounds { index, max: self.def.max_entries });
+        }
+        Ok(index as usize)
+    }
+
+    // The slot accessors are `#[inline]`: the pipeline simulator calls
+    // them from another crate on every map access (+3 % host items/s on
+    // `router_caida_sparse`, 7 of 8 alternated pairs, against the same
+    // code without the attributes).
+    #[inline]
+    fn is_live(&self, slot: usize) -> bool {
+        match self.def.kind {
+            MapKind::Array | MapKind::PerCpuArray => slot < self.slots,
+            MapKind::Hash | MapKind::LruHash | MapKind::LpmTrie => {
+                self.last_use.get(slot).is_some_and(|&t| t != 0)
+            }
+        }
+    }
+
+    #[inline]
+    fn key_range(&self, slot: usize) -> Range<usize> {
+        slot * self.key_width..(slot + 1) * self.key_width
+    }
+
+    #[inline]
+    fn value_range(&self, slot: usize) -> Range<usize> {
+        let width = self.def.value_size as usize;
+        slot * width..(slot + 1) * width
+    }
+
+    #[inline]
+    fn key_at(&self, slot: usize) -> &[u8] {
+        &self.keys[self.key_range(slot)]
+    }
+
+    /// The index's home position for hash `h`: its top log2(positions)
+    /// bits. Needs a non-empty index.
+    fn home(&self, h: u64) -> usize {
+        (h >> (64 - self.index.len().trailing_zeros())) as usize
+    }
+
+    /// The index position and slot of live `key` (whose hash is `h`).
+    fn find(&self, h: u64, key: &[u8]) -> Option<(usize, usize)> {
+        let mask = self.index.len().checked_sub(1)?;
+        let mut pos = self.home(h);
+        let mut step = 0;
+        loop {
+            match self.index[pos] {
+                EMPTY => return None,
+                TOMBSTONE => {}
+                slot if self.key_at(slot as usize) == key => return Some((pos, slot as usize)),
+                _ => {}
+            }
+            step += 1;
+            pos = (pos + step) & mask;
+        }
+    }
+
+    /// Enter live `slot`, whose key hashes to `h`, at the first position
+    /// of its probe sequence that holds no slot.
+    fn place(&mut self, h: u64, slot: usize) {
+        let mask = self.index.len() - 1;
+        let mut pos = self.home(h);
+        let mut step = 0;
+        while self.index[pos] < TOMBSTONE {
+            step += 1;
+            pos = (pos + step) & mask;
+        }
+        if self.index[pos] == TOMBSTONE {
+            self.tombstones -= 1;
+        }
+        self.index[pos] = slot as u32;
+    }
+
+    /// Re-enter every live slot into `positions` empty positions, from
+    /// the key array. In place (no heap call) when the size is unchanged.
+    fn rebuild_index(&mut self, positions: usize) {
+        if positions == self.index.len() {
+            self.index.fill(EMPTY);
+        } else {
+            self.index = vec![EMPTY; positions];
+        }
+        self.tombstones = 0;
+        for slot in 0..self.slots {
+            if self.last_use[slot] != 0 {
+                let h = hash(self.key_at(slot));
+                self.place(h, slot);
+            }
+        }
+    }
+
+    /// Take the next never-used slot, still free. Storage doubles when it
+    /// is full, never past `max_entries` (the loader charges that much),
+    /// and reserves free-stack room for every slot, so deleting never
+    /// allocates.
+    fn new_slot(&mut self) -> usize {
+        let slot = self.slots;
+        if slot == self.last_use.capacity() {
+            let more = slot.max(4).min(self.def.max_entries as usize - slot);
+            self.keys.reserve_exact(more * self.key_width);
+            self.values.reserve_exact(more * self.def.value_size as usize);
+            self.last_use.reserve_exact(more);
+            self.free.reserve_exact(slot + more - self.free.len());
+        }
+        self.slots += 1;
+        self.keys.resize(self.slots * self.key_width, 0);
+        self.values.resize(self.slots * self.def.value_size as usize, 0);
+        self.last_use.push(0);
+        if 2 * self.slots > self.index.len() {
+            self.rebuild_index(index_positions(self.slots as u64) as usize);
+        }
+        slot
+    }
+
+    /// Tombstone live `slot`, found at index position `pos`, and mark it
+    /// free.
+    fn unlink(&mut self, pos: usize, slot: usize) {
+        self.index[pos] = TOMBSTONE;
+        self.tombstones += 1;
+        self.last_use[slot] = 0;
+        self.len -= 1;
     }
 
     /// Look up `key`, returning the stable slot index of its value.
@@ -320,25 +532,12 @@ impl Map {
     pub fn lookup(&mut self, key: &[u8]) -> Result<Option<usize>, MapError> {
         self.check_key(key)?;
         match self.def.kind {
-            MapKind::Array | MapKind::PerCpuArray => {
-                let idx = self.key_head(key)?;
-                if idx >= self.def.max_entries {
-                    return Err(MapError::IndexOutOfBounds {
-                        index: idx,
-                        max: self.def.max_entries,
-                    });
-                }
-                Ok(Some(idx as usize))
-            }
-            MapKind::Hash => Ok(self.index.get(key).copied()),
-            MapKind::LruHash => {
-                if let Some(&slot) = self.index.get(key) {
-                    self.touch(slot);
-                    Ok(Some(slot))
-                } else {
-                    Ok(None)
-                }
-            }
+            MapKind::Array | MapKind::PerCpuArray => self.array_slot(key).map(Some),
+            MapKind::Hash => Ok(self.find(hash(key), key).map(|(_, slot)| slot)),
+            MapKind::LruHash => Ok(self.find(hash(key), key).map(|(_, slot)| {
+                self.touch(slot);
+                slot
+            })),
             MapKind::LpmTrie => Ok(self.lpm_lookup(key)),
         }
     }
@@ -346,9 +545,9 @@ impl Map {
     fn lpm_lookup(&self, key: &[u8]) -> Option<usize> {
         let data = key.get(4..)?;
         let mut best: Option<(u32, usize)> = None;
-        for (slot, entry) in self.slab.iter().enumerate() {
-            let Some(e) = entry else { continue };
-            let (head, edata) = match (e.key.get(..4), e.key.get(4..)) {
+        for slot in (0..self.slots).filter(|&s| self.last_use[s] != 0) {
+            let stored = self.key_at(slot);
+            let (head, edata) = match (stored.get(..4), stored.get(4..)) {
                 (Some(h), Some(d)) => (h, d),
                 _ => continue,
             };
@@ -368,20 +567,27 @@ impl Map {
     /// # Panics
     ///
     /// Panics if the slot is free.
+    #[inline]
     pub fn value(&self, slot: usize) -> &[u8] {
-        &self.slab[slot].as_ref().expect("value of free slot").value
+        self.try_value(slot).expect("value of free slot")
     }
 
     /// Non-panicking [`Map::value`]: `None` for out-of-range or free
     /// slots. For slot numbers derived from untrusted input (e.g. a
     /// fabricated map-value address in unverified bytecode).
+    #[inline]
     pub fn try_value(&self, slot: usize) -> Option<&[u8]> {
-        Some(&self.slab.get(slot)?.as_ref()?.value)
+        self.is_live(slot).then(|| &self.values[self.value_range(slot)])
     }
 
     /// Non-panicking [`Map::value_mut`]; see [`Map::try_value`].
+    #[inline]
     pub fn try_value_mut(&mut self, slot: usize) -> Option<&mut [u8]> {
-        Some(&mut self.slab.get_mut(slot)?.as_mut()?.value)
+        if !self.is_live(slot) {
+            return None;
+        }
+        let range = self.value_range(slot);
+        Some(&mut self.values[range])
     }
 
     /// Mutable access to a slot's value bytes.
@@ -389,8 +595,9 @@ impl Map {
     /// # Panics
     ///
     /// Panics if the slot is free.
+    #[inline]
     pub fn value_mut(&mut self, slot: usize) -> &mut [u8] {
-        &mut self.slab[slot].as_mut().expect("value of free slot").value
+        self.try_value_mut(slot).expect("value of free slot")
     }
 
     /// The key stored at a slot.
@@ -398,8 +605,10 @@ impl Map {
     /// # Panics
     ///
     /// Panics if the slot is free.
+    #[inline]
     pub fn key_of(&self, slot: usize) -> &[u8] {
-        &self.slab[slot].as_ref().expect("key of free slot").key
+        assert!(self.is_live(slot), "key of free slot");
+        self.key_at(slot)
     }
 
     /// Insert or overwrite `key` → `value`, returning the slot used.
@@ -420,22 +629,13 @@ impl Map {
         }
         match self.def.kind {
             MapKind::Array | MapKind::PerCpuArray => {
-                let idx = self.key_head(key)?;
-                if idx >= self.def.max_entries {
-                    return Err(MapError::IndexOutOfBounds {
-                        index: idx,
-                        max: self.def.max_entries,
-                    });
-                }
+                let slot = self.array_slot(key)?;
                 if flags == UpdateFlags::NoExist {
                     return Err(MapError::KeyExists);
                 }
-                self.slab[idx as usize]
-                    .as_mut()
-                    .expect("array slots are preallocated")
-                    .value
-                    .copy_from_slice(value);
-                Ok(idx as usize)
+                let range = self.value_range(slot);
+                self.values[range].copy_from_slice(value);
+                Ok(slot)
             }
             MapKind::Hash | MapKind::LruHash | MapKind::LpmTrie => {
                 if self.def.kind == MapKind::LpmTrie {
@@ -445,54 +645,57 @@ impl Map {
                         return Err(MapError::BadPrefixLen { prefix: plen, max });
                     }
                 }
-                if let Some(&slot) = self.index.get(key) {
+                let h = hash(key);
+                if let Some((_, slot)) = self.find(h, key) {
                     if flags == UpdateFlags::NoExist {
                         return Err(MapError::KeyExists);
                     }
-                    self.touch(slot).value.copy_from_slice(value);
+                    self.touch(slot);
+                    let range = self.value_range(slot);
+                    self.values[range].copy_from_slice(value);
                     return Ok(slot);
                 }
                 if flags == UpdateFlags::Exist {
                     return Err(MapError::NoSuchKey);
                 }
                 let slot = match self.free.pop() {
-                    Some(s) => s,
-                    None if self.slab.len() < self.def.max_entries as usize => {
-                        self.slab.push(None);
-                        self.slab.len() - 1
+                    Some(s) => s as usize,
+                    None if self.slots < self.def.max_entries as usize => self.new_slot(),
+                    None if self.def.kind == MapKind::LruHash => {
+                        self.evict_lru().ok_or(MapError::Full)?
                     }
-                    None if self.def.kind == MapKind::LruHash => self.evict_lru(),
                     None => return Err(MapError::Full),
                 };
-                self.tick += 1;
-                self.slab[slot] =
-                    Some(Entry { key: key.to_vec(), value: value.to_vec(), last_use: self.tick });
-                self.index.insert(key.to_vec(), slot);
+                // `slot` is still free here, so a rebuild leaves it out.
+                if 8 * (self.len + self.tombstones + 1) > 7 * self.index.len() {
+                    self.rebuild_index(self.index.len());
+                }
+                self.touch(slot);
+                let (krange, vrange) = (self.key_range(slot), self.value_range(slot));
+                self.keys[krange].copy_from_slice(key);
+                self.values[vrange].copy_from_slice(value);
+                self.place(h, slot);
+                self.len += 1;
                 Ok(slot)
             }
         }
     }
 
-    /// Mark the live entry at `slot` as just used.
-    fn touch(&mut self, slot: usize) -> &mut Entry {
+    /// Mark the entry at `slot` as just used.
+    fn touch(&mut self, slot: usize) {
         self.tick += 1;
-        let e = self.slab[slot].as_mut().expect("indexed slot is live");
-        e.last_use = self.tick;
-        e
+        self.last_use[slot] = self.tick;
     }
 
-    fn evict_lru(&mut self) -> usize {
-        let slot = self
-            .slab
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e.last_use)))
-            .min_by_key(|&(_, last_use)| last_use)
-            .map(|(i, _)| i)
-            .expect("lru map at capacity has live entries");
-        let old = self.slab[slot].take().expect("evicted slot was live");
-        self.index.remove(&old.key);
-        slot
+    /// Unlink the least recently used entry and return its slot; `None`
+    /// when nothing is live (a zero-capacity map).
+    fn evict_lru(&mut self) -> Option<usize> {
+        let (slot, _) =
+            self.last_use.iter().enumerate().filter(|&(_, &t)| t != 0).min_by_key(|&(_, &t)| t)?;
+        let key = self.key_at(slot);
+        let (pos, _) = self.find(hash(key), key).expect("a live slot is indexed");
+        self.unlink(pos, slot);
+        Some(slot)
     }
 
     /// Delete `key`.
@@ -505,24 +708,21 @@ impl Map {
         self.check_key(key)?;
         match self.def.kind {
             MapKind::Array | MapKind::PerCpuArray => Err(MapError::Unsupported),
-            _ => match self.index.remove(key) {
-                Some(slot) => {
-                    self.slab[slot] = None;
-                    self.free.push(slot);
-                    Ok(())
-                }
-                None => Err(MapError::NoSuchKey),
-            },
+            MapKind::Hash | MapKind::LruHash | MapKind::LpmTrie => {
+                let (pos, slot) = self.find(hash(key), key).ok_or(MapError::NoSuchKey)?;
+                self.unlink(pos, slot);
+                self.free.push(slot as u32);
+                Ok(())
+            }
         }
     }
 
     /// Iterate live `(slot, key, value)` triples — the "host reads the map"
     /// interface (§6: monitoring applications fetch statistics).
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[u8], &[u8])> {
-        self.slab
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e.key.as_slice(), e.value.as_slice())))
+        (0..self.slots)
+            .filter(|&s| self.is_live(s))
+            .map(|s| (s, self.key_at(s), &self.values[self.value_range(s)]))
     }
 }
 
@@ -706,82 +906,39 @@ mod tests {
         );
     }
 
-    /// The reference layout the grown slab's slot sequence is pinned
-    /// against: a preallocated table, every slot present and free, the
-    /// free stack handing out `0, 1, 2, …`.
-    fn eager(def: MapDef) -> Map {
-        let n = def.max_entries as usize;
-        let mut m = Map::new(def);
-        m.slab.resize_with(n, || None);
-        m.free.extend((0..n).rev());
-        m
-    }
-
+    /// Delete/reinsert churn at a steady population tombstones the index
+    /// and rebuilds it in place: the index keeps the size the high-water
+    /// mark asked for, live keys plus tombstones never pass 7/8 of it, and
+    /// every key stays findable across the rebuilds.
     #[test]
-    fn grown_slab_hands_out_the_preallocated_slot_sequence() {
-        type Entries = Vec<(usize, Vec<u8>, Vec<u8>)>;
-        fn entries(m: &Map) -> Entries {
-            m.iter().map(|(s, k, v)| (s, k.to_vec(), v.to_vec())).collect()
+    fn churn_rebuilds_the_index_in_place() {
+        let key = |i: u64| {
+            let mut k = [0xa5u8; 13];
+            k[..8].copy_from_slice(&i.to_le_bytes());
+            k
+        };
+        let mut m = Map::new(MapDef::new(0, "h", MapKind::Hash, 13, 8, 100));
+        for i in 0..100 {
+            m.update(&key(i), &i.to_le_bytes(), UpdateFlags::Any).unwrap();
         }
-        // LPM keys carry a valid prefix length in front of the key byte.
-        let defs = [
-            MapDef::new(0, "h", MapKind::Hash, 1, 2, 12),
-            MapDef::new(0, "lru", MapKind::LruHash, 1, 2, 12),
-            MapDef::new(0, "lpm", MapKind::LpmTrie, 5, 2, 12),
-        ];
-        for def in defs {
-            let lpm = def.kind == MapKind::LpmTrie;
-            let mut rng = ehdl_rng::Rng::seed_from_u64(0x5107 + u64::from(def.key_size));
-            let (mut lazy, mut reference) = (Map::new(def.clone()), eager(def.clone()));
-            assert_eq!(lazy.try_value(0), None, "nothing is allocated before the first insert");
-            let (mut full, mut missing, mut evictions) = (0u32, 0u32, 0u32);
-            for step in 0..10_000 {
-                // 24 keys over 12 slots: the table sits at capacity, so
-                // `Full` (hash, LPM) and eviction (LRU) both fire.
-                let byte = rng.gen_index(24) as u8;
-                let key: Vec<u8> = if lpm {
-                    let mut k = (rng.gen_index(9) as u32).to_le_bytes().to_vec();
-                    k.push(byte);
-                    k
-                } else {
-                    vec![byte]
-                };
-                let value = rng.gen_u16().to_le_bytes();
-                let flags =
-                    [UpdateFlags::Any, UpdateFlags::NoExist, UpdateFlags::Exist][rng.gen_index(3)];
-                let before = entries(&reference);
-                match rng.gen_index(4) {
-                    0 | 1 => {
-                        let want = reference.update(&key, &value, flags);
-                        assert_eq!(lazy.update(&key, &value, flags), want, "step {step}");
-                        full += u32::from(want == Err(MapError::Full));
-                        // An insert into a full LRU map replaces its victim.
-                        let evicted = want.is_ok()
-                            && before.len() == 12
-                            && !before.iter().any(|(_, k, _)| *k == key);
-                        evictions += u32::from(evicted);
-                    }
-                    2 => {
-                        let want = reference.delete(&key);
-                        assert_eq!(lazy.delete(&key), want, "step {step}");
-                        missing += u32::from(want == Err(MapError::NoSuchKey));
-                    }
-                    _ => assert_eq!(lazy.lookup(&key), reference.lookup(&key), "step {step}"),
-                }
-                assert_eq!(entries(&lazy), entries(&reference), "step {step}");
-                assert_eq!(lazy.len(), reference.len(), "step {step}");
-                assert_eq!(lazy.len(), entries(&lazy).len(), "step {step}");
-            }
-            assert!(missing > 0, "{}: no delete missed", def.name);
-            if def.kind == MapKind::LruHash {
-                assert!(full == 0 && evictions > 0, "lru: {full} full, {evictions} evictions");
-            } else {
-                assert!(full > 0 && evictions == 0, "{}: {full} full", def.name);
-            }
-            // Slots past the high-water mark stay unallocated, not free-and-present.
-            assert_eq!(lazy.try_value(12), None);
-            assert!(lazy.slab.len() <= 12);
+        let positions = m.index.len();
+        assert_eq!(positions, 256);
+        let mut rebuilds = 0;
+        for i in 100..10_000u64 {
+            m.delete(&key(i - 100)).unwrap();
+            let tombstones = m.tombstones;
+            m.update(&key(i), &i.to_le_bytes(), UpdateFlags::Any).unwrap();
+            // Taking a tombstone's place removes one; only a rebuild clears many.
+            rebuilds += u32::from(tombstones > 1 && m.tombstones == 0);
+            assert_eq!(m.index.len(), positions, "churn never grows the index");
+            assert!(8 * (m.len + m.tombstones) <= 7 * positions);
         }
+        assert!(rebuilds >= 10, "{rebuilds} rebuilds");
+        for i in 9_900..10_000u64 {
+            let slot = m.lookup(&key(i)).unwrap().expect("live");
+            assert_eq!(m.value(slot), i.to_le_bytes());
+        }
+        assert_eq!((m.len(), m.slots), (100, 100));
     }
 
     #[test]

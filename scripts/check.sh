@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: build, every test, the recorded sweeps, lints, docs, perf smoke.
+# Repo gate: build, every test, the recorded sweeps and the long-form map
+# property, lints, docs, perf smoke.
 #
 # The BENCH_*.json recordings are checked for equality by tests/recorded.rs
 # (the test names say what each one claims). After an intended change:
@@ -17,6 +18,9 @@ cargo test --workspace -q
 
 echo "== recorded sweeps (the #[ignore]d BENCH_* tests, release build) =="
 cargo test --release --test recorded -q -- --ignored
+
+echo "== long-form map model property (#[ignore]d, release build) =="
+cargo test --release -p ehdl-ebpf -q -- --ignored
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings

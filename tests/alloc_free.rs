@@ -3,7 +3,9 @@
 //! The zero-allocation claim for the enabled-stage fast path is enforced
 //! directly: a counting global allocator observes every heap call, and a
 //! steady-state `step()` that neither completes a packet nor fires a
-//! hazard must perform exactly zero of them.
+//! hazard must perform exactly zero of them. The map storage under it is
+//! held to the same standard: reusing, evicting and deleting make no heap
+//! call, seeding makes O(log n), an array costs the same at any size.
 //!
 //! The count is per thread (a const-initialised `thread_local!` cell, as
 //! in `perf/src/alloc.rs`): the harness runs these tests on parallel
@@ -17,7 +19,7 @@ use std::cell::Cell;
 use ehdl::core::Compiler;
 use ehdl::ebpf::asm::Asm;
 use ehdl::ebpf::helpers::{BPF_MAP_LOOKUP_ELEM, BPF_MAP_UPDATE_ELEM};
-use ehdl::ebpf::maps::{MapDef, MapKind};
+use ehdl::ebpf::maps::{Map, MapDef, MapKind, MapStore, UpdateFlags};
 use ehdl::ebpf::opcode::{AluOp, JmpOp, MemSize};
 use ehdl::ebpf::Program;
 use ehdl::hwsim::PipelineSim;
@@ -179,8 +181,8 @@ fn map_write_steps_are_allocation_free() {
     let design = Compiler::new().compile(&map_write_program()).expect("compiles");
     // Distinct 4-byte keys so no two in-flight packets collide (not that
     // a write-only program could flush — there is no FEB to trip). The
-    // warm-up batch inserts all 64 keys (first-touch hash inserts
-    // allocate by design); the measured batch hits existing slots only.
+    // warm-up batch inserts all 64 keys (first-touch inserts grow the
+    // table's storage); the measured batch hits existing slots only.
     let packets: Vec<Vec<u8>> = (0..64)
         .map(|i| {
             let mut p = vec![0u8; 64];
@@ -356,4 +358,70 @@ fn shared_lookups_cost_their_keys_not_the_table() {
     );
     assert_eq!(shared[1].result, Ok(ehdl::hwsim::HostOpResult::Value(None)));
     assert!(spent <= 64, "two shared lookups over {SESSIONS} sessions made {spent} heap calls");
+}
+
+/// A 13-byte flow key, the width of every bundled flow table's.
+fn flow_key(i: u32) -> [u8; 13] {
+    let mut key = [0u8; 13];
+    key[..4].copy_from_slice(&i.to_le_bytes());
+    key[12] = 17;
+    key
+}
+
+/// Map storage is flat arrays and an index sized by the high-water mark,
+/// so taking a freed slot, evicting and deleting write in place: churn at
+/// a steady population makes no heap call, however many tombstone
+/// rebuilds it runs through.
+#[test]
+fn map_churn_makes_no_heap_call() {
+    const LIVE: u32 = 1_024;
+    for kind in [MapKind::Hash, MapKind::LruHash] {
+        let mut map = Map::new(MapDef::new(0, "flows", kind, 13, 8, LIVE));
+        for i in 0..LIVE {
+            map.update(&flow_key(i), &[0; 8], UpdateFlags::Any).expect("fits");
+        }
+        let before = allocs();
+        for i in LIVE..20 * LIVE {
+            // The LRU map evicts the oldest key itself; the hash map is told to.
+            if kind == MapKind::Hash {
+                map.delete(&flow_key(i - LIVE)).expect("live");
+            }
+            map.update(&flow_key(i), &u64::from(i).to_le_bytes(), UpdateFlags::Any).expect("fits");
+        }
+        let spent = allocs() - before;
+        assert_eq!(spent, 0, "{kind}: churn made {spent} heap calls");
+        assert_eq!(map.len(), LIVE as usize);
+    }
+}
+
+/// Seeding a table grows its arrays and index by doubling: O(log n) heap
+/// calls for n fresh keys (a heap-allocated entry per key once cost 3n).
+#[test]
+fn seeding_fresh_keys_costs_logarithmic_heap_calls() {
+    const KEYS: u32 = 100_000;
+    let mut map = Map::new(MapDef::new(0, "buckets", MapKind::Hash, 13, 16, 262_144));
+    let before = allocs();
+    for i in 0..KEYS {
+        map.update(&flow_key(i), &[0; 16], UpdateFlags::NoExist).expect("fits");
+    }
+    let spent = allocs() - before;
+    assert!(spent as f64 <= 6.0 * f64::from(KEYS).log2(), "{KEYS} inserts made {spent} heap calls");
+    assert_eq!(map.len(), KEYS as usize);
+}
+
+/// An array map is two zero-filled allocations whatever its size.
+#[test]
+fn an_array_store_costs_the_same_heap_calls_at_any_size() {
+    let cost = |max_entries: u32| {
+        let defs = [MapDef::new(0, "stats", MapKind::Array, 4, 8, max_entries)];
+        let before = allocs();
+        let store = MapStore::new(&defs);
+        let spent = allocs() - before;
+        assert_eq!(store.get(0).expect("map 0").len(), max_entries as usize);
+        spent
+    };
+    let one = cost(1);
+    for max_entries in [1_000, 1_000_000] {
+        assert_eq!(cost(max_entries), one, "{max_entries} entries");
+    }
 }

@@ -16,14 +16,15 @@
 
 use crate::design_of;
 use crate::record::Fields;
+use ehdl_core::shardcheck::MergePolicy;
 use ehdl_core::Compiler;
 use ehdl_ebpf::asm::Asm;
 use ehdl_ebpf::maps::{MapDef, MapError, MapKind, UpdateFlags};
 use ehdl_ebpf::opcode::MemSize;
 use ehdl_ebpf::Program;
 use ehdl_hwsim::{
-    CtrlLossConfig, CtrlOptions, HostOp, HostOpResult, MergeStrategy, ReplicaFault,
-    ReplicaFaultConfig, ReplicaFaultKind, ShardedNic, SharedMapOptions, SimOptions,
+    CtrlLossConfig, CtrlOptions, HostOp, HostOpResult, ReplicaFault, ReplicaFaultConfig,
+    ReplicaFaultKind, ShardedNic, SharedMapOptions, SimOptions,
 };
 use ehdl_programs::{dnat, simple_firewall, App};
 use ehdl_runtime::json::Json;
@@ -140,20 +141,17 @@ fn schedule(scenario: &str) -> Vec<ReplicaFault> {
 /// (DNAT's port allocator) lives in the shared fabric; flow tables
 /// reconcile by union (idempotent across repeated failures); per-replica
 /// stats counters delta-merge.
-pub(crate) fn fabric_plan(app: App) -> (Vec<u32>, Vec<(u32, MergeStrategy)>) {
+pub(crate) fn fabric_plan(app: App) -> (Vec<u32>, Vec<(u32, MergePolicy)>) {
     match app {
         App::Dnat => (
             vec![dnat::PORT_ALLOC_MAP],
-            vec![
-                (dnat::CONN_MAP, MergeStrategy::Union),
-                (dnat::STATS_MAP, MergeStrategy::SumDelta),
-            ],
+            vec![(dnat::CONN_MAP, MergePolicy::Union), (dnat::STATS_MAP, MergePolicy::SumDelta)],
         ),
         _ => (
             Vec::new(),
             vec![
-                (simple_firewall::SESSIONS_MAP, MergeStrategy::Union),
-                (simple_firewall::STATS_MAP, MergeStrategy::SumDelta),
+                (simple_firewall::SESSIONS_MAP, MergePolicy::Union),
+                (simple_firewall::STATS_MAP, MergePolicy::SumDelta),
             ],
         ),
     }

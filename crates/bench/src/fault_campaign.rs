@@ -12,13 +12,13 @@
 //! lets `BENCH_fault_campaign.json` be checked for equality on every run.
 
 use ehdl_core::{Compiler, CompilerOptions, Protection};
-use ehdl_hwsim::diff::{compare_under_faults, Divergence, FaultCompareReport};
-use ehdl_hwsim::{FaultConfig, PipelineSim, SimOptions};
-use ehdl_programs::{dnat, App};
+use ehdl_hwsim::diff::{check, Device, Report, Scenario};
+use ehdl_hwsim::{CtrlOptions, Divergence, FaultConfig, PipelineSim, SimOptions};
+use ehdl_programs::App;
 use ehdl_runtime::json::Json;
 
 use crate::record::Fields;
-use crate::{eval_packets, setup_app};
+use crate::{eval_packets, exemptions, setup_app};
 
 /// Master seed of the recorded campaign.
 pub const CAMPAIGN_SEED: u64 = 7;
@@ -97,30 +97,12 @@ fn design_for(app: App, protect: Protection) -> ehdl_core::PipelineDesign {
         .expect("campaign app compiles")
 }
 
-/// Maps whose final contents legitimately drift from the sequential
-/// reference even fault-free (DNAT's port allocator runs ahead on
-/// discarded replays, and the connection table stores those ports).
-fn ignored_maps(app: App) -> Vec<u32> {
-    match app {
-        App::Dnat => vec![dnat::CONN_MAP, dnat::PORT_ALLOC_MAP],
-        _ => Vec::new(),
-    }
-}
-
-/// Drop the divergences an app is allowed even without faults: DNAT's
-/// translated source port (bytes 34–35) may differ from the sequential
-/// reference when a flush discards an allocation attempt.
-fn tolerated(app: App, divs: Vec<Divergence>) -> Vec<Divergence> {
-    if app != App::Dnat {
-        return divs;
-    }
-    divs.into_iter().filter(|d| !matches!(d, Divergence::Packet { at: 34 | 35, .. })).collect()
-}
-
 /// Run one transient/stuck-at campaign point through the differential
-/// harness.
-pub fn run_point(app: App, protect: Protection, rate: f64) -> FaultCompareReport {
+/// harness. DNAT's allocated source port and allocator maps are checked
+/// by the NAT invariant ([`exemptions`]) even fault-free.
+pub fn run_point(app: App, protect: Protection, rate: f64) -> Report {
     let design = design_for(app, protect);
+    let program = app.program();
     let packets = eval_packets(app, POINT_PACKETS);
     let cfg = FaultConfig {
         seed: CAMPAIGN_SEED ^ (rate.to_bits().rotate_left(protect as u32)),
@@ -131,14 +113,15 @@ pub fn run_point(app: App, protect: Protection, rate: f64) -> FaultCompareReport
         hang_fraction: 0.0,
         ..Default::default()
     };
-    compare_under_faults(
-        &app.program(),
-        &design,
-        &packets,
-        |m| setup_app(app, m),
-        &ignored_maps(app),
-        cfg,
-    )
+    let (ignore_maps, allocated) = exemptions(app);
+    check(&Scenario {
+        setup: &|m| setup_app(app, m),
+        sim: SimOptions { freeze_time_ns: Some(1000), ..Default::default() },
+        device: Device::Pipeline { ctrl: CtrlOptions::default(), faults: Some(cfg) },
+        ignore_maps,
+        allocated,
+        ..Scenario::new(&program, &design, &packets)
+    })
 }
 
 fn row_from_report(
@@ -146,26 +129,27 @@ fn row_from_report(
     protect: Protection,
     rate: f64,
     hang: bool,
-    r: &FaultCompareReport,
+    r: &Report,
 ) -> FaultCampaignRow {
+    let is_map = |d: &Divergence| matches!(d, Divergence::Map { .. });
     FaultCampaignRow {
         app: app.name().to_string(),
         protect: protect_name(protect).to_string(),
         rate,
         hang,
-        injected: r.stats.injected,
-        effective: r.stats.effective(),
-        silent: r.stats.silent,
-        uncorrectable: r.stats.uncorrectable,
-        coverage: r.stats.coverage(),
+        injected: r.fault_stats.injected,
+        effective: r.fault_stats.effective(),
+        silent: r.fault_stats.silent,
+        uncorrectable: r.fault_stats.uncorrectable,
+        coverage: r.fault_stats.coverage(),
         fault_replays: r.counters.fault_replays,
         watchdog_resets: r.counters.watchdog_resets,
         pkts_lost: r.counters.pkts_lost_to_faults,
         missing: r.missing,
         completed: r.counters.completed,
         availability: r.availability,
-        clean: tolerated(app, r.divergences.clone()).is_empty(),
-        map_clean: r.map_divergences.is_empty(),
+        clean: r.divergences.iter().all(is_map),
+        map_clean: !r.divergences.iter().any(is_map),
         map_corrupted: r.map_storage_corrupted,
     }
 }

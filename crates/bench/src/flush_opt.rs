@@ -16,11 +16,11 @@
 //! [`analytical::throughput`] with the measured flush probability.
 
 use crate::record::Fields;
-use crate::setup_app;
+use crate::{exemptions, setup_app};
 use ehdl_core::{analytical, Compiler, CompilerOptions, PipelineDesign};
-use ehdl_hwsim::{diff, PipelineSim, SimOptions};
-use ehdl_net::FiveTuple;
-use ehdl_programs::{dnat, App};
+use ehdl_hwsim::diff::{check, Scenario};
+use ehdl_hwsim::{PipelineSim, SimOptions};
+use ehdl_programs::App;
 use ehdl_runtime::json::Json;
 use ehdl_traffic::{FlowSet, Popularity, Workload};
 
@@ -121,14 +121,9 @@ fn run_config(
     (c.completed as f64 / sim.cycle() as f64, c.flushes, c.flush_replays)
 }
 
-/// Bit-identical check against the `ebpf::vm` reference.
-///
-/// DNAT uses the relaxed comparison of the differential suite: a
-/// discarded first attempt's fetch-and-add on the port allocator is not
-/// replayed, so absolute ports may differ from the sequential reference;
-/// the NAT invariant (same flow → same stable in-range port, distinct
-/// flows → distinct ports, every other byte identical) and the stats
-/// must hold exactly.
+/// Bit-identical check against the `ebpf::vm` reference, DNAT's allocated
+/// source port and allocator maps checked by the NAT invariant
+/// ([`exemptions`]).
 pub fn outcomes_identical(
     app: App,
     program: &ehdl_ebpf::Program,
@@ -136,73 +131,16 @@ pub fn outcomes_identical(
     packets: &[Vec<u8>],
     partial: bool,
 ) -> bool {
-    if app != App::Dnat {
-        return diff::compare_full(
-            program,
-            design,
-            packets,
-            |m| setup_app(app, m),
-            &[],
-            sim_options(packets.len(), partial),
-        )
-        .is_empty();
-    }
-
-    let mut vm = ehdl_ebpf::vm::Vm::new(program);
-    vm.set_time_ns(1000);
-    let mut vm_actions = Vec::with_capacity(packets.len());
-    let mut vm_bytes = Vec::with_capacity(packets.len());
-    for p in packets {
-        let mut b = p.clone();
-        let out = vm.run(&mut b, 0).expect("vm runs dnat");
-        vm_actions.push(out.action);
-        vm_bytes.push(b);
-    }
-    let mut sim = PipelineSim::with_options(design, sim_options(packets.len(), partial));
-    for p in packets {
-        sim.enqueue(p.clone());
-    }
-    sim.settle(100_000_000);
-    let outs = sim.drain();
-    if outs.len() != packets.len() {
-        return false;
-    }
-    let mut flow_port: std::collections::HashMap<FiveTuple, u16> = Default::default();
-    let mut used: std::collections::HashMap<u16, FiveTuple> = Default::default();
-    for (i, o) in outs.iter().enumerate() {
-        if o.action != vm_actions[i] {
-            return false;
-        }
-        if !o.action.forwards() {
-            continue;
-        }
-        if o.packet.len() != vm_bytes[i].len() {
-            return false;
-        }
-        // Everything but the translated source port (bytes 34–35) must
-        // match the sequential reference byte-for-byte.
-        let same = o
-            .packet
-            .iter()
-            .zip(&vm_bytes[i])
-            .enumerate()
-            .all(|(off, (a, b))| off == 34 || off == 35 || a == b);
-        if !same {
-            return false;
-        }
-        let Some(orig) = FiveTuple::parse(&packets[i]) else { return false };
-        let port = u16::from_be_bytes([o.packet[34], o.packet[35]]);
-        if !(dnat::PORT_BASE..dnat::PORT_BASE + dnat::PORT_RANGE).contains(&port) {
-            return false;
-        }
-        if *flow_port.entry(orig).or_insert(port) != port {
-            return false;
-        }
-        if *used.entry(port).or_insert(orig) != orig {
-            return false;
-        }
-    }
-    dnat::read_stats(vm.maps()) == dnat::read_stats(sim.maps())
+    let (ignore_maps, allocated) = exemptions(app);
+    check(&Scenario {
+        setup: &|m| setup_app(app, m),
+        sim: sim_options(packets.len(), partial),
+        ignore_maps,
+        allocated,
+        ..Scenario::new(program, design, packets)
+    })
+    .divergences
+    .is_empty()
 }
 
 /// Run the full sweep: every app × grid point, baseline vs optimized.

@@ -21,8 +21,10 @@ pub mod slo;
 
 use ehdl_baselines::{hxdp, sdnet, BluefieldModel, HxdpModel, SdnetCompiler};
 use ehdl_core::{analytical, resource, Compiler, CompilerOptions, PipelineDesign, Target};
+use ehdl_hwsim::diff::AllocatedField;
 use ehdl_hwsim::{NicShell, ShellOptions, SimOptions};
-use ehdl_programs::{leaky_bucket, toy_counter, App};
+use ehdl_net::{FiveTuple, IPPROTO_UDP};
+use ehdl_programs::{dnat, leaky_bucket, toy_counter, App};
 use ehdl_traffic::{caida_like, mawi_like, FlowSet, Popularity, Trace, Workload};
 
 /// Flows offered in the §5.1 end-to-end tests.
@@ -93,6 +95,27 @@ pub fn setup_app(app: App, maps: &mut ehdl_ebpf::maps::MapStore) {
         }
         App::Firewall | App::Dnat => {}
     }
+}
+
+/// What an app's differential check exempts from exact comparison: the
+/// maps whose final contents may legitimately drift, and the allocated
+/// output field checked by its invariant instead. For DNAT a flush skips a
+/// port the sequential reference hands out, so the allocator runs ahead
+/// and the bindings store other ports; the translated source port must
+/// instead be in range, stable per flow and distinct across flows.
+pub fn exemptions(app: App) -> (Vec<u32>, Option<AllocatedField>) {
+    if app != App::Dnat {
+        return (Vec::new(), None);
+    }
+    let port = AllocatedField {
+        bytes: 34..36,
+        values: u64::from(dnat::PORT_BASE)..u64::from(dnat::PORT_BASE + dnat::PORT_RANGE),
+        flow: |p| {
+            let f = FiveTuple::parse(p).filter(|f| f.proto == IPPROTO_UDP)?;
+            Some(f.to_key().to_vec())
+        },
+    };
+    (vec![dnat::CONN_MAP, dnat::PORT_ALLOC_MAP], Some(port))
 }
 
 /// One measured end-to-end run of an app on the simulated NIC.

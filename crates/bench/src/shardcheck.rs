@@ -10,7 +10,8 @@
 use crate::record::Fields;
 use ehdl_core::shardcheck::{MergePolicy, ShardError};
 use ehdl_core::{Compiler, CompilerOptions};
-use ehdl_hwsim::{compare_sharded, fabric_from_plan, merges_from_plan, Divergence, SimOptions};
+use ehdl_hwsim::diff::{check, Device, Scenario};
+use ehdl_hwsim::{fabric_from_plan, Divergence};
 use ehdl_programs::App;
 use ehdl_runtime::json::Json;
 
@@ -74,28 +75,20 @@ fn row_for(app: App) -> ShardRow {
     let design = crate::design_of(app);
     let plan = design.shard.clone();
     assert!(plan.analyzed, "{}: design must carry an analyzed shard plan", app.name());
-    let fabric = fabric_from_plan(&plan);
-    let merges = merges_from_plan(&plan);
     let packets = crate::eval_packets(app, AGREE_PACKETS);
     let mut agreement_checks = 0;
     let mut agreement_failures = 0;
     for replicas in [2usize, 4] {
         plan.require_sound(replicas)
             .unwrap_or_else(|e| panic!("{} must shard zero-hint: {e:?}", app.name()));
-        let div = compare_sharded(
-            &program,
-            &design,
-            replicas,
-            7,
-            &packets,
-            &[],
-            |maps| crate::setup_app(app, maps),
-            &merges,
-            fabric.clone(),
-            SimOptions::default(),
-        );
+        let (fabric, merge) = (fabric_from_plan(&plan), plan.merge_policies());
+        let report = check(&Scenario {
+            setup: &|maps| crate::setup_app(app, maps),
+            device: Device::Replicas { n: replicas, seed: 7, fabric, merge, faults: None },
+            ..Scenario::new(&program, &design, &packets)
+        });
         agreement_checks += plan.maps.len();
-        for d in &div {
+        for d in &report.divergences {
             let contradicted = match d {
                 // A divergence on a map proven exact is a broken proof.
                 Divergence::Map { map } => plan.map(*map).is_none_or(|m| m.vm_exact),
@@ -231,7 +224,6 @@ mod tests {
     /// tables union-merged, stats counters delta-merged.
     #[test]
     fn plan_reproduces_hand_written_bench_configs() {
-        use ehdl_hwsim::MergeStrategy;
         use ehdl_programs::dnat;
         for &app in &App::ALL {
             let plan = crate::design_of(app).shard;
@@ -246,7 +238,7 @@ mod tests {
                 continue;
             }
             assert_eq!(plan.shared_map_ids(), shared);
-            let derived = merges_from_plan(&plan);
+            let derived = plan.merge_policies();
             for (map, want) in merges {
                 let got = derived.iter().find(|(m, _)| *m == map).map(|&(_, s)| s);
                 assert_eq!(got, Some(want), "{}: map {map} merge", app.name());
@@ -255,7 +247,7 @@ mod tests {
         let plan = crate::design_of(App::Dnat).shard;
         assert_eq!(plan.shared_map_ids(), vec![dnat::PORT_ALLOC_MAP]);
         assert_eq!(plan.fabric_banks(), 1);
-        let derived = merges_from_plan(&plan);
-        assert!(derived.contains(&(dnat::PORT_ALLOC_MAP, MergeStrategy::Direct)));
+        let derived = plan.merge_policies();
+        assert!(derived.contains(&(dnat::PORT_ALLOC_MAP, MergePolicy::Direct)));
     }
 }

@@ -41,8 +41,9 @@
 //! Soundness contract: like the abstract interpreter it builds on, the
 //! pass only ever *downgrades* — an unprovable property degrades the map
 //! toward [`MapClass::OpaqueRmw`], never the other way — and every
-//! verdict is re-checked dynamically by `diff::compare_sharded` +
-//! `check_linearizable` in the hwsim cross-validation suite.
+//! verdict is re-checked dynamically by a sharded `hwsim::diff::check`
+//! (per-policy map merge plus the linearizability replay) in the hwsim
+//! cross-validation suite.
 
 use ehdl_ebpf::absint::{Analysis, ByteSrc, MapKeyFact, MapValAccessKind};
 use ehdl_ebpf::helpers::{BPF_MAP_DELETE_ELEM, BPF_MAP_UPDATE_ELEM};
@@ -111,8 +112,9 @@ pub enum Placement {
     Shared,
 }
 
-/// How private copies reconstruct the sequential-reference contents —
-/// the compiler-level mirror of the simulator's merge strategies.
+/// How private copies reconstruct the sequential-reference contents: the
+/// policy a sharded NIC reconciles a failed replica's maps by and the
+/// differential harness merges replicas' final maps by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergePolicy {
     /// Conflict-free union of per-replica entries.

@@ -30,10 +30,10 @@
 //! on its map. Ops on *different* maps never interact, so the rewrites
 //! only ever reorder ops across maps, which commutes.
 //!
-//! Soundness is not argued only here: [`crate::diff::compare_with_ops_coalesced`]
-//! replays coalesced schedules against the sequential VM oracle, and the
-//! serving campaign recorded in `BENCH_slo.json` runs on coalesced
-//! schedules.
+//! Soundness is not argued only here: a [`crate::diff::Scenario`] with
+//! `coalesce` set replays coalesced schedules against the sequential VM
+//! oracle, and the serving campaign recorded in `BENCH_slo.json` runs on
+//! coalesced schedules.
 
 use crate::ctrl::{gather_capacity, HostOp, HostOpResult};
 use ehdl_ebpf::maps::{MapError, UpdateFlags};

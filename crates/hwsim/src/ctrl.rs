@@ -20,7 +20,7 @@
 //!    flush/replay machinery a pipeline RAW hazard uses, rolling the
 //!    readers back past their stale read.
 
-use ehdl_ebpf::maps::{Map, MapError, UpdateFlags};
+use ehdl_ebpf::maps::{Map, MapError, MapStore, UpdateFlags};
 use ehdl_rng::Rng;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -98,6 +98,37 @@ impl HostOp {
     pub fn mutates(&self) -> bool {
         matches!(self, HostOp::Update { .. } | HostOp::Delete { .. })
     }
+
+    /// What this op does to `maps`: the one definition of a host op's
+    /// effect and result, shared by the pipeline's control channel, the
+    /// sharded NIC's canonical store and the sequential reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the op targets a map `maps` does not hold (the channels
+    /// validate map ids at submission).
+    pub fn apply(&self, maps: &mut MapStore) -> Result<HostOpResult, MapError> {
+        let m = maps.get_mut(self.map()).expect("host op targets a known map");
+        match self {
+            HostOp::Lookup { key, .. } => read_value(m, key).map(HostOpResult::Value),
+            HostOp::Update { key, value, flags, .. } => {
+                m.update(key, value, *flags).map(|_| HostOpResult::Updated)
+            }
+            HostOp::Delete { key, .. } => m.delete(key).map(|()| HostOpResult::Deleted),
+            HostOp::Dump { .. } => Ok(HostOpResult::Entries(
+                m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect(),
+            )),
+            // A key of the wrong size makes the op itself malformed and
+            // fails it before any key is read (an LRU map is not touched).
+            HostOp::Gather { keys, .. } => {
+                let expected = m.def().key_size;
+                if let Some(bad) = keys.iter().find(|k| k.len() != expected as usize) {
+                    return Err(MapError::BadKeySize { expected, got: bad.len() });
+                }
+                Ok(HostOpResult::Values(keys.iter().map(|k| read_value(m, k)).collect()))
+            }
+        }
+    }
 }
 
 /// Successful result payload of a host op.
@@ -118,19 +149,8 @@ pub enum HostOpResult {
 
 /// The value under `key`, copied out: the body of a [`HostOp::Lookup`] and
 /// of each key of a [`HostOp::Gather`].
-pub(crate) fn read_value(m: &mut Map, key: &[u8]) -> Result<Option<Vec<u8>>, MapError> {
+fn read_value(m: &mut Map, key: &[u8]) -> Result<Option<Vec<u8>>, MapError> {
     Ok(m.lookup(key)?.map(|slot| m.value(slot).to_vec()))
-}
-
-/// [`HostOp::Gather`] against `m`: every key read in order and answered
-/// on its own. A key of the wrong size makes the op itself malformed and
-/// fails it before any key is read (an LRU map is not touched).
-pub(crate) fn gather_values(m: &mut Map, keys: &[Vec<u8>]) -> Result<HostOpResult, MapError> {
-    let expected = m.def().key_size;
-    if let Some(bad) = keys.iter().find(|k| k.len() != expected as usize) {
-        return Err(MapError::BadKeySize { expected, got: bad.len() });
-    }
-    Ok(HostOpResult::Values(keys.iter().map(|k| read_value(m, k)).collect()))
 }
 
 /// A retired host op with its timing.

@@ -7,18 +7,44 @@
 //! and the final map contents must agree. This is the central correctness
 //! property of eHDL's consistency machinery (§4.1): hazards may cost
 //! cycles, never correctness.
+//!
+//! A [`Scenario`] describes one run: program and design, one schedule of
+//! packets and host ops, the map setup, simulator options, the [`Device`]
+//! (one pipeline, or N replicas behind RSS steering), whether op trains are
+//! coalesced, injected faults, and what is exempt from exact comparison.
+//! [`check`] replays the schedule on the sequential VM once, runs the
+//! device, and applies every checker the scenario admits:
+//!
+//! | checker | pipeline | pipeline + faults | replicas | replicas + faults |
+//! |---|---|---|---|---|
+//! | outcomes: action, bytes, [`AllocatedField`] | every packet | packets no fault touched | every packet | packets of surviving flows |
+//! | packet count | [`Divergence::Count`] | [`Report::missing`] | [`Divergence::Count`] | loss accounting |
+//! | op acks | exact | all completed | exact | all completed |
+//! | final maps | sorted entries | sorted entries | per [`MergePolicy`] | — |
+//! | per-key linearizability | — | — | [`Divergence::Coherence`] | [`Divergence::Coherence`] |
+//! | loss accounting, blast radius, detection bound | — | — | — | [`Divergence::Loss`] |
+//! | proof violations | [`Divergence::Proof`] | — | [`Divergence::Proof`] | [`Divergence::Proof`] |
+//!
+//! Under faults the final maps of replicas are not compared (a failure
+//! legitimately loses private state no merge can reconstruct), op acks
+//! are only required to complete (lost packets legitimately change what a
+//! read observes), and proofs are not rechecked under pipeline faults (an
+//! injected bit flip may legitimately push an address outside its proof).
 
-use crate::batch::{coalesce_ops, expand_results, CoalescedOp, MapShape};
-use crate::ctrl::{gather_values, read_value, CtrlOptions, HostOp, HostOpResult};
+use crate::batch::{coalesce_ops, expand_results, CoalescedOp, MapShape, OpAnswer};
+use crate::ctrl::{CtrlOptions, HostOp, HostOpResult};
 use crate::fault::{FaultConfig, FaultEvent, FaultStats, ReplicaFaultConfig};
-use crate::shared::{check_linearizable, ShardedNic, SharedMapOptions};
-use crate::sim::{PipelineSim, SimCounters, SimOptions};
-use ehdl_core::{Compiler, CompilerOptions, PipelineDesign};
-use ehdl_ebpf::maps::{MapError, MapKind, MapStore};
+use crate::shared::{check_linearizable, ShardReport, ShardedNic, SharedMapOptions};
+use crate::sim::{PipelineSim, SimCounters, SimError, SimOptions, SimOutcome};
+use ehdl_core::shardcheck::MergePolicy;
+use ehdl_core::PipelineDesign;
+use ehdl_ebpf::maps::{Map, MapError, MapKind, MapStore};
 use ehdl_ebpf::vm::{Vm, XdpAction};
 use ehdl_ebpf::Program;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
-/// A per-packet divergence between the VM and the pipeline.
+/// A divergence between the sequential reference and the device.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Divergence {
     /// Actions differ.
@@ -37,12 +63,20 @@ pub enum Divergence {
         /// First differing byte offset.
         at: usize,
     },
+    /// A packet broke the invariant of the scenario's [`AllocatedField`]
+    /// (the NAT invariant, for a translated source port).
+    Nat {
+        /// Packet sequence number.
+        seq: usize,
+        /// Which part of the invariant broke.
+        detail: String,
+    },
     /// Final contents of a map differ.
     Map {
         /// Map id.
         map: u32,
     },
-    /// The pipeline produced a different number of packets.
+    /// The device produced a different number of packets.
     Count {
         /// VM packet count.
         vm: usize,
@@ -84,12 +118,11 @@ pub enum Divergence {
 impl std::fmt::Display for Divergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Divergence::Action { seq, vm, hw } => {
-                write!(f, "packet {seq}: vm={vm} hw={hw}")
-            }
+            Divergence::Action { seq, vm, hw } => write!(f, "packet {seq}: vm={vm} hw={hw}"),
             Divergence::Packet { seq, at } => {
-                write!(f, "packet {seq}: output bytes differ at offset {at}")
+                write!(f, "packet {seq}: bytes differ at offset {at}")
             }
+            Divergence::Nat { seq, detail } => write!(f, "packet {seq}: allocated field: {detail}"),
             Divergence::Map { map } => write!(f, "map {map}: final contents differ"),
             Divergence::Count { vm, hw } => write!(f, "packet counts differ: vm={vm} hw={hw}"),
             Divergence::Proof { detail } => write!(f, "violated proof: {detail}"),
@@ -100,8 +133,7 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-/// One element of an interleaved packet / host-op schedule
-/// ([`compare_with_ops`]).
+/// One element of a [`Scenario`]'s interleaved packet / host-op schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HostEvent {
     /// A packet arriving on the wire.
@@ -112,1128 +144,673 @@ pub enum HostEvent {
     Op(HostOp),
 }
 
-/// Apply `op` directly to a map store, returning the result the hardware
-/// control channel is required to produce for the same op at the same
-/// position — the sequential-reference semantics of a host op.
-pub fn apply_host_op_to_store(maps: &mut MapStore, op: &HostOp) -> Result<HostOpResult, MapError> {
-    match op {
-        HostOp::Lookup { map, key } => {
-            let m = maps.get_mut(*map).expect("host op targets a known map");
-            read_value(m, key).map(HostOpResult::Value)
-        }
-        HostOp::Update { map, key, value, flags } => maps
-            .get_mut(*map)
-            .expect("host op targets a known map")
-            .update(key, value, *flags)
-            .map(|_| HostOpResult::Updated),
-        HostOp::Delete { map, key } => maps
-            .get_mut(*map)
-            .expect("host op targets a known map")
-            .delete(key)
-            .map(|()| HostOpResult::Deleted),
-        HostOp::Dump { map } => {
-            let m = maps.get(*map).expect("host op targets a known map");
-            Ok(HostOpResult::Entries(m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect()))
-        }
-        HostOp::Gather { map, keys } => {
-            gather_values(maps.get_mut(*map).expect("host op targets a known map"), keys)
+/// An output field whose value the program *allocates* from shared state
+/// — DNAT's translated source port. A flushed packet's committed
+/// fetch-and-add is not replayed (the hardware skips the value, as the
+/// paper's design would) and replicas race for the allocator, so the value
+/// may legitimately differ from the sequential reference's. What must
+/// hold instead: the value is in range, a flow keeps one value, no value
+/// serves two flows, and every other byte is exact.
+#[derive(Debug, Clone)]
+pub struct AllocatedField {
+    /// Output bytes holding the value, big-endian.
+    pub bytes: Range<usize>,
+    /// Values the allocator may hand out.
+    pub values: Range<u64>,
+    /// The flow a sent packet belongs to, or `None` when the program
+    /// allocates nothing for it (its bytes are then compared exactly).
+    pub flow: fn(&[u8]) -> Option<Vec<u8>>,
+}
+
+/// What runs a [`Scenario`]'s schedule.
+#[derive(Debug, Clone)]
+pub enum Device {
+    /// One pipeline; host ops go over its control channel.
+    Pipeline {
+        /// Control-channel configuration (attached only when the schedule
+        /// has ops; the queue is deepened to hold all of them).
+        ctrl: CtrlOptions,
+        /// Seeded fault campaign on the pipeline.
+        faults: Option<FaultConfig>,
+    },
+    /// Replicas behind RSS steering and the banked fabric ([`ShardedNic`]);
+    /// host ops are fenced against canonical storage, so they must target
+    /// shared maps.
+    Replicas {
+        /// Replica count.
+        n: usize,
+        /// RSS steering seed.
+        seed: u64,
+        /// Fabric configuration (event logging is always on).
+        fabric: SharedMapOptions,
+        /// Per-map reconstruction of final state; unlisted maps default to
+        /// [`MergePolicy::Direct`] when shared, [`MergePolicy::SumDelta`]
+        /// for arrays and [`MergePolicy::Union`] otherwise. Also the
+        /// reconciliation policy at fail-over.
+        merge: Vec<(u32, MergePolicy)>,
+        /// Replica failure schedule and watchdog.
+        faults: Option<ReplicaFaultConfig>,
+    },
+}
+
+/// One differential run, checked by [`check`].
+pub struct Scenario<'a> {
+    /// The program the VM interprets.
+    pub program: &'a Program,
+    /// Its compiled design, which the device runs.
+    pub design: &'a PipelineDesign,
+    /// Packets and host ops in arrival order.
+    pub events: Vec<HostEvent>,
+    /// Host-side control-plane writes (routes, rules) applied to every
+    /// store before either engine runs.
+    pub setup: &'a dyn Fn(&mut MapStore),
+    /// Simulator options; the VM's clock reads `freeze_time_ns` (1000 ns
+    /// when unset).
+    pub sim: SimOptions,
+    /// What runs the schedule.
+    pub device: Device,
+    /// Submit each op train (ops with no packet between them) as
+    /// [`coalesce_ops`] rewrites it, while the VM runs the originals; acks
+    /// are expanded back per original op.
+    pub coalesce: bool,
+    /// Maps whose final contents are not compared (pure allocator state,
+    /// e.g. DNAT's port counter and the bindings that store its ports).
+    pub ignore_maps: Vec<u32>,
+    /// An allocated output field checked by its invariant instead of byte
+    /// for byte.
+    pub allocated: Option<AllocatedField>,
+}
+
+fn no_setup(_: &mut MapStore) {}
+
+impl<'a> Scenario<'a> {
+    /// `packets` on one fault-free pipeline with no setup and no
+    /// exemptions, under the harness options: the clock frozen at the VM's
+    /// constant `ktime`, and every compile-time packet-bounds proof
+    /// rechecked against the concrete access.
+    pub fn new(program: &'a Program, design: &'a PipelineDesign, packets: &[Vec<u8>]) -> Self {
+        Scenario {
+            program,
+            design,
+            events: packets.iter().cloned().map(HostEvent::Packet).collect(),
+            setup: &no_setup,
+            sim: SimOptions {
+                freeze_time_ns: Some(1000),
+                check_proofs: true,
+                ..Default::default()
+            },
+            device: Device::Pipeline { ctrl: CtrlOptions::default(), faults: None },
+            coalesce: false,
+            ignore_maps: Vec::new(),
+            allocated: None,
         }
     }
 }
 
-/// Simulator options of the differential entry points: the clock frozen
-/// at the VM's constant `ktime`, and every compile-time packet-bounds proof
-/// rechecked against the concrete access.
-pub(crate) fn harness_options() -> SimOptions {
-    SimOptions { freeze_time_ns: Some(1000), check_proofs: true, ..Default::default() }
+/// What [`check`] found, with the device's run summaries.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// Every divergence found (empty = equivalent).
+    pub divergences: Vec<Divergence>,
+    /// Packets outside the exempt set the device never retired (a wedged
+    /// pipeline); a [`Divergence::Count`] as well unless faults are
+    /// injected.
+    pub missing: u64,
+    /// Pipeline counters (default for replicas).
+    pub counters: SimCounters,
+    /// Fraction of (replica-)cycles the device was in service.
+    pub availability: f64,
+    /// Pipeline fault-engine tallies (default without a campaign).
+    pub fault_stats: FaultStats,
+    /// Pipeline fault log: cycle, site, kind and outcome per injection.
+    pub fault_log: Vec<FaultEvent>,
+    /// Whether pipeline map storage took an unrecovered upset.
+    pub map_storage_corrupted: bool,
+    /// The sharded run's report (replica devices).
+    pub shard: Option<ShardReport>,
+    program: String,
 }
 
-/// Compare VM and pipeline over a packet sequence. Returns all
-/// divergences (empty = equivalent).
-///
-/// Packets that the VM *errors* on (e.g. out-of-bounds access guarded only
-/// by an elided check) are expected to be dropped by the hardware.
-pub fn compare(program: &Program, design: &PipelineDesign, packets: &[Vec<u8>]) -> Vec<Divergence> {
-    compare_with(program, design, packets, |_| {})
-}
-
-/// Like [`compare`], applying `setup` (host-side control plane writes,
-/// e.g. installing routes) to both engines' maps first.
-pub fn compare_with(
-    program: &Program,
-    design: &PipelineDesign,
-    packets: &[Vec<u8>],
-    setup: impl Fn(&mut ehdl_ebpf::maps::MapStore),
-) -> Vec<Divergence> {
-    compare_ignoring(program, design, packets, setup, &[])
-}
-
-/// Like [`compare_with`], skipping the final-content comparison for the
-/// listed maps.
-///
-/// Intended for pure *allocator* state (e.g. DNAT's port counter): a
-/// flushed packet's already-committed fetch-and-add is not replayed — the
-/// allocation is simply skipped, exactly as in the real hardware — so the
-/// counter legitimately runs ahead of the sequential reference while every
-/// observable translation stays identical.
-pub fn compare_ignoring(
-    program: &Program,
-    design: &PipelineDesign,
-    packets: &[Vec<u8>],
-    setup: impl Fn(&mut ehdl_ebpf::maps::MapStore),
-    ignore_maps: &[u32],
-) -> Vec<Divergence> {
-    compare_full(program, design, packets, setup, ignore_maps, harness_options())
-}
-
-/// Fully parameterized comparison (explicit simulator options, e.g. the
-/// dead-state poisoning validation mode).
-pub fn compare_full(
-    program: &Program,
-    design: &PipelineDesign,
-    packets: &[Vec<u8>],
-    setup: impl Fn(&mut ehdl_ebpf::maps::MapStore),
-    ignore_maps: &[u32],
-    sim_options: SimOptions,
-) -> Vec<Divergence> {
-    let mut vm = Vm::new(program);
-    vm.set_time_ns(sim_options.freeze_time_ns.unwrap_or(1000));
-    // Soundness gate: every fact the abstract interpreter claims about the
-    // program is rechecked against the reference execution.
-    if let Ok(decoded) = program.decode() {
-        vm.check_facts(ehdl_ebpf::absint::analyze(&decoded));
-    }
-    let mut sim = PipelineSim::with_options(design, sim_options);
-    // Both map stores are configured before either engine runs, so the
-    // two executions start from identical state.
-    setup(vm.maps_mut());
-    setup(sim.maps_mut());
-
-    // The engines never communicate until both are drained: run the
-    // cycle-level simulation on its own thread while the reference
-    // interpreter processes the same trace here.
-    let mut vm_actions = Vec::with_capacity(packets.len());
-    let mut vm_packets = Vec::with_capacity(packets.len());
-    let outs = std::thread::scope(|scope| {
-        let sim = &mut sim;
-        let hw = scope.spawn(move || {
-            for p in packets {
-                sim.enqueue(p.clone());
-            }
-            sim.settle(50_000_000);
-            sim.drain()
-        });
-        for p in packets {
-            let mut bytes = p.clone();
-            match vm.run(&mut bytes, 0) {
-                Ok(out) => {
-                    vm_actions.push(out.action);
-                    vm_packets.push(bytes);
-                }
-                Err(_) => {
-                    // The hardware drops on access faults.
-                    vm_actions.push(XdpAction::Drop);
-                    vm_packets.push(p.clone());
-                }
-            }
+impl Report {
+    /// Panic with the first divergences unless the run was equivalent.
+    pub fn assert_clean(self) -> Report {
+        if !self.divergences.is_empty() {
+            let shown: Vec<String> =
+                self.divergences.iter().take(8).map(|d| d.to_string()).collect();
+            panic!(
+                "`{}` diverges from the sequential reference ({} issues):\n  {}",
+                self.program,
+                self.divergences.len(),
+                shown.join("\n  ")
+            );
         }
-        hw.join().expect("simulator thread panicked")
-    });
-
-    let mut divs = Vec::new();
-    if outs.len() != packets.len() {
-        divs.push(Divergence::Count { vm: packets.len(), hw: outs.len() });
-        return divs;
+        self
     }
-    for (i, out) in outs.iter().enumerate() {
-        assert_eq!(out.seq as usize, i, "pipeline must preserve packet order");
-        if out.action != vm_actions[i] {
-            divs.push(Divergence::Action { seq: i, vm: vm_actions[i], hw: out.action });
-            continue;
-        }
-        if out.action.forwards() && out.packet != vm_packets[i] {
-            let at = out
-                .packet
-                .iter()
-                .zip(&vm_packets[i])
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| out.packet.len().min(vm_packets[i].len()));
-            divs.push(Divergence::Packet { seq: i, at });
-        }
-    }
-
-    // Compare final map contents as sorted key→value sets.
-    for def in &program.maps {
-        if ignore_maps.contains(&def.id) {
-            continue;
-        }
-        let a = vm.maps().get(def.id).expect("vm map");
-        let b = sim.maps().get(def.id).expect("sim map");
-        let mut ea: Vec<_> = a.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-        let mut eb: Vec<_> = b.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-        ea.sort();
-        eb.sort();
-        if ea != eb {
-            divs.push(Divergence::Map { map: def.id });
-        }
-    }
-
-    for v in vm.proof_violations() {
-        divs.push(Divergence::Proof { detail: format!("vm: {v}") });
-    }
-    let hw_violations = sim.counters().proof_violations;
-    if hw_violations > 0 {
-        divs.push(Divergence::Proof {
-            detail: format!("pipeline: {hw_violations} unguarded accesses left proven bounds"),
-        });
-    }
-    divs
 }
 
-/// How a map's final contents are reconstructed from N replicas for
-/// comparison against the sequential reference ([`compare_sharded`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeStrategy {
-    /// Union of all replicas' entries, with exact duplicates collapsed.
-    /// Correct for flow-partitioned hash-like maps: RSS guarantees each
-    /// key is only ever *written* by one replica, so two replicas holding
-    /// the same key with different values is itself a divergence.
-    Union,
-    /// Per-key, per-64-bit-word delta sum: `initial + Σ (replica −
-    /// initial)`. Correct for private counter arrays updated with
-    /// commutative atomic adds.
-    SumDelta,
-    /// Compare the canonical shared copy directly (maps listed in
-    /// [`SharedMapOptions::shared_maps`] have exactly one storage copy).
-    Direct,
-    /// Skip the map (e.g. a per-replica allocator whose assignments are
-    /// order-dependent by design).
-    Ignore,
+/// Per-op result as the host sees it.
+type OpResult = Result<HostOpResult, MapError>;
+
+/// What the device did, indexed the way the reference's outcomes and acks
+/// are.
+struct Trace {
+    /// Per packet, in arrival order: the outcome, if the device retired one.
+    outcomes: Vec<Option<SimOutcome>>,
+    /// Completions of the submitted (possibly coalesced) ops, in order.
+    acks: Vec<OpResult>,
+    /// Packets exempt from equivalence: touched by a fault, or of a flow
+    /// homed on a failed replica. Sorted.
+    exempt: Vec<u64>,
+    /// The sharded run's report.
+    shard: Option<ShardReport>,
 }
 
-/// Little-endian u64 word `w` of a value, zero-padded at the tail.
-fn value_word(v: &[u8], w: usize) -> u64 {
-    let mut b = [0u8; 8];
-    let at = w * 8;
-    if at < v.len() {
-        let n = (v.len() - at).min(8);
-        b[..n].copy_from_slice(&v[at..at + n]);
-    }
-    u64::from_le_bytes(b)
+/// The device under test.
+enum Dut {
+    Pipeline(PipelineSim),
+    Replicas(ShardedNic),
 }
 
-/// Differential check of a [`ShardedNic`] run against the sequential
-/// reference: the same trace run packet-by-packet on the VM, with host
-/// ops applied at their schedule positions.
-///
-/// Per packet, the owning replica must produce the VM's action and
-/// output bytes (RSS steering never changes verdicts — only which
-/// replica renders them). Final map state is reconstructed per
-/// [`MergeStrategy`] — callers override per map via `merge`; unlisted
-/// maps default to [`MergeStrategy::Direct`] for shared maps,
-/// [`MergeStrategy::SumDelta`] for arrays, and [`MergeStrategy::Union`]
-/// otherwise. The shared-map access history is additionally checked for
-/// per-key linearizability ([`check_linearizable`]), and host-op results
-/// must match the reference. The run must also be lossless: any RX-queue
-/// drop panics, since a silently shorter trace would vacuously pass.
+/// Run `s` on the sequential VM and on its device and apply every checker
+/// the scenario admits (see the module docs).
 ///
 /// # Panics
 ///
-/// Panics if the sharded run drops a packet or the simulator thread
-/// panics.
-#[allow(clippy::too_many_arguments)]
-pub fn compare_sharded(
-    program: &Program,
-    design: &PipelineDesign,
-    replicas: usize,
-    seed: u64,
-    packets: &[Vec<u8>],
-    ops: &[(usize, HostOp)],
-    setup: impl Fn(&mut MapStore),
-    merge: &[(u32, MergeStrategy)],
-    fabric: SharedMapOptions,
-    sim_options: SimOptions,
-) -> Vec<Divergence> {
-    use std::collections::btree_map::Entry;
-    use std::collections::BTreeMap;
+/// Panics if the device thread panics, a pipeline's RX queue never
+/// drains, or an op targets a map the design lacks.
+pub fn check(s: &Scenario) -> Report {
+    let (packets, ops, trains) = schedule(s);
+    let pipeline_faults = matches!(s.device, Device::Pipeline { faults: Some(_), .. });
+    let replica_faults = match &s.device {
+        Device::Replicas { faults, .. } => faults.as_ref(),
+        Device::Pipeline { .. } => None,
+    };
 
-    let mut vm = Vm::new(program);
-    vm.set_time_ns(sim_options.freeze_time_ns.unwrap_or(1000));
-    if let Ok(decoded) = program.decode() {
+    let mut vm = Vm::new(s.program);
+    vm.set_time_ns(s.sim.freeze_time_ns.unwrap_or(1000));
+    // Soundness gate: every fact the abstract interpreter claims about the
+    // program is rechecked against the reference execution.
+    if let Ok(decoded) = s.program.decode() {
         vm.check_facts(ehdl_ebpf::absint::analyze(&decoded));
     }
-    let mut fabric = fabric;
-    fabric.log_events = true;
-    let shared_ids = fabric.shared_maps.clone();
-    let mut nic = ShardedNic::new(design, replicas, seed, sim_options, fabric);
-    setup(vm.maps_mut());
-    nic.setup_maps(&setup);
+    (s.setup)(vm.maps_mut());
+    let mut dut = Dut::new(s, ops.len());
+    // The engines never communicate until both are drained: the device
+    // runs on its own thread while the reference replays the schedule here.
+    let ((outcomes, acks), trace) = std::thread::scope(|scope| {
+        let device = scope.spawn(|| dut.run(&packets, &ops));
+        let reference = replay(&mut vm, &s.events);
+        (reference, device.join().expect("device thread panicked"))
+    });
+
     // Baseline for delta merging and the linearizability replay.
-    let mut initial = MapStore::new(&design.maps);
-    setup(&mut initial);
-
-    // Sequential reference: packets in arrival order, each op applied
-    // once the packets before its position have been processed.
-    let mut sorted_ops: Vec<(usize, HostOp)> = ops.to_vec();
-    sorted_ops.sort_by_key(|&(at, _)| at);
-    let mut next_op = 0usize;
-    let mut vm_actions = Vec::with_capacity(packets.len());
-    let mut vm_packets = Vec::with_capacity(packets.len());
-    let mut vm_op_results = Vec::with_capacity(sorted_ops.len());
-    for (i, p) in packets.iter().enumerate() {
-        while next_op < sorted_ops.len() && sorted_ops[next_op].0 <= i {
-            vm_op_results.push(apply_host_op_to_store(vm.maps_mut(), &sorted_ops[next_op].1));
-            next_op += 1;
-        }
-        let mut bytes = p.clone();
-        match vm.run(&mut bytes, 0) {
-            Ok(out) => {
-                vm_actions.push(out.action);
-                vm_packets.push(bytes);
-            }
-            Err(_) => {
-                vm_actions.push(XdpAction::Drop);
-                vm_packets.push(p.clone());
-            }
-        }
-    }
-    while next_op < sorted_ops.len() {
-        vm_op_results.push(apply_host_op_to_store(vm.maps_mut(), &sorted_ops[next_op].1));
-        next_op += 1;
-    }
-
-    let report = nic.run_with_ops(packets.iter().cloned(), &sorted_ops);
-    assert_eq!(
-        report.dropped,
-        vec![0; replicas],
-        "sharded differential runs must be lossless (RX overflow would shorten the trace)"
-    );
-
+    let mut initial = MapStore::new(&s.design.maps);
+    (s.setup)(&mut initial);
     let mut divs = Vec::new();
-    let total: usize = report.outcomes.len();
-    if total != packets.len() {
-        divs.push(Divergence::Count { vm: packets.len(), hw: total });
-        return divs;
+    let missing = check_outcomes(&packets, &outcomes, &trace, s.allocated.as_ref(), &mut divs);
+    let faulted = pipeline_faults || replica_faults.is_some();
+    if missing > 0 && !faulted {
+        divs.push(Divergence::Count { vm: packets.len(), hw: packets.len() - missing as usize });
     }
-    // Re-sequence per-replica completions into global arrival order.
-    let mut hw = vec![None; packets.len()];
-    for (_, g, out) in &report.outcomes {
-        hw[*g as usize] = Some(out);
+    check_acks(&acks, &trace.acks, &trains, !faulted, &mut divs);
+    if replica_faults.is_none() {
+        check_maps(s, vm.maps(), &dut, &initial, &mut divs);
     }
-    for (i, out) in hw.iter().enumerate() {
-        let out = out.as_ref().expect("every arrival completes exactly once");
-        if out.action != vm_actions[i] {
-            divs.push(Divergence::Action { seq: i, vm: vm_actions[i], hw: out.action });
-            continue;
-        }
-        if out.action.forwards() && out.packet != vm_packets[i] {
-            let at = out
-                .packet
-                .iter()
-                .zip(&vm_packets[i])
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| out.packet.len().min(vm_packets[i].len()));
-            divs.push(Divergence::Packet { seq: i, at });
-        }
+    if let (Device::Replicas { fabric, .. }, Some(report)) = (&s.device, &trace.shard) {
+        let failover = replica_faults.map(|f| (packets.len() as u64, f.watchdog_budget));
+        check_replicas(report, &initial, &fabric.shared_maps, failover, &mut divs);
     }
-
-    for (i, (res, vm_res)) in report.host_completions.iter().zip(&vm_op_results).enumerate() {
-        if &res.result != vm_res {
-            divs.push(Divergence::HostOp {
-                id: i as u64,
-                detail: format!("shared store returned {:?}, reference {:?}", res.result, vm_res),
-            });
-        }
-    }
-
-    for def in &design.maps {
-        let strategy = merge.iter().find(|(m, _)| *m == def.id).map(|&(_, s)| s).unwrap_or(
-            if shared_ids.contains(&def.id) {
-                MergeStrategy::Direct
-            } else {
-                match def.kind {
-                    MapKind::Array | MapKind::PerCpuArray => MergeStrategy::SumDelta,
-                    _ => MergeStrategy::Union,
-                }
-            },
-        );
-        let vm_map = vm.maps().get(def.id).expect("vm map");
-        let vm_entries = || -> BTreeMap<Vec<u8>, Vec<u8>> {
-            vm_map.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect()
-        };
-        let matches = match strategy {
-            MergeStrategy::Ignore => true,
-            MergeStrategy::Direct => {
-                let m = nic.shared_store().get(def.id).expect("shared map");
-                let merged: BTreeMap<Vec<u8>, Vec<u8>> =
-                    m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-                merged == vm_entries()
-            }
-            MergeStrategy::Union => {
-                let mut merged: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-                let mut conflict = false;
-                for r in 0..replicas {
-                    let m = nic.sim(r).maps().get(def.id).expect("replica map");
-                    for (_, k, v) in m.iter() {
-                        match merged.entry(k.to_vec()) {
-                            Entry::Occupied(e) => conflict |= e.get() != v,
-                            Entry::Vacant(e) => {
-                                e.insert(v.to_vec());
-                            }
-                        }
-                    }
-                }
-                !conflict && merged == vm_entries()
-            }
-            MergeStrategy::SumDelta => {
-                let init = initial.get(def.id).expect("initial map");
-                let words = def.value_size.div_ceil(8) as usize;
-                init.iter().all(|(slot, key, iv)| {
-                    let vm_v = vm_map.iter().find(|(_, k, _)| *k == key).map(|(_, _, v)| v);
-                    let Some(vm_v) = vm_v else { return false };
-                    (0..words).all(|w| {
-                        let mut acc = value_word(iv, w);
-                        for r in 0..replicas {
-                            let rv =
-                                nic.sim(r).maps().get(def.id).expect("replica map").value(slot);
-                            acc =
-                                acc.wrapping_add(value_word(rv, w).wrapping_sub(value_word(iv, w)));
-                        }
-                        acc == value_word(vm_v, w)
-                    })
-                })
-            }
-        };
-        if !matches {
-            divs.push(Divergence::Map { map: def.id });
-        }
-    }
-
-    if let Err(v) = check_linearizable(&initial, &shared_ids, &report.events) {
-        divs.push(Divergence::Coherence { detail: v.to_string() });
-    }
-
-    for v in vm.proof_violations() {
-        divs.push(Divergence::Proof { detail: format!("vm: {v}") });
-    }
-    replica_proof_divergences(&nic, replicas, &mut divs);
-    divs
-}
-
-/// One [`Divergence::Proof`] per replica whose unguarded accesses left
-/// their proven bounds.
-fn replica_proof_divergences(nic: &ShardedNic, replicas: usize, divs: &mut Vec<Divergence>) {
-    for r in 0..replicas {
-        let hw_violations = nic.sim(r).counters().proof_violations;
-        if hw_violations > 0 {
-            divs.push(Divergence::Proof {
-                detail: format!(
-                    "replica {r}: {hw_violations} unguarded accesses left proven bounds"
-                ),
-            });
-        }
-    }
-}
-
-/// Assert that a sharded run is equivalent to the sequential reference
-/// ([`compare_sharded`] with an empty divergence list), panicking with
-/// every divergence otherwise.
-#[allow(clippy::too_many_arguments)]
-pub fn assert_equivalent_sharded(
-    program: &Program,
-    design: &PipelineDesign,
-    replicas: usize,
-    seed: u64,
-    packets: &[Vec<u8>],
-    ops: &[(usize, HostOp)],
-    setup: impl Fn(&mut MapStore),
-    merge: &[(u32, MergeStrategy)],
-    fabric: SharedMapOptions,
-) -> Vec<Divergence> {
-    let divs = compare_sharded(
-        program,
-        design,
-        replicas,
-        seed,
-        packets,
-        ops,
-        setup,
-        merge,
-        fabric,
-        harness_options(),
-    );
-    assert!(
-        divs.is_empty(),
-        "sharded run diverged from the sequential reference:\n{}",
-        divs.iter().map(|d| format!("  {d}")).collect::<Vec<_>>().join("\n")
-    );
-    divs
-}
-
-/// Result of a fail-over differential run ([`compare_sharded_failover`]).
-#[derive(Debug)]
-pub struct FailoverDiff {
-    /// Divergences found (empty means the run passed every check).
-    pub divergences: Vec<Divergence>,
-    /// The sharded run's full report, including [`ShardReport::failover`](crate::shared::ShardReport::failover)
-    /// stats, for callers that gate on availability or detection latency.
-    pub report: crate::shared::ShardReport,
-}
-
-/// Differential check of a [`ShardedNic`] run *under replica failures*
-/// against the fault-free sequential reference.
-///
-/// The reference VM processes every packet; the sharded run takes the
-/// same trace with `schedule`'s replica faults injected. Correctness
-/// under failure means:
-///
-/// * **Zero silent loss** — every offered packet is completed, drained,
-///   discarded, or an accounted ingress drop; the sums must close.
-/// * **Blast-radius containment** — every lost packet belongs to a flow
-///   homed on a replica that failed ([`ShardReport::affected`](crate::shared::ShardReport::affected)); a loss
-///   outside the affected set means the fail-over leaked into healthy
-///   traffic.
-/// * **Survivor equivalence** — every completed packet *outside* the
-///   affected set must be bit-equivalent (action and output bytes) to
-///   the sequential reference. Affected flows are exempt: losing part of
-///   a session legitimately changes stateful verdicts downstream.
-/// * **Bounded detection** — every injected (non-masked) failure is
-///   detected, and never later than the watchdog budget.
-/// * **Coherence** — the surviving shared-map history stays per-key
-///   linearizable ([`check_linearizable`]).
-///
-/// Final map state is *not* compared: a failure legitimately loses
-/// private state the [`MergeStrategy`] cannot reconstruct. Callers who
-/// need map equivalence should use [`compare_sharded`] on a fault-free
-/// run.
-#[allow(clippy::too_many_arguments)]
-pub fn compare_sharded_failover(
-    program: &Program,
-    design: &PipelineDesign,
-    replicas: usize,
-    seed: u64,
-    packets: &[Vec<u8>],
-    rfault: ReplicaFaultConfig,
-    setup: impl Fn(&mut MapStore),
-    merge: &[(u32, MergeStrategy)],
-    fabric: SharedMapOptions,
-) -> FailoverDiff {
-    let mut vm = Vm::new(program);
-    vm.set_time_ns(1000);
-    let mut fabric = fabric;
-    fabric.log_events = true;
-    let shared_ids = fabric.shared_maps.clone();
-    let mut nic = ShardedNic::new(design, replicas, seed, harness_options(), fabric);
-    nic.attach_replica_faults(rfault.clone(), merge.to_vec());
-    setup(vm.maps_mut());
-    nic.setup_maps(&setup);
-    let mut initial = MapStore::new(&design.maps);
-    setup(&mut initial);
-
-    // Fault-free sequential reference over the whole trace.
-    let mut vm_actions = Vec::with_capacity(packets.len());
-    let mut vm_packets = Vec::with_capacity(packets.len());
-    for p in packets {
-        let mut bytes = p.clone();
-        match vm.run(&mut bytes, 0) {
-            Ok(out) => {
-                vm_actions.push(out.action);
-                vm_packets.push(bytes);
-            }
-            Err(_) => {
-                vm_actions.push(XdpAction::Drop);
-                vm_packets.push(p.clone());
-            }
-        }
-    }
-
-    let report = nic.run(packets.iter().cloned());
-    let mut divs = Vec::new();
-
-    // Zero silent loss: the accounting must close exactly.
-    let offered = packets.len() as u64;
-    let completed: u64 = report.completed.iter().sum();
-    let drained = report.drained.len() as u64;
-    let discarded = report.discarded.len() as u64;
-    let dropped: u64 = report.dropped.iter().sum();
-    if offered != completed + drained + discarded + dropped {
-        divs.push(Divergence::Loss {
-            detail: format!(
-                "accounting leak: offered {offered} != completed {completed} + drained {drained} \
-                 + discarded {discarded} + dropped {dropped}"
-            ),
+    if !pipeline_faults {
+        let vm_proofs = vm.proof_violations().iter().map(|v| format!("vm: {v}"));
+        let hw_proofs = dut.sims().into_iter().filter_map(|(name, sim)| {
+            let n = sim.counters().proof_violations;
+            (n > 0).then(|| format!("{name}: {n} unguarded accesses left proven bounds"))
         });
+        divs.extend(vm_proofs.chain(hw_proofs).map(|detail| Divergence::Proof { detail }));
     }
 
-    // Blast-radius containment: losses only inside the affected set.
-    let affected: std::collections::BTreeSet<u64> = report.affected.iter().copied().collect();
-    for g in report.drained.iter().chain(&report.discarded) {
-        if !affected.contains(g) {
-            divs.push(Divergence::Loss {
-                detail: format!("packet {g} lost outside the affected flow set"),
-            });
+    let program = s.program.name.clone();
+    let mut report =
+        Report { divergences: divs, missing, shard: trace.shard, program, ..Default::default() };
+    match &dut {
+        Dut::Pipeline(sim) => {
+            report.counters = *sim.counters();
+            report.availability = sim.availability();
+            if let Some(e) = sim.fault_engine() {
+                report.fault_stats = *e.stats();
+                report.fault_log = e.log().to_vec();
+                report.map_storage_corrupted = e.map_storage_corrupted();
+            }
+        }
+        Dut::Replicas(nic) => {
+            let r = report.shard.as_ref().expect("a sharded run reports");
+            report.availability = r.failover.availability(nic.replicas(), r.cycles);
         }
     }
-
-    // Bounded detection: every non-masked injection is caught in budget.
-    let f = report.failover;
-    if f.detected + f.masked_brownouts < f.injected {
-        divs.push(Divergence::Loss {
-            detail: format!(
-                "undetected failures: injected {}, detected {}, masked {}",
-                f.injected, f.detected, f.masked_brownouts
-            ),
-        });
-    }
-    if f.detection_latency_max > rfault.watchdog_budget {
-        divs.push(Divergence::Loss {
-            detail: format!(
-                "detection latency {} blew the watchdog budget {}",
-                f.detection_latency_max, rfault.watchdog_budget
-            ),
-        });
-    }
-
-    // Survivor equivalence: completed non-affected packets must be
-    // bit-equivalent to the fault-free reference.
-    for (_, g, out) in &report.outcomes {
-        let i = *g as usize;
-        if i >= packets.len() || affected.contains(g) {
-            continue;
-        }
-        if out.action != vm_actions[i] {
-            divs.push(Divergence::Action { seq: i, vm: vm_actions[i], hw: out.action });
-            continue;
-        }
-        if out.action.forwards() && out.packet != vm_packets[i] {
-            let at = out
-                .packet
-                .iter()
-                .zip(&vm_packets[i])
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| out.packet.len().min(vm_packets[i].len()));
-            divs.push(Divergence::Packet { seq: i, at });
-        }
-    }
-
-    if let Err(v) = check_linearizable(&initial, &shared_ids, &report.events) {
-        divs.push(Divergence::Coherence { detail: v.to_string() });
-    }
-    replica_proof_divergences(&nic, replicas, &mut divs);
-
-    FailoverDiff { divergences: divs, report }
+    report
 }
 
-/// Differential run with *live* host ops interleaved into the packet
-/// stream.
-///
-/// The pipeline side attaches a control channel and submits each op at its
-/// schedule position while packets are still in flight, so ops race the
-/// pipeline's hazard machinery for real — including writes landing inside
-/// open RAW windows. The reference side is strictly sequential: each op is
-/// applied to the VM's map store between the packets it is scheduled
-/// between. Divergences cover per-packet outcomes, per-op results, and
-/// final map contents.
-pub fn compare_with_ops(
-    program: &Program,
-    design: &PipelineDesign,
-    events: &[HostEvent],
-    setup: impl Fn(&mut MapStore),
-    ignore_maps: &[u32],
-    ctrl: CtrlOptions,
-) -> Vec<Divergence> {
-    compare_ops_core(program, design, events, events, &|r| r, &setup, ignore_maps, ctrl)
-}
-
-/// Like [`compare_with_ops`], but the pipeline executes the *coalesced*
-/// rewrite of the schedule ([`crate::batch::coalesce_ops`] applied per op
-/// train) while the sequential VM reference still executes the original
-/// ops one by one. Carrier completions are expanded back to per-original
-/// results via the recorded answer mapping, so a pass proves the serving
-/// layer's batching is bit-equivalent to sequential submission — same
-/// per-packet outcomes, same per-op results, same final maps.
-pub fn compare_with_ops_coalesced(
-    program: &Program,
-    design: &PipelineDesign,
-    events: &[HostEvent],
-    setup: impl Fn(&mut MapStore),
-    ignore_maps: &[u32],
-    ctrl: CtrlOptions,
-) -> Vec<Divergence> {
-    let shapes: std::collections::BTreeMap<u32, MapShape> = program
-        .maps
-        .iter()
-        .map(|d| {
-            (d.id, MapShape { key_size: d.key_size as usize, value_size: d.value_size as usize })
-        })
-        .collect();
-    let shape = |id: u32| shapes.get(&id).copied();
-
-    // Rewrite each op train; carriers keep the train's barrier position.
-    // `carriers` lines up with hw submission order (the ctrl channel is a
-    // FIFO), `bases` records each train's offset into the original op
-    // numbering so per-train answer indices can be scattered globally.
-    let mut hw_events: Vec<HostEvent> = Vec::with_capacity(events.len());
-    let mut carriers: Vec<CoalescedOp> = Vec::new();
-    let mut carrier_train: Vec<usize> = Vec::new(); // carrier -> train id
-    let mut bases: Vec<usize> = Vec::new(); // train id -> original-op base
-    let mut train: Vec<HostOp> = Vec::new();
-    let mut nops_original = 0usize;
-    let mut flush = |train: &mut Vec<HostOp>, hw_events: &mut Vec<HostEvent>, base: usize| {
-        if train.is_empty() {
-            return;
-        }
-        let (coalesced, _) = coalesce_ops(train, shape);
-        let tid = bases.len();
-        bases.push(base);
-        for c in coalesced {
-            hw_events.push(HostEvent::Op(c.op.clone()));
-            carriers.push(c);
-            carrier_train.push(tid);
-        }
-        train.clear();
+/// What the device is handed: the packets, and the ops at their arrival
+/// positions (packets before them) — per op train its carriers, the train
+/// verbatim or as [`coalesce_ops`] rewrites it when the scenario coalesces.
+#[allow(clippy::type_complexity)]
+fn schedule<'s>(s: &'s Scenario) -> (Vec<&'s [u8]>, Vec<(usize, HostOp)>, Vec<Vec<CoalescedOp>>) {
+    let shape = |id: u32| {
+        let d = s.design.maps.get(id as usize)?;
+        Some(MapShape { key_size: d.key_size as usize, value_size: d.value_size as usize })
     };
-    for ev in events {
-        match ev {
+    let (mut packets, mut ops, mut trains) = (Vec::new(), Vec::new(), Vec::new());
+    let mut events = s.events.iter().peekable();
+    while let Some(event) = events.next() {
+        let first = match event {
             HostEvent::Packet(p) => {
-                let base = nops_original - train.len();
-                flush(&mut train, &mut hw_events, base);
-                hw_events.push(HostEvent::Packet(p.clone()));
+                packets.push(&p[..]);
+                continue;
             }
-            HostEvent::Op(op) => {
-                train.push(op.clone());
-                nops_original += 1;
-            }
+            HostEvent::Op(op) => op,
+        };
+        let mut train = vec![first.clone()];
+        while let Some(HostEvent::Op(op)) = events.next_if(|e| matches!(e, HostEvent::Op(_))) {
+            train.push(op.clone());
         }
+        let carriers = if s.coalesce {
+            coalesce_ops(&train, shape).0
+        } else {
+            let direct = |(orig, op): (usize, HostOp)| CoalescedOp {
+                op,
+                answers: vec![OpAnswer::Direct { orig }],
+            };
+            train.into_iter().enumerate().map(direct).collect()
+        };
+        ops.extend(carriers.iter().map(|c| (packets.len(), c.op.clone())));
+        trains.push(carriers);
     }
-    let base = nops_original - train.len();
-    flush(&mut train, &mut hw_events, base);
-
-    // Expand carrier completions (in FIFO submission order) back to
-    // original per-op results.
-    let expand = move |results: Vec<Result<HostOpResult, MapError>>| {
-        if results.len() != carriers.len() {
-            // Signalled as a count divergence by the core; return the raw
-            // results so the caller still reports the mismatch.
-            return results;
-        }
-        let mut out: Vec<Option<Result<HostOpResult, MapError>>> = vec![None; nops_original];
-        let mut i = 0usize;
-        while i < carriers.len() {
-            let tid = carrier_train[i];
-            let mut j = i;
-            while j < carriers.len() && carrier_train[j] == tid {
-                j += 1;
-            }
-            let expanded = expand_results(&carriers[i..j], &results[i..j]);
-            for (k, r) in expanded.into_iter().enumerate() {
-                out[bases[tid] + k] = Some(r);
-            }
-            i = j;
-        }
-        out.into_iter()
-            .map(|r| r.expect("every original op is answered by exactly one carrier"))
-            .collect()
-    };
-
-    compare_ops_core(program, design, &hw_events, events, &expand, &setup, ignore_maps, ctrl)
+    (packets, ops, trains)
 }
 
-/// Per-op results as the host sees them, in submit order.
-type OpResults = Vec<Result<HostOpResult, MapError>>;
-
-/// Shared engine of [`compare_with_ops`] / [`compare_with_ops_coalesced`]:
-/// feed `hw_events` to the pipeline, run `ref_events` sequentially on the
-/// VM, map the pipeline's op completions through `expand` (identity for
-/// the uncoalesced harness), and diff outcomes, op results and final maps.
-#[allow(clippy::too_many_arguments)]
-fn compare_ops_core(
-    program: &Program,
-    design: &PipelineDesign,
-    hw_events: &[HostEvent],
-    ref_events: &[HostEvent],
-    expand: &dyn Fn(OpResults) -> OpResults,
-    setup: &dyn Fn(&mut MapStore),
-    ignore_maps: &[u32],
-    ctrl: CtrlOptions,
-) -> Vec<Divergence> {
-    let mut vm = Vm::new(program);
-    vm.set_time_ns(1000);
-    if let Ok(decoded) = program.decode() {
-        vm.check_facts(ehdl_ebpf::absint::analyze(&decoded));
-    }
-    let mut sim = PipelineSim::with_options(design, harness_options());
-    setup(vm.maps_mut());
-    setup(sim.maps_mut());
-    let nops = hw_events.iter().filter(|e| matches!(e, HostEvent::Op(_))).count();
-    // The whole schedule is submitted up front, so the queue must hold
-    // every op; arrival latency and fences still govern when each applies.
-    sim.attach_ctrl(CtrlOptions { queue_depth: ctrl.queue_depth.max(nops), ..ctrl });
-
-    let npackets = hw_events.len() - nops;
-    let mut divs = Vec::new();
-
-    // Pipeline side: feed the schedule in order (packets enqueue, ops
-    // submit — each op's barrier is the sequence number of the next
-    // packet), then let everything drain together.
-    for ev in hw_events {
-        match ev {
+/// The sequential reference: packets in arrival order, each op applied
+/// between the packets it is scheduled between. Per packet the verdict and
+/// output bytes (a VM fault is a drop of the unmodified packet — the
+/// hardware drops on access faults), per op its result.
+fn replay(vm: &mut Vm, events: &[HostEvent]) -> (Vec<(XdpAction, Vec<u8>)>, Vec<OpResult>) {
+    let (mut outcomes, mut acks) = (Vec::with_capacity(events.len()), Vec::new());
+    for event in events {
+        match event {
             HostEvent::Packet(p) => {
-                let mut attempts = 0u32;
-                while !sim.enqueue(p.clone()) {
-                    sim.settle(1_000_000);
-                    attempts += 1;
-                    assert!(attempts < 64, "rx queue never drained");
-                }
+                let mut bytes = p.clone();
+                outcomes.push(match vm.run(&mut bytes, 0) {
+                    Ok(out) => (out.action, bytes),
+                    Err(_) => (XdpAction::Drop, p.clone()),
+                });
             }
-            HostEvent::Op(op) => {
-                if let Err(e) = sim.submit_host_op(op.clone()) {
-                    divs.push(Divergence::HostOp {
-                        id: u64::MAX,
-                        detail: format!("submission rejected: {e}"),
+            HostEvent::Op(op) => acks.push(op.apply(vm.maps_mut())),
+        }
+    }
+    (outcomes, acks)
+}
+
+impl Dut {
+    /// Instantiate `s`'s device with its maps set up and its faults armed.
+    fn new(s: &Scenario, nops: usize) -> Dut {
+        match &s.device {
+            Device::Pipeline { ctrl, faults } => {
+                let mut sim = PipelineSim::with_options(s.design, s.sim);
+                (s.setup)(sim.maps_mut());
+                if nops > 0 {
+                    // The whole schedule is submitted up front, so the queue
+                    // must hold every op; arrival latency and fences still
+                    // govern when each applies.
+                    sim.attach_ctrl(CtrlOptions {
+                        queue_depth: ctrl.queue_depth.max(nops),
+                        ..*ctrl
                     });
                 }
+                if let Some(f) = faults {
+                    sim.attach_faults(*f);
+                }
+                Dut::Pipeline(sim)
+            }
+            Device::Replicas { n, seed, fabric, merge, faults } => {
+                let fabric = SharedMapOptions { log_events: true, ..fabric.clone() };
+                let mut nic = ShardedNic::new(s.design, *n, *seed, s.sim, fabric);
+                nic.setup_maps(s.setup);
+                if let Some(f) = faults {
+                    nic.attach_replica_faults(f.clone(), merge.clone());
+                }
+                Dut::Replicas(nic)
             }
         }
+    }
+
+    /// Feed the schedule, drain, and collect what came out.
+    fn run(&mut self, packets: &[&[u8]], ops: &[(usize, HostOp)]) -> Trace {
+        let nic = match self {
+            Dut::Pipeline(sim) => return run_pipeline(sim, packets, ops),
+            Dut::Replicas(nic) => nic,
+        };
+        let report = nic.run_with_ops(packets.iter().map(|p| p.to_vec()), ops);
+        let outs = report.outcomes.iter().map(|(_, g, out)| (*g, out.clone()));
+        Trace {
+            outcomes: by_arrival(packets.len(), outs),
+            acks: report.host_completions.iter().map(|c| c.result.clone()).collect(),
+            exempt: report.affected.clone(),
+            shard: Some(report),
+        }
+    }
+
+    /// Every pipeline of the device, named.
+    fn sims(&self) -> Vec<(String, &PipelineSim)> {
+        match self {
+            Dut::Pipeline(sim) => vec![("pipeline".into(), sim)],
+            Dut::Replicas(nic) => {
+                (0..nic.replicas()).map(|r| (format!("replica {r}"), nic.sim(r))).collect()
+            }
+        }
+    }
+}
+
+/// Feed one pipeline: each op is submitted once the packets before it
+/// are enqueued (its barrier is the next packet's sequence number), then
+/// everything drains together.
+fn run_pipeline(sim: &mut PipelineSim, packets: &[&[u8]], ops: &[(usize, HostOp)]) -> Trace {
+    // The reference has checked every op's map id, and the queue holds
+    // the whole schedule.
+    let submit = |sim: &mut PipelineSim, op: &HostOp| {
+        sim.submit_host_op(op.clone()).expect("the channel takes every op");
+    };
+    let mut ops = ops.iter().peekable();
+    for (i, p) in packets.iter().enumerate() {
+        while let Some((_, op)) = ops.next_if(|(at, _)| *at <= i) {
+            submit(sim, op);
+        }
+        let mut attempts = 0u32;
+        while let Err(SimError::QueueFull { .. }) = sim.try_enqueue(p.to_vec()) {
+            sim.settle(1_000_000);
+            attempts += 1;
+            assert!(attempts < 64, "rx queue never drained");
+        }
+    }
+    for (_, op) in ops {
+        submit(sim, op);
     }
     sim.settle(50_000_000);
     let outs = sim.drain();
-    let completions = sim.host_completions();
+    sim.finalize_faults();
+    let exempt = sim.fault_engine().map(|e| e.affected_seqs().to_vec());
+    // Watchdog recovery may retire out of order; nothing else may.
+    assert!(
+        exempt.is_some() || outs.windows(2).all(|w| w[0].seq < w[1].seq),
+        "pipeline must preserve packet order"
+    );
+    Trace {
+        outcomes: by_arrival(packets.len(), outs.into_iter().map(|out| (out.seq, out))),
+        acks: sim.host_completions().into_iter().map(|c| c.result).collect(),
+        exempt: exempt.unwrap_or_default(),
+        shard: None,
+    }
+}
 
-    // Sequential reference: the *original* schedule, ops applied in place.
-    let mut vm_actions = Vec::with_capacity(npackets);
-    let mut vm_packets = Vec::with_capacity(npackets);
-    let mut vm_ops = Vec::with_capacity(nops);
-    for ev in ref_events {
-        match ev {
-            HostEvent::Packet(p) => {
-                let mut bytes = p.clone();
-                match vm.run(&mut bytes, 0) {
-                    Ok(out) => {
-                        vm_actions.push(out.action);
-                        vm_packets.push(bytes);
-                    }
-                    Err(_) => {
-                        vm_actions.push(XdpAction::Drop);
-                        vm_packets.push(p.clone());
-                    }
-                }
-            }
-            HostEvent::Op(op) => vm_ops.push(apply_host_op_to_store(vm.maps_mut(), op)),
+/// Outcomes indexed by arrival (global packet index).
+fn by_arrival(n: usize, outs: impl Iterator<Item = (u64, SimOutcome)>) -> Vec<Option<SimOutcome>> {
+    let mut by = vec![None; n];
+    for (at, out) in outs {
+        if let Some(slot) = by.get_mut(at as usize) {
+            *slot = Some(out);
         }
     }
+    by
+}
 
-    if outs.len() != npackets {
-        divs.push(Divergence::Count { vm: npackets, hw: outs.len() });
-        return divs;
-    }
-    for (i, out) in outs.iter().enumerate() {
-        assert_eq!(out.seq as usize, i, "pipeline must preserve packet order");
-        if out.action != vm_actions[i] {
-            divs.push(Divergence::Action { seq: i, vm: vm_actions[i], hw: out.action });
+/// Per packet outside the trace's exempt set: the device's verdict must equal the
+/// reference's and, when it forwards, so must its bytes — or, for a packet
+/// the program allocates a field for, the field's invariant. Returns how
+/// many such packets the device never retired.
+fn check_outcomes(
+    sent: &[&[u8]],
+    reference: &[(XdpAction, Vec<u8>)],
+    device: &Trace,
+    allocated: Option<&AllocatedField>,
+    divs: &mut Vec<Divergence>,
+) -> u64 {
+    let mut seen = Seen::default();
+    let mut missing = 0;
+    let outcomes = sent.iter().zip(reference).zip(&device.outcomes);
+    for (seq, ((sent, (action, bytes)), out)) in outcomes.enumerate() {
+        if device.exempt.binary_search(&(seq as u64)).is_ok() {
             continue;
         }
-        if out.action.forwards() && out.packet != vm_packets[i] {
-            let at = out
-                .packet
-                .iter()
-                .zip(&vm_packets[i])
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| out.packet.len().min(vm_packets[i].len()));
-            divs.push(Divergence::Packet { seq: i, at });
-        }
-    }
-
-    // Host ops complete in submission order (the channel is a FIFO), so
-    // completion `i` pairs with the i-th submitted op; `expand` maps the
-    // submitted (possibly coalesced) results back onto the reference
-    // schedule's op numbering.
-    if completions.len() != nops {
-        divs.push(Divergence::HostOp {
-            id: u64::MAX,
-            detail: format!("{} of {nops} submitted ops completed", completions.len()),
-        });
-    } else {
-        let hw_ops = expand(completions.into_iter().map(|c| c.result).collect());
-        if hw_ops.len() != vm_ops.len() {
-            divs.push(Divergence::HostOp {
-                id: u64::MAX,
-                detail: format!("{} expanded results for {} ops", hw_ops.len(), vm_ops.len()),
-            });
-        } else {
-            for (i, (hr, vr)) in hw_ops.iter().zip(&vm_ops).enumerate() {
-                if hr != vr {
-                    divs.push(Divergence::HostOp {
-                        id: i as u64,
-                        detail: format!("hw={hr:?} vm={vr:?}"),
-                    });
-                }
-            }
-        }
-    }
-
-    for def in &program.maps {
-        if ignore_maps.contains(&def.id) {
+        let Some(out) = out else {
+            missing += 1;
+            continue;
+        };
+        if out.action != *action {
+            divs.push(Divergence::Action { seq, vm: *action, hw: out.action });
             continue;
         }
-        let a = vm.maps().get(def.id).expect("vm map");
-        let b = sim.maps().get(def.id).expect("sim map");
-        let mut ea: Vec<_> = a.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-        let mut eb: Vec<_> = b.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-        ea.sort();
-        eb.sort();
-        if ea != eb {
+        if !out.action.forwards() {
+            continue;
+        }
+        match allocated.and_then(|field| Some((field, (field.flow)(sent)?))) {
+            Some((field, flow)) => {
+                if let Err(detail) = field.admit(flow, bytes, &out.packet, &mut seen) {
+                    divs.push(Divergence::Nat { seq, detail });
+                }
+            }
+            None if out.packet != *bytes => {
+                let at = out
+                    .packet
+                    .iter()
+                    .zip(bytes)
+                    .position(|(a, b)| a != b)
+                    .unwrap_or_else(|| out.packet.len().min(bytes.len()));
+                divs.push(Divergence::Packet { seq, at });
+            }
+            None => {}
+        }
+    }
+    missing
+}
+
+/// The value each flow holds and the flow each value serves, so far.
+type Seen = (HashMap<Vec<u8>, u64>, HashMap<u64, Vec<u8>>);
+
+impl AllocatedField {
+    /// Admit one forwarded packet of `flow` whose reference output is
+    /// `want` and device output `got`.
+    fn admit(&self, flow: Vec<u8>, want: &[u8], got: &[u8], seen: &mut Seen) -> Result<(), String> {
+        let len = got.len().max(want.len());
+        let mut outside = (0..len).filter(|i| !self.bytes.contains(i));
+        if let Some(at) = outside.find(|&i| got.get(i) != want.get(i)) {
+            return Err(format!("byte {at} differs outside the field"));
+        }
+        let Some(field) = got.get(self.bytes.clone()) else {
+            return Err(format!("{} bytes cannot hold the field", got.len()));
+        };
+        let value = field.iter().fold(0u64, |v, &byte| v << 8 | u64::from(byte));
+        if !self.values.contains(&value) {
+            return Err(format!("value {value} outside {:?}", self.values));
+        }
+        let held = *seen.0.entry(flow.clone()).or_insert(value);
+        if held != value {
+            return Err(format!("flow moved from value {held} to {value}"));
+        }
+        if *seen.1.entry(value).or_insert_with(|| flow.clone()) != flow {
+            return Err(format!("value {value} already serves another flow"));
+        }
+        Ok(())
+    }
+}
+
+/// The device's op completions against the reference's, after expanding
+/// each train's carriers back to per-original results; `exact` compares
+/// the results, otherwise every submitted op must merely complete.
+fn check_acks(
+    reference: &[OpResult],
+    device: &[OpResult],
+    trains: &[Vec<CoalescedOp>],
+    exact: bool,
+    divs: &mut Vec<Divergence>,
+) {
+    let submitted: usize = trains.iter().map(Vec::len).sum();
+    if device.len() != submitted {
+        let detail = format!("{} of {submitted} submitted ops completed", device.len());
+        divs.push(Divergence::HostOp { id: u64::MAX, detail });
+        return;
+    }
+    if !exact {
+        return;
+    }
+    // Ops complete in submission order (both devices apply a FIFO).
+    let mut rest = device;
+    let expanded = trains.iter().flat_map(|train| {
+        let (head, tail) = rest.split_at(train.len());
+        rest = tail;
+        expand_results(train, head)
+    });
+    for (id, (hw, vm)) in expanded.zip(reference).enumerate() {
+        if hw != *vm {
+            let detail = format!("device {hw:?}, reference {vm:?}");
+            divs.push(Divergence::HostOp { id: id as u64, detail });
+        }
+    }
+}
+
+/// Sorted key → value contents of a map.
+type Entries = BTreeMap<Vec<u8>, Vec<u8>>;
+
+fn entries(store: &MapStore, id: u32) -> Entries {
+    map(store, id).iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect()
+}
+
+fn map(store: &MapStore, id: u32) -> &Map {
+    store.get(id).expect("every store instantiates the design's maps")
+}
+
+/// Final map contents: a pipeline's directly, replicas' reconstructed per
+/// merge policy, against the reference's.
+fn check_maps(
+    s: &Scenario,
+    reference: &MapStore,
+    dut: &Dut,
+    initial: &MapStore,
+    divs: &mut Vec<Divergence>,
+) {
+    for def in &s.design.maps {
+        let policy = match &s.device {
+            Device::Replicas { fabric, merge, .. } => {
+                let listed = merge.iter().find(|(m, _)| *m == def.id).map(|&(_, p)| p);
+                listed.unwrap_or(if fabric.shared_maps.contains(&def.id) {
+                    MergePolicy::Direct
+                } else if matches!(def.kind, MapKind::Array | MapKind::PerCpuArray) {
+                    MergePolicy::SumDelta
+                } else {
+                    MergePolicy::Union
+                })
+            }
+            Device::Pipeline { .. } => MergePolicy::Union,
+        };
+        if policy == MergePolicy::Ignore || s.ignore_maps.contains(&def.id) {
+            continue;
+        }
+        let device = match dut {
+            Dut::Pipeline(sim) => Some(entries(sim.maps(), def.id)),
+            Dut::Replicas(nic) => merged(policy, def.id, nic, initial),
+        };
+        if device.as_ref() != Some(&entries(reference, def.id)) {
             divs.push(Divergence::Map { map: def.id });
         }
     }
-
-    for v in vm.proof_violations() {
-        divs.push(Divergence::Proof { detail: format!("vm: {v}") });
-    }
-    let hw_violations = sim.counters().proof_violations;
-    if hw_violations > 0 {
-        divs.push(Divergence::Proof {
-            detail: format!("pipeline: {hw_violations} unguarded accesses left proven bounds"),
-        });
-    }
-    divs
 }
 
-/// Compile `program` and run [`compare_with_ops`], panicking with a
-/// readable report on divergence.
-pub fn assert_equivalent_ops(
-    program: &Program,
-    options: CompilerOptions,
-    events: &[HostEvent],
-    setup: impl Fn(&mut MapStore),
-    ignore_maps: &[u32],
-    ctrl: CtrlOptions,
-) {
-    let design = Compiler::with_options(options)
-        .compile(program)
-        .unwrap_or_else(|e| panic!("compile {}: {e}", program.name));
-    let divs = compare_with_ops(program, &design, events, setup, ignore_maps, ctrl);
-    if !divs.is_empty() {
-        let report: Vec<String> = divs.iter().take(8).map(|d| d.to_string()).collect();
-        panic!(
-            "pipeline diverges from VM for `{}` under live host ops ({} issues):\n  {}",
-            program.name,
-            divs.len(),
-            report.join("\n  ")
-        );
-    }
-}
-
-/// Compile `program` and run [`compare_with_ops_coalesced`], panicking
-/// with a readable report on divergence.
-pub fn assert_equivalent_ops_coalesced(
-    program: &Program,
-    options: CompilerOptions,
-    events: &[HostEvent],
-    setup: impl Fn(&mut MapStore),
-    ignore_maps: &[u32],
-    ctrl: CtrlOptions,
-) {
-    let design = Compiler::with_options(options)
-        .compile(program)
-        .unwrap_or_else(|e| panic!("compile {}: {e}", program.name));
-    let divs = compare_with_ops_coalesced(program, &design, events, setup, ignore_maps, ctrl);
-    if !divs.is_empty() {
-        let report: Vec<String> = divs.iter().take(8).map(|d| d.to_string()).collect();
-        panic!(
-            "coalesced schedule diverges from the sequential oracle for `{}` ({} issues):\n  {}",
-            program.name,
-            divs.len(),
-            report.join("\n  ")
-        );
-    }
-}
-
-/// Result of a fault-injection differential run ([`compare_under_faults`]).
-///
-/// Equivalence is judged only on *non-fault* packets: a protected design
-/// must keep every packet the faults never touched bit-identical to the
-/// sequential reference, while fault-affected packets (silently corrupted,
-/// or sacrificed by the watchdog) are reported but not counted as
-/// divergences.
-#[derive(Debug, Clone)]
-pub struct FaultCompareReport {
-    /// Divergences among packets no fault touched.
-    pub divergences: Vec<Divergence>,
-    /// Map ids whose final contents differ from the reference. Meaningful
-    /// only when no fault reached map state (`affected` empty and
-    /// `map_storage_corrupted` false); otherwise expected to be non-empty.
-    pub map_divergences: Vec<u32>,
-    /// Sequence numbers of packets a fault corrupted or killed.
-    pub affected: Vec<u64>,
-    /// Non-affected packets that never completed (pipeline wedged without
-    /// a watchdog).
-    pub missing: u64,
-    /// Whether map backing storage took an unrecovered upset.
-    pub map_storage_corrupted: bool,
-    /// Fault engine tallies for the run.
-    pub stats: FaultStats,
-    /// Full fault event log (cycle/site/kind/outcome per injection).
-    pub log: Vec<FaultEvent>,
-    /// Simulator counters (fault replays, watchdog resets, ...).
-    pub counters: SimCounters,
-    /// Fraction of cycles the pipeline was not wedged.
-    pub availability: f64,
-}
-
-/// Differential VM-vs-pipeline run with a fault-injection engine attached.
-///
-/// Runs the sequential reference fault-free, runs the pipeline under the
-/// seeded campaign `fault`, and compares per packet — excluding the
-/// packets the engine reports as fault-affected. Outcomes are matched by
-/// sequence number (watchdog recovery can retire packets out of order).
-pub fn compare_under_faults(
-    program: &Program,
-    design: &PipelineDesign,
-    packets: &[Vec<u8>],
-    setup: impl Fn(&mut ehdl_ebpf::maps::MapStore),
-    ignore_maps: &[u32],
-    fault: FaultConfig,
-) -> FaultCompareReport {
-    // Proof rechecks stay off: an injected bit flip may legitimately push
-    // an address outside its proof.
-    let sim_options = SimOptions { freeze_time_ns: Some(1000), ..Default::default() };
-    let mut vm = Vm::new(program);
-    vm.set_time_ns(1000);
-    let mut sim = PipelineSim::with_options(design, sim_options);
-    setup(vm.maps_mut());
-    setup(sim.maps_mut());
-    sim.attach_faults(fault);
-
-    let mut vm_actions = Vec::with_capacity(packets.len());
-    let mut vm_packets = Vec::with_capacity(packets.len());
-    for p in packets {
-        let mut bytes = p.clone();
-        match vm.run(&mut bytes, 0) {
-            Ok(out) => {
-                vm_actions.push(out.action);
-                vm_packets.push(bytes);
-            }
-            Err(_) => {
-                vm_actions.push(XdpAction::Drop);
-                vm_packets.push(p.clone());
-            }
-        }
-    }
-
-    for p in packets {
-        sim.enqueue(p.clone());
-    }
-    sim.settle(50_000_000);
-    let mut outs = sim.drain();
-    outs.sort_by_key(|o| o.seq);
-    sim.finalize_faults();
-
-    let (affected, map_storage_corrupted, stats, log) = match sim.fault_engine() {
-        Some(e) => {
-            (e.affected_seqs().to_vec(), e.map_storage_corrupted(), *e.stats(), e.log().to_vec())
-        }
-        None => (Vec::new(), false, FaultStats::default(), Vec::new()),
-    };
-
-    let mut divs = Vec::new();
-    let mut missing = 0u64;
-    let mut next = outs.iter().peekable();
-    for seq in 0..packets.len() as u64 {
-        let out = match next.peek() {
-            Some(o) if o.seq == seq => next.next().expect("peeked"),
-            _ => {
-                if affected.binary_search(&seq).is_err() {
-                    missing += 1;
+/// Map `id`'s final contents reconstructed from every replica, or `None`
+/// when a union finds two replicas holding one key with different values.
+fn merged(policy: MergePolicy, id: u32, nic: &ShardedNic, initial: &MapStore) -> Option<Entries> {
+    let replicas: Vec<&Map> = (0..nic.replicas()).map(|r| map(nic.sim(r).maps(), id)).collect();
+    match policy {
+        MergePolicy::Direct | MergePolicy::Ignore => Some(entries(nic.shared_store(), id)),
+        // Correct for flow-partitioned maps: RSS guarantees each key is
+        // only ever *written* by one replica.
+        MergePolicy::Union => {
+            let mut union = Entries::new();
+            for (_, k, v) in replicas.iter().flat_map(|m| m.iter()) {
+                if union.insert(k.to_vec(), v.to_vec()).is_some_and(|old| old != v) {
+                    return None;
                 }
-                continue;
             }
-        };
-        if affected.binary_search(&seq).is_ok() {
-            continue;
+            Some(union)
         }
-        let i = seq as usize;
-        if out.action != vm_actions[i] {
-            divs.push(Divergence::Action { seq: i, vm: vm_actions[i], hw: out.action });
-            continue;
+        // Correct for counters updated with commutative atomic adds:
+        // `initial + Σ (replica − initial)` per little-endian u64 word.
+        MergePolicy::SumDelta => {
+            let merge = |(slot, k, init): (usize, &[u8], &[u8])| {
+                let mut sum = init.to_vec();
+                for m in &replicas {
+                    add_delta(&mut sum, init, m.value(slot));
+                }
+                (k.to_vec(), sum)
+            };
+            Some(map(initial, id).iter().map(merge).collect())
         }
-        if out.action.forwards() && out.packet != vm_packets[i] {
-            let at = out
-                .packet
-                .iter()
-                .zip(&vm_packets[i])
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| out.packet.len().min(vm_packets[i].len()));
-            divs.push(Divergence::Packet { seq: i, at });
-        }
-    }
-
-    let mut map_divergences = Vec::new();
-    for def in &program.maps {
-        if ignore_maps.contains(&def.id) {
-            continue;
-        }
-        let (Some(a), Some(b)) = (vm.maps().get(def.id), sim.maps().get(def.id)) else {
-            continue;
-        };
-        let mut ea: Vec<_> = a.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-        let mut eb: Vec<_> = b.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-        ea.sort();
-        eb.sort();
-        if ea != eb {
-            map_divergences.push(def.id);
-        }
-    }
-
-    FaultCompareReport {
-        divergences: divs,
-        map_divergences,
-        affected,
-        missing,
-        map_storage_corrupted,
-        stats,
-        log,
-        counters: *sim.counters(),
-        availability: sim.availability(),
     }
 }
 
-/// Compile `program` with `options` and differentially test it on
-/// `packets`, panicking with a readable report on divergence.
-pub fn assert_equivalent(program: &Program, options: CompilerOptions, packets: &[Vec<u8>]) {
-    assert_equivalent_with(program, options, packets, |_| {});
+/// `sum += value − init` per little-endian u64 word (a short tail word
+/// wraps at its own width).
+fn add_delta(sum: &mut [u8], init: &[u8], value: &[u8]) {
+    let word = |b: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..b.len()].copy_from_slice(b);
+        u64::from_le_bytes(w)
+    };
+    for ((s, i), v) in sum.chunks_mut(8).zip(init.chunks(8)).zip(value.chunks(8)) {
+        let total = word(s).wrapping_add(word(v).wrapping_sub(word(i)));
+        s.copy_from_slice(&total.to_le_bytes()[..s.len()]);
+    }
 }
 
-/// [`assert_equivalent`] with host-side map setup.
-pub fn assert_equivalent_with(
-    program: &Program,
-    options: CompilerOptions,
-    packets: &[Vec<u8>],
-    setup: impl Fn(&mut ehdl_ebpf::maps::MapStore),
+/// The sharded run's own invariants: the shared-map history is per-key
+/// linearizable and, under replica failures (`failover` = packets offered
+/// and the watchdog budget), no packet vanishes unaccounted, every loss
+/// stays inside the failed replicas' flows, and every failure is detected
+/// within the budget.
+fn check_replicas(
+    report: &ShardReport,
+    initial: &MapStore,
+    shared: &[u32],
+    failover: Option<(u64, u64)>,
+    divs: &mut Vec<Divergence>,
 ) {
-    assert_equivalent_ignoring(program, options, packets, setup, &[]);
-}
-
-/// [`assert_equivalent_with`] with an allocator-map ignore list.
-pub fn assert_equivalent_ignoring(
-    program: &Program,
-    options: CompilerOptions,
-    packets: &[Vec<u8>],
-    setup: impl Fn(&mut ehdl_ebpf::maps::MapStore),
-    ignore_maps: &[u32],
-) {
-    let design = Compiler::with_options(options)
-        .compile(program)
-        .unwrap_or_else(|e| panic!("compile {}: {e}", program.name));
-    let divs = compare_ignoring(program, &design, packets, setup, ignore_maps);
-    if !divs.is_empty() {
-        let report: Vec<String> = divs.iter().take(5).map(|d| d.to_string()).collect();
-        panic!(
-            "pipeline diverges from VM for `{}` ({} issues):\n  {}",
-            program.name,
-            divs.len(),
-            report.join("\n  ")
-        );
+    if let Err(v) = check_linearizable(initial, shared, &report.events) {
+        divs.push(Divergence::Coherence { detail: v.to_string() });
+    }
+    let Some((offered, budget)) = failover else { return };
+    let mut loss = |detail| divs.push(Divergence::Loss { detail });
+    let completed: u64 = report.completed.iter().sum();
+    let dropped: u64 = report.dropped.iter().sum();
+    let (drained, discarded) = (report.drained.len() as u64, report.discarded.len() as u64);
+    if offered != completed + drained + discarded + dropped {
+        loss(format!(
+            "accounting leak: offered {offered} != completed {completed} + drained {drained} \
+             + discarded {discarded} + dropped {dropped}"
+        ));
+    }
+    for g in report.drained.iter().chain(&report.discarded) {
+        if report.affected.binary_search(g).is_err() {
+            loss(format!("packet {g} lost outside the affected flow set"));
+        }
+    }
+    let f = report.failover;
+    if f.detected + f.masked_brownouts < f.injected {
+        loss(format!(
+            "undetected failures: injected {}, detected {}, masked {}",
+            f.injected, f.detected, f.masked_brownouts
+        ));
+    }
+    if f.detection_latency_max > budget {
+        loss(format!(
+            "detection latency {} blew the watchdog budget {budget}",
+            f.detection_latency_max
+        ));
     }
 }
 
@@ -1241,8 +818,15 @@ pub fn assert_equivalent_ignoring(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use ehdl_core::Compiler;
     use ehdl_ebpf::asm::Asm;
     use ehdl_ebpf::opcode::{AluOp, JmpOp, MemSize};
+
+    /// Compile `program` and demand `packets` run clean on one pipeline.
+    fn equivalent(program: &Program, packets: &[Vec<u8>]) {
+        let design = Compiler::new().compile(program).unwrap();
+        check(&Scenario::new(program, &design, packets)).assert_clean();
+    }
 
     #[test]
     fn branching_program_equivalent() {
@@ -1263,7 +847,7 @@ mod tests {
         let p = Program::from_insns(a.into_insns());
         let mut packets: Vec<Vec<u8>> = (0..32).map(|i| vec![i as u8; 64]).collect();
         packets.push(vec![0; 10]); // short packet exercises the elided check
-        assert_equivalent(&p, CompilerOptions::default(), &packets);
+        equivalent(&p, &packets);
     }
 
     #[test]
@@ -1285,7 +869,93 @@ mod tests {
                 v
             })
             .collect();
-        assert_equivalent(&p, CompilerOptions::default(), &packets);
+        equivalent(&p, &packets);
+    }
+
+    /// A NAT-style field at bytes 34..36 keyed by bytes 26..38, values
+    /// 100..200.
+    fn port_field() -> AllocatedField {
+        AllocatedField {
+            bytes: 34..36,
+            values: 100..200,
+            flow: |p| p.get(26..38).map(<[u8]>::to_vec),
+        }
+    }
+
+    /// `port` written into a copy of `sent` at 34..36.
+    fn with_port(sent: &[u8], port: u16) -> Vec<u8> {
+        let mut p = sent.to_vec();
+        p[34..36].copy_from_slice(&port.to_be_bytes());
+        p
+    }
+
+    #[test]
+    fn allocated_field_checker_flags_range_collision_and_a_second_byte() {
+        // Flows A, A, B; the reference hands out 100, 100, 101.
+        let a = vec![1u8; 64];
+        let b = vec![2u8; 64];
+        let sent: Vec<&[u8]> = vec![&a, &a, &b];
+        let reference: Vec<(XdpAction, Vec<u8>)> =
+            [(&a, 100), (&a, 100), (&b, 101)].map(|(p, v)| (XdpAction::Tx, with_port(p, v))).into();
+        let run =
+            |ports: [u16; 3], plant: Option<(usize, usize)>, field: Option<&AllocatedField>| {
+                let mut outs: Vec<Vec<u8>> =
+                    ports.iter().zip(&sent).map(|(&v, p)| with_port(p, v)).collect();
+                if let Some((i, at)) = plant {
+                    outs[i][at] ^= 0xff;
+                }
+                let outcomes = outs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(seq, packet)| {
+                        let action = XdpAction::Tx;
+                        let (redirect_ifindex, latency_cycles, latency_ns) = (None, 0, 0.0);
+                        Some(SimOutcome {
+                            seq: seq as u64,
+                            action,
+                            redirect_ifindex,
+                            packet,
+                            latency_cycles,
+                            latency_ns,
+                        })
+                    })
+                    .collect();
+                let trace = Trace { outcomes, acks: Vec::new(), exempt: Vec::new(), shard: None };
+                let mut divs = Vec::new();
+                assert_eq!(check_outcomes(&sent, &reference, &trace, field, &mut divs), 0);
+                divs
+            };
+        let field = Some(&port_field());
+        // Other values than the reference's, but a valid allocation.
+        assert_eq!(run([150, 150, 120], None, field), vec![]);
+        let nat = |divs: Vec<Divergence>| match &divs[..] {
+            [Divergence::Nat { seq, detail }] => (*seq, detail.clone()),
+            other => panic!("expected one NAT divergence, got {other:?}"),
+        };
+        let out_of_range = nat(run([150, 150, 200], None, field));
+        assert_eq!(out_of_range, (2, "value 200 outside 100..200".into()));
+        let collision = nat(run([150, 150, 150], None, field));
+        assert_eq!(collision, (2, "value 150 already serves another flow".into()));
+        let moved = nat(run([150, 151, 120], None, field));
+        assert_eq!(moved, (1, "flow moved from value 150 to 151".into()));
+        // A second differing byte after the field: a first-difference view
+        // sees only offset 35, inside the field; the field checker names
+        // the byte outside it.
+        let planted = Some((1, 50));
+        assert_eq!(run([150, 150, 120], planted, None)[1], Divergence::Packet { seq: 1, at: 35 });
+        let second = nat(run([150, 150, 120], planted, field));
+        assert_eq!(second, (1, "byte 50 differs outside the field".into()));
+    }
+
+    #[test]
+    fn exempt_packets_are_skipped_and_the_rest_counted_missing() {
+        let sent: Vec<&[u8]> = vec![&[0; 64]; 3];
+        let reference = vec![(XdpAction::Pass, vec![0; 64]); 3];
+        let trace =
+            Trace { outcomes: vec![None; 3], acks: Vec::new(), exempt: vec![0, 2], shard: None };
+        let mut divs = Vec::new();
+        assert_eq!(check_outcomes(&sent, &reference, &trace, None, &mut divs), 1);
+        assert!(divs.is_empty());
     }
 
     mod live_ops {
@@ -1306,12 +976,23 @@ mod tests {
             })
         }
 
+        /// `events` on the read-modify-write program over a channel.
+        fn run(events: Vec<HostEvent>, ctrl: CtrlOptions, setup: &dyn Fn(&mut MapStore)) -> Report {
+            let program = rmw_program();
+            let design = Compiler::new().compile(&program).unwrap();
+            check(&Scenario {
+                events,
+                setup,
+                device: Device::Pipeline { ctrl, faults: None },
+                ..Scenario::new(&program, &design, &[])
+            })
+        }
+
         #[test]
         fn interleaved_ops_match_sequential_reference() {
             // Ops hammer the same hot key the packets are incrementing,
             // at several barrier positions — including back-to-back with
             // same-flow packets so writes land inside open RAW windows.
-            let program = rmw_program();
             let mut events = Vec::new();
             for round in 0..4u64 {
                 for _ in 0..3 {
@@ -1324,19 +1005,12 @@ mod tests {
                 events.push(HostEvent::Packet(pkt(2)));
                 events.push(HostEvent::Op(HostOp::Dump { map: 0 }));
             }
-            assert_equivalent_ops(
-                &program,
-                CompilerOptions::default(),
-                &events,
-                |_| {},
-                &[],
-                CtrlOptions { latency_cycles: 1, queue_depth: 64 },
-            );
+            run(events, CtrlOptions { latency_cycles: 1, queue_depth: 64 }, &no_setup)
+                .assert_clean();
         }
 
         #[test]
         fn op_results_cover_errors_and_misses() {
-            let program = rmw_program();
             let events = vec![
                 HostEvent::Op(HostOp::Lookup { map: 0, key: key(9) }), // miss
                 HostEvent::Op(HostOp::Delete { map: 0, key: key(9) }), // NoSuchKey
@@ -1349,19 +1023,11 @@ mod tests {
                 }),
                 HostEvent::Op(HostOp::Lookup { map: 0, key: key(9) }), // hit
             ];
-            assert_equivalent_ops(
-                &program,
-                CompilerOptions::default(),
-                &events,
-                |_| {},
-                &[],
-                CtrlOptions::default(),
-            );
+            run(events, CtrlOptions::default(), &no_setup).assert_clean();
         }
 
         #[test]
         fn high_latency_channel_still_barrier_ordered() {
-            let program = rmw_program();
             let mut events = Vec::new();
             for i in 0..12u8 {
                 events.push(HostEvent::Packet(pkt(i % 2)));
@@ -1369,49 +1035,39 @@ mod tests {
                     events.push(update(i % 2, u64::from(i) * 11));
                 }
             }
-            assert_equivalent_ops(
-                &program,
-                CompilerOptions::default(),
-                &events,
-                |_| {},
-                &[],
-                CtrlOptions { latency_cycles: 400, queue_depth: 8 },
-            );
+            run(events, CtrlOptions { latency_cycles: 400, queue_depth: 8 }, &no_setup)
+                .assert_clean();
         }
 
         #[test]
-        fn mismatched_op_result_is_reported() {
-            // Sanity-check the harness actually compares op results: an
-            // op on a key only the *setup* of one side has must diverge.
-            let program = rmw_program();
-            let design = Compiler::new().compile(&program).unwrap();
-            let events = [HostEvent::Op(HostOp::Lookup { map: 0, key: key(3) })];
-            // Divergence is manufactured by mutating the sim store only —
-            // run compare manually with asymmetric setup.
-            let mut vm = Vm::new(&program);
-            vm.set_time_ns(1000);
-            let mut sim = crate::sim::PipelineSim::with_options(
-                &design,
-                SimOptions { freeze_time_ns: Some(1000), ..Default::default() },
+        fn asymmetric_setup_gives_map_and_host_op_divergences() {
+            // Negative control: a setup that installs a key on its first
+            // call only leaves one engine holding it, whichever is set up
+            // first — the op reading it and the final maps must both say so.
+            let first = std::cell::Cell::new(true);
+            let setup = |maps: &mut MapStore| {
+                if first.replace(false) {
+                    let m = maps.get_mut(0).unwrap();
+                    m.update(&key(3), &5u64.to_le_bytes(), UpdateFlags::Any).unwrap();
+                }
+            };
+            let events = vec![HostEvent::Op(HostOp::Lookup { map: 0, key: key(3) })];
+            let report = run(events, CtrlOptions::default(), &setup);
+            assert!(
+                matches!(
+                    &report.divergences[..],
+                    [Divergence::HostOp { id: 0, .. }, Divergence::Map { map: 0 },]
+                ),
+                "{:?}",
+                report.divergences
             );
-            sim.maps_mut()
-                .get_mut(0)
-                .unwrap()
-                .update(&key(3), &5u64.to_le_bytes(), UpdateFlags::Any)
-                .unwrap();
-            sim.attach_ctrl(CtrlOptions::default());
-            let HostEvent::Op(op) = &events[0] else { unreachable!() };
-            sim.submit_host_op(op.clone()).unwrap();
-            sim.settle(10_000);
-            let hw = sim.host_completions()[0].result.clone();
-            let vmr = apply_host_op_to_store(vm.maps_mut(), op);
-            assert_ne!(hw, vmr, "asymmetric state must surface in op results");
         }
     }
 
     mod sharded {
         use super::*;
-        use crate::shared::Arbitration;
+        use crate::fault::{ReplicaFault, ReplicaFaultKind};
+        use crate::shared::{Arbitration, MapEventKind, HOST_REPLICA};
         use ehdl_ebpf::maps::UpdateFlags;
         use ehdl_net::{FiveTuple, IPPROTO_UDP};
         use ehdl_programs::{dnat, simple_firewall};
@@ -1445,98 +1101,85 @@ mod tests {
             out
         }
 
-        #[test]
-        fn firewall_bit_equivalent_across_replicas_and_seeds() {
+        /// `n` firewall replicas with `shared` behind the fabric.
+        fn replicas(n: usize, seed: u64, shared: Vec<u32>) -> Device {
+            let fabric = SharedMapOptions { shared_maps: shared, ..Default::default() };
+            Device::Replicas { n, seed, fabric, merge: Vec::new(), faults: None }
+        }
+
+        fn firewall() -> (Program, PipelineDesign) {
             let program = simple_firewall::program();
             let design = Compiler::new().compile(&program).unwrap();
+            (program, design)
+        }
+
+        #[test]
+        fn firewall_bit_equivalent_across_replicas_and_seeds() {
+            let (program, design) = firewall();
             let packets = bidirectional_trace(48, 2);
-            for replicas in [1, 2, 4] {
+            for n in [1, 2, 4] {
                 for seed in [1, 7] {
-                    assert_equivalent_sharded(
-                        &program,
-                        &design,
-                        replicas,
-                        seed,
-                        &packets,
-                        &[],
-                        |_| {},
-                        &[],
-                        SharedMapOptions::default(),
-                    );
+                    check(&Scenario {
+                        device: replicas(n, seed, Vec::new()),
+                        ..Scenario::new(&program, &design, &packets)
+                    })
+                    .assert_clean();
                 }
+            }
+        }
+
+        fn stats_op(at: u32) -> HostOp {
+            HostOp::Lookup { map: simple_firewall::STATS_MAP, key: at.to_le_bytes().to_vec() }
+        }
+
+        fn stats_write(at: u32, v: u64) -> HostOp {
+            HostOp::Update {
+                map: simple_firewall::STATS_MAP,
+                key: at.to_le_bytes().to_vec(),
+                value: v.to_le_bytes().to_vec(),
+                flags: UpdateFlags::Any,
             }
         }
 
         #[test]
         fn firewall_shared_stats_with_host_ops() {
-            let program = simple_firewall::program();
-            let design = Compiler::new().compile(&program).unwrap();
-            let packets = bidirectional_trace(32, 2);
+            let (program, design) = firewall();
             // Host traffic against the *shared* stats array mid-trace:
             // a fenced read must observe the exact sequential-reference
             // count, and a fenced write must serialize into the shared
             // history ahead of all later packets.
-            let ops = vec![
-                (
-                    30usize,
-                    HostOp::Lookup {
-                        map: simple_firewall::STATS_MAP,
-                        key: 0u32.to_le_bytes().to_vec(),
-                    },
-                ),
-                (
-                    60usize,
-                    HostOp::Update {
-                        map: simple_firewall::STATS_MAP,
-                        key: 3u32.to_le_bytes().to_vec(),
-                        value: 7u64.to_le_bytes().to_vec(),
-                        flags: UpdateFlags::Any,
-                    },
-                ),
-            ];
-            assert_equivalent_sharded(
-                &program,
-                &design,
-                4,
-                9,
-                &packets,
-                &ops,
-                |_| {},
-                &[],
-                SharedMapOptions {
-                    shared_maps: vec![simple_firewall::STATS_MAP],
-                    ..Default::default()
-                },
-            );
+            let mut events: Vec<HostEvent> =
+                bidirectional_trace(32, 2).into_iter().map(HostEvent::Packet).collect();
+            events.insert(60, HostEvent::Op(stats_write(3, 7)));
+            events.insert(30, HostEvent::Op(stats_op(0)));
+            check(&Scenario {
+                events,
+                device: replicas(4, 9, vec![simple_firewall::STATS_MAP]),
+                ..Scenario::new(&program, &design, &[])
+            })
+            .assert_clean();
         }
 
         #[test]
         fn contended_fabric_and_caches_never_change_results() {
-            let program = simple_firewall::program();
-            let design = Compiler::new().compile(&program).unwrap();
-            let packets = bidirectional_trace(24, 3);
+            let (program, design) = firewall();
             // Worst-case timing pressure: one bank, multi-cycle latency,
             // fixed priority (replica 3 starves), read caches on. Timing
             // may crawl; results may not move.
-            assert_equivalent_sharded(
-                &program,
-                &design,
-                4,
-                5,
-                &packets,
-                &[],
-                |_| {},
-                &[],
-                SharedMapOptions {
-                    banks: 1,
-                    latency: 4,
-                    arbitration: Arbitration::FixedPriority,
-                    read_cache: true,
-                    cache_lines: 64,
-                    shared_maps: vec![simple_firewall::STATS_MAP],
-                    ..Default::default()
-                },
-            );
+            let fabric = SharedMapOptions {
+                banks: 1,
+                latency: 4,
+                arbitration: Arbitration::FixedPriority,
+                read_cache: true,
+                cache_lines: 64,
+                shared_maps: vec![simple_firewall::STATS_MAP],
+                ..Default::default()
+            };
+            check(&Scenario {
+                device: Device::Replicas { n: 4, seed: 5, fabric, merge: Vec::new(), faults: None },
+                ..Scenario::new(&program, &design, &bidirectional_trace(24, 3))
+            })
+            .assert_clean();
         }
 
         #[test]
@@ -1553,7 +1196,7 @@ mod tests {
             // Pre-bind every flow so the order-dependent port allocator
             // never runs: with static bindings the conn table is pure
             // flow-partitioned state and must merge bit-exactly.
-            let setup = move |maps: &mut MapStore| {
+            let setup = |maps: &mut MapStore| {
                 let conn = maps.get_mut(dnat::CONN_MAP).expect("conn map");
                 for i in 0..flows {
                     let port = dnat::PORT_BASE + i as u16;
@@ -1563,97 +1206,220 @@ mod tests {
                     conn.update(&flow(i).to_key(), &val, UpdateFlags::Any).expect("bind");
                 }
             };
-            assert_equivalent_sharded(
-                &program,
-                &design,
-                4,
-                11,
-                &packets,
-                &[],
-                setup,
-                &[],
-                SharedMapOptions::default(),
+            check(&Scenario {
+                setup: &setup,
+                device: replicas(4, 11, Vec::new()),
+                ..Scenario::new(&program, &design, &packets)
+            })
+            .assert_clean();
+        }
+
+        /// The firewall trace with coalescible host-op trains on the shared
+        /// stats array every 20 packets: same-key updates collapse, lookup
+        /// runs become gathers, a dump absorbs the lookups after it.
+        fn stats_trains(packets: Vec<Vec<u8>>) -> Vec<HostEvent> {
+            let mut events = Vec::new();
+            for (i, p) in packets.into_iter().enumerate() {
+                if i % 20 == 10 {
+                    let round = i as u64;
+                    events.extend(
+                        [
+                            stats_write(3, round),
+                            stats_write(3, round + 1),
+                            stats_op(0),
+                            stats_op(3),
+                            stats_op(1),
+                            HostOp::Dump { map: simple_firewall::STATS_MAP },
+                            stats_op(2),
+                        ]
+                        .map(HostEvent::Op),
+                    );
+                }
+                events.push(HostEvent::Packet(p));
+            }
+            events
+        }
+
+        /// Four firewall replicas, stats shared, coalesced trains.
+        fn composed<'a>(program: &'a Program, design: &'a PipelineDesign) -> Scenario<'a> {
+            Scenario {
+                events: stats_trains(bidirectional_trace(48, 3)),
+                device: replicas(4, 7, vec![simple_firewall::STATS_MAP]),
+                coalesce: true,
+                ..Scenario::new(program, design, &[])
+            }
+        }
+
+        #[test]
+        fn sharded_firewall_with_coalesced_op_trains_is_exact() {
+            let (program, design) = firewall();
+            let scenario = composed(&program, &design);
+            let ops = scenario.events.iter().filter(|e| matches!(e, HostEvent::Op(_))).count();
+            let report = check(&scenario).assert_clean();
+            let applied = report.shard.unwrap().fabric.host_ops as usize;
+            assert!(applied < ops, "the trains must coalesce: {applied} carriers for {ops} ops");
+        }
+
+        fn kill(at: u64, replica: usize) -> ReplicaFaultConfig {
+            ReplicaFaultConfig {
+                schedule: vec![ReplicaFault { at, replica, kind: ReplicaFaultKind::Kill }],
+                watchdog_budget: 64,
+                reset_cycles: 0,
+            }
+        }
+
+        /// The composed scenario with replica 2 killed mid-trace.
+        fn killed<'a>(program: &'a Program, design: &'a PipelineDesign) -> Report {
+            let mut scenario = composed(program, design);
+            if let Device::Replicas { faults, merge, .. } = &mut scenario.device {
+                *faults = Some(kill(80, 2));
+                *merge = vec![(simple_firewall::SESSIONS_MAP, MergePolicy::Union)];
+            }
+            check(&scenario)
+        }
+
+        #[test]
+        fn sharded_coalesced_op_trains_survive_a_replica_kill() {
+            let (program, design) = firewall();
+            let report = killed(&program, &design).assert_clean();
+            let shard = report.shard.unwrap();
+            assert_eq!(shard.failover.detected, 1, "the kill must be caught");
+            assert!(
+                !shard.drained.is_empty() || !shard.discarded.is_empty(),
+                "the kill loses packets"
             );
+            assert!(shard.host_completions.iter().all(|c| c.result.is_ok()));
         }
 
         #[test]
         fn firewall_survivors_bit_equivalent_under_replica_kill() {
-            use crate::fault::{ReplicaFault, ReplicaFaultConfig, ReplicaFaultKind};
-            let program = simple_firewall::program();
-            let design = Compiler::new().compile(&program).unwrap();
-            let packets = bidirectional_trace(48, 3);
-            let diff = compare_sharded_failover(
-                &program,
-                &design,
-                4,
-                7,
-                &packets,
-                ReplicaFaultConfig {
-                    schedule: vec![ReplicaFault {
-                        at: 80,
-                        replica: 2,
-                        kind: ReplicaFaultKind::Kill,
-                    }],
-                    watchdog_budget: 64,
-                    reset_cycles: 0,
+            let (program, design) = firewall();
+            let merge = vec![(simple_firewall::SESSIONS_MAP, MergePolicy::Union)];
+            let fabric = SharedMapOptions {
+                shared_maps: vec![simple_firewall::STATS_MAP],
+                ..Default::default()
+            };
+            let report = check(&Scenario {
+                device: Device::Replicas {
+                    n: 4,
+                    seed: 7,
+                    fabric,
+                    merge,
+                    faults: Some(kill(80, 2)),
                 },
-                |_| {},
-                &[(simple_firewall::SESSIONS_MAP, MergeStrategy::Union)],
-                SharedMapOptions {
-                    shared_maps: vec![simple_firewall::STATS_MAP],
-                    ..Default::default()
-                },
-            );
+                ..Scenario::new(&program, &design, &bidirectional_trace(48, 3))
+            })
+            .assert_clean();
+            let shard = report.shard.unwrap();
+            assert_eq!(shard.failover.detected, 1, "the kill must be caught");
             assert!(
-                diff.divergences.is_empty(),
-                "fail-over run violated an invariant:\n{}",
-                diff.divergences.iter().map(|d| format!("  {d}")).collect::<Vec<_>>().join("\n")
-            );
-            let f = diff.report.failover;
-            assert_eq!(f.detected, 1, "the kill must be caught");
-            assert!(
-                !diff.report.affected.is_empty(),
+                !shard.affected.is_empty(),
                 "a mid-trace kill on a uniform workload must affect some flows"
             );
             assert!(
-                f.availability(4, diff.report.cycles) >= 0.75 - 0.05,
+                report.availability >= 0.75 - 0.05,
                 "availability below the (N-1)/N - 5% floor"
             );
         }
 
         #[test]
-        fn failover_harness_flags_fabricated_silent_loss() {
-            use crate::fault::{ReplicaFault, ReplicaFaultConfig, ReplicaFaultKind};
-            // Negative control: a hang that never fires keeps all
-            // replicas healthy, so the harness must find zero losses and
-            // zero detections — then a fabricated undetected injection
-            // must be representable as a Loss divergence.
-            let program = simple_firewall::program();
-            let design = Compiler::new().compile(&program).unwrap();
-            let packets = bidirectional_trace(16, 1);
-            let diff = compare_sharded_failover(
-                &program,
-                &design,
-                2,
-                3,
-                &packets,
-                ReplicaFaultConfig {
-                    schedule: vec![ReplicaFault {
-                        at: 10_000_000, // far past the trace
-                        replica: 0,
-                        kind: ReplicaFaultKind::Hang,
-                    }],
-                    watchdog_budget: 32,
-                    reset_cycles: 64,
-                },
-                |_| {},
-                &[],
-                SharedMapOptions::default(),
+        fn sum_delta_on_a_session_table_gives_a_map_divergence() {
+            // Negative control: sessions are flow-partitioned entries, not
+            // counters; summing deltas over an empty baseline loses them.
+            let (program, design) = firewall();
+            let mut device = replicas(2, 7, Vec::new());
+            if let Device::Replicas { merge, .. } = &mut device {
+                *merge = vec![(simple_firewall::SESSIONS_MAP, MergePolicy::SumDelta)];
+            }
+            let report = check(&Scenario {
+                device,
+                ..Scenario::new(&program, &design, &bidirectional_trace(16, 1))
+            });
+            assert_eq!(
+                report.divergences,
+                vec![Divergence::Map { map: simple_firewall::SESSIONS_MAP }]
             );
-            assert!(diff.divergences.is_empty());
-            assert_eq!(diff.report.failover.injected, 0, "the fault never fired");
-            let loss = Divergence::Loss { detail: "packet 3 lost outside the affected set".into() };
-            assert!(loss.to_string().contains("loss:"), "Loss divergences render distinctly");
+        }
+
+        #[test]
+        fn corrupted_event_log_gives_a_coherence_divergence() {
+            // Negative control: a host read that observed a value storage
+            // never held breaks the per-key history.
+            let (program, design) = firewall();
+            let mut report = check(&composed(&program, &design)).assert_clean().shard.unwrap();
+            let read = report
+                .events
+                .iter()
+                .rposition(|e| {
+                    e.replica == HOST_REPLICA && e.event.kind == MapEventKind::Read { hit: true }
+                })
+                .unwrap();
+            let initial = MapStore::new(&design.maps);
+            let coherence = |report: &ShardReport| {
+                let mut divs = Vec::new();
+                check_replicas(report, &initial, &[simple_firewall::STATS_MAP], None, &mut divs);
+                divs
+            };
+            assert!(coherence(&report).is_empty());
+            report.events[read].event.value[0] ^= 1;
+            let divs = coherence(&report);
+            assert!(matches!(&divs[..], [Divergence::Coherence { .. }]), "{divs:?}");
+        }
+
+        #[test]
+        fn failover_checker_flags_leaks_strays_and_late_detection() {
+            // Negative controls on a real fail-over report: each planted
+            // defect must surface as exactly one loss divergence.
+            let (program, design) = firewall();
+            let clean = killed(&program, &design).assert_clean().shard.unwrap();
+            let initial = MapStore::new(&design.maps);
+            let offered = clean.outcomes.len() as u64
+                + clean.drained.len() as u64
+                + clean.discarded.len() as u64;
+            let losses = |plant: &dyn Fn(&mut ShardReport)| {
+                let mut report = clean.clone();
+                plant(&mut report);
+                let mut divs = Vec::new();
+                check_replicas(
+                    &report,
+                    &initial,
+                    &[simple_firewall::STATS_MAP],
+                    Some((offered, 64)),
+                    &mut divs,
+                );
+                divs
+            };
+            assert!(losses(&|_| {}).is_empty());
+            let lost = *clean
+                .drained
+                .iter()
+                .chain(&clean.discarded)
+                .next()
+                .expect("the kill loses packets");
+            let one_loss = |divs: Vec<Divergence>, what: &str| match &divs[..] {
+                [Divergence::Loss { detail }] => assert!(detail.contains(what), "{detail}"),
+                other => panic!("expected one loss naming {what:?}, got {other:?}"),
+            };
+            // A leaked packet: lost, but nowhere accounted.
+            one_loss(
+                losses(&|r| {
+                    r.drained.retain(|&g| g != lost);
+                    r.discarded.retain(|&g| g != lost);
+                }),
+                "accounting leak",
+            );
+            // A loss outside the failed replica's flows.
+            one_loss(
+                losses(&|r| r.affected.retain(|&g| g != lost)),
+                "outside the affected flow set",
+            );
+            // A detection later than the watchdog budget.
+            one_loss(
+                losses(&|r| r.failover.detection_latency_max = 65),
+                "blew the watchdog budget",
+            );
+            // A failure never detected.
+            one_loss(losses(&|r| r.failover.detected = 0), "undetected failures");
         }
     }
 }

@@ -20,8 +20,10 @@
 //!   proportionally longer to inject — exactly the line-rate arithmetic of
 //!   the testbed.
 //!
-//! [`diff`] provides the differential harness that checks the simulator
-//! against the reference interpreter, packet by packet and map by map.
+//! [`diff`] provides the differential harness: one [`diff::Scenario`] —
+//! one pipeline or N replicas, packets and host ops, optional coalescing,
+//! injected faults — and one [`diff::check`] against the reference
+//! interpreter, packet by packet, op by op and map by map.
 //! [`fault`] injects deterministic, seeded faults into the modeled
 //! hardware so the hardened designs' protection machinery (parity, SECDED
 //! ECC, watchdog recovery) can be measured rather than asserted.
@@ -48,11 +50,7 @@ pub use ctrl::{
     CtrlStats, FrameError, HostCompletion, HostOp, HostOpResult, FRAME_HEADER_LEN, FRAME_MAGIC,
     MAX_FRAME_LEN,
 };
-pub use diff::{
-    assert_equivalent_ops, assert_equivalent_ops_coalesced, compare_sharded,
-    compare_sharded_failover, compare_with_ops, compare_with_ops_coalesced, Divergence,
-    FailoverDiff, HostEvent, MergeStrategy,
-};
+pub use diff::{Divergence, HostEvent};
 pub use fault::{
     FaultConfig, FaultEngine, FaultEvent, FaultKind, FaultOutcome, FaultSite, FaultStats,
     ReplicaFault, ReplicaFaultConfig, ReplicaFaultKind, ReplicaFaultStats,
@@ -63,9 +61,9 @@ pub use multi::{
     SteeringError, SteeringStats,
 };
 pub use shared::{
-    check_linearizable, fabric_from_plan, map_key_hash, merges_from_plan, Arbitration,
-    LinearizabilityViolation, MapAccess, MapEvent, MapEventKind, ShardReport, ShardedNic,
-    SharedEvent, SharedMapOptions, SharedMapStats, SharedOpCompletion, HOST_REPLICA,
+    check_linearizable, fabric_from_plan, map_key_hash, Arbitration, LinearizabilityViolation,
+    MapAccess, MapEvent, MapEventKind, ShardReport, ShardedNic, SharedEvent, SharedMapOptions,
+    SharedMapStats, SharedOpCompletion, HOST_REPLICA,
 };
 pub use shell::{NicShell, ShellOptions, ShellReport};
 pub use sim::{PipelineSim, SimCounters, SimError, SimOptions, SimOutcome};

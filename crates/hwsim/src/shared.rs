@@ -39,10 +39,10 @@
 //! global cycles — exactly the sequential-reference position.
 
 use crate::ctrl::{HostOp, HostOpResult};
-use crate::diff::{apply_host_op_to_store, MergeStrategy};
 use crate::fault::{ReplicaFaultConfig, ReplicaFaultKind, ReplicaFaultStats};
 use crate::multi::{resteer_rss_table, rss_flow_hash};
 use crate::sim::{PipelineSim, SimOptions, SimOutcome};
+use ehdl_core::shardcheck::MergePolicy;
 use ehdl_core::PipelineDesign;
 use ehdl_ebpf::maps::{MapError, MapStore, UpdateFlags};
 use std::collections::VecDeque;
@@ -402,7 +402,7 @@ pub struct ShardedNic {
     rfault: Option<ReplicaFaultConfig>,
     next_rfault: usize,
     /// Private-map reconciliation policy applied at fail-over.
-    merge: Vec<(u32, MergeStrategy)>,
+    merge: Vec<(u32, MergePolicy)>,
     fstats: ReplicaFaultStats,
     /// Replicas that ever fail-stopped (masked brown-outs excluded):
     /// flows homed there are permanently "affected".
@@ -427,28 +427,6 @@ pub fn fabric_from_plan(plan: &ehdl_core::shardcheck::ShardPlan) -> SharedMapOpt
         banks: plan.fabric_banks() as usize,
         ..SharedMapOptions::default()
     }
-}
-
-/// Derive the per-map merge strategies a design's verified
-/// [`ShardPlan`](ehdl_core::shardcheck::ShardPlan) proved sound, in the
-/// `(map, strategy)` form `diff::compare_sharded` consumes.
-pub fn merges_from_plan(
-    plan: &ehdl_core::shardcheck::ShardPlan,
-) -> Vec<(u32, crate::diff::MergeStrategy)> {
-    use crate::diff::MergeStrategy;
-    use ehdl_core::shardcheck::MergePolicy;
-    plan.merge_policies()
-        .into_iter()
-        .map(|(id, p)| {
-            let s = match p {
-                MergePolicy::Union => MergeStrategy::Union,
-                MergePolicy::SumDelta => MergeStrategy::SumDelta,
-                MergePolicy::Direct => MergeStrategy::Direct,
-                MergePolicy::Ignore => MergeStrategy::Ignore,
-            };
-            (id, s)
-        })
-        .collect()
 }
 
 impl ShardedNic {
@@ -547,16 +525,16 @@ impl ShardedNic {
     /// Attach a replica-failure schedule (cycles are on the NIC's global
     /// clock, counted from construction) and the private-map
     /// reconciliation policy applied at each fail-over:
-    /// [`MergeStrategy::Union`] copies the dead replica's entries into
+    /// [`MergePolicy::Union`] copies the dead replica's entries into
     /// the canonical store where absent (flow/session tables),
-    /// [`MergeStrategy::SumDelta`] adds its counter words into the
+    /// [`MergePolicy::SumDelta`] adds its counter words into the
     /// canonical copy (zero-initialized stats arrays);
-    /// [`MergeStrategy::Direct`]/[`MergeStrategy::Ignore`] skip the map.
+    /// [`MergePolicy::Direct`]/[`MergePolicy::Ignore`] skip the map.
     /// Shared maps already live canonically and are never reconciled.
     pub fn attach_replica_faults(
         &mut self,
         mut cfg: ReplicaFaultConfig,
-        merge: Vec<(u32, MergeStrategy)>,
+        merge: Vec<(u32, MergePolicy)>,
     ) {
         cfg.schedule.sort_by_key(|f| f.at);
         self.rfault = Some(cfg);
@@ -790,7 +768,7 @@ impl ShardedNic {
                 return;
             }
             let p = self.pending_ops.pop_front().expect("front checked");
-            let result = apply_host_op_to_store(&mut self.shared_store, &p.op);
+            let result = p.op.apply(&mut self.shared_store);
             self.stats.host_ops += 1;
             if self.fabric.log_events {
                 self.log_host_event(&p.op, &result);
@@ -1007,7 +985,7 @@ impl ShardedNic {
     }
 
     /// Salvage replica `r`'s private-map state into canonical storage
-    /// where the configured `MergeStrategy` permits. Union adopts entries
+    /// where the configured `MergePolicy` permits. Union adopts entries
     /// canonical storage lacks (session tables); SumDelta folds counter
     /// words in (zero-initialised accumulators). Direct and Ignore leave
     /// the canonical copy untouched.
@@ -1024,14 +1002,14 @@ impl ShardedNic {
             let Some(dst) = self.shared_store.get_mut(map) else { continue };
             for (k, v) in entries {
                 match strat {
-                    MergeStrategy::Union => {
+                    MergePolicy::Union => {
                         if matches!(dst.lookup(&k), Ok(None))
                             && dst.update(&k, &v, UpdateFlags::Any).is_ok()
                         {
                             self.fstats.reconciled_entries += 1;
                         }
                     }
-                    MergeStrategy::SumDelta => {
+                    MergePolicy::SumDelta => {
                         let merged = match dst.lookup(&k) {
                             Ok(Some(slot)) => add_words(dst.try_value(slot).unwrap_or(&[]), &v),
                             _ => v,
@@ -1040,7 +1018,7 @@ impl ShardedNic {
                             self.fstats.reconciled_entries += 1;
                         }
                     }
-                    MergeStrategy::Direct | MergeStrategy::Ignore => {}
+                    MergePolicy::Direct | MergePolicy::Ignore => {}
                 }
             }
         }
@@ -1512,7 +1490,7 @@ mod tests {
         );
         nic.attach_replica_faults(
             ReplicaFaultConfig { schedule, watchdog_budget: budget, reset_cycles: reset },
-            vec![(simple_firewall::SESSIONS_MAP, MergeStrategy::Union)],
+            vec![(simple_firewall::SESSIONS_MAP, MergePolicy::Union)],
         );
         nic
     }

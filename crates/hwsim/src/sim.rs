@@ -16,8 +16,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::ctrl::{
-    decode_frame, gather_values, read_value, CtrlError, CtrlLossConfig, CtrlOptions, CtrlState,
-    CtrlStats, HostCompletion, HostOp, HostOpResult, LossState, QueuedOp,
+    decode_frame, CtrlError, CtrlLossConfig, CtrlOptions, CtrlState, CtrlStats, HostCompletion,
+    HostOp, LossState, QueuedOp,
 };
 use crate::fault::{
     FaultConfig, FaultEngine, FaultEvent, FaultKind, FaultOutcome, FaultSite, Hang, MapUpset,
@@ -2528,40 +2528,12 @@ impl PipelineSim {
     fn apply_host_op(&mut self, q: QueuedOp) -> HostCompletion {
         self.counters.host_ops = self.counters.host_ops.saturating_add(1);
         let map_id = q.op.map();
-        let (result, flushed_readers) = match &q.op {
-            HostOp::Lookup { map, key } => {
-                let m = self.maps.get_mut(*map).expect("map id validated at submit");
-                (read_value(m, key).map(HostOpResult::Value), 0)
+        let result = q.op.apply(&mut self.maps);
+        let flushed_readers = match (&q.op, &result) {
+            (HostOp::Update { map, key, .. } | HostOp::Delete { map, key }, Ok(_)) => {
+                self.host_flush_readers(*map, key)
             }
-            HostOp::Update { map, key, value, flags } => {
-                let r = self
-                    .maps
-                    .get_mut(*map)
-                    .expect("map id validated at submit")
-                    .update(key, value, *flags)
-                    .map(|_| HostOpResult::Updated);
-                let f = if r.is_ok() { self.host_flush_readers(*map, key) } else { 0 };
-                (r, f)
-            }
-            HostOp::Delete { map, key } => {
-                let r = self
-                    .maps
-                    .get_mut(*map)
-                    .expect("map id validated at submit")
-                    .delete(key)
-                    .map(|()| HostOpResult::Deleted);
-                let f = if r.is_ok() { self.host_flush_readers(*map, key) } else { 0 };
-                (r, f)
-            }
-            HostOp::Dump { map } => {
-                let m = self.maps.get(*map).expect("map id validated at submit");
-                let entries = m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-                (Ok(HostOpResult::Entries(entries)), 0)
-            }
-            HostOp::Gather { map, keys } => {
-                let m = self.maps.get_mut(*map).expect("map id validated at submit");
-                (gather_values(m, keys), 0)
-            }
+            _ => 0,
         };
         if self.debug_trace {
             eprintln!(
@@ -2582,7 +2554,10 @@ impl PipelineSim {
     /// Roll back every younger in-flight packet still holding an
     /// unconfirmed read of (`map`, `key`) — the host write's RAW hazard,
     /// resolved by the exact same flush/replay path a pipeline FEB uses.
-    /// Returns how many packets matched.
+    /// Returns how many packets matched. Out of line: it runs only for a
+    /// host write landing in an open RAW window, and inlined it would grow
+    /// `step`, which every cycle runs.
+    #[inline(never)]
     fn host_flush_readers(&mut self, map: u32, key: &[u8]) -> u64 {
         let mut entry = usize::MAX;
         let mut deepest = None;
@@ -4087,7 +4062,7 @@ mod ctrl_tests {
 mod two_phase_reference_tests {
     use super::*;
     use crate::ctrl::{CtrlOptions, HostCompletion, HostOp};
-    use crate::diff::{compare_full, harness_options, Divergence};
+    use crate::diff::{check, Divergence, Scenario};
     use ehdl_core::ir::PacketProof;
     use ehdl_core::{Compiler, FusedOp};
     use ehdl_ebpf::Program;
@@ -4322,16 +4297,16 @@ mod two_phase_reference_tests {
             .expect("the firewall has a proven packet load on a direct stage");
         design.stages[s].ops[i].proof = Some(PacketProof { lo: 0, hi: 0, min_len: 1 << 20 });
 
-        let options = harness_options();
-        assert!(options.check_proofs, "the differential harness rechecks proofs");
-        let mut sim = PipelineSim::with_options(&design, options);
+        let packets = eval_packets(App::Firewall, 8);
+        let scenario = Scenario::new(&program, &design, &packets);
+        assert!(scenario.sim.check_proofs, "the differential harness rechecks proofs");
+        let mut sim = PipelineSim::with_options(&design, scenario.sim);
         assert!(sim.lower_stats().direct_stages > 0, "and still executes direct stages");
         sim.enqueue(eval_packets(App::Firewall, 1).remove(0));
         sim.settle(100_000);
         assert!(sim.counters().proof_violations > 0, "{:?}", sim.counters());
 
-        let packets = eval_packets(App::Firewall, 8);
-        let divs = compare_full(&program, &design, &packets, |_| {}, &[], options);
+        let divs = check(&scenario).divergences;
         assert!(
             divs.iter().any(
                 |d| matches!(d, Divergence::Proof { detail } if detail.starts_with("pipeline"))

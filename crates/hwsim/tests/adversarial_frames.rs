@@ -7,7 +7,7 @@
 
 use ehdl_core::Compiler;
 use ehdl_ebpf::Program;
-use ehdl_hwsim::diff::compare;
+use ehdl_hwsim::diff::{check, Scenario};
 use ehdl_hwsim::{PipelineSim, SimError, SimOptions};
 use ehdl_net::{PacketBuilder, IPPROTO_TCP, IPPROTO_UDP, MAX_FRAME};
 use ehdl_programs::{router, simple_firewall, suricata};
@@ -81,8 +81,7 @@ fn adversarial_frames() -> Vec<Vec<u8>> {
 fn check_program(program: &Program) {
     let design = Compiler::new().compile(program).unwrap();
     let frames = adversarial_frames();
-    let divs = compare(program, &design, &frames);
-    assert!(divs.is_empty(), "adversarial frames diverge: {divs:?}");
+    check(&Scenario::new(program, &design, &frames)).assert_clean();
 }
 
 #[test]

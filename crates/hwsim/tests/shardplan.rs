@@ -1,26 +1,41 @@
 //! Cross-validation of the static sharding-soundness pass (`ehdl-core::
 //! shardcheck`) against the dynamic checkers: every verdict the analysis
 //! emits — private/shared placement, merge soundness, exactness, race —
-//! must agree with what `diff::compare_sharded` (which includes the
+//! must agree with what a sharded `diff::check` (which includes the
 //! per-key linearizability replay) observes on real traffic.
 
-use ehdl_core::shardcheck::{MapClass, MergePolicy, Placement, ShardError};
+use ehdl_core::shardcheck::{MapClass, MergePolicy, Placement, ShardError, ShardPlan};
 use ehdl_core::Compiler;
 use ehdl_ebpf::asm::Asm;
 use ehdl_ebpf::helpers::BPF_MAP_LOOKUP_ELEM;
 use ehdl_ebpf::maps::{MapDef, MapKind, MapStore};
 use ehdl_ebpf::opcode::{AluOp, JmpOp, MemSize};
 use ehdl_ebpf::Program;
-use ehdl_hwsim::{
-    compare_sharded, fabric_from_plan, merges_from_plan, Divergence, ShardedNic, SharedMapOptions,
-    SimOptions,
-};
+use ehdl_hwsim::diff::{check, Device, Scenario};
+use ehdl_hwsim::{fabric_from_plan, Divergence, ShardedNic, SharedMapOptions, SimOptions};
 use ehdl_net::{FiveTuple, IPPROTO_TCP, IPPROTO_UDP};
 use ehdl_programs::{dnat, leaky_bucket, simple_firewall, suricata, toy_counter, App};
 use ehdl_traffic::{build_flow_packet, FlowSet, Popularity, Workload};
 
 fn compile(p: &Program) -> ehdl_core::PipelineDesign {
     Compiler::new().compile(p).expect("app compiles")
+}
+
+/// `n` replicas deployed as the design's own shard plan prescribes.
+fn planned(plan: &ShardPlan, n: usize, seed: u64) -> Device {
+    let (fabric, merge) = (fabric_from_plan(plan), plan.merge_policies());
+    Device::Replicas { n, seed, fabric, merge, faults: None }
+}
+
+/// Divergences of `packets` on `device` against the sequential reference.
+fn sharded(
+    program: &Program,
+    design: &ehdl_core::PipelineDesign,
+    device: Device,
+    packets: &[Vec<u8>],
+    setup: &dyn Fn(&mut MapStore),
+) -> Vec<Divergence> {
+    check(&Scenario { device, setup, ..Scenario::new(program, design, packets) }).divergences
 }
 
 fn flow(i: usize, proto: u8) -> FiveTuple {
@@ -216,8 +231,6 @@ fn verdicts_agree_with_dynamic_checkers() {
     for (name, program, app) in &all {
         let design = compile(program);
         let plan = design.shard.clone();
-        let fabric = fabric_from_plan(&plan);
-        let merges = merges_from_plan(&plan);
         let proto = if *app == Some(App::Suricata) { IPPROTO_TCP } else { IPPROTO_UDP };
         let traces: Vec<Vec<Vec<u8>>> = vec![
             bidi_trace(32, 2, proto),
@@ -230,18 +243,7 @@ fn verdicts_agree_with_dynamic_checkers() {
                         setup_app(*a, maps);
                     }
                 };
-                let div = compare_sharded(
-                    program,
-                    &design,
-                    replicas,
-                    7,
-                    packets,
-                    &[],
-                    setup,
-                    &merges,
-                    fabric.clone(),
-                    SimOptions::default(),
-                );
+                let div = sharded(program, &design, planned(&plan, replicas, 7), packets, &setup);
                 // Exact maps must be divergence-free; beyond that no
                 // action/count/coherence/proof divergence anywhere
                 // (placement + serialization are sound).
@@ -299,18 +301,7 @@ fn dnat_prebound_runs_clean_under_plan_config() {
             conn.update(&flow(i, IPPROTO_UDP).to_key(), &val, UpdateFlags::Any).expect("bind");
         }
     };
-    let div = compare_sharded(
-        &program,
-        &design,
-        4,
-        11,
-        &packets,
-        &[],
-        setup,
-        &merges_from_plan(&design.shard),
-        fabric_from_plan(&design.shard),
-        SimOptions::default(),
-    );
+    let div = sharded(&program, &design, planned(&design.shard, 4, 11), &packets, &setup);
     assert!(div.is_empty(), "prebound DNAT under the derived plan: {div:?}");
 }
 
@@ -353,36 +344,18 @@ fn static_race_agrees_with_dynamic_divergence() {
     // per-access serialization) and the lost updates materialize as a
     // map divergence against the sequential reference.
     let packets = bidi_trace(64, 2, IPPROTO_UDP);
-    let div = compare_sharded(
-        &program,
-        &design,
-        2,
-        7,
-        &packets,
-        &[],
-        |_| {},
-        &[],
-        SharedMapOptions { shared_maps: vec![0], ..Default::default() },
-        SimOptions::default(),
-    );
+    let fabric = SharedMapOptions { shared_maps: vec![0], ..Default::default() };
+    let unsound = Device::Replicas { n: 2, seed: 7, fabric, merge: Vec::new(), faults: None };
+    let div = sharded(&program, &design, unsound, &packets, &|_| {});
     assert!(
         div.iter().any(|d| matches!(d, Divergence::Map { map: 0 })),
         "dynamic run must lose updates on the contended counter, got {div:?}"
     );
     // Single replica is sound statically — and clean dynamically.
     assert!(ShardedNic::from_shard_plan(&design, 1, 7, SimOptions::default()).is_ok());
-    let div = compare_sharded(
-        &program,
-        &design,
-        1,
-        7,
-        &packets,
-        &[],
-        |_| {},
-        &[],
-        SharedMapOptions::default(),
-        SimOptions::default(),
-    );
+    let fabric = SharedMapOptions::default();
+    let one = Device::Replicas { n: 1, seed: 7, fabric, merge: Vec::new(), faults: None };
+    let div = sharded(&program, &design, one, &packets, &|_| {});
     assert!(div.is_empty(), "single replica must be exact: {div:?}");
 }
 
@@ -590,7 +563,7 @@ fn emit_update(a: &mut Asm, id: u32, base: i16) {
 }
 
 /// Seeded random-program campaign: for every generated program, a sound
-/// plan's exactness verdicts must agree with `compare_sharded` (same
+/// plan's exactness verdicts must agree with the sharded check (same
 /// one-way contract as the app zoo), and an unsound verdict must name
 /// exactly the opaque-RMW maps.
 #[test]
@@ -622,18 +595,8 @@ fn random_program_verdicts_agree() {
                     unsound_plans += 1;
                 }
                 Ok(()) => {
-                    let div = compare_sharded(
-                        &program,
-                        &design,
-                        replicas,
-                        7,
-                        &packets,
-                        &[],
-                        |_| {},
-                        &merges_from_plan(&plan),
-                        fabric_from_plan(&plan),
-                        SimOptions::default(),
-                    );
+                    let device = planned(&plan, replicas, 7);
+                    let div = sharded(&program, &design, device, &packets, &|_| {});
                     for d in &div {
                         match d {
                             Divergence::Map { map } => {

@@ -4,7 +4,10 @@
 //! hazard windows (back-to-back same-flow packets with a 1-cycle
 //! control channel).
 
-use ehdl_core::CompilerOptions;
+use ehdl_core::Compiler;
+use ehdl_ebpf::maps::MapStore;
+use ehdl_ebpf::Program;
+use ehdl_hwsim::diff::{check, Device, Scenario};
 use ehdl_hwsim::{CtrlOptions, HostEvent};
 use ehdl_net::FiveTuple;
 use ehdl_programs::{dnat, simple_firewall, suricata};
@@ -23,6 +26,23 @@ fn packets_for(flows: &FlowSet, n: usize, pop: Popularity, seed: u64) -> Vec<Vec
 
 fn key_pool(flows: &FlowSet, take: usize) -> Vec<Vec<u8>> {
     flows.flows().iter().take(take).map(|f| f.to_key().to_vec()).collect()
+}
+
+/// `events` on one pipeline of `program` over `ctrl`, each op train
+/// submitted verbatim or coalesced: every packet outcome, op ack and final
+/// map byte must match the sequential reference running the originals.
+fn equivalent(
+    program: &Program,
+    events: Vec<HostEvent>,
+    ctrl: CtrlOptions,
+    coalesce: bool,
+    setup: &dyn Fn(&mut MapStore),
+    ignore_maps: Vec<u32>,
+) {
+    let design = Compiler::new().compile(program).expect("program compiles");
+    let device = Device::Pipeline { ctrl, faults: None };
+    let base = Scenario::new(program, &design, &[]);
+    check(&Scenario { events, setup, device, coalesce, ignore_maps, ..base }).assert_clean();
 }
 
 fn to_events(schedule: Vec<ScheduleItem>) -> Vec<HostEvent> {
@@ -51,13 +71,13 @@ fn firewall_equivalent_under_live_ops() {
         23,
     );
     let events = to_events(interleave_ops(packets, &mut gen, 0.2, 24));
-    ehdl_hwsim::assert_equivalent_ops(
+    equivalent(
         &simple_firewall::program(),
-        CompilerOptions::default(),
-        &events,
-        |_| {},
-        &[],
+        events,
         CtrlOptions { latency_cycles: 1, queue_depth: 256 },
+        false,
+        &|_| {},
+        Vec::new(),
     );
 }
 
@@ -76,13 +96,13 @@ fn firewall_equivalent_with_slow_channel() {
         33,
     );
     let events = to_events(interleave_ops(packets, &mut gen, 0.1, 34));
-    ehdl_hwsim::assert_equivalent_ops(
+    equivalent(
         &simple_firewall::program(),
-        CompilerOptions::default(),
-        &events,
-        |_| {},
-        &[],
+        events,
         CtrlOptions { latency_cycles: 300, queue_depth: 256 },
+        false,
+        &|_| {},
+        Vec::new(),
     );
 }
 
@@ -103,22 +123,21 @@ fn dnat_equivalent_under_live_ops() {
         43,
     );
     let events = to_events(interleave_ops(packets, &mut gen, 0.2, 44));
-    let flows_for_setup = flows.clone();
-    ehdl_hwsim::assert_equivalent_ops(
+    equivalent(
         &dnat::program(),
-        CompilerOptions::default(),
-        &events,
-        move |maps| {
+        events,
+        CtrlOptions { latency_cycles: 1, queue_depth: 256 },
+        false,
+        &|maps| {
             let conn = maps.get_mut(dnat::CONN_MAP).expect("conn map");
-            for (i, f) in flows_for_setup.flows().iter().enumerate() {
+            for (i, f) in flows.flows().iter().enumerate() {
                 let mut v = [0u8; 8];
                 v[..4].copy_from_slice(&dnat::NAT_ADDR);
                 v[4..6].copy_from_slice(&(dnat::PORT_BASE + i as u16).to_be_bytes());
                 conn.update(&f.to_key(), &v, Default::default()).expect("binding install");
             }
         },
-        &[dnat::PORT_ALLOC_MAP],
-        CtrlOptions { latency_cycles: 1, queue_depth: 256 },
+        vec![dnat::PORT_ALLOC_MAP],
     );
 }
 
@@ -137,18 +156,17 @@ fn suricata_equivalent_under_live_ops() {
         53,
     );
     let events = to_events(interleave_ops(packets, &mut gen, 0.2, 54));
-    let flows_for_setup = flows.clone();
-    ehdl_hwsim::assert_equivalent_ops(
+    equivalent(
         &suricata::program(),
-        CompilerOptions::default(),
-        &events,
-        move |maps| {
-            for f in flows_for_setup.flows().iter().take(24) {
+        events,
+        CtrlOptions { latency_cycles: 1, queue_depth: 256 },
+        false,
+        &|maps| {
+            for f in flows.flows().iter().take(24) {
                 suricata::install_rule(maps, f);
             }
         },
-        &[],
-        CtrlOptions { latency_cycles: 1, queue_depth: 256 },
+        Vec::new(),
     );
 }
 
@@ -215,13 +233,13 @@ fn firewall_coalesced_schedule_matches_sequential_oracle() {
         73,
     );
     let events = to_events(interleave_ops(packets, &mut gen, 0.5, 74));
-    ehdl_hwsim::assert_equivalent_ops_coalesced(
+    equivalent(
         &simple_firewall::program(),
-        CompilerOptions::default(),
-        &events,
-        |_| {},
-        &[],
+        events,
         CtrlOptions { latency_cycles: 1, queue_depth: 256 },
+        true,
+        &|_| {},
+        Vec::new(),
     );
 }
 
@@ -272,13 +290,13 @@ fn coalesced_trains_actually_collapse_and_stay_equivalent() {
     assert!(stats.ops_out < stats.ops_in, "hot-key train must coalesce: {stats:?}");
     assert!(stats.updates_collapsed > 0 || stats.lookups_shared > 0);
 
-    ehdl_hwsim::assert_equivalent_ops_coalesced(
+    equivalent(
         &simple_firewall::program(),
-        CompilerOptions::default(),
-        &events,
-        |_| {},
-        &[],
+        events,
         CtrlOptions { latency_cycles: 16, queue_depth: 256 },
+        true,
+        &|_| {},
+        Vec::new(),
     );
 }
 
@@ -336,13 +354,13 @@ fn gathered_lookup_runs_match_sequential_oracle() {
             events.push(HostEvent::Packet(p));
         }
         assert!(gathers == 30 && gathered >= 90, "seed {seed}: {gathers} gathers of {gathered}");
-        ehdl_hwsim::assert_equivalent_ops_coalesced(
+        equivalent(
             &simple_firewall::program(),
-            CompilerOptions::default(),
-            &events,
-            |_| {},
-            &[],
+            events,
             CtrlOptions { latency_cycles: 1 + seed % 3 * 20, queue_depth: 256 },
+            true,
+            &|_| {},
+            Vec::new(),
         );
     }
 }

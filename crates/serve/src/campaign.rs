@@ -24,10 +24,11 @@
 //! carry across phases — that is the long-haul point); 5 and 6 get the
 //! dedicated harnesses their fault models need.
 
+use ehdl_core::shardcheck::MergePolicy;
 use ehdl_core::{Compiler, PipelineDesign};
 use ehdl_hwsim::{
-    CtrlLossConfig, CtrlOptions, MergeStrategy, ReplicaFault, ReplicaFaultConfig, ReplicaFaultKind,
-    ShardedNic, SharedMapOptions, SimOptions,
+    CtrlLossConfig, CtrlOptions, ReplicaFault, ReplicaFaultConfig, ReplicaFaultKind, ShardedNic,
+    SharedMapOptions, SimOptions,
 };
 use ehdl_programs::simple_firewall;
 use ehdl_runtime::{RetryPolicy, RuntimeOptions, SloSnapshot};
@@ -394,8 +395,8 @@ pub fn kill_storm(cfg: &CampaignConfig) -> KillReport {
             ..Default::default()
         },
         vec![
-            (simple_firewall::SESSIONS_MAP, MergeStrategy::Union),
-            (simple_firewall::STATS_MAP, MergeStrategy::SumDelta),
+            (simple_firewall::SESSIONS_MAP, MergePolicy::Union),
+            (simple_firewall::STATS_MAP, MergePolicy::SumDelta),
         ],
     );
     let flows = FlowSet::udp(cfg.flows.max(512), cfg.seed ^ 0x52);

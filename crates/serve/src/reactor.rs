@@ -18,9 +18,8 @@
 //!    frame ([`ehdl_hwsim::coalesce_ops`]); every original op still
 //!    gets its own [`Ack`], reconstructed from the carrier results by
 //!    [`ehdl_hwsim::expand_results`]. The schedule the device sees is
-//!    bit-equivalent to the uncoalesced one — pinned by the extended
-//!    differential harness
-//!    ([`ehdl_hwsim::assert_equivalent_ops_coalesced`]).
+//!    bit-equivalent to the uncoalesced one — pinned by the differential
+//!    harness on a coalescing [`ehdl_hwsim::diff::Scenario`].
 //! 3. **Step** the cycle-level simulator.
 //! 4. **Harvest** — match device completions back to batches, expand
 //!    coalesced answers, emit per-client acks, and feed the SLO

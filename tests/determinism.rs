@@ -2,14 +2,14 @@
 //!
 //! The simulator's hot loop recycles checkpoint boxes, scratch write sets
 //! and key buffers, and the evaluation paths fan out across threads
-//! (`MultiNic::run`, `diff::compare_full`). None of that may change a
+//! (`MultiNic::run`, `diff::check`). None of that may change a
 //! single observable bit: repeated runs must produce identical
 //! [`SimOutcome`]s, [`SimCounters`] and map contents, and the threaded
 //! paths must match their sequential lockstep reference exactly.
 
 use ehdl::core::Compiler;
 use ehdl::ebpf::vm::XdpAction;
-use ehdl::hwsim::diff::compare_with;
+use ehdl::hwsim::diff::{check, Scenario};
 use ehdl::hwsim::{
     rss_flow_hash, MultiNic, PipelineSim, ShardedNic, SharedMapOptions, SimCounters, SimOptions,
     Steering,
@@ -88,8 +88,11 @@ fn diff_harness_clean_on_eval_traces() {
         let program = app.program();
         let design = Compiler::new().compile(&program).expect("app compiles");
         let packets = eval_packets(app, TRACE_PACKETS);
-        let divs = compare_with(&program, &design, &packets, |m| setup_app(app, m));
-        assert!(divs.is_empty(), "{}: {} divergences, first: {}", app.name(), divs.len(), divs[0]);
+        check(&Scenario {
+            setup: &|m| setup_app(app, m),
+            ..Scenario::new(&program, &design, &packets)
+        })
+        .assert_clean();
     }
 }
 

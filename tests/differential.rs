@@ -4,12 +4,27 @@
 //! and write buffers do their work.
 
 use ehdl::core::{Compiler, CompilerOptions};
+use ehdl::ebpf::maps::MapStore;
 use ehdl::ebpf::vm::XdpAction;
-use ehdl::hwsim::diff::{assert_equivalent_with, compare_with};
+use ehdl::ebpf::Program;
+use ehdl::hwsim::diff::{check, Scenario};
 use ehdl::hwsim::{PipelineSim, SimOptions};
 use ehdl::net::{FiveTuple, IPPROTO_UDP};
+use ehdl::programs::App;
 use ehdl::programs::{dnat, leaky_bucket, router, simple_firewall, suricata, toy_counter, tunnel};
 use ehdl::traffic::{build_flow_packet, FlowSet, Popularity, Workload};
+
+/// Compile `program` with `options` and demand `packets` run on one
+/// pipeline exactly as on the VM, both stores set up by `setup`.
+fn equivalent(
+    program: &Program,
+    options: CompilerOptions,
+    packets: &[Vec<u8>],
+    setup: &dyn Fn(&mut MapStore),
+) {
+    let design = Compiler::with_options(options).compile(program).expect("program compiles");
+    check(&Scenario { setup, ..Scenario::new(program, &design, packets) }).assert_clean();
+}
 
 fn mixed_traffic(n: usize, seed: u64) -> Vec<Vec<u8>> {
     // Mostly UDP flows, plus a sprinkle of short/odd packets.
@@ -25,11 +40,11 @@ fn mixed_traffic(n: usize, seed: u64) -> Vec<Vec<u8>> {
 
 #[test]
 fn toy_counter_equivalent() {
-    assert_equivalent_with(
+    equivalent(
         &toy_counter::program(),
         CompilerOptions::default(),
         &mixed_traffic(200, 11),
-        |_| {},
+        &|_| {},
     );
 }
 
@@ -49,18 +64,13 @@ fn firewall_equivalent_including_same_flow_bursts() {
     for _ in 0..24 {
         packets.push(build_flow_packet(&f, [2; 6], [3; 6], 64));
     }
-    assert_equivalent_with(
-        &simple_firewall::program(),
-        CompilerOptions::default(),
-        &packets,
-        |_| {},
-    );
+    equivalent(&simple_firewall::program(), CompilerOptions::default(), &packets, &|_| {});
 }
 
 #[test]
 fn router_equivalent_with_host_routes() {
     let packets = mixed_traffic(250, 33);
-    assert_equivalent_with(&router::program(), CompilerOptions::default(), &packets, |maps| {
+    equivalent(&router::program(), CompilerOptions::default(), &packets, &|maps| {
         router::install_route(maps, [0, 0, 0, 0], 0, 1, [0xaa; 6], [0x02; 6]);
         router::install_route(maps, [192, 168, 0, 0], 16, 2, [0xbb; 6], [0x02; 6]);
         router::install_route(maps, [192, 168, 7, 0], 24, 3, [0xcc; 6], [0x02; 6]);
@@ -74,7 +84,7 @@ fn tunnel_equivalent_with_endpoints() {
         Workload::new(flows.clone(), Popularity::Uniform, 96, 44).packets(200);
     packets.extend(mixed_traffic(20, 45));
     let endpoints: Vec<[u8; 4]> = flows.flows().iter().take(8).map(|f| f.daddr).collect();
-    assert_equivalent_with(&tunnel::program(), CompilerOptions::default(), &packets, move |maps| {
+    equivalent(&tunnel::program(), CompilerOptions::default(), &packets, &|maps| {
         for (i, daddr) in endpoints.iter().enumerate() {
             tunnel::install_endpoint(
                 maps,
@@ -114,69 +124,14 @@ fn dnat_equivalent_including_binding_races() {
     // port, exactly as the paper's design would. Absolute port numbers may
     // therefore differ from the sequential reference; what must hold is
     // the NAT *invariant*: same flow → same stable port, distinct flows →
-    // distinct ports, all in range, all other bytes identical.
+    // distinct ports, all in range, all other bytes identical — and the
+    // statistics exactly (bindings happen once per flow in both).
     let program = dnat::program();
     let design = Compiler::new().compile(&program).unwrap();
-
-    let mut vm = ehdl::ebpf::vm::Vm::new(&program);
-    vm.set_time_ns(1000);
-    let mut vm_actions = Vec::new();
-    let mut vm_bytes = Vec::new();
-    for p in &packets {
-        let mut b = p.clone();
-        let out = vm.run(&mut b, 0).expect("vm runs dnat");
-        vm_actions.push(out.action);
-        vm_bytes.push(b);
-    }
-
-    let mut sim = PipelineSim::with_options(
-        &design,
-        SimOptions { freeze_time_ns: Some(1000), ..Default::default() },
-    );
-    for p in &packets {
-        sim.enqueue(p.clone());
-    }
-    sim.settle(10_000_000);
-    let outs = sim.drain();
-    assert_eq!(outs.len(), packets.len());
-
-    let mut flow_port: std::collections::HashMap<FiveTuple, u16> = Default::default();
-    for (i, o) in outs.iter().enumerate() {
-        assert_eq!(o.action, vm_actions[i], "packet {i}");
-        if o.action != XdpAction::Tx {
-            continue;
-        }
-        // Everything but the translated source port (bytes 34-35) matches
-        // the sequential reference byte-for-byte.
-        assert_eq!(o.packet.len(), vm_bytes[i].len(), "packet {i}");
-        for (off, (a, b)) in o.packet.iter().zip(&vm_bytes[i]).enumerate() {
-            if off == 34 || off == 35 {
-                continue;
-            }
-            assert_eq!(a, b, "packet {i} byte {off}");
-        }
-        let orig = FiveTuple::parse(&packets[i]).expect("udp traffic");
-        let port = u16::from_be_bytes([o.packet[34], o.packet[35]]);
-        assert!(
-            (dnat::PORT_BASE..dnat::PORT_BASE + dnat::PORT_RANGE).contains(&port),
-            "packet {i}: port {port} out of range"
-        );
-        match flow_port.entry(orig) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                assert_eq!(*e.get(), port, "packet {i}: flow changed port");
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(port);
-            }
-        }
-    }
-    // Distinct flows must hold distinct ports.
-    let mut ports: Vec<u16> = flow_port.values().copied().collect();
-    ports.sort_unstable();
-    ports.dedup();
-    assert_eq!(ports.len(), flow_port.len(), "port collision across flows");
-    // Statistics must agree exactly (bindings happen once per flow in both).
-    assert_eq!(dnat::read_stats(vm.maps()), dnat::read_stats(sim.maps()));
+    let (ignore_maps, allocated) = ehdl_bench::exemptions(App::Dnat);
+    let scenario =
+        Scenario { ignore_maps, allocated, ..Scenario::new(&program, &design, &packets) };
+    check(&scenario).assert_clean();
 }
 
 #[test]
@@ -186,16 +141,11 @@ fn suricata_equivalent_with_rules() {
     let mut packets: Vec<Vec<u8>> =
         Workload::new(flows, Popularity::Zipf { alpha: 1.0 }, 64, 66).packets(300);
     packets.extend(mixed_traffic(30, 67));
-    assert_equivalent_with(
-        &suricata::program(),
-        CompilerOptions::default(),
-        &packets,
-        move |maps| {
-            for f in &blocked {
-                suricata::install_rule(maps, f);
-            }
-        },
-    );
+    equivalent(&suricata::program(), CompilerOptions::default(), &packets, &|maps| {
+        for f in &blocked {
+            suricata::install_rule(maps, f);
+        }
+    });
 }
 
 #[test]
@@ -212,7 +162,7 @@ fn leaky_bucket_equivalent_under_flush_pressure() {
         };
         packets.push(build_flow_packet(&f, [2; 6], [3; 6], 64));
     }
-    assert_equivalent_with(&leaky_bucket::program(), CompilerOptions::default(), &packets, |_| {});
+    equivalent(&leaky_bucket::program(), CompilerOptions::default(), &packets, &|_| {});
 }
 
 #[test]
@@ -254,7 +204,7 @@ fn ablation_options_stay_equivalent() {
         CompilerOptions { frame_size: 32, ..Default::default() },
         CompilerOptions { frame_size: 128, ..Default::default() },
     ] {
-        assert_equivalent_with(&program, opts, &packets, |_| {});
+        equivalent(&program, opts, &packets, &|_| {});
     }
 }
 
@@ -264,8 +214,7 @@ fn actions_distribute_as_expected() {
     let program = simple_firewall::program();
     let design = Compiler::new().compile(&program).unwrap();
     let packets = mixed_traffic(200, 88);
-    let divs = compare_with(&program, &design, &packets, |_| {});
-    assert!(divs.is_empty(), "{divs:?}");
+    check(&Scenario::new(&program, &design, &packets)).assert_clean();
     let mut sim = PipelineSim::with_options(
         &design,
         SimOptions { freeze_time_ns: Some(1000), ..Default::default() },
@@ -285,23 +234,16 @@ fn pruning_is_dynamically_sound_under_poisoning() {
     // Clobber every register and stack byte the pruning analysis declares
     // dead, at every stage boundary — the hardware equivalent of not
     // wiring them. Behaviour must be unchanged for every application.
-    use ehdl::hwsim::diff::compare_full;
-    use ehdl::programs::{leaky_bucket, App};
-
     let poison =
         SimOptions { freeze_time_ns: Some(1000), poison_dead_state: true, ..Default::default() };
     for app in App::ALL {
-        if app == App::Dnat {
-            continue; // port numbers legitimately diverge under races
-        }
         let program = app.program();
         let design = Compiler::new().compile(&program).unwrap();
         let packets = mixed_traffic(150, 99);
-        let divs = compare_full(
-            &program,
-            &design,
-            &packets,
-            |maps| {
+        // DNAT's translated ports are checked by the NAT invariant.
+        let (ignore_maps, allocated) = ehdl_bench::exemptions(app);
+        let report = check(&Scenario {
+            setup: &|maps| {
                 if app == App::Router {
                     router::install_route(maps, [0, 0, 0, 0], 0, 1, [0xaa; 6], [0x02; 6]);
                 }
@@ -322,9 +264,12 @@ fn pruning_is_dynamically_sound_under_poisoning() {
                     );
                 }
             },
-            &[],
-            poison,
-        );
+            sim: poison,
+            ignore_maps,
+            allocated,
+            ..Scenario::new(&program, &design, &packets)
+        });
+        let divs = report.divergences;
         assert!(divs.is_empty(), "{app} diverges under dead-state poisoning: {divs:?}");
     }
     // The leaky bucket exercises poisoning under flush replays as well.
@@ -341,8 +286,12 @@ fn pruning_is_dynamically_sound_under_poisoning() {
         };
         packets.push(build_flow_packet(&f, [2; 6], [3; 6], 64));
     }
-    let divs = compare_full(&program, &design, &packets, |_| {}, &[], poison);
-    assert!(divs.is_empty(), "leaky bucket diverges under poisoning: {divs:?}");
+    let divs = check(&Scenario { sim: poison, ..Scenario::new(&program, &design, &packets) });
+    assert!(
+        divs.divergences.is_empty(),
+        "leaky bucket diverges under poisoning: {:?}",
+        divs.divergences
+    );
 }
 
 #[test]
@@ -353,8 +302,6 @@ fn exotic_atomics_equivalent() {
     use ehdl::ebpf::helpers::BPF_MAP_LOOKUP_ELEM;
     use ehdl::ebpf::maps::{MapDef, MapKind};
     use ehdl::ebpf::opcode::{AluOp, AtomicOp, JmpOp, MemSize};
-    use ehdl::ebpf::Program;
-    use ehdl::hwsim::diff::assert_equivalent_with;
 
     let ops: [AtomicOp; 6] = [
         AtomicOp::Add { fetch: true },
@@ -411,6 +358,6 @@ fn exotic_atomics_equivalent() {
                 p
             })
             .collect();
-        assert_equivalent_with(&program, CompilerOptions::default(), &packets, |_| {});
+        equivalent(&program, CompilerOptions::default(), &packets, &|_| {});
     }
 }

@@ -7,14 +7,21 @@
 //! the workspace builds without crates.io access. The two historical
 //! proptest regression cases are preserved verbatim as explicit tests.
 
-use ehdl::core::CompilerOptions;
+use ehdl::core::{Compiler, CompilerOptions};
 use ehdl::ebpf::asm::Asm;
 use ehdl::ebpf::helpers::BPF_MAP_LOOKUP_ELEM;
 use ehdl::ebpf::maps::{MapDef, MapKind};
 use ehdl::ebpf::opcode::{AluOp, JmpOp, MemSize};
 use ehdl::ebpf::Program;
-use ehdl::hwsim::diff::assert_equivalent_with;
+use ehdl::hwsim::diff::{check, Scenario};
 use ehdl_rng::Rng;
+
+/// Compile `program` with `options` and demand `packets` run on one
+/// pipeline exactly as on the VM.
+fn equivalent(program: &Program, options: CompilerOptions, packets: &[Vec<u8>]) {
+    let design = Compiler::with_options(options).compile(program).expect("program compiles");
+    check(&Scenario::new(program, &design, packets)).assert_clean();
+}
 
 const ALU_OPS: [AluOp; 10] = [
     AluOp::Add,
@@ -210,7 +217,7 @@ fn random_programs_equivalent() {
         let rp = rand_program(&mut rng);
         let seed = rng.next_u64();
         let program = build(&rp);
-        assert_equivalent_with(&program, CompilerOptions::default(), &packets(seed, 24), |_| {});
+        equivalent(&program, CompilerOptions::default(), &packets(seed, 24));
     }
 }
 
@@ -231,7 +238,7 @@ fn random_programs_equivalent_under_ablations() {
             CompilerOptions { hazard_opt: false, ..Default::default() },
             CompilerOptions { frame_size: 32, ..Default::default() },
         ] {
-            assert_equivalent_with(&program, opts, &pkts, |_| {});
+            equivalent(&program, opts, &pkts);
         }
     }
 }
@@ -240,13 +247,14 @@ fn random_programs_equivalent_under_ablations() {
 /// app: with `hazard_opt` on and off, the compiled pipeline's actions,
 /// packet bytes, map contents and counters match the reference VM over
 /// new-flow-churn Zipf workloads (the trace shape that actually triggers
-/// flushes). DNAT uses the differential suite's relaxed NAT-invariant
-/// comparison via `ehdl_bench::flush_opt::outcomes_identical`.
+/// flushes). DNAT's translated ports are checked by the NAT invariant and
+/// its allocator maps are exempt ([`ehdl_bench::exemptions`]).
 #[test]
 fn hazard_opt_apps_equivalent_under_zipf_churn() {
-    use ehdl::core::Compiler;
+    use ehdl::hwsim::SimOptions;
     use ehdl::programs::App;
-    use ehdl_bench::flush_opt::{churn_packets, outcomes_identical};
+    use ehdl_bench::flush_opt::churn_packets;
+    use ehdl_bench::{exemptions, setup_app};
 
     for app in App::ALL {
         let program = app.program();
@@ -257,10 +265,21 @@ fn hazard_opt_apps_equivalent_under_zipf_churn() {
                     Compiler::with_options(CompilerOptions { hazard_opt, ..Default::default() })
                         .compile(&program)
                         .expect("app compiles");
+                let (ignore_maps, allocated) = exemptions(app);
+                let scenario = Scenario::new(&program, &design, &packets);
+                let sim = SimOptions { partial_flush: true, ..scenario.sim };
+                let report = check(&Scenario {
+                    setup: &|m| setup_app(app, m),
+                    sim,
+                    ignore_maps,
+                    allocated,
+                    ..scenario
+                });
                 assert!(
-                    outcomes_identical(app, &program, &design, &packets, true),
-                    "{} diverges from the VM (alpha={alpha}, hazard_opt={hazard_opt})",
+                    report.divergences.is_empty(),
+                    "{} diverges from the VM (alpha={alpha}, hazard_opt={hazard_opt}): {:?}",
                     app.name(),
+                    report.divergences
                 );
             }
         }
@@ -281,7 +300,7 @@ fn regression_endian_before_branch() {
         verdict_reg: 2,
     };
     let program = build(&rp);
-    assert_equivalent_with(&program, CompilerOptions::default(), &packets(0, 24), |_| {});
+    equivalent(&program, CompilerOptions::default(), &packets(0, 24));
 }
 
 /// Historical regression: a `to_be` in the else arm only (from the proptest
@@ -298,7 +317,7 @@ fn regression_endian_in_else_arm() {
         verdict_reg: 2,
     };
     let program = build(&rp);
-    assert_equivalent_with(&program, CompilerOptions::default(), &packets(0, 24), |_| {});
+    equivalent(&program, CompilerOptions::default(), &packets(0, 24));
 }
 
 /// Bounded loops: unrolled pipelines match the VM on loop programs too.
@@ -332,12 +351,7 @@ fn loop_programs_equivalent() {
         a.mov64_imm(0, 1);
         a.exit();
         let program = Program::from_insns(a.into_insns());
-        assert_equivalent_with(
-            &program,
-            CompilerOptions::default(),
-            &packets(trip as u64, 16),
-            |_| {},
-        );
+        equivalent(&program, CompilerOptions::default(), &packets(trip as u64, 16));
     }
 }
 
@@ -376,19 +390,17 @@ fn adjust_head_and_tail_equivalent() {
         a.mov64_imm(0, 1);
         a.exit();
         let program = Program::from_insns(a.into_insns());
-        assert_equivalent_with(&program, CompilerOptions::default(), &packets(7, 16), |_| {});
+        equivalent(&program, CompilerOptions::default(), &packets(7, 16));
     }
 }
 
-/// Long soak: a larger random-program campaign (run explicitly with
-/// `cargo test --release -- --ignored soak`).
+/// Soak: a larger random-program campaign.
 #[test]
-#[ignore = "long soak; run explicitly"]
 fn soak_random_programs() {
     let mut rng = Rng::seed_from_u64(0x50a4);
     for case in 0..400u64 {
         let rp = rand_program(&mut rng);
         let program = build(&rp);
-        assert_equivalent_with(&program, CompilerOptions::default(), &packets(case, 32), |_| {});
+        equivalent(&program, CompilerOptions::default(), &packets(case, 32));
     }
 }

@@ -301,89 +301,6 @@ fn check_protection(design: &PipelineDesign, out: &mut Vec<Violation>) {
     }
 }
 
-/// A sharded deployment configuration, as a consumer (simulator,
-/// runtime) is about to instantiate it.
-#[derive(Debug, Clone, Default)]
-pub struct ShardConfig<'a> {
-    /// Pipeline replica count.
-    pub replicas: usize,
-    /// RSS indirection-table length (hash buckets steering to replicas).
-    pub table_len: usize,
-    /// Maps placed behind the shared fabric.
-    pub shared: &'a [u32],
-    /// Explicit per-map merge overrides.
-    pub merge: &'a [(u32, crate::shardcheck::MergePolicy)],
-    /// Whether the shared fabric's read cache is enabled.
-    pub read_cache: bool,
-}
-
-/// Lint a sharded deployment config against the design's proven
-/// [`ShardPlan`](crate::shardcheck::ShardPlan): ignored merges that drop
-/// real writes, a read cache in front of unfenced RMW state, and an
-/// indirection table that cannot cover the replica set.
-///
-/// # Errors
-///
-/// Returns all violations found (never an empty `Vec`).
-pub fn check_shard_config(
-    design: &PipelineDesign,
-    cfg: &ShardConfig<'_>,
-) -> Result<(), Vec<Violation>> {
-    use crate::shardcheck::{MapClass, MergePolicy};
-    let mut v = Vec::new();
-    for (id, policy) in cfg.merge {
-        if *policy != MergePolicy::Ignore {
-            continue;
-        }
-        if let Some(m) = design.shard.map(*id) {
-            if m.writes > 0 {
-                v.push(Violation {
-                    rule: "shard-ignore-writes",
-                    detail: format!(
-                        "map {} (`{}`) has {} data-plane write site(s) but its merge \
-                         strategy is Ignore: divergence would go unchecked",
-                        m.map, m.name, m.writes
-                    ),
-                });
-            }
-        }
-    }
-    if cfg.read_cache {
-        for id in cfg.shared {
-            if let Some(m) = design.shard.map(*id) {
-                if m.class == MapClass::OpaqueRmw {
-                    v.push(Violation {
-                        rule: "shard-cache-rmw",
-                        detail: format!(
-                            "read cache enabled while shared map {} (`{}`) has an \
-                             unfenced read-modify-write (read at slot {:?}): stale \
-                             cached reads break serialization",
-                            m.map, m.name, m.first_read_pc
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    if cfg.replicas > 1
-        && (cfg.table_len < cfg.replicas || !cfg.table_len.is_multiple_of(cfg.replicas))
-    {
-        v.push(Violation {
-            rule: "shard-table-len",
-            detail: format!(
-                "indirection table of length {} cannot evenly cover {} replicas: \
-                 steering would skew or strand replicas",
-                cfg.table_len, cfg.replicas
-            ),
-        });
-    }
-    if v.is_empty() {
-        Ok(())
-    } else {
-        Err(v)
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -512,39 +429,5 @@ mod tests {
         let vs = check(&d).unwrap_err();
         let text = vs[0].to_string();
         assert!(text.contains(&format!("stage {w}")), "{text}");
-    }
-
-    #[test]
-    fn shard_config_lints() {
-        use crate::shardcheck::MergePolicy;
-        // map_design's map 0 is an unfenced lookup→update RMW: the worst
-        // case for every sharded-config lint.
-        let d = map_design();
-        assert_eq!(d.shard.map(0).unwrap().class, crate::shardcheck::MapClass::OpaqueRmw);
-
-        // A clean config: serialized behind the fabric, even table.
-        let ok =
-            ShardConfig { replicas: 4, table_len: 64, shared: &[0], merge: &[], read_cache: false };
-        assert!(check_shard_config(&d, &ok).is_ok());
-
-        // Ignore-merge on a written map.
-        let cfg = ShardConfig { merge: &[(0, MergePolicy::Ignore)], ..ok.clone() };
-        let vs = check_shard_config(&d, &cfg).unwrap_err();
-        assert!(vs.iter().any(|v| v.rule == "shard-ignore-writes"), "{vs:?}");
-
-        // Read cache in front of the unfenced RMW.
-        let cfg = ShardConfig { read_cache: true, ..ok.clone() };
-        let vs = check_shard_config(&d, &cfg).unwrap_err();
-        assert!(vs.iter().any(|v| v.rule == "shard-cache-rmw"), "{vs:?}");
-
-        // Indirection table shorter than / not divisible by replicas.
-        for table_len in [3, 6] {
-            let cfg = ShardConfig { replicas: 4, table_len, ..ok.clone() };
-            let vs = check_shard_config(&d, &cfg).unwrap_err();
-            assert!(vs.iter().any(|v| v.rule == "shard-table-len"), "{vs:?}");
-        }
-        // Single replica never trips the table lint.
-        let cfg = ShardConfig { replicas: 1, table_len: 3, ..ok };
-        assert!(check_shard_config(&d, &cfg).is_ok());
     }
 }

@@ -61,9 +61,9 @@ pub use multi::{
     SteeringError, SteeringStats,
 };
 pub use shared::{
-    check_linearizable, fabric_from_plan, map_key_hash, Arbitration, LinearizabilityViolation,
-    MapAccess, MapEvent, MapEventKind, ShardReport, ShardedNic, SharedEvent, SharedMapOptions,
-    SharedMapStats, SharedOpCompletion, HOST_REPLICA,
+    check_linearizable, fabric_from_plan, map_key_hash, LinearizabilityViolation, MapAccess,
+    MapEvent, MapEventKind, ShardReport, ShardedNic, SharedEvent, SharedMapOptions, SharedMapStats,
+    SharedOpCompletion, HOST_REPLICA,
 };
 pub use shell::{NicShell, ShellOptions, ShellReport};
 pub use sim::{PipelineSim, SimCounters, SimError, SimOptions, SimOutcome};

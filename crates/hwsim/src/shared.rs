@@ -22,15 +22,14 @@
 //! * **Timing** — every *shared-map* access is routed to a bank
 //!   (`hash(map, key) % banks`, one access per bank per cycle); private
 //!   maps are replica-local BRAM and never touch the interconnect. When
-//!   several replicas hit one bank in the same cycle, the arbiter picks
-//!   winners ([`Arbitration`]) and each loser's pipeline is frozen for
+//!   several replicas hit one bank in the same cycle, a round-robin
+//!   arbiter (the grant pointer rotates every cycle, so no replica
+//!   starves) picks the winner and each loser's pipeline is frozen for
 //!   its queue position; access latency beyond 1 cycle stalls the
 //!   requester too. The stall back-pressures the whole replica exactly
 //!   like the FEB reload bubble: its clock is gated, packets sit in
-//!   their stages, and the RX queue absorbs arrivals. Optional
-//!   per-replica read caches (direct-mapped, write-invalidate) remove
-//!   read traffic from the fabric without touching storage — they are a
-//!   timing model only, so they can never change results, only stalls.
+//!   their stages, and the RX queue absorbs arrivals. Timing never
+//!   touches storage, so it can change stalls, never results.
 //!
 //! Host ops against shared maps reuse the barrier-fence discipline of
 //! the `ehdl-runtime` control plane (PR 5): an op submitted at global
@@ -52,10 +51,8 @@ use std::collections::VecDeque;
 pub struct MapAccess {
     /// Target map id.
     pub map: u32,
-    /// Mixed hash of `(map, key)`; bank index and cache tag derive from it.
+    /// Mixed hash of `(map, key)`; the bank index derives from it.
     pub key_hash: u64,
-    /// Write (update/delete/atomic/committed store) vs read (lookup).
-    pub write: bool,
 }
 
 /// What a shared-map event did.
@@ -103,7 +100,7 @@ pub struct SharedEvent {
 /// `replica` tag for host-issued events in the shared history.
 pub const HOST_REPLICA: usize = usize::MAX;
 
-/// Mixed hash of `(map, key)` used for banking and cache tags: FNV-1a
+/// Mixed hash of `(map, key)` used for banking: FNV-1a
 /// over the key bytes folded with the map id, splitmix-finalized so the
 /// low bits (bank index) avalanche.
 pub fn map_key_hash(map: u32, key: &[u8]) -> u64 {
@@ -118,34 +115,15 @@ pub fn map_key_hash(map: u32, key: &[u8]) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Per-bank arbitration policy when several replicas hit one bank in the
-/// same cycle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Arbitration {
-    /// The grant pointer rotates every cycle, so no replica starves.
-    #[default]
-    RoundRobin,
-    /// Lowest replica index always wins (replica 0 is never stalled by a
-    /// conflict; the highest index bears the brunt).
-    FixedPriority,
-}
-
 /// Banked shared-map fabric configuration.
 #[derive(Debug, Clone)]
 pub struct SharedMapOptions {
-    /// Number of memory banks (1 access per bank per cycle).
+    /// Number of memory banks (1 access per bank per cycle, granted
+    /// round-robin across replicas).
     pub banks: usize,
     /// Access latency in cycles; every fabric access stalls its
     /// requester `latency - 1` cycles on top of conflict serialization.
     pub latency: u64,
-    /// Per-bank arbitration policy.
-    pub arbitration: Arbitration,
-    /// Per-replica read caches (direct-mapped, write-invalidate):
-    /// a hit costs no fabric access. Timing-only — data always comes
-    /// from canonical storage. Off by default.
-    pub read_cache: bool,
-    /// Cache lines per replica when `read_cache` is set.
-    pub cache_lines: usize,
     /// Map ids with one storage copy shared by *all* replicas (e.g. a
     /// global stats array). Unlisted maps are per-replica private —
     /// correct for flow-local state under RSS sharding.
@@ -157,32 +135,18 @@ pub struct SharedMapOptions {
 
 impl Default for SharedMapOptions {
     fn default() -> SharedMapOptions {
-        SharedMapOptions {
-            banks: 8,
-            latency: 1,
-            arbitration: Arbitration::RoundRobin,
-            read_cache: false,
-            cache_lines: 1024,
-            shared_maps: Vec::new(),
-            log_events: false,
-        }
+        SharedMapOptions { banks: 8, latency: 1, shared_maps: Vec::new(), log_events: false }
     }
 }
 
 /// Fabric telemetry for one sharded run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SharedMapStats {
-    /// Shared-map accesses offered to the fabric (all replicas; private
-    /// maps are replica-local BRAM and never reach the interconnect).
-    pub accesses: u64,
-    /// Accesses that went to a bank (read-cache hits are filtered out).
+    /// Shared-map accesses, all replicas (private maps are replica-local
+    /// BRAM and never reach the interconnect).
     pub fabric_accesses: u64,
     /// Fabric accesses that lost arbitration for at least one cycle.
     pub conflicts: u64,
-    /// Read accesses served by a per-replica cache.
-    pub cache_hits: u64,
-    /// Cache lines invalidated by remote writes.
-    pub invalidations: u64,
     /// Stall cycles levied on each replica (conflicts + latency).
     pub stall_cycles: Vec<u64>,
     /// Host ops applied to shared storage.
@@ -294,44 +258,6 @@ struct PendingSharedOp {
     barrier: Vec<u64>,
 }
 
-/// Direct-mapped, write-invalidate read cache (timing model only).
-#[derive(Debug, Clone)]
-struct ReadCache {
-    tags: Vec<u64>,
-}
-
-impl ReadCache {
-    fn new(lines: usize) -> ReadCache {
-        ReadCache { tags: vec![0; lines.max(1)] }
-    }
-
-    #[inline]
-    fn slot(&self, hash: u64) -> (usize, u64) {
-        ((hash as usize) % self.tags.len(), hash | 1)
-    }
-
-    fn hit(&self, hash: u64) -> bool {
-        let (line, tag) = self.slot(hash);
-        self.tags[line] == tag
-    }
-
-    fn fill(&mut self, hash: u64) {
-        let (line, tag) = self.slot(hash);
-        self.tags[line] = tag;
-    }
-
-    /// Returns true if a matching line was present (and is now gone).
-    fn invalidate(&mut self, hash: u64) -> bool {
-        let (line, tag) = self.slot(hash);
-        if self.tags[line] == tag {
-            self.tags[line] = 0;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 /// Service state of one replica, driven by the watchdog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Health {
@@ -370,7 +296,6 @@ pub struct ShardedNic {
     /// replica's own store.
     shared_store: MapStore,
     shared_ids: Vec<u32>,
-    caches: Vec<ReadCache>,
     stats: SharedMapStats,
     events: Vec<SharedEvent>,
     /// Per replica: local arrival seq → global packet index.
@@ -486,16 +411,10 @@ impl ShardedNic {
         for sim in &mut sims {
             sim.attach_shared_port(&shared_ids, fabric.log_events);
         }
-        let caches = if fabric.read_cache {
-            (0..replicas).map(|_| ReadCache::new(fabric.cache_lines)).collect()
-        } else {
-            Vec::new()
-        };
         ShardedNic {
             sims,
             shared_store: MapStore::new(&design.maps),
             shared_ids,
-            caches,
             stats: SharedMapStats { stall_cycles: vec![0; replicas], ..Default::default() },
             events: Vec::new(),
             seq_map: vec![Vec::new(); replicas],
@@ -773,16 +692,6 @@ impl ShardedNic {
             if self.fabric.log_events {
                 self.log_host_event(&p.op, &result);
             }
-            // A host write lands in canonical storage directly; the
-            // per-replica read caches must not keep serving the old line.
-            if let HostOp::Update { map, key, .. } | HostOp::Delete { map, key } = &p.op {
-                let h = map_key_hash(*map, key);
-                for c in &mut self.caches {
-                    if c.invalidate(h) {
-                        self.stats.invalidations += 1;
-                    }
-                }
-            }
             self.completions.push(SharedOpCompletion { id: p.id, result });
         }
     }
@@ -1036,18 +945,14 @@ impl ShardedNic {
         }
     }
 
-    /// Bank arbitration for the cycle's traced accesses: cache filtering,
-    /// per-bank winner selection, and stall assignment.
+    /// Bank arbitration for the cycle's traced accesses: per-bank winner
+    /// selection and stall assignment.
     fn arbitrate(&mut self) {
         let n = self.sims.len();
         let nb = self.fabric.banks as u64;
         let lat_extra = self.fabric.latency - 1;
-        // Priority permutation for this cycle.
-        let rr = if self.fabric.arbitration == Arbitration::RoundRobin {
-            (self.cycle as usize) % n
-        } else {
-            0
-        };
+        // Round-robin: the replica granted first rotates every cycle.
+        let rr = (self.cycle as usize) % n;
         self.bank_order.clear();
         if self.acc_scratch.iter().all(Vec::is_empty) {
             return;
@@ -1061,12 +966,7 @@ impl ShardedNic {
             let accs = std::mem::take(&mut self.acc_scratch[r]);
             let mut stall = 0u64;
             for a in &accs {
-                self.stats.accesses += 1;
                 let bank = (a.key_hash % nb) as usize;
-                if !a.write && !self.caches.is_empty() && self.caches[r].hit(a.key_hash) {
-                    self.stats.cache_hits += 1;
-                    continue;
-                }
                 self.stats.fabric_accesses += 1;
                 let pos = self.bank_order.iter().filter(|&&(b, _)| b == bank).count() as u64;
                 self.bank_order.push((bank, rank));
@@ -1074,20 +974,6 @@ impl ShardedNic {
                     self.stats.conflicts += 1;
                 }
                 stall += pos + lat_extra;
-                if !self.caches.is_empty() {
-                    if a.write {
-                        // Write-invalidate: every other replica's copy of
-                        // the line dies; the writer re-fills its own.
-                        for (cr, c) in self.caches.iter_mut().enumerate() {
-                            if cr != r && c.invalidate(a.key_hash) {
-                                self.stats.invalidations += 1;
-                            }
-                        }
-                        self.caches[r].fill(a.key_hash);
-                    } else {
-                        self.caches[r].fill(a.key_hash);
-                    }
-                }
             }
             let mut accs = accs;
             accs.clear();
@@ -1298,39 +1184,6 @@ mod tests {
         assert!(slow.cycles > wide.cycles, "latency costs cycles");
         // Timing never changes results: same per-packet completion count.
         assert_eq!(narrow.completed.iter().sum::<u64>(), wide.completed.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn read_cache_cuts_fabric_traffic_without_changing_results() {
-        let d = firewall_design();
-        let run = |cache: bool| {
-            let mut nic = ShardedNic::new(
-                &d,
-                2,
-                3,
-                opts(),
-                SharedMapOptions {
-                    banks: 2,
-                    read_cache: cache,
-                    cache_lines: 4096,
-                    shared_maps: vec![simple_firewall::STATS_MAP],
-                    ..Default::default()
-                },
-            );
-            let report = nic.run(flow_packets(32, 8));
-            let stats = simple_firewall::read_stats(nic.shared_store()).to_vec();
-            (report, stats)
-        };
-        let (off, stats_off) = run(false);
-        let (on, stats_on) = run(true);
-        assert!(on.fabric.cache_hits > 0, "repeated flows must hit the cache");
-        assert!(on.fabric.fabric_accesses < off.fabric.fabric_accesses);
-        assert_eq!(stats_on, stats_off, "caches are timing-only");
-        let mut a: Vec<_> = off.outcomes.iter().map(|(_, g, o)| (*g, o.action)).collect();
-        let mut b: Vec<_> = on.outcomes.iter().map(|(_, g, o)| (*g, o.action)).collect();
-        a.sort_by_key(|&(g, _)| g);
-        b.sort_by_key(|&(g, _)| g);
-        assert_eq!(a, b, "verdicts identical with and without caches");
     }
 
     #[test]

@@ -1049,7 +1049,7 @@ impl PipelineSim {
         if !p.shared_maps.get(map as usize).copied().unwrap_or(false) {
             return;
         }
-        p.accesses.push(MapAccess { map, key_hash: map_key_hash(map, key), write: false });
+        p.accesses.push(MapAccess { map, key_hash: map_key_hash(map, key) });
         if p.log_events {
             let value = match slot {
                 Some(s) => self.maps.get(map).map(|m| m.value(s).to_vec()).unwrap_or_default(),
@@ -1071,7 +1071,7 @@ impl PipelineSim {
         if !p.shared_maps.get(map as usize).copied().unwrap_or(false) {
             return;
         }
-        p.accesses.push(MapAccess { map, key_hash: map_key_hash(map, key), write: true });
+        p.accesses.push(MapAccess { map, key_hash: map_key_hash(map, key) });
         if p.log_events {
             p.events.push(MapEvent {
                 map,
@@ -1089,7 +1089,7 @@ impl PipelineSim {
         if !p.shared_maps.get(map as usize).copied().unwrap_or(false) {
             return;
         }
-        p.accesses.push(MapAccess { map, key_hash: map_key_hash(map, key), write: true });
+        p.accesses.push(MapAccess { map, key_hash: map_key_hash(map, key) });
         if p.log_events {
             p.events.push(MapEvent {
                 map,
@@ -1110,7 +1110,7 @@ impl PipelineSim {
         }
         let Some(m) = self.maps.get(map) else { return };
         let key = m.key_of(slot);
-        p.accesses.push(MapAccess { map, key_hash: map_key_hash(map, key), write: true });
+        p.accesses.push(MapAccess { map, key_hash: map_key_hash(map, key) });
         if p.log_events {
             p.events.push(MapEvent {
                 map,

@@ -375,6 +375,12 @@ impl Map {
         self.len() == 0
     }
 
+    /// Bytes per key as [`Map::iter`] yields them: the key size, or 4 for
+    /// arrays (the index).
+    pub fn key_width(&self) -> usize {
+        self.key_width
+    }
+
     fn check_key(&self, key: &[u8]) -> Result<(), MapError> {
         if key.len() != self.def.key_size as usize {
             return Err(MapError::BadKeySize { expected: self.def.key_size, got: key.len() });

@@ -201,48 +201,71 @@ pub fn coalesce_ops(
 }
 
 /// Expand per-carrier completions back to per-original results, in the
-/// original submission order. `results[i]` must be the completion of
-/// `coalesced[i]`.
+/// original submission order. `results[i]` must be the completion of the
+/// carrier whose answer routing is `answers[i]` (a [`CoalescedOp`]'s
+/// `answers`).
+///
+/// Results are moved, not copied: a carrier's first answer takes its
+/// completion (a dump's rows go to the client that asked for them), a
+/// gathered lookup takes its own value, and only the extra answers of a
+/// carrier — collapsed updates, lookups absorbed into a dump — clone.
 pub fn expand_results(
-    coalesced: &[CoalescedOp],
-    results: &[Result<HostOpResult, MapError>],
+    answers: &[Vec<OpAnswer>],
+    results: Vec<Result<HostOpResult, MapError>>,
 ) -> Vec<Result<HostOpResult, MapError>> {
-    let n: usize = coalesced.iter().map(|c| c.answers.len()).sum();
+    let n: usize = answers.iter().map(Vec::len).sum();
     let mut out: Vec<Option<Result<HostOpResult, MapError>>> = vec![None; n];
-    for (c, r) in coalesced.iter().zip(results.iter()) {
-        for a in &c.answers {
-            let answer = match a {
-                OpAnswer::Direct { .. } => r.clone(),
-                OpAnswer::FromDump { key, .. } => match r {
-                    Ok(HostOpResult::Entries(entries)) => Ok(HostOpResult::Value(
-                        entries.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()),
-                    )),
-                    Ok(_) => unreachable!("a FromDump answer's carrier completes with Entries"),
-                    Err(e) => Err(e.clone()),
-                },
-                OpAnswer::FromGather { at, .. } => match r {
-                    Ok(HostOpResult::Values(values)) => {
-                        values[*at].clone().map(HostOpResult::Value)
-                    }
-                    Ok(_) => unreachable!("a FromGather answer's carrier completes with Values"),
-                    Err(e) => Err(e.clone()),
-                },
-            };
-            out[a.orig()] = Some(answer);
+    for (routing, mut r) in answers.iter().zip(results) {
+        let Some((owner, extra)) = routing.split_first() else { continue };
+        for a in extra {
+            out[a.orig()] = Some(answer(a, &mut r));
         }
+        out[owner.orig()] = Some(match owner {
+            OpAnswer::Direct { .. } => r,
+            _ => answer(owner, &mut r),
+        });
     }
     out.into_iter()
         .map(|r| r.expect("every original op is answered by exactly one carrier"))
         .collect()
 }
 
+/// One answer read from its carrier's completion `r`. A gathered lookup
+/// takes its value out of `r` (no other answer reads that position).
+fn answer(a: &OpAnswer, r: &mut Result<HostOpResult, MapError>) -> Result<HostOpResult, MapError> {
+    let r = match r {
+        Ok(r) => r,
+        Err(e) => return Err(e.clone()),
+    };
+    match (a, r) {
+        (OpAnswer::Direct { .. }, r) => Ok(r.clone()),
+        (OpAnswer::FromDump { key, .. }, HostOpResult::Entries(rows)) => {
+            Ok(HostOpResult::Value(rows.iter().find(|(k, _)| k == key).map(|(_, v)| v.to_vec())))
+        }
+        (OpAnswer::FromGather { at, .. }, HostOpResult::Values(values)) => {
+            std::mem::replace(&mut values[*at], Ok(None)).map(HostOpResult::Value)
+        }
+        (OpAnswer::FromDump { .. }, _) => {
+            unreachable!("a FromDump answer's carrier completes with Entries")
+        }
+        (OpAnswer::FromGather { .. }, _) => {
+            unreachable!("a FromGather answer's carrier completes with Values")
+        }
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::ctrl::Rows;
 
     fn shape_8_8(_: u32) -> Option<MapShape> {
         Some(MapShape { key_size: 8, value_size: 8 })
+    }
+
+    fn routing(out: &[CoalescedOp]) -> Vec<Vec<OpAnswer>> {
+        out.iter().map(|c| c.answers.clone()).collect()
     }
 
     fn upd(map: u32, k: u64, v: u64) -> HostOp {
@@ -266,7 +289,7 @@ mod tests {
         assert_eq!(out[0].op, upd(0, 7, 3));
         assert_eq!(out[0].answers.len(), 3);
         assert_eq!(stats.updates_collapsed, 2);
-        let expanded = expand_results(&out, &[Ok(HostOpResult::Updated)]);
+        let expanded = expand_results(&routing(&out), vec![Ok(HostOpResult::Updated)]);
         assert_eq!(expanded.len(), 3);
         assert!(expanded.iter().all(|r| r == &Ok(HostOpResult::Updated)));
     }
@@ -316,20 +339,20 @@ mod tests {
         // the repeated key is answered twice.
         let hit = Some(11u64.to_le_bytes().to_vec());
         let values = vec![Ok(hit.clone()), Ok(None), Ok(hit.clone())];
-        let expanded = expand_results(&out, &[Ok(HostOpResult::Values(values))]);
+        let expanded = expand_results(&routing(&out), vec![Ok(HostOpResult::Values(values))]);
         assert_eq!(expanded[0], Ok(HostOpResult::Value(hit.clone())));
         assert_eq!(expanded[1], Ok(HostOpResult::Value(None)));
         assert_eq!(expanded[2], expanded[0]);
         // A key's own error fails that lookup and no other.
         let oob = MapError::IndexOutOfBounds { index: 2, max: 2 };
         let values = vec![Ok(hit.clone()), Err(oob.clone()), Ok(hit)];
-        let expanded = expand_results(&out, &[Ok(HostOpResult::Values(values))]);
+        let expanded = expand_results(&routing(&out), vec![Ok(HostOpResult::Values(values))]);
         assert_eq!(expanded[1], Err(oob));
         assert!(expanded[0].is_ok());
         assert_eq!(expanded[2], expanded[0]);
         // A failed gather fails every lookup it carried.
         let err = MapError::BadKeySize { expected: 4, got: 8 };
-        let expanded = expand_results(&out, &[Err(err.clone())]);
+        let expanded = expand_results(&routing(&out), vec![Err(err.clone())]);
         assert_eq!(expanded, vec![Err(err); 3]);
     }
 
@@ -392,11 +415,20 @@ mod tests {
 
     #[test]
     fn client_dump_absorbs_following_lookups() {
-        let ops = [HostOp::Dump { map: 0 }, look(0, 3)];
+        let ops = [HostOp::Dump { map: 0 }, look(0, 3), look(0, 4)];
         let (out, stats) = coalesce_ops(&ops, shape_8_8);
         assert_eq!(out.len(), 1);
-        assert_eq!(stats.lookups_shared, 1);
+        assert_eq!(stats.lookups_shared, 2);
         assert!(matches!(out[0].answers[0], OpAnswer::Direct { orig: 0 }));
+        // The dump's client gets the rows; each lookup its key's value.
+        let mut rows = Rows::new(8, 8);
+        rows.push(&3u64.to_le_bytes(), &30u64.to_le_bytes());
+        let expanded =
+            expand_results(&routing(&out), vec![Ok(HostOpResult::Entries(rows.clone()))]);
+        let hit = Some(30u64.to_le_bytes().to_vec());
+        let want =
+            [HostOpResult::Entries(rows), HostOpResult::Value(hit), HostOpResult::Value(None)];
+        assert_eq!(expanded, want.map(Ok));
     }
 
     #[test]

@@ -115,9 +115,7 @@ impl HostOp {
                 m.update(key, value, *flags).map(|_| HostOpResult::Updated)
             }
             HostOp::Delete { key, .. } => m.delete(key).map(|()| HostOpResult::Deleted),
-            HostOp::Dump { .. } => Ok(HostOpResult::Entries(
-                m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect(),
-            )),
+            HostOp::Dump { .. } => Ok(HostOpResult::Entries(Rows::of(m))),
             // A key of the wrong size makes the op itself malformed and
             // fails it before any key is read (an LRU map is not touched).
             HostOp::Gather { keys, .. } => {
@@ -140,11 +138,81 @@ pub enum HostOpResult {
     Updated,
     /// Delete applied.
     Deleted,
-    /// Dump result: `(key, value)` pairs in slot order.
-    Entries(Vec<(Vec<u8>, Vec<u8>)>),
+    /// Dump result: every live `(key, value)` row, in slot order.
+    Entries(Rows),
     /// Gather result: per key, in key order, what a `Lookup` of that key
     /// returns — the value, `None` for a miss, or that key's own error.
     Values(Vec<Result<Option<Vec<u8>>, MapError>>),
+}
+
+/// The rows of a dump, in the map's own shape: all keys back to back in one
+/// buffer, all values in another. Built in one walk over the map and moved,
+/// never copied, from the device to the client's ack. Prints (`Debug`)
+/// exactly as the list of `(key, value)` pairs it holds.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Rows {
+    key_size: usize,
+    value_size: usize,
+    len: usize,
+    keys: Vec<u8>,
+    values: Vec<u8>,
+}
+
+impl Rows {
+    /// No rows yet, each to hold a `key_size`-byte key and a
+    /// `value_size`-byte value.
+    pub(crate) fn new(key_size: usize, value_size: usize) -> Rows {
+        Rows { key_size, value_size, len: 0, keys: Vec::new(), values: Vec::new() }
+    }
+
+    /// Every live entry of `m`, in slot order: two allocations whatever
+    /// the table holds.
+    fn of(m: &Map) -> Rows {
+        let (key_size, value_size) = (m.key_width(), m.def().value_size as usize);
+        let mut rows = Rows {
+            keys: Vec::with_capacity(m.len() * key_size),
+            values: Vec::with_capacity(m.len() * value_size),
+            ..Rows::new(key_size, value_size)
+        };
+        for (_, key, value) in m.iter() {
+            rows.push(key, value);
+        }
+        rows
+    }
+
+    /// Append one row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` or `value` is not of the rows' size.
+    pub(crate) fn push(&mut self, key: &[u8], value: &[u8]) {
+        assert!(key.len() == self.key_size && value.len() == self.value_size, "row of wrong size");
+        self.keys.extend_from_slice(key);
+        self.values.extend_from_slice(value);
+        self.len += 1;
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `(key, value)` rows, in slot order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[u8], &[u8])> + '_ {
+        let (k, v) = (self.key_size, self.value_size);
+        (0..self.len).map(move |i| (&self.keys[i * k..][..k], &self.values[i * v..][..v]))
+    }
+}
+
+impl std::fmt::Debug for Rows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// The value under `key`, copied out: the body of a [`HostOp::Lookup`] and
@@ -732,6 +800,45 @@ mod tests {
             assert_eq!(got_seq, seq);
             assert_eq!(&got_op, op);
         }
+    }
+
+    /// A dump's text is what clients and the benchmark's ack digest read:
+    /// it must print as the `(key, value)` pair list a dump used to be.
+    #[test]
+    fn a_dump_prints_as_its_pair_list_in_slot_order() {
+        use ehdl_ebpf::maps::{MapDef, MapKind};
+        let defs = [
+            MapDef::new(0, "flows", MapKind::Hash, 13, 8, 16),
+            MapDef::new(1, "empty", MapKind::Hash, 13, 8, 16),
+            MapDef::new(2, "stats", MapKind::Array, 4, 8, 3),
+        ];
+        let mut store = MapStore::new(&defs);
+        let flows = store.get_mut(0).unwrap();
+        for k in 1..=3u8 {
+            flows.update(&[k; 13], &u64::from(k).to_le_bytes(), UpdateFlags::Any).unwrap();
+        }
+        // Key 4 takes the slot key 1 freed: slot order is not insertion order.
+        flows.delete(&[1; 13]).unwrap();
+        flows.update(&[4; 13], &4u64.to_le_bytes(), UpdateFlags::Any).unwrap();
+        let stats = store.get_mut(2).unwrap();
+        stats.update(&1u32.to_le_bytes(), &7u64.to_le_bytes(), UpdateFlags::Any).unwrap();
+
+        for map in 0..3 {
+            let m = store.get(map).unwrap().clone();
+            let pairs: Vec<(Vec<u8>, Vec<u8>)> =
+                m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
+            let slot_order: Vec<(&[u8], &[u8])> = m.iter().map(|(_, k, v)| (k, v)).collect();
+            let dumped = HostOp::Dump { map }.apply(&mut store);
+            let Ok(HostOpResult::Entries(rows)) = &dumped else { panic!("{dumped:?}") };
+            assert_eq!(rows.iter().collect::<Vec<_>>(), slot_order, "map {map}");
+            assert_eq!(format!("{dumped:?}"), format!("Ok(Entries({pairs:?}))"), "map {map}");
+            assert_eq!(format!("{rows:#?}"), format!("{pairs:#?}"), "map {map}");
+        }
+        let [text0, text1, text2] =
+            [0, 1, 2].map(|map| format!("{:?}", HostOp::Dump { map }.apply(&mut store)));
+        assert!(text0.starts_with(&format!("Ok(Entries([({:?}, ", [4u8; 13])), "{text0}");
+        assert_eq!(text1, "Ok(Entries([]))");
+        assert!(text2.contains("([1, 0, 0, 0], [7, 0, 0, 0, 0, 0, 0, 0])"), "{text2}");
     }
 
     #[test]

@@ -391,10 +391,11 @@ pub fn check(s: &Scenario) -> Report {
 }
 
 /// What the device is handed: the packets, and the ops at their arrival
-/// positions (packets before them) — per op train its carriers, the train
-/// verbatim or as [`coalesce_ops`] rewrites it when the scenario coalesces.
+/// positions (packets before them) — and per op train the answer routing
+/// of its carriers: the train verbatim, or as [`coalesce_ops`] rewrites it
+/// when the scenario coalesces.
 #[allow(clippy::type_complexity)]
-fn schedule<'s>(s: &'s Scenario) -> (Vec<&'s [u8]>, Vec<(usize, HostOp)>, Vec<Vec<CoalescedOp>>) {
+fn schedule<'s>(s: &'s Scenario) -> (Vec<&'s [u8]>, Vec<(usize, HostOp)>, Vec<Vec<Vec<OpAnswer>>>) {
     let shape = |id: u32| {
         let d = s.design.maps.get(id as usize)?;
         Some(MapShape { key_size: d.key_size as usize, value_size: d.value_size as usize })
@@ -422,8 +423,12 @@ fn schedule<'s>(s: &'s Scenario) -> (Vec<&'s [u8]>, Vec<(usize, HostOp)>, Vec<Ve
             };
             train.into_iter().enumerate().map(direct).collect()
         };
-        ops.extend(carriers.iter().map(|c| (packets.len(), c.op.clone())));
-        trains.push(carriers);
+        let mut routing = Vec::with_capacity(carriers.len());
+        for c in carriers {
+            ops.push((packets.len(), c.op));
+            routing.push(c.answers);
+        }
+        trains.push(routing);
     }
     (packets, ops, trains)
 }
@@ -647,7 +652,7 @@ impl AllocatedField {
 fn check_acks(
     reference: &[OpResult],
     device: &[OpResult],
-    trains: &[Vec<CoalescedOp>],
+    trains: &[Vec<Vec<OpAnswer>>],
     exact: bool,
     divs: &mut Vec<Divergence>,
 ) {
@@ -665,7 +670,7 @@ fn check_acks(
     let expanded = trains.iter().flat_map(|train| {
         let (head, tail) = rest.split_at(train.len());
         rest = tail;
-        expand_results(train, head)
+        expand_results(train, head.to_vec())
     });
     for (id, (hw, vm)) in expanded.zip(reference).enumerate() {
         if hw != *vm {

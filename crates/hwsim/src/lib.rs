@@ -47,8 +47,8 @@ pub mod sim;
 pub use batch::{coalesce_ops, expand_results, CoalesceStats, CoalescedOp, MapShape, OpAnswer};
 pub use ctrl::{
     crc32, decode_frame, encode_frame, gather_capacity, CtrlError, CtrlLossConfig, CtrlOptions,
-    CtrlStats, FrameError, HostCompletion, HostOp, HostOpResult, FRAME_HEADER_LEN, FRAME_MAGIC,
-    MAX_FRAME_LEN,
+    CtrlStats, FrameError, HostCompletion, HostOp, HostOpResult, Rows, FRAME_HEADER_LEN,
+    FRAME_MAGIC, MAX_FRAME_LEN,
 };
 pub use diff::{Divergence, HostEvent};
 pub use fault::{

@@ -653,7 +653,7 @@ mod tests {
                 panic!("dump failed on pipeline {i}: {:?}", c[0].result);
             };
             // Barrier-0 snapshot: no packet effects visible.
-            for (_, v) in entries {
+            for (_, v) in entries.iter() {
                 assert!(v.iter().all(|&b| b == 0), "pipeline {i} saw packet effects");
             }
         }

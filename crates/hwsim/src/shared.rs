@@ -49,8 +49,6 @@ use std::collections::VecDeque;
 /// One traced shared-map access, as seen by the banked fabric.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MapAccess {
-    /// Target map id.
-    pub map: u32,
     /// Mixed hash of `(map, key)`; the bank index derives from it.
     pub key_hash: u64,
 }
@@ -525,7 +523,7 @@ impl ShardedNic {
         packets: impl IntoIterator<Item = Vec<u8>>,
         ops: &[(usize, HostOp)],
     ) -> ShardReport {
-        let packets: Vec<Vec<u8>> = packets.into_iter().collect();
+        let mut packets: Vec<Vec<u8>> = packets.into_iter().collect();
         let n = self.sims.len();
         let mut ops: VecDeque<(usize, HostOp)> = {
             let mut v = ops.to_vec();
@@ -579,7 +577,9 @@ impl ShardedNic {
                     // re-steered.
                     break;
                 }
-                if self.sims[t].try_enqueue(packets[fed].clone()).is_ok() {
+                // Fed frames are never read again: move, don't copy. A frame
+                // blocked above stays in place for the next cycle's retry.
+                if self.sims[t].try_enqueue(std::mem::take(&mut packets[fed])).is_ok() {
                     steered[t] += 1;
                     self.seq_map[t].push(fed as u64);
                 } else {

@@ -1049,7 +1049,7 @@ impl PipelineSim {
         if !p.shared_maps.get(map as usize).copied().unwrap_or(false) {
             return;
         }
-        p.accesses.push(MapAccess { map, key_hash: map_key_hash(map, key) });
+        p.accesses.push(MapAccess { key_hash: map_key_hash(map, key) });
         if p.log_events {
             let value = match slot {
                 Some(s) => self.maps.get(map).map(|m| m.value(s).to_vec()).unwrap_or_default(),
@@ -1071,7 +1071,7 @@ impl PipelineSim {
         if !p.shared_maps.get(map as usize).copied().unwrap_or(false) {
             return;
         }
-        p.accesses.push(MapAccess { map, key_hash: map_key_hash(map, key) });
+        p.accesses.push(MapAccess { key_hash: map_key_hash(map, key) });
         if p.log_events {
             p.events.push(MapEvent {
                 map,
@@ -1089,7 +1089,7 @@ impl PipelineSim {
         if !p.shared_maps.get(map as usize).copied().unwrap_or(false) {
             return;
         }
-        p.accesses.push(MapAccess { map, key_hash: map_key_hash(map, key) });
+        p.accesses.push(MapAccess { key_hash: map_key_hash(map, key) });
         if p.log_events {
             p.events.push(MapEvent {
                 map,
@@ -1110,7 +1110,7 @@ impl PipelineSim {
         }
         let Some(m) = self.maps.get(map) else { return };
         let key = m.key_of(slot);
-        p.accesses.push(MapAccess { map, key_hash: map_key_hash(map, key) });
+        p.accesses.push(MapAccess { key_hash: map_key_hash(map, key) });
         if p.log_events {
             p.events.push(MapEvent {
                 map,
@@ -4030,8 +4030,8 @@ mod ctrl_tests {
         let mut keys: Vec<u8> = entries.iter().map(|(k, _)| k[0]).collect();
         keys.sort_unstable();
         assert_eq!(keys, vec![0, 1, 2, 3]);
-        for (_, v) in entries {
-            assert_eq!(u64::from_le_bytes(v.as_slice().try_into().unwrap()), 1);
+        for (_, v) in entries.iter() {
+            assert_eq!(u64::from_le_bytes(v.try_into().unwrap()), 1);
         }
     }
 

@@ -229,8 +229,8 @@ fn repeated_swaps_accumulate_epochs_and_total_cycles() {
         panic!("dump failed");
     };
     assert_eq!(entries.len(), 4);
-    for (_, v) in entries {
-        assert_eq!(u64::from_le_bytes(v.as_slice().try_into().expect("8-byte value")), 3);
+    for (_, v) in entries.iter() {
+        assert_eq!(u64::from_le_bytes(v.try_into().expect("8-byte value")), 3);
     }
 }
 

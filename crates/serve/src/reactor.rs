@@ -24,6 +24,13 @@
 //! 4. **Harvest** — match device completions back to batches, expand
 //!    coalesced answers, emit per-client acks, and feed the SLO
 //!    tracker (op latencies, packet latencies, drops).
+//!
+//! Ops and answers move through the turn; none is copied on the way. An
+//! op goes from its client's queue to the device, keeping only its answer
+//! routing here, and a completion moves into its ack — a dump's rows
+//! ([`ehdl_hwsim::Rows`]) are built once, on the device, and handed to the
+//! client as they are. Only an answer that shares its carrier with
+//! another (a collapsed update, a lookup absorbed into a dump) is cloned.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -31,7 +38,7 @@ use ehdl_core::PipelineDesign;
 use ehdl_ebpf::maps::MapError;
 use ehdl_hwsim::{
     coalesce_ops, expand_results, CoalesceStats, CoalescedOp, HostOp, HostOpResult, MapShape,
-    SimOutcome,
+    OpAnswer, SimOutcome,
 };
 use ehdl_runtime::{to_host_op, Runtime, RuntimeOptions, RuntimeStats, SwapError, SwapReport};
 use ehdl_traffic::ControlOp;
@@ -74,13 +81,14 @@ pub struct ReactorStats {
     pub coalesce: CoalesceStats,
 }
 
-/// One submitted device batch awaiting its completions.
+/// One submitted device batch awaiting its completions. The ops
+/// themselves went to the device; only their answer routing stays.
 #[derive(Debug)]
 struct InFlight {
     /// Device submission ids, one per coalesced op, in schedule order.
     ids: Vec<u64>,
-    /// The coalesced schedule with its answer routing.
-    coalesced: Vec<CoalescedOp>,
+    /// Per coalesced op, the original ops its completion answers.
+    answers: Vec<Vec<OpAnswer>>,
     /// `(client, seq)` per original op index.
     origs: Vec<(ClientId, u64)>,
     /// Cycle the batch left the reactor.
@@ -312,12 +320,10 @@ impl Reactor {
             if budget == 0 {
                 return;
             }
-            let batch = self.collect(budget);
-            if batch.is_empty() {
+            let (origs, ops) = self.collect(budget);
+            if ops.is_empty() {
                 return;
             }
-            let ops: Vec<HostOp> = batch.iter().map(|(_, _, op)| op.clone()).collect();
-            let origs: Vec<(ClientId, u64)> = batch.iter().map(|&(c, s, _)| (c, s)).collect();
             let shapes = &self.shapes;
             let (coalesced, cstats) = if self.no_coalesce {
                 coalesce_ops(&ops, |_| None)
@@ -329,9 +335,12 @@ impl Reactor {
             self.stats.coalesce.updates_collapsed += cstats.updates_collapsed;
             self.stats.coalesce.lookups_shared += cstats.lookups_shared;
             let submit_cycle = self.rt.total_cycles();
+            self.stats.device_ops += coalesced.len() as u64;
             let mut ids = Vec::with_capacity(coalesced.len());
-            for cop in &coalesced {
-                match self.rt.submit(cop.op.clone()) {
+            let mut answers = Vec::with_capacity(coalesced.len());
+            for CoalescedOp { op, answers: routing } in coalesced {
+                answers.push(routing);
+                match self.rt.submit(op) {
                     Ok(id) => ids.push(id),
                     Err(e) => {
                         // Unreachable by construction: admission
@@ -344,28 +353,29 @@ impl Reactor {
                     }
                 }
             }
-            self.stats.device_ops += coalesced.len() as u64;
-            self.batches.push_back(InFlight { ids, coalesced, origs, submit_cycle });
+            self.batches.push_back(InFlight { ids, answers, origs, submit_cycle });
         }
     }
 
-    /// Collect up to `budget` ops, one per client per round-robin sweep.
-    fn collect(&mut self, budget: usize) -> Vec<(ClientId, u64, HostOp)> {
+    /// Collect up to `budget` ops, one per client per round-robin sweep:
+    /// each op's `(client, seq)` and the op, in collection order.
+    fn collect(&mut self, budget: usize) -> (Vec<(ClientId, u64)>, Vec<HostOp>) {
         let n = self.clients.len();
-        let mut out = Vec::new();
+        let (mut origs, mut ops) = (Vec::new(), Vec::new());
         if n == 0 {
-            return out;
+            return (origs, ops);
         }
-        while out.len() < budget {
+        while ops.len() < budget {
             let mut took = false;
             for k in 0..n {
-                if out.len() >= budget {
+                if ops.len() >= budget {
                     break;
                 }
                 let i = (self.rr + k) % n;
                 if let Some((seq, op)) = self.clients[i].queue.pop_front() {
                     self.queued_total -= 1;
-                    out.push((ClientId(i as u32), seq, op));
+                    origs.push((ClientId(i as u32), seq));
+                    ops.push(op);
                     took = true;
                 }
             }
@@ -374,7 +384,7 @@ impl Reactor {
                 break;
             }
         }
-        out
+        (origs, ops)
     }
 
     /// Harvest: resolve finished batches into acks, packet outcomes
@@ -396,10 +406,9 @@ impl Reactor {
                 .iter()
                 .map(|id| self.completed.remove(id).unwrap_or(Err(MapError::NoSuchKey)))
                 .collect();
-            let expanded = expand_results(&b.coalesced, &results);
+            let expanded = expand_results(&b.answers, results);
             let latency = now.saturating_sub(b.submit_cycle);
-            for (k, &(client, seq)) in b.origs.iter().enumerate() {
-                let result = expanded.get(k).cloned().unwrap_or(Err(MapError::NoSuchKey));
+            for ((client, seq), result) in b.origs.into_iter().zip(expanded) {
                 self.acks.push(Ack { client, seq, result, latency_cycles: latency });
                 self.clients[client.index()].acked += 1;
                 self.stats.acked_ops += 1;

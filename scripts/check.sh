@@ -22,6 +22,9 @@ cargo test --release --test recorded -q -- --ignored
 echo "== long-form map model property (#[ignore]d, release build) =="
 cargo test --release -p ehdl-ebpf -q -- --ignored
 
+echo "== benchmark harness unit tests (perf/ is its own package) =="
+(cd perf && cargo test --offline -q)
+
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -22,9 +22,9 @@ use ehdl::ebpf::helpers::{BPF_MAP_LOOKUP_ELEM, BPF_MAP_UPDATE_ELEM};
 use ehdl::ebpf::maps::{Map, MapDef, MapKind, MapStore, UpdateFlags};
 use ehdl::ebpf::opcode::{AluOp, JmpOp, MemSize};
 use ehdl::ebpf::Program;
-use ehdl::hwsim::PipelineSim;
+use ehdl::hwsim::{HostOpResult, PipelineSim};
 use ehdl::programs::{simple_firewall, App};
-use ehdl::serve::{Ack, Reactor, ReactorOptions};
+use ehdl::serve::{Ack, ClientId, Reactor, ReactorOptions};
 use ehdl::traffic::{ControlOp, ControlOpKind};
 use ehdl_bench::{eval_packets, setup_app};
 
@@ -289,60 +289,71 @@ fn a_warm_packet_costs_no_allocation() {
     assert!(outs.iter().all(|o| o.packet.len() == 64 && o.packet.capacity() == 64));
 }
 
+/// A session key of the firewall's table: `i` in its first four bytes.
+fn session(i: u32) -> Vec<u8> {
+    let mut key = vec![0u8; 13];
+    key[..4].copy_from_slice(&i.to_le_bytes());
+    key
+}
+
+/// A client op on the firewall's session table.
+fn sessions_op(kind: ControlOpKind, key: Vec<u8>, value: Vec<u8>) -> ControlOp {
+    ControlOp { kind, map: simple_firewall::SESSIONS_MAP, key, value }
+}
+
+/// A firewall reactor with two clients whose session table holds
+/// `sessions` entries, session `i` valued `i`, every install acked.
+fn firewall_reactor(no_coalesce: bool, sessions: u32) -> (Reactor, [ClientId; 2]) {
+    let design = Compiler::new().compile(&simple_firewall::program()).expect("compiles");
+    let mut reactor = Reactor::new(&design, ReactorOptions { no_coalesce, ..Default::default() });
+    let clients = [reactor.connect(), reactor.connect()];
+    for i in 0..sessions {
+        let install =
+            sessions_op(ControlOpKind::Update, session(i), u64::from(i).to_le_bytes().to_vec());
+        reactor.submit_control(clients[0], &install).expect("admitted");
+        if i % 32 == 31 {
+            reactor.drain();
+        }
+    }
+    reactor.drain();
+    assert_eq!(reactor.take_acks().len(), sessions as usize);
+    let table = reactor.runtime().maps().get(simple_firewall::SESSIONS_MAP).expect("sessions");
+    assert_eq!(table.len(), sessions as usize);
+    (reactor, clients)
+}
+
+/// Submit `ops` and turn the reactor until each is acked; returns the acks
+/// and the heap calls spent from the first submit to the last ack.
+fn serve(reactor: &mut Reactor, ops: &[(ClientId, ControlOp)]) -> (Vec<Ack>, u64) {
+    let before = allocs();
+    for (client, op) in ops {
+        reactor.submit_control(*client, op).expect("admitted");
+    }
+    let mut acks = Vec::new();
+    while acks.len() < ops.len() {
+        reactor.turn(8);
+        acks.append(&mut reactor.take_acks());
+    }
+    (acks, allocs() - before)
+}
+
 /// Two clients each look one session up in the same turn, against a
 /// table holding 5,000. The reactor shares one frame between them, and
 /// what that frame costs must follow the two keys it names, not the
-/// table (a dump of it makes two heap calls per live entry).
+/// table.
 #[test]
 fn shared_lookups_cost_their_keys_not_the_table() {
     const SESSIONS: u32 = 5_000;
-    let design = Compiler::new().compile(&simple_firewall::program()).expect("compiles");
-    let session = |i: u32| {
-        let mut key = vec![0u8; 13];
-        key[..4].copy_from_slice(&i.to_le_bytes());
-        key
-    };
-    let op = |kind, key: Vec<u8>, value: Vec<u8>| ControlOp {
-        kind,
-        map: simple_firewall::SESSIONS_MAP,
-        key,
-        value,
-    };
     // The same two lookups — one hit, one miss — through a coalescing and
     // a verbatim reactor; returns the acks and the heap calls they cost.
     let run = |no_coalesce: bool| -> (Vec<Ack>, u64) {
-        let mut reactor =
-            Reactor::new(&design, ReactorOptions { no_coalesce, ..Default::default() });
-        let (a, b) = (reactor.connect(), reactor.connect());
-        for i in 0..SESSIONS {
-            let install =
-                op(ControlOpKind::Update, session(i), u64::from(i).to_le_bytes().to_vec());
-            reactor.submit_control(a, &install).expect("admitted");
-            if i % 32 == 31 {
-                reactor.drain();
-            }
-        }
-        reactor.drain();
-        assert_eq!(reactor.take_acks().len(), SESSIONS as usize);
-        assert_eq!(
-            reactor.runtime().maps().get(simple_firewall::SESSIONS_MAP).expect("sessions").len(),
-            SESSIONS as usize
-        );
+        let (mut reactor, [a, b]) = firewall_reactor(no_coalesce, SESSIONS);
         let lookups = [
-            (a, op(ControlOpKind::Lookup, session(4_321), Vec::new())),
-            (b, op(ControlOpKind::Lookup, session(SESSIONS), Vec::new())),
+            (a, sessions_op(ControlOpKind::Lookup, session(4_321), Vec::new())),
+            (b, sessions_op(ControlOpKind::Lookup, session(SESSIONS), Vec::new())),
         ];
         let device_ops = reactor.stats().device_ops;
-        let before = allocs();
-        for (client, lookup) in &lookups {
-            reactor.submit_control(*client, lookup).expect("admitted");
-        }
-        let mut acks = Vec::new();
-        while acks.len() < lookups.len() {
-            reactor.turn(8);
-            acks.append(&mut reactor.take_acks());
-        }
-        let spent = allocs() - before;
+        let (mut acks, spent) = serve(&mut reactor, &lookups);
         // Round-robin collection starts at either client.
         acks.sort_by_key(|ack| ack.client.index());
         let frames = reactor.stats().device_ops - device_ops;
@@ -352,12 +363,30 @@ fn shared_lookups_cost_their_keys_not_the_table() {
     let (shared, spent) = run(false);
     let (verbatim, _) = run(true);
     assert_eq!(shared, verbatim, "sharing a frame changes no answer");
-    assert_eq!(
-        shared[0].result,
-        Ok(ehdl::hwsim::HostOpResult::Value(Some(4_321u64.to_le_bytes().to_vec())))
-    );
-    assert_eq!(shared[1].result, Ok(ehdl::hwsim::HostOpResult::Value(None)));
+    assert_eq!(shared[0].result, Ok(HostOpResult::Value(Some(4_321u64.to_le_bytes().to_vec()))));
+    assert_eq!(shared[1].result, Ok(HostOpResult::Value(None)));
     assert!(spent <= 64, "two shared lookups over {SESSIONS} sessions made {spent} heap calls");
+}
+
+/// A client's dump of a 5,000-session table, from submit to ack. The rows
+/// are built once, as one key buffer and one value buffer, and moved to
+/// the client, so the dump costs the same few heap calls at any table
+/// size.
+#[test]
+fn a_client_dump_costs_heap_calls_independent_of_the_table() {
+    const SESSIONS: u32 = 5_000;
+    let (mut reactor, [a, _]) = firewall_reactor(false, SESSIONS);
+    let dump = sessions_op(ControlOpKind::Dump, Vec::new(), Vec::new());
+    let (acks, spent) = serve(&mut reactor, &[(a, dump)]);
+    let Ok(HostOpResult::Entries(rows)) = &acks[0].result else {
+        panic!("dump failed: {:?}", acks[0].result)
+    };
+    assert_eq!(rows.len(), SESSIONS as usize);
+    for (key, value) in rows.iter() {
+        let i = u32::from_le_bytes(key[..4].try_into().expect("4 bytes"));
+        assert_eq!((key, value), (&session(i)[..], &u64::from(i).to_le_bytes()[..]));
+    }
+    assert!(spent <= 64, "a dump of {SESSIONS} sessions made {spent} heap calls");
 }
 
 /// A 13-byte flow key, the width of every bundled flow table's.

@@ -39,7 +39,6 @@ pub mod ctrl;
 pub mod diff;
 pub mod fault;
 pub mod hist;
-pub mod multi;
 pub mod shared;
 pub mod shell;
 pub mod sim;
@@ -56,14 +55,10 @@ pub use fault::{
     ReplicaFault, ReplicaFaultConfig, ReplicaFaultKind, ReplicaFaultStats,
 };
 pub use hist::Log2Histogram;
-pub use multi::{
-    resteer_rss_table, rss_flow_hash, CompiledSteering, MultiNic, MultiReport, Steering,
-    SteeringError, SteeringStats,
-};
 pub use shared::{
-    check_linearizable, fabric_from_plan, map_key_hash, LinearizabilityViolation, MapAccess,
-    MapEvent, MapEventKind, ShardReport, ShardedNic, SharedEvent, SharedMapOptions, SharedMapStats,
-    SharedOpCompletion, HOST_REPLICA,
+    check_linearizable, fabric_from_plan, map_key_hash, rss_flow_hash, CompiledSteering,
+    LinearizabilityViolation, MapAccess, MapEvent, MapEventKind, ShardReport, ShardedNic,
+    SharedEvent, SharedMapOptions, SharedMapStats, SharedOpCompletion, HOST_REPLICA,
 };
 pub use shell::{NicShell, ShellOptions, ShellReport};
 pub use sim::{PipelineSim, SimCounters, SimError, SimOptions, SimOutcome};

@@ -4,7 +4,7 @@
 //!
 //! The model has three layers:
 //!
-//! * **Steering** — [`crate::multi::rss_flow_hash`] shards flows across
+//! * **Steering** — [`rss_flow_hash`] shards flows across
 //!   replicas; both directions of a flow land on the same replica, so
 //!   flow-local map state (firewall sessions, NAT bindings) never
 //!   migrates and stays *partitioned* by construction.
@@ -39,12 +39,116 @@
 
 use crate::ctrl::{HostOp, HostOpResult};
 use crate::fault::{ReplicaFaultConfig, ReplicaFaultKind, ReplicaFaultStats};
-use crate::multi::{resteer_rss_table, rss_flow_hash};
 use crate::sim::{PipelineSim, SimOptions, SimOutcome};
 use ehdl_core::shardcheck::MergePolicy;
 use ehdl_core::PipelineDesign;
 use ehdl_ebpf::maps::{MapError, MapStore, UpdateFlags};
+use ehdl_net::FiveTuple;
 use std::collections::VecDeque;
+
+/// Symmetric RSS hash over the parsed 5-tuple, with an Ethernet-header
+/// fallback for non-tuple-steered traffic.
+///
+/// Endpoints are canonically ordered before mixing, so a flow and its
+/// reverse direction produce the same hash — required by stateful
+/// programs (the firewall looks sessions up by the *reverse* tuple on
+/// return traffic; both directions must shard to the same replica).
+/// Mixing is `ehdl-rng`-style (splitmix64 finalizer), fully determined
+/// by `(packet bytes, seed)`. Uses [`FiveTuple::parse_for_steering`]:
+/// the hash must key off exactly the bytes XDP programs guard, even on
+/// packets that are not well-formed IPv4.
+pub fn rss_flow_hash(packet: &[u8], seed: u64) -> u64 {
+    match FiveTuple::parse_for_steering(packet) {
+        Some(t) => {
+            let a = (u64::from(u32::from_be_bytes(t.saddr)) << 16) | u64::from(t.sport);
+            let b = (u64::from(u32::from_be_bytes(t.daddr)) << 16) | u64::from(t.dport);
+            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+            mix64(seed ^ lo ^ hi.rotate_left(23) ^ (u64::from(t.proto) << 56))
+        }
+        None => {
+            // FNV-1a over the Ethernet header (or whatever bytes exist).
+            let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
+            for &b in packet.iter().take(14) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+            mix64(h)
+        }
+    }
+}
+
+/// splitmix64 finalizer: a full-avalanche 64-bit mix.
+#[inline]
+fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^= x >> 31;
+    x
+}
+
+/// The RSS front end as a standalone dispatch structure: a symmetric flow
+/// hash modulo a replica list, the same assignment [`ShardedNic`] makes
+/// while every replica serves.
+///
+/// RSS is the only steering policy, but this stays an enum with one
+/// variant: the repository benchmark builds `CompiledSteering::RssFlowHash
+/// { .. }` by name to time the hash on its own.
+#[derive(Debug, Clone)]
+pub enum CompiledSteering {
+    /// RSS: symmetric flow hash modulo the replica list.
+    RssFlowHash {
+        /// Replica pipeline indices (typically `0..n`).
+        replicas: Box<[usize]>,
+        /// Hash seed (Toeplitz-key analogue); same seed + same trace
+        /// gives the identical shard assignment on every run.
+        seed: u64,
+    },
+}
+
+impl CompiledSteering {
+    /// Choose a replica for a packet.
+    pub fn steer(&self, packet: &[u8]) -> usize {
+        let CompiledSteering::RssFlowHash { replicas, seed } = self;
+        replicas[(rss_flow_hash(packet, *seed) % replicas.len() as u64) as usize]
+    }
+}
+
+/// Rewrite an RSS indirection table in place after a replica-set change.
+///
+/// `table[slot]` is the replica currently serving hash bucket `slot`, and
+/// `home[slot]` its original owner. Slots whose current owner stopped
+/// serving are redistributed round-robin across the serving set; slots
+/// whose *home* returned to service get their home back. The table length
+/// — and therefore the hash modulus — never changes, so flows hashed to
+/// healthy replicas never migrate during a fail-over: exactly how a real
+/// NIC reprograms its RSS indirection table.
+///
+/// Returns the number of slots rewritten; the table is left untouched
+/// (and 0 returned) when no replica serves.
+fn resteer_rss_table(table: &mut [usize], home: &[usize], serving: &[bool]) -> usize {
+    let heirs: Vec<usize> = (0..serving.len()).filter(|&r| serving[r]).collect();
+    if heirs.is_empty() {
+        return 0;
+    }
+    let mut next = 0usize;
+    let mut rewritten = 0usize;
+    for (slot, cur) in table.iter_mut().enumerate() {
+        let h = home.get(slot).copied().unwrap_or(*cur);
+        let want = if serving.get(h).copied().unwrap_or(false) {
+            h
+        } else {
+            let heir = heirs[next % heirs.len()];
+            next += 1;
+            heir
+        };
+        if *cur != want {
+            *cur = want;
+            rewritten += 1;
+        }
+    }
+    rewritten
+}
 
 /// One traced shared-map access, as seen by the banked fabric.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,11 +210,7 @@ pub fn map_key_hash(map: u32, key: &[u8]) -> u64 {
     for &b in key {
         h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
     }
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
+    mix64(h)
 }
 
 /// Banked shared-map fabric configuration.
@@ -1126,6 +1226,64 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn rss_hash_is_symmetric_and_spreads() {
+        let seed = 0xfeed_beef;
+        let mut per_replica = [0u32; 4];
+        for i in 0..256u32 {
+            let t = FiveTuple {
+                saddr: [10, 0, (i >> 8) as u8, i as u8],
+                daddr: [192, 168, 1, 1],
+                sport: 1000 + i as u16,
+                dport: 53,
+                proto: IPPROTO_UDP,
+            };
+            let fwd = build_flow_packet(&t, [1; 6], [2; 6], 64);
+            let rev = build_flow_packet(&t.reversed(), [2; 6], [1; 6], 64);
+            assert_eq!(
+                rss_flow_hash(&fwd, seed),
+                rss_flow_hash(&rev, seed),
+                "flow {i}: both directions must shard identically"
+            );
+            per_replica[(rss_flow_hash(&fwd, seed) % 4) as usize] += 1;
+        }
+        // A decent mix: no replica starves or hogs (256 flows over 4).
+        for (r, &n) in per_replica.iter().enumerate() {
+            assert!((24..=104).contains(&n), "replica {r} got {n}/256 flows");
+        }
+        // Non-IP frames hash too (Ethernet fallback), deterministically.
+        let arp = vec![0x08u8; 60];
+        assert_eq!(rss_flow_hash(&arp, seed), rss_flow_hash(&arp, seed));
+        assert_ne!(rss_flow_hash(&arp, seed), rss_flow_hash(&arp, seed ^ 1));
+    }
+
+    #[test]
+    fn resteer_moves_only_dead_slots_and_gives_them_back() {
+        // Twelve slots over four replicas: replica r homes slots r, r+4, r+8.
+        let home: Vec<usize> = (0..12).map(|s| s % 4).collect();
+        let mut table = home.clone();
+
+        // Replica 1 dies: its three slots go round-robin to 0, 2, 3, and
+        // no healthy replica's slot moves.
+        assert_eq!(resteer_rss_table(&mut table, &home, &[true, false, true, true]), 3);
+        for (slot, (&cur, &h)) in table.iter().zip(&home).enumerate() {
+            if h != 1 {
+                assert_eq!(cur, h, "healthy slot {slot} moved");
+            }
+        }
+        assert_eq!([table[1], table[5], table[9]], [0, 2, 3]);
+
+        // Nobody serves: nothing to steer to, so nothing is rewritten.
+        let degraded = table.clone();
+        assert_eq!(resteer_rss_table(&mut table, &home, &[false; 4]), 0);
+        assert_eq!(table, degraded);
+
+        // Replica 1 returns: exactly its three slots come home.
+        assert_eq!(resteer_rss_table(&mut table, &home, &[true; 4]), 3);
+        assert_eq!(table, home);
+        assert_eq!(resteer_rss_table(&mut table, &home, &[true; 4]), 0, "idempotent");
     }
 
     #[test]

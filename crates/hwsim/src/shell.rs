@@ -2,11 +2,9 @@
 //! schedule derived from a port speed, and reports the throughput/latency
 //! numbers the paper's testbed measures at the traffic generator.
 
-use crate::ctrl::{CtrlError, CtrlOptions, HostCompletion, HostOp};
 use crate::hist::Log2Histogram;
 use crate::sim::{PipelineSim, SimOptions, SimOutcome, CLOCK_NS};
 use ehdl_core::PipelineDesign;
-use ehdl_ebpf::vm::XdpAction;
 
 /// Shell configuration.
 #[derive(Debug, Clone, Copy)]
@@ -25,15 +23,14 @@ impl Default for ShellOptions {
     }
 }
 
-/// Measurement summary of one run.
+/// Measurement summary of one run: every count is this run's alone, not
+/// the shell's running total.
 #[derive(Debug, Clone)]
 pub struct ShellReport {
     /// Packets offered by the generator.
     pub offered: u64,
     /// Packets that completed processing.
     pub completed: u64,
-    /// Packets forwarded (TX/redirect/pass).
-    pub forwarded: u64,
     /// Packets lost to RX overflow (the NIC could not keep up).
     pub lost: u64,
     /// Achieved throughput in packets per second.
@@ -46,18 +43,6 @@ pub struct ShellReport {
     pub flushes: u64,
     /// Flush events per simulated second.
     pub flushes_per_sec: f64,
-    /// Simulated wall-clock time in seconds.
-    pub seconds: f64,
-    /// Fraction of cycles the pipeline was not wedged by a hung stage
-    /// (1.0 without fault injection).
-    pub availability: f64,
-    /// Recovery replays triggered by detected faults (distinct from
-    /// hazard flushes).
-    pub fault_replays: u64,
-    /// Watchdog-initiated drain/reinit events.
-    pub watchdog_resets: u64,
-    /// Packets sacrificed by watchdog recovery.
-    pub pkts_lost_to_faults: u64,
 }
 
 /// The NIC shell: wraps a pipeline simulator with line-rate arrivals.
@@ -100,32 +85,28 @@ impl NicShell {
         &mut self.sim
     }
 
-    /// Attach a fault-injection engine to the wrapped simulator (see
-    /// [`crate::fault`]); the next [`NicShell::run`] becomes a campaign.
-    pub fn attach_faults(&mut self, cfg: crate::fault::FaultConfig) {
-        self.sim.attach_faults(cfg);
-    }
-
     /// Wire time of a frame at the configured port speed, in nanoseconds
     /// (frame + 20 B preamble/IFG overhead).
     fn wire_ns(&self, len: usize) -> f64 {
         ((len + 20) * 8) as f64 / self.options.port_bps * 1e9 / self.options.load
     }
 
-    /// Replay `packets` at line rate and collect the report.
+    /// Replay `packets` at line rate, settle, and report this run.
     ///
-    /// The generator offers packet `i` at its wire arrival time; the shell
-    /// enqueues it (dropping on RX overflow) and runs the pipeline clock in
-    /// between.
+    /// The generator offers packet `i` at its wire arrival time, counted
+    /// from the cycle at which this run starts; the shell enqueues it
+    /// (dropping on RX overflow) and runs the pipeline clock in between.
     pub fn run<I>(&mut self, packets: I) -> ShellReport
     where
         I: IntoIterator<Item = Vec<u8>>,
     {
+        let start = self.sim.cycle();
+        let before = *self.sim.counters();
         let mut offered = 0u64;
         let mut t_ns = 0.0f64;
         for pkt in packets {
             // Advance the pipeline clock to this packet's arrival time.
-            let target_cycle = (t_ns / CLOCK_NS) as u64;
+            let target_cycle = start + (t_ns / CLOCK_NS) as u64;
             while self.sim.cycle() < target_cycle {
                 self.sim.step();
             }
@@ -133,15 +114,12 @@ impl NicShell {
             offered += 1;
             self.sim.enqueue(pkt);
         }
-        self.finish(offered, t_ns)
-    }
-
-    /// Settle the pipeline and assemble the measurement report.
-    fn finish(&mut self, offered: u64, t_ns: f64) -> ShellReport {
         self.sim.settle(10_000_000);
 
         let mut outs = self.sim.drain();
         let c = *self.sim.counters();
+        let completed = c.completed - before.completed;
+        let flushes = c.flushes - before.flushes;
         // O(n) percentile accounting: one histogram pass instead of the
         // full sort this used to do. The mean stays exact (running sum);
         // p99 is the histogram's bucket upper edge, within 12.5% of the
@@ -152,84 +130,22 @@ impl NicShell {
             hist.record(o.latency_ns.max(0.0).round() as u64);
             latency_sum_ns += o.latency_ns;
         }
-        let seconds = (self.sim.cycle() as f64 * CLOCK_NS / 1e9).max(1e-12);
-        let forwarded = outs.iter().filter(|o| o.action.forwards()).count() as u64;
+        let seconds = ((self.sim.cycle() - start) as f64 * CLOCK_NS / 1e9).max(1e-12);
         self.completed.append(&mut outs);
         ShellReport {
             offered,
-            completed: c.completed,
-            forwarded,
-            lost: c.rx_dropped,
-            throughput_pps: c.completed as f64 / (t_ns / 1e9).max(1e-12),
+            completed,
+            lost: c.rx_dropped - before.rx_dropped,
+            throughput_pps: completed as f64 / (t_ns / 1e9).max(1e-12),
             avg_latency_ns: if hist.is_empty() {
                 0.0
             } else {
                 latency_sum_ns / hist.count() as f64
             },
             p99_latency_ns: hist.percentile(0.99) as f64,
-            flushes: c.flushes,
-            flushes_per_sec: c.flushes as f64 / seconds,
-            seconds,
-            availability: self.sim.availability(),
-            fault_replays: c.fault_replays,
-            watchdog_resets: c.watchdog_resets,
-            pkts_lost_to_faults: c.pkts_lost_to_faults,
+            flushes,
+            flushes_per_sec: flushes as f64 / seconds,
         }
-    }
-
-    /// Attach a host control channel to the wrapped simulator so
-    /// [`NicShell::run_with_ops`] can submit live map ops.
-    pub fn attach_ctrl(&mut self, options: CtrlOptions) {
-        self.sim.attach_ctrl(options);
-    }
-
-    /// Like [`NicShell::run`], submitting each host op when the generator
-    /// reaches its scheduled arrival index.
-    ///
-    /// `ops` pairs an arrival index `i` with an op: the op is submitted
-    /// just before packet `i` is offered (so it is barrier-ordered after
-    /// packets `0..i`), while earlier packets are still streaming through
-    /// the pipeline. Ops with an index at or beyond the trace length are
-    /// submitted after the last packet. `ops` must be sorted by index.
-    /// Rejected submissions are returned with their scheduled index.
-    pub fn run_with_ops<I>(
-        &mut self,
-        packets: I,
-        ops: &[(u64, HostOp)],
-    ) -> (ShellReport, Vec<(u64, CtrlError)>)
-    where
-        I: IntoIterator<Item = Vec<u8>>,
-    {
-        let mut rejected = Vec::new();
-        let mut next_op = 0usize;
-        let mut offered = 0u64;
-        let mut t_ns = 0.0f64;
-        for pkt in packets {
-            while next_op < ops.len() && ops[next_op].0 <= offered {
-                if let Err(e) = self.sim.submit_host_op(ops[next_op].1.clone()) {
-                    rejected.push((ops[next_op].0, e));
-                }
-                next_op += 1;
-            }
-            let target_cycle = (t_ns / CLOCK_NS) as u64;
-            while self.sim.cycle() < target_cycle {
-                self.sim.step();
-            }
-            t_ns += self.wire_ns(pkt.len());
-            offered += 1;
-            self.sim.enqueue(pkt);
-        }
-        for (idx, op) in &ops[next_op..] {
-            if let Err(e) = self.sim.submit_host_op(op.clone()) {
-                rejected.push((*idx, e));
-            }
-        }
-        (self.finish(offered, t_ns), rejected)
-    }
-
-    /// Drain host-op completions from the wrapped simulator.
-    pub fn host_completions(&mut self) -> Vec<HostCompletion> {
-        self.sim.host_completions()
     }
 
     /// All completed outcomes from the last run that were not yet drained.
@@ -239,38 +155,11 @@ impl NicShell {
         outs
     }
 
-    /// Fraction of offered packets that were forwarded without loss —
-    /// "line rate" means 1.0 here.
-    pub fn delivered_fraction(report: &ShellReport) -> f64 {
-        if report.offered == 0 {
-            return 1.0;
-        }
-        report.completed as f64 / report.offered as f64
-    }
-
-    /// Count outcomes by action.
-    pub fn action_histogram(outs: &[SimOutcome]) -> [u64; 5] {
-        let mut h = [0u64; 5];
-        for o in outs {
-            h[o.action.code() as usize] += 1;
-        }
-        h
-    }
-
-    /// Convenience accessor mirroring the sim counters.
-    pub fn counters(&self) -> crate::sim::SimCounters {
-        *self.sim.counters()
-    }
-
     /// Total pipeline cycles simulated so far.
     pub fn cycles(&self) -> u64 {
         self.sim.cycle()
     }
 }
-
-/// Verdict histogram indices for [`NicShell::action_histogram`].
-pub const ACTIONS: [XdpAction; 5] =
-    [XdpAction::Aborted, XdpAction::Drop, XdpAction::Pass, XdpAction::Tx, XdpAction::Redirect];
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
@@ -358,19 +247,20 @@ mod tests {
     }
 
     #[test]
-    fn run_with_ops_submits_at_arrival_positions() {
-        use crate::ctrl::{CtrlOptions, HostOp};
+    fn a_second_run_starts_its_wire_clock_where_the_first_ended() {
+        // The first run ends thousands of cycles in. If the second run's
+        // arrivals were timed from cycle 0, every one of its packets would
+        // be due at once and overflow the 4,096-deep RX queue.
         let design = tx_everything();
         let mut shell = NicShell::new(&design, ShellOptions::default());
-        shell.attach_ctrl(CtrlOptions { latency_cycles: 1, queue_depth: 8 });
-        // tx_everything has no maps, so every op must be rejected with
-        // NoSuchMap — but scheduling itself must still work end to end.
-        let ops = vec![(0u64, HostOp::Dump { map: 0 }), (50, HostOp::Dump { map: 0 })];
-        let (report, rejected) = shell.run_with_ops((0..100).map(|_| vec![0u8; 64]), &ops);
-        assert_eq!(report.completed, 100);
-        assert_eq!(rejected.len(), 2);
-        assert_eq!(rejected[0].0, 0);
-        assert_eq!(rejected[1].0, 50);
+        let first = shell.run((0..5000).map(|_| vec![0u8; 64]));
+        let second = shell.run((0..5000).map(|_| vec![0u8; 64]));
+        assert_eq!((first.lost, first.completed), (0, 5000));
+        // The report counts this run only, not the shell's running totals.
+        assert_eq!((second.offered, second.lost, second.completed), (5000, 0, 5000));
+        let ratio = second.throughput_pps / first.throughput_pps;
+        assert!((0.99..=1.01).contains(&ratio), "{first:?} then {second:?}");
+        assert_eq!(shell.drain().len(), 10_000);
     }
 
     // -- ingress async-FIFO edge cases --------------------------------

@@ -359,7 +359,6 @@ impl Runtime {
             stages,
             maps,
             throughput_pps: counters.completed as f64 / seconds,
-            steering: None,
             reliability: self.reliable.as_ref().map(|r| r.stats().snapshot()),
             slo: None,
         }

@@ -3,7 +3,7 @@
 
 use crate::json::Json;
 use crate::retry::ReliableSnapshot;
-use ehdl_hwsim::{CtrlStats, SimCounters, SteeringStats};
+use ehdl_hwsim::{CtrlStats, SimCounters};
 
 /// Per-stage occupancy telemetry.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,9 +65,6 @@ pub struct RuntimeStats {
     pub maps: Vec<MapTelemetry>,
     /// Achieved throughput in packets per second of simulated time.
     pub throughput_pps: f64,
-    /// Multi-pipeline steering statistics (`None` when the runtime
-    /// drives a single pipeline).
-    pub steering: Option<SteeringStats>,
     /// Reliable-submission statistics (`None` on a lossless channel,
     /// which bypasses the retry layer).
     pub reliability: Option<ReliableSnapshot>,
@@ -182,19 +179,6 @@ impl RuntimeStats {
             }
             j.end_obj();
         }
-        if let Some(st) = &self.steering {
-            j.key("steering").begin_row();
-            j.key("imbalance").fixed(st.imbalance, 4);
-            j.key("pipelines").begin_arr();
-            for (i, steered) in st.steered.iter().enumerate() {
-                j.begin_obj();
-                j.key("steered").uint(*steered);
-                j.key("dropped").uint(st.dropped.get(i).copied().unwrap_or(0));
-                j.key("pkts_per_cycle").fixed(st.pkts_per_cycle.get(i).copied().unwrap_or(0.0), 4);
-                j.end_obj();
-            }
-            j.end_arr().end_obj();
-        }
         j.key("stages").begin_row_arr();
         for st in &self.stages {
             j.begin_obj();
@@ -245,7 +229,6 @@ mod tests {
                 capacity: 64,
             }],
             throughput_pps: 1.0e6,
-            steering: None,
             reliability: None,
             slo: None,
         };
@@ -264,11 +247,10 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        assert!(!json.contains("\"steering\""), "single-pipeline snapshots omit steering");
     }
 
     fn full_stats() -> RuntimeStats {
-        // Every optional section populated: steering, reliability, slo.
+        // Every optional section populated: reliability, slo.
         RuntimeStats {
             program: "fw".into(),
             epoch: 2,
@@ -286,12 +268,6 @@ mod tests {
                 capacity: 64,
             }],
             throughput_pps: 1.0e6,
-            steering: Some(SteeringStats {
-                steered: vec![30, 10],
-                dropped: vec![0, 2],
-                pkts_per_cycle: vec![0.25, 0.125],
-                imbalance: 1.5,
-            }),
             reliability: Some(ReliableSnapshot {
                 ops: 9,
                 completed: 9,
@@ -329,11 +305,9 @@ mod tests {
         stats.slo = None;
         validate(&stats.to_json()).expect("no slo");
         stats.reliability = None;
-        validate(&stats.to_json()).expect("no reliability");
-        stats.steering = None;
         let bare = stats.to_json();
         validate(&bare).expect("bare shape");
-        for section in ["\"steering\"", "\"reliability\"", "\"slo\""] {
+        for section in ["\"reliability\"", "\"slo\""] {
             assert!(!bare.contains(section), "an absent section is omitted, not null: {bare}");
         }
         stats.stages.clear();
@@ -357,39 +331,5 @@ mod tests {
         let json = stats.to_json();
         validate(&json).unwrap_or_else(|e| panic!("control characters break JSON: {e}\n{json}"));
         assert!(json.contains("\"program\": \"\\u0000\\u0007\\u001f\\r\""));
-    }
-
-    #[test]
-    fn json_exports_steering_section() {
-        let mut stats = RuntimeStats {
-            program: "fw".into(),
-            epoch: 0,
-            cycle: 0,
-            total_cycles: 0,
-            counters: SimCounters::default(),
-            ctrl: CtrlStats::default(),
-            stages: vec![],
-            maps: vec![],
-            throughput_pps: 0.0,
-            steering: None,
-            reliability: None,
-            slo: None,
-        };
-        stats.steering = Some(SteeringStats {
-            steered: vec![30, 10],
-            dropped: vec![0, 2],
-            pkts_per_cycle: vec![0.25, 0.125],
-            imbalance: 1.5,
-        });
-        let json = stats.to_json();
-        for key in [
-            "\"steering\"",
-            "\"imbalance\": 1.5000",
-            "\"steered\": 30",
-            "\"dropped\": 2",
-            "\"pkts_per_cycle\": 0.2500",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
     }
 }

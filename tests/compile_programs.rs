@@ -75,6 +75,22 @@ fn resources_within_paper_band() {
         assert!(u.ffs < 0.30, "{app}");
         assert!(u.brams < 0.45, "{app}");
     }
+
+    // Sec. 2.4: several XDP programs may be loaded at once. Pruned
+    // pipelines are small enough that three of them share one shell on
+    // the U50 comfortably.
+    let shell = resource::ResourceEstimate {
+        luts: resource::cost::SHELL_LUTS,
+        ffs: resource::cost::SHELL_FFS,
+        brams: resource::cost::SHELL_BRAMS,
+    };
+    let u = [App::Firewall, App::Router, App::Tunnel]
+        .iter()
+        .map(|a| resource::estimate_pipeline(&Compiler::new().compile(&a.program()).unwrap()))
+        .fold(shell, resource::ResourceEstimate::plus)
+        .utilization(Target::ALVEO_U50);
+    assert!(u.luts < 0.25, "three pipelines + shell at {:.1}% LUTs", u.luts * 100.0);
+    assert!(u.brams < 0.60, "three pipelines + shell at {:.1}% BRAM", u.brams * 100.0);
 }
 
 #[test]

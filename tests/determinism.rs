@@ -1,20 +1,19 @@
 //! Determinism and parallel-equivalence tests for the evaluation harness.
 //!
 //! The simulator's hot loop recycles checkpoint boxes, scratch write sets
-//! and key buffers, and the evaluation paths fan out across threads
-//! (`MultiNic::run`, `diff::check`). None of that may change a
-//! single observable bit: repeated runs must produce identical
-//! [`SimOutcome`]s, [`SimCounters`] and map contents, and the threaded
-//! paths must match their sequential lockstep reference exactly.
+//! and key buffers, and the differential harness runs the device on a
+//! worker thread (`diff::check`). None of that may change a single
+//! observable bit: repeated runs must produce identical [`SimOutcome`]s,
+//! [`SimCounters`] and map contents, and the threaded harness must agree
+//! with the sequential reference interpreter.
 
 use ehdl::core::Compiler;
 use ehdl::ebpf::vm::XdpAction;
 use ehdl::hwsim::diff::{check, Scenario};
 use ehdl::hwsim::{
-    rss_flow_hash, MultiNic, PipelineSim, ShardedNic, SharedMapOptions, SimCounters, SimOptions,
-    Steering,
+    rss_flow_hash, CompiledSteering, PipelineSim, ShardedNic, SharedMapOptions, SimCounters,
+    SimOptions,
 };
-use ehdl::net::{IPPROTO_TCP, IPPROTO_UDP};
 use ehdl::programs::App;
 use ehdl_bench::{eval_packets, setup_app};
 
@@ -96,97 +95,10 @@ fn diff_harness_clean_on_eval_traces() {
     }
 }
 
-/// `MultiNic::run` executes each pipeline on its own thread by replaying
-/// the global arrival schedule; the result must equal stepping all
-/// pipelines in lockstep on one thread.
-#[test]
-fn parallel_multinic_matches_lockstep_reference() {
-    let designs = vec![
-        Compiler::new().compile(&App::Firewall.program()).unwrap(),
-        Compiler::new().compile(&App::Suricata.program()).unwrap(),
-    ];
-    let steering =
-        Steering::ByIpProto { rules: vec![(IPPROTO_UDP, 0), (IPPROTO_TCP, 1)], default: 0 };
-    let mut packets = eval_packets(App::Firewall, 400);
-    packets.extend(eval_packets(App::Suricata, 400));
-
-    // Threaded run.
-    let mut nic = MultiNic::new(&designs, steering.clone(), opts());
-    setup_app(App::Firewall, nic.sim_mut(0).maps_mut());
-    setup_app(App::Suricata, nic.sim_mut(1).maps_mut());
-    let report = nic.run(packets.clone());
-
-    // Sequential lockstep reference.
-    let mut sims: Vec<PipelineSim> =
-        designs.iter().map(|d| PipelineSim::with_options(d, opts())).collect();
-    setup_app(App::Firewall, sims[0].maps_mut());
-    setup_app(App::Suricata, sims[1].maps_mut());
-    let compiled = steering.compile();
-    let mut steered = vec![0u64; 2];
-    for pkt in &packets {
-        let t = compiled.steer(pkt);
-        steered[t] += 1;
-        sims[t].enqueue(pkt.clone());
-        for sim in &mut sims {
-            sim.step();
-        }
-    }
-    for sim in &mut sims {
-        sim.settle(10_000_000);
-    }
-
-    assert_eq!(report.steered, steered);
-    let mut reference = Vec::new();
-    for (i, sim) in sims.iter_mut().enumerate() {
-        for o in sim.drain() {
-            reference.push((i, o.seq, o.action, o.packet, o.latency_cycles));
-        }
-    }
-    let threaded: Vec<_> = report
-        .outcomes
-        .into_iter()
-        .map(|(i, o)| (i, o.seq, o.action, o.packet, o.latency_cycles))
-        .collect();
-    assert_eq!(threaded, reference);
-}
-
-/// The compiled steering structures agree with a straight rule scan for
-/// every byte value, including first-match priority on duplicate rules.
-#[test]
-fn compiled_steering_matches_rule_scan() {
-    let by_proto =
-        Steering::ByIpProto { rules: vec![(17, 1), (6, 2), (17, 3), (1, 0)], default: 4 };
-    let compiled = by_proto.compile();
-    for proto in 0..=255u8 {
-        let mut pkt = vec![0u8; 64];
-        pkt[23] = proto;
-        let expected = match proto {
-            17 => 1, // first rule wins, not (17, 3)
-            6 => 2,
-            1 => 0,
-            _ => 4,
-        };
-        assert_eq!(compiled.steer(&pkt), expected, "proto {proto}");
-    }
-
-    let by_ether = Steering::ByEtherType {
-        rules: vec![(0x0800, 0), (0x86dd, 1), (0x0800, 2), (0x0806, 3)],
-        default: 5,
-    };
-    let compiled = by_ether.compile();
-    for ty in [0x0800u16, 0x0806, 0x86dd, 0x1234, 0x0000, 0xffff] {
-        let mut pkt = vec![0u8; 64];
-        pkt[12..14].copy_from_slice(&ty.to_be_bytes());
-        let expected = match ty {
-            0x0800 => 0, // first rule wins, not (0x0800, 2)
-            0x86dd => 1,
-            0x0806 => 3,
-            _ => 5,
-        };
-        assert_eq!(compiled.steer(&pkt), expected, "ethertype {ty:#06x}");
-    }
-    // Short packets steer to the default-equivalent entry (type 0).
-    assert_eq!(compiled.steer(&[0u8; 4]), 5);
+/// RSS steering as the repository benchmark builds it: a symmetric flow
+/// hash modulo the replica list.
+fn rss(replicas: usize, seed: u64) -> CompiledSteering {
+    CompiledSteering::RssFlowHash { replicas: (0..replicas).collect(), seed }
 }
 
 /// Swap an IPv4 packet's direction in place: source/destination address
@@ -204,20 +116,19 @@ fn reverse_direction(pkt: &[u8]) -> Vec<u8> {
 }
 
 /// RSS flow steering is a pure function of `(packet, seed)`: the same
-/// seed and trace give the identical shard assignment on every compile
-/// and every run, the symmetric hash maps both directions of a flow to
-/// the same replica, and the seed actually matters.
+/// seed and trace give the identical shard assignment from every
+/// instance and every run, the symmetric hash maps both directions of a
+/// flow to the same replica, and the seed actually matters.
 #[test]
 fn rss_assignment_is_seeded_symmetric_and_replayable() {
     let packets = eval_packets(App::Firewall, TRACE_PACKETS);
-    let steering = Steering::RssFlowHash { replicas: (0..4).collect(), seed: 99 };
-    let a = steering.compile();
-    let b = steering.compile();
+    let a = rss(4, 99);
+    let b = rss(4, 99);
     let mut reseeded_differs = false;
-    let reseeded = Steering::RssFlowHash { replicas: (0..4).collect(), seed: 100 }.compile();
+    let reseeded = rss(4, 100);
     for pkt in &packets {
         let shard = a.steer(pkt);
-        assert_eq!(shard, b.steer(pkt), "assignment must survive recompilation");
+        assert_eq!(shard, b.steer(pkt), "assignment must not depend on the instance");
         assert_eq!(
             shard,
             (rss_flow_hash(pkt, 99) % 4) as usize,
@@ -291,7 +202,7 @@ fn sharded_runs_replay_bit_identically() {
     assert_eq!(first, second, "sharded runs must be bit-identical");
 
     // The realized assignment is exactly the hash prediction.
-    let compiled = Steering::RssFlowHash { replicas: (0..4).collect(), seed }.compile();
+    let compiled = rss(4, seed);
     assert_eq!(first.4.len(), packets.len(), "every packet completes");
     for (replica, global, _) in &first.4 {
         assert_eq!(

@@ -75,10 +75,8 @@ fn check_hazards(design: &PipelineDesign, out: &mut Vec<Violation>) {
         }
     }
 
-    // The checkpoint schedule the executor will derive (ExecPlan marks
-    // exactly the stages some FEB lists as protected reads).
-    let checkpoints: std::collections::BTreeSet<usize> =
-        design.hazards.febs.iter().flat_map(|f| f.read_stages.iter().copied()).collect();
+    // The checkpoint schedule the executor runs.
+    let checkpoints = crate::plan::checkpoint_stages(design);
 
     for (map, (reads, writes)) in &maps {
         for &w in writes {
@@ -105,7 +103,7 @@ fn check_hazards(design: &PipelineDesign, out: &mut Vec<Violation>) {
                                     ),
                                 });
                             }
-                            if !checkpoints.contains(&r) {
+                            if checkpoints.get(r) != Some(&true) {
                                 out.push(Violation {
                                     rule: "feb-checkpoint",
                                     detail: format!(

@@ -1,16 +1,19 @@
-//! Immutable per-design execution plan.
+//! The design as the simulator executes it, fixed at attach time.
 //!
-//! The cycle-level simulator walks a design's stages once per clock for
-//! every in-flight packet; going back to [`PipelineDesign`]'s nested
-//! `Vec`s on each visit forced it to clone op lists and predecessor
-//! tables to satisfy the borrow checker. [`ExecPlan`] flattens everything
-//! the hot loop needs — per-stage op slices and the block predecessor table
-//! in topological order — into contiguous storage built once per design
-//! (the per-block guard index is baked into [`LoweredPlan`]'s stages).
-//! Shared behind an `Arc`, it lets the executor borrow instead of clone.
+//! A synthesized eHDL pipeline is constant: every stage's ops, enables,
+//! checkpoints and hazard schedule are decided when the design is built
+//! (§4). [`LoweredPlan::try_lower`] is the one pass that turns a
+//! [`PipelineDesign`] into that constant form, and the only place the
+//! tables the cycle loop needs are derived: the specialized [`FusedOp`]s
+//! beside the source ops they came from, per-stage checkpoint and map
+//! masks, per-map host fences and FEB write stages, the hazard schedule
+//! of every map write and the flat block-predecessor table. The simulator
+//! shares it behind one `Arc`, so the executor borrows design data while
+//! it mutates packet state. [`control_inventory`] describes the same
+//! design's host-facing interface for the resource model and the VHDL.
 
 use crate::ir::{HwInsn, Interval, MapUse, MemLabel};
-use crate::pipeline::{EdgeCond, PipelineDesign, Protection, StageOp};
+use crate::pipeline::{EdgeCond, PipelineDesign, StageOp};
 use ehdl_ebpf::helpers::{
     BPF_CSUM_DIFF, BPF_GET_PRANDOM_U32, BPF_GET_SMP_PROCESSOR_ID, BPF_KTIME_GET_NS,
     BPF_MAP_DELETE_ELEM, BPF_MAP_LOOKUP_ELEM, BPF_MAP_UPDATE_ELEM, BPF_REDIRECT,
@@ -74,21 +77,10 @@ pub struct ControlInventory {
 /// Build the control-interface inventory of `design`.
 pub fn control_inventory(design: &PipelineDesign) -> ControlInventory {
     let nstages = design.stages.len();
-    let mut fence = vec![0usize; design.maps.len()];
-    let mut writes = vec![false; design.maps.len()];
+    let mut reach = MapReach::new(design.maps.len());
     for (s, stage) in design.stages.iter().enumerate() {
-        for op in &stage.ops {
-            let Some(mu) = op.map_use else { continue };
-            let m = mu.map() as usize;
-            if let Some(f) = fence.get_mut(m) {
-                *f = (*f).max(s + 1);
-            }
-            if let (Some(w), true) = (
-                writes.get_mut(m),
-                matches!(mu, MapUse::HelperWrite(_) | MapUse::StoreValue(_) | MapUse::Atomic(_)),
-            ) {
-                *w = true;
-            }
+        for mu in stage.ops.iter().filter_map(|op| op.map_use) {
+            reach.note(s, mu);
         }
     }
     let map_ports = design
@@ -99,8 +91,8 @@ pub fn control_inventory(design: &PipelineDesign) -> ControlInventory {
             name: m.name.clone(),
             key_bits: m.key_size * 8,
             value_bits: m.value_size * 8,
-            fence_stage: fence.get(m.id as usize).copied().unwrap_or(0),
-            pipeline_writes: writes.get(m.id as usize).copied().unwrap_or(false),
+            fence_stage: reach.fence.get(m.id as usize).copied().unwrap_or(0),
+            pipeline_writes: reach.writes.get(m.id as usize).copied().unwrap_or(false),
         })
         .collect();
     let ro = |name: &str| CsrDef { name: name.to_string(), bits: 32, read_only: true };
@@ -129,176 +121,59 @@ pub fn control_inventory(design: &PipelineDesign) -> ControlInventory {
     ControlInventory { map_ports, csrs }
 }
 
-/// Flattened, read-only view of a [`PipelineDesign`] for execution.
-#[derive(Debug, Clone)]
-pub struct ExecPlan {
-    nblocks: usize,
-    nmaps: usize,
-    /// All stage ops, flattened; `stage_ops[s]` indexes `ops[a..b]`.
-    ops: Vec<StageOp>,
-    stage_ops: Vec<(u32, u32)>,
-    /// All block predecessors, flattened; `block_preds[b]` indexes
-    /// `preds[a..b]`. Blocks appear in topological order (every
-    /// predecessor index is smaller than its successor's), so an
-    /// iterative forward walk resolves all enable signals.
-    preds: Vec<(u32, EdgeCond)>,
-    block_preds: Vec<(u32, u32)>,
-    /// Checkpoint schedule for partial flushes: `true` at every stage some
-    /// FEB lists as a protected read stage. The simulator snapshots state
-    /// *before* executing these stages so a flush can resume the window
-    /// from its own elastic buffer instead of replaying the whole
-    /// pipeline below the write (App. A.2).
-    checkpoint_stage: Vec<bool>,
-    /// Hardening level the design was compiled with.
-    protect: Protection,
-    /// Host-facing control interface (map ports + CSR file).
-    control: ControlInventory,
-    /// Per stage: bitmask of maps (by id, ids < 64) the stage writes or
-    /// atomically modifies. The simulator's host-port arbiter stalls a
-    /// stage about to effect a map a queued host op has reserved.
-    stage_effect_maps: Vec<u64>,
-    /// Per stage: bitmask of maps (by id, ids < 64) the stage looks up or
-    /// loads values from. The arbiter uses it to hold a packet's
-    /// retirement while a queued host write could still invalidate a read
-    /// performed at the final stage.
-    stage_read_maps: Vec<u64>,
+/// Where the pipeline touches each map, by map id: one past the last stage
+/// that reads, writes or atomically modifies it (its host-port fence) and
+/// whether any stage writes it. Both [`control_inventory`] and
+/// [`LoweredPlan::try_lower`] fold their stage ops through [`MapReach::note`].
+struct MapReach {
+    fence: Vec<usize>,
+    writes: Vec<bool>,
 }
 
-impl ExecPlan {
-    /// Flatten `design` into an execution plan.
-    ///
-    /// # Panics
-    /// Panics if a block's predecessor has a larger index than the block
-    /// itself — compiled designs are emitted in topological order and the
-    /// executor's forward enable walk relies on it.
-    pub fn new(design: &PipelineDesign) -> ExecPlan {
-        let nblocks = design.blocks.len();
-        let mut ops = Vec::new();
-        let mut stage_ops = Vec::with_capacity(design.stages.len());
-        for stage in &design.stages {
-            let a = ops.len() as u32;
-            ops.extend(stage.ops.iter().cloned());
-            stage_ops.push((a, ops.len() as u32));
+impl MapReach {
+    fn new(nmaps: usize) -> MapReach {
+        MapReach { fence: vec![0; nmaps], writes: vec![false; nmaps] }
+    }
+
+    /// Record that stage `s` uses a map as `mu`.
+    fn note(&mut self, s: usize, mu: MapUse) {
+        let m = mu.map() as usize;
+        if let Some(f) = self.fence.get_mut(m) {
+            *f = (*f).max(s + 1);
         }
-        let mut preds = Vec::new();
-        let mut block_preds = Vec::with_capacity(nblocks);
-        for (b, info) in design.blocks.iter().enumerate() {
-            let a = preds.len() as u32;
-            for &(p, cond) in &info.preds {
-                assert!(p < b, "block {b} has predecessor {p} out of topological order");
-                preds.push((p as u32, cond));
-            }
-            block_preds.push((a, preds.len() as u32));
-        }
-        let mut checkpoint_stage = vec![false; design.stages.len()];
-        for feb in &design.hazards.febs {
-            for &r in &feb.read_stages {
-                if let Some(c) = checkpoint_stage.get_mut(r) {
-                    *c = true;
-                }
-            }
-        }
-        let mut stage_effect_maps = vec![0u64; design.stages.len()];
-        let mut stage_read_maps = vec![0u64; design.stages.len()];
-        for (s, stage) in design.stages.iter().enumerate() {
-            for op in &stage.ops {
-                match op.map_use {
-                    Some(MapUse::HelperWrite(m) | MapUse::StoreValue(m) | MapUse::Atomic(m))
-                        if m < 64 =>
-                    {
-                        stage_effect_maps[s] |= 1 << m;
-                    }
-                    Some(MapUse::Lookup(m) | MapUse::LoadValue(m)) if m < 64 => {
-                        stage_read_maps[s] |= 1 << m;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        ExecPlan {
-            nblocks,
-            nmaps: design.maps.len(),
-            ops,
-            stage_ops,
-            preds,
-            block_preds,
-            checkpoint_stage,
-            protect: design.protect,
-            control: control_inventory(design),
-            stage_effect_maps,
-            stage_read_maps,
+        if let (Some(w), true) = (self.writes.get_mut(m), writes_map(mu)) {
+            *w = true;
         }
     }
+}
 
-    /// Number of pipeline stages.
-    #[inline]
-    pub fn stage_count(&self) -> usize {
-        self.stage_ops.len()
-    }
+/// Whether a map use changes the map: update/delete, a value store or an
+/// atomic. These are the uses a host write arbitrates against.
+fn writes_map(mu: MapUse) -> bool {
+    matches!(mu, MapUse::HelperWrite(_) | MapUse::StoreValue(_) | MapUse::Atomic(_))
+}
 
-    /// Number of control blocks.
-    #[inline]
-    pub fn block_count(&self) -> usize {
-        self.nblocks
-    }
+/// Map `m`'s bit in a stage's map mask ([`LoweredStage::effect_maps`],
+/// [`LoweredStage::read_maps`]). Ids from 63 up share bit 63, so a mask
+/// test on a large id can stall conservatively but never miss.
+#[inline]
+pub fn map_bit(m: u32) -> u64 {
+    1 << m.min(63)
+}
 
-    /// Number of maps the design references.
-    #[inline]
-    pub fn map_count(&self) -> usize {
-        self.nmaps
+/// The checkpoint schedule for partial flushes: `true` at every stage some
+/// FEB lists as a protected read stage. A packet entering one of these
+/// stages is snapshotted, so a flush can resume the hazard window from its
+/// own elastic buffer instead of replaying the whole pipeline below the
+/// write (App. A.2).
+pub(crate) fn checkpoint_stages(design: &PipelineDesign) -> Vec<bool> {
+    let mut ckpt = vec![false; design.stages.len()];
+    for &r in design.hazards.febs.iter().flat_map(|f| &f.read_stages) {
+        if let Some(c) = ckpt.get_mut(r) {
+            *c = true;
+        }
     }
-
-    /// The ops scheduled in stage `s` (empty for wait/latency stages).
-    #[inline]
-    pub fn stage_ops(&self, s: usize) -> &[StageOp] {
-        let (a, b) = self.stage_ops[s];
-        &self.ops[a as usize..b as usize]
-    }
-
-    /// Block `b`'s predecessors with their edge conditions.
-    #[inline]
-    pub fn preds_of(&self, b: usize) -> &[(u32, EdgeCond)] {
-        let (a, z) = self.block_preds[b];
-        &self.preds[a as usize..z as usize]
-    }
-
-    /// Whether stage `s` is a FEB-protected read stage and must take a
-    /// pre-execution checkpoint for partial flushes.
-    #[inline]
-    pub fn checkpoint_at(&self, s: usize) -> bool {
-        self.checkpoint_stage[s]
-    }
-
-    /// Hardening level the design was compiled with.
-    #[inline]
-    pub fn protect(&self) -> Protection {
-        self.protect
-    }
-
-    /// The host-facing control interface (map ports + CSR file).
-    #[inline]
-    pub fn control(&self) -> &ControlInventory {
-        &self.control
-    }
-
-    /// One past the last pipeline stage touching map `m` (its host-port
-    /// fence), or 0 when the pipeline never touches it.
-    #[inline]
-    pub fn host_fence_stage(&self, m: usize) -> usize {
-        self.control.map_ports.get(m).map_or(0, |p| p.fence_stage)
-    }
-
-    /// Bitmask of maps stage `s` writes or atomically modifies.
-    #[inline]
-    pub fn stage_effect_maps(&self, s: usize) -> u64 {
-        self.stage_effect_maps[s]
-    }
-
-    /// Bitmask of maps stage `s` looks up or loads values from.
-    #[inline]
-    pub fn stage_read_maps(&self, s: usize) -> u64 {
-        self.stage_read_maps[s]
-    }
+    ckpt
 }
 
 // ---------------------------------------------------------------------------
@@ -307,9 +182,10 @@ impl ExecPlan {
 
 /// Why a design could not be lowered for the simulator.
 ///
-/// The verifier rejects both causes at load time, so a compiled design
-/// always lowers; the simulator panics with this error on a design edited
-/// by hand into one that does not.
+/// The verifier rejects unknown helpers and undeclared maps at load time,
+/// and the compiler emits blocks in topological order, so a compiled
+/// design always lowers; the simulator panics with this error on a design
+/// edited by hand into one that does not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LowerError {
     /// A stage calls a helper the executor has no semantics for; the
@@ -333,6 +209,15 @@ pub enum LowerError {
         /// The unresolvable map id.
         map: u32,
     },
+    /// A block lists a predecessor that is not earlier than itself. The
+    /// executor resolves enable signals in one forward walk over the
+    /// blocks, which needs every predecessor first.
+    PredecessorOrder {
+        /// The block with the offending edge.
+        block: usize,
+        /// Its predecessor at the same or a later index.
+        pred: usize,
+    },
 }
 
 impl std::fmt::Display for LowerError {
@@ -343,6 +228,9 @@ impl std::fmt::Display for LowerError {
             }
             LowerError::UnknownMap { stage, pc, map } => {
                 write!(f, "stage {stage} pc {pc}: map {map} is not declared by the design")
+            }
+            LowerError::PredecessorOrder { block, pred } => {
+                write!(f, "block {block} has predecessor {pred} out of topological order")
             }
         }
     }
@@ -363,9 +251,9 @@ pub enum RegOrImm {
 /// One specialized micro-op of a [`LoweredPlan`] stage.
 ///
 /// Fused ops are in 1:1 correspondence with the stage's [`StageOp`]s (same
-/// order, same count): op `i` of a lowered stage specializes op `i` of the
-/// plan's stage. That invariant lets the executor fall back to the generic
-/// op path *per op* when a runtime guard fails.
+/// order, same count): op `i` of a lowered stage specializes op `i` of
+/// [`LoweredPlan::stage_ops`]. That invariant lets the executor fall back to
+/// the generic op path *per op* when a runtime guard fails.
 ///
 /// All plan-derived constants — immediates (pre-sign-extended), map handle
 /// values, key/value geometry, WAR delays and FEB read stages — are baked
@@ -644,6 +532,32 @@ pub struct LoweredStage {
     /// flush-capable op past index 0, or an op with no specialization.
     /// Direct mode (the fast path) writes packet state in place.
     pub delta: bool,
+    /// A FEB-protected read stage: a packet entering it takes a
+    /// checkpoint for partial flushes.
+    pub checkpoint: bool,
+    /// Some op looks a map up here. With a host control channel attached
+    /// these stages are checkpoints too: a host write can invalidate any
+    /// recorded read, and the flush re-enters at the stale read's stage.
+    pub lookup: bool,
+    /// Maps ([`map_bit`]) the stage writes or atomically modifies. The
+    /// host-port arbiter stalls the stage while a queued host op on one
+    /// of them must apply first.
+    pub effect_maps: u64,
+    /// Maps ([`map_bit`]) the stage looks up or loads values from. At the
+    /// last stage the arbiter holds retirement while a queued host write
+    /// could still invalidate such a read.
+    pub read_maps: u64,
+}
+
+/// The hazard schedule of the map writes at one `(stage, map)` pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WriteSchedule {
+    stage: u32,
+    map: u32,
+    /// WAR delay-buffer depth (0: the write commits at once).
+    delay: u32,
+    /// Earliest protected read stage of the write's FEB (0: none).
+    feb_read_stage: u32,
 }
 
 /// Lowering statistics, for reporting and tests.
@@ -653,7 +567,7 @@ pub struct LowerStats {
     pub direct_stages: usize,
     /// Stages demoted to two-phase delta mode.
     pub delta_stages: usize,
-    /// Total fused ops (1:1 with the plan's stage ops).
+    /// Total fused ops (1:1 with the design's stage ops).
     pub fused_ops: usize,
 }
 
@@ -672,10 +586,28 @@ pub struct LowerStats {
 /// reads see the stage-entry state. The lowerer proves that per stage
 /// from register read/write masks and the §3.1 memory labels, and demotes
 /// any stage it cannot prove.
+///
+/// The plan also keeps what the generic per-op path and the flush, fault
+/// and host-port machinery read: the source [`StageOp`] beside each fused
+/// op, the block predecessors in topological order, and the per-map and
+/// per-write tables documented on their accessors.
 #[derive(Debug, Clone)]
 pub struct LoweredPlan {
     stages: Vec<LoweredStage>,
     ops: Vec<FusedOp>,
+    /// The source op of each fused op, same index.
+    src: Vec<StageOp>,
+    /// All block predecessors, flattened; `block_preds[b]` indexes
+    /// `preds[a..z]`.
+    preds: Vec<(u32, EdgeCond)>,
+    block_preds: Vec<(u32, u32)>,
+    /// Per map id: one past the last stage touching it.
+    host_fence: Vec<usize>,
+    /// Per map id: the latest FEB write stage, if the map has a FEB.
+    feb_write_max: Vec<Option<usize>>,
+    /// Sorted by `(stage, map)`; pairs absent here have neither a WAR
+    /// delay nor a FEB.
+    writes: Vec<WriteSchedule>,
     stats: LowerStats,
 }
 
@@ -753,55 +685,104 @@ impl LoweredPlan {
     ///
     /// [`LowerError::UnsupportedHelper`] for helper calls the executor
     /// has no semantics for, [`LowerError::UnknownMap`] when a
-    /// map-touching op names a map the design does not declare. The
-    /// simulator cannot execute a design that does not lower.
+    /// map-touching op names a map the design does not declare,
+    /// [`LowerError::PredecessorOrder`] when the blocks are not in
+    /// topological order. The simulator cannot execute a design that does
+    /// not lower.
     pub fn try_lower(design: &PipelineDesign) -> Result<LoweredPlan, LowerError> {
+        let mut preds = Vec::new();
+        let mut block_preds = Vec::with_capacity(design.blocks.len());
+        for (block, info) in design.blocks.iter().enumerate() {
+            let a = preds.len() as u32;
+            for &(pred, cond) in &info.preds {
+                if pred >= block {
+                    return Err(LowerError::PredecessorOrder { block, pred });
+                }
+                preds.push((pred as u32, cond));
+            }
+            block_preds.push((a, preds.len() as u32));
+        }
         let mut guard_min_len = vec![i64::MIN; design.blocks.len()];
         for &(gb, min_len) in &design.guards {
             guard_min_len[gb] = guard_min_len[gb].max(min_len);
         }
+        let checkpoint = checkpoint_stages(design);
+        let writes = write_schedules(design);
+        let mut reach = MapReach::new(design.maps.len());
         let mut stages = Vec::with_capacity(design.stages.len());
-        let mut ops = Vec::new();
+        let nops = design.stages.iter().map(|st| st.ops.len()).sum();
+        let mut ops = Vec::with_capacity(nops);
+        let mut src = Vec::with_capacity(nops);
         let mut stats = LowerStats::default();
         for (s, stage) in design.stages.iter().enumerate() {
-            let a = ops.len() as u32;
-            let mut delta = false;
+            let mut st = LoweredStage {
+                block: stage.block as u32,
+                guard_min_len: guard_min_len.get(stage.block).copied().unwrap_or(i64::MIN),
+                ops: (ops.len() as u32, 0),
+                delta: false,
+                checkpoint: checkpoint[s],
+                lookup: false,
+                effect_maps: 0,
+                read_maps: 0,
+            };
             let mut written: u16 = 0;
             let mut mem_writes: Vec<MemAcc> = Vec::new();
             for (i, op) in stage.ops.iter().enumerate() {
-                let (fused, eff) = lower_op(design, s, op)?;
+                let (fused, eff) = lower_op(design, &writes, s, op)?;
                 if matches!(fused, FusedOp::Interp)
                     || (eff.flush_capable && i > 0)
                     || (eff.reads & written) != 0
                     || eff.mem_read.is_some_and(|r| mem_writes.iter().any(|&w| acc_overlaps(w, r)))
                 {
-                    delta = true;
+                    st.delta = true;
                 }
                 written |= eff.writes;
                 if let Some(w) = eff.mem_write {
                     mem_writes.push(w);
                 }
+                if let Some(mu) = op.map_use {
+                    reach.note(s, mu);
+                    st.lookup |= matches!(mu, MapUse::Lookup(_));
+                    if writes_map(mu) {
+                        st.effect_maps |= map_bit(mu.map());
+                    } else {
+                        st.read_maps |= map_bit(mu.map());
+                    }
+                }
                 ops.push(fused);
+                src.push(*op);
             }
             if !stage.ops.is_empty() {
-                if delta {
+                if st.delta {
                     stats.delta_stages += 1;
                 } else {
                     stats.direct_stages += 1;
                 }
             }
-            stages.push(LoweredStage {
-                block: stage.block as u32,
-                guard_min_len: guard_min_len.get(stage.block).copied().unwrap_or(i64::MIN),
-                ops: (a, ops.len() as u32),
-                delta,
-            });
+            st.ops.1 = ops.len() as u32;
+            stages.push(st);
         }
         stats.fused_ops = ops.len();
-        Ok(LoweredPlan { stages, ops, stats })
+        let mut feb_write_max = vec![None; design.maps.len()];
+        for f in &design.hazards.febs {
+            if let Some(w) = feb_write_max.get_mut(f.map as usize) {
+                *w = Some(w.map_or(f.write_stage, |w: usize| w.max(f.write_stage)));
+            }
+        }
+        Ok(LoweredPlan {
+            stages,
+            ops,
+            src,
+            preds,
+            block_preds,
+            host_fence: reach.fence,
+            feb_write_max,
+            writes,
+            stats,
+        })
     }
 
-    /// Number of pipeline stages (equals the source plan's).
+    /// Number of pipeline stages (equals the design's).
     #[inline]
     pub fn stage_count(&self) -> usize {
         self.stages.len()
@@ -813,11 +794,51 @@ impl LoweredPlan {
         &self.stages[s]
     }
 
-    /// The fused ops of stage `s` (1:1 with the plan's stage ops).
+    /// The fused ops of stage `s` (1:1 with [`LoweredPlan::stage_ops`]).
     #[inline]
     pub fn stage_fused(&self, s: usize) -> &[FusedOp] {
         let (a, b) = self.stages[s].ops;
         &self.ops[a as usize..b as usize]
+    }
+
+    /// The source ops of stage `s`, as scheduled in the design; op `i` is
+    /// the one fused op `i` specializes.
+    #[inline]
+    pub fn stage_ops(&self, s: usize) -> &[StageOp] {
+        let (a, b) = self.stages[s].ops;
+        &self.src[a as usize..b as usize]
+    }
+
+    /// Block `b`'s predecessors with their edge conditions; every
+    /// predecessor index is smaller than `b`.
+    #[inline]
+    pub fn preds_of(&self, b: usize) -> &[(u32, EdgeCond)] {
+        let (a, z) = self.block_preds[b];
+        &self.preds[a as usize..z as usize]
+    }
+
+    /// One past the last pipeline stage touching map `m` (its host-port
+    /// fence), or 0 when the pipeline never touches it. A host op applies
+    /// once every older packet has advanced at least this far.
+    #[inline]
+    pub fn host_fence_stage(&self, m: u32) -> usize {
+        self.host_fence.get(m as usize).copied().unwrap_or(0)
+    }
+
+    /// The latest FEB write stage of map `m`, or `None` when it has no
+    /// FEB. A packet past it can no longer be rolled back by that map.
+    #[inline]
+    pub fn feb_write_max(&self, m: u32) -> Option<usize> {
+        self.feb_write_max.get(m as usize).copied().flatten()
+    }
+
+    /// The hazard schedule of a write to map `m` at stage `s`: its WAR
+    /// delay and the protected read stage of its FEB (both 0 when absent).
+    /// Lowering bakes it into the fused write ops; the generic path,
+    /// which resolves the map from a runtime handle, asks here.
+    pub fn write_schedule(&self, s: usize, m: u32) -> (u64, usize) {
+        let (delay, feb_read_stage) = schedule_of(&self.writes, s, m);
+        (u64::from(delay), feb_read_stage as usize)
     }
 
     /// Lowering statistics.
@@ -825,6 +846,41 @@ impl LoweredPlan {
     pub fn stats(&self) -> LowerStats {
         self.stats
     }
+}
+
+/// Every `(stage, map)` pair some WAR buffer or FEB names, with its
+/// schedule, sorted for [`schedule_of`].
+fn write_schedules(design: &PipelineDesign) -> Vec<WriteSchedule> {
+    let h = &design.hazards;
+    let mut at: Vec<(usize, u32)> = h.war_buffers.iter().map(|w| (w.write_stage, w.map)).collect();
+    at.extend(h.febs.iter().map(|f| (f.write_stage, f.map)));
+    at.sort_unstable();
+    at.dedup();
+    at.into_iter()
+        .map(|(stage, map)| WriteSchedule {
+            stage: stage as u32,
+            map,
+            delay: h
+                .war_buffers
+                .iter()
+                .find(|w| w.map == map && w.write_stage == stage)
+                .map_or(0, |w| w.delay as u32),
+            feb_read_stage: h
+                .febs
+                .iter()
+                .filter(|f| f.map == map && f.write_stage == stage)
+                .map(|f| f.read_stage)
+                .min()
+                .unwrap_or(0) as u32,
+        })
+        .collect()
+}
+
+/// `(delay, feb_read_stage)` of a write to `m` at stage `s`.
+fn schedule_of(writes: &[WriteSchedule], s: usize, m: u32) -> (u32, u32) {
+    writes
+        .binary_search_by_key(&(s, m), |w| (w.stage as usize, w.map))
+        .map_or((0, 0), |i| (writes[i].delay, writes[i].feb_read_stage))
 }
 
 /// Baked geometry of one map.
@@ -847,33 +903,12 @@ fn map_geom(design: &PipelineDesign, s: usize, pc: usize, map: u32) -> Result<Ma
         .ok_or(LowerError::UnknownMap { stage: s, pc, map })
 }
 
-/// Baked WAR delay for a write to `map` at stage `s`.
-fn war_delay_of(design: &PipelineDesign, map: u32, s: usize) -> u32 {
-    design
-        .hazards
-        .war_buffers
-        .iter()
-        .find(|w| w.map == map && w.write_stage == s)
-        .map_or(0, |w| w.delay as u32)
-}
-
-/// Baked FEB protected-read stage for a write to `map` at stage `s`.
-fn feb_read_stage_of(design: &PipelineDesign, map: u32, s: usize) -> u32 {
-    design
-        .hazards
-        .febs
-        .iter()
-        .filter(|f| f.map == map && f.write_stage == s)
-        .map(|f| f.read_stage)
-        .min()
-        .unwrap_or(0) as u32
-}
-
 const NO_MEM: (Option<MemAcc>, Option<MemAcc>) = (None, None);
 
 #[allow(clippy::too_many_lines)]
 fn lower_op(
     design: &PipelineDesign,
+    writes: &[WriteSchedule],
     s: usize,
     op: &StageOp,
 ) -> Result<(FusedOp, OpEffects), LowerError> {
@@ -967,6 +1002,7 @@ fn lower_op(
                     ),
                     MemLabel::Map(m) => {
                         let g = map_geom(design, s, op.pc, m)?;
+                        let (delay, feb_read_stage) = schedule_of(writes, s, m);
                         (
                             FusedOp::StMap {
                                 size,
@@ -976,8 +1012,8 @@ fn lower_op(
                                 map: m,
                                 stride: g.stride,
                                 value_size: g.value_size,
-                                delay: war_delay_of(design, m, s),
-                                feb_read_stage: feb_read_stage_of(design, m, s),
+                                delay,
+                                feb_read_stage,
                             },
                             e(None, false),
                         )
@@ -1061,8 +1097,7 @@ fn lower_op(
                             ));
                         };
                         let g = map_geom(design, s, op.pc, m)?;
-                        let delay = war_delay_of(design, m, s);
-                        let feb = feb_read_stage_of(design, m, s);
+                        let (delay, feb) = schedule_of(writes, s, m);
                         let fused = if helper == BPF_MAP_UPDATE_ELEM {
                             FusedOp::MapUpdate {
                                 map: m,
@@ -1133,18 +1168,27 @@ mod tests {
     #[test]
     fn plan_mirrors_design() {
         let design = branchy_design();
-        let plan = ExecPlan::new(&design);
+        let plan = LoweredPlan::try_lower(&design).unwrap();
         assert_eq!(plan.stage_count(), design.stages.len());
-        assert_eq!(plan.block_count(), design.blocks.len());
-        assert_eq!(plan.map_count(), design.maps.len());
         for (s, stage) in design.stages.iter().enumerate() {
-            assert_eq!(plan.stage_ops(s).len(), stage.ops.len());
+            assert_eq!(plan.stage_ops(s), &stage.ops[..]);
         }
         for (b, info) in design.blocks.iter().enumerate() {
             let got: Vec<(usize, EdgeCond)> =
                 plan.preds_of(b).iter().map(|&(p, c)| (p as usize, c)).collect();
             assert_eq!(got, info.preds);
         }
+    }
+
+    #[test]
+    fn a_back_edge_is_a_typed_error() {
+        let mut design = branchy_design();
+        let last = design.blocks.len() - 1;
+        assert!(last >= 1, "branchy design has several blocks");
+        design.blocks[1].preds.push((last, EdgeCond::Always));
+        let err = LoweredPlan::try_lower(&design).expect_err("a back-edge does not lower");
+        assert_eq!(err, LowerError::PredecessorOrder { block: 1, pred: last });
+        assert!(err.to_string().contains("topological order"), "display: {err}");
     }
 
     #[test]
@@ -1161,10 +1205,12 @@ mod tests {
             flush_depth: design.stages.len() + 3,
             war_hold: 0,
         });
-        let plan = ExecPlan::new(&design);
-        assert!(!plan.checkpoint_at(0));
-        assert!(plan.checkpoint_at(1));
-        assert!(plan.checkpoint_at(2));
+        let plan = LoweredPlan::try_lower(&design).unwrap();
+        let marked: Vec<bool> = (0..3).map(|s| plan.stage(s).checkpoint).collect();
+        assert_eq!(marked, [false, true, true]);
+        assert_eq!(checkpoint_stages(&design)[..3], marked);
+        assert_eq!(plan.write_schedule(design.stages.len() - 1, 0), (0, 1));
+        assert_eq!(plan.write_schedule(0, 0), (0, 0));
     }
 
     #[test]
@@ -1188,8 +1234,8 @@ mod tests {
         let prog =
             Program::new("ctl", a.into_insns(), vec![MapDef::new(0, "m", MapKind::Array, 4, 8, 8)]);
         let design = Compiler::new().compile(&prog).unwrap();
-        let plan = ExecPlan::new(&design);
-        let inv = plan.control();
+        let plan = LoweredPlan::try_lower(&design).unwrap();
+        let inv = control_inventory(&design);
         assert_eq!(inv.map_ports.len(), 1);
         let port = &inv.map_ports[0];
         assert_eq!(port.name, "m");
@@ -1201,7 +1247,7 @@ mod tests {
         assert_eq!(plan.host_fence_stage(0), port.fence_stage);
         // Effect mask: exactly the stages carrying the atomic modify map 0.
         let effect_stages: Vec<usize> =
-            (0..plan.stage_count()).filter(|&s| plan.stage_effect_maps(s) & 1 != 0).collect();
+            (0..plan.stage_count()).filter(|&s| plan.stage(s).effect_maps & 1 != 0).collect();
         assert!(!effect_stages.is_empty());
         assert!(effect_stages.iter().all(|&s| s < port.fence_stage));
         // CSR file carries the fixed telemetry block plus per-stage and

@@ -1,8 +1,9 @@
 //! The pipeline simulator.
 
-use ehdl_core::ir::{HwInsn, MapUse};
+use ehdl_core::ir::HwInsn;
 use ehdl_core::pipeline::{EdgeCond, PipelineDesign};
-use ehdl_core::{ExecPlan, LoweredPlan};
+use ehdl_core::plan::map_bit;
+use ehdl_core::LoweredPlan;
 use ehdl_ebpf::helpers::*;
 use ehdl_ebpf::insn::{Instruction, Operand};
 use ehdl_ebpf::maps::{MapStore, UpdateFlags};
@@ -374,13 +375,11 @@ struct PendingWrite {
 #[derive(Debug, Clone)]
 pub struct PipelineSim {
     design: Arc<PipelineDesign>,
-    /// Flattened execution plan: per-stage op slices, topological block
-    /// predecessor table and guard index, shared so the hot loop can
-    /// borrow design data while mutating the simulator.
-    plan: Arc<ExecPlan>,
-    /// Attach-time specialization of `plan`, op for op: operands resolved,
-    /// plan constants baked in, each stage classified direct or delta.
-    lowered: Arc<LoweredPlan>,
+    /// The design fixed at attach time: fused ops beside their source ops,
+    /// each stage classified direct or delta, and every design-derived
+    /// table the cycle loop reads. Shared, so the hot loop borrows it while
+    /// mutating the simulator.
+    plan: Arc<LoweredPlan>,
     /// Run every stage through the two-phase executor on the hooked walk:
     /// the reference the direct lowering is tested against.
     #[cfg(test)]
@@ -399,10 +398,6 @@ pub struct PipelineSim {
     /// Post-flush reload bubble.
     stall: u64,
     prandom_state: u64,
-    /// Per stage: how many packet-visits executed (enabled) vs passed
-    /// through disabled — the disable-signal picture of Figure 8.
-    stage_enabled: Vec<u64>,
-    stage_disabled: Vec<u64>,
     /// Reusable per-stage write set (cleared, never reallocated).
     scratch: Option<Box<Delta>>,
     /// Reusable map key / byte-string buffers for helper calls.
@@ -431,18 +426,9 @@ pub struct PipelineSim {
     /// Attached fault-injection engine (campaigns only; `None` keeps the
     /// hot loop fault-free at the cost of one branch per cycle).
     fault: Option<Box<FaultEngine>>,
-    /// Per map: the latest FEB write stage, or `None` when the map has no
-    /// FEB. Fault recovery uses it to retire read records whose hazard
-    /// window a replayed packet has already fully traversed.
-    feb_write_max: Vec<Option<usize>>,
     /// Attached host control channel (`None` keeps the hot loop free of
     /// arbitration checks).
     ctrl: Option<Box<CtrlState>>,
-    /// Extra forced-checkpoint stages while a control channel is
-    /// attached: every map-lookup stage, so a host-write flush can
-    /// re-enter the pipeline at any recorded read — not only at
-    /// FEB-protected ones.
-    ctrl_ckpt: Vec<bool>,
     /// Per map: pipeline lookups issued / hits (telemetry CSRs).
     map_lookups: Vec<u64>,
     map_hits: Vec<u64>,
@@ -495,17 +481,15 @@ impl PipelineSim {
             "design has {} blocks; the simulator supports at most {MAX_BLOCKS}",
             design.blocks.len()
         );
-        let lowered = match LoweredPlan::try_lower(design) {
+        let plan = match LoweredPlan::try_lower(design) {
             Ok(lp) => Arc::new(lp),
             Err(e) => panic!("the design does not lower: {e}"),
         };
         let maps = MapStore::new(&design.maps);
         let nstages = design.stages.len();
-        let plan = Arc::new(ExecPlan::new(design));
         PipelineSim {
             design: Arc::new(design.clone()),
             plan,
-            lowered,
             #[cfg(test)]
             two_phase_reference: false,
             options,
@@ -520,8 +504,6 @@ impl PipelineSim {
             inject_busy: 0,
             stall: 0,
             prandom_state: 0x9e37_79b9_7f4a_7c15,
-            stage_enabled: vec![0; nstages],
-            stage_disabled: vec![0; nstages],
             scratch: Some(Box::default()),
             scratch_key: Vec::new(),
             scratch_val: Vec::new(),
@@ -540,40 +522,12 @@ impl PipelineSim {
             debug_trace: std::env::var_os("EHDL_SIM_DEBUG").is_some(),
             fault: None,
             ctrl: None,
-            ctrl_ckpt: Vec::new(),
             map_lookups: vec![0; design.maps.len()],
             map_hits: vec![0; design.maps.len()],
             stage_occupied: vec![0; nstages],
             ext_stall: 0,
             shared: None,
-            feb_write_max: {
-                let mut v: Vec<Option<usize>> = vec![None; design.maps.len()];
-                for f in &design.hazards.febs {
-                    if let Some(e) = v.get_mut(f.map as usize) {
-                        *e = Some(e.map_or(f.write_stage, |w| w.max(f.write_stage)));
-                    }
-                }
-                v
-            },
         }
-    }
-
-    /// Per-stage utilization: fraction of packet visits in which the stage
-    /// actually executed (its block was enabled). Wait/latency stages and
-    /// never-visited stages report 0.
-    pub fn stage_utilization(&self) -> Vec<f64> {
-        self.stage_enabled
-            .iter()
-            .zip(&self.stage_disabled)
-            .map(|(&e, &d)| {
-                let total = e + d;
-                if total == 0 {
-                    0.0
-                } else {
-                    e as f64 / total as f64
-                }
-            })
-            .collect()
     }
 
     /// The compiled design this simulator executes.
@@ -584,7 +538,7 @@ impl PipelineSim {
     /// How the design lowered: stages executing in place (direct) versus
     /// two-phase (delta), and the fused op count.
     pub fn lower_stats(&self) -> ehdl_core::LowerStats {
-        self.lowered.stats()
+        self.plan.stats()
     }
 
     /// Per-map pipeline lookup counts (telemetry CSRs).
@@ -753,16 +707,15 @@ impl PipelineSim {
             self.ctrl_cycle();
         }
 
-        // 2. Advance the pipeline from the back. One refcount bump per plan
-        // per cycle lets every stage borrow them while `self` stays mutable.
+        // 2. Advance the pipeline from the back. One refcount bump per cycle
+        // lets every stage borrow the plan while `self` stays mutable.
         // A regular cycle (no fault engine, host channel, queued replay
         // stream or poison diagnostics) starts on the no-hook walk; the
         // first flush makes the pipeline irregular, and the stages below it
         // finish the cycle on the hooked walk. The flushing stage's own
         // re-entry port needs no poll: a replay stream re-enters strictly
         // below the stage that raised it (a FEB read precedes its write).
-        let plan = Arc::clone(&self.plan);
-        let lp = Arc::clone(&self.lowered);
+        let lp = Arc::clone(&self.plan);
         let nstages = self.design.stages.len();
         let mut s = nstages;
         let regular = self.fault.is_none()
@@ -774,14 +727,14 @@ impl PipelineSim {
         if regular {
             while s > 0 {
                 s -= 1;
-                if self.step_stage::<false>(s, nstages, &plan, &lp) {
+                if self.step_stage::<false>(s, nstages, &lp) {
                     break;
                 }
             }
         }
         while s > 0 {
             s -= 1;
-            self.step_stage::<true>(s, nstages, &plan, &lp);
+            self.step_stage::<true>(s, nstages, &lp);
         }
 
         // 3. Injection.
@@ -803,7 +756,6 @@ impl PipelineSim {
         &mut self,
         s: usize,
         nstages: usize,
-        plan: &ExecPlan,
         lp: &LoweredPlan,
     ) -> bool {
         let mut flushed = false;
@@ -829,7 +781,7 @@ impl PipelineSim {
             if blocked {
                 self.slots[s] = Some(pkt);
             } else {
-                match self.exec_stage(s, &mut pkt, lp, plan) {
+                match self.exec_stage(s, &mut pkt, lp) {
                     StageResult::FlushSelf => {
                         // Reading packet saw a stale location: it and
                         // everything younger re-executes (re-reading from
@@ -1175,7 +1127,8 @@ impl PipelineSim {
     }
 
     /// Place `pkt` into slot `t`, taking a forced checkpoint first when
-    /// `t` is a FEB read stage: partial flushes re-enter the pipeline at
+    /// `t` is a FEB read stage (or, with a host control channel attached,
+    /// any lookup stage): partial flushes re-enter the pipeline at
     /// the window's read stage, so every packet inside the window must be
     /// resumable from there (or later). The state on *entering* slot `t`
     /// is exactly the pre-execution state of stage `t`, so snapshotting
@@ -1186,7 +1139,7 @@ impl PipelineSim {
     fn place_in_slot(&mut self, t: usize, mut pkt: Box<InFlight>) {
         if self.options.partial_flush
             && pkt.resume.is_none()
-            && (self.plan.checkpoint_at(t) || self.ctrl_ckpt.get(t).copied().unwrap_or(false))
+            && (self.plan.stage(t).checkpoint || self.ctrl.is_some() && self.plan.stage(t).lookup)
             && pkt.checkpoints.last().map(|(cs, _)| *cs) != Some(t)
         {
             let snap = self.pool.snapshot(&pkt.state);
@@ -1212,36 +1165,52 @@ impl PipelineSim {
                 return;
             }
         }
+        let limit = |st: &PacketState| match &trigger {
+            Some((m, k)) => matching_read_limit(st, *m, k),
+            None => usize::MAX,
+        };
+        let n = self.reinject_below(boundary, limit, |_| {});
+        if n == 0 {
+            return;
+        }
+        self.counters.flushes = self.counters.flushes.saturating_add(1);
+        self.counters.flush_replays = self.counters.flush_replays.saturating_add(n);
+        if self.debug_trace {
+            eprintln!(
+                "[sim {}] flush boundary={boundary} read_stage={read_stage} trigger={trigger:?} n={n}",
+                self.cycle
+            );
+        }
+    }
+
+    /// Pull every packet below `boundary`, and the whole queued replay
+    /// stream, back to the front of the RX queue in arrival order: each is
+    /// rolled back to `limit(state)` (`usize::MAX`: its latest checkpoint)
+    /// and handed to `fix`, and the front end takes the reload bubble. The
+    /// replay stream's packets are older than anything below its entry
+    /// stage, so they re-enter from the front too. Returns how many packets
+    /// re-enter; 0 leaves everything but the replay holds untouched.
+    fn reinject_below(
+        &mut self,
+        boundary: usize,
+        limit: impl Fn(&PacketState) -> usize,
+        mut fix: impl FnMut(&mut InFlight),
+    ) -> u64 {
         let mut replay = Vec::new();
         for s in (0..boundary.min(self.slots.len())).rev() {
             if let Some(pkt) = self.slots[s].take() {
                 replay.push(pkt); // oldest first
             }
         }
-        // A full flush also pulls back everything queued for partial
-        // replay: those packets are older than anything below the replay
-        // entry stage and must re-enter from the front in arrival order.
         replay.extend(self.replay.drain(..));
         self.replay_hold.clear();
         if replay.is_empty() {
-            return;
+            return 0;
         }
         replay.sort_by_key(|p| p.seq);
-        self.counters.flushes = self.counters.flushes.saturating_add(1);
-        self.counters.flush_replays =
-            self.counters.flush_replays.saturating_add(replay.len() as u64);
-        if self.debug_trace {
-            eprintln!(
-                "[sim {}] flush boundary={boundary} read_stage={read_stage} trigger={trigger:?}",
-                self.cycle
-            );
-        }
-        // Re-inject in original order at the queue front.
+        let n = replay.len() as u64;
         for mut pkt in replay.into_iter().rev() {
-            let limit = match &trigger {
-                Some((m, k)) => matching_read_limit(&pkt.state, *m, k),
-                None => usize::MAX,
-            };
+            let limit = limit(&pkt.state);
             if self.debug_trace {
                 eprintln!(
                     "  replay seq{} limit={limit} ckpts={:?}",
@@ -1250,11 +1219,13 @@ impl PipelineSim {
                 );
             }
             pkt.reset_for_replay(limit, &mut self.pool);
+            fix(&mut pkt);
             self.counters.injected = self.counters.injected.saturating_sub(1);
             self.rx.push_front(pkt);
         }
         self.stall = self.stall.max(FLUSH_RELOAD_CYCLES);
         self.inject_busy = 0;
+        n
     }
 
     /// Partial flush (App. A.1): evict only the hazard window
@@ -1471,9 +1442,9 @@ impl PipelineSim {
         s: usize,
         block: usize,
         pkt: &mut InFlight,
-        plan: &ExecPlan,
+        lp: &LoweredPlan,
     ) -> StageResult {
-        let ops = plan.stage_ops(s);
+        let ops = lp.stage_ops(s);
         let mut delta = self.scratch.take().expect("scratch delta available");
         let mut result = StageResult::Ok;
         for op in ops {
@@ -1549,7 +1520,7 @@ impl PipelineSim {
                     self.check_proof(op, addr, state);
                     let v = operand(regs, src);
                     if let Some((map, slot, off, value_size)) = self.map_value_at(addr) {
-                        let (delay, feb) = self.write_schedule(map, stage_idx);
+                        let (delay, feb) = self.plan.write_schedule(stage_idx, map);
                         let fx = self.map_value_store(
                             stage_idx, map, slot, off, size, v, value_size, delay, feb, seq,
                         )?;
@@ -1624,7 +1595,7 @@ impl PipelineSim {
                 let map_id = map_handle(regs[1]).ok_or(OpAbort::Fault)?;
                 let def = self.maps.get(map_id).ok_or(OpAbort::Fault)?.def();
                 let (key_size, value_size) = (def.key_size as usize, def.value_size as usize);
-                let (delay, feb) = self.write_schedule(map_id, stage_idx);
+                let (delay, feb) = self.plan.write_schedule(stage_idx, map_id);
                 let fx = if helper == BPF_MAP_UPDATE_ELEM {
                     self.map_update(
                         stage_idx, map_id, key_size, value_size, delay, feb, seq, state,
@@ -1723,26 +1694,6 @@ impl PipelineSim {
         let (map, slot, off) =
             decode_map_value_addr(addr, |m| self.maps.get(m).map(|x| x.def().value_stride()))?;
         Some((map, slot, off, self.maps.get(map)?.def().value_size as usize))
-    }
-
-    /// The hazard schedule of a write to `map` at `stage`: its WAR delay
-    /// and the protected read stage of its FEB. Lowering bakes both into the
-    /// fused write ops; the generic path resolves them here.
-    fn write_schedule(&self, map: u32, stage: usize) -> (u64, usize) {
-        let hazards = &self.design.hazards;
-        let delay = hazards
-            .war_buffers
-            .iter()
-            .find(|w| w.map == map && w.write_stage == stage)
-            .map_or(0, |w| w.delay as u64);
-        let feb_read_stage = hazards
-            .febs
-            .iter()
-            .filter(|f| f.map == map && f.write_stage == stage)
-            .map(|f| f.read_stage)
-            .min()
-            .unwrap_or(0);
-        (delay, feb_read_stage)
     }
 
     /// FEB comparison: does a younger in-flight packet (or a queued replay)
@@ -2186,25 +2137,12 @@ impl PipelineSim {
     /// [`PipelineSim::submit_host_op`] start flowing on the next step.
     ///
     /// Attaching also widens the forced-checkpoint schedule to every
-    /// map-lookup stage: a host write can invalidate *any* recorded read,
-    /// not only FEB-protected ones, and the flush controller re-enters
-    /// the pipeline at the stale read's stage.
+    /// map-lookup stage ([`ehdl_core::LoweredStage::lookup`]): a host write
+    /// can invalidate *any* recorded read, not only FEB-protected ones, and
+    /// the flush controller re-enters the pipeline at the stale read's
+    /// stage.
     pub fn attach_ctrl(&mut self, options: CtrlOptions) {
         self.ctrl = Some(Box::new(CtrlState::new(options)));
-        let mut ckpt = vec![false; self.design.stages.len()];
-        for (s, stage) in self.design.stages.iter().enumerate() {
-            for op in &stage.ops {
-                if matches!(op.map_use, Some(MapUse::Lookup(_))) {
-                    ckpt[s] = true;
-                }
-            }
-        }
-        self.ctrl_ckpt = ckpt;
-    }
-
-    /// Is a control channel attached?
-    pub fn ctrl_attached(&self) -> bool {
-        self.ctrl.is_some()
     }
 
     /// Submit a host map op. It applies after the channel latency, once
@@ -2497,7 +2435,7 @@ impl PipelineSim {
         if self.pending_writes.iter().any(|w| w.map == m && w.seq < b) {
             return false;
         }
-        let fence = self.plan.host_fence_stage(m as usize).min(self.slots.len());
+        let fence = self.plan.host_fence_stage(m).min(self.slots.len());
         if self.slots[..fence].iter().flatten().any(|p| p.seq < b) {
             return false;
         }
@@ -2607,11 +2545,11 @@ impl PipelineSim {
         if ctrl.queue.is_empty() {
             return false;
         }
-        let mask = self.plan.stage_effect_maps(s);
+        let mask = self.plan.stage(s).effect_maps;
         if mask == 0 {
             return false;
         }
-        ctrl.queue.iter().any(|q| seq >= q.barrier_seq && mask_has(mask, q.op.map()))
+        ctrl.queue.iter().any(|q| seq >= q.barrier_seq && mask & map_bit(q.op.map()) != 0)
     }
 
     /// Retirement hold: a packet ordered after a queued mutating op may
@@ -2630,18 +2568,8 @@ impl PipelineSim {
             let m = q.op.map();
             let stale =
                 q.op.key().is_some_and(|k| matching_read_limit(&pkt.state, m, k) != usize::MAX);
-            stale || mask_has(self.plan.stage_read_maps(s), m)
+            stale || self.plan.stage(s).read_maps & map_bit(m) != 0
         })
-    }
-}
-
-/// Does `mask` (a `<64`-map-id bitmask) cover `map`? Ids beyond the mask
-/// width fall back to `true` — a conservative stall, never a missed one.
-fn mask_has(mask: u64, map: u32) -> bool {
-    if map < 64 {
-        mask >> map & 1 == 1
-    } else {
-        mask != 0
     }
 }
 
@@ -2690,14 +2618,14 @@ impl PipelineSim {
         // expires — exactly the failure mode the primitive exists for.
         if let Some(h) = eng.hang {
             eng.hung_cycles = eng.hung_cycles.saturating_add(1);
-            if self.plan.protect().watchdog()
+            if self.design.protect.watchdog()
                 && self.cycle.saturating_sub(h.since) >= eng.cfg.watchdog_timeout
             {
                 self.watchdog_recover(&mut eng, h);
             }
         }
         // Background scrub: one outstanding upset corrected per period.
-        if self.plan.protect().ecc()
+        if self.design.protect.ecc()
             && eng.cfg.scrub_period > 0
             && self.cycle.is_multiple_of(eng.cfg.scrub_period)
             && !eng.upsets.is_empty()
@@ -2809,7 +2737,7 @@ impl PipelineSim {
             },
             2 => FaultSite::PredBit {
                 stage,
-                block: rng.gen_index(self.plan.block_count().max(1)) as u16,
+                block: rng.gen_index(self.design.blocks.len().max(1)) as u16,
             },
             _ => FaultSite::DelayBuffer {
                 index: rng.gen_index(self.pending_writes.len().max(1)),
@@ -2820,7 +2748,7 @@ impl PipelineSim {
 
     /// A random occupied map-BRAM word, or `None` when every map is empty.
     fn random_map_site(&self, rng: &mut ehdl_rng::Rng) -> Option<FaultSite> {
-        let nmaps = self.plan.map_count();
+        let nmaps = self.design.maps.len();
         if nmaps == 0 {
             return None;
         }
@@ -2853,7 +2781,7 @@ impl PipelineSim {
     /// actually corrupted (replay would restore it regardless). Without
     /// parity the flip lands and the packet's results are untrusted.
     fn apply_inflight_fault(&mut self, eng: &mut FaultEngine, site: FaultSite) -> FaultOutcome {
-        let parity = self.plan.protect().parity();
+        let parity = self.design.protect.parity();
         match site {
             FaultSite::StageReg { stage, reg, bit } => {
                 if !self.slot_occupied(stage) {
@@ -2957,7 +2885,7 @@ impl PipelineSim {
         let FaultSite::MapWord { map, slot, byte, bit } = site else {
             return FaultOutcome::Masked;
         };
-        if self.plan.protect().ecc() {
+        if self.design.protect.ecc() {
             let word = byte / 8;
             if let Some(pos) =
                 eng.upsets.iter().position(|u| u.map == map && u.slot == slot && u.word == word)
@@ -3015,54 +2943,34 @@ impl PipelineSim {
     /// in `fault_replays` so campaigns can separate protection cost from
     /// hazard cost. Committed side effects are never replayed (App. A.2).
     fn fault_replay_below(&mut self, boundary: usize) {
-        let mut replay = Vec::new();
-        for s in (0..boundary.min(self.slots.len())).rev() {
-            if let Some(pkt) = self.slots[s].take() {
-                replay.push(pkt);
+        let plan = Arc::clone(&self.plan);
+        // A replayed packet resuming at stage `r` will skip every stage
+        // below it — including, crucially, any map write it already
+        // committed. Read records whose FEB window closes below `r` are
+        // therefore confirmed forever (the packet physically passed the
+        // write stage without a flush); keeping them would let a later FEB
+        // roll the packet below its own committed side effect and
+        // double-commit it.
+        let prune = |pkt: &mut InFlight| {
+            let Some(r) = pkt.resume.as_ref().map(|(s, _)| *s) else { return };
+            let confirmed = |m: u32| plan.feb_write_max(m).is_some_and(|w| w < r);
+            // The stale `state` is consulted by hazard pull-back checks
+            // until the resume swap, so it needs the same treatment.
+            pkt.state.map_reads.retain(|&(m, _, _)| !confirmed(m));
+            if let Some((_, snap)) = pkt.resume.as_mut() {
+                snap.map_reads.retain(|&(m, _, _)| !confirmed(m));
             }
-        }
-        replay.extend(self.replay.drain(..));
-        self.replay_hold.clear();
-        if replay.is_empty() {
-            return;
-        }
-        replay.sort_by_key(|p| p.seq);
-        self.counters.fault_replays =
-            self.counters.fault_replays.saturating_add(replay.len() as u64);
-        if self.debug_trace {
-            eprintln!("[sim {}] fault replay boundary={boundary} n={}", self.cycle, replay.len());
-        }
-        for mut pkt in replay.into_iter().rev() {
-            pkt.reset_for_replay(usize::MAX, &mut self.pool);
-            // A replayed packet resuming at stage `r` will skip every
-            // stage below it — including, crucially, any map write it
-            // already committed. Read records whose FEB window closes
-            // below `r` are therefore confirmed forever (the packet
-            // physically passed the write stage without a flush); keeping
-            // them would let a later FEB roll the packet below its own
-            // committed side effect and double-commit it.
-            if let Some(r) = pkt.resume.as_ref().map(|(s, _)| *s) {
-                let feb_write_max = &self.feb_write_max;
-                let confirmed = |m: u32| {
-                    feb_write_max.get(m as usize).copied().flatten().is_some_and(|w| w < r)
-                };
-                // The stale `state` is consulted by hazard pull-back checks
-                // until the resume swap, so it needs the same treatment.
-                pkt.state.map_reads.retain(|&(m, _, _)| !confirmed(m));
-                if let Some((_, snap)) = pkt.resume.as_mut() {
-                    snap.map_reads.retain(|&(m, _, _)| !confirmed(m));
-                }
-                // ... as are surviving checkpoints, should a later hazard
-                // rollback resume from one of them.
-                for (_, snap) in pkt.checkpoints.iter_mut() {
-                    snap.map_reads.retain(|&(m, _, _)| !confirmed(m));
-                }
+            // ... as are surviving checkpoints, should a later hazard
+            // rollback resume from one of them.
+            for (_, snap) in pkt.checkpoints.iter_mut() {
+                snap.map_reads.retain(|&(m, _, _)| !confirmed(m));
             }
-            self.counters.injected = self.counters.injected.saturating_sub(1);
-            self.rx.push_front(pkt);
+        };
+        let n = self.reinject_below(boundary, |_| usize::MAX, prune);
+        self.counters.fault_replays = self.counters.fault_replays.saturating_add(n);
+        if self.debug_trace && n > 0 {
+            eprintln!("[sim {}] fault replay boundary={boundary} n={n}", self.cycle);
         }
-        self.stall = self.stall.max(FLUSH_RELOAD_CYCLES);
-        self.inject_busy = 0;
     }
 
     /// Watchdog timeout: drop the wedged packet, replay every innocent
@@ -3510,47 +3418,6 @@ mod tests {
     }
 
     use ehdl_ebpf::opcode::{AluOp, MemSize};
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used)]
-mod utilization_tests {
-    use super::*;
-    use ehdl_core::Compiler;
-    use ehdl_ebpf::asm::Asm;
-    use ehdl_ebpf::opcode::{JmpOp, MemSize};
-    use ehdl_ebpf::Program;
-
-    #[test]
-    fn predicated_stages_report_partial_utilization() {
-        // Branch on packet byte 0: half the packets take each arm.
-        let mut a = Asm::new();
-        let els = a.new_label();
-        let join = a.new_label();
-        a.load(MemSize::W, 7, 1, 0);
-        a.load(MemSize::B, 2, 7, 0);
-        a.jmp_imm(JmpOp::Jeq, 2, 0, els);
-        a.mov64_imm(3, 1);
-        a.jmp(join);
-        a.bind(els);
-        a.mov64_imm(3, 2);
-        a.bind(join);
-        a.mov64_reg(0, 3);
-        a.exit();
-        let design = Compiler::new().compile(&Program::from_insns(a.into_insns())).unwrap();
-        let mut sim = PipelineSim::new(&design);
-        for i in 0..40 {
-            let mut p = vec![0u8; 64];
-            p[0] = (i % 2) as u8;
-            sim.enqueue(p);
-        }
-        sim.settle(100_000);
-        let util = sim.stage_utilization();
-        // Entry and join stages fully utilized; each arm about half.
-        assert!((util[0] - 1.0).abs() < 1e-9);
-        let partial = util.iter().filter(|u| (0.4..0.6).contains(*u)).count();
-        assert!(partial >= 2, "both arms run at ~50%: {util:?}");
-    }
 }
 
 #[cfg(test)]
@@ -4033,6 +3900,44 @@ mod ctrl_tests {
         for (_, v) in entries.iter() {
             assert_eq!(u64::from_le_bytes(v.try_into().unwrap()), 1);
         }
+    }
+
+    /// Map ids from 63 up share the top bit of the stage masks, so a stage
+    /// that writes only map 64 is still held behind a queued host op on it.
+    #[test]
+    fn effect_stall_covers_map_ids_past_63() {
+        use ehdl_core::ir::MapUse;
+        use ehdl_ebpf::asm::Asm;
+        use ehdl_ebpf::helpers::BPF_MAP_UPDATE_ELEM;
+        use ehdl_ebpf::maps::{MapDef, MapKind};
+        use ehdl_ebpf::opcode::{AluOp, MemSize};
+        use ehdl_ebpf::Program;
+        let mut a = Asm::new();
+        a.mov64_imm(2, 1);
+        a.store_reg(MemSize::W, 10, -4, 2);
+        a.store_reg(MemSize::Dw, 10, -16, 2);
+        a.ld_map_fd(1, 64);
+        a.mov64_reg(2, 10);
+        a.alu64_imm(AluOp::Add, 2, -4);
+        a.mov64_reg(3, 10);
+        a.alu64_imm(AluOp::Add, 3, -16);
+        a.mov64_imm(4, 0);
+        a.call(BPF_MAP_UPDATE_ELEM);
+        a.mov64_imm(0, 2);
+        a.exit();
+        let maps = (0..65).map(|id| MapDef::new(id, &format!("m{id}"), MapKind::Hash, 4, 8, 4));
+        let program = Program::new("m64", a.into_insns(), maps.collect());
+        let design = Compiler::new().compile(&program).unwrap();
+        let write_stage = design
+            .stages
+            .iter()
+            .position(|st| st.ops.iter().any(|op| op.map_use == Some(MapUse::HelperWrite(64))))
+            .expect("the update of map 64 has a stage");
+        let mut sim = PipelineSim::new(&design);
+        sim.attach_ctrl(CtrlOptions { latency_cycles: 1000, queue_depth: 4 });
+        assert!(!sim.ctrl_effect_stall(write_stage, 0), "nothing queued yet");
+        sim.submit_host_op(HostOp::Delete { map: 64, key: key(1) }).unwrap();
+        assert!(sim.ctrl_effect_stall(write_stage, 0), "a packet after the barrier must wait");
     }
 
     #[test]

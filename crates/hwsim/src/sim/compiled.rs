@@ -98,7 +98,6 @@ impl PipelineSim {
         s: usize,
         pkt: &mut InFlight,
         lp: &LoweredPlan,
-        plan: &ExecPlan,
     ) -> StageResult {
         // Flush-replay fast path: skip until the checkpointed stage.
         if let Some((resume_stage, _)) = pkt.resume {
@@ -110,7 +109,7 @@ impl PipelineSim {
             self.pool.recycle(snap);
         }
 
-        let st = *lp.stage(s);
+        let st = lp.stage(s);
         let ops = lp.stage_fused(s);
         if ops.is_empty() {
             // Frame-wait / helper-latency stages forward state.
@@ -118,10 +117,8 @@ impl PipelineSim {
         }
         let block = st.block as usize;
         if pkt.state.faulted || !self.block_enabled(&mut pkt.state, block) {
-            self.stage_disabled[s] = self.stage_disabled[s].saturating_add(1);
             return StageResult::Ok;
         }
-        self.stage_enabled[s] = self.stage_enabled[s].saturating_add(1);
         // Implicit length guards from elided bounds checks (§4.4): the
         // frame interface drops packets shorter than the guarded length.
         let pkt_len = (pkt.state.end_off - pkt.state.data_off) as i64;
@@ -135,7 +132,7 @@ impl PipelineSim {
         #[cfg(not(test))]
         let two_phase = st.delta;
         if two_phase {
-            return self.exec_stage_two_phase(s, block, pkt, plan);
+            return self.exec_stage_two_phase(s, block, pkt, lp);
         }
 
         // Direct mode: ops commit into the packet state as they execute.
@@ -143,7 +140,7 @@ impl PipelineSim {
         let mut ctl = DirectCtl { side_effect: false, flush: None };
         let mut fault = false;
         for (i, &op) in ops.iter().enumerate() {
-            match self.exec_fused(s, i, block, op, seq, &mut pkt.state, &mut ctl, plan) {
+            match self.exec_fused(s, i, block, op, seq, &mut pkt.state, &mut ctl, lp) {
                 Ok(()) => {}
                 Err(OpAbort::Fault) => {
                     fault = true;
@@ -190,7 +187,7 @@ impl PipelineSim {
         seq: u64,
         state: &mut PacketState,
         ctl: &mut DirectCtl,
-        plan: &ExecPlan,
+        lp: &LoweredPlan,
     ) -> Result<(), OpAbort> {
         match op {
             FusedOp::AluRR { op, width, dst, src } => {
@@ -234,7 +231,7 @@ impl PipelineSim {
                     };
                     state.regs[dst as usize] = v & mask_for(size);
                 } else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
+                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
                 }
             }
             FusedOp::LdStk { size, dst, src, off } => {
@@ -249,7 +246,7 @@ impl PipelineSim {
                     v[..n].copy_from_slice(bytes);
                     state.regs[dst as usize] = u64::from_le_bytes(v);
                 } else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
+                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
                 }
             }
             FusedOp::LdPkt { size, dst, src, off, proven } => {
@@ -258,7 +255,7 @@ impl PipelineSim {
                     let o = (addr - PACKET_BASE) as usize;
                     let n = size.bytes();
                     if proven && self.options.check_proofs {
-                        self.recheck_proof(s, i, addr, state, plan);
+                        self.recheck_proof(s, i, addr, state, lp);
                     }
                     // The §4.4 elision: a proof from the abstract
                     // interpreter stands in for the dynamic bounds compare.
@@ -272,7 +269,7 @@ impl PipelineSim {
                     v[..n].copy_from_slice(bytes);
                     state.regs[dst as usize] = u64::from_le_bytes(v);
                 } else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
+                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
                 }
             }
             FusedOp::StStk { size, base, off, src } => {
@@ -287,7 +284,7 @@ impl PipelineSim {
                     bytes.copy_from_slice(&value.to_le_bytes()[..n]);
                     state.stack_lo = state.stack_lo.min(o);
                 } else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
+                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
                 }
             }
             FusedOp::StPkt { size, base, off, src, proven } => {
@@ -296,7 +293,7 @@ impl PipelineSim {
                     let o = (addr - PACKET_BASE) as usize;
                     let n = size.bytes();
                     if proven && self.options.check_proofs {
-                        self.recheck_proof(s, i, addr, state, plan);
+                        self.recheck_proof(s, i, addr, state, lp);
                     }
                     if !(proven || o >= state.data_off && o + n <= state.end_off) {
                         return Err(OpAbort::Fault);
@@ -307,7 +304,7 @@ impl PipelineSim {
                     };
                     bytes.copy_from_slice(&value.to_le_bytes()[..n]);
                 } else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
+                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
                 }
             }
             FusedOp::LdMap { .. }
@@ -316,7 +313,7 @@ impl PipelineSim {
             | FusedOp::Lookup { .. }
             | FusedOp::MapUpdate { .. }
             | FusedOp::MapDelete { .. } => {
-                return self.exec_fused_map(s, i, block, op, seq, state, ctl, plan);
+                return self.exec_fused_map(s, i, block, op, seq, state, ctl, lp);
             }
             FusedOp::Ktime => {
                 let v = self.time_ns();
@@ -334,7 +331,7 @@ impl PipelineSim {
             // Never lowered into a direct stage (any Interp op demotes the
             // stage to delta mode), but route it correctly regardless.
             FusedOp::Interp => {
-                return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
+                return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
             }
         }
         Ok(())
@@ -352,9 +349,9 @@ impl PipelineSim {
         i: usize,
         addr: u64,
         state: &PacketState,
-        plan: &ExecPlan,
+        lp: &LoweredPlan,
     ) {
-        self.check_proof(&plan.stage_ops(s)[i], addr, state);
+        self.check_proof(&lp.stage_ops(s)[i], addr, state);
     }
 
     /// The map-op arms of [`PipelineSim::exec_fused`], out of line: each
@@ -372,13 +369,13 @@ impl PipelineSim {
         seq: u64,
         state: &mut PacketState,
         ctl: &mut DirectCtl,
-        plan: &ExecPlan,
+        lp: &LoweredPlan,
     ) -> Result<(), OpAbort> {
         match op {
             FusedOp::LdMap { size, dst, src, off, map, stride, value_size } => {
                 let addr = state.regs[src as usize].wrapping_add(off as i64 as u64);
                 let Some((slot, o)) = map_slot_of(addr, map, stride) else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
+                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
                 };
                 let mut v = [0u8; 8];
                 let out = &mut v[..size.bytes()];
@@ -398,7 +395,7 @@ impl PipelineSim {
             } => {
                 let addr = state.regs[base as usize].wrapping_add(off as i64 as u64);
                 let Some((slot, o)) = map_slot_of(addr, map, stride) else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
+                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
                 };
                 let fx = self.map_value_store(
                     s,
@@ -417,7 +414,7 @@ impl PipelineSim {
             FusedOp::AtomicMap { op, size, dst, src, off, map, stride, value_size } => {
                 let addr = state.regs[dst as usize].wrapping_add(off as i64 as u64);
                 let Some((slot, o)) = map_slot_of(addr, map, stride) else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
+                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
                 };
                 let fx = self.map_atomic(
                     map,
@@ -439,7 +436,7 @@ impl PipelineSim {
             }
             FusedOp::Lookup { map, key_size, stride } => {
                 if map_handle(state.regs[1]) != Some(map) {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
+                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
                 }
                 let fx = self.map_lookup(s, map, key_size as usize, stride, seq, state)?;
                 let r0 = ctl.land(state, fx);
@@ -447,7 +444,7 @@ impl PipelineSim {
             }
             FusedOp::MapUpdate { map, key_size, value_size, delay, feb_read_stage } => {
                 if map_handle(state.regs[1]) != Some(map) {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
+                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
                 }
                 let fx = self.map_update(
                     s,
@@ -464,7 +461,7 @@ impl PipelineSim {
             }
             FusedOp::MapDelete { map, key_size, delay, feb_read_stage } => {
                 if map_handle(state.regs[1]) != Some(map) {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, plan);
+                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
                 }
                 let fx = self.map_delete(
                     s,
@@ -500,10 +497,10 @@ impl PipelineSim {
         seq: u64,
         state: &mut PacketState,
         ctl: &mut DirectCtl,
-        plan: &ExecPlan,
+        lp: &LoweredPlan,
     ) -> Result<(), OpAbort> {
         let mut delta = self.scratch.take().expect("scratch delta available");
-        let res = self.exec_op(s, &plan.stage_ops(s)[i], seq, state, &mut delta);
+        let res = self.exec_op(s, &lp.stage_ops(s)[i], seq, state, &mut delta);
         if matches!(res, Err(OpAbort::FlushSelf)) {
             delta.clear();
             self.scratch = Some(delta);

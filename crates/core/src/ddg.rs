@@ -170,12 +170,58 @@ pub enum DepKind {
     Soft,
 }
 
-/// Dependency edges of one block: `deps[j]` lists the in-block indices `i`
-/// that instruction `j` must follow, with their strength.
+/// Dependency edges of one block: `bd[j]` lists the in-block indices `i`
+/// that instruction `j` must follow, with their strength, in ascending
+/// `i`. All of a block's edges share one buffer.
 #[derive(Debug, Clone)]
 pub struct BlockDeps {
-    /// Per-instruction predecessor lists.
-    pub deps: Vec<Vec<(usize, DepKind)>>,
+    edges: Vec<(usize, DepKind)>,
+    /// Instruction `j`'s edges end at `ends[j]` and start where `j - 1`'s
+    /// end.
+    ends: Vec<usize>,
+}
+
+impl std::ops::Index<usize> for BlockDeps {
+    type Output = [(usize, DepKind)];
+
+    fn index(&self, j: usize) -> &Self::Output {
+        let start = if j == 0 { 0 } else { self.ends[j - 1] };
+        &self.edges[start..self.ends[j]]
+    }
+}
+
+/// One instruction's effects as the pairwise test reads them: registers
+/// as bit masks, the (rarer) memory and helper resources as lists.
+struct Access {
+    reg_reads: u16,
+    reg_writes: u16,
+    reads: Vec<Resource>,
+    writes: Vec<Resource>,
+}
+
+impl Access {
+    fn of(insn: &LabeledInsn) -> Access {
+        let Effects { mut reads, mut writes } = effects(insn);
+        Access {
+            reg_reads: take_regs(&mut reads),
+            reg_writes: take_regs(&mut writes),
+            reads,
+            writes,
+        }
+    }
+}
+
+/// Remove the registers from `res`, returned as a mask.
+fn take_regs(res: &mut Vec<Resource>) -> u16 {
+    let mut mask = 0u16;
+    res.retain(|r| match *r {
+        Resource::Reg(n) => {
+            mask |= 1 << n;
+            false
+        }
+        _ => true,
+    });
+    mask
 }
 
 /// Build per-block dependency lists for the whole program.
@@ -183,40 +229,36 @@ pub fn build(p: &LoweredProgram) -> Vec<BlockDeps> {
     p.blocks
         .iter()
         .map(|insns| {
-            let eff: Vec<Effects> = insns.iter().map(effects).collect();
-            let mut deps = vec![Vec::new(); insns.len()];
-            for j in 0..insns.len() {
-                for i in 0..j {
-                    if let Some(kind) = depends(&eff[i], &eff[j]) {
-                        deps[j].push((i, kind));
-                    }
-                }
-            }
-            BlockDeps { deps }
+            let acc: Vec<Access> = insns.iter().map(Access::of).collect();
+            let mut edges = Vec::new();
+            let ends = (0..acc.len())
+                .map(|j| {
+                    edges.extend(
+                        (0..j).filter_map(|i| depends(&acc[i], &acc[j]).map(|kind| (i, kind))),
+                    );
+                    edges.len()
+                })
+                .collect();
+            BlockDeps { edges, ends }
         })
         .collect()
 }
 
-fn depends(a: &Effects, b: &Effects) -> Option<DepKind> {
-    // RAW: b reads what a writes.
-    for w in &a.writes {
-        if b.reads.iter().any(|r| w.conflicts(*r)) {
-            return Some(DepKind::Hard);
-        }
+/// The strongest conflict of `b` on an earlier `a`: RAW or WAW is hard,
+/// WAR (`b` writes what `a` reads) soft.
+fn depends(a: &Access, b: &Access) -> Option<DepKind> {
+    let any =
+        |xs: &[Resource], ys: &[Resource]| xs.iter().any(|x| ys.iter().any(|y| x.conflicts(*y)));
+    if a.reg_writes & (b.reg_reads | b.reg_writes) != 0
+        || any(&a.writes, &b.reads)
+        || any(&b.writes, &a.writes)
+    {
+        Some(DepKind::Hard)
+    } else if b.reg_writes & a.reg_reads != 0 || any(&b.writes, &a.reads) {
+        Some(DepKind::Soft)
+    } else {
+        None
     }
-    // WAW.
-    for w in &b.writes {
-        if a.writes.iter().any(|x| w.conflicts(*x)) {
-            return Some(DepKind::Hard);
-        }
-    }
-    // WAR: b writes what a reads — same-stage packing allowed.
-    for w in &b.writes {
-        if a.reads.iter().any(|r| w.conflicts(*r)) {
-            return Some(DepKind::Soft);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -256,11 +298,11 @@ mod tests {
         let (_, deps) = deps_of(&Program::from_insns(a.into_insns()));
         let d = &deps[0];
         // loads at 1 and 2 both depend on 0 (r7), but not on each other.
-        assert!(d.deps[1].iter().any(|&(i, k)| i == 0 && k == DepKind::Hard));
-        assert!(d.deps[2].iter().any(|&(i, _)| i == 0));
-        assert!(!d.deps[2].iter().any(|&(i, k)| i == 1 && k == DepKind::Hard));
+        assert!(d[1].iter().any(|&(i, k)| i == 0 && k == DepKind::Hard));
+        assert!(d[2].iter().any(|&(i, _)| i == 0));
+        assert!(!d[2].iter().any(|&(i, k)| i == 1 && k == DepKind::Hard));
         // mov r0 is independent of the loads.
-        assert!(d.deps[3].is_empty());
+        assert!(d[3].is_empty());
     }
 
     #[test]
@@ -271,8 +313,8 @@ mod tests {
         a.mov64_reg(0, 1);
         a.exit();
         let (_, deps) = deps_of(&Program::from_insns(a.into_insns()));
-        assert!(deps[0].deps[1].iter().any(|&(i, k)| i == 0 && k == DepKind::Hard));
-        assert!(deps[0].deps[2].iter().any(|&(i, k)| i == 1 && k == DepKind::Hard));
+        assert!(deps[0][1].iter().any(|&(i, k)| i == 0 && k == DepKind::Hard));
+        assert!(deps[0][2].iter().any(|&(i, k)| i == 1 && k == DepKind::Hard));
     }
 
     #[test]
@@ -285,12 +327,12 @@ mod tests {
         a.exit();
         let (_, deps) = deps_of(&Program::from_insns(a.into_insns()));
         let d = &deps[0];
-        assert!(d.deps[1].is_empty(), "disjoint stores are parallel");
+        assert!(d[1].is_empty(), "disjoint stores are parallel");
         assert!(
-            d.deps[2].iter().any(|&(i, k)| i == 0 && k == DepKind::Hard),
+            d[2].iter().any(|&(i, k)| i == 0 && k == DepKind::Hard),
             "load depends on its store"
         );
-        assert!(!d.deps[2].iter().any(|&(i, _)| i == 1));
+        assert!(!d[2].iter().any(|&(i, _)| i == 1));
     }
 
     #[test]
@@ -302,7 +344,7 @@ mod tests {
         a.mov64_imm(0, 2);
         a.exit();
         let (_, deps) = deps_of(&Program::from_insns(a.into_insns()));
-        assert!(deps[0].deps[2].iter().any(|&(i, k)| i == 1 && k == DepKind::Hard));
+        assert!(deps[0][2].iter().any(|&(i, k)| i == 1 && k == DepKind::Hard));
     }
 
     #[test]
@@ -314,6 +356,6 @@ mod tests {
         a.mov64_reg(0, 6);
         a.exit();
         let (_, deps) = deps_of(&Program::from_insns(a.into_insns()));
-        assert!(deps[0].deps[2].iter().any(|&(i, k)| i == 0 && k == DepKind::Hard));
+        assert!(deps[0][2].iter().any(|&(i, k)| i == 0 && k == DepKind::Hard));
     }
 }

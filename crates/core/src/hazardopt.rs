@@ -92,7 +92,7 @@ fn sink_reads(insns: &[crate::ir::LabeledInsn], bd: &BlockDeps) -> (BlockSchedul
     // ASAP levels — identical to the ILP scheduler's.
     let mut asap = vec![0usize; n];
     for j in 0..n {
-        for &(i, kind) in &bd.deps[j] {
+        for &(i, kind) in &bd[j] {
             let min = match kind {
                 DepKind::Hard => asap[i] + 1,
                 DepKind::Soft => asap[i],
@@ -107,7 +107,7 @@ fn sink_reads(insns: &[crate::ir::LabeledInsn], bd: &BlockDeps) -> (BlockSchedul
     // ALAP levels from the existing last row — sinking never adds rows.
     let mut alap = vec![nrows - 1; n];
     for j in (0..n).rev() {
-        for &(i, kind) in &bd.deps[j] {
+        for &(i, kind) in &bd[j] {
             let cap = match kind {
                 DepKind::Hard => alap[j].saturating_sub(1),
                 DepKind::Soft => alap[j],
@@ -121,7 +121,7 @@ fn sink_reads(insns: &[crate::ir::LabeledInsn], bd: &BlockDeps) -> (BlockSchedul
     let mut feeds_write = vec![false; n];
     for j in (0..n).rev() {
         if is_map_write(insns[j].map_use) || feeds_write[j] {
-            for &(i, _) in &bd.deps[j] {
+            for &(i, _) in &bd[j] {
                 feeds_write[i] = true;
             }
         }
@@ -134,7 +134,7 @@ fn sink_reads(insns: &[crate::ir::LabeledInsn], bd: &BlockDeps) -> (BlockSchedul
         // `level[i] ≤ alap[i]`, so the push never exceeds `alap[j]` and
         // the row count is preserved.
         let mut l = want;
-        for &(i, kind) in &bd.deps[j] {
+        for &(i, kind) in &bd[j] {
             let min = match kind {
                 DepKind::Hard => level[i] + 1,
                 DepKind::Soft => level[i],

@@ -214,11 +214,10 @@ impl PipelineDesign {
                 ops.join(" | ")
             );
         }
-        let preds = crate::predicate::block_predicates(&self.blocks);
-        for (b, p) in preds.iter().enumerate() {
-            if !matches!(p, crate::predicate::PredExpr::True) {
-                let _ = writeln!(out, "  enable blk {b}: {p}");
-            }
+        for (b, info) in crate::predicate::gated(&self.blocks) {
+            let _ = write!(out, "  enable blk {b}: ");
+            crate::predicate::write_terms(&mut out, info);
+            out.push('\n');
         }
         for &(block, min_len) in &self.guards {
             let _ = writeln!(out, "  implicit bounds guard: block {block} needs >= {min_len} B");

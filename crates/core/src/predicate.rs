@@ -1,129 +1,46 @@
-//! Control-flow enforcement by predication (§3.5): symbolic per-block
-//! enable expressions.
+//! Control-flow enforcement by predication (§3.5): one enable signal per
+//! control block.
 //!
 //! "eHDL generates a set of control signals to enable/disable pipeline's
-//! stages according to the result of goto/jump instructions." Each block's
-//! enable is a boolean expression over its predecessors' enables and branch
-//! outcomes; this module builds and simplifies those expressions so the
-//! VHDL emitter can print one equation per stage and the design summary
-//! can show the disable-signal structure of Figure 8.
+//! stages according to the result of goto/jump instructions." Each block
+//! `b` gets one signal, `blk{b}_en`, defined once from its incoming edges:
+//! an edge from `p` contributes `blk{p}_en`, `blk{p}_en and blk{p}_taken`
+//! or `blk{p}_en and not blk{p}_taken`, and the terms are or-ed. This is
+//! the recurrence the simulator's `block_enabled` evaluates, with
+//! `blk0_en` fixed at `'1'`. Every stage's enable names its block's
+//! signal, so the text grows with blocks + edges, not with the number of
+//! paths into a block. The VHDL emitter and the design summary print the
+//! same terms.
 
 use crate::pipeline::{BlockInfo, EdgeCond};
-use std::fmt;
+use std::fmt::Write as _;
 
-/// A boolean expression over branch-outcome literals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PredExpr {
-    /// Always enabled (the entry block).
-    True,
-    /// Never enabled (an unreachable block).
-    False,
-    /// Block `b`'s branch was taken.
-    Taken(usize),
-    /// Block `b`'s branch was not taken.
-    NotTaken(usize),
-    /// Conjunction.
-    And(Box<PredExpr>, Box<PredExpr>),
-    /// Disjunction.
-    Or(Box<PredExpr>, Box<PredExpr>),
+/// The blocks whose enable is computed from predecessors: every block an
+/// edge reaches. The entry block's enable is the constant `'1'`; an
+/// unreachable block owns no stage and feeds no successor.
+pub fn gated(blocks: &[BlockInfo]) -> impl Iterator<Item = (usize, &BlockInfo)> {
+    blocks.iter().enumerate().filter(|(_, info)| !info.preds.is_empty())
 }
 
-impl PredExpr {
-    fn and(a: PredExpr, b: PredExpr) -> PredExpr {
-        match (a, b) {
-            (PredExpr::True, x) | (x, PredExpr::True) => x,
-            (PredExpr::False, _) | (_, PredExpr::False) => PredExpr::False,
-            (a, b) => PredExpr::And(Box::new(a), Box::new(b)),
+/// Append a gated block's enable terms, or-ed: one term per incoming edge.
+pub fn write_terms(o: &mut String, info: &BlockInfo) {
+    // `and` and `or` do not mix without parentheses in VHDL.
+    let paren = info.preds.len() > 1;
+    for (k, &(p, cond)) in info.preds.iter().enumerate() {
+        if k > 0 {
+            o.push_str(" or ");
         }
-    }
-
-    fn or(a: PredExpr, b: PredExpr) -> PredExpr {
-        match (a, b) {
-            (PredExpr::False, x) | (x, PredExpr::False) => x,
-            (PredExpr::True, _) | (_, PredExpr::True) => PredExpr::True,
-            (a, b) => {
-                if a == b {
-                    a
-                } else {
-                    PredExpr::Or(Box::new(a), Box::new(b))
-                }
+        let neg = match cond {
+            EdgeCond::Always => {
+                let _ = write!(o, "blk{p}_en");
+                continue;
             }
-        }
-    }
-
-    /// Number of literals in the expression (a proxy for the predication
-    /// logic cost of a block).
-    pub fn literals(&self) -> usize {
-        match self {
-            PredExpr::True | PredExpr::False => 0,
-            PredExpr::Taken(_) | PredExpr::NotTaken(_) => 1,
-            PredExpr::And(a, b) | PredExpr::Or(a, b) => a.literals() + b.literals(),
-        }
-    }
-
-    /// Evaluate under a branch-outcome assignment (used by tests to check
-    /// the expressions agree with the simulator's recursive computation).
-    pub fn eval(&self, taken: &dyn Fn(usize) -> Option<bool>) -> bool {
-        match self {
-            PredExpr::True => true,
-            PredExpr::False => false,
-            PredExpr::Taken(b) => taken(*b) == Some(true),
-            PredExpr::NotTaken(b) => taken(*b) == Some(false),
-            PredExpr::And(a, c) => a.eval(taken) && c.eval(taken),
-            PredExpr::Or(a, c) => a.eval(taken) || c.eval(taken),
-        }
-    }
-
-    /// Render as a VHDL boolean expression over `blkN_taken` signals.
-    pub fn to_vhdl(&self) -> String {
-        match self {
-            PredExpr::True => "'1'".into(),
-            PredExpr::False => "'0'".into(),
-            PredExpr::Taken(b) => format!("blk{b}_taken = '1'"),
-            PredExpr::NotTaken(b) => format!("blk{b}_taken = '0'"),
-            PredExpr::And(a, c) => format!("({} and {})", a.to_vhdl(), c.to_vhdl()),
-            PredExpr::Or(a, c) => format!("({} or {})", a.to_vhdl(), c.to_vhdl()),
-        }
-    }
-}
-
-impl fmt::Display for PredExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PredExpr::True => write!(f, "1"),
-            PredExpr::False => write!(f, "0"),
-            PredExpr::Taken(b) => write!(f, "t{b}"),
-            PredExpr::NotTaken(b) => write!(f, "!t{b}"),
-            PredExpr::And(a, c) => write!(f, "({a} & {c})"),
-            PredExpr::Or(a, c) => write!(f, "({a} | {c})"),
-        }
-    }
-}
-
-/// Compute the enable expression of every block. Blocks are topologically
-/// ordered (predecessors have smaller ids post-unrolling), so one forward
-/// pass suffices.
-pub fn block_predicates(blocks: &[BlockInfo]) -> Vec<PredExpr> {
-    let mut preds: Vec<PredExpr> = Vec::with_capacity(blocks.len());
-    for (b, info) in blocks.iter().enumerate() {
-        let expr = if b == 0 {
-            PredExpr::True
-        } else {
-            let mut acc = PredExpr::False;
-            for &(p, cond) in &info.preds {
-                let edge = match cond {
-                    EdgeCond::Always => PredExpr::True,
-                    EdgeCond::IfTaken => PredExpr::Taken(p),
-                    EdgeCond::IfNotTaken => PredExpr::NotTaken(p),
-                };
-                let term = PredExpr::and(preds[p].clone(), edge);
-                acc = PredExpr::or(acc, term);
-            }
-            acc
+            EdgeCond::IfTaken => "",
+            EdgeCond::IfNotTaken => "not ",
         };
-        preds.push(expr);
+        let (open, close) = if paren { ("(", ")") } else { ("", "") };
+        let _ = write!(o, "{open}blk{p}_en and {neg}blk{p}_taken{close}");
     }
-    preds
 }
 
 #[cfg(test)]
@@ -134,6 +51,16 @@ mod tests {
     use ehdl_ebpf::asm::Asm;
     use ehdl_ebpf::opcode::{JmpOp, MemSize};
     use ehdl_ebpf::Program;
+
+    fn blocks_of(a: Asm) -> Vec<BlockInfo> {
+        Compiler::new().compile(&Program::from_insns(a.into_insns())).unwrap().blocks
+    }
+
+    fn terms(info: &BlockInfo) -> String {
+        let mut o = String::new();
+        write_terms(&mut o, info);
+        o
+    }
 
     fn diamond() -> Vec<BlockInfo> {
         let mut a = Asm::new();
@@ -147,50 +74,12 @@ mod tests {
         a.mov64_imm(0, 1);
         a.bind(join);
         a.exit();
-        Compiler::new().compile(&Program::from_insns(a.into_insns())).unwrap().blocks
+        blocks_of(a)
     }
 
-    #[test]
-    fn diamond_predicates() {
-        let preds = block_predicates(&diamond());
-        assert_eq!(preds[0], PredExpr::True);
-        assert_eq!(preds[1], PredExpr::NotTaken(0));
-        assert_eq!(preds[2], PredExpr::Taken(0));
-        // The join is enabled either way; expression simplifies to an OR
-        // of the two arms.
-        assert_eq!(
-            preds[3],
-            PredExpr::Or(Box::new(PredExpr::NotTaken(0)), Box::new(PredExpr::Taken(0)))
-        );
-        assert_eq!(preds[3].literals(), 2);
-    }
-
-    #[test]
-    fn eval_matches_paths() {
-        let preds = block_predicates(&diamond());
-        // Branch taken: else arm enabled, then arm disabled, join enabled.
-        let taken = |b: usize| (b == 0).then_some(true);
-        assert!(preds[2].eval(&taken));
-        assert!(!preds[1].eval(&taken));
-        assert!(preds[3].eval(&taken));
-        // Not taken: the other way around.
-        let not_taken = |b: usize| (b == 0).then_some(false);
-        assert!(preds[1].eval(&not_taken));
-        assert!(!preds[2].eval(&not_taken));
-        assert!(preds[3].eval(&not_taken));
-    }
-
-    #[test]
-    fn vhdl_rendering() {
-        let preds = block_predicates(&diamond());
-        assert_eq!(preds[0].to_vhdl(), "'1'");
-        assert_eq!(preds[1].to_vhdl(), "blk0_taken = '0'");
-        assert!(preds[3].to_vhdl().contains(" or "));
-    }
-
-    #[test]
-    fn nested_conditions_compose() {
-        // if A { if B { X } } — X's enable is (!tA & !tB) style conjunction.
+    /// `if A { if B { X } }`: block ids 0 entry, 1 second check, 2 the
+    /// innermost block, 3 the join.
+    fn nested_if() -> Vec<BlockInfo> {
         let mut a = Asm::new();
         let out1 = a.new_label();
         let out2 = a.new_label();
@@ -198,52 +87,127 @@ mod tests {
         a.jmp_imm(JmpOp::Jeq, 2, 0, out1);
         a.load(MemSize::W, 3, 1, 12);
         a.jmp_imm(JmpOp::Jeq, 3, 0, out2);
-        a.mov64_imm(4, 1); // the innermost block
+        a.mov64_imm(4, 1);
         a.bind(out1);
         a.bind(out2);
         a.mov64_imm(0, 2);
         a.exit();
-        let design = Compiler::new().compile(&Program::from_insns(a.into_insns())).unwrap();
-        let preds = block_predicates(&design.blocks);
+        blocks_of(a)
+    }
+
+    /// Evaluate the printed terms in block order (every term names an
+    /// earlier block) under one branch-outcome assignment.
+    fn eval_printed(blocks: &[BlockInfo], taken: &[bool]) -> Vec<bool> {
+        let mut en = vec![false; blocks.len()];
+        en[0] = true;
+        for (b, info) in gated(blocks) {
+            let text = terms(info);
+            en[b] = text.split(" or ").any(|term| {
+                term.trim_matches(|c| c == '(' || c == ')').split(" and ").all(|lit| {
+                    let (want, lit) = match lit.strip_prefix("not ") {
+                        Some(l) => (false, l),
+                        None => (true, lit),
+                    };
+                    let sig = lit.strip_prefix("blk").unwrap();
+                    let (p, kind) = sig.split_once('_').unwrap();
+                    let p: usize = p.parse().unwrap();
+                    assert!(p < b, "blk{b}_en reads blk{p}");
+                    match kind {
+                        "en" => en[p],
+                        "taken" => taken[p] == want,
+                        _ => panic!("unexpected literal {lit}"),
+                    }
+                })
+            });
+        }
+        en
+    }
+
+    /// Every path from the entry block (up to `limit` of them), each as
+    /// the blocks it visits and the branch outcomes that take it. Blocks
+    /// off the path get the outcome `off`, so their (unread) branch
+    /// signals cannot matter.
+    fn paths(blocks: &[BlockInfo], off: bool, limit: usize) -> Vec<(Vec<bool>, Vec<bool>)> {
+        let mut out = Vec::new();
+        let mut stack = vec![(0, vec![false; blocks.len()], vec![off; blocks.len()])];
+        while let Some((cur, mut on, taken)) = stack.pop() {
+            if out.len() == limit {
+                break;
+            }
+            on[cur] = true;
+            let forks = stack.len();
+            for (s, info) in blocks.iter().enumerate() {
+                for &(_, cond) in info.preds.iter().filter(|&&(p, _)| p == cur) {
+                    let mut t = taken.clone();
+                    match cond {
+                        EdgeCond::Always => {}
+                        EdgeCond::IfTaken => t[cur] = true,
+                        EdgeCond::IfNotTaken => t[cur] = false,
+                    }
+                    stack.push((s, on.clone(), t));
+                }
+            }
+            if stack.len() == forks {
+                out.push((on, taken));
+            }
+        }
+        out
+    }
+
+    /// The printed enables select exactly the blocks on the path the
+    /// branch outcomes choose, for every path (up to `limit`).
+    fn assert_enables_match_paths(blocks: &[BlockInfo], limit: usize) -> usize {
+        let mut n = 0;
+        for off in [false, true] {
+            for (on, taken) in paths(blocks, off, limit) {
+                assert_eq!(eval_printed(blocks, &taken), on, "{taken:?}");
+                n += 1;
+            }
+        }
+        n
+    }
+
+    #[test]
+    fn diamond_enables() {
+        let blocks = diamond();
+        assert_eq!(gated(&blocks).map(|(b, _)| b).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(terms(&blocks[1]), "blk0_en and not blk0_taken");
+        assert_eq!(terms(&blocks[2]), "blk0_en and blk0_taken");
+        // The join names its two arms' signals, not their conditions.
+        assert_eq!(terms(&blocks[3]), "blk1_en or blk2_en");
+    }
+
+    #[test]
+    fn nested_conditions_compose() {
+        let blocks = nested_if();
         // The innermost block is enabled only when both branches fell
-        // through.
-        let inner = 2; // block ids: 0 entry, 1 second-check, 2 inner, 3 join
+        // through: the second check's signal already carries the first.
+        assert_eq!(terms(&blocks[1]), "blk0_en and not blk0_taken");
+        assert_eq!(terms(&blocks[2]), "blk1_en and not blk1_taken");
         assert_eq!(
-            preds[inner],
-            PredExpr::And(Box::new(PredExpr::NotTaken(0)), Box::new(PredExpr::NotTaken(1)))
+            terms(&blocks[3]),
+            "(blk0_en and blk0_taken) or (blk1_en and blk1_taken) or blk2_en"
         );
     }
 
     #[test]
-    fn predicates_agree_with_real_designs() {
-        {
-            let app = ehdl_programs_stub::toy_counter();
-            let design = Compiler::new().compile(&app).unwrap();
-            let preds = block_predicates(&design.blocks);
-            assert_eq!(preds.len(), design.blocks.len());
-            assert_eq!(preds[0], PredExpr::True);
+    fn eval_matches_paths() {
+        assert_eq!(assert_enables_match_paths(&diamond(), usize::MAX), 4);
+        assert_eq!(assert_enables_match_paths(&nested_if(), usize::MAX), 6);
+        for taken in [[true, false, false, false], [false, true, false, false]] {
+            let en = eval_printed(&nested_if(), &taken);
+            assert!(!en[2] && en[3], "{taken:?}: the inner block is skipped, the join is not");
         }
     }
 
-    /// A minimal stand-in for `ehdl-programs` (which would be a circular
-    /// dev-dependency): the Listing-1 shape.
-    mod ehdl_programs_stub {
-        use super::*;
-        pub fn toy_counter() -> Program {
-            let mut a = Asm::new();
-            let v6 = a.new_label();
-            let out = a.new_label();
-            a.load(MemSize::W, 7, 1, 0);
-            a.load(MemSize::B, 2, 7, 12);
-            a.jmp_imm(JmpOp::Jeq, 2, 0x86, v6);
-            a.mov64_imm(3, 1);
-            a.jmp(out);
-            a.bind(v6);
-            a.mov64_imm(3, 2);
-            a.bind(out);
-            a.mov64_reg(0, 3);
-            a.exit();
-            Program::from_insns(a.into_insns())
+    #[test]
+    fn predicates_agree_with_real_designs() {
+        let mut zoo: Vec<Program> = ehdl_programs::App::ALL.iter().map(|a| a.program()).collect();
+        zoo.push(ehdl_programs::toy_counter::program());
+        zoo.push(ehdl_programs::leaky_bucket::program());
+        for program in &zoo {
+            let blocks = Compiler::new().compile(program).unwrap().blocks;
+            assert!(assert_enables_match_paths(&blocks, 2048) > 2, "{}", program.name);
         }
     }
 }

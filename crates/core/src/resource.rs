@@ -212,28 +212,29 @@ pub fn estimate_pipeline(design: &PipelineDesign) -> ResourceEstimate {
     } else {
         Some(crate::prune::analyze(&design.stages, &design.blocks, true))
     };
+    // Narrow/constant stack slots proven by the abstract interpreter: a
+    // live byte above a slot's proven width is known a priori and need
+    // not be carried (constant slots rematerialize entirely). Realized by
+    // the same selective wiring as pruning, so the prune-off ablation
+    // carries the full slots. `narrow[w]` marks those bytes of live-stack
+    // word `w` (8 slots of 8 bytes).
+    let narrow: Option<[u64; 8]> =
+        (design.prune.enabled && !design.stack_narrow.is_empty()).then(|| {
+            std::array::from_fn(|w| {
+                (0..8).fold(0u64, |mask, k| {
+                    let width = design.stack_narrow.get(w * 8 + k).copied().unwrap_or(64);
+                    let carried = u32::from(width.div_ceil(8));
+                    mask | ((0xffu64 << carried) & 0xff) << (8 * k)
+                })
+            })
+        });
     let mut idle_stack_bytes_total = 0u64;
     for (i, _) in design.stages.iter().enumerate() {
         let regs = design.prune.live_regs.get(i).map_or(0, |m| m.count_ones() as u64);
         let mut stack_bytes = design.prune.live_stack_bytes.get(i).copied().unwrap_or(0) as u64;
-        // Narrow/constant stack slots proven by the abstract interpreter:
-        // a live byte above a slot's proven width is known a priori and
-        // need not be carried (constant slots rematerialize entirely).
-        // Realized by the same selective wiring as pruning, so the
-        // prune-off ablation carries the full slots.
-        if design.prune.enabled && !design.stack_narrow.is_empty() {
-            if let Some(map) = design.prune.live_stack.get(i) {
-                let mut saved = 0u64;
-                for byte in 0..512usize {
-                    if map[byte / 64] >> (byte % 64) & 1 == 1 {
-                        let width = design.stack_narrow.get(byte / 8).copied().unwrap_or(64);
-                        if (byte % 8) as u8 >= width.div_ceil(8) {
-                            saved += 1;
-                        }
-                    }
-                }
-                stack_bytes = stack_bytes.saturating_sub(saved);
-            }
+        if let (Some(narrow), Some(map)) = (&narrow, design.prune.live_stack.get(i)) {
+            let saved: u32 = map.iter().zip(narrow).map(|(m, n)| (m & n).count_ones()).sum();
+            stack_bytes = stack_bytes.saturating_sub(u64::from(saved));
         }
         let carried_bits = frame_bits + (regs * 64 + stack_bytes * 8) as f64;
         let (live_bits, idle_reg_bits, idle_stack_bytes) = match &real_live {

@@ -33,7 +33,7 @@ pub fn schedule(p: &LoweredProgram, deps: &[BlockDeps], parallelize: bool) -> Ve
             let mut level = vec![0usize; n];
             if parallelize {
                 for j in 0..n {
-                    for &(i, kind) in &bd.deps[j] {
+                    for &(i, kind) in &bd[j] {
                         let min = match kind {
                             DepKind::Hard => level[i] + 1,
                             DepKind::Soft => level[i],

@@ -259,24 +259,23 @@ pub fn emit(design: &PipelineDesign) -> String {
     for b in &branch_blocks {
         let _ = writeln!(o, "  signal blk{b}_taken : std_logic;");
     }
+    let _ = writeln!(o, "  signal blk0_en : std_logic;");
+    for (b, _) in crate::predicate::gated(&design.blocks) {
+        let _ = writeln!(o, "  signal blk{b}_en : std_logic;");
+    }
     let _ = writeln!(o, "begin");
     let _ = writeln!(o, "  s_axis_tready <= not rst;");
     let _ = writeln!(o);
-    let _ = writeln!(o, "  -- Predication (sec. 3.5): per-stage enable equations.");
-    // One rendering per block: every stage of a block shares its enable.
-    let enables: Vec<Option<String>> = crate::predicate::block_predicates(&design.blocks)
-        .iter()
-        .map(|p| (*p != crate::predicate::PredExpr::True).then(|| p.to_vhdl()))
-        .collect();
+    let _ = writeln!(o, "  -- Predication (sec. 3.5): one enable per control block, one term");
+    let _ = writeln!(o, "  -- per incoming edge; every stage takes its block's enable.");
+    let _ = writeln!(o, "  blk0_en <= '1';");
+    for (b, info) in crate::predicate::gated(&design.blocks) {
+        let _ = write!(o, "  blk{b}_en <= ");
+        crate::predicate::write_terms(&mut o, info);
+        o.push_str(";\n");
+    }
     for (i, stage) in design.stages.iter().enumerate() {
-        match &enables[stage.block] {
-            None => {
-                let _ = writeln!(o, "  st{i}_en <= '1';");
-            }
-            Some(cond) => {
-                let _ = writeln!(o, "  st{i}_en <= '1' when {cond} else '0';");
-            }
-        }
+        let _ = writeln!(o, "  st{i}_en <= blk{}_en;", stage.block);
     }
     for &(block, min_len) in &design.guards {
         let _ = writeln!(
@@ -285,24 +284,30 @@ pub fn emit(design: &PipelineDesign) -> String {
         );
     }
 
+    // Each op's comment heads its stage and again its statements: rendered
+    // once, then copied from its byte range in `o`.
+    let mut notes = Vec::new();
     for (i, stage) in design.stages.iter().enumerate() {
         let _ = write!(o, "\n  -- stage {i} (block {}, {:?}): ", stage.block, stage.kind);
         if stage.ops.is_empty() {
             o.push_str("pass-through");
         }
+        notes.clear();
         for (k, op) in stage.ops.iter().enumerate() {
             o.push_str(if k == 0 { "" } else { " || " });
+            let start = o.len();
             op_comment(&mut o, op);
+            notes.push(start..o.len());
         }
         let _ = writeln!(o);
         let _ = writeln!(o, "  stage_{i} : process (clk)");
         let _ = writeln!(o, "  begin");
         let _ = writeln!(o, "    if rising_edge(clk) then");
         let _ = writeln!(o, "      if st{i}_en = '1' then");
-        for op in &stage.ops {
+        for (op, note) in stage.ops.iter().zip(&notes) {
             o.push_str("        -- ");
-            op_comment(&mut o, op);
-            let _ = writeln!(o);
+            o.extend_from_within(note.clone());
+            o.push('\n');
             op_vhdl(&mut o, i, stage.block, op);
         }
         if stage.ops.is_empty() {

@@ -1,13 +1,14 @@
 //! Randomized tests on compiler invariants: schedules respect dependences,
 //! pruning is sound relative to a re-analysis, framing waits are exactly
 //! what late accesses require, the bitset liveness pass equals the §4.3
-//! rule applied per (resource, block), and the analytical model is monotone.
+//! rule applied per (resource, block), the DDG equals the pairwise
+//! effect-conflict rule, and the analytical model is monotone.
 //!
 //! Formerly proptest-based; rewritten as deterministic seeded campaigns so
 //! the workspace builds without crates.io access.
 
 use ehdl_core::analytical;
-use ehdl_core::ddg::effects;
+use ehdl_core::ddg::{self, effects, DepKind, Effects};
 use ehdl_core::ir::{HwInsn, Resource};
 use ehdl_core::{Compiler, CompilerOptions, PipelineDesign};
 use ehdl_ebpf::asm::Asm;
@@ -290,6 +291,62 @@ fn liveness_matches_naive_reference() {
         let d = assert_liveness_matches(&branch_ladder(rungs));
         assert!(d.blocks.len() > 2 * rungs, "{} blocks for {rungs} rungs", d.blocks.len());
         assert!(d.prune.total_stack_bytes() > 0 && d.prune.total_reg_slots() > 0);
+    }
+}
+
+/// The dependency rule `ddg::build` implements, written pairwise over the
+/// full effect lists: RAW or WAW is hard, WAR soft.
+fn reference_depends(a: &Effects, b: &Effects) -> Option<DepKind> {
+    let any =
+        |xs: &[Resource], ys: &[Resource]| xs.iter().any(|x| ys.iter().any(|y| x.conflicts(*y)));
+    if any(&a.writes, &b.reads) || any(&b.writes, &a.writes) {
+        Some(DepKind::Hard)
+    } else if any(&b.writes, &a.reads) {
+        Some(DepKind::Soft)
+    } else {
+        None
+    }
+}
+
+fn assert_ddg_matches_reference(program: &Program) {
+    use ehdl_core::cfg::Cfg;
+    use ehdl_core::fusion::{lower, FusionOptions};
+    use ehdl_core::label::label;
+    let decoded = program.decode().unwrap();
+    let cfg = Cfg::build(&decoded);
+    let lab = label(program, &decoded, &cfg).unwrap();
+    let plain = FusionOptions { fuse: false, dce: false, elide_bounds_checks: false };
+    for opts in [FusionOptions::default(), plain] {
+        let lowered = lower(&decoded, &lab, &cfg, opts);
+        for (insns, got) in lowered.blocks.iter().zip(ddg::build(&lowered)) {
+            let eff: Vec<Effects> = insns.iter().map(effects).collect();
+            for j in 0..eff.len() {
+                let want: Vec<(usize, DepKind)> = (0..j)
+                    .filter_map(|i| reference_depends(&eff[i], &eff[j]).map(|k| (i, k)))
+                    .collect();
+                assert_eq!(got[j], want[..], "{}: insn {j}", program.name);
+            }
+        }
+    }
+}
+
+/// `ddg::build` (register masks, then the memory lists) gives exactly the
+/// edge lists of the pairwise rule, on the bundled programs, random
+/// straight-line programs and branch ladders.
+#[test]
+fn ddg_matches_pairwise_reference() {
+    let mut zoo: Vec<Program> = ehdl_programs::App::ALL.iter().map(|a| a.program()).collect();
+    zoo.push(ehdl_programs::toy_counter::program());
+    zoo.push(ehdl_programs::leaky_bucket::program());
+    for program in &zoo {
+        assert_ddg_matches_reference(program);
+    }
+    let mut rng = Rng::seed_from_u64(0xdd9);
+    for _ in 0..128 {
+        assert_ddg_matches_reference(&build_program(&rand_alu_vec(&mut rng, 59)));
+    }
+    for rungs in [1, 7, 31] {
+        assert_ddg_matches_reference(&branch_ladder(rungs));
     }
 }
 

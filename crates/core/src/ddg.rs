@@ -9,7 +9,7 @@
 //! geometry moved by `bpf_xdp_adjust_head`).
 
 use crate::fusion::{helper_reads, LoweredProgram};
-use crate::ir::{HwInsn, LabeledInsn, MemLabel, Resource};
+use crate::ir::{HwInsn, Interval, LabeledInsn, MemLabel, Resource};
 use ehdl_ebpf::helpers::{helper_info, BPF_GET_PRANDOM_U32, BPF_KTIME_GET_NS};
 use ehdl_ebpf::insn::{Instruction, Operand};
 use ehdl_ebpf::opcode::AluOp;
@@ -26,8 +26,15 @@ pub struct Effects {
 /// Compute the architectural effects of one labeled instruction.
 pub fn effects(insn: &LabeledInsn) -> Effects {
     let mut e = Effects::default();
-    let reg = Resource::Reg;
+    visit_effects(insn, |r, write| if write { e.writes.push(r) } else { e.reads.push(r) });
+    e
+}
 
+/// Report every state element `insn` reads (`f(r, false)`) or writes
+/// (`f(r, true)`). [`effects`] collects them; the dependence tests keep
+/// them inline.
+fn visit_effects(insn: &LabeledInsn, mut f: impl FnMut(Resource, bool)) {
+    let reg = Resource::Reg;
     let mem_resource = |label: MemLabel| -> Option<Resource> {
         match label {
             MemLabel::Stack(iv) => Some(Resource::Stack(iv)),
@@ -39,65 +46,65 @@ pub fn effects(insn: &LabeledInsn) -> Effects {
 
     match insn.insn {
         HwInsn::Alu3 { dst, a, b, .. } => {
-            e.reads.push(reg(a));
+            f(reg(a), false);
             if let Operand::Reg(r) = b {
-                e.reads.push(reg(r));
+                f(reg(r), false);
             }
-            e.writes.push(reg(dst));
+            f(reg(dst), true);
         }
         HwInsn::Simple(i) => match i {
             Instruction::Alu { op, dst, src, .. } => {
                 if op != AluOp::Mov {
-                    e.reads.push(reg(dst));
+                    f(reg(dst), false);
                 }
                 if let Operand::Reg(r) = src {
-                    e.reads.push(reg(r));
+                    f(reg(r), false);
                 }
-                e.writes.push(reg(dst));
+                f(reg(dst), true);
             }
             Instruction::Endian { dst, .. } => {
-                e.reads.push(reg(dst));
-                e.writes.push(reg(dst));
+                f(reg(dst), false);
+                f(reg(dst), true);
             }
-            Instruction::LoadImm64 { dst, .. } => e.writes.push(reg(dst)),
+            Instruction::LoadImm64 { dst, .. } => f(reg(dst), true),
             Instruction::Load { dst, src, .. } => {
-                e.reads.push(reg(src));
+                f(reg(src), false);
                 if let Some(m) = mem_resource(insn.label) {
-                    e.reads.push(m);
+                    f(m, false);
                 }
-                e.writes.push(reg(dst));
+                f(reg(dst), true);
             }
             Instruction::Store { dst, src, .. } => {
-                e.reads.push(reg(dst));
+                f(reg(dst), false);
                 if let Operand::Reg(r) = src {
-                    e.reads.push(reg(r));
+                    f(reg(r), false);
                 }
                 if let Some(m) = mem_resource(insn.label) {
-                    e.writes.push(m);
+                    f(m, true);
                 }
             }
             Instruction::Atomic { dst, src, op, .. } => {
-                e.reads.push(reg(dst));
-                e.reads.push(reg(src));
+                f(reg(dst), false);
+                f(reg(src), false);
                 if let Some(m) = mem_resource(insn.label) {
-                    e.reads.push(m);
-                    e.writes.push(m);
+                    f(m, false);
+                    f(m, true);
                 }
                 if op.fetches() {
                     match op {
                         ehdl_ebpf::opcode::AtomicOp::Cmpxchg => {
-                            e.reads.push(reg(0));
-                            e.writes.push(reg(0));
+                            f(reg(0), false);
+                            f(reg(0), true);
                         }
-                        _ => e.writes.push(reg(src)),
+                        _ => f(reg(src), true),
                     }
                 }
             }
             Instruction::Jump { cond, .. } => {
                 if let Some(c) = cond {
-                    e.reads.push(reg(c.lhs));
+                    f(reg(c.lhs), false);
                     if let Operand::Reg(r) = c.rhs {
-                        e.reads.push(reg(r));
+                        f(reg(r), false);
                     }
                 }
             }
@@ -105,54 +112,57 @@ pub fn effects(insn: &LabeledInsn) -> Effects {
                 let mask = helper_reads(helper);
                 for r in 0..=5u8 {
                     if mask & (1 << r) != 0 {
-                        e.reads.push(reg(r));
+                        f(reg(r), false);
                     }
                 }
                 for r in 0..=5u8 {
-                    e.writes.push(reg(r));
+                    f(reg(r), true);
                 }
-                if let Some(m) = mem_resource(insn.label) {
-                    // Key/value bytes the block consumes (stack label).
-                    e.reads.push(m);
+                let info = helper_info(helper);
+                match mem_resource(insn.label) {
+                    // The bytes the block reads through its pointer
+                    // arguments (map key and value, checksum buffers).
+                    Some(m) => f(m, false),
+                    // Pointers the labeling could not pin to one region:
+                    // the block may read any stack or packet byte.
+                    None if info.is_some_and(|h| h.reads_stack) => {
+                        f(Resource::Stack(Interval::TOP), false);
+                        f(Resource::Packet(Interval::TOP), false);
+                    }
+                    None => {}
                 }
                 if let Some(mu) = insn.map_use {
                     match mu {
-                        crate::ir::MapUse::Lookup(m) => e.reads.push(Resource::MapMem(m)),
+                        crate::ir::MapUse::Lookup(m) => f(Resource::MapMem(m), false),
                         crate::ir::MapUse::HelperWrite(m) => {
-                            e.reads.push(Resource::MapMem(m));
-                            e.writes.push(Resource::MapMem(m));
+                            f(Resource::MapMem(m), false);
+                            f(Resource::MapMem(m), true);
                         }
                         _ => {}
                     }
                 }
-                if let Some(info) = helper_info(helper) {
-                    if info.writes_packet {
-                        e.writes.push(Resource::PacketGeometry);
-                        e.reads.push(Resource::PacketGeometry);
-                    }
+                if info.is_some_and(|h| h.writes_packet) {
+                    f(Resource::PacketGeometry, true);
+                    f(Resource::PacketGeometry, false);
                 }
                 if helper == BPF_GET_PRANDOM_U32 {
-                    e.reads.push(Resource::HelperState);
-                    e.writes.push(Resource::HelperState);
+                    f(Resource::HelperState, false);
+                    f(Resource::HelperState, true);
                 }
                 if helper == BPF_KTIME_GET_NS {
-                    e.reads.push(Resource::HelperState);
+                    f(Resource::HelperState, false);
                 }
             }
-            Instruction::Exit => e.reads.push(reg(0)),
+            Instruction::Exit => f(reg(0), false),
         },
     }
 
-    // Packet loads/stores also depend on the geometry (a prior
-    // adjust_head changes what any offset means).
-    if matches!(insn.label, MemLabel::Packet(_)) {
-        e.reads.push(Resource::PacketGeometry);
+    // Packet accesses (a helper's packet-resident key included) depend
+    // on the geometry: a prior adjust_head changes what any offset means.
+    // Context reads of data/data_end depend on it too.
+    if matches!(insn.label, MemLabel::Packet(_) | MemLabel::Ctx(_)) {
+        f(Resource::PacketGeometry, false);
     }
-    // Context reads of data/data_end depend on geometry too.
-    if matches!(insn.label, MemLabel::Ctx(_)) {
-        e.reads.push(Resource::PacketGeometry);
-    }
-    e
 }
 
 /// How strongly a dependency constrains stage placement.
@@ -191,37 +201,57 @@ impl std::ops::Index<usize> for BlockDeps {
 }
 
 /// One instruction's effects as the pairwise test reads them: registers
-/// as bit masks, the (rarer) memory and helper resources as lists.
+/// as bit masks, the (rarer) memory and helper resources inline.
 struct Access {
     reg_reads: u16,
     reg_writes: u16,
-    reads: Vec<Resource>,
-    writes: Vec<Resource>,
+    reads: Resources,
+    writes: Resources,
 }
 
 impl Access {
     fn of(insn: &LabeledInsn) -> Access {
-        let Effects { mut reads, mut writes } = effects(insn);
-        Access {
-            reg_reads: take_regs(&mut reads),
-            reg_writes: take_regs(&mut writes),
-            reads,
-            writes,
-        }
+        let mut acc = Access {
+            reg_reads: 0,
+            reg_writes: 0,
+            reads: Resources::default(),
+            writes: Resources::default(),
+        };
+        visit_effects(insn, |r, write| match (r, write) {
+            (Resource::Reg(n), false) => acc.reg_reads |= 1 << n,
+            (Resource::Reg(n), true) => acc.reg_writes |= 1 << n,
+            (_, false) => acc.reads.push(r),
+            (_, true) => acc.writes.push(r),
+        });
+        acc
     }
 }
 
-/// Remove the registers from `res`, returned as a mask.
-fn take_regs(res: &mut Vec<Resource>) -> u16 {
-    let mut mask = 0u16;
-    res.retain(|r| match *r {
-        Resource::Reg(n) => {
-            mask |= 1 << n;
-            false
-        }
-        _ => true,
-    });
-    mask
+/// The non-register resources of one access side. No instruction reads
+/// or writes more than four (a helper call: its key/value bytes or the
+/// whole stack and packet, its map, the packet geometry).
+#[derive(Clone, Copy)]
+struct Resources {
+    items: [Resource; 4],
+    len: usize,
+}
+
+impl Default for Resources {
+    fn default() -> Resources {
+        Resources { items: [Resource::HelperState; 4], len: 0 }
+    }
+}
+
+impl Resources {
+    fn push(&mut self, r: Resource) {
+        self.items[self.len] = r;
+        self.len += 1;
+    }
+
+    fn any_conflict(&self, other: &Resources) -> bool {
+        let ys = &other.items[..other.len];
+        self.items[..self.len].iter().any(|x| ys.iter().any(|y| x.conflicts(*y)))
+    }
 }
 
 /// Build per-block dependency lists for the whole program.
@@ -247,18 +277,31 @@ pub fn build(p: &LoweredProgram) -> Vec<BlockDeps> {
 /// The strongest conflict of `b` on an earlier `a`: RAW or WAW is hard,
 /// WAR (`b` writes what `a` reads) soft.
 fn depends(a: &Access, b: &Access) -> Option<DepKind> {
-    let any =
-        |xs: &[Resource], ys: &[Resource]| xs.iter().any(|x| ys.iter().any(|y| x.conflicts(*y)));
     if a.reg_writes & (b.reg_reads | b.reg_writes) != 0
-        || any(&a.writes, &b.reads)
-        || any(&b.writes, &a.writes)
+        || a.writes.any_conflict(&b.reads)
+        || b.writes.any_conflict(&a.writes)
     {
         Some(DepKind::Hard)
-    } else if b.reg_writes & a.reg_reads != 0 || any(&b.writes, &a.reads) {
+    } else if b.reg_writes & a.reg_reads != 0 || b.writes.any_conflict(&a.reads) {
         Some(DepKind::Soft)
     } else {
         None
     }
+}
+
+/// Index of the first op of one pipeline stage, in stage order, with a
+/// hard (RAW or WAW) dependence on an earlier op of the same stage.
+///
+/// A stage reads its incoming state copy and writes the next boundary, so
+/// only WAR pairs may share it, reader first ([`DepKind`]). Executing the
+/// ops in place, in stage order, gives exactly that two-phase result when
+/// this returns `None`, which [`crate::schedule::schedule`] guarantees by
+/// construction; the simulator's lowering checks it on every design.
+pub fn same_stage_dependence(ops: &[LabeledInsn]) -> Option<usize> {
+    (1..ops.len()).find(|&j| {
+        let b = Access::of(&ops[j]);
+        ops[..j].iter().any(|a| depends(&Access::of(a), &b) == Some(DepKind::Hard))
+    })
 }
 
 #[cfg(test)]

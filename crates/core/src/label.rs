@@ -361,28 +361,27 @@ fn classify(
                 .iter()
                 .find(|md| md.id == m)
                 .ok_or(CompileError::UnclassifiedAccess { pc })?;
-            // The key (and value for update) comes from the stack in the
-            // common case; record the bytes the hardware block must read.
-            let key_iv = match read_kind(k, 2) {
-                Kind::StackPtr(iv) if !iv.is_top() => {
-                    Some(Interval { lo: iv.lo, hi: iv.hi + i64::from(def.key_size) - 1 })
+            // Record the bytes the hardware block reads through the key
+            // (and, for an update, the value) pointer when one region holds
+            // them all. Otherwise the label stays `None` and the dependence
+            // analysis assumes the block may read any stack or packet byte.
+            let bytes = |r: u8, size: u32| {
+                let span = |iv: Interval| Interval { lo: iv.lo, hi: iv.hi + i64::from(size) - 1 };
+                match read_kind(k, r) {
+                    Kind::StackPtr(iv) if !iv.is_top() => MemLabel::Stack(span(iv)),
+                    Kind::PacketPtr(iv) if !iv.is_top() => MemLabel::Packet(span(iv)),
+                    _ => MemLabel::None,
                 }
-                _ => None,
             };
-            let val_iv = if helper == helpers::BPF_MAP_UPDATE_ELEM {
-                match read_kind(k, 3) {
-                    Kind::StackPtr(iv) if !iv.is_top() => {
-                        Some(Interval { lo: iv.lo, hi: iv.hi + i64::from(def.value_size) - 1 })
-                    }
-                    _ => None,
+            let key = bytes(2, def.key_size);
+            let lab = if helper == helpers::BPF_MAP_UPDATE_ELEM {
+                match (key, bytes(3, def.value_size)) {
+                    (MemLabel::Stack(a), MemLabel::Stack(b)) => MemLabel::Stack(a.join(b)),
+                    (MemLabel::Packet(a), MemLabel::Packet(b)) => MemLabel::Packet(a.join(b)),
+                    _ => MemLabel::None,
                 }
             } else {
-                None
-            };
-            let lab = match (key_iv, val_iv) {
-                (Some(a), Some(b)) => MemLabel::Stack(a.join(b)),
-                (Some(a), None) => MemLabel::Stack(a),
-                _ => MemLabel::None,
+                key
             };
             let mu = if info.writes_map {
                 Some(MapUse::HelperWrite(m))

@@ -68,8 +68,8 @@ pub use compile::{Compiler, CompilerOptions, PassTimings};
 pub use error::CompileError;
 pub use pipeline::{PipelineDesign, Protection, Stage, StageOp};
 pub use plan::{
-    control_inventory, ControlInventory, CsrDef, FusedOp, HostMapPort, LowerError, LowerStats,
-    LoweredPlan, LoweredStage, RegOrImm,
+    control_inventory, ControlInventory, CsrDef, FusedOp, HostMapPort, LowerError, LoweredPlan,
+    LoweredStage, RegOrImm,
 };
 pub use resource::{ResourceEstimate, Target};
 pub use shardcheck::{MapClass, MapPlan, MergePolicy, Placement, ShardError, ShardPlan};

@@ -4,15 +4,16 @@
 //! checkpoints and hazard schedule are decided when the design is built
 //! (§4). [`LoweredPlan::try_lower`] is the one pass that turns a
 //! [`PipelineDesign`] into that constant form, and the only place the
-//! tables the cycle loop needs are derived: the specialized [`FusedOp`]s
-//! beside the source ops they came from, per-stage checkpoint and map
-//! masks, per-map host fences and FEB write stages, the hazard schedule
-//! of every map write and the flat block-predecessor table. The simulator
+//! tables the cycle loop needs are derived: one specialized [`FusedOp`]
+//! per source op, per-stage checkpoint and map masks, per-map host fences
+//! and FEB write stages, the hazard schedule of every map write and the
+//! flat block-predecessor table. The simulator
 //! shares it behind one `Arc`, so the executor borrows design data while
 //! it mutates packet state. [`control_inventory`] describes the same
 //! design's host-facing interface for the resource model and the VHDL.
 
-use crate::ir::{HwInsn, Interval, MapUse, MemLabel};
+use crate::ddg::same_stage_dependence;
+use crate::ir::{HwInsn, MapUse, MemLabel};
 use crate::pipeline::{EdgeCond, PipelineDesign, StageOp};
 use ehdl_ebpf::helpers::{
     BPF_CSUM_DIFF, BPF_GET_PRANDOM_U32, BPF_GET_SMP_PROCESSOR_ID, BPF_KTIME_GET_NS,
@@ -183,14 +184,15 @@ pub(crate) fn checkpoint_stages(design: &PipelineDesign) -> Vec<bool> {
 /// Why a design could not be lowered for the simulator.
 ///
 /// The verifier rejects unknown helpers and undeclared maps at load time,
-/// and the compiler emits blocks in topological order, so a compiled
-/// design always lowers; the simulator panics with this error on a design
-/// edited by hand into one that does not.
+/// the labeling pass rejects a map helper whose map it cannot resolve, and
+/// the compiler emits blocks in topological order and schedules only
+/// write-after-read pairs into one stage, so a compiled design always
+/// lowers; the simulator panics with this error on a design edited by hand
+/// into one that does not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LowerError {
-    /// A stage calls a helper the executor has no semantics for; the
-    /// generic op path would fault the packet at runtime, so the lowerer
-    /// rejects the plan outright instead of baking a guaranteed fault.
+    /// A stage calls a helper the executor has no semantics for; rather
+    /// than bake a guaranteed fault, the lowerer rejects the plan.
     UnsupportedHelper {
         /// Pipeline stage of the offending call.
         stage: usize,
@@ -208,6 +210,25 @@ pub enum LowerError {
         pc: usize,
         /// The unresolvable map id.
         map: u32,
+    },
+    /// A map helper call whose map the labeling did not resolve, so no
+    /// key/value geometry or hazard schedule can be baked for it.
+    UnresolvedMap {
+        /// Pipeline stage of the offending call.
+        stage: usize,
+        /// Original bytecode slot of the call.
+        pc: usize,
+    },
+    /// Op `op` of stage `stage` reads or overwrites what an earlier op of
+    /// the same stage writes ([`crate::ddg::same_stage_dependence`]). A
+    /// stage's ops run in place, in stage order, which equals the
+    /// hardware's read-the-incoming-state semantics only without such a
+    /// pair.
+    SameStageDependence {
+        /// The pipeline stage.
+        stage: usize,
+        /// Index of the dependent op within the stage.
+        op: usize,
     },
     /// A block lists a predecessor that is not earlier than itself. The
     /// executor resolves enable signals in one forward walk over the
@@ -228,6 +249,12 @@ impl std::fmt::Display for LowerError {
             }
             LowerError::UnknownMap { stage, pc, map } => {
                 write!(f, "stage {stage} pc {pc}: map {map} is not declared by the design")
+            }
+            LowerError::UnresolvedMap { stage, pc } => {
+                write!(f, "stage {stage} pc {pc}: map helper call with no resolved map")
+            }
+            LowerError::SameStageDependence { stage, op } => {
+                write!(f, "stage {stage} op {op} depends on an earlier op of its own stage")
             }
             LowerError::PredecessorOrder { block, pred } => {
                 write!(f, "block {block} has predecessor {pred} out of topological order")
@@ -250,10 +277,13 @@ pub enum RegOrImm {
 
 /// One specialized micro-op of a [`LoweredPlan`] stage.
 ///
-/// Fused ops are in 1:1 correspondence with the stage's [`StageOp`]s (same
-/// order, same count): op `i` of a lowered stage specializes op `i` of
-/// [`LoweredPlan::stage_ops`]. That invariant lets the executor fall back to
-/// the generic op path *per op* when a runtime guard fails.
+/// Fused ops are in 1:1 correspondence with the design's stage ops (same
+/// order, same count): op `i` of lowered stage `s` specializes
+/// `design.stages[s].ops[i]`, whose packet-bounds proof the executor
+/// rechecks by that index. A memory op whose runtime address (or map
+/// handle) misses its label runs the unspecialized arm of the same kind:
+/// [`FusedOp::LdAny`], [`FusedOp::StAny`], [`FusedOp::AtomicAny`], or a
+/// map helper resolving its map at run time.
 ///
 /// All plan-derived constants — immediates (pre-sign-extended), map handle
 /// values, key/value geometry, WAR delays and FEB read stages — are baked
@@ -511,10 +541,50 @@ pub enum FusedOp {
     SmpId,
     /// `bpf_redirect`.
     Redirect,
-    /// No specialization: the executor runs the original [`StageOp`] at
-    /// the same index through the generic per-op path. Any stage
-    /// containing one of these is forced to delta (two-phase) mode.
-    Interp,
+    /// `bpf_xdp_adjust_head`.
+    AdjustHead,
+    /// `bpf_xdp_adjust_tail`.
+    AdjustTail,
+    /// `bpf_csum_diff`.
+    CsumDiff,
+    /// A load with no memory label: the address region is decided at run
+    /// time (context, packet, stack or map value).
+    LdAny {
+        /// Access size.
+        size: MemSize,
+        /// Destination register.
+        dst: u8,
+        /// Base address register.
+        src: u8,
+        /// Signed displacement.
+        off: i16,
+    },
+    /// A store with no stack/packet/map label (unlabelled, or to the
+    /// context, which faults): the region is decided at run time.
+    StAny {
+        /// Access size.
+        size: MemSize,
+        /// Base address register.
+        base: u8,
+        /// Signed displacement.
+        off: i16,
+        /// Stored value.
+        src: RegOrImm,
+    },
+    /// An atomic that is not on a map value (stack, packet, unlabelled):
+    /// the region is decided at run time.
+    AtomicAny {
+        /// The atomic operation.
+        op: AtomicOp,
+        /// Access size.
+        size: MemSize,
+        /// Base address register.
+        dst: u8,
+        /// Operand register.
+        src: u8,
+        /// Signed displacement.
+        off: i16,
+    },
 }
 
 /// One stage of a [`LoweredPlan`].
@@ -527,11 +597,6 @@ pub struct LoweredStage {
     pub guard_min_len: i64,
     /// Index range into the plan's fused-op array.
     ops: (u32, u32),
-    /// Execute in two-phase (delta) mode through the generic op loop:
-    /// set when the stage has an intra-stage read-after-write, a
-    /// flush-capable op past index 0, or an op with no specialization.
-    /// Direct mode (the fast path) writes packet state in place.
-    pub delta: bool,
     /// A FEB-protected read stage: a packet entering it takes a
     /// checkpoint for partial flushes.
     pub checkpoint: bool,
@@ -560,43 +625,24 @@ struct WriteSchedule {
     feb_read_stage: u32,
 }
 
-/// Lowering statistics, for reporting and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LowerStats {
-    /// Stages executing in direct (in-place) mode.
-    pub direct_stages: usize,
-    /// Stages demoted to two-phase delta mode.
-    pub delta_stages: usize,
-    /// Total fused ops (1:1 with the design's stage ops).
-    pub fused_ops: usize,
-}
-
 /// The simulator's specialized execution plan.
 ///
 /// Produced once at attach time by [`LoweredPlan::try_lower`]: every
 /// [`StageOp`] is monomorphized into a [`FusedOp`] with its operands
 /// resolved and its plan constants (immediates, map geometry, WAR delays,
-/// FEB schedules, block guards) baked in, and every stage is classified
-/// as *direct* (ops write packet state in place — no per-stage write-set
-/// indirection) or *delta* (two-phase: every op reads the stage-entry
-/// state and the writes commit together at the stage boundary).
+/// FEB schedules, block guards) baked in. The executor runs a stage's ops
+/// in place, in stage order; `try_lower` checks that no op of a stage
+/// depends on an earlier one of the same stage except write-after-read,
+/// so in-place execution equals the hardware's read-the-incoming-state
+/// semantics.
 ///
-/// Direct mode is sound only when no op observes an earlier op's write
-/// within the same stage — a stage's two-phase semantics make all
-/// reads see the stage-entry state. The lowerer proves that per stage
-/// from register read/write masks and the §3.1 memory labels, and demotes
-/// any stage it cannot prove.
-///
-/// The plan also keeps what the generic per-op path and the flush, fault
-/// and host-port machinery read: the source [`StageOp`] beside each fused
-/// op, the block predecessors in topological order, and the per-map and
+/// The plan also keeps what the flush, fault and host-port machinery
+/// read: the block predecessors in topological order, and the per-map and
 /// per-write tables documented on their accessors.
 #[derive(Debug, Clone)]
 pub struct LoweredPlan {
     stages: Vec<LoweredStage>,
     ops: Vec<FusedOp>,
-    /// The source op of each fused op, same index.
-    src: Vec<StageOp>,
     /// All block predecessors, flattened; `block_preds[b]` indexes
     /// `preds[a..z]`.
     preds: Vec<(u32, EdgeCond)>,
@@ -608,58 +654,6 @@ pub struct LoweredPlan {
     /// Sorted by `(stage, map)`; pairs absent here have neither a WAR
     /// delay nor a FEB.
     writes: Vec<WriteSchedule>,
-    stats: LowerStats,
-}
-
-/// Per-op effect summary used by the direct-mode eligibility analysis.
-#[derive(Debug, Clone, Copy)]
-struct OpEffects {
-    /// Registers read (bit `r` set for `rR`).
-    reads: u16,
-    /// Registers written.
-    writes: u16,
-    /// Memory region read, if any.
-    mem_read: Option<MemAcc>,
-    /// Memory region written, if any.
-    mem_write: Option<MemAcc>,
-    /// The op's executor can return a RAW-interlock `FlushSelf`, which
-    /// discards the whole stage — representable in direct mode only when
-    /// no earlier op has already written state (i.e. at index 0).
-    flush_capable: bool,
-}
-
-/// A conservatively-labeled memory access for intra-stage dependence
-/// checking. Map memory is deliberately absent: map writes commit
-/// immediately in *both* execution modes (they are global side effects,
-/// not per-packet state), so intra-stage map RAW ordering is identical
-/// by construction.
-#[derive(Debug, Clone, Copy)]
-enum MemAcc {
-    Stack(Interval),
-    Packet(Interval),
-    /// Unknown or helper-internal (pointer-typed helper arguments).
-    Unknown,
-}
-
-fn acc_overlaps(a: MemAcc, b: MemAcc) -> bool {
-    match (a, b) {
-        (MemAcc::Unknown, _) | (_, MemAcc::Unknown) => true,
-        (MemAcc::Stack(x), MemAcc::Stack(y)) | (MemAcc::Packet(x), MemAcc::Packet(y)) => {
-            x.overlaps(y)
-        }
-        _ => false,
-    }
-}
-
-fn bit(r: u8) -> u16 {
-    1 << (r as usize).min(15)
-}
-
-fn operand_bit(op: Operand) -> u16 {
-    match op {
-        Operand::Reg(r) => bit(r),
-        Operand::Imm(_) => 0,
-    }
 }
 
 fn sext(i: i32) -> u64 {
@@ -673,11 +667,6 @@ fn reg_or_imm(op: Operand) -> RegOrImm {
     }
 }
 
-/// Registers r0–r5 (caller-saved): every helper clobbers all of them.
-const HELPER_WRITES: u16 = 0b11_1111;
-/// Registers r1–r5: the conservative helper argument read set.
-const HELPER_READS: u16 = 0b11_1110;
-
 impl LoweredPlan {
     /// Lower `design` into the simulator's specialized plan.
     ///
@@ -686,9 +675,11 @@ impl LoweredPlan {
     /// [`LowerError::UnsupportedHelper`] for helper calls the executor
     /// has no semantics for, [`LowerError::UnknownMap`] when a
     /// map-touching op names a map the design does not declare,
-    /// [`LowerError::PredecessorOrder`] when the blocks are not in
-    /// topological order. The simulator cannot execute a design that does
-    /// not lower.
+    /// [`LowerError::UnresolvedMap`] for a map helper call with no map,
+    /// [`LowerError::SameStageDependence`] when an op of a stage depends
+    /// on an earlier op of the same stage, [`LowerError::PredecessorOrder`]
+    /// when the blocks are not in topological order. The simulator cannot
+    /// execute a design that does not lower.
     pub fn try_lower(design: &PipelineDesign) -> Result<LoweredPlan, LowerError> {
         let mut preds = Vec::new();
         let mut block_preds = Vec::with_capacity(design.blocks.len());
@@ -712,34 +703,21 @@ impl LoweredPlan {
         let mut stages = Vec::with_capacity(design.stages.len());
         let nops = design.stages.iter().map(|st| st.ops.len()).sum();
         let mut ops = Vec::with_capacity(nops);
-        let mut src = Vec::with_capacity(nops);
-        let mut stats = LowerStats::default();
         for (s, stage) in design.stages.iter().enumerate() {
+            if let Some(op) = same_stage_dependence(&stage.ops) {
+                return Err(LowerError::SameStageDependence { stage: s, op });
+            }
             let mut st = LoweredStage {
                 block: stage.block as u32,
                 guard_min_len: guard_min_len.get(stage.block).copied().unwrap_or(i64::MIN),
                 ops: (ops.len() as u32, 0),
-                delta: false,
                 checkpoint: checkpoint[s],
                 lookup: false,
                 effect_maps: 0,
                 read_maps: 0,
             };
-            let mut written: u16 = 0;
-            let mut mem_writes: Vec<MemAcc> = Vec::new();
-            for (i, op) in stage.ops.iter().enumerate() {
-                let (fused, eff) = lower_op(design, &writes, s, op)?;
-                if matches!(fused, FusedOp::Interp)
-                    || (eff.flush_capable && i > 0)
-                    || (eff.reads & written) != 0
-                    || eff.mem_read.is_some_and(|r| mem_writes.iter().any(|&w| acc_overlaps(w, r)))
-                {
-                    st.delta = true;
-                }
-                written |= eff.writes;
-                if let Some(w) = eff.mem_write {
-                    mem_writes.push(w);
-                }
+            for op in &stage.ops {
+                ops.push(lower_op(design, &writes, s, op)?);
                 if let Some(mu) = op.map_use {
                     reach.note(s, mu);
                     st.lookup |= matches!(mu, MapUse::Lookup(_));
@@ -749,20 +727,10 @@ impl LoweredPlan {
                         st.read_maps |= map_bit(mu.map());
                     }
                 }
-                ops.push(fused);
-                src.push(*op);
-            }
-            if !stage.ops.is_empty() {
-                if st.delta {
-                    stats.delta_stages += 1;
-                } else {
-                    stats.direct_stages += 1;
-                }
             }
             st.ops.1 = ops.len() as u32;
             stages.push(st);
         }
-        stats.fused_ops = ops.len();
         let mut feb_write_max = vec![None; design.maps.len()];
         for f in &design.hazards.febs {
             if let Some(w) = feb_write_max.get_mut(f.map as usize) {
@@ -772,13 +740,11 @@ impl LoweredPlan {
         Ok(LoweredPlan {
             stages,
             ops,
-            src,
             preds,
             block_preds,
             host_fence: reach.fence,
             feb_write_max,
             writes,
-            stats,
         })
     }
 
@@ -794,19 +760,11 @@ impl LoweredPlan {
         &self.stages[s]
     }
 
-    /// The fused ops of stage `s` (1:1 with [`LoweredPlan::stage_ops`]).
+    /// The fused ops of stage `s`, 1:1 with the design's `stages[s].ops`.
     #[inline]
     pub fn stage_fused(&self, s: usize) -> &[FusedOp] {
         let (a, b) = self.stages[s].ops;
         &self.ops[a as usize..b as usize]
-    }
-
-    /// The source ops of stage `s`, as scheduled in the design; op `i` is
-    /// the one fused op `i` specializes.
-    #[inline]
-    pub fn stage_ops(&self, s: usize) -> &[StageOp] {
-        let (a, b) = self.stages[s].ops;
-        &self.src[a as usize..b as usize]
     }
 
     /// Block `b`'s predecessors with their edge conditions; every
@@ -834,17 +792,12 @@ impl LoweredPlan {
 
     /// The hazard schedule of a write to map `m` at stage `s`: its WAR
     /// delay and the protected read stage of its FEB (both 0 when absent).
-    /// Lowering bakes it into the fused write ops; the generic path,
-    /// which resolves the map from a runtime handle, asks here.
+    /// Lowering bakes it into the fused write ops; a write whose map is
+    /// resolved at run time (a guard miss or an unlabelled store) asks
+    /// here.
     pub fn write_schedule(&self, s: usize, m: u32) -> (u64, usize) {
         let (delay, feb_read_stage) = schedule_of(&self.writes, s, m);
         (u64::from(delay), feb_read_stage as usize)
-    }
-
-    /// Lowering statistics.
-    #[inline]
-    pub fn stats(&self) -> LowerStats {
-        self.stats
     }
 }
 
@@ -903,26 +856,18 @@ fn map_geom(design: &PipelineDesign, s: usize, pc: usize, map: u32) -> Result<Ma
         .ok_or(LowerError::UnknownMap { stage: s, pc, map })
 }
 
-const NO_MEM: (Option<MemAcc>, Option<MemAcc>) = (None, None);
-
 #[allow(clippy::too_many_lines)]
 fn lower_op(
     design: &PipelineDesign,
     writes: &[WriteSchedule],
     s: usize,
     op: &StageOp,
-) -> Result<(FusedOp, OpEffects), LowerError> {
-    let eff = |reads: u16, writes: u16, mem: (Option<MemAcc>, Option<MemAcc>), fc: bool| {
-        OpEffects { reads, writes, mem_read: mem.0, mem_write: mem.1, flush_capable: fc }
-    };
+) -> Result<FusedOp, LowerError> {
     Ok(match op.insn {
-        HwInsn::Alu3 { op: aop, width, dst, a, b } => {
-            let e = eff(bit(a) | operand_bit(b), bit(dst), NO_MEM, false);
-            match b {
-                Operand::Reg(r) => (FusedOp::Alu3RR { op: aop, width, dst, a, b: r }, e),
-                Operand::Imm(i) => (FusedOp::Alu3RI { op: aop, width, dst, a, imm: sext(i) }, e),
-            }
-        }
+        HwInsn::Alu3 { op: aop, width, dst, a, b } => match b {
+            Operand::Reg(r) => FusedOp::Alu3RR { op: aop, width, dst, a, b: r },
+            Operand::Imm(i) => FusedOp::Alu3RI { op: aop, width, dst, a, imm: sext(i) },
+        },
         HwInsn::Simple(insn) => match insn {
             Instruction::Alu { op: aop, width, dst, src } => match (aop, src) {
                 (AluOp::Mov, Operand::Imm(i)) => {
@@ -931,210 +876,128 @@ fn lower_op(
                         Width::W64 => sext(i),
                         Width::W32 => u64::from(i as u32),
                     };
-                    (FusedOp::MovImm { dst, imm: v }, eff(0, bit(dst), NO_MEM, false))
+                    FusedOp::MovImm { dst, imm: v }
                 }
-                (AluOp::Mov, Operand::Reg(r)) => (
-                    FusedOp::AluRR { op: aop, width, dst, src: r },
-                    // Mov ignores the old dst value.
-                    eff(bit(r), bit(dst), NO_MEM, false),
-                ),
-                (_, Operand::Reg(r)) => (
-                    FusedOp::AluRR { op: aop, width, dst, src: r },
-                    eff(bit(dst) | bit(r), bit(dst), NO_MEM, false),
-                ),
-                (_, Operand::Imm(i)) => (
-                    FusedOp::AluRI { op: aop, width, dst, imm: sext(i) },
-                    eff(bit(dst), bit(dst), NO_MEM, false),
-                ),
+                (_, Operand::Reg(r)) => FusedOp::AluRR { op: aop, width, dst, src: r },
+                (_, Operand::Imm(i)) => FusedOp::AluRI { op: aop, width, dst, imm: sext(i) },
             },
-            Instruction::Endian { dst, bits, to_be } => {
-                (FusedOp::Endian { dst, bits, to_be }, eff(bit(dst), bit(dst), NO_MEM, false))
-            }
+            Instruction::Endian { dst, bits, to_be } => FusedOp::Endian { dst, bits, to_be },
             Instruction::LoadImm64 { dst, imm, map } => {
                 let v = match map {
                     Some(id) => MAP_HANDLE_BASE + u64::from(id),
                     None => imm,
                 };
-                (FusedOp::MovImm { dst, imm: v }, eff(0, bit(dst), NO_MEM, false))
+                FusedOp::MovImm { dst, imm: v }
             }
-            Instruction::Load { size, dst, src, off } => {
-                let e = |mem_read, fc| eff(bit(src), bit(dst), (mem_read, None), fc);
-                match op.label {
-                    MemLabel::Ctx(_) => (FusedOp::LdCtx { size, dst, src, off }, e(None, false)),
-                    MemLabel::Stack(iv) => {
-                        (FusedOp::LdStk { size, dst, src, off }, e(Some(MemAcc::Stack(iv)), false))
-                    }
-                    MemLabel::Packet(iv) => (
-                        FusedOp::LdPkt { size, dst, src, off, proven: op.proof.is_some() },
-                        e(Some(MemAcc::Packet(iv)), false),
-                    ),
-                    MemLabel::Map(m) => {
-                        let g = map_geom(design, s, op.pc, m)?;
-                        (
-                            FusedOp::LdMap {
-                                size,
-                                dst,
-                                src,
-                                off,
-                                map: m,
-                                stride: g.stride,
-                                value_size: g.value_size,
-                            },
-                            // Map reads hit the stale-risk interlock.
-                            e(None, true),
-                        )
-                    }
-                    MemLabel::None => (FusedOp::Interp, e(Some(MemAcc::Unknown), true)),
+            Instruction::Load { size, dst, src, off } => match op.label {
+                MemLabel::Ctx(_) => FusedOp::LdCtx { size, dst, src, off },
+                MemLabel::Stack(_) => FusedOp::LdStk { size, dst, src, off },
+                MemLabel::Packet(_) => {
+                    FusedOp::LdPkt { size, dst, src, off, proven: op.proof.is_some() }
                 }
-            }
+                MemLabel::Map(m) => {
+                    let g = map_geom(design, s, op.pc, m)?;
+                    FusedOp::LdMap {
+                        size,
+                        dst,
+                        src,
+                        off,
+                        map: m,
+                        stride: g.stride,
+                        value_size: g.value_size,
+                    }
+                }
+                MemLabel::None => FusedOp::LdAny { size, dst, src, off },
+            },
             Instruction::Store { size, dst, off, src } => {
-                let reads = bit(dst) | operand_bit(src);
-                let e = |mem_write, fc| eff(reads, 0, (None, mem_write), fc);
                 let v = reg_or_imm(src);
                 match op.label {
-                    MemLabel::Stack(iv) => (
-                        FusedOp::StStk { size, base: dst, off, src: v },
-                        e(Some(MemAcc::Stack(iv)), false),
-                    ),
-                    MemLabel::Packet(iv) => (
-                        FusedOp::StPkt { size, base: dst, off, src: v, proven: op.proof.is_some() },
-                        e(Some(MemAcc::Packet(iv)), false),
-                    ),
+                    MemLabel::Stack(_) => FusedOp::StStk { size, base: dst, off, src: v },
+                    MemLabel::Packet(_) => {
+                        FusedOp::StPkt { size, base: dst, off, src: v, proven: op.proof.is_some() }
+                    }
                     MemLabel::Map(m) => {
                         let g = map_geom(design, s, op.pc, m)?;
                         let (delay, feb_read_stage) = schedule_of(writes, s, m);
-                        (
-                            FusedOp::StMap {
-                                size,
-                                base: dst,
-                                off,
-                                src: v,
-                                map: m,
-                                stride: g.stride,
-                                value_size: g.value_size,
-                                delay,
-                                feb_read_stage,
-                            },
-                            e(None, false),
-                        )
+                        FusedOp::StMap {
+                            size,
+                            base: dst,
+                            off,
+                            src: v,
+                            map: m,
+                            stride: g.stride,
+                            value_size: g.value_size,
+                            delay,
+                            feb_read_stage,
+                        }
                     }
                     MemLabel::Ctx(_) | MemLabel::None => {
-                        (FusedOp::Interp, e(Some(MemAcc::Unknown), true))
+                        FusedOp::StAny { size, base: dst, off, src: v }
                     }
                 }
             }
-            Instruction::Atomic { op: aop, size, dst, off, src } => {
-                let mut reads = bit(dst) | bit(src);
-                if aop == AtomicOp::Cmpxchg {
-                    reads |= bit(0);
-                }
-                let writes = match aop {
-                    AtomicOp::Cmpxchg => bit(0),
-                    _ if aop.fetches() => bit(src),
-                    _ => 0,
-                };
-                match op.label {
-                    MemLabel::Map(m) => {
-                        let g = map_geom(design, s, op.pc, m)?;
-                        (
-                            FusedOp::AtomicMap {
-                                op: aop,
-                                size,
-                                dst,
-                                src,
-                                off,
-                                map: m,
-                                stride: g.stride,
-                                value_size: g.value_size,
-                            },
-                            eff(reads, writes, NO_MEM, true),
-                        )
-                    }
-                    _ => (
-                        FusedOp::Interp,
-                        eff(reads, writes, (Some(MemAcc::Unknown), Some(MemAcc::Unknown)), true),
-                    ),
-                }
-            }
-            Instruction::Jump { cond, .. } => match cond {
-                None => (FusedOp::JmpAlways, eff(0, 0, NO_MEM, false)),
-                Some(c) => {
-                    let e = eff(bit(c.lhs) | operand_bit(c.rhs), 0, NO_MEM, false);
-                    match c.rhs {
-                        Operand::Reg(r) => {
-                            (FusedOp::JmpRR { op: c.op, width: c.width, lhs: c.lhs, rhs: r }, e)
-                        }
-                        Operand::Imm(i) => (
-                            FusedOp::JmpRI { op: c.op, width: c.width, lhs: c.lhs, imm: sext(i) },
-                            e,
-                        ),
+            Instruction::Atomic { op: aop, size, dst, off, src } => match op.label {
+                MemLabel::Map(m) => {
+                    let g = map_geom(design, s, op.pc, m)?;
+                    FusedOp::AtomicMap {
+                        op: aop,
+                        size,
+                        dst,
+                        src,
+                        off,
+                        map: m,
+                        stride: g.stride,
+                        value_size: g.value_size,
                     }
                 }
+                _ => FusedOp::AtomicAny { op: aop, size, dst, src, off },
             },
-            Instruction::Call { helper } => {
-                let mem_in = Some(MemAcc::Unknown);
-                match helper {
-                    BPF_MAP_LOOKUP_ELEM => {
-                        let Some(MapUse::Lookup(m)) = op.map_use else {
-                            // No resolved map: run the generic
-                            // handle-decoding path.
-                            return Ok((
-                                FusedOp::Interp,
-                                eff(HELPER_READS, HELPER_WRITES, (mem_in, None), true),
-                            ));
-                        };
-                        let g = map_geom(design, s, op.pc, m)?;
-                        (
-                            FusedOp::Lookup { map: m, key_size: g.key_size, stride: g.stride },
-                            eff(bit(1) | bit(2), HELPER_WRITES, (mem_in, None), true),
-                        )
+            Instruction::Jump { cond, .. } => match cond {
+                None => FusedOp::JmpAlways,
+                Some(c) => match c.rhs {
+                    Operand::Reg(r) => {
+                        FusedOp::JmpRR { op: c.op, width: c.width, lhs: c.lhs, rhs: r }
                     }
-                    BPF_MAP_UPDATE_ELEM | BPF_MAP_DELETE_ELEM => {
-                        let Some(MapUse::HelperWrite(m)) = op.map_use else {
-                            return Ok((
-                                FusedOp::Interp,
-                                eff(HELPER_READS, HELPER_WRITES, (mem_in, None), true),
-                            ));
-                        };
-                        let g = map_geom(design, s, op.pc, m)?;
-                        let (delay, feb) = schedule_of(writes, s, m);
-                        let fused = if helper == BPF_MAP_UPDATE_ELEM {
-                            FusedOp::MapUpdate {
-                                map: m,
-                                key_size: g.key_size,
-                                value_size: g.value_size,
-                                delay,
-                                feb_read_stage: feb,
-                            }
-                        } else {
-                            FusedOp::MapDelete {
-                                map: m,
-                                key_size: g.key_size,
-                                delay,
-                                feb_read_stage: feb,
-                            }
-                        };
-                        (fused, eff(HELPER_READS, HELPER_WRITES, (mem_in, None), true))
+                    Operand::Imm(i) => {
+                        FusedOp::JmpRI { op: c.op, width: c.width, lhs: c.lhs, imm: sext(i) }
                     }
-                    BPF_KTIME_GET_NS => (FusedOp::Ktime, eff(0, HELPER_WRITES, NO_MEM, false)),
-                    BPF_GET_PRANDOM_U32 => (FusedOp::Prandom, eff(0, HELPER_WRITES, NO_MEM, false)),
-                    BPF_GET_SMP_PROCESSOR_ID => {
-                        (FusedOp::SmpId, eff(0, HELPER_WRITES, NO_MEM, false))
+                },
+            },
+            Instruction::Call { helper } => match helper {
+                BPF_MAP_LOOKUP_ELEM | BPF_MAP_UPDATE_ELEM | BPF_MAP_DELETE_ELEM => {
+                    let unresolved = LowerError::UnresolvedMap { stage: s, pc: op.pc };
+                    let m = op.map_use.ok_or(unresolved)?.map();
+                    let g = map_geom(design, s, op.pc, m)?;
+                    let (delay, feb_read_stage) = schedule_of(writes, s, m);
+                    match helper {
+                        BPF_MAP_LOOKUP_ELEM => {
+                            FusedOp::Lookup { map: m, key_size: g.key_size, stride: g.stride }
+                        }
+                        BPF_MAP_UPDATE_ELEM => FusedOp::MapUpdate {
+                            map: m,
+                            key_size: g.key_size,
+                            value_size: g.value_size,
+                            delay,
+                            feb_read_stage,
+                        },
+                        _ => FusedOp::MapDelete {
+                            map: m,
+                            key_size: g.key_size,
+                            delay,
+                            feb_read_stage,
+                        },
                     }
-                    BPF_REDIRECT => (FusedOp::Redirect, eff(bit(1), HELPER_WRITES, NO_MEM, false)),
-                    BPF_XDP_ADJUST_HEAD | BPF_XDP_ADJUST_TAIL => (
-                        // Moves packet geometry, which every packet access
-                        // implicitly reads: model as an unknown write.
-                        FusedOp::Interp,
-                        eff(HELPER_READS, HELPER_WRITES, (None, Some(MemAcc::Unknown)), false),
-                    ),
-                    BPF_CSUM_DIFF => {
-                        (FusedOp::Interp, eff(HELPER_READS, HELPER_WRITES, (mem_in, None), true))
-                    }
-                    _ => return Err(LowerError::UnsupportedHelper { stage: s, pc: op.pc, helper }),
                 }
-            }
-            Instruction::Exit => (FusedOp::Exit, eff(bit(0), 0, NO_MEM, false)),
+                BPF_KTIME_GET_NS => FusedOp::Ktime,
+                BPF_GET_PRANDOM_U32 => FusedOp::Prandom,
+                BPF_GET_SMP_PROCESSOR_ID => FusedOp::SmpId,
+                BPF_REDIRECT => FusedOp::Redirect,
+                BPF_XDP_ADJUST_HEAD => FusedOp::AdjustHead,
+                BPF_XDP_ADJUST_TAIL => FusedOp::AdjustTail,
+                BPF_CSUM_DIFF => FusedOp::CsumDiff,
+                _ => return Err(LowerError::UnsupportedHelper { stage: s, pc: op.pc, helper }),
+            },
+            Instruction::Exit => FusedOp::Exit,
         },
     })
 }
@@ -1170,9 +1033,6 @@ mod tests {
         let design = branchy_design();
         let plan = LoweredPlan::try_lower(&design).unwrap();
         assert_eq!(plan.stage_count(), design.stages.len());
-        for (s, stage) in design.stages.iter().enumerate() {
-            assert_eq!(plan.stage_ops(s), &stage.ops[..]);
-        }
         for (b, info) in design.blocks.iter().enumerate() {
             let got: Vec<(usize, EdgeCond)> =
                 plan.preds_of(b).iter().map(|&(p, c)| (p as usize, c)).collect();
@@ -1260,11 +1120,10 @@ mod tests {
     }
 
     #[test]
-    fn lowering_is_one_to_one_with_stage_ops() {
+    fn lowering_is_one_to_one_with_the_design_ops() {
         let design = branchy_design();
         let lowered = LoweredPlan::try_lower(&design).expect("branchy design lowers");
         assert_eq!(lowered.stage_count(), design.stages.len());
-        let mut total = 0;
         for (s, stage) in design.stages.iter().enumerate() {
             assert_eq!(
                 lowered.stage_fused(s).len(),
@@ -1272,11 +1131,7 @@ mod tests {
                 "stage {s}: fused ops must be 1:1 with stage ops"
             );
             assert_eq!(lowered.stage(s).block as usize, stage.block);
-            total += stage.ops.len();
         }
-        let stats = lowered.stats();
-        assert_eq!(stats.fused_ops, total);
-        assert!(stats.direct_stages > 0, "a pure ALU design has direct stages");
     }
 
     #[test]
@@ -1377,5 +1232,69 @@ mod tests {
             all.iter().any(|f| matches!(f, FusedOp::AtomicMap { map: 0, value_size: 8, .. })),
             "map-labeled atomic must specialize with baked geometry"
         );
+    }
+
+    /// A register consumer spliced into its producer's stage.
+    #[test]
+    fn a_same_stage_dependence_is_a_typed_error() {
+        let mut design = branchy_design();
+        // Stage 0 loads `r7 = data`; stage 1 reads `r7`.
+        assert!(design.stages[1]
+            .ops
+            .iter()
+            .any(|op| matches!(op.insn, HwInsn::Simple(Instruction::Load { src: 7, .. }))));
+        let consumer = design.stages[1].ops.remove(0);
+        design.stages[0].ops.push(consumer);
+        let err = LoweredPlan::try_lower(&design).expect_err("a RAW pair cannot share a stage");
+        assert_eq!(err, LowerError::SameStageDependence { stage: 0, op: 1 });
+        assert!(err.to_string().contains("stage 0 op 1"), "display: {err}");
+        // The reader first and the writer second is a WAR pair: it lowers.
+        design.stages[0].ops.swap(0, 1);
+        assert!(LoweredPlan::try_lower(&design).is_ok());
+    }
+
+    #[test]
+    fn a_map_helper_without_a_map_is_a_typed_error() {
+        use ehdl_ebpf::maps::{MapDef, MapKind};
+        let mut a = Asm::new();
+        a.mov64_imm(2, 0);
+        a.store_reg(MemSize::W, 10, -4, 2);
+        a.ld_map_fd(1, 0);
+        a.mov64_reg(2, 10);
+        a.alu64_imm(AluOp::Add, 2, -4);
+        a.call(BPF_MAP_DELETE_ELEM);
+        a.mov64_imm(0, 2);
+        a.exit();
+        let prog =
+            Program::new("del", a.into_insns(), vec![MapDef::new(0, "m", MapKind::Hash, 4, 8, 8)]);
+        let mut design = Compiler::new().compile(&prog).unwrap();
+        let (s, op) = design
+            .stages
+            .iter_mut()
+            .enumerate()
+            .find_map(|(s, st)| st.ops.iter_mut().find(|op| op.map_use.is_some()).map(|op| (s, op)))
+            .unwrap();
+        op.map_use = None;
+        let pc = op.pc;
+        let err = LoweredPlan::try_lower(&design).expect_err("no map, no geometry");
+        assert_eq!(err, LowerError::UnresolvedMap { stage: s, pc });
+    }
+
+    #[test]
+    fn packet_helpers_and_unlabelled_accesses_specialize() {
+        let mut design = branchy_design();
+        let calls = [BPF_XDP_ADJUST_HEAD, BPF_XDP_ADJUST_TAIL, BPF_CSUM_DIFF];
+        for (s, helper) in calls.into_iter().enumerate() {
+            design.stages[s].ops[0].insn = HwInsn::Simple(Instruction::Call { helper });
+            design.stages[s].ops[0].label = MemLabel::None;
+        }
+        let lowered = LoweredPlan::try_lower(&design).unwrap();
+        let first: Vec<FusedOp> = (0..3).map(|s| lowered.stage_fused(s)[0]).collect();
+        assert_eq!(first, [FusedOp::AdjustHead, FusedOp::AdjustTail, FusedOp::CsumDiff]);
+        // The first load loses its `Ctx` label: it runs the region-dispatching arm.
+        let mut design = branchy_design();
+        design.stages[0].ops[0].label = MemLabel::None;
+        let lowered = LoweredPlan::try_lower(&design).unwrap();
+        assert!(matches!(lowered.stage_fused(0)[0], FusedOp::LdAny { dst: 7, src: 1, .. }));
     }
 }

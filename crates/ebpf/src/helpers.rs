@@ -44,7 +44,8 @@ pub struct HelperInfo {
     pub reads_map: bool,
     /// Writes a map (an `eHDLmap` write port; RAW/WAR relevant).
     pub writes_map: bool,
-    /// Consumes a key from the stack frame (lookup/update/delete).
+    /// Reads memory through pointer arguments: a map helper's key (and
+    /// value), `csum_diff`'s buffers. Usually stack bytes.
     pub reads_stack: bool,
     /// May rewrite the packet buffer (e.g. `xdp_adjust_head`).
     pub writes_packet: bool,

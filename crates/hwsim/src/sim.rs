@@ -1,11 +1,8 @@
 //! The pipeline simulator.
 
-use ehdl_core::ir::HwInsn;
 use ehdl_core::pipeline::{EdgeCond, PipelineDesign};
 use ehdl_core::plan::map_bit;
 use ehdl_core::LoweredPlan;
-use ehdl_ebpf::helpers::*;
-use ehdl_ebpf::insn::{Instruction, Operand};
 use ehdl_ebpf::maps::{MapStore, UpdateFlags};
 use ehdl_ebpf::opcode::{AtomicOp, MemSize};
 use ehdl_ebpf::vm::{
@@ -375,15 +372,10 @@ struct PendingWrite {
 #[derive(Debug, Clone)]
 pub struct PipelineSim {
     design: Arc<PipelineDesign>,
-    /// The design fixed at attach time: fused ops beside their source ops,
-    /// each stage classified direct or delta, and every design-derived
-    /// table the cycle loop reads. Shared, so the hot loop borrows it while
-    /// mutating the simulator.
+    /// The design fixed at attach time: one fused op per stage op and
+    /// every design-derived table the cycle loop reads. Shared, so the hot
+    /// loop borrows it while mutating the simulator.
     plan: Arc<LoweredPlan>,
-    /// Run every stage through the two-phase executor on the hooked walk:
-    /// the reference the direct lowering is tested against.
-    #[cfg(test)]
-    two_phase_reference: bool,
     options: SimOptions,
     maps: MapStore,
     slots: Vec<Option<Box<InFlight>>>,
@@ -398,8 +390,6 @@ pub struct PipelineSim {
     /// Post-flush reload bubble.
     stall: u64,
     prandom_state: u64,
-    /// Reusable per-stage write set (cleared, never reallocated).
-    scratch: Option<Box<Delta>>,
     /// Reusable map key / byte-string buffers for helper calls.
     scratch_key: Vec<u8>,
     scratch_val: Vec<u8>,
@@ -490,8 +480,6 @@ impl PipelineSim {
         PipelineSim {
             design: Arc::new(design.clone()),
             plan,
-            #[cfg(test)]
-            two_phase_reference: false,
             options,
             maps,
             slots: vec![None; nstages],
@@ -504,7 +492,6 @@ impl PipelineSim {
             inject_busy: 0,
             stall: 0,
             prandom_state: 0x9e37_79b9_7f4a_7c15,
-            scratch: Some(Box::default()),
             scratch_key: Vec::new(),
             scratch_val: Vec::new(),
             buf_pool: Vec::new(),
@@ -533,12 +520,6 @@ impl PipelineSim {
     /// The compiled design this simulator executes.
     pub fn design(&self) -> &PipelineDesign {
         &self.design
-    }
-
-    /// How the design lowered: stages executing in place (direct) versus
-    /// two-phase (delta), and the fused op count.
-    pub fn lower_stats(&self) -> ehdl_core::LowerStats {
-        self.plan.stats()
     }
 
     /// Per-map pipeline lookup counts (telemetry CSRs).
@@ -722,8 +703,6 @@ impl PipelineSim {
             && self.ctrl.is_none()
             && self.replay.is_empty()
             && !self.options.poison_dead_state;
-        #[cfg(test)]
-        let regular = regular && !self.two_phase_reference;
         if regular {
             while s > 0 {
                 s -= 1;
@@ -1432,234 +1411,6 @@ impl PipelineSim {
         e
     }
 
-    /// The two-phase stage body: every op reads the incoming state; writes
-    /// land in the recycled scratch write set and commit together at the
-    /// stage boundary (§4.1, Fig. 8). Executes the *delta* stages — those
-    /// whose ops the lowerer could not prove order-independent — through
-    /// the generic per-op path, [`PipelineSim::exec_op`].
-    fn exec_stage_two_phase(
-        &mut self,
-        s: usize,
-        block: usize,
-        pkt: &mut InFlight,
-        lp: &LoweredPlan,
-    ) -> StageResult {
-        let ops = lp.stage_ops(s);
-        let mut delta = self.scratch.take().expect("scratch delta available");
-        let mut result = StageResult::Ok;
-        for op in ops {
-            match self.exec_op(s, op, pkt.seq, &pkt.state, &mut delta) {
-                Ok(()) => {}
-                Err(OpAbort::Fault) => {
-                    delta.fault = true;
-                    break;
-                }
-                Err(OpAbort::FlushSelf) => {
-                    delta.clear();
-                    self.scratch = Some(delta);
-                    return StageResult::FlushSelf;
-                }
-            }
-        }
-        if let Some((map, key, read_stage)) = delta.flush_below.take() {
-            result = StageResult::FlushBelow { boundary: s, read_stage, map, key };
-        }
-        delta.apply(&mut pkt.state, block);
-
-        let had_side_effect = delta.side_effect;
-        delta.clear();
-        self.scratch = Some(delta);
-        if had_side_effect {
-            // Checkpoint after this stage (App. A.2 elastic buffer): a
-            // flush rolling back to a point at or after it resumes here
-            // instead of replaying the committed side effect.
-            let snap = self.pool.snapshot(&pkt.state);
-            pkt.checkpoints.push((s + 1, snap));
-        }
-        result
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn exec_op(
-        &mut self,
-        stage_idx: usize,
-        op: &ehdl_core::StageOp,
-        seq: u64,
-        state: &PacketState,
-        delta: &mut Delta,
-    ) -> Result<(), OpAbort> {
-        let regs = &state.regs;
-        match op.insn {
-            HwInsn::Alu3 { op: aop, width, dst, a, b } => {
-                let bv = operand(regs, b);
-                delta.set_reg(dst, alu_eval(aop, width, regs[a as usize], bv));
-            }
-            HwInsn::Simple(insn) => match insn {
-                Instruction::Alu { op: aop, width, dst, src } => {
-                    let sv = operand(regs, src);
-                    delta.set_reg(dst, alu_eval(aop, width, regs[dst as usize], sv));
-                }
-                Instruction::Endian { dst, bits, to_be } => {
-                    delta.set_reg(dst, endian_eval(regs[dst as usize], bits, to_be));
-                }
-                Instruction::LoadImm64 { dst, imm, map } => {
-                    let v = match map {
-                        Some(id) => MAP_HANDLE_BASE + u64::from(id),
-                        None => imm,
-                    };
-                    delta.set_reg(dst, v);
-                }
-                Instruction::Load { size, dst, src, off } => {
-                    let addr = regs[src as usize].wrapping_add(off as i64 as u64);
-                    self.check_proof(op, addr, state);
-                    let v = self.mem_read(state, seq, addr, size)?;
-                    delta.set_reg(dst, v);
-                }
-                Instruction::Store { size, dst, off, src } => {
-                    let addr = regs[dst as usize].wrapping_add(off as i64 as u64);
-                    self.check_proof(op, addr, state);
-                    let v = operand(regs, src);
-                    if let Some((map, slot, off, value_size)) = self.map_value_at(addr) {
-                        let (delay, feb) = self.plan.write_schedule(stage_idx, map);
-                        let fx = self.map_value_store(
-                            stage_idx, map, slot, off, size, v, value_size, delay, feb, seq,
-                        )?;
-                        delta.land(fx);
-                    } else {
-                        self.local_write(state, addr, size, v, delta)?;
-                    }
-                }
-                Instruction::Atomic { op: aop, size, dst, off, src } => {
-                    let addr = regs[dst as usize].wrapping_add(off as i64 as u64);
-                    self.check_proof(op, addr, state);
-                    let operand_v = regs[src as usize];
-                    let old = if let Some((map, slot, off, value_size)) = self.map_value_at(addr) {
-                        // Atomics on map values execute in the map block
-                        // immediately.
-                        let fx = self.map_atomic(
-                            map, slot, off, size, value_size, aop, operand_v, regs[0], seq,
-                        )?;
-                        delta.land(fx)
-                    } else {
-                        // Stack/packet atomics are local read-modify-writes;
-                        // the store path commits the write at the boundary.
-                        let old = self.mem_read(state, seq, addr, size)?;
-                        let new = atomic_new_value(aop, old, operand_v, regs[0] & mask_for(size));
-                        self.local_write(state, addr, size, new, delta)?;
-                        old
-                    };
-                    match aop {
-                        AtomicOp::Cmpxchg => delta.set_reg(0, old),
-                        _ if aop.fetches() => delta.set_reg(src, old),
-                        _ => {}
-                    }
-                }
-                Instruction::Jump { cond, .. } => {
-                    if let Some(c) = cond {
-                        let l = regs[c.lhs as usize];
-                        let r = operand(regs, c.rhs);
-                        delta.taken = Some(cond_eval(c.op, c.width, l, r));
-                    } else {
-                        delta.taken = Some(true);
-                    }
-                }
-                Instruction::Call { helper } => {
-                    self.exec_helper(stage_idx, helper, seq, state, delta)?;
-                }
-                Instruction::Exit => {
-                    delta.action = Some(XdpAction::from_r0(regs[0]));
-                }
-            },
-        }
-        Ok(())
-    }
-
-    fn exec_helper(
-        &mut self,
-        stage_idx: usize,
-        helper: u32,
-        seq: u64,
-        state: &PacketState,
-        delta: &mut Delta,
-    ) -> Result<(), OpAbort> {
-        let regs = &state.regs;
-        let r0 = match helper {
-            BPF_MAP_LOOKUP_ELEM => {
-                let map_id = map_handle(regs[1]).ok_or(OpAbort::Fault)?;
-                let def = self.maps.get(map_id).ok_or(OpAbort::Fault)?.def();
-                let (key_size, stride) = (def.key_size as usize, def.value_stride());
-                let fx = self.map_lookup(stage_idx, map_id, key_size, stride, seq, state)?;
-                delta.land(fx)
-            }
-            BPF_MAP_UPDATE_ELEM | BPF_MAP_DELETE_ELEM => {
-                let map_id = map_handle(regs[1]).ok_or(OpAbort::Fault)?;
-                let def = self.maps.get(map_id).ok_or(OpAbort::Fault)?.def();
-                let (key_size, value_size) = (def.key_size as usize, def.value_size as usize);
-                let (delay, feb) = self.plan.write_schedule(stage_idx, map_id);
-                let fx = if helper == BPF_MAP_UPDATE_ELEM {
-                    self.map_update(
-                        stage_idx, map_id, key_size, value_size, delay, feb, seq, state,
-                    )?
-                } else {
-                    self.map_delete(stage_idx, map_id, key_size, delay, feb, seq, state)?
-                };
-                delta.land(fx)
-            }
-            BPF_KTIME_GET_NS => self.time_ns(),
-            BPF_GET_PRANDOM_U32 => self.prandom(),
-            BPF_GET_SMP_PROCESSOR_ID => 0,
-            BPF_REDIRECT => {
-                delta.redirect = Some(regs[1] as u32);
-                XdpAction::Redirect.code()
-            }
-            BPF_XDP_ADJUST_HEAD => {
-                let d = regs[2] as i64;
-                let new_off = state.data_off as i64 + d;
-                if new_off < 0 || new_off as usize >= state.end_off {
-                    (-1i64) as u64
-                } else {
-                    delta.new_data_off = Some(new_off as usize);
-                    0
-                }
-            }
-            BPF_XDP_ADJUST_TAIL => {
-                let d = regs[2] as i64;
-                let new_end = state.end_off as i64 + d;
-                if new_end <= state.data_off as i64 || new_end as usize > state.buf.len() {
-                    (-1i64) as u64
-                } else {
-                    delta.new_end_off = Some(new_end as usize);
-                    0
-                }
-            }
-            BPF_CSUM_DIFF => {
-                let from_size = regs[2] as usize;
-                let to_size = regs[4] as usize;
-                let mut sum = regs[5] as i64;
-                let mut buf = std::mem::take(&mut self.scratch_val);
-                let r = (|| {
-                    if from_size > 0 {
-                        sum -= self.csum_block(state, seq, regs[1], from_size, &mut buf)?;
-                    }
-                    if to_size > 0 {
-                        sum += self.csum_block(state, seq, regs[3], to_size, &mut buf)?;
-                    }
-                    Ok(())
-                })();
-                buf.clear();
-                self.scratch_val = buf;
-                r?;
-                (sum as u64) & 0xffff_ffff
-            }
-            _ => return Err(OpAbort::Fault),
-        };
-        delta.set_reg(0, r0);
-        for r in 1..=5u8 {
-            delta.set_reg(r, 0);
-        }
-        Ok(())
-    }
-
     /// In poison mode, clobber all state the pruning analysis declared
     /// dead at the boundary entering `stage` — emulating the wires the
     /// real hardware simply does not have (§4.3).
@@ -1711,20 +1462,18 @@ impl PipelineSim {
             })
     }
 
-    /// Recheck a compile-time packet-bounds proof against the concrete
-    /// access (soundness validation, [`SimOptions::check_proofs`]).
-    fn check_proof(&mut self, op: &ehdl_core::StageOp, addr: u64, state: &PacketState) {
-        if !self.options.check_proofs {
-            return;
-        }
-        let Some(p) = op.proof else { return };
-        if !(PACKET_BASE..STACK_BASE).contains(&addr) {
-            self.counters.proof_violations = self.counters.proof_violations.saturating_add(1);
-            return;
-        }
-        let off = (addr - PACKET_BASE) as i64 - state.data_off as i64;
+    /// Recheck the compile-time packet-bounds proof of op `i` of stage `s`
+    /// against the concrete access (soundness validation,
+    /// [`SimOptions::check_proofs`]). Out of line, so a fused packet access
+    /// pays for the option test only.
+    #[cold]
+    #[inline(never)]
+    fn recheck_proof(&mut self, s: usize, i: usize, addr: u64, state: &PacketState) {
+        let Some(p) = self.design.stages[s].ops[i].proof else { return };
+        let off = addr.wrapping_sub(PACKET_BASE) as i64 - state.data_off as i64;
         let len = (state.end_off - state.data_off) as i64;
-        if off < p.lo || off > p.hi || len < p.min_len {
+        let held = (PACKET_BASE..STACK_BASE).contains(&addr) && (p.lo..=p.hi).contains(&off);
+        if !held || len < p.min_len {
             self.counters.proof_violations = self.counters.proof_violations.saturating_add(1);
         }
     }
@@ -1736,17 +1485,11 @@ impl PipelineSim {
         addr: u64,
         size: MemSize,
     ) -> Result<u64, OpAbort> {
-        let n = size.bytes();
-        if addr >= CTX_BASE && addr < CTX_BASE + xdp_md::SIZE as u64 {
-            let v = match (addr - CTX_BASE) as i64 {
-                xdp_md::DATA | xdp_md::DATA_META => PACKET_BASE + state.data_off as u64,
-                xdp_md::DATA_END => PACKET_BASE + state.end_off as u64,
-                _ => 0,
-            };
-            return Ok(v & mask_for(size));
+        if (CTX_BASE..CTX_BASE + xdp_md::SIZE as u64).contains(&addr) {
+            return Ok(ctx_read(state, addr, size));
         }
         let mut v = [0u8; 8];
-        self.read_into(state, seq, addr, &mut v[..n])?;
+        self.read_into(state, seq, addr, &mut v[..size.bytes()])?;
         Ok(u64::from_le_bytes(v))
     }
 
@@ -1841,15 +1584,14 @@ impl PipelineSim {
         delay: u64,
         feb_read_stage: usize,
         seq: u64,
-    ) -> Result<MapEffects, OpAbort> {
+        ctl: &mut StageCtl,
+    ) -> Result<(), OpAbort> {
         let m = self.maps.get(map).ok_or(OpAbort::Fault)?;
         if off + size.bytes() > value_size {
             return Err(OpAbort::Fault);
         }
-        // Only a fired hazard needs an owned copy of the key.
-        let flush = self
-            .younger_read_matches(stage, map, m.key_of(slot))
-            .then(|| (map, m.key_of(slot).to_vec(), feb_read_stage));
+        let key = m.key_of(slot);
+        ctl.wrote(self.younger_read_matches(stage, map, key), map, key, feb_read_stage);
         let w = PendingWrite {
             commit_cycle: self.cycle + delay,
             map,
@@ -1861,13 +1603,12 @@ impl PipelineSim {
         } else {
             self.pending_writes.push(w);
         }
-        Ok(MapEffects { side_effect: true, flush, ..MapEffects::default() })
+        Ok(())
     }
 
     /// Atomic read-modify-write on a map value, executed in the map block
-    /// immediately; the effects carry the fetched (old) word. Unlike a
-    /// plain load, the stale-risk interlock is consulted before the bounds
-    /// check.
+    /// immediately; returns the fetched (old) word. Unlike a plain load,
+    /// the stale-risk interlock is consulted before the bounds check.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn map_atomic(
@@ -1881,7 +1622,8 @@ impl PipelineSim {
         operand_v: u64,
         r0: u64,
         seq: u64,
-    ) -> Result<MapEffects, OpAbort> {
+        ctl: &mut StageCtl,
+    ) -> Result<u64, OpAbort> {
         self.forward_own_writes(map, seq);
         if self.fault.is_some() {
             self.fault_map_read(map, slot as u32);
@@ -1907,11 +1649,13 @@ impl PipelineSim {
         if self.debug_trace {
             eprintln!("[sim {}] atomic map{map} slot{slot} seq{seq} old={old}", self.cycle);
         }
-        Ok(MapEffects { value: old, side_effect: true, ..MapEffects::default() })
+        ctl.side_effect = true;
+        Ok(old)
     }
 
-    /// `bpf_map_lookup_elem`: the effects carry the value address (0 on a
-    /// miss) and the unconfirmed-read record, its key in a pooled buffer.
+    /// `bpf_map_lookup_elem`: returns the value address (0 on a miss) and
+    /// records the unconfirmed read in the packet state, its key in a
+    /// pooled buffer.
     #[inline(always)]
     fn map_lookup(
         &mut self,
@@ -1920,8 +1664,8 @@ impl PipelineSim {
         key_size: usize,
         stride: u32,
         seq: u64,
-        state: &PacketState,
-    ) -> Result<MapEffects, OpAbort> {
+        state: &mut PacketState,
+    ) -> Result<u64, OpAbort> {
         self.with_scratch_key(key_size, |sim, key| {
             sim.read_into(state, seq, state.regs[2], key)?;
             sim.forward_own_writes(map, seq);
@@ -1951,8 +1695,9 @@ impl PipelineSim {
                 }
                 None => 0,
             };
-            let read = Some((map, stage as u32, record));
-            Ok(MapEffects { value, read, ..MapEffects::default() })
+            state.read_filter |= read_key_bit(map, key);
+            state.map_reads.push((map, stage as u32, record));
+            Ok(value)
         })
     }
 
@@ -1973,7 +1718,8 @@ impl PipelineSim {
         feb_read_stage: usize,
         seq: u64,
         state: &PacketState,
-    ) -> Result<MapEffects, OpAbort> {
+        ctl: &mut StageCtl,
+    ) -> Result<(), OpAbort> {
         self.with_scratch_key(key_size, |sim, key| {
             sim.read_into(state, seq, state.regs[2], key)?;
             // FEB: compare the write key against unconfirmed reads of
@@ -2006,8 +1752,8 @@ impl PipelineSim {
             value.clear();
             sim.scratch_val = value;
             read?;
-            let flush = hazard.then(|| (map, key.to_vec(), feb_read_stage));
-            Ok(MapEffects { side_effect: true, flush, ..MapEffects::default() })
+            ctl.wrote(hazard, map, key, feb_read_stage);
+            Ok(())
         })
     }
 
@@ -2023,7 +1769,8 @@ impl PipelineSim {
         feb_read_stage: usize,
         seq: u64,
         state: &PacketState,
-    ) -> Result<MapEffects, OpAbort> {
+        ctl: &mut StageCtl,
+    ) -> Result<(), OpAbort> {
         self.with_scratch_key(key_size, |sim, key| {
             sim.read_into(state, seq, state.regs[2], key)?;
             let hazard = sim.younger_read_matches(stage, map, key);
@@ -2043,8 +1790,8 @@ impl PipelineSim {
                     kind: WriteKind::Delete { key: k },
                 });
             }
-            let flush = hazard.then(|| (map, key.to_vec(), feb_read_stage));
-            Ok(MapEffects { side_effect: true, flush, ..MapEffects::default() })
+            ctl.wrote(hazard, map, key, feb_read_stage);
+            Ok(())
         })
     }
 
@@ -2075,6 +1822,25 @@ impl PipelineSim {
         }
     }
 
+    /// `bpf_csum_diff(from, from_size, to, to_size, seed)`: the seed minus
+    /// the `from` words plus the `to` words, truncated to 32 bits.
+    #[inline(never)]
+    fn csum_diff(&mut self, seq: u64, state: &PacketState) -> Result<u64, OpAbort> {
+        let regs = &state.regs;
+        let mut sum = regs[5] as i64;
+        let mut buf = std::mem::take(&mut self.scratch_val);
+        let mut r = Ok(());
+        if regs[2] > 0 {
+            r = self.csum_block(state, seq, regs[1], regs[2] as usize, &mut buf).map(|v| sum -= v);
+        }
+        if r.is_ok() && regs[4] > 0 {
+            r = self.csum_block(state, seq, regs[3], regs[4] as usize, &mut buf).map(|v| sum += v);
+        }
+        buf.clear();
+        self.scratch_val = buf;
+        r.map(|()| (sum as u64) & 0xffff_ffff)
+    }
+
     /// Sum `len` bytes at `addr` as little-endian u32 words (the
     /// `bpf_csum_diff` accumulation), via the recycled scratch buffer.
     fn csum_block(
@@ -2097,19 +1863,20 @@ impl PipelineSim {
         Ok(sum)
     }
 
+    /// Store `value` in place at a packet or stack address; any other
+    /// region (or a packet byte outside `[data, data_end)`) faults.
     fn local_write(
-        &self,
-        state: &PacketState,
+        state: &mut PacketState,
         addr: u64,
         size: MemSize,
         value: u64,
-        delta: &mut Delta,
     ) -> Result<(), OpAbort> {
         let n = size.bytes();
+        let bytes = &value.to_le_bytes()[..n];
         if (PACKET_BASE..STACK_BASE).contains(&addr) {
             let off = (addr - PACKET_BASE) as usize;
             if off >= state.data_off && off + n <= state.end_off {
-                delta.pkt_writes.push((off, size, value));
+                state.buf[off..off + n].copy_from_slice(bytes);
                 return Ok(());
             }
             return Err(OpAbort::Fault);
@@ -2117,7 +1884,8 @@ impl PipelineSim {
         if (STACK_BASE..STACK_TOP).contains(&addr) {
             let off = (addr - STACK_BASE) as usize;
             if off + n <= STACK_SIZE as usize {
-                delta.stack_writes.push((off, size, value));
+                state.stack[off..off + n].copy_from_slice(bytes);
+                state.stack_lo = state.stack_lo.min(off);
                 return Ok(());
             }
             return Err(OpAbort::Fault);
@@ -3064,11 +2832,23 @@ fn matching_read_limit(state: &PacketState, map: u32, key: &[u8]) -> usize {
         .unwrap_or(usize::MAX)
 }
 
-fn operand(regs: &[u64; 11], op: Operand) -> u64 {
-    match op {
-        Operand::Reg(r) => regs[r as usize],
-        Operand::Imm(i) => i as i64 as u64,
-    }
+/// `base + off`, the effective address of a memory op.
+#[inline(always)]
+fn addr_of(state: &PacketState, base: u8, off: i16) -> u64 {
+    state.regs[base as usize].wrapping_add(off as i64 as u64)
+}
+
+/// A context field at `addr` (inside the `xdp_md` window):
+/// `data`/`data_meta` and `data_end` resolve to the packet geometry, every
+/// other field reads 0.
+#[inline]
+fn ctx_read(state: &PacketState, addr: u64, size: MemSize) -> u64 {
+    let v = match (addr - CTX_BASE) as i64 {
+        xdp_md::DATA | xdp_md::DATA_META => PACKET_BASE + state.data_off as u64,
+        xdp_md::DATA_END => PACKET_BASE + state.end_off as u64,
+        _ => 0,
+    };
+    v & mask_for(size)
 }
 
 fn map_handle(v: u64) -> Option<u32> {
@@ -3191,107 +2971,28 @@ impl InFlight {
     }
 }
 
-/// What one map operation reports besides its changes to the maps. Each
-/// operation has a single body returning one of these; the direct and the
-/// two-phase caller differ only in where they land it (packet state in
-/// place, or the stage's [`Delta`]). The bodies are always inlined into
-/// their two call sites, which dissolves this struct into the caller's own
-/// accumulators: a call per map op costs the firewall several percent.
+/// A stage's control outputs, accumulated across its ops by the map
+/// writes. The map operations have one body each, always inlined into
+/// their two call sites (the fused arm with baked geometry, the
+/// unspecialized arm with geometry resolved at run time): a call per map
+/// op costs the firewall several percent.
 #[derive(Debug, Default)]
-struct MapEffects {
-    /// Result value: `r0` of a helper, the fetched word of an atomic.
-    value: u64,
+struct StageCtl {
     /// Map state changed irreversibly: checkpoint after this stage.
     side_effect: bool,
     /// FEB hit `(map, key, read_stage)`: younger readers of the key flush.
     flush: Option<(u32, Vec<u8>, usize)>,
-    /// Unconfirmed-read record `(map, stage, key)` of a lookup.
-    read: Option<(u32, u32, Vec<u8>)>,
 }
 
-/// Pending writes of one stage, applied at the boundary (two-phase).
-#[derive(Debug, Clone, Default)]
-struct Delta {
-    regs: Vec<(u8, u64)>,
-    pkt_writes: Vec<(usize, MemSize, u64)>,
-    stack_writes: Vec<(usize, MemSize, u64)>,
-    taken: Option<bool>,
-    action: Option<XdpAction>,
-    redirect: Option<u32>,
-    new_data_off: Option<usize>,
-    new_end_off: Option<usize>,
-    map_read_records: Vec<(u32, u32, Vec<u8>)>,
-    side_effect: bool,
-    flush_below: Option<(u32, Vec<u8>, usize)>,
-    fault: bool,
-}
-
-impl Delta {
-    fn set_reg(&mut self, r: u8, v: u64) {
-        self.regs.push((r, v));
-    }
-
-    /// Land a map op's control effects in the write set; returns its value.
-    fn land(&mut self, fx: MapEffects) -> u64 {
-        self.side_effect |= fx.side_effect;
-        if fx.flush.is_some() {
-            self.flush_below = fx.flush;
-        }
-        self.map_read_records.extend(fx.read);
-        fx.value
-    }
-
-    /// Reset to the empty write set, keeping buffer capacity.
-    fn clear(&mut self) {
-        self.regs.clear();
-        self.pkt_writes.clear();
-        self.stack_writes.clear();
-        self.taken = None;
-        self.action = None;
-        self.redirect = None;
-        self.new_data_off = None;
-        self.new_end_off = None;
-        self.map_read_records.clear();
-        self.side_effect = false;
-        self.flush_below = None;
-        self.fault = false;
-    }
-
-    fn apply(&mut self, state: &mut PacketState, block: usize) {
-        for &(r, v) in &self.regs {
-            state.regs[r as usize] = v;
-        }
-        for &(off, size, v) in &self.pkt_writes {
-            let n = size.bytes();
-            state.buf[off..off + n].copy_from_slice(&v.to_le_bytes()[..n]);
-        }
-        for &(off, size, v) in &self.stack_writes {
-            let n = size.bytes();
-            state.stack[off..off + n].copy_from_slice(&v.to_le_bytes()[..n]);
-            state.stack_lo = state.stack_lo.min(off);
-        }
-        if let Some(t) = self.taken {
-            state.taken.set(block, t);
-        }
-        if self.action.is_some() {
-            state.action = self.action;
-        }
-        if self.redirect.is_some() {
-            state.redirect = self.redirect;
-        }
-        if let Some(off) = self.new_data_off {
-            state.data_off = off;
-            state.buf_lo = state.buf_lo.min(off);
-        }
-        if let Some(off) = self.new_end_off {
-            state.end_off = off;
-        }
-        for (m, stage, key) in self.map_read_records.drain(..) {
-            state.read_filter |= read_key_bit(m, &key);
-            state.map_reads.push((m, stage, key));
-        }
-        if self.fault {
-            state.faulted = true;
+impl StageCtl {
+    /// A map write of `key` committed or entered its delay buffer; `hazard`
+    /// (a younger packet holds an unconfirmed read of it) raises the flush.
+    /// Only a fired hazard copies the key.
+    #[inline(always)]
+    fn wrote(&mut self, hazard: bool, map: u32, key: &[u8], feb_read_stage: usize) {
+        self.side_effect = true;
+        if hazard {
+            self.flush = Some((map, key.to_vec(), feb_read_stage));
         }
     }
 }
@@ -3957,266 +3658,100 @@ mod ctrl_tests {
     }
 }
 
-/// Direct lowering against the all-two-phase reference. The VM oracle cannot
-/// see a missed intra-stage dependence in the lowerer's direct-eligibility
-/// analysis — in-place execution would *agree* with the sequential VM while
-/// the modelled hardware (every op reads the stage-entry state) would not —
-/// so these runs compare the two executors directly, bit for bit.
+/// A stage's in-place writes before a self-flush vanish with the flush.
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
-mod two_phase_reference_tests {
+mod engine_tests {
     use super::*;
-    use crate::ctrl::{CtrlOptions, HostCompletion, HostOp};
-    use crate::diff::{check, Divergence, Scenario};
-    use ehdl_core::ir::PacketProof;
+    use crate::diff::{check, Scenario};
     use ehdl_core::{Compiler, FusedOp};
-    use ehdl_ebpf::Program;
-    use ehdl_programs::{leaky_bucket, router, simple_firewall, suricata, tunnel, App};
-    use ehdl_traffic::{
-        interleave_ops, ControlOpGen, ControlOpKind, FlowSet, OpMix, Popularity, ScheduleItem,
-        Workload,
-    };
+    use ehdl_programs::leaky_bucket;
+    use ehdl_traffic::{FlowSet, Popularity, Workload};
 
-    const TRACE_PACKETS: usize = 1_000;
-
-    /// One retired packet: (seq, action, redirect ifindex, bytes, latency).
-    type OutcomeRow = (u64, XdpAction, Option<u32>, Vec<u8>, u64);
-    /// Sorted (key, value) entries of one map.
-    type MapEntries = Vec<(Vec<u8>, Vec<u8>)>;
-
-    /// Every observable of one finished run, in comparable form.
-    #[derive(Debug, PartialEq)]
-    struct Observed {
-        outcomes: Vec<OutcomeRow>,
-        counters: SimCounters,
-        cycles: u64,
-        maps: Vec<MapEntries>,
-    }
+    /// Per packet the verdict, redirect target and bytes, then the sorted
+    /// map contents: everything a run leaves but its timing.
+    type Observed = (Vec<(u64, XdpAction, Option<u32>, Vec<u8>)>, Vec<Vec<(Vec<u8>, Vec<u8>)>>);
 
     fn observe(sim: &mut PipelineSim) -> Observed {
-        let outcomes = sim
-            .drain()
-            .into_iter()
-            .map(|o| (o.seq, o.action, o.redirect_ifindex, o.packet, o.latency_cycles))
-            .collect();
-        let maps = sim
-            .maps()
-            .iter()
-            .map(|m| {
-                let mut e: MapEntries =
-                    m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-                e.sort();
-                e
-            })
-            .collect();
-        Observed { outcomes, counters: *sim.counters(), cycles: sim.cycle(), maps }
+        let outs = sim.drain().into_iter();
+        let maps = sim.maps().iter().map(|m| {
+            let mut e: Vec<_> = m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
+            e.sort();
+            e
+        });
+        (outs.map(|o| (o.seq, o.action, o.redirect_ifindex, o.packet)).collect(), maps.collect())
     }
 
-    fn sim_for(design: &PipelineDesign, two_phase_reference: bool) -> PipelineSim {
-        let options = SimOptions { freeze_time_ns: Some(1000), ..Default::default() };
-        let mut sim = PipelineSim::with_options(design, options);
-        sim.two_phase_reference = two_phase_reference;
-        sim
-    }
-
-    /// The evaluation trace of the five apps: 10k flows, 64 B packets.
-    fn eval_packets(app: App, n: usize) -> Vec<Vec<u8>> {
-        let flows = match app {
-            App::Suricata => FlowSet::tcp(10_000, 42),
-            _ => FlowSet::udp(10_000, 42),
-        };
-        Workload::new(flows, Popularity::Uniform, 64, 43).packets(n)
-    }
-
-    /// Host-side map setup per app (routes, endpoints, rules).
-    fn setup_app(app: App, maps: &mut MapStore) {
-        match app {
-            App::Router => {
-                router::install_route(maps, [0, 0, 0, 0], 0, 1, [0xaa; 6], [0x02; 6]);
-                router::install_route(maps, [192, 168, 0, 0], 16, 2, [0xbb; 6], [0x02; 6]);
-            }
-            App::Tunnel => {
-                for i in 0..32u8 {
-                    tunnel::install_endpoint(
-                        maps,
-                        [192, 168, i, i],
-                        [172, 16, 0, 1],
-                        [172, 16, 0, 2],
-                        [0xaa; 6],
-                        [0xbb; 6],
-                    );
-                }
-            }
-            App::Suricata => {
-                for f in FlowSet::tcp(10_000, 42).flows().iter().take(64) {
-                    suricata::install_rule(maps, f);
-                }
-            }
-            App::Firewall | App::Dnat => {}
-        }
-    }
-
-    /// Run `packets` through the direct lowering and through the reference
-    /// and demand identical observables; returns the flush count.
-    fn assert_direct_matches_two_phase(
-        name: &str,
-        program: &Program,
-        setup: impl Fn(&mut MapStore),
-        packets: &[Vec<u8>],
-    ) -> u64 {
-        let design = Compiler::new().compile(program).unwrap();
-        let run = |two_phase_reference| {
-            let mut sim = sim_for(&design, two_phase_reference);
-            assert!(sim.lower_stats().direct_stages > 0, "{name} must lower direct stages");
-            setup(sim.maps_mut());
-            for p in packets {
-                sim.enqueue(p.clone());
-            }
-            sim.settle(50_000_000);
-            observe(&mut sim)
-        };
-        let direct = run(false);
-        assert_eq!(direct.outcomes.len(), packets.len(), "{name}: every packet retires");
-        assert_eq!(direct, run(true), "{name}: direct lowering must match two-phase");
-        direct.counters.flushes
-    }
-
+    /// A flush-capable op past index 0 raises `FlushSelf` after the op
+    /// before it wrote a register in place. Another packet's write still in
+    /// a WAR delay buffer is what raises it; the leaky bucket has none, so
+    /// the test plants one that matches the reader's key and writes nothing
+    /// when it commits. The flush re-injects the reader from a checkpoint at
+    /// or before the stage's entry (forced FEB checkpoints with partial
+    /// flushes on; the original bytes with them off), so every packet
+    /// retires as in the unflushed run, which the differential harness
+    /// holds to the VM. Packets go through one at a time: what is checked
+    /// is the flushed packet's own replay, not its interplay with other
+    /// packets' hazards.
     #[test]
-    fn direct_lowering_matches_two_phase_on_all_apps() {
-        let mut flushes = 0;
-        for app in App::ALL {
-            flushes += assert_direct_matches_two_phase(
-                app.name(),
-                &app.program(),
-                |maps| setup_app(app, maps),
-                &eval_packets(app, TRACE_PACKETS),
-            );
-        }
-        // Leaky bucket under a hot flow: flushes, checkpoints and replay.
-        let hot = Workload::new(FlowSet::udp(64, 42), Popularity::Hot { p_hot: 0.5 }, 64, 43)
-            .packets(TRACE_PACKETS);
-        flushes +=
-            assert_direct_matches_two_phase("leaky_bucket", &leaky_bucket::program(), |_| {}, &hot);
-        assert!(flushes > 0, "the traces must exercise flush and replay");
-    }
-
-    /// One seeded host-op/packet interleaving on the firewall through the
-    /// control channel: fences, forced checkpoints, host-write flushes.
-    fn host_ops_run(two_phase_reference: bool) -> (Observed, Vec<HostCompletion>) {
-        let flows = FlowSet::udp(32, 81);
-        let packets = Workload::new(flows.clone(), Popularity::Hot { p_hot: 0.6 }, 64, 82)
-            .packets(TRACE_PACKETS);
-        let keys = flows.flows().iter().map(|f| f.to_key().to_vec()).collect();
-        let mut gen = ControlOpGen::new(
-            simple_firewall::SESSIONS_MAP,
-            keys,
-            8,
-            OpMix::default(),
-            Popularity::Hot { p_hot: 0.7 },
-            83,
-        );
-        let design = Compiler::new().compile(&simple_firewall::program()).unwrap();
-        let mut sim = sim_for(&design, two_phase_reference);
-        sim.attach_ctrl(CtrlOptions { latency_cycles: 2, queue_depth: 1024 });
-        for item in interleave_ops(packets, &mut gen, 0.1, 84) {
-            match item {
-                ScheduleItem::Packet(p) => assert!(sim.enqueue(p)),
-                ScheduleItem::Op(op) => {
-                    let (map, key) = (op.map, op.key);
-                    let op = match op.kind {
-                        ControlOpKind::Lookup => HostOp::Lookup { map, key },
-                        ControlOpKind::Update => {
-                            HostOp::Update { map, key, value: op.value, flags: UpdateFlags::Any }
-                        }
-                        ControlOpKind::Delete => HostOp::Delete { map, key },
-                        ControlOpKind::Dump => HostOp::Dump { map },
-                    };
-                    sim.submit_host_op(op).unwrap();
-                }
-            }
-        }
-        sim.settle(50_000_000);
-        let completions = sim.host_completions();
-        (observe(&mut sim), completions)
-    }
-
-    #[test]
-    fn host_op_interleaving_matches_two_phase() {
-        let direct = host_ops_run(false);
-        assert!(
-            direct.0.counters.host_op_flushes > 0,
-            "the schedule must exercise host-write flushes"
-        );
-        assert_eq!(direct, host_ops_run(true), "host-op schedule must match two-phase");
-    }
-
-    #[test]
-    fn fault_campaign_matches_two_phase() {
-        let app = App::Firewall;
-        let design = Compiler::new().compile(&app.program()).unwrap();
-        let run = |two_phase_reference| {
-            let mut sim = sim_for(&design, two_phase_reference);
-            sim.attach_faults(FaultConfig {
-                seed: 7,
-                rate: 0.01,
-                stuck_fraction: 0.2,
-                hang_fraction: 0.1,
-                watchdog_timeout: 256,
-                ..Default::default()
-            });
-            for p in eval_packets(app, TRACE_PACKETS) {
-                sim.enqueue(p);
-            }
-            sim.settle(50_000_000);
-            let stats = *sim.fault_engine().unwrap().stats();
-            (observe(&mut sim), stats)
-        };
-        let direct = run(false);
-        assert!(direct.1.injected > 0, "campaign must actually inject faults");
-        assert_eq!(direct, run(true), "fault campaign must match two-phase");
-    }
-
-    /// The verifier rejects unknown helpers at load time, so splice one
-    /// into an already-compiled design.
-    #[test]
-    #[should_panic(expected = "does not lower: stage 0")]
-    fn attaching_an_unlowerable_design_panics_with_the_typed_error() {
-        let mut design = Compiler::new().compile(&App::Firewall.program()).unwrap();
-        design.stages[0].ops[0].insn = HwInsn::Simple(Instruction::Call { helper: BPF_FIB_LOOKUP });
-        let _ = PipelineSim::new(&design);
-    }
-
-    /// The pipeline-side proof recheck: falsify the proof of a packet load
-    /// on a direct stage and the harness options must report it.
-    #[test]
-    fn falsified_proof_on_a_direct_stage_is_reported() {
-        let program = App::Firewall.program();
-        let mut design = Compiler::new().compile(&program).unwrap();
+    fn a_self_flush_after_an_in_place_write_stays_vm_clean() {
+        let program = leaky_bucket::program();
+        let design = Compiler::new().compile(&program).unwrap();
         let lp = LoweredPlan::try_lower(&design).unwrap();
-        let (s, i) = (0..lp.stage_count())
-            .filter(|&s| !lp.stage(s).delta)
-            .find_map(|s| {
-                let at = |op: &FusedOp| matches!(op, FusedOp::LdPkt { proven: true, .. });
-                lp.stage_fused(s).iter().position(at).map(|i| (s, i))
+        let (s, src, off) = (0..lp.stage_count())
+            .find_map(|s| match lp.stage_fused(s) {
+                [FusedOp::AluRR { .. } | FusedOp::AluRI { .. }, FusedOp::LdMap { src, off, .. }] => {
+                    Some((s, *src, *off))
+                }
+                _ => None,
             })
-            .expect("the firewall has a proven packet load on a direct stage");
-        design.stages[s].ops[i].proof = Some(PacketProof { lo: 0, hi: 0, min_len: 1 << 20 });
-
-        let packets = eval_packets(App::Firewall, 8);
-        let scenario = Scenario::new(&program, &design, &packets);
-        assert!(scenario.sim.check_proofs, "the differential harness rechecks proofs");
-        let mut sim = PipelineSim::with_options(&design, scenario.sim);
-        assert!(sim.lower_stats().direct_stages > 0, "and still executes direct stages");
-        sim.enqueue(eval_packets(App::Firewall, 1).remove(0));
-        sim.settle(100_000);
-        assert!(sim.counters().proof_violations > 0, "{:?}", sim.counters());
-
-        let divs = check(&scenario).divergences;
-        assert!(
-            divs.iter().any(
-                |d| matches!(d, Divergence::Proof { detail } if detail.starts_with("pipeline"))
-            ),
-            "{divs:?}"
-        );
+            .expect("the leaky bucket has an [ALU, LdMap] stage");
+        let hot = Workload::new(FlowSet::udp(64, 42), Popularity::Hot { p_hot: 0.5 }, 64, 43)
+            .packets(300);
+        let scenario = Scenario::new(&program, &design, &hot);
+        check(&scenario).assert_clean();
+        let run = |options, plant: bool| {
+            let mut sim = PipelineSim::with_options(&design, options);
+            let mut self_flushes = 0;
+            for p in &hot {
+                sim.enqueue(p.clone());
+                let mut planted = false;
+                while plant && !sim.is_idle() {
+                    let reader = sim.slots[s].as_ref().filter(|p| !planted && p.resume.is_none());
+                    let addr = reader.map(|p| addr_of(&p.state, src, off));
+                    if let Some((map, slot, _, value_size)) = addr.and_then(|a| sim.map_value_at(a))
+                    {
+                        // Past the value's end: the commit writes nothing.
+                        let kind = WriteKind::StoreValue {
+                            slot,
+                            off: value_size,
+                            size: MemSize::B,
+                            value: 0,
+                        };
+                        let commit_cycle = sim.cycle + 2;
+                        sim.pending_writes.push(PendingWrite {
+                            commit_cycle,
+                            map,
+                            seq: u64::MAX,
+                            kind,
+                        });
+                        planted = true;
+                        let flushes = sim.counters().flushes;
+                        sim.step();
+                        self_flushes += u64::from(sim.counters().flushes > flushes);
+                    } else {
+                        sim.step();
+                    }
+                }
+            }
+            sim.settle(1_000_000);
+            (observe(&mut sim), self_flushes)
+        };
+        let (clean, _) = run(scenario.sim, false);
+        for partial_flush in [true, false] {
+            let (flushed, self_flushes) = run(SimOptions { partial_flush, ..scenario.sim }, true);
+            assert!(self_flushes > 0, "the planted writes must raise a self-flush at stage {s}");
+            assert_eq!(flushed, clean, "partial_flush {partial_flush}");
+        }
     }
 }

@@ -1,67 +1,28 @@
-//! The stage executor.
+//! The stage executor: runs the [`FusedOp`]s [`LoweredPlan::try_lower`]
+//! baked at attach time.
 //!
-//! At attach time [`LoweredPlan::try_lower`] monomorphizes every
-//! [`ehdl_core::StageOp`] into a [`FusedOp`] with its plan constants baked
-//! in (immediates pre-extended, map handles resolved, key/value geometry,
-//! WAR delays and FEB schedules inlined, block guards flattened). This
-//! module executes those ops.
+//! A stage's ops run in place, in stage order, with no per-stage write set.
+//! The hardware reads a stage's incoming state and writes the next
+//! boundary; the two agree because only write-after-read pairs share a
+//! stage, reader first, which `try_lower` checks on every design
+//! ([`ehdl_core::ddg::same_stage_dependence`]).
 //!
-//! Stages come in two flavors:
-//!
-//! - **Direct** stages mutate the packet state in place, op by op — no
-//!   scratch write set, no per-stage `Delta` push/apply/clear, no plan
-//!   indirection. The lowerer only marks a stage direct when it proved no
-//!   op observes an earlier op's write within the stage, which makes
-//!   in-place execution bit-identical to the stage's two-phase semantics
-//!   (read the incoming state copy, write the next boundary).
-//! - **Delta** stages run through [`PipelineSim::exec_stage_two_phase`],
-//!   which implements those semantics literally, so anything the lowerer
-//!   could not prove safe (intra-stage dependences, geometry-moving
-//!   helpers, ops without a specialization) keeps them.
-//!
-//! Every specialized op re-validates the compile-time memory label with a
-//! cheap range guard; a guard miss runs the original op through the generic
-//! per-op path ([`PipelineSim::exec_op_cold`]) at the same op index, which
-//! the 1:1 `FusedOp`↔`StageOp` correspondence makes exact. The map
-//! operations have one body each in the parent module; a fused arm passes
-//! it the geometry lowering baked, the generic arm what it resolved at run
-//! time. The one deliberate elision is the packet bounds compare for
-//! accesses the abstract interpreter proved in range (`proven`), per the
-//! §4.4 hardware semantics of dropping the check entirely;
-//! [`SimOptions::check_proofs`] rechecks those proofs instead.
+//! Every specialized memory op guards its compile-time label (address
+//! range, map value window or map handle); a miss runs the one cold arm,
+//! [`PipelineSim::exec_unlabelled`], which unlabelled accesses lower to and
+//! which decides the region at run time. The map operations have one body
+//! each in the parent module. The one deliberate elision is the packet
+//! bounds compare of accesses the abstract interpreter proved (`proven`),
+//! per §4.4; [`SimOptions::check_proofs`] rechecks those proofs instead.
 
 use super::*;
 use ehdl_core::{FusedOp, RegOrImm};
 use ehdl_ebpf::vm::{MAP_VALUE_BASE, MAP_WINDOW_BITS};
 
-/// Direct-stage control outputs accumulated across ops (the fields of
-/// `Delta` that are not packet state).
-struct DirectCtl {
-    side_effect: bool,
-    flush: Option<(u32, Vec<u8>, usize)>,
-}
-
-impl DirectCtl {
-    /// Land a map op's control effects — the read record straight in the
-    /// packet state; returns the op's value.
-    #[inline(always)]
-    fn land(&mut self, state: &mut PacketState, fx: MapEffects) -> u64 {
-        self.side_effect |= fx.side_effect;
-        if fx.flush.is_some() {
-            self.flush = fx.flush;
-        }
-        if let Some((map, stage, key)) = fx.read {
-            state.read_filter |= read_key_bit(map, &key);
-            state.map_reads.push((map, stage, key));
-        }
-        fx.value
-    }
-}
-
 /// Decode `addr` as a value address of the *baked* map:
 /// [`decode_map_value_addr`] specialized to one `(map, stride)` pair.
 /// `Some((slot, offset))` only when the address lands in that map's
-/// window, so a label mismatch routes to the generic path instead.
+/// window, so a label mismatch routes to the unspecialized arm instead.
 #[inline]
 fn map_slot_of(addr: u64, map: u32, stride: u32) -> Option<(usize, usize)> {
     if !(MAP_VALUE_BASE..MAP_HANDLE_BASE).contains(&addr) {
@@ -91,8 +52,7 @@ fn helper_epilogue(state: &mut PacketState, r0: u64) {
 impl PipelineSim {
     /// Execute stage `s` on `pkt`: the prologue (resume fast path,
     /// empty-stage forward, predication, implicit length guard — all
-    /// against baked constants), then either the in-place direct loop or
-    /// the two-phase body.
+    /// against baked constants), then the ops in place, in stage order.
     pub(super) fn exec_stage(
         &mut self,
         s: usize,
@@ -127,33 +87,20 @@ impl PipelineSim {
             return StageResult::Ok;
         }
 
-        #[cfg(test)]
-        let two_phase = st.delta || self.two_phase_reference;
-        #[cfg(not(test))]
-        let two_phase = st.delta;
-        if two_phase {
-            return self.exec_stage_two_phase(s, block, pkt, lp);
-        }
-
-        // Direct mode: ops commit into the packet state as they execute.
         let seq = pkt.seq;
-        let mut ctl = DirectCtl { side_effect: false, flush: None };
-        let mut fault = false;
+        let mut ctl = StageCtl::default();
         for (i, &op) in ops.iter().enumerate() {
-            match self.exec_fused(s, i, block, op, seq, &mut pkt.state, &mut ctl, lp) {
+            match self.exec_fused(s, i, block, op, seq, &mut pkt.state, &mut ctl) {
                 Ok(()) => {}
                 Err(OpAbort::Fault) => {
-                    fault = true;
+                    pkt.state.faulted = true;
                     break;
                 }
-                // Only reachable from op index 0 (the lowerer demotes any
-                // later flush-capable op to delta mode), so there are no
-                // earlier in-place writes to unwind.
+                // The flush re-injects the packet from a checkpoint taken
+                // at or before this stage's entry (or from its original
+                // bytes), so the stage's earlier in-place writes vanish.
                 Err(OpAbort::FlushSelf) => return StageResult::FlushSelf,
             }
-        }
-        if fault {
-            pkt.state.faulted = true;
         }
         let result = match ctl.flush.take() {
             Some((map, key, read_stage)) => {
@@ -162,6 +109,9 @@ impl PipelineSim {
             None => StageResult::Ok,
         };
         if ctl.side_effect {
+            // Checkpoint after this stage (App. A.2 elastic buffer): a
+            // flush rolling back to a point at or after it resumes here
+            // instead of replaying the committed side effect.
             let snap = self.pool.snapshot(&pkt.state);
             pkt.checkpoints.push((s + 1, snap));
         }
@@ -172,10 +122,10 @@ impl PipelineSim {
     /// keeps earlier writes and poisons the packet, `FlushSelf` re-executes
     /// it from a checkpoint.
     ///
-    /// Always inlined into the direct-stage loop: the ALU/memory arms
-    /// below compile to a few instructions each, and keeping them in the
-    /// loop body spares a 9-argument call per op. The map/helper arms are
-    /// out-of-line methods so they don't bloat the dispatch table.
+    /// Always inlined into the stage loop: the ALU/memory arms below
+    /// compile to a few instructions each, and keeping them in the loop
+    /// body spares an 8-argument call per op. The map and unspecialized
+    /// arms are out-of-line methods so they don't bloat the dispatch table.
     #[inline(always)]
     #[allow(clippy::too_many_arguments, clippy::too_many_lines, clippy::inline_always)]
     fn exec_fused(
@@ -186,8 +136,7 @@ impl PipelineSim {
         op: FusedOp,
         seq: u64,
         state: &mut PacketState,
-        ctl: &mut DirectCtl,
-        lp: &LoweredPlan,
+        ctl: &mut StageCtl,
     ) -> Result<(), OpAbort> {
         match op {
             FusedOp::AluRR { op, width, dst, src } => {
@@ -222,20 +171,15 @@ impl PipelineSim {
             }
             FusedOp::Exit => state.action = Some(XdpAction::from_r0(state.regs[0])),
             FusedOp::LdCtx { size, dst, src, off } => {
-                let addr = state.regs[src as usize].wrapping_add(off as i64 as u64);
+                let addr = addr_of(state, src, off);
                 if (CTX_BASE..CTX_BASE + xdp_md::SIZE as u64).contains(&addr) {
-                    let v = match (addr - CTX_BASE) as i64 {
-                        xdp_md::DATA | xdp_md::DATA_META => PACKET_BASE + state.data_off as u64,
-                        xdp_md::DATA_END => PACKET_BASE + state.end_off as u64,
-                        _ => 0,
-                    };
-                    state.regs[dst as usize] = v & mask_for(size);
+                    state.regs[dst as usize] = ctx_read(state, addr, size);
                 } else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
+                    return self.exec_unlabelled(s, i, op, seq, state, ctl);
                 }
             }
             FusedOp::LdStk { size, dst, src, off } => {
-                let addr = state.regs[src as usize].wrapping_add(off as i64 as u64);
+                let addr = addr_of(state, src, off);
                 if (STACK_BASE..STACK_TOP).contains(&addr) {
                     let o = (addr - STACK_BASE) as usize;
                     let n = size.bytes();
@@ -246,16 +190,16 @@ impl PipelineSim {
                     v[..n].copy_from_slice(bytes);
                     state.regs[dst as usize] = u64::from_le_bytes(v);
                 } else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
+                    return self.exec_unlabelled(s, i, op, seq, state, ctl);
                 }
             }
             FusedOp::LdPkt { size, dst, src, off, proven } => {
-                let addr = state.regs[src as usize].wrapping_add(off as i64 as u64);
+                let addr = addr_of(state, src, off);
                 if (PACKET_BASE..STACK_BASE).contains(&addr) {
                     let o = (addr - PACKET_BASE) as usize;
                     let n = size.bytes();
                     if proven && self.options.check_proofs {
-                        self.recheck_proof(s, i, addr, state, lp);
+                        self.recheck_proof(s, i, addr, state);
                     }
                     // The §4.4 elision: a proof from the abstract
                     // interpreter stands in for the dynamic bounds compare.
@@ -269,11 +213,11 @@ impl PipelineSim {
                     v[..n].copy_from_slice(bytes);
                     state.regs[dst as usize] = u64::from_le_bytes(v);
                 } else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
+                    return self.exec_unlabelled(s, i, op, seq, state, ctl);
                 }
             }
             FusedOp::StStk { size, base, off, src } => {
-                let addr = state.regs[base as usize].wrapping_add(off as i64 as u64);
+                let addr = addr_of(state, base, off);
                 if (STACK_BASE..STACK_TOP).contains(&addr) {
                     let o = (addr - STACK_BASE) as usize;
                     let n = size.bytes();
@@ -284,16 +228,16 @@ impl PipelineSim {
                     bytes.copy_from_slice(&value.to_le_bytes()[..n]);
                     state.stack_lo = state.stack_lo.min(o);
                 } else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
+                    return self.exec_unlabelled(s, i, op, seq, state, ctl);
                 }
             }
             FusedOp::StPkt { size, base, off, src, proven } => {
-                let addr = state.regs[base as usize].wrapping_add(off as i64 as u64);
+                let addr = addr_of(state, base, off);
                 if (PACKET_BASE..STACK_BASE).contains(&addr) {
                     let o = (addr - PACKET_BASE) as usize;
                     let n = size.bytes();
                     if proven && self.options.check_proofs {
-                        self.recheck_proof(s, i, addr, state, lp);
+                        self.recheck_proof(s, i, addr, state);
                     }
                     if !(proven || o >= state.data_off && o + n <= state.end_off) {
                         return Err(OpAbort::Fault);
@@ -304,7 +248,7 @@ impl PipelineSim {
                     };
                     bytes.copy_from_slice(&value.to_le_bytes()[..n]);
                 } else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
+                    return self.exec_unlabelled(s, i, op, seq, state, ctl);
                 }
             }
             FusedOp::LdMap { .. }
@@ -313,7 +257,10 @@ impl PipelineSim {
             | FusedOp::Lookup { .. }
             | FusedOp::MapUpdate { .. }
             | FusedOp::MapDelete { .. } => {
-                return self.exec_fused_map(s, i, block, op, seq, state, ctl, lp);
+                return self.exec_fused_map(s, i, op, seq, state, ctl);
+            }
+            FusedOp::LdAny { .. } | FusedOp::StAny { .. } | FusedOp::AtomicAny { .. } => {
+                return self.exec_unlabelled(s, i, op, seq, state, ctl);
             }
             FusedOp::Ktime => {
                 let v = self.time_ns();
@@ -328,30 +275,33 @@ impl PipelineSim {
                 state.redirect = Some(state.regs[1] as u32);
                 helper_epilogue(state, XdpAction::Redirect.code());
             }
-            // Never lowered into a direct stage (any Interp op demotes the
-            // stage to delta mode), but route it correctly regardless.
-            FusedOp::Interp => {
-                return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
+            FusedOp::AdjustHead => {
+                let new_off = state.data_off as i64 + state.regs[2] as i64;
+                let r0 = if new_off < 0 || new_off as usize >= state.end_off {
+                    u64::MAX
+                } else {
+                    state.data_off = new_off as usize;
+                    state.buf_lo = state.buf_lo.min(state.data_off);
+                    0
+                };
+                helper_epilogue(state, r0);
+            }
+            FusedOp::AdjustTail => {
+                let new_end = state.end_off as i64 + state.regs[2] as i64;
+                let r0 = if new_end <= state.data_off as i64 || new_end as usize > state.buf.len() {
+                    u64::MAX
+                } else {
+                    state.end_off = new_end as usize;
+                    0
+                };
+                helper_epilogue(state, r0);
+            }
+            FusedOp::CsumDiff => {
+                let r0 = self.csum_diff(seq, state)?;
+                helper_epilogue(state, r0);
             }
         }
         Ok(())
-    }
-
-    /// The [`SimOptions::check_proofs`] hook of a fused packet access whose
-    /// bounds compare was elided: recheck the proof of the
-    /// [`ehdl_core::StageOp`] it was lowered from. Out of line, so the
-    /// direct loop pays for the option test only.
-    #[cold]
-    #[inline(never)]
-    fn recheck_proof(
-        &mut self,
-        s: usize,
-        i: usize,
-        addr: u64,
-        state: &PacketState,
-        lp: &LoweredPlan,
-    ) {
-        self.check_proof(&lp.stage_ops(s)[i], addr, state);
     }
 
     /// The map-op arms of [`PipelineSim::exec_fused`], out of line: each
@@ -359,23 +309,27 @@ impl PipelineSim {
     /// interlocks, delay buffers, hash lookups), so keeping them off the
     /// inlined dispatch path keeps the hot ALU/memory loop tight.
     #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
     fn exec_fused_map(
         &mut self,
         s: usize,
         i: usize,
-        block: usize,
         op: FusedOp,
         seq: u64,
         state: &mut PacketState,
-        ctl: &mut DirectCtl,
-        lp: &LoweredPlan,
+        ctl: &mut StageCtl,
     ) -> Result<(), OpAbort> {
+        if let FusedOp::Lookup { map, .. }
+        | FusedOp::MapUpdate { map, .. }
+        | FusedOp::MapDelete { map, .. } = op
+        {
+            if map_handle(state.regs[1]) != Some(map) {
+                return self.exec_unlabelled(s, i, op, seq, state, ctl);
+            }
+        }
         match op {
             FusedOp::LdMap { size, dst, src, off, map, stride, value_size } => {
-                let addr = state.regs[src as usize].wrapping_add(off as i64 as u64);
-                let Some((slot, o)) = map_slot_of(addr, map, stride) else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
+                let Some((slot, o)) = map_slot_of(addr_of(state, src, off), map, stride) else {
+                    return self.exec_unlabelled(s, i, op, seq, state, ctl);
                 };
                 let mut v = [0u8; 8];
                 let out = &mut v[..size.bytes()];
@@ -393,11 +347,10 @@ impl PipelineSim {
                 delay,
                 feb_read_stage,
             } => {
-                let addr = state.regs[base as usize].wrapping_add(off as i64 as u64);
-                let Some((slot, o)) = map_slot_of(addr, map, stride) else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
+                let Some((slot, o)) = map_slot_of(addr_of(state, base, off), map, stride) else {
+                    return self.exec_unlabelled(s, i, op, seq, state, ctl);
                 };
-                let fx = self.map_value_store(
+                self.map_value_store(
                     s,
                     map,
                     slot,
@@ -408,45 +361,33 @@ impl PipelineSim {
                     u64::from(delay),
                     feb_read_stage as usize,
                     seq,
+                    ctl,
                 )?;
-                ctl.land(state, fx);
             }
-            FusedOp::AtomicMap { op, size, dst, src, off, map, stride, value_size } => {
-                let addr = state.regs[dst as usize].wrapping_add(off as i64 as u64);
-                let Some((slot, o)) = map_slot_of(addr, map, stride) else {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
+            FusedOp::AtomicMap { op: aop, size, dst, src, off, map, stride, value_size } => {
+                let Some((slot, o)) = map_slot_of(addr_of(state, dst, off), map, stride) else {
+                    return self.exec_unlabelled(s, i, op, seq, state, ctl);
                 };
-                let fx = self.map_atomic(
+                let old = self.map_atomic(
                     map,
                     slot,
                     o,
                     size,
                     value_size as usize,
-                    op,
+                    aop,
                     state.regs[src as usize],
                     state.regs[0],
                     seq,
+                    ctl,
                 )?;
-                let old = ctl.land(state, fx);
-                match op {
-                    AtomicOp::Cmpxchg => state.regs[0] = old,
-                    _ if op.fetches() => state.regs[src as usize] = old,
-                    _ => {}
-                }
+                atomic_fetch(state, aop, src, old);
             }
             FusedOp::Lookup { map, key_size, stride } => {
-                if map_handle(state.regs[1]) != Some(map) {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
-                }
-                let fx = self.map_lookup(s, map, key_size as usize, stride, seq, state)?;
-                let r0 = ctl.land(state, fx);
+                let r0 = self.map_lookup(s, map, key_size as usize, stride, seq, state)?;
                 helper_epilogue(state, r0);
             }
             FusedOp::MapUpdate { map, key_size, value_size, delay, feb_read_stage } => {
-                if map_handle(state.regs[1]) != Some(map) {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
-                }
-                let fx = self.map_update(
+                self.map_update(
                     s,
                     map,
                     key_size as usize,
@@ -455,15 +396,12 @@ impl PipelineSim {
                     feb_read_stage as usize,
                     seq,
                     state,
+                    ctl,
                 )?;
-                let r0 = ctl.land(state, fx);
-                helper_epilogue(state, r0);
+                helper_epilogue(state, 0);
             }
             FusedOp::MapDelete { map, key_size, delay, feb_read_stage } => {
-                if map_handle(state.regs[1]) != Some(map) {
-                    return self.exec_op_cold(s, i, block, seq, state, ctl, lp);
-                }
-                let fx = self.map_delete(
+                self.map_delete(
                     s,
                     map,
                     key_size as usize,
@@ -471,9 +409,9 @@ impl PipelineSim {
                     feb_read_stage as usize,
                     seq,
                     state,
+                    ctl,
                 )?;
-                let r0 = ctl.land(state, fx);
-                helper_epilogue(state, r0);
+                helper_epilogue(state, 0);
             }
             // Routed here only for the map-op variants.
             _ => unreachable!("exec_fused_map handles map ops only"),
@@ -481,42 +419,96 @@ impl PipelineSim {
         Ok(())
     }
 
-    /// Generic per-op fallback for a direct stage: run the original
-    /// [`ehdl_core::StageOp`] at the same index through [`PipelineSim::exec_op`]
-    /// with the scratch write set, then commit immediately. Exact because
-    /// a direct stage's ops are proven order-independent, so "reads
-    /// stage-entry state" and "reads current state" coincide.
+    /// The unspecialized arm of every memory op: loads, stores and atomics
+    /// with no usable label, and any fused memory op whose runtime address
+    /// or map handle missed its label. The address region (or, for a map
+    /// helper, the map behind the `r1` handle) is decided here, at run
+    /// time; the effects land in place exactly as the fused arms' do.
     #[cold]
     #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
-    fn exec_op_cold(
+    fn exec_unlabelled(
         &mut self,
         s: usize,
         i: usize,
-        block: usize,
+        op: FusedOp,
         seq: u64,
         state: &mut PacketState,
-        ctl: &mut DirectCtl,
-        lp: &LoweredPlan,
+        ctl: &mut StageCtl,
     ) -> Result<(), OpAbort> {
-        let mut delta = self.scratch.take().expect("scratch delta available");
-        let res = self.exec_op(s, &lp.stage_ops(s)[i], seq, state, &mut delta);
-        if matches!(res, Err(OpAbort::FlushSelf)) {
-            delta.clear();
-            self.scratch = Some(delta);
-            return Err(OpAbort::FlushSelf);
+        match op {
+            FusedOp::LdCtx { size, dst, src, off }
+            | FusedOp::LdStk { size, dst, src, off }
+            | FusedOp::LdPkt { size, dst, src, off, .. }
+            | FusedOp::LdMap { size, dst, src, off, .. }
+            | FusedOp::LdAny { size, dst, src, off } => {
+                let addr = addr_of(state, src, off);
+                if self.options.check_proofs {
+                    self.recheck_proof(s, i, addr, state);
+                }
+                state.regs[dst as usize] = self.mem_read(state, seq, addr, size)?;
+            }
+            FusedOp::StStk { size, base, off, src }
+            | FusedOp::StPkt { size, base, off, src, .. }
+            | FusedOp::StMap { size, base, off, src, .. }
+            | FusedOp::StAny { size, base, off, src } => {
+                let addr = addr_of(state, base, off);
+                if self.options.check_proofs {
+                    self.recheck_proof(s, i, addr, state);
+                }
+                let value = reg_or_imm_value(state, src);
+                if let Some((map, slot, o, value_size)) = self.map_value_at(addr) {
+                    let (delay, feb) = self.plan.write_schedule(s, map);
+                    self.map_value_store(
+                        s, map, slot, o, size, value, value_size, delay, feb, seq, ctl,
+                    )?;
+                } else {
+                    PipelineSim::local_write(state, addr, size, value)?;
+                }
+            }
+            FusedOp::AtomicMap { op: aop, size, dst, src, off, .. }
+            | FusedOp::AtomicAny { op: aop, size, dst, src, off } => {
+                let addr = addr_of(state, dst, off);
+                if self.options.check_proofs {
+                    self.recheck_proof(s, i, addr, state);
+                }
+                let operand = state.regs[src as usize];
+                let old = if let Some((map, slot, o, value_size)) = self.map_value_at(addr) {
+                    // Atomics on map values execute in the map block.
+                    let r0 = state.regs[0];
+                    self.map_atomic(map, slot, o, size, value_size, aop, operand, r0, seq, ctl)?
+                } else {
+                    // Stack/packet atomics are local read-modify-writes.
+                    let old = self.mem_read(state, seq, addr, size)?;
+                    let new = atomic_new_value(aop, old, operand, state.regs[0] & mask_for(size));
+                    PipelineSim::local_write(state, addr, size, new)?;
+                    old
+                };
+                atomic_fetch(state, aop, src, old);
+            }
+            FusedOp::Lookup { .. } | FusedOp::MapUpdate { .. } | FusedOp::MapDelete { .. } => {
+                let map = map_handle(state.regs[1]).ok_or(OpAbort::Fault)?;
+                let def = self.maps.get(map).ok_or(OpAbort::Fault)?.def();
+                let (key_size, value_size) = (def.key_size as usize, def.value_size as usize);
+                let stride = def.value_stride();
+                let (delay, feb) = self.plan.write_schedule(s, map);
+                let r0 = match op {
+                    FusedOp::Lookup { .. } => {
+                        self.map_lookup(s, map, key_size, stride, seq, state)?
+                    }
+                    FusedOp::MapUpdate { .. } => {
+                        self.map_update(s, map, key_size, value_size, delay, feb, seq, state, ctl)?;
+                        0
+                    }
+                    _ => {
+                        self.map_delete(s, map, key_size, delay, feb, seq, state, ctl)?;
+                        0
+                    }
+                };
+                helper_epilogue(state, r0);
+            }
+            _ => unreachable!("exec_unlabelled handles memory ops only"),
         }
-        if let Some(f) = delta.flush_below.take() {
-            ctl.flush = Some(f);
-        }
-        ctl.side_effect |= delta.side_effect;
-        if res.is_err() {
-            delta.fault = true;
-        }
-        delta.apply(state, block);
-        delta.clear();
-        self.scratch = Some(delta);
-        res
+        Ok(())
     }
 }
 
@@ -526,5 +518,15 @@ fn reg_or_imm_value(state: &PacketState, v: RegOrImm) -> u64 {
     match v {
         RegOrImm::Reg(r) => state.regs[r as usize],
         RegOrImm::Imm(i) => i,
+    }
+}
+
+/// The register an atomic returns its fetched word in, if it fetches.
+#[inline]
+fn atomic_fetch(state: &mut PacketState, aop: AtomicOp, src: u8, old: u64) {
+    match aop {
+        AtomicOp::Cmpxchg => state.regs[0] = old,
+        _ if aop.fetches() => state.regs[src as usize] = old,
+        _ => {}
     }
 }

@@ -244,14 +244,13 @@ fn compiled_lookup_hot_loop_is_allocation_free() {
     assert_eq!(sim.counters().flushes, 0, "distinct in-flight keys never collide");
 }
 
-/// The router's route lookup shares its stage with a packet store, so the
-/// stage lowers as a delta stage and the lookup runs through the two-phase
-/// executor. Its read record must come from the key pool there too.
+/// The router's route lookup shares its stage with a packet store, which
+/// runs first, in place. The lookup's read record comes from the key pool
+/// there too.
 #[test]
-fn router_delta_stage_lookup_is_allocation_free() {
+fn router_shared_stage_lookup_is_allocation_free() {
     let design = Compiler::new().compile(&App::Router.program()).expect("compiles");
     let mut sim = PipelineSim::new(&design);
-    assert!(sim.lower_stats().delta_stages > 0, "router must keep a delta stage");
     setup_app(App::Router, sim.maps_mut());
     let lookups_before: u64 = sim.map_lookups().iter().sum();
     assert_steady_state_alloc_free(&mut sim, &eval_packets(App::Router, 64));

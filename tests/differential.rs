@@ -3,11 +3,19 @@
 //! under data hazards (same-flow bursts) where the Flush Evaluation Blocks
 //! and write buffers do their work.
 
-use ehdl::core::{Compiler, CompilerOptions};
-use ehdl::ebpf::maps::MapStore;
+use ehdl::core::ddg::same_stage_dependence;
+use ehdl::core::ir::{HwInsn, Interval, MapUse, MemLabel, PacketProof};
+use ehdl::core::{Compiler, CompilerOptions, FusedOp, LoweredPlan, PipelineDesign, StageOp};
+use ehdl::ebpf::asm::Asm;
+use ehdl::ebpf::helpers::{
+    BPF_FIB_LOOKUP, BPF_MAP_DELETE_ELEM, BPF_MAP_LOOKUP_ELEM, BPF_MAP_UPDATE_ELEM,
+};
+use ehdl::ebpf::insn::Instruction;
+use ehdl::ebpf::maps::{MapDef, MapKind, MapStore};
+use ehdl::ebpf::opcode::{AluOp, JmpOp, MemSize};
 use ehdl::ebpf::vm::XdpAction;
 use ehdl::ebpf::Program;
-use ehdl::hwsim::diff::{check, Scenario};
+use ehdl::hwsim::diff::{check, Divergence, Scenario};
 use ehdl::hwsim::{PipelineSim, SimOptions};
 use ehdl::net::{FiveTuple, IPPROTO_UDP};
 use ehdl::programs::App;
@@ -359,5 +367,163 @@ fn exotic_atomics_equivalent() {
             })
             .collect();
         equivalent(&program, CompilerOptions::default(), &packets, &|_| {});
+    }
+}
+
+/// The verifier rejects unknown helpers at load time, so splice one into an
+/// already-compiled design.
+#[test]
+#[should_panic(expected = "does not lower: stage 0")]
+fn attaching_an_unlowerable_design_panics_with_the_typed_error() {
+    let mut design = Compiler::new().compile(&App::Firewall.program()).unwrap();
+    design.stages[0].ops[0].insn = HwInsn::Simple(Instruction::Call { helper: BPF_FIB_LOOKUP });
+    let _ = PipelineSim::new(&design);
+}
+
+/// Splice the first op of a stage into the stage before it, where it reads
+/// or overwrites what that stage writes: the design no longer lowers.
+#[test]
+#[should_panic(expected = "depends on an earlier op of its own stage")]
+fn a_hard_dependence_spliced_into_its_producers_stage_panics_at_attach() {
+    let mut design = Compiler::new().compile(&App::Firewall.program()).unwrap();
+    let s = (0..design.stages.len() - 1)
+        .find(|&s| {
+            let (a, b) = (&design.stages[s], &design.stages[s + 1]);
+            let mut merged = a.ops.clone();
+            merged.extend(b.ops.first());
+            a.block == b.block && same_stage_dependence(&merged).is_some()
+        })
+        .expect("the firewall has a dependent pair in consecutive stages");
+    let op = design.stages[s + 1].ops.remove(0);
+    design.stages[s].ops.push(op);
+    let _ = PipelineSim::new(&design);
+}
+
+/// The pipeline-side proof recheck: falsify the proof of a packet load and
+/// the harness options must report it.
+#[test]
+fn falsified_proof_on_a_direct_stage_is_reported() {
+    let program = App::Firewall.program();
+    let mut design = Compiler::new().compile(&program).unwrap();
+    let lp = LoweredPlan::try_lower(&design).unwrap();
+    let (s, i) = (0..lp.stage_count())
+        .find_map(|s| {
+            let at = |op: &FusedOp| matches!(op, FusedOp::LdPkt { proven: true, .. });
+            lp.stage_fused(s).iter().position(at).map(|i| (s, i))
+        })
+        .expect("the firewall has a proven packet load");
+    design.stages[s].ops[i].proof = Some(PacketProof { lo: 0, hi: 0, min_len: 1 << 20 });
+
+    let packets = Workload::new(FlowSet::udp(10_000, 42), Popularity::Uniform, 64, 43).packets(8);
+    let scenario = Scenario::new(&program, &design, &packets);
+    assert!(scenario.sim.check_proofs, "the differential harness rechecks proofs");
+    let mut sim = PipelineSim::with_options(&design, scenario.sim);
+    sim.enqueue(packets[0].clone());
+    sim.settle(100_000);
+    assert!(sim.counters().proof_violations > 0, "{:?}", sim.counters());
+
+    let divs = check(&scenario).divergences;
+    assert!(
+        divs.iter()
+            .any(|d| matches!(d, Divergence::Proof { detail } if detail.starts_with("pipeline"))),
+        "{divs:?}"
+    );
+}
+
+/// Every fused memory kind on one straight path: context, packet and stack
+/// loads and stores, an update, a lookup, a value load, store and atomic on
+/// map 0, and a delete on map 1.
+fn every_memory_kind() -> Program {
+    let mut a = Asm::new();
+    let drop = a.new_label();
+    a.load(MemSize::W, 7, 1, 0); // data
+    a.load(MemSize::W, 8, 1, 4); // data_end
+    a.mov64_reg(1, 7);
+    a.alu64_imm(AluOp::Add, 1, 40);
+    a.jmp_reg(JmpOp::Jgt, 1, 8, drop);
+    a.load(MemSize::W, 2, 7, 26); // the IPv4 source picks one of 8 keys
+    a.alu64_imm(AluOp::And, 2, 7);
+    a.store_reg(MemSize::W, 10, -4, 2);
+    a.load(MemSize::B, 3, 7, 30);
+    a.store_reg(MemSize::B, 7, 31, 3);
+    a.store_imm(MemSize::Dw, 10, -24, 0);
+    a.store_imm(MemSize::Dw, 10, -16, 0);
+    for (map, helper) in
+        [(0, BPF_MAP_UPDATE_ELEM), (1, BPF_MAP_DELETE_ELEM), (0, BPF_MAP_LOOKUP_ELEM)]
+    {
+        a.ld_map_fd(1, map);
+        a.mov64_reg(2, 10);
+        a.alu64_imm(AluOp::Add, 2, -4);
+        a.mov64_reg(3, 10);
+        a.alu64_imm(AluOp::Add, 3, -24);
+        a.mov64_imm(4, 1); // BPF_NOEXIST
+        a.call(helper);
+    }
+    a.jmp_imm(JmpOp::Jeq, 0, 0, drop);
+    a.load(MemSize::Dw, 4, 0, 0);
+    a.alu64_imm(AluOp::Add, 4, 1);
+    a.store_reg(MemSize::Dw, 0, 0, 4);
+    a.mov64_imm(5, 3);
+    a.atomic_add64(0, 8, 5);
+    a.load(MemSize::W, 0, 10, -4);
+    a.alu64_imm(AluOp::And, 0, 1);
+    a.alu64_imm(AluOp::Add, 0, 2); // XDP_PASS or XDP_TX
+    a.exit();
+    a.bind(drop);
+    a.mov64_imm(0, 1);
+    a.exit();
+    let maps = vec![
+        MapDef::new(0, "a", MapKind::Hash, 4, 16, 64),
+        MapDef::new(1, "b", MapKind::Hash, 4, 8, 64),
+    ];
+    Program::new("every_memory_kind", a.into_insns(), maps)
+}
+
+/// Rewrites one op's label or map use.
+type Mislabel = dyn Fn(&mut StageOp);
+
+/// Each fused memory op guards its label at run time: a region check for
+/// context, stack and packet accesses, the baked map's value window for map
+/// memory, the baked handle for map helpers. Mislabel one op of each kind in
+/// a compiled design, so its guard misses on every packet: the op runs the
+/// unspecialized arm, which resolves the region or map at run time, and the
+/// pipeline still matches the VM.
+#[test]
+fn mislabelled_fused_ops_take_the_guard_miss_arm() {
+    let program = every_memory_kind();
+    let design = Compiler::new().compile(&program).unwrap();
+    let packets =
+        Workload::new(FlowSet::udp(16, 5), Popularity::Zipf { alpha: 1.0 }, 64, 6).packets(200);
+    check(&Scenario::new(&program, &design, &packets)).assert_clean();
+    let far_stack = MemLabel::Stack(Interval::new(-512, -505));
+    let far_packet = MemLabel::Packet(Interval::new(900, 907));
+    let ctx = MemLabel::Ctx(Interval::new(0, 3));
+    let kind = |op: &FusedOp| format!("{op:?}").split([' ', '{']).next().unwrap().to_string();
+    let cases: [(&str, &str, &Mislabel); 11] = [
+        ("LdCtx", "LdStk", &move |op| op.label = far_stack),
+        ("LdStk", "LdPkt", &move |op| op.label = far_packet),
+        ("LdPkt", "LdCtx", &move |op| op.label = ctx),
+        ("StStk", "StPkt", &move |op| op.label = far_packet),
+        ("StPkt", "StStk", &move |op| op.label = far_stack),
+        ("LdMap", "LdMap", &|op| op.label = MemLabel::Map(1)),
+        ("StMap", "StMap", &|op| op.label = MemLabel::Map(1)),
+        ("AtomicMap", "AtomicMap", &|op| op.label = MemLabel::Map(1)),
+        ("Lookup", "Lookup", &|op| op.map_use = Some(MapUse::Lookup(1))),
+        ("MapUpdate", "MapUpdate", &|op| op.map_use = Some(MapUse::HelperWrite(1))),
+        ("MapDelete", "MapDelete", &|op| op.map_use = Some(MapUse::HelperWrite(0))),
+    ];
+    for (from, to, mislabel) in cases {
+        let mut bad: PipelineDesign = design.clone();
+        let lp = LoweredPlan::try_lower(&design).unwrap();
+        let (s, i) = (0..lp.stage_count())
+            .find_map(|s| lp.stage_fused(s).iter().position(|op| kind(op) == from).map(|i| (s, i)))
+            .unwrap_or_else(|| panic!("the program has a {from}"));
+        mislabel(&mut bad.stages[s].ops[i]);
+        let relowered = LoweredPlan::try_lower(&bad).unwrap();
+        let op = relowered.stage_fused(s)[i];
+        assert_eq!(kind(&op), to, "{from} relabelled");
+        assert_ne!(op, lp.stage_fused(s)[i], "{from}: the guard must change");
+        let divs = check(&Scenario::new(&program, &bad, &packets)).divergences;
+        assert!(divs.is_empty(), "{from} as {op:?}: {:?}", &divs[..divs.len().min(4)]);
     }
 }

@@ -7,13 +7,16 @@
 //! the workspace builds without crates.io access. The two historical
 //! proptest regression cases are preserved verbatim as explicit tests.
 
-use ehdl::core::{Compiler, CompilerOptions};
+use ehdl::core::ir::HwInsn;
+use ehdl::core::{Compiler, CompilerOptions, PipelineDesign};
 use ehdl::ebpf::asm::Asm;
-use ehdl::ebpf::helpers::BPF_MAP_LOOKUP_ELEM;
+use ehdl::ebpf::helpers::{BPF_CSUM_DIFF, BPF_MAP_LOOKUP_ELEM, BPF_XDP_ADJUST_HEAD};
+use ehdl::ebpf::insn::Instruction;
 use ehdl::ebpf::maps::{MapDef, MapKind};
 use ehdl::ebpf::opcode::{AluOp, JmpOp, MemSize};
 use ehdl::ebpf::Program;
 use ehdl::hwsim::diff::{check, Scenario};
+use ehdl::hwsim::SimOptions;
 use ehdl_rng::Rng;
 
 /// Compile `program` with `options` and demand `packets` run on one
@@ -391,6 +394,132 @@ fn adjust_head_and_tail_equivalent() {
         a.exit();
         let program = Program::from_insns(a.into_insns());
         equivalent(&program, CompilerOptions::default(), &packets(7, 16));
+    }
+}
+
+/// Compile `program`, demand that its helper call runs in a later stage
+/// than its store (the hardware reads a stage's incoming state, so a
+/// shared stage would feed the helper the bytes from before the store) and
+/// that the pipeline matches the VM.
+fn helper_follows_store(program: &Program, packets: &[Vec<u8>]) {
+    let design = Compiler::new().compile(program).expect("program compiles");
+    let stage_of = |d: &PipelineDesign, call: bool| {
+        d.stages.iter().position(|st| {
+            st.ops.iter().any(|op| match op.insn {
+                HwInsn::Simple(Instruction::Call { .. }) => call,
+                HwInsn::Simple(Instruction::Store { .. }) => !call,
+                _ => false,
+            })
+        })
+    };
+    assert!(stage_of(&design, true) > stage_of(&design, false), "{}", design.summary());
+    check(&Scenario::new(program, &design, packets)).assert_clean();
+}
+
+/// A helper reads the bytes its pointer arguments name, so it waits for
+/// the store that writes them. `csum_diff` over a stack word the program
+/// just stored: the store's value comes off a three-op chain, so with no
+/// memory dependence the call would be scheduled first and sum zeros.
+#[test]
+fn csum_diff_waits_for_the_stack_store_it_reads() {
+    let mut a = Asm::new();
+    let aborted = a.new_label();
+    a.mov64_imm(6, 0x1230);
+    a.alu64_imm(AluOp::Add, 6, 5);
+    a.alu64_imm(AluOp::Or, 6, 0);
+    a.store_reg(MemSize::Dw, 10, -8, 6);
+    a.mov64_imm(1, 0);
+    a.mov64_imm(2, 0);
+    a.mov64_reg(3, 10);
+    a.alu64_imm(AluOp::Add, 3, -8);
+    a.mov64_imm(4, 8);
+    a.mov64_imm(5, 0);
+    a.call(BPF_CSUM_DIFF);
+    a.jmp_imm(JmpOp::Jne, 0, 0x1235, aborted);
+    a.mov64_imm(0, 1); // XDP_DROP
+    a.exit();
+    a.bind(aborted);
+    a.mov64_imm(0, 0); // XDP_ABORTED
+    a.exit();
+    helper_follows_store(&Program::from_insns(a.into_insns()), &packets(1, 8));
+}
+
+/// A map key read from the packet is packet memory: the lookup waits for
+/// the store that writes the key bytes. With no memory dependence the two
+/// would share a stage, the lookup reading the key from before the store.
+#[test]
+fn lookup_waits_for_the_packet_store_its_key_reads() {
+    let mut a = Asm::new();
+    let pass = a.new_label();
+    a.load(MemSize::W, 7, 1, 0);
+    a.load(MemSize::W, 8, 1, 4);
+    a.mov64_reg(1, 7);
+    a.alu64_imm(AluOp::Add, 1, 8);
+    a.jmp_reg(JmpOp::Jgt, 1, 8, pass);
+    a.mov64_imm(3, 0);
+    a.store_reg(MemSize::W, 7, 0, 3);
+    a.ld_map_fd(1, 0);
+    a.mov64_reg(2, 7);
+    a.call(BPF_MAP_LOOKUP_ELEM);
+    a.jmp_imm(JmpOp::Jeq, 0, 0, pass);
+    a.mov64_imm(0, 3); // XDP_TX
+    a.exit();
+    a.bind(pass);
+    a.mov64_imm(0, 2); // XDP_PASS
+    a.exit();
+    let maps = vec![MapDef::new(0, "a", MapKind::Array, 4, 8, 4)];
+    let mut pkts = packets(2, 8);
+    for p in &mut pkts {
+        p[..4].copy_from_slice(&[0xff; 4]); // no entry until the store
+    }
+    helper_follows_store(&Program::new("pkt_key", a.into_insns(), maps), &pkts);
+}
+
+/// A packet that moved its head and is then replayed by a flush (rolled
+/// back past a stale counter read) has the move applied once: from a
+/// checkpoint already past it with partial flushes, from its original
+/// bytes without them.
+#[test]
+fn adjust_head_applies_once_to_a_replayed_packet() {
+    let mut a = Asm::new();
+    let drop = a.new_label();
+    a.mov64_reg(6, 1);
+    a.mov64_imm(2, -8);
+    a.call(BPF_XDP_ADJUST_HEAD);
+    a.jmp_imm(JmpOp::Jne, 0, 0, drop);
+    a.load(MemSize::W, 7, 6, 0);
+    a.load(MemSize::W, 8, 6, 4);
+    a.mov64_reg(1, 7);
+    a.alu64_imm(AluOp::Add, 1, 16);
+    a.jmp_reg(JmpOp::Jgt, 1, 8, drop);
+    // A read-modify-write of one shared counter: every packet after the
+    // first reads a value an older packet is about to write.
+    a.mov64_imm(2, 0);
+    a.store_reg(MemSize::W, 10, -4, 2);
+    a.ld_map_fd(1, 0);
+    a.mov64_reg(2, 10);
+    a.alu64_imm(AluOp::Add, 2, -4);
+    a.call(BPF_MAP_LOOKUP_ELEM);
+    a.jmp_imm(JmpOp::Jeq, 0, 0, drop);
+    a.load(MemSize::Dw, 3, 0, 0);
+    a.alu64_imm(AluOp::Add, 3, 1);
+    a.store_reg(MemSize::Dw, 0, 0, 3);
+    // Stamp the count into the (new) head of the packet.
+    a.store_reg(MemSize::B, 7, 0, 3);
+    a.mov64_imm(0, 3);
+    a.exit();
+    a.bind(drop);
+    a.mov64_imm(0, 1);
+    a.exit();
+    let maps = vec![MapDef::new(0, "count", MapKind::Array, 4, 8, 1)];
+    let program = Program::new("head_count", a.into_insns(), maps);
+    let design = Compiler::new().compile(&program).expect("program compiles");
+    let pkts = packets(3, 48);
+    for partial_flush in [true, false] {
+        let mut scenario = Scenario::new(&program, &design, &pkts);
+        scenario.sim = SimOptions { partial_flush, ..scenario.sim };
+        let report = check(&scenario).assert_clean();
+        assert!(report.counters.flush_replays > 0, "partial_flush {partial_flush}: no replay");
     }
 }
 

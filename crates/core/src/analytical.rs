@@ -239,66 +239,72 @@ mod tests {
     }
 
     /// Worked example of the absint → stage count → flush model chain: a
-    /// counter program with a statically-dead block of filler work wedged
-    /// between the map read and the map write. With the value analysis on,
-    /// the dead branch is cut before predication, the filler never becomes
-    /// stages, and the write lands closer to the read — a smaller hazard
-    /// window `L` and flush depth `K`, hence strictly higher modeled
-    /// throughput at the same flow count.
+    /// counter program with a block of filler work wedged between the map
+    /// read and the map write, skipped by a branch. When the branch tests
+    /// a constant, the value analysis decides it, the dead filler is cut
+    /// before predication and never becomes stages, and the write lands
+    /// closer to the read than in the same program branching on a packet
+    /// byte — a smaller hazard window `L` and flush depth `K`, hence
+    /// strictly higher modeled throughput at the same flow count.
     #[test]
     #[allow(clippy::unwrap_used)]
     fn absint_shrinks_flush_window_worked_example() {
-        use crate::{Compiler, CompilerOptions};
+        use crate::Compiler;
         use ehdl_ebpf::asm::Asm;
         use ehdl_ebpf::helpers::{BPF_MAP_LOOKUP_ELEM, BPF_MAP_UPDATE_ELEM};
         use ehdl_ebpf::maps::{MapDef, MapKind};
         use ehdl_ebpf::opcode::{AluOp, JmpOp, MemSize};
         use ehdl_ebpf::Program;
 
-        let mut a = Asm::new();
-        let live = a.new_label();
-        let out = a.new_label();
-        // Key 0 at fp-8; look the counter up.
-        a.mov64_imm(2, 0);
-        a.store_reg(MemSize::W, 10, -8, 2);
-        a.ld_map_fd(1, 0);
-        a.mov64_reg(2, 10);
-        a.alu64_imm(AluOp::Add, 2, -8);
-        a.call(BPF_MAP_LOOKUP_ELEM);
-        a.jmp_imm(JmpOp::Jeq, 0, 0, out);
-        a.load(MemSize::Dw, 7, 0, 0);
-        // Constant condition: r3 == 5 always holds, the fall-through
-        // filler below is dead — but only the value analysis knows.
-        a.mov64_imm(3, 5);
-        a.jmp_imm(JmpOp::Jeq, 3, 5, live);
-        for _ in 0..10 {
-            a.alu64_imm(AluOp::Add, 7, 1); // dead filler work
-        }
-        a.bind(live);
-        a.alu64_imm(AluOp::Add, 7, 1);
-        a.store_reg(MemSize::Dw, 10, -16, 7);
-        a.ld_map_fd(1, 0);
-        a.mov64_reg(2, 10);
-        a.alu64_imm(AluOp::Add, 2, -8);
-        a.mov64_reg(3, 10);
-        a.alu64_imm(AluOp::Add, 3, -16);
-        a.mov64_imm(4, 0);
-        a.call(BPF_MAP_UPDATE_ELEM);
-        a.bind(out);
-        a.mov64_imm(0, 2);
-        a.exit();
-        let program = Program::new(
-            "worked",
-            a.into_insns(),
-            vec![MapDef::new(0, "ctr", MapKind::Array, 4, 8, 16)],
-        );
+        // `packet_condition`: r3 is the packet's protocol byte instead of
+        // the constant 5, so the filler may run.
+        let program = |packet_condition: bool| {
+            let mut a = Asm::new();
+            let live = a.new_label();
+            let out = a.new_label();
+            a.load(MemSize::W, 6, 1, 0); // r6 = data
+                                         // Key 0 at fp-8; look the counter up.
+            a.mov64_imm(2, 0);
+            a.store_reg(MemSize::W, 10, -8, 2);
+            a.ld_map_fd(1, 0);
+            a.mov64_reg(2, 10);
+            a.alu64_imm(AluOp::Add, 2, -8);
+            a.call(BPF_MAP_LOOKUP_ELEM);
+            a.jmp_imm(JmpOp::Jeq, 0, 0, out);
+            a.load(MemSize::Dw, 7, 0, 0);
+            if packet_condition {
+                a.load(MemSize::B, 3, 6, 23);
+            } else {
+                a.mov64_imm(3, 5);
+            }
+            a.jmp_imm(JmpOp::Jeq, 3, 5, live);
+            for _ in 0..10 {
+                a.alu64_imm(AluOp::Add, 7, 1); // filler work
+            }
+            a.bind(live);
+            a.alu64_imm(AluOp::Add, 7, 1);
+            a.store_reg(MemSize::Dw, 10, -16, 7);
+            a.ld_map_fd(1, 0);
+            a.mov64_reg(2, 10);
+            a.alu64_imm(AluOp::Add, 2, -8);
+            a.mov64_reg(3, 10);
+            a.alu64_imm(AluOp::Add, 3, -16);
+            a.mov64_imm(4, 0);
+            a.call(BPF_MAP_UPDATE_ELEM);
+            a.bind(out);
+            a.mov64_imm(0, 2);
+            a.exit();
+            Program::new(
+                "worked",
+                a.into_insns(),
+                vec![MapDef::new(0, "ctr", MapKind::Array, 4, 8, 16)],
+            )
+        };
 
-        let with = Compiler::new().compile(&program).unwrap();
-        let without =
-            Compiler::with_options(CompilerOptions { absint: false, ..Default::default() })
-                .compile(&program)
-                .unwrap();
+        let with = Compiler::new().compile(&program(false)).unwrap();
+        let without = Compiler::new().compile(&program(true)).unwrap();
         assert!(with.stats.decided_branches >= 1, "the constant branch is decided");
+        assert_eq!(without.stats.decided_branches, 0, "the packet branch is not");
         assert!(
             with.stages.len() < without.stages.len(),
             "cut filler shortens the pipeline: {} vs {}",

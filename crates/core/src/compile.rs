@@ -1,5 +1,7 @@
-//! The compiler driver: verify → unroll → analyze → fuse → schedule →
-//! assemble → frame → hazard-plan → prune.
+//! The compiler driver: verify → unroll → analyze (decode + CFG) → absint
+//! (the one abstract interpretation, with the §3.1 labels projected from
+//! its register states) → fuse → schedule → assemble → frame →
+//! hazard-plan → prune.
 
 use crate::cfg::Cfg;
 use crate::ddg;
@@ -9,7 +11,7 @@ use crate::fusion::{self, FusionOptions};
 use crate::hazard;
 use crate::hazardopt;
 use crate::invcheck;
-use crate::ir::{HwInsn, Interval, MemLabel, PacketProof};
+use crate::ir::{HwInsn, PacketProof};
 use crate::label;
 use crate::pipeline::{assemble, DesignStats, PipelineDesign, Protection};
 use crate::prune;
@@ -30,9 +32,9 @@ pub struct PassTimings {
     pub verify: Duration,
     /// Bounded-loop unrolling.
     pub unroll: Duration,
-    /// CFG construction + labeling analysis.
+    /// Decode + CFG construction.
     pub analyze: Duration,
-    /// Abstract-interpretation value analysis.
+    /// The abstract interpretation and the labels projected from it.
     pub absint: Duration,
     /// Fusion + DCE.
     pub fuse: Duration,
@@ -74,10 +76,13 @@ pub struct CompilerOptions {
     /// primitives into the design. Default is no protection (the paper's
     /// baseline); the fault-injection campaign flips this on.
     pub protect: Protection,
-    /// Abstract-interpretation value analysis (`ehdl_ebpf::absint`):
-    /// proves packet accesses in-bounds (compiled unguarded), cuts
-    /// statically-dead branches, and narrows frame slices. Off reproduces
-    /// the guard-everything baseline for the ablation benches.
+    /// Use the facts of the value analysis (`ehdl_ebpf::absint`): proven
+    /// packet accesses compile unguarded, proven offsets cap the frame
+    /// slices, narrow stack slots are not carried, and `shardcheck` gets
+    /// key provenance. Off is the guard-everything ablation baseline. The
+    /// analysis runs either way, since the labels are read off it, and its
+    /// decided branches are cut either way: the code behind them has no
+    /// labels.
     pub absint: bool,
 }
 
@@ -169,17 +174,18 @@ impl Compiler {
         let program = unroll::unroll(program, o.max_unroll)?;
         t.unroll = mark.elapsed();
 
-        // 3. Analyze and label.
+        // 3. Decode and build the CFG.
         let mark = Instant::now();
         let decoded = program.decode()?;
         let cfg = Cfg::build(&decoded);
-        let labeling = label::label(&program, &decoded, &cfg)?;
         t.analyze = mark.elapsed();
 
-        // 3b. Abstract interpretation over the unrolled stream: packet
-        // bounds proofs, decided branches, frame-slice narrowing.
+        // 3b. Abstract interpretation over the unrolled stream: the §3.1
+        // labels, packet bounds proofs, decided branches, frame-slice
+        // narrowing.
         let mark = Instant::now();
-        let analysis = o.absint.then(|| absint::analyze(&decoded));
+        let (labeling, analysis) = label::label(&program, &decoded)?;
+        let facts = o.absint.then_some(&analysis);
         t.absint = mark.elapsed();
 
         // 4. Fuse / DCE / mark elidable bounds checks.
@@ -194,9 +200,7 @@ impl Compiler {
                 elide_bounds_checks: o.elide_bounds_checks,
             },
         );
-        if let Some(an) = &analysis {
-            apply_analysis(&mut lowered, an);
-        }
+        apply_analysis(&mut lowered, &analysis, o.absint);
         t.fuse = mark.elapsed();
 
         // 5. Schedule (ILP within blocks), then minimize hazard windows
@@ -213,8 +217,7 @@ impl Compiler {
         // 6-9. Assemble, frame, plan hazards, prune.
         let mark = Instant::now();
         let assembled = assemble(&lowered, &schedules);
-        let packet_cap =
-            analysis.as_ref().filter(|an| an.all_packet_proven).and_then(|an| an.max_proven_end);
+        let packet_cap = facts.filter(|an| an.all_packet_proven).and_then(|an| an.max_proven_end);
         let (stages, framing_info) = framing::apply(
             assembled.stages,
             FramingOptions {
@@ -227,8 +230,7 @@ impl Compiler {
         let prune_info = prune::analyze(&stages, &assembled.blocks, o.prune);
         t.backend = mark.elapsed();
 
-        let stack_narrow = analysis
-            .as_ref()
+        let stack_narrow = facts
             .map(|an| {
                 an.stack_slots
                     .iter()
@@ -236,13 +238,11 @@ impl Compiler {
                     .collect()
             })
             .unwrap_or_default();
-        let (packet_accesses, proven_accesses, decided_branches) = analysis
-            .as_ref()
-            .map(|an| (an.packet_accesses, an.proven_accesses, an.decided_branches()))
-            .unwrap_or_default();
+        let (packet_accesses, proven_accesses) =
+            facts.map(|an| (an.packet_accesses, an.proven_accesses)).unwrap_or_default();
         // 10. Sharding soundness: classify every map's scale-out behavior
         // from the analysis facts (key provenance, write commutativity).
-        let shard = crate::shardcheck::analyze(&program.maps, analysis.as_ref());
+        let shard = crate::shardcheck::analyze(&program.maps, facts);
         let design = PipelineDesign {
             name: program.name.clone(),
             stages,
@@ -261,7 +261,7 @@ impl Compiler {
                 ilp,
                 packet_accesses,
                 proven_accesses,
-                decided_branches,
+                decided_branches: analysis.decided_branches(),
             },
         };
 
@@ -278,22 +278,13 @@ impl Compiler {
 }
 
 /// Fold the abstract-interpretation facts into the lowered program:
-/// attach proofs to proven packet accesses (tightening their labels) and
-/// cut statically-decided branches from the control graph.
-fn apply_analysis(lowered: &mut fusion::LoweredProgram, an: &absint::Analysis) {
-    for block in &mut lowered.blocks {
-        for op in block.iter_mut() {
-            let Some(f) = an.packet_fact(op.pc) else { continue };
-            if !f.proven {
-                continue;
-            }
-            // Only accesses the labeling pass also classified as packet
-            // are rewritten; both interval sources over-approximate the
-            // same offset, so their intersection is sound and tighter.
-            if let MemLabel::Packet(iv) = op.label {
-                if let Some(tight) = iv.intersect(Interval::new(f.lo, f.hi)) {
-                    op.label = MemLabel::Packet(tight);
-                }
+/// attach proofs to proven packet accesses (when `proofs` is set) and cut
+/// statically-decided branches from the control graph.
+fn apply_analysis(lowered: &mut fusion::LoweredProgram, an: &absint::Analysis, proofs: bool) {
+    if proofs {
+        // A fact's access is labeled packet: both come from one state.
+        for op in lowered.blocks.iter_mut().flatten() {
+            if let Some(f) = an.packet_fact(op.pc).filter(|f| f.proven) {
                 op.proof = Some(PacketProof { lo: f.lo, hi: f.hi, min_len: f.min_len });
             }
         }
@@ -321,6 +312,7 @@ fn apply_analysis(lowered: &mut fusion::LoweredProgram, an: &absint::Analysis) {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::ir::{Interval, MemLabel};
     use ehdl_ebpf::asm::Asm;
 
     #[test]
@@ -356,6 +348,58 @@ mod tests {
         a.exit();
         let err = Compiler::new().compile(&Program::from_insns(a.into_insns())).unwrap_err();
         assert!(err.to_string().contains("helper"), "{err}");
+    }
+
+    /// A proven 4-byte packet load at offset 190 spans bytes 190-193, and
+    /// bytes 192-193 arrive with the fourth 64-byte frame. The proof must
+    /// not narrow the label to the offset interval: the load is placed
+    /// for the same frame with and without proofs.
+    #[test]
+    fn a_proven_load_straddling_frames_waits_for_its_last_byte() {
+        use ehdl_ebpf::opcode::{AluOp, JmpOp, MemSize};
+        let mut a = Asm::new();
+        let drop = a.new_label();
+        a.load(MemSize::W, 7, 1, 0);
+        a.load(MemSize::W, 8, 1, 4);
+        a.mov64_reg(2, 7);
+        a.alu64_imm(AluOp::Add, 2, 200);
+        a.jmp_reg(JmpOp::Jgt, 2, 8, drop);
+        a.load(MemSize::W, 3, 7, 190);
+        a.mov64_reg(0, 3);
+        a.alu64_imm(AluOp::And, 0, 3);
+        a.exit();
+        a.bind(drop);
+        a.mov64_imm(0, 1);
+        a.exit();
+        let program = Program::from_insns(a.into_insns());
+        let placed = |absint: bool| {
+            let c = Compiler::with_options(CompilerOptions { absint, ..Default::default() });
+            let d = c.compile(&program).unwrap();
+            let (s, op) = (d.stages.iter().enumerate())
+                .flat_map(|(s, st)| st.ops.iter().map(move |op| (s, op)))
+                .find(|(_, op)| matches!(op.label, MemLabel::Packet(_)))
+                .unwrap();
+            (op.label, op.proof.is_some(), d.framing.stage_frames[s])
+        };
+        let (proven, unproven) = (placed(true), placed(false));
+        assert_eq!(proven, (MemLabel::Packet(Interval::new(190, 193)), true, Some(3)));
+        assert_eq!((proven.0, proven.2), (unproven.0, unproven.2));
+        assert!(!unproven.1);
+    }
+
+    /// Straight-line code longer than the value analysis' work budget is
+    /// a typed compile error; the VM's fact checker gets no facts instead.
+    #[test]
+    fn analysis_budget_is_a_typed_error() {
+        let mut a = Asm::new();
+        for _ in 0..250_000 {
+            a.mov64_imm(0, 2);
+        }
+        a.exit();
+        let program = Program::from_insns(a.into_insns());
+        let err = Compiler::new().compile(&program).unwrap_err();
+        assert_eq!(err, CompileError::AnalysisBudget);
+        assert!(absint::analyze(&program.decode().unwrap()).stack_slots.is_empty());
     }
 
     #[test]

@@ -318,7 +318,7 @@ mod tests {
     fn deps_of(p: &Program) -> (LoweredProgram, Vec<BlockDeps>) {
         let decoded = p.decode().unwrap();
         let cfg = Cfg::build(&decoded);
-        let lab = label(p, &decoded, &cfg).unwrap();
+        let (lab, _) = label(p, &decoded).unwrap();
         let lowered = lower(
             &decoded,
             &lab,

@@ -44,6 +44,9 @@ pub enum CompileError {
         /// Slot of the call.
         pc: usize,
     },
+    /// The abstract interpretation that labels the program outgrew its
+    /// work budget before reaching a fixpoint.
+    AnalysisBudget,
     /// The finished design violates a pipeline invariant (`invcheck`):
     /// a compiler bug, surfaced statically instead of as silent
     /// miscomputation in hardware.
@@ -72,6 +75,9 @@ impl fmt::Display for CompileError {
             }
             CompileError::UnsupportedHelper { helper, pc } => {
                 write!(f, "helper {helper} (called at {pc}) has no hardware block")
+            }
+            CompileError::AnalysisBudget => {
+                write!(f, "value analysis exceeded its work budget; the program is too large")
             }
             CompileError::Invariant { detail } => {
                 write!(f, "pipeline invariant violated: {detail}")

@@ -345,7 +345,7 @@ mod tests {
     fn lower_prog(p: &Program, opts: FusionOptions) -> LoweredProgram {
         let decoded = p.decode().unwrap();
         let cfg = Cfg::build(&decoded);
-        let lab = label(p, &decoded, &cfg).unwrap();
+        let (lab, _) = label(p, &decoded).unwrap();
         lower(&decoded, &lab, &cfg, opts)
     }
 

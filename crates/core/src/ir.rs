@@ -1,5 +1,5 @@
-//! Compiler intermediate representation: hardware instructions, pointer
-//! kinds, and the resources (state elements) each instruction reads and
+//! Compiler intermediate representation: hardware instructions, memory
+//! labels, and the resources (state elements) each instruction reads and
 //! writes.
 
 use ehdl_ebpf::insn::{Instruction, Operand};
@@ -40,12 +40,6 @@ impl Interval {
         Interval { lo: self.lo.min(other.lo), hi: self.hi.max(other.hi) }
     }
 
-    /// Shift by another interval (interval addition).
-    #[allow(clippy::should_implement_trait)]
-    pub fn add(self, other: Interval) -> Interval {
-        Interval { lo: self.lo.saturating_add(other.lo), hi: self.hi.saturating_add(other.hi) }
-    }
-
     /// True if this is a single known constant.
     pub fn as_const(self) -> Option<i64> {
         (self.lo == self.hi).then_some(self.lo)
@@ -60,14 +54,6 @@ impl Interval {
     pub fn overlaps(self, other: Interval) -> bool {
         self.lo <= other.hi && other.lo <= self.hi
     }
-
-    /// Intersection, when non-empty. Intersecting two over-approximations
-    /// of the same quantity yields a (tighter) over-approximation.
-    pub fn intersect(self, other: Interval) -> Option<Interval> {
-        let lo = self.lo.max(other.lo);
-        let hi = self.hi.min(other.hi);
-        (lo <= hi).then_some(Interval { lo, hi })
-    }
 }
 
 impl fmt::Display for Interval {
@@ -78,64 +64,6 @@ impl fmt::Display for Interval {
             write!(f, "[{c}]")
         } else {
             write!(f, "[{}..{}]", self.lo, self.hi)
-        }
-    }
-}
-
-/// Abstract value kind of a register during labeling (§3.1): the register
-/// dependency analysis tracking `r10` (stack), the `xdp_md` packet pointers,
-/// and `r0` after map lookups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    /// Uninitialized / unreached.
-    Bottom,
-    /// Plain number, with an offset interval when statically known.
-    Scalar(Interval),
-    /// The `xdp_md` context pointer.
-    Ctx,
-    /// `data + interval`.
-    PacketPtr(Interval),
-    /// `data_end + interval`.
-    PacketEnd(Interval),
-    /// Stack pointer: `r10 + interval` (interval is ≤ 0).
-    StackPtr(Interval),
-    /// Pointer into a map value (`bpf_map_lookup_elem` result after the
-    /// null check), plus offset interval.
-    MapValuePtr(u32, Interval),
-    /// Lookup result before the null check: either NULL or a value pointer.
-    NullOrMapValue(u32),
-    /// Opaque map handle from `ld_map_fd`.
-    MapHandle(u32),
-    /// Conflicting kinds met; dereferencing this is a compile error.
-    Top,
-}
-
-impl Kind {
-    /// Lattice join.
-    pub fn join(self, other: Kind) -> Kind {
-        use Kind::*;
-        match (self, other) {
-            (Bottom, k) | (k, Bottom) => k,
-            (Scalar(a), Scalar(b)) => Scalar(a.join(b)),
-            (Ctx, Ctx) => Ctx,
-            (PacketPtr(a), PacketPtr(b)) => PacketPtr(a.join(b)),
-            (PacketEnd(a), PacketEnd(b)) => PacketEnd(a.join(b)),
-            (StackPtr(a), StackPtr(b)) => StackPtr(a.join(b)),
-            (MapValuePtr(m, a), MapValuePtr(n, b)) if m == n => MapValuePtr(m, a.join(b)),
-            (NullOrMapValue(m), NullOrMapValue(n)) if m == n => NullOrMapValue(m),
-            // NULL (scalar 0) joined with a checked/unchecked value pointer
-            // stays "maybe null" — this happens at join points after
-            // branches that only one path checked.
-            (Scalar(_), NullOrMapValue(m)) | (NullOrMapValue(m), Scalar(_)) => NullOrMapValue(m),
-            (Scalar(_), MapValuePtr(m, _)) | (MapValuePtr(m, _), Scalar(_)) => NullOrMapValue(m),
-            (NullOrMapValue(m), MapValuePtr(n, _)) | (MapValuePtr(n, _), NullOrMapValue(m))
-                if m == n =>
-            {
-                NullOrMapValue(m)
-            }
-            (MapHandle(m), MapHandle(n)) if m == n => MapHandle(m),
-            (a, b) if a == b => a,
-            _ => Top,
         }
     }
 }
@@ -316,29 +244,11 @@ mod tests {
         let a = Interval::point(4);
         let b = Interval::new(0, 10);
         assert_eq!(a.join(b), Interval::new(0, 10));
-        assert_eq!(a.add(Interval::point(-4)), Interval::point(0));
         assert_eq!(a.as_const(), Some(4));
         assert_eq!(b.as_const(), None);
         assert!(Interval::TOP.is_top());
-        assert!(a.add(Interval::TOP).is_top());
         assert!(b.overlaps(Interval::new(10, 20)));
         assert!(!b.overlaps(Interval::new(11, 20)));
-    }
-
-    #[test]
-    fn kind_join_rules() {
-        use Kind::*;
-        assert_eq!(Bottom.join(Ctx), Ctx);
-        assert_eq!(
-            PacketPtr(Interval::point(0)).join(PacketPtr(Interval::point(14))),
-            PacketPtr(Interval::new(0, 14))
-        );
-        assert_eq!(
-            Scalar(Interval::point(0)).join(MapValuePtr(2, Interval::point(0))),
-            NullOrMapValue(2)
-        );
-        assert_eq!(MapHandle(1).join(MapHandle(2)), Top);
-        assert_eq!(Ctx.join(PacketPtr(Interval::point(0))), Top);
     }
 
     #[test]

@@ -384,7 +384,7 @@ mod tests {
     fn assemble_prog(p: &Program) -> Assembled {
         let decoded = p.decode().unwrap();
         let cfg = Cfg::build(&decoded);
-        let lab = label(p, &decoded, &cfg).unwrap();
+        let (lab, _) = label(p, &decoded).unwrap();
         let lowered = lower(&decoded, &lab, &cfg, FusionOptions::default());
         let deps = ddg::build(&lowered);
         let s = schedule(&lowered, &deps, true);

@@ -208,7 +208,7 @@ mod tests {
     fn prune_prog(p: &Program) -> (Vec<Stage>, PruneInfo) {
         let decoded = p.decode().unwrap();
         let cfg = Cfg::build(&decoded);
-        let lab = label(p, &decoded, &cfg).unwrap();
+        let (lab, _) = label(p, &decoded).unwrap();
         let lowered = lower(
             &decoded,
             &lab,
@@ -316,7 +316,7 @@ mod tests {
         let p = Program::from_insns(a.into_insns());
         let decoded = p.decode().unwrap();
         let cfg = Cfg::build(&decoded);
-        let lab = label(&p, &decoded, &cfg).unwrap();
+        let (lab, _) = label(&p, &decoded).unwrap();
         let lowered = lower(&decoded, &lab, &cfg, FusionOptions::default());
         let deps = ddg::build(&lowered);
         let s = schedule(&lowered, &deps, true);

@@ -104,7 +104,7 @@ mod tests {
     fn sched(p: &Program, parallelize: bool) -> (LoweredProgram, Vec<BlockSchedule>) {
         let decoded = p.decode().unwrap();
         let cfg = Cfg::build(&decoded);
-        let lab = label(p, &decoded, &cfg).unwrap();
+        let (lab, _) = label(p, &decoded).unwrap();
         let lowered = lower(
             &decoded,
             &lab,

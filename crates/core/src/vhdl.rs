@@ -453,12 +453,12 @@ fn op_vhdl(o: &mut String, stage: usize, block: usize, op: &crate::pipeline::Sta
             Instruction::Load { dst, off, .. } => match op.label {
                 MemLabel::Packet(iv) => write!(
                     o,
-                    "st{nxt}_r{dst} <= pkt_bytes(st{stage}_frame, {});  -- packet[{iv}]",
+                    "st{nxt}_r{dst} <= pkt_bytes(st{stage}_frame, {});  -- packet{iv}",
                     iv.lo.max(0)
                 ),
                 MemLabel::Stack(iv) => write!(
                     o,
-                    "st{nxt}_r{dst} <= stack_bytes(st{stage}_stack, {});  -- stack[{iv}]",
+                    "st{nxt}_r{dst} <= stack_bytes(st{stage}_stack, {});  -- stack{iv}",
                     iv.lo
                 ),
                 MemLabel::Map(m) => {
@@ -471,12 +471,12 @@ fn op_vhdl(o: &mut String, stage: usize, block: usize, op: &crate::pipeline::Sta
                 match op.label {
                     MemLabel::Packet(iv) => write!(
                         o,
-                        "st{nxt}_frame <= pkt_store(st{stage}_frame, {}, {s});  -- packet[{iv}]",
+                        "st{nxt}_frame <= pkt_store(st{stage}_frame, {}, {s});  -- packet{iv}",
                         iv.lo.max(0)
                     ),
                     MemLabel::Stack(iv) => write!(
                         o,
-                        "st{nxt}_stack <= stack_store(st{stage}_stack, {}, {s});  -- stack[{iv}]",
+                        "st{nxt}_stack <= stack_store(st{stage}_stack, {}, {s});  -- stack{iv}",
                         iv.lo
                     ),
                     MemLabel::Map(m) => {

@@ -314,7 +314,7 @@ fn assert_ddg_matches_reference(program: &Program) {
     use ehdl_core::label::label;
     let decoded = program.decode().unwrap();
     let cfg = Cfg::build(&decoded);
-    let lab = label(program, &decoded, &cfg).unwrap();
+    let (lab, _) = label(program, &decoded).unwrap();
     let plain = FusionOptions { fuse: false, dce: false, elide_bounds_checks: false };
     for opts in [FusionOptions::default(), plain] {
         let lowered = lower(&decoded, &lab, &cfg, opts);

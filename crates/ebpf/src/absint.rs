@@ -21,9 +21,14 @@
 //! reference [`crate::vm::Vm`] can do. The VM's assertion mode
 //! ([`crate::vm::Vm::check_facts`]) and the hardware simulator re-check
 //! every fact at runtime; the differential and fuzz campaigns gate on zero
-//! violations. The analysis never fails: on anything it cannot model it
-//! degrades to ⊤ (no facts), and a global work budget returns an empty
-//! [`Analysis`] rather than looping.
+//! violations. On anything it cannot model the analysis degrades to ⊤ (no
+//! facts), and a global work budget stops it rather than looping:
+//! [`analyze_with`] reports that as [`BudgetExceeded`], [`analyze`] as an
+//! empty [`Analysis`].
+//!
+//! [`analyze_with`] also hands each reached instruction's register file to
+//! a caller, which is how the compiler labels memory instructions (§3.1)
+//! without a second fixpoint.
 
 use crate::insn::{Decoded, Instruction, Operand};
 use crate::opcode::{AluOp, AtomicOp, JmpOp, MemSize, Width};
@@ -37,8 +42,8 @@ pub const STACK_SLOTS: usize = 64;
 /// the fixpoint terminates on (bounded or malformed) loops.
 const WIDEN_AFTER: u32 = 8;
 
-/// Hard ceiling on worklist pops; beyond it the analysis gives up and
-/// returns no facts (fuzzed inputs must never hang the compiler).
+/// Hard ceiling on instructions stepped during the fixpoint; beyond it the
+/// analysis gives up (fuzzed inputs must never hang the compiler).
 const POP_BUDGET: usize = 200_000;
 
 /// Offsets beyond this magnitude are not used for packet-length
@@ -192,11 +197,6 @@ impl Iv {
     /// The constant, if a single point.
     pub fn as_const(self) -> Option<i64> {
         (self.lo == self.hi).then_some(self.lo)
-    }
-
-    /// Does the interval contain `v`?
-    pub fn contains(self, v: i64) -> bool {
-        self.lo <= v && v <= self.hi
     }
 
     /// Smallest interval covering both.
@@ -380,12 +380,32 @@ impl AbsVal {
         }
         let prov = match (self.prov, other.prov) {
             (a, b) if a == b => a,
+            // A lookup result null-checked on one path only stays
+            // maybe-null at the merge.
+            (Prov::MapValue(m) | Prov::NullOrMapValue(m), _)
+            | (_, Prov::MapValue(m) | Prov::NullOrMapValue(m))
+                if self.is_null_or_value_of(m) && other.is_null_or_value_of(m) =>
+            {
+                return AbsVal { prov: Prov::NullOrMapValue(m), iv: Iv::TOP, tn: Tnum::TOP, src };
+            }
             _ => Prov::Unknown,
         };
         if prov == Prov::Unknown {
             return AbsVal { src, ..AbsVal::TOP };
         }
         AbsVal { prov, iv: self.iv.join(other.iv), tn: self.tn.join(other.tn), src }
+    }
+
+    /// Is this NULL (only the constant 0), a value pointer of map `m` at
+    /// offset 0, or a maybe-null lookup result of `m`: exactly what a later
+    /// null check splits back out?
+    fn is_null_or_value_of(self, m: u32) -> bool {
+        match self.prov {
+            Prov::Scalar => self.as_const() == Some(0),
+            Prov::MapValue(n) => n == m && self.iv == Iv::point(0),
+            Prov::NullOrMapValue(n) => n == m,
+            _ => false,
+        }
     }
 
     /// Truncate to 32-bit semantics (zero-extended), scalar only.
@@ -1479,15 +1499,36 @@ fn may_write_stack(insn: &Instruction) -> bool {
     )
 }
 
+/// The fixpoint stepped more instructions than its work budget allows
+/// (200,000) and stopped without facts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BudgetExceeded;
+
 /// Run the abstract interpretation over a decoded instruction stream.
 ///
 /// Total and panic-free for arbitrary (even unverifiable) input: paths the
-/// analysis cannot model degrade to ⊤, and a work budget bails out to an
+/// analysis cannot model degrade to ⊤, and a blown work budget yields an
 /// empty [`Analysis`].
 pub fn analyze(decoded: &[Decoded]) -> Analysis {
+    analyze_with(decoded, |_, _| {}).unwrap_or_default()
+}
+
+/// As [`analyze`], and `visit(i, regs)` sees the register file in front of
+/// every reached instruction `decoded[i]`, once each, in stream order
+/// within a block. Instructions only on the dead side of a decided branch
+/// are never visited.
+///
+/// # Errors
+///
+/// [`BudgetExceeded`] when the fixpoint outgrows its work budget; `visit`
+/// is then never called.
+pub fn analyze_with(
+    decoded: &[Decoded],
+    mut visit: impl FnMut(usize, &[AbsVal; 11]),
+) -> Result<Analysis, BudgetExceeded> {
     let n = decoded.len();
     if n == 0 {
-        return Analysis::default();
+        return Ok(Analysis::default());
     }
     let blocks = Blocks::new(decoded);
 
@@ -1502,9 +1543,6 @@ pub fn analyze(decoded: &[Decoded]) -> Analysis {
     let mut pops = 0usize;
     while let Some(b) = work.pop_front() {
         queued[b] = false;
-        if pops > POP_BUDGET {
-            return Analysis::default();
-        }
         let Some(st) = states[b].as_deref().cloned() else { continue };
         blocks.walk(
             b,
@@ -1527,11 +1565,14 @@ pub fn analyze(decoded: &[Decoded]) -> Analysis {
                 }
             },
         );
+        if pops > POP_BUDGET {
+            return Err(BudgetExceeded);
+        }
     }
 
     // Final pass: walk every reached block once more from its stable
-    // leader state and read the facts off the state in front of each
-    // instruction.
+    // leader state, read the facts off the state in front of each
+    // instruction and hand its registers to the caller.
     let mut analysis =
         Analysis { stack_slots: vec![SlotInfo::default(); STACK_SLOTS], ..Analysis::default() };
     // Join of every value each slot holds anywhere, starting from the
@@ -1547,7 +1588,8 @@ pub fn analyze(decoded: &[Decoded]) -> Analysis {
     let mut const_acc: [Option<Option<u64>>; STACK_SLOTS] = [None; STACK_SLOTS];
     let reached = (0..n).filter_map(|b| states[b].as_deref().map(|st| (b, st)));
     for (b, leader_state) in reached {
-        let visit = |i: usize, st: &State| {
+        let facts = |i: usize, st: &State| {
+            visit(i, &st.regs);
             let d = &decoded[i];
             if i == b || may_write_stack(&decoded[i - 1].insn) {
                 for (s, v) in st.stack.iter().enumerate() {
@@ -1665,7 +1707,7 @@ pub fn analyze(decoded: &[Decoded]) -> Analysis {
                 analysis.facts.insert(f.pc, f);
             }
         };
-        blocks.walk(b, leader_state.clone(), visit, |_, _| {});
+        blocks.walk(b, leader_state.clone(), facts, |_, _| {});
     }
     analysis.all_packet_proven = analysis.proven_accesses == analysis.packet_accesses;
     for ((info, v), cacc) in analysis.stack_slots.iter_mut().zip(slot_acc).zip(const_acc) {
@@ -1683,7 +1725,7 @@ pub fn analyze(decoded: &[Decoded]) -> Analysis {
             info.width = width;
         }
     }
-    analysis
+    Ok(analysis)
 }
 
 #[cfg(test)]
@@ -1861,6 +1903,27 @@ mod tests {
         let an = analyze(&[]);
         assert_eq!(an.packet_accesses, 0);
         assert!(an.stack_slots.is_empty());
+    }
+
+    #[test]
+    fn null_checked_on_one_path_joins_to_maybe_null() {
+        let maybe =
+            AbsVal { prov: Prov::NullOrMapValue(3), iv: Iv::TOP, tn: Tnum::TOP, src: SRC_TOP };
+        let null = AbsVal::constant(0);
+        let value = AbsVal::pointer(Prov::MapValue(3), 0);
+        for (x, y) in [(null, value), (value, null), (null, maybe), (value, maybe), (maybe, value)]
+        {
+            let j = x.join(y);
+            assert_eq!((j.prov, j.iv, j.tn), (Prov::NullOrMapValue(3), Iv::TOP, Tnum::TOP));
+        }
+        // Any other scalar, another map or an interior pointer is not the
+        // null-or-value pair a later null check splits.
+        assert_eq!(AbsVal::constant(1).join(value).prov, Prov::Unknown);
+        assert_eq!(
+            value.join(AbsVal { prov: Prov::NullOrMapValue(4), ..maybe }).prov,
+            Prov::Unknown
+        );
+        assert_eq!(null.join(AbsVal::pointer(Prov::MapValue(3), 8)).prov, Prov::Unknown);
     }
 
     #[test]

@@ -523,6 +523,79 @@ fn adjust_head_applies_once_to_a_replayed_packet() {
     }
 }
 
+/// A packet pointer spilled to the stack and reloaded is still a packet
+/// pointer: the value analysis tracks spills, so the access through the
+/// reloaded register is labeled packet memory (and proven in bounds).
+#[test]
+fn a_packet_pointer_reloaded_from_the_stack_compiles() {
+    let mut a = Asm::new();
+    let drop = a.new_label();
+    let pass = a.new_label();
+    a.load(MemSize::W, 7, 1, 0);
+    a.load(MemSize::W, 8, 1, 4);
+    a.mov64_reg(2, 7);
+    a.alu64_imm(AluOp::Add, 2, 20);
+    a.jmp_reg(JmpOp::Jgt, 2, 8, drop);
+    a.store_reg(MemSize::Dw, 10, -8, 7); // spill data
+    a.load(MemSize::Dw, 3, 10, -8); // reload it
+    a.load(MemSize::B, 4, 3, 13);
+    a.jmp_imm(JmpOp::Jgt, 4, 0x80, pass);
+    a.store_reg(MemSize::B, 3, 12, 4);
+    a.mov64_imm(0, 3); // XDP_TX
+    a.exit();
+    a.bind(pass);
+    a.mov64_imm(0, 2); // XDP_PASS
+    a.exit();
+    a.bind(drop);
+    a.mov64_imm(0, 1);
+    a.exit();
+    let program = Program::from_insns(a.into_insns());
+    for absint in [true, false] {
+        equivalent(&program, CompilerOptions { absint, ..Default::default() }, &packets(4, 24));
+    }
+}
+
+/// A lookup result null-checked on one path only, joined with the
+/// unchecked path, checked again and dereferenced: the join keeps it a
+/// maybe-null value pointer, so the dereference is a map access.
+#[test]
+fn a_lookup_checked_on_one_path_then_rechecked_compiles() {
+    let mut a = Asm::new();
+    let drop = a.new_label();
+    let join = a.new_label();
+    let out = a.new_label();
+    a.load(MemSize::W, 7, 1, 0);
+    a.load(MemSize::W, 8, 1, 4);
+    a.mov64_reg(2, 7);
+    a.alu64_imm(AluOp::Add, 2, 14);
+    a.jmp_reg(JmpOp::Jgt, 2, 8, drop);
+    a.mov64_imm(9, 0);
+    a.mov64_imm(2, 0);
+    a.store_reg(MemSize::W, 10, -4, 2);
+    a.ld_map_fd(1, 0);
+    a.mov64_reg(2, 10);
+    a.alu64_imm(AluOp::Add, 2, -4);
+    a.call(BPF_MAP_LOOKUP_ELEM);
+    a.load(MemSize::B, 5, 7, 12);
+    a.jmp_imm(JmpOp::Jgt, 5, 0x80, join); // this path skips the check
+    a.jmp_imm(JmpOp::Jeq, 0, 0, join);
+    a.mov64_imm(9, 1);
+    a.bind(join);
+    a.jmp_imm(JmpOp::Jeq, 0, 0, out);
+    a.load(MemSize::Dw, 3, 0, 0);
+    a.alu64_reg(AluOp::Add, 3, 9);
+    a.store_reg(MemSize::Dw, 0, 0, 3);
+    a.bind(out);
+    a.mov64_imm(0, 2);
+    a.exit();
+    a.bind(drop);
+    a.mov64_imm(0, 1);
+    a.exit();
+    let maps = vec![MapDef::new(0, "ctr", MapKind::Array, 4, 8, 1)];
+    let program = Program::new("recheck", a.into_insns(), maps);
+    equivalent(&program, CompilerOptions::default(), &packets(5, 24));
+}
+
 /// Soak: a larger random-program campaign.
 #[test]
 fn soak_random_programs() {

@@ -7,8 +7,7 @@
 //! 10 Mpps when using multiple cores", and ~10× higher latency than the
 //! FPGA datapaths.
 
-use ehdl_ebpf::vm::{Vm, VmError};
-use ehdl_ebpf::Program;
+use crate::Profile;
 
 /// Arm A72 core clock.
 pub const CLOCK_HZ: f64 = 2.75e9;
@@ -26,8 +25,6 @@ pub const SCALING: f64 = 0.92;
 /// Performance report.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BluefieldReport {
-    /// Cores used.
-    pub cores: usize,
     /// Cycles per packet on one core.
     pub cycles_per_packet: f64,
     /// Aggregate throughput in packets per second.
@@ -54,78 +51,43 @@ impl BluefieldModel {
         BluefieldModel { cores }
     }
 
-    /// Evaluate `program` over a sample packet mix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates VM errors (see [`crate::hxdp::HxdpModel::evaluate`]).
-    pub fn evaluate(
-        &self,
-        program: &Program,
-        sample: &[Vec<u8>],
-    ) -> Result<BluefieldReport, VmError> {
-        let mut vm = Vm::new(program);
-        vm.set_time_ns(1000);
-        let mut total = 0.0;
-        let mut n = 0usize;
-        for pkt in sample {
-            let mut bytes = pkt.clone();
-            let out = match vm.run(&mut bytes, 0) {
-                Ok(o) => o,
-                Err(VmError::BadAccess { .. }) => continue,
-                Err(e) => return Err(e),
-            };
-            total += out.executed as f64 * CPI
-                + DRIVER_OVERHEAD_CYCLES
-                + (out.helper_calls + out.atomic_ops) as f64 * HELPER_MAP_CYCLES;
-            n += 1;
-        }
-        let cycles_per_packet = if n == 0 { DRIVER_OVERHEAD_CYCLES } else { total / n as f64 };
+    /// Charge `profile`'s mean path: its instructions at the JIT's CPI,
+    /// the driver path, and a memory round trip per helper call or atomic.
+    pub fn evaluate(&self, profile: &Profile) -> BluefieldReport {
+        let cycles_per_packet = profile.per_packet(profile.insns) * CPI
+            + DRIVER_OVERHEAD_CYCLES
+            + profile.per_packet(profile.helper_calls + profile.atomic_ops) * HELPER_MAP_CYCLES;
         let single = CLOCK_HZ / cycles_per_packet;
         let pps = single * (self.cores as f64) * if self.cores > 1 { SCALING } else { 1.0 };
-        Ok(BluefieldReport {
-            cores: self.cores,
+        BluefieldReport {
             cycles_per_packet,
             pps,
             latency_ns: cycles_per_packet * 1e9 / CLOCK_HZ + 9_500.0,
-        })
+        }
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use ehdl_ebpf::asm::Asm;
-
-    fn prog(n_alu: usize) -> Program {
-        let mut a = Asm::new();
-        for i in 0..n_alu {
-            a.alu64_imm(ehdl_ebpf::opcode::AluOp::Add, 2, i as i32);
-        }
-        a.mov64_imm(0, 3);
-        a.exit();
-        Program::from_insns(a.into_insns())
-    }
 
     #[test]
     fn single_core_in_low_mpps() {
-        let r = BluefieldModel::new(1).evaluate(&prog(40), &vec![vec![0u8; 64]; 4]).unwrap();
+        let r = BluefieldModel::new(1).evaluate(&Profile::straight(42));
         assert!((1e6..8e6).contains(&r.pps), "{}", r.pps);
     }
 
     #[test]
     fn four_cores_scale_nearly_linearly() {
-        let p = prog(40);
-        let one = BluefieldModel::new(1).evaluate(&p, &vec![vec![0u8; 64]; 4]).unwrap();
-        let four = BluefieldModel::new(4).evaluate(&p, &vec![vec![0u8; 64]; 4]).unwrap();
+        let one = BluefieldModel::new(1).evaluate(&Profile::straight(42));
+        let four = BluefieldModel::new(4).evaluate(&Profile::straight(42));
         let ratio = four.pps / one.pps;
         assert!((3.2..4.01).contains(&ratio), "{ratio}");
     }
 
     #[test]
     fn latency_order_of_ten_microseconds() {
-        let r = BluefieldModel::new(1).evaluate(&prog(40), &vec![vec![0u8; 64]; 4]).unwrap();
+        let r = BluefieldModel::new(1).evaluate(&Profile::straight(42));
         assert!((8_000.0..15_000.0).contains(&r.latency_ns), "{}", r.latency_ns);
     }
 

@@ -6,8 +6,8 @@
 //! program completes. The paper's comparison (Fig. 9a) finds 0.9–5.4 Mpps
 //! against eHDL's 148 Mpps — the gap is exactly the pipeline parallelism.
 
-use ehdl_ebpf::vm::{Vm, VmError};
-use ehdl_ebpf::Program;
+use crate::Profile;
+use ehdl_core::analytical::SHELL_LATENCY_NS;
 
 /// hXDP core clock (same FPGA, same 250 MHz as the eHDL pipelines).
 pub const CLOCK_HZ: f64 = 250e6;
@@ -27,8 +27,6 @@ pub const ATOMIC_CYCLES: f64 = 8.0;
 /// Performance report for one program.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HxdpReport {
-    /// Static instruction count after hXDP's compiler optimizations.
-    pub instructions: usize,
     /// Average cycles to process one packet.
     pub cycles_per_packet: f64,
     /// Sustained throughput in packets per second.
@@ -37,58 +35,19 @@ pub struct HxdpReport {
     pub latency_ns: f64,
 }
 
-/// The hXDP cost model.
-#[derive(Debug, Clone, Default)]
-pub struct HxdpModel;
-
-impl HxdpModel {
-    /// Create the model.
-    pub fn new() -> HxdpModel {
-        HxdpModel
-    }
-
-    /// Evaluate `program` over a sample packet mix, profiling the executed
-    /// path on the reference VM (map state persists across the sample, so
-    /// steady-state paths dominate, as in the paper's 10k-flow runs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates VM errors for packets the program cannot process (the
-    /// sample should be representative, pre-validated traffic).
-    pub fn evaluate(&self, program: &Program, sample: &[Vec<u8>]) -> Result<HxdpReport, VmError> {
-        // Static size: hXDP's compiler achieves reductions comparable to
-        // eHDL's fusion/DCE; reuse the measured dynamic path for timing.
-        let instructions = optimized_instruction_count(program);
-
-        let mut vm = Vm::new(program);
-        vm.set_time_ns(1000);
-        let mut total_cycles = 0.0;
-        let mut n = 0usize;
-        for pkt in sample {
-            let mut bytes = pkt.clone();
-            let out = match vm.run(&mut bytes, 0) {
-                Ok(o) => o,
-                Err(VmError::BadAccess { .. }) => continue, // dropped runt
-                Err(e) => return Err(e),
-            };
-            let issue_cycles = out.executed as f64 / (LANES * LANE_EFFICIENCY);
-            total_cycles += issue_cycles
-                + PACKET_OVERHEAD_CYCLES
-                + out.helper_calls as f64 * HELPER_MAP_CYCLES
-                + out.atomic_ops as f64 * ATOMIC_CYCLES;
-            n += 1;
-        }
-        let cycles_per_packet =
-            if n == 0 { PACKET_OVERHEAD_CYCLES } else { total_cycles / n as f64 };
-        let pps = CLOCK_HZ / cycles_per_packet;
-        Ok(HxdpReport {
-            instructions,
-            cycles_per_packet,
-            // Same NIC datapath around the processor as around the
-            // pipeline (~620 ns of MACs/FIFOs).
-            latency_ns: cycles_per_packet * 1e9 / CLOCK_HZ + 620.0,
-            pps,
-        })
+/// Charge `profile`'s mean path: its instructions issued over the lanes,
+/// plus the per-packet overhead and the memory round trips of its helper
+/// calls and atomics.
+pub fn evaluate(profile: &Profile) -> HxdpReport {
+    let cycles_per_packet = profile.per_packet(profile.insns) / (LANES * LANE_EFFICIENCY)
+        + PACKET_OVERHEAD_CYCLES
+        + profile.per_packet(profile.helper_calls) * HELPER_MAP_CYCLES
+        + profile.per_packet(profile.atomic_ops) * ATOMIC_CYCLES;
+    HxdpReport {
+        cycles_per_packet,
+        pps: CLOCK_HZ / cycles_per_packet,
+        // The same NIC datapath surrounds the processor as the pipeline.
+        latency_ns: cycles_per_packet * 1e9 / CLOCK_HZ + SHELL_LATENCY_NS,
     }
 }
 
@@ -99,32 +58,13 @@ pub fn resources() -> ehdl_core::ResourceEstimate {
     ehdl_core::ResourceEstimate { luts: 28_500, ffs: 41_000, brams: 72 }
 }
 
-/// Static instruction count after fusion/DCE-style optimization, shared
-/// with Fig. 9c ("both eHDL and hXDP can reduce the number of original
-/// instructions, sometimes by about 50%").
-pub fn optimized_instruction_count(program: &Program) -> usize {
-    ehdl_core::Compiler::new()
-        .compile(program)
-        .map(|d| d.stats.hw_insns)
-        .unwrap_or_else(|_| program.insn_count())
-}
-
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use ehdl_ebpf::asm::Asm;
-
-    fn trivial() -> Program {
-        let mut a = Asm::new();
-        a.mov64_imm(0, 3);
-        a.exit();
-        Program::from_insns(a.into_insns())
-    }
 
     #[test]
     fn trivial_program_is_fast_but_sequential() {
-        let r = HxdpModel::new().evaluate(&trivial(), &vec![vec![0u8; 64]; 4]).unwrap();
+        let r = evaluate(&Profile::straight(2));
         assert!(r.cycles_per_packet >= PACKET_OVERHEAD_CYCLES);
         assert!(r.pps < 12e6, "sequential processor stays below ~12 Mpps");
         assert!(r.pps > 1e6);
@@ -132,23 +72,14 @@ mod tests {
 
     #[test]
     fn longer_programs_are_slower() {
-        let mut a = Asm::new();
-        for i in 0..120 {
-            a.alu64_imm(ehdl_ebpf::opcode::AluOp::Add, 2, i);
-        }
-        a.mov64_imm(0, 3);
-        a.exit();
-        let long = Program::from_insns(a.into_insns());
-        let model = HxdpModel::new();
-        let fast = model.evaluate(&trivial(), &vec![vec![0u8; 64]; 4]).unwrap();
-        let slow = model.evaluate(&long, &vec![vec![0u8; 64]; 4]).unwrap();
+        let (fast, slow) = (evaluate(&Profile::straight(2)), evaluate(&Profile::straight(122)));
         assert!(slow.cycles_per_packet > 2.0 * fast.cycles_per_packet);
         assert!(slow.pps < fast.pps / 2.0);
     }
 
     #[test]
     fn latency_close_to_a_microsecond() {
-        let r = HxdpModel::new().evaluate(&trivial(), &vec![vec![0u8; 64]; 4]).unwrap();
+        let r = evaluate(&Profile::straight(2));
         assert!((600.0..1600.0).contains(&r.latency_ns), "{}", r.latency_ns);
     }
 }

@@ -5,12 +5,13 @@
 //! recording is exact.
 
 use crate::record::Fields;
-use crate::{design_of, eval_packets, par_map, setup_app};
-use ehdl_baselines::{hxdp, sdnet, BluefieldModel, HxdpModel, SdnetCompiler};
+use crate::{design_of, eval_packets, exemptions, par_map, setup_app};
+use ehdl_baselines::{hxdp, sdnet, BluefieldModel, Profile, SdnetCompiler};
 use ehdl_core::analytical::{self, FlushModelRow};
 use ehdl_core::{resource, Compiler, CompilerOptions, Target};
+use ehdl_ebpf::vm::Vm;
 use ehdl_ebpf::Program;
-use ehdl_hwsim::{NicShell, ShellOptions, SimOptions};
+use ehdl_hwsim::{Divergence, NicShell, ShellOptions, SimOptions, SimOutcome};
 use ehdl_programs::{leaky_bucket, toy_counter, App};
 use ehdl_runtime::json::Json;
 use ehdl_traffic::{caida_like, mawi_like, FlowSet, Popularity, Trace, Workload};
@@ -26,7 +27,8 @@ const ZIPF_FLOWS: usize = 50_000;
 const RAW_POLICY_PACKETS: usize = 6_000;
 
 /// Fig. 9a (throughput) and Fig. 9b (latency) for one app. The eHDL
-/// cells come from one run of 40k packets at 64 B line rate.
+/// cells come from one run of 40k packets at 64 B line rate; the hXDP and
+/// BlueField-2 cells charge the paths those packets execute on the VM.
 #[derive(Debug, Clone)]
 pub struct Fig9Row {
     /// Application.
@@ -39,6 +41,12 @@ pub struct Fig9Row {
     pub ehdl_lost: u64,
     /// eHDL flush events.
     pub ehdl_flushes: u64,
+    /// Packets the pipeline never retired.
+    pub missing: usize,
+    /// Retired packets whose verdict or bytes differ from the VM's.
+    pub divergences: Vec<Divergence>,
+    /// The VM's executed paths over the run's packets.
+    pub profile: Profile,
     /// SDNet P4 throughput (Mpps; `None` = not expressible).
     pub sdnet_mpps: Option<f64>,
     /// hXDP throughput (Mpps).
@@ -238,20 +246,19 @@ pub fn measure() -> Paper {
     }
 }
 
-/// Fig. 9a and 9b: one eHDL run per app, then the baseline models on a
-/// 64-packet sample of the same traffic, which they execute on the VM
-/// from empty maps (one worker thread per app).
+/// Fig. 9a and 9b: per app (one worker thread each) the eHDL run, and
+/// the VM replay of its packets that checks it and profiles the paths
+/// the baseline models charge.
 fn fig9() -> Vec<Fig9Row> {
     par_map(&App::ALL, |&app| {
         let design = design_of(app);
+        let packets = eval_packets(app, EVAL_PACKETS);
         let mut shell = NicShell::new(&design, ShellOptions::default());
         setup_app(app, shell.sim_mut().maps_mut());
-        let run = shell.run(eval_packets(app, EVAL_PACKETS));
-        let program = app.program();
-        let sample = eval_packets(app, 64);
-        let hxdp = HxdpModel::new().evaluate(&program, &sample).expect("hxdp model");
-        let bf1 = BluefieldModel::new(1).evaluate(&program, &sample).expect("bf2 model");
-        let bf4 = BluefieldModel::new(4).evaluate(&program, &sample).expect("bf2 model");
+        let run = shell.run(packets.iter().cloned());
+        let (profile, missing, divergences) = vm_replay(app, &packets, shell.drain());
+        let hxdp = hxdp::evaluate(&profile);
+        let [bf1, bf4] = [1, 4].map(|cores| BluefieldModel::new(cores).evaluate(&profile));
         let sdnet = SdnetCompiler::new().compile(&sdnet::spec_for(app)).ok();
         Fig9Row {
             app,
@@ -259,6 +266,9 @@ fn fig9() -> Vec<Fig9Row> {
             ehdl_latency_ns: run.avg_latency_ns,
             ehdl_lost: run.lost,
             ehdl_flushes: run.flushes,
+            missing,
+            divergences,
+            profile,
             sdnet_mpps: sdnet.map(|d| d.pps / 1e6),
             hxdp_mpps: hxdp.pps / 1e6,
             hxdp_latency_ns: hxdp.latency_ns,
@@ -268,16 +278,50 @@ fn fig9() -> Vec<Fig9Row> {
     })
 }
 
+/// One Fig. 9 run replayed on the VM, in arrival order against `app`'s
+/// maps: every executed path folds into the profile, and every packet
+/// the pipeline `retired` must carry the VM's verdict and bytes, the
+/// field [`exemptions`] allocates excepted. Returns the profile, the
+/// packets never retired and the divergences.
+fn vm_replay(
+    app: App,
+    packets: &[Vec<u8>],
+    mut retired: Vec<SimOutcome>,
+) -> (Profile, usize, Vec<Divergence>) {
+    retired.sort_unstable_by_key(|o| o.seq);
+    let mut retired = retired.into_iter().peekable();
+    let exempt = exemptions(app).1.map_or(0..0, |field| field.bytes);
+    let mut vm = Vm::new(&app.program());
+    setup_app(app, vm.maps_mut());
+    let (mut profile, mut missing, mut divergences) = (Profile::default(), 0, Vec::new());
+    for (seq, pkt) in packets.iter().enumerate() {
+        let mut bytes = pkt.clone();
+        let out = vm.run(&mut bytes, 0).expect("evaluation traffic runs on the VM");
+        profile.add(&out);
+        let Some(hw) = retired.next_if(|o| o.seq == seq as u64) else {
+            missing += 1;
+            continue;
+        };
+        let mut compared = (0..bytes.len().max(hw.packet.len())).filter(|i| !exempt.contains(i));
+        if hw.action != out.action {
+            divergences.push(Divergence::Action { seq, vm: out.action, hw: hw.action });
+        } else if let Some(at) = compared.find(|&i| bytes.get(i) != hw.packet.get(i)) {
+            divergences.push(Divergence::Packet { seq, at });
+        }
+    }
+    (profile, missing, divergences)
+}
+
 fn fig9c() -> Vec<Fig9cRow> {
     App::ALL
         .iter()
         .map(|&app| {
-            let program = app.program();
+            let design = design_of(app);
             Fig9cRow {
                 app,
-                stages: design_of(app).stage_count(),
-                hxdp_instrs: hxdp::optimized_instruction_count(&program),
-                original_instrs: program.insn_count(),
+                stages: design.stage_count(),
+                hxdp_instrs: design.stats.hw_insns,
+                original_instrs: app.program().insn_count(),
             }
         })
         .collect()
@@ -397,7 +441,6 @@ fn deep_payload(offsets: &[i16], frame_sizes: &[usize]) -> Vec<AblationRow> {
 /// Flush (the implemented design) measured on a same-flow-heavy stream;
 /// then the stall oracle and the flush model at the measured hazard rate.
 fn raw_policy() -> Vec<RawPolicyRow> {
-    use ehdl_ebpf::vm::Vm;
     let program = leaky_bucket::program();
     let design = Compiler::new().compile(&program).expect("leaky bucket compiles");
     let mut wl = Workload::new(FlowSet::udp(8, 5), Popularity::Zipf { alpha: 1.0 }, 64, 5);
@@ -466,6 +509,9 @@ impl Fields for Fig9Row {
         j.key("hxdp_latency_ns").fixed(self.hxdp_latency_ns, 1);
         j.key("bf2_1c_mpps").fixed(self.bf2_1c_mpps, 3);
         j.key("bf2_4c_mpps").fixed(self.bf2_4c_mpps, 3);
+        j.key("vm_insns_min").uint(self.profile.min_insns);
+        j.key("vm_insns_mean").fixed(self.profile.per_packet(self.profile.insns), 2);
+        j.key("vm_insns_max").uint(self.profile.max_insns);
     }
 }
 

@@ -45,18 +45,6 @@ pub struct ShardRow {
     pub agreement_failures: usize,
 }
 
-impl ShardRow {
-    /// Fraction of maps auto-classified as multi-replica deployable
-    /// (1.0 when the app has no maps).
-    pub fn sound_fraction(&self) -> f64 {
-        if self.maps == 0 {
-            1.0
-        } else {
-            self.sound_maps as f64 / self.maps as f64
-        }
-    }
-}
-
 /// Compile every evaluation app, tabulate its verified `ShardPlan`, and
 /// replay a short trace through the sharded differential harness at 2
 /// and 4 replicas to count verdict/checker disagreements.

@@ -22,6 +22,10 @@
 /// Pipeline clock in Hz (250 MHz; one packet per cycle peak → 250 Mpps).
 pub const CLOCK_HZ: f64 = 250e6;
 
+/// Constant NIC-shell latency around the packet processor (MACs, async
+/// FIFOs, arbitration — §4.5), added to every reported packet latency.
+pub const SHELL_LATENCY_NS: f64 = 620.0;
+
 /// Peak pipeline throughput in packets per second.
 pub const PEAK_PPS: f64 = CLOCK_HZ;
 

@@ -6,7 +6,7 @@
 //! with a datapath description and a resource cost, which the resource
 //! model and the VHDL emitter share.
 
-use crate::ir::{HwInsn, MemLabel};
+use crate::ir::HwInsn;
 use ehdl_ebpf::insn::Instruction;
 use ehdl_ebpf::opcode::AluOp;
 
@@ -179,18 +179,6 @@ pub fn inventory(design: &crate::PipelineDesign) -> Vec<(Primitive, usize)> {
     let mut v: Vec<(Primitive, usize)> = counts.into_values().collect();
     v.sort_by_key(|e| std::cmp::Reverse(e.1));
     v
-}
-
-/// Which memory array a load/store lane connects to (drives the VHDL port
-/// wiring comments and sanity checks).
-pub fn lane_target(label: MemLabel) -> &'static str {
-    match label {
-        MemLabel::Packet(_) => "packet-frame array",
-        MemLabel::Stack(_) => "stack array",
-        MemLabel::Map(_) => "eHDLmap port",
-        MemLabel::Ctx(_) => "xdp_md fields",
-        MemLabel::None => "registers",
-    }
 }
 
 #[cfg(test)]

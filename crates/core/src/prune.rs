@@ -41,11 +41,6 @@ impl PruneInfo {
     pub fn total_stack_bytes(&self) -> usize {
         self.live_stack_bytes.iter().sum()
     }
-
-    /// Histogram entry helpers for the §4.4 shape assertions.
-    pub fn stages_with_regs(&self, n: usize) -> usize {
-        self.live_regs.iter().filter(|m| m.count_ones() as usize == n).count()
-    }
 }
 
 /// Words of a block bitset over `nb` blocks.

@@ -311,11 +311,6 @@ impl Vm {
         &mut self.maps
     }
 
-    /// Replace the map store (used to synchronize differential tests).
-    pub fn set_maps(&mut self, maps: MapStore) {
-        self.maps = maps;
-    }
-
     /// Set the nanosecond clock observed by `bpf_ktime_get_ns`.
     pub fn set_time_ns(&mut self, t: u64) {
         self.time_ns = t;
@@ -324,11 +319,6 @@ impl Vm {
     /// Set the execution step budget.
     pub fn set_step_limit(&mut self, limit: usize) {
         self.step_limit = limit;
-    }
-
-    /// Seed the `bpf_get_prandom_u32` generator (deterministic by default).
-    pub fn seed_prandom(&mut self, seed: u64) {
-        self.prandom_state = seed | 1;
     }
 
     /// Execute the program over `packet` arriving on `ingress_ifindex`.

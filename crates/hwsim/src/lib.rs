@@ -8,8 +8,11 @@
 //! * one packet may occupy each stage; the whole pipeline advances every
 //!   clock cycle (250 MHz), so up to `stage_count` packets are processed in
 //!   parallel;
-//! * stages read their *incoming* state copy and write the next stage's
-//!   copy (two-phase), matching the schedule's dependence model;
+//! * each stage runs its ops in place, in stage order, on the packet's one
+//!   state copy; the scheduler puts only WAR pairs (reader first) in one
+//!   stage, so this equals reading the incoming boundary and writing the
+//!   next, and attaching a design re-checks it
+//!   (`ehdl_core::ddg::same_stage_dependence`);
 //! * control flow is predication: disabled stages forward state untouched;
 //! * map accesses hit shared `eHDLmap` blocks, reproducing the §4.1 data
 //!   hazards — RAW hazards trigger Flush-Evaluation-Block pipeline flushes

@@ -559,11 +559,6 @@ impl ShardedNic {
         self.merge = merge;
     }
 
-    /// Replica-failure campaign counters so far.
-    pub fn replica_fault_stats(&self) -> ReplicaFaultStats {
-        self.fstats
-    }
-
     /// Is replica `r` currently in service?
     pub fn replica_serving(&self, r: usize) -> bool {
         self.health.get(r).copied().is_some_and(Health::serving)

@@ -1,5 +1,6 @@
 //! The pipeline simulator.
 
+use ehdl_core::analytical::SHELL_LATENCY_NS;
 use ehdl_core::pipeline::{EdgeCond, PipelineDesign};
 use ehdl_core::plan::map_bit;
 use ehdl_core::LoweredPlan;
@@ -71,9 +72,6 @@ pub struct SimOptions {
     pub freeze_time_ns: Option<u64>,
     /// RX queue depth in packets; arrivals beyond this are lost.
     pub rx_queue_depth: usize,
-    /// Constant NIC-shell latency added to reported packet latencies
-    /// (MACs, async FIFOs, arbitration — §4.5).
-    pub shell_latency_ns: f64,
     /// Validation mode: overwrite every register and stack byte the §4.3
     /// pruning analysis declared *dead* with a poison pattern at each
     /// stage boundary — exactly what the real hardware does by not wiring
@@ -97,7 +95,6 @@ impl Default for SimOptions {
         SimOptions {
             freeze_time_ns: None,
             rx_queue_depth: 4096,
-            shell_latency_ns: 620.0,
             poison_dead_state: false,
             partial_flush: true,
             check_proofs: false,
@@ -1100,7 +1097,7 @@ impl PipelineSim {
             redirect_ifindex: if action == XdpAction::Redirect { pkt.state.redirect } else { None },
             packet,
             latency_cycles,
-            latency_ns: latency_cycles as f64 * CLOCK_NS + self.options.shell_latency_ns,
+            latency_ns: latency_cycles as f64 * CLOCK_NS + SHELL_LATENCY_NS,
         });
         self.pool.recycle_flight(pkt);
     }

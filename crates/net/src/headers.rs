@@ -1,6 +1,6 @@
 //! Typed protocol headers with byte-level encode/decode.
 
-use crate::{checksum, ETH_HLEN, IPV4_HLEN, TCP_HLEN, UDP_HLEN};
+use crate::{ETH_HLEN, IPV4_HLEN, TCP_HLEN, UDP_HLEN};
 
 /// Ethernet II header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -80,14 +80,6 @@ impl Ipv4Header {
             tot_len: u16::from_be_bytes([bytes[2], bytes[3]]),
             checksum: u16::from_be_bytes([bytes[10], bytes[11]]),
         })
-    }
-
-    /// Recompute the header checksum over serialized bytes.
-    pub fn compute_checksum(&self) -> u16 {
-        let mut b = self.to_bytes();
-        b[10] = 0;
-        b[11] = 0;
-        checksum::internet_checksum(&b)
     }
 }
 

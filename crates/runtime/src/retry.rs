@@ -85,11 +85,6 @@ impl ReliableStats {
         self.latencies.percentile(0.99)
     }
 
-    /// The full submit-to-resolve latency histogram.
-    pub fn latency_histogram(&self) -> &Log2Histogram {
-        &self.latencies
-    }
-
     /// Fixed-size projection for telemetry snapshots.
     pub fn snapshot(&self) -> ReliableSnapshot {
         ReliableSnapshot {

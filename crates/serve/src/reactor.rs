@@ -38,7 +38,7 @@ use ehdl_core::PipelineDesign;
 use ehdl_ebpf::maps::MapError;
 use ehdl_hwsim::{
     coalesce_ops, expand_results, CoalesceStats, CoalescedOp, HostOp, HostOpResult, MapShape,
-    OpAnswer, SimOutcome,
+    OpAnswer,
 };
 use ehdl_runtime::{to_host_op, Runtime, RuntimeOptions, RuntimeStats, SwapError, SwapReport};
 use ehdl_traffic::ControlOp;
@@ -110,7 +110,6 @@ pub struct Reactor {
     acks: Vec<Ack>,
     slo: SloTracker,
     stats: ReactorStats,
-    outcome_scratch: Vec<SimOutcome>,
 }
 
 fn shapes_of(design: &PipelineDesign) -> BTreeMap<u32, MapShape> {
@@ -139,7 +138,6 @@ impl Reactor {
             acks: Vec::new(),
             slo: SloTracker::new(options.slo),
             stats: ReactorStats::default(),
-            outcome_scratch: Vec::new(),
         }
     }
 
@@ -304,13 +302,6 @@ impl Reactor {
         &self.rt
     }
 
-    /// Drain raw packet outcomes left by the last harvest. Normally the
-    /// reactor consumes them into the SLO histograms; this exposes the
-    /// final batch for callers that inspect actions or payloads.
-    pub fn last_outcomes(&mut self) -> Vec<SimOutcome> {
-        std::mem::take(&mut self.outcome_scratch)
-    }
-
     /// Pump: move admitted ops to the device, fairly, within the free
     /// control-queue depth.
     fn pump(&mut self) {
@@ -415,11 +406,9 @@ impl Reactor {
                 self.slo.op_served(latency);
             }
         }
-        let outs = self.rt.drain();
-        for o in &outs {
+        for o in self.rt.drain() {
             self.stats.pkts_served += 1;
             self.slo.packet_served(o.latency_cycles);
         }
-        self.outcome_scratch = outs;
     }
 }

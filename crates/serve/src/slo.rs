@@ -153,16 +153,6 @@ impl SloTracker {
         self.error_budget_consumed()
     }
 
-    /// The packet-latency histogram.
-    pub fn pkt_histogram(&self) -> &Log2Histogram {
-        &self.pkt
-    }
-
-    /// The op-latency histogram.
-    pub fn op_histogram(&self) -> &Log2Histogram {
-        &self.op
-    }
-
     /// Copyable summary for [`ehdl_runtime::RuntimeStats`].
     pub fn snapshot(&self) -> SloSnapshot {
         SloSnapshot {

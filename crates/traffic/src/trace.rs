@@ -55,11 +55,6 @@ impl Trace {
         self.entries.iter().map(|&(fi, sz)| (self.flows.flows()[fi as usize], sz as usize))
     }
 
-    /// Iterate `(flow_index, size)` pairs without materializing tuples.
-    pub fn iter_indices(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.entries.iter().map(|&(fi, sz)| (fi as usize, sz as usize))
-    }
-
     /// Materialize packet `i`'s bytes.
     pub fn packet(&self, i: usize) -> Vec<u8> {
         let (fi, sz) = self.entries[i];

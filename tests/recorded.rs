@@ -248,11 +248,17 @@ fn paper_figures_and_tables_keep_their_shape() {
         let cores = r.bf2_4c_mpps / r.bf2_1c_mpps;
         assert!((3.0..4.01).contains(&cores), "{app}: Bf2 4c/1c {cores:.2}");
         assert_eq!(r.sdnet_mpps.is_none(), app == App::Dnat, "{app}: SDNet N/A only on DNAT");
+        // The VM replay the baselines are charged from checks the run:
+        // every packet retired, each as the VM has it.
+        assert_eq!(r.missing, 0, "{app}: packets the pipeline never retired");
+        let shown: Vec<String> = r.divergences.iter().take(4).map(|d| d.to_string()).collect();
+        assert!(r.divergences.is_empty(), "{app}: {} diverge: {shown:?}", r.divergences.len());
         // Fig. 9b: both about one microsecond. eHDL's latency is its
         // depth, hXDP's the path a packet executes: the pipeline is the
         // faster one on every app but Suricata, whose pipeline is the
-        // deepest (87 stages) while the model's sample misses the empty
-        // ACL and executes 41 of its 124 instructions.
+        // deepest (87 stages) while its uniform traffic over 10k flows
+        // rarely matches one of the 64 rules, so every packet executes
+        // 41-44 of its 124 instructions.
         let (e, h) = (r.ehdl_latency_ns, r.hxdp_latency_ns);
         assert!((500.0..1500.0).contains(&e), "{app}: eHDL {e:.0} ns");
         assert!((600.0..2000.0).contains(&h), "{app}: hXDP {h:.0} ns");
@@ -367,4 +373,76 @@ fn every_recording_is_owned_by_exactly_one_test() {
         .collect();
     checked.sort_unstable();
     assert_eq!(checked, on_disk, "checked recordings vs BENCH_*.json at the repository root");
+}
+
+/// EXPERIMENTS.md quotes Fig. 9a and 9b as `BENCH_paper.json` records
+/// them: each "here" cell is the recorded value at the precision the
+/// column prints (Mpps to 1 decimal, ns whole, the mean path to 2).
+#[test]
+fn experiments_quotes_fig9_as_recorded() {
+    let doc = include_str!("../EXPERIMENTS.md");
+    let bench = include_str!("../BENCH_paper.json");
+    let fig9 = bench.split("\"fig9\": [").nth(1).and_then(|r| r.split("\n  ],").next());
+    let fig9 = fig9.expect("BENCH_paper.json has fig9 rows");
+    type Columns<'a> = &'a [(&'a str, &'a [(&'a str, i32)])];
+    const PATH: &[(&str, i32)] = &[("vm_insns_min", 0), ("vm_insns_mean", 2), ("vm_insns_max", 0)];
+    let tables: [(&str, Columns); 2] = [
+        (
+            "## Figure 9a",
+            &[
+                ("eHDL here", &[("ehdl_mpps", 1)]),
+                ("SDNet paper / here", &[("sdnet_mpps", 1)]),
+                ("hXDP here", &[("hxdp_mpps", 1)]),
+                ("Bf2 1c paper / here", &[("bf2_1c_mpps", 1)]),
+                ("Bf2 4c paper / here", &[("bf2_4c_mpps", 1)]),
+                ("VM path min / mean / max", PATH),
+            ],
+        ),
+        (
+            "## Figure 9b",
+            &[
+                ("eHDL here", &[("ehdl_latency_ns", 0)]),
+                ("hXDP here", &[("hxdp_latency_ns", 0)]),
+                ("VM path min / mean / max", PATH),
+            ],
+        ),
+    ];
+    let cells = |line: &'static str| -> Vec<&'static str> {
+        line.trim().trim_matches('|').split('|').map(str::trim).collect()
+    };
+    for (heading, columns) in tables {
+        let section = doc.split(heading).nth(1).unwrap_or_else(|| panic!("no {heading}"));
+        let mut lines = section.lines().skip_while(|l| !l.starts_with('|'));
+        let header = cells(lines.next().expect("a table header"));
+        let rows: Vec<_> = lines.skip(1).take_while(|l| l.starts_with('|')).map(cells).collect();
+        assert_eq!(rows.len(), App::ALL.len(), "{heading}: one row per app");
+        for row in &rows {
+            let app = row[0];
+            let recorded = fig9.lines().find(|l| l.contains(&format!("\"app\": \"{app}\"")));
+            let recorded = recorded.unwrap_or_else(|| panic!("{heading}: no recorded {app}"));
+            for &(column, fields) in columns {
+                let at = header.iter().position(|h| *h == column);
+                let cell = row[at.unwrap_or_else(|| panic!("{heading}: no {column:?}"))];
+                let parts: Vec<&str> = cell.trim_matches('*').split(" / ").collect();
+                let here = &parts[parts.len().saturating_sub(fields.len())..];
+                assert_eq!(here.len(), fields.len(), "{heading} {app} {column}: {cell:?}");
+                for (&text, &(field, decimals)) in here.iter().zip(fields) {
+                    let value = recorded.split(&format!("\"{field}\": ")).nth(1);
+                    let value = value.and_then(|v| v.split([',', '}']).next()).unwrap_or("");
+                    let printed = text.split_once('.').map_or(0, |(_, f)| f.len() as i32);
+                    let quoted = match (text.parse::<f64>(), value.parse::<f64>()) {
+                        (Ok(t), Ok(v)) => {
+                            printed == decimals
+                                && (t - v).abs() <= 0.5 / 10f64.powi(decimals) + 1e-9
+                        }
+                        _ => (text, value) == ("N/A", "null"),
+                    };
+                    assert!(
+                        quoted,
+                        "{heading} {app} {column}: quoted {text}, recorded {field} {value}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -4,6 +4,8 @@
 
 use ehdl_ebpf::insn::{Instruction, Operand};
 use ehdl_ebpf::opcode::{AluOp, Width};
+use ehdl_ebpf::put;
+use ehdl_ebpf::put::Piece;
 use std::fmt;
 
 /// A closed integer interval used for offset tracking. Saturating; the
@@ -56,15 +58,21 @@ impl Interval {
     }
 }
 
+impl Piece for Interval {
+    fn put(self, o: &mut String) {
+        if self.is_top() {
+            o.push_str("[?]");
+        } else if let Some(c) = self.as_const() {
+            put!(o, '[', c, ']');
+        } else {
+            put!(o, '[', self.lo, "..", self.hi, ']');
+        }
+    }
+}
+
 impl fmt::Display for Interval {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_top() {
-            write!(f, "[?]")
-        } else if let Some(c) = self.as_const() {
-            write!(f, "[{c}]")
-        } else {
-            write!(f, "[{}..{}]", self.lo, self.hi)
-        }
+        ehdl_ebpf::put::fmt(*self, f)
     }
 }
 

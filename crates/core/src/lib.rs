@@ -68,15 +68,8 @@ pub use compile::{Compiler, CompilerOptions, PassTimings};
 pub use error::CompileError;
 pub use pipeline::{PipelineDesign, Protection, Stage, StageOp};
 pub use plan::{
-    control_inventory, ControlInventory, CsrDef, FusedOp, HostMapPort, LowerError, LoweredPlan,
-    LoweredStage, RegOrImm,
+    control_inventory, ControlInventory, CsrDef, CsrName, FusedOp, HostMapPort, LowerError,
+    LoweredPlan, LoweredStage, RegOrImm,
 };
 pub use resource::{ResourceEstimate, Target};
 pub use shardcheck::{MapClass, MapPlan, MergePolicy, Placement, ShardError, ShardPlan};
-
-/// Render one instruction in kernel disassembly style (jump offsets are
-/// shown relative to slot 0; intended for comments and summaries).
-pub fn disasm_one(i: &ehdl_ebpf::insn::Instruction) -> String {
-    let d = ehdl_ebpf::insn::Decoded { pc: 0, slots: 1, insn: *i };
-    ehdl_ebpf::disasm::format_insn(&d)
-}

@@ -32,6 +32,17 @@ pub enum StageKind {
     HelperLatency,
 }
 
+/// The kind's name, as `{:?}` prints it.
+impl ehdl_ebpf::put::Piece for StageKind {
+    fn put(self, o: &mut String) {
+        o.push_str(match self {
+            StageKind::Normal => "Normal",
+            StageKind::FrameWait => "FrameWait",
+            StageKind::HelperLatency => "HelperLatency",
+        });
+    }
+}
+
 /// One pipeline stage.
 #[derive(Debug, Clone)]
 pub struct Stage {

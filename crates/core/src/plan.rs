@@ -22,6 +22,8 @@ use ehdl_ebpf::helpers::{
 };
 use ehdl_ebpf::insn::{Instruction, Operand};
 use ehdl_ebpf::opcode::{AluOp, AtomicOp, JmpOp, MemSize, Width};
+use ehdl_ebpf::put;
+use ehdl_ebpf::put::Piece;
 use ehdl_ebpf::vm::MAP_HANDLE_BASE;
 
 /// One host-facing map port in the control-interface inventory.
@@ -56,11 +58,42 @@ pub struct HostMapPort {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrDef {
     /// Register name (names the CSR in the emitted VHDL).
-    pub name: String,
+    pub name: CsrName,
     /// Register width in bits.
     pub bits: u32,
     /// Read-only status register (telemetry) vs writable control register.
     pub read_only: bool,
+}
+
+/// The name of a control/status register: a fixed one, or one of the
+/// per-stage and per-map counters, printed with its index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CsrName {
+    /// A telemetry or reload register, by its full name.
+    Fixed(&'static str),
+    /// `csr_stage{s}_occupancy`.
+    StageOccupancy(usize),
+    /// `csr_map{m}_lookups`.
+    MapLookups(u32),
+    /// `csr_map{m}_hits`.
+    MapHits(u32),
+}
+
+impl Piece for CsrName {
+    fn put(self, o: &mut String) {
+        match self {
+            CsrName::Fixed(name) => o.push_str(name),
+            CsrName::StageOccupancy(s) => put!(o, "csr_stage", s, "_occupancy"),
+            CsrName::MapLookups(m) => put!(o, "csr_map", m, "_lookups"),
+            CsrName::MapHits(m) => put!(o, "csr_map", m, "_hits"),
+        }
+    }
+}
+
+impl std::fmt::Display for CsrName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        ehdl_ebpf::put::fmt(*self, f)
+    }
 }
 
 /// The design's complete host-facing control interface: per-map host
@@ -96,28 +129,32 @@ pub fn control_inventory(design: &PipelineDesign) -> ControlInventory {
             pipeline_writes: reach.writes.get(m.id as usize).copied().unwrap_or(false),
         })
         .collect();
-    let ro = |name: &str| CsrDef { name: name.to_string(), bits: 32, read_only: true };
-    let mut csrs = vec![
-        ro("csr_cycles_lo"),
-        ro("csr_cycles_hi"),
-        ro("csr_pkts_injected"),
-        ro("csr_pkts_completed"),
-        ro("csr_rx_dropped"),
-        ro("csr_flushes"),
-        ro("csr_flush_replays"),
-        ro("csr_fault_replays"),
-        ro("csr_wd_resets"),
-        ro("csr_host_ops"),
-        ro("csr_host_op_flushes"),
-        CsrDef { name: "csr_reload_ctrl".to_string(), bits: 32, read_only: false },
-        ro("csr_reload_status"),
+    let ro = |name| CsrDef { name, bits: 32, read_only: true };
+    let fixed = [
+        "csr_cycles_lo",
+        "csr_cycles_hi",
+        "csr_pkts_injected",
+        "csr_pkts_completed",
+        "csr_rx_dropped",
+        "csr_flushes",
+        "csr_flush_replays",
+        "csr_fault_replays",
+        "csr_wd_resets",
+        "csr_host_ops",
+        "csr_host_op_flushes",
+        "csr_reload_ctrl",
+        "csr_reload_status",
     ];
-    for s in 0..nstages {
-        csrs.push(ro(&format!("csr_stage{s}_occupancy")));
-    }
+    let mut csrs = Vec::with_capacity(fixed.len() + nstages + 2 * design.maps.len());
+    csrs.extend(fixed.map(|name| CsrDef {
+        name: CsrName::Fixed(name),
+        bits: 32,
+        read_only: name != "csr_reload_ctrl",
+    }));
+    csrs.extend((0..nstages).map(|s| ro(CsrName::StageOccupancy(s))));
     for m in &design.maps {
-        csrs.push(ro(&format!("csr_map{}_lookups", m.id)));
-        csrs.push(ro(&format!("csr_map{}_hits", m.id)));
+        csrs.push(ro(CsrName::MapLookups(m.id)));
+        csrs.push(ro(CsrName::MapHits(m.id)));
     }
     ControlInventory { map_ports, csrs }
 }
@@ -1112,10 +1149,12 @@ mod tests {
         assert!(effect_stages.iter().all(|&s| s < port.fence_stage));
         // CSR file carries the fixed telemetry block plus per-stage and
         // per-map registers.
-        assert!(inv.csrs.iter().any(|c| c.name == "csr_flushes" && c.read_only));
-        assert!(inv.csrs.iter().any(|c| c.name == "csr_reload_ctrl" && !c.read_only));
-        assert!(inv.csrs.iter().any(|c| c.name == "csr_stage0_occupancy"));
-        assert!(inv.csrs.iter().any(|c| c.name == "csr_map0_hits"));
+        let named = |name: &str| inv.csrs.iter().find(|c| c.name.to_string() == name);
+        assert!(named("csr_flushes").is_some_and(|c| c.read_only));
+        assert!(named("csr_reload_ctrl").is_some_and(|c| !c.read_only));
+        assert!(named("csr_stage0_occupancy").is_some());
+        assert!(named("csr_map0_hits").is_some());
+        assert!(named("csr_map0_lookups").is_some());
         assert_eq!(inv.csrs.len(), 13 + design.stages.len() + 2 * design.maps.len());
     }
 

@@ -13,7 +13,7 @@
 //! same terms.
 
 use crate::pipeline::{BlockInfo, EdgeCond};
-use std::fmt::Write as _;
+use ehdl_ebpf::put;
 
 /// The blocks whose enable is computed from predecessors: every block an
 /// edge reaches. The entry block's enable is the constant `'1'`; an
@@ -32,14 +32,14 @@ pub fn write_terms(o: &mut String, info: &BlockInfo) {
         }
         let neg = match cond {
             EdgeCond::Always => {
-                let _ = write!(o, "blk{p}_en");
+                put!(o, "blk", p, "_en");
                 continue;
             }
             EdgeCond::IfTaken => "",
             EdgeCond::IfNotTaken => "not ",
         };
         let (open, close) = if paren { ("(", ")") } else { ("", "") };
-        let _ = write!(o, "{open}blk{p}_en and {neg}blk{p}_taken{close}");
+        put!(o, open, "blk", p, "_en and ", neg, "blk", p, "_taken", close);
     }
 }
 

@@ -5,96 +5,92 @@
 //! per stage clocked at the pipeline clock, pruned state registers between
 //! stages, map blocks with read/write/atomic ports, Flush Evaluation
 //! Blocks, and the asynchronous-FIFO wrapper that decouples the pipeline
-//! from the NIC shell clock domain (§4.5).
+//! from the NIC shell clock domain (§4.5). Every line is appended through
+//! [`ehdl_ebpf::put!`], straight into one buffer.
 
 use crate::ir::{HwInsn, MemLabel};
 use crate::pipeline::PipelineDesign;
-use ehdl_ebpf::insn::{Instruction, Operand};
-use std::fmt::Write as _;
+use ehdl_ebpf::insn::{Decoded, Instruction, Operand};
+use ehdl_ebpf::put;
+use ehdl_ebpf::put::{Fixed2, Hex, Piece};
 
 /// Emit the complete VHDL source for a design.
 pub fn emit(design: &PipelineDesign) -> String {
     // The text is close to 1 KB per stage (state signals, enable, process)
     // on top of the fixed entities: size the buffer once instead of
     // doubling it a dozen times on the way there.
-    let mut o = String::with_capacity(8192 + 1280 * design.stages.len());
-    let name = sanitize(&design.name);
+    let mut text = String::with_capacity(8192 + 1280 * design.stages.len());
+    let o = &mut text;
+    let name = &sanitize(&design.name);
 
-    header(&mut o, design);
-    let _ = writeln!(o, "library ieee;");
-    let _ = writeln!(o, "use ieee.std_logic_1164.all;");
-    let _ = writeln!(o, "use ieee.numeric_std.all;");
-    let _ = writeln!(o);
+    header(o, design);
+    o.push_str("library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n");
 
     // Map block component declarations.
     for m in &design.maps {
-        let _ = writeln!(
-            o,
-            "-- eHDLmap block for map `{}` ({} x {}B, {})",
-            m.name, m.max_entries, m.value_size, m.kind
+        put!(o, "-- eHDLmap block for map `", &m.name, "` (", m.max_entries, " x ");
+        put!(o, m.value_size, "B, ", m.kind, ")\nentity ", name, "_map", m.id, " is\n");
+        put!(o, "  generic (\n    KEY_BITS   : natural := ", m.key_size * 8, ";\n");
+        put!(o, "    VALUE_BITS : natural := ", m.value_size * 8, ";\n");
+        put!(o, "    ENTRIES    : natural := ", m.max_entries, "\n");
+        o.push_str(
+            "  );
+  port (
+    clk          : in  std_logic;
+    rst          : in  std_logic;
+    rd_en        : in  std_logic;
+    rd_key       : in  std_logic_vector(KEY_BITS-1 downto 0);
+    rd_hit       : out std_logic;
+    rd_value     : out std_logic_vector(VALUE_BITS-1 downto 0);
+    wr_en        : in  std_logic;
+    wr_key       : in  std_logic_vector(KEY_BITS-1 downto 0);
+    wr_value     : in  std_logic_vector(VALUE_BITS-1 downto 0);
+    atomic_en    : in  std_logic;
+    atomic_op    : in  std_logic_vector(3 downto 0);
+    atomic_delta : in  std_logic_vector(63 downto 0);
+    host_rd_key  : in  std_logic_vector(KEY_BITS-1 downto 0);
+    host_rd_val  : out std_logic_vector(VALUE_BITS-1 downto 0);
+    host_wr_en   : in  std_logic;
+    host_wr_key  : in  std_logic_vector(KEY_BITS-1 downto 0);
+    host_wr_val  : in  std_logic_vector(VALUE_BITS-1 downto 0);
+    host_del_en  : in  std_logic;
+    host_ack     : out std_logic;
+    host_err     : out std_logic_vector(2 downto 0)
+  );
+",
         );
-        let _ = writeln!(o, "entity {name}_map{} is", m.id);
-        let _ = writeln!(o, "  generic (");
-        let _ = writeln!(o, "    KEY_BITS   : natural := {};", m.key_size * 8);
-        let _ = writeln!(o, "    VALUE_BITS : natural := {};", m.value_size * 8);
-        let _ = writeln!(o, "    ENTRIES    : natural := {}", m.max_entries);
-        let _ = writeln!(o, "  );");
-        let _ = writeln!(o, "  port (");
-        let _ = writeln!(o, "    clk          : in  std_logic;");
-        let _ = writeln!(o, "    rst          : in  std_logic;");
-        let _ = writeln!(o, "    rd_en        : in  std_logic;");
-        let _ = writeln!(o, "    rd_key       : in  std_logic_vector(KEY_BITS-1 downto 0);");
-        let _ = writeln!(o, "    rd_hit       : out std_logic;");
-        let _ = writeln!(o, "    rd_value     : out std_logic_vector(VALUE_BITS-1 downto 0);");
-        let _ = writeln!(o, "    wr_en        : in  std_logic;");
-        let _ = writeln!(o, "    wr_key       : in  std_logic_vector(KEY_BITS-1 downto 0);");
-        let _ = writeln!(o, "    wr_value     : in  std_logic_vector(VALUE_BITS-1 downto 0);");
-        let _ = writeln!(o, "    atomic_en    : in  std_logic;");
-        let _ = writeln!(o, "    atomic_op    : in  std_logic_vector(3 downto 0);");
-        let _ = writeln!(o, "    atomic_delta : in  std_logic_vector(63 downto 0);");
-        let _ = writeln!(o, "    host_rd_key  : in  std_logic_vector(KEY_BITS-1 downto 0);");
-        let _ = writeln!(o, "    host_rd_val  : out std_logic_vector(VALUE_BITS-1 downto 0);");
-        let _ = writeln!(o, "    host_wr_en   : in  std_logic;");
-        let _ = writeln!(o, "    host_wr_key  : in  std_logic_vector(KEY_BITS-1 downto 0);");
-        let _ = writeln!(o, "    host_wr_val  : in  std_logic_vector(VALUE_BITS-1 downto 0);");
-        let _ = writeln!(o, "    host_del_en  : in  std_logic;");
-        let _ = writeln!(o, "    host_ack     : out std_logic;");
-        let _ = writeln!(o, "    host_err     : out std_logic_vector(2 downto 0)");
-        let _ = writeln!(o, "  );");
-        let _ = writeln!(o, "end entity {name}_map{};", m.id);
-        let _ = writeln!(o);
+        put!(o, "end entity ", name, "_map", m.id, ";\n\n");
         if design.protect.ecc() {
-            let _ = writeln!(
+            put!(
                 o,
-                "-- SECDED ECC wrapper for map `{}`: Hamming(72,64) check bits on every",
-                m.name
+                "-- SECDED ECC wrapper for map `",
+                &m.name,
+                "`: Hamming(72,64) check bits on every\n"
             );
-            let _ = writeln!(o, "-- stored word, single-bit correct-on-read, double-bit detect,");
-            let _ = writeln!(o, "-- and a background scrub sweep that rewrites corrected words.");
-            let _ = writeln!(o, "entity {name}_map{}_secded is", m.id);
-            let _ = writeln!(o, "  generic (");
-            let _ = writeln!(o, "    DATA_BITS  : natural := {};", m.value_size * 8);
-            let _ = writeln!(o, "    CHECK_BITS : natural := 8");
-            let _ = writeln!(o, "  );");
-            let _ = writeln!(o, "  port (");
-            let _ = writeln!(o, "    clk, rst      : in  std_logic;");
-            let _ = writeln!(o, "    enc_in        : in  std_logic_vector(DATA_BITS-1 downto 0);");
-            let _ = writeln!(
-                o,
-                "    enc_out       : out std_logic_vector(DATA_BITS+CHECK_BITS-1 downto 0);"
+            o.push_str(
+                "-- stored word, single-bit correct-on-read, double-bit detect,
+-- and a background scrub sweep that rewrites corrected words.
+",
             );
-            let _ = writeln!(
-                o,
-                "    dec_in        : in  std_logic_vector(DATA_BITS+CHECK_BITS-1 downto 0);"
+            put!(o, "entity ", name, "_map", m.id, "_secded is\n");
+            put!(o, "  generic (\n    DATA_BITS  : natural := ", m.value_size * 8, ";\n");
+            o.push_str(
+                "    CHECK_BITS : natural := 8
+  );
+  port (
+    clk, rst      : in  std_logic;
+    enc_in        : in  std_logic_vector(DATA_BITS-1 downto 0);
+    enc_out       : out std_logic_vector(DATA_BITS+CHECK_BITS-1 downto 0);
+    dec_in        : in  std_logic_vector(DATA_BITS+CHECK_BITS-1 downto 0);
+    dec_out       : out std_logic_vector(DATA_BITS-1 downto 0);
+    corrected     : out std_logic;  -- single-bit fixed
+    uncorrectable : out std_logic;  -- double-bit detected
+    scrub_addr    : out std_logic_vector(31 downto 0);
+    scrub_active  : out std_logic
+  );
+",
             );
-            let _ = writeln!(o, "    dec_out       : out std_logic_vector(DATA_BITS-1 downto 0);");
-            let _ = writeln!(o, "    corrected     : out std_logic;  -- single-bit fixed");
-            let _ = writeln!(o, "    uncorrectable : out std_logic;  -- double-bit detected");
-            let _ = writeln!(o, "    scrub_addr    : out std_logic_vector(31 downto 0);");
-            let _ = writeln!(o, "    scrub_active  : out std_logic");
-            let _ = writeln!(o, "  );");
-            let _ = writeln!(o, "end entity {name}_map{}_secded;", m.id);
-            let _ = writeln!(o);
+            put!(o, "end entity ", name, "_map", m.id, "_secded;\n\n");
         }
     }
 
@@ -104,191 +100,180 @@ pub fn emit(design: &PipelineDesign) -> String {
     // arbitrated host port per map, fence stage, write arbitration —
     // comes from `plan::control_inventory` and is charged by
     // `resource::estimate_control`.
-    {
-        let inv = crate::plan::control_inventory(design);
-        let _ = writeln!(
-            o,
-            "-- Host control interface: {} map port(s), {} CSR(s)",
-            inv.map_ports.len(),
-            inv.csrs.len()
-        );
-        for p in &inv.map_ports {
-            let _ = writeln!(
-                o,
-                "--   host port map{} `{}`: key {}b value {}b, fence stage {}{}",
-                p.map,
-                p.name,
-                p.key_bits,
-                p.value_bits,
-                p.fence_stage,
-                if p.pipeline_writes { ", write-arbitrated" } else { ", read-only pipeline" }
-            );
-        }
-        let _ = writeln!(o, "entity {name}_ctrl is");
-        let _ = writeln!(o, "  port (");
-        let _ = writeln!(o, "    clk, rst       : in  std_logic;");
-        let _ = writeln!(o, "    s_ctrl_awaddr  : in  std_logic_vector(31 downto 0);");
-        let _ = writeln!(o, "    s_ctrl_awvalid : in  std_logic;");
-        let _ = writeln!(o, "    s_ctrl_wdata   : in  std_logic_vector(31 downto 0);");
-        let _ = writeln!(o, "    s_ctrl_wvalid  : in  std_logic;");
-        let _ = writeln!(o, "    s_ctrl_araddr  : in  std_logic_vector(31 downto 0);");
-        let _ = writeln!(o, "    s_ctrl_arvalid : in  std_logic;");
-        let _ = writeln!(o, "    s_ctrl_rdata   : out std_logic_vector(31 downto 0);");
-        let _ = writeln!(o, "    s_ctrl_rvalid  : out std_logic");
-        let _ = writeln!(o, "  );");
-        let _ = writeln!(o, "end entity {name}_ctrl;");
-        let _ = writeln!(o);
-        let _ = writeln!(o, "-- CSR file of {name}_ctrl (address order):");
-        for (i, c) in inv.csrs.iter().enumerate() {
-            let _ = writeln!(
-                o,
-                "--   0x{:04x} {} ({} bits, {})",
-                i * 4,
-                c.name,
-                c.bits,
-                if c.read_only { "ro" } else { "rw" }
-            );
-        }
-        let _ = writeln!(o);
+    let inv = crate::plan::control_inventory(design);
+    put!(o, "-- Host control interface: ", inv.map_ports.len(), " map port(s), ");
+    put!(o, inv.csrs.len(), " CSR(s)\n");
+    for p in &inv.map_ports {
+        put!(o, "--   host port map", p.map, " `", &p.name, "`: key ", p.key_bits, "b value ");
+        put!(o, p.value_bits, "b, fence stage ", p.fence_stage);
+        o.push_str(if p.pipeline_writes {
+            ", write-arbitrated\n"
+        } else {
+            ", read-only pipeline\n"
+        });
     }
+    put!(o, "entity ", name, "_ctrl is\n");
+    o.push_str(
+        "  port (
+    clk, rst       : in  std_logic;
+    s_ctrl_awaddr  : in  std_logic_vector(31 downto 0);
+    s_ctrl_awvalid : in  std_logic;
+    s_ctrl_wdata   : in  std_logic_vector(31 downto 0);
+    s_ctrl_wvalid  : in  std_logic;
+    s_ctrl_araddr  : in  std_logic_vector(31 downto 0);
+    s_ctrl_arvalid : in  std_logic;
+    s_ctrl_rdata   : out std_logic_vector(31 downto 0);
+    s_ctrl_rvalid  : out std_logic
+  );
+",
+    );
+    put!(o, "end entity ", name, "_ctrl;\n\n-- CSR file of ", name, "_ctrl (address order):\n");
+    for (i, c) in inv.csrs.iter().enumerate() {
+        put!(o, "--   0x", Hex(i as u64 * 4, 4), ' ', c.name, " (", c.bits, " bits, ");
+        o.push_str(if c.read_only { "ro)\n" } else { "rw)\n" });
+    }
+    o.push('\n');
 
     // Pipeline watchdog: detects a no-retire (hung) condition, drains the
     // in-flight window and reinitializes the pipeline without touching map
     // contents.
     if design.protect.watchdog() {
-        let _ = writeln!(o, "-- Pipeline watchdog: retire timer + safe-drain/reinit sequencer.");
-        let _ = writeln!(o, "entity {name}_watchdog is");
-        let _ = writeln!(o, "  generic ( TIMEOUT_CYCLES : natural := 1024 );");
-        let _ = writeln!(o, "  port (");
-        let _ = writeln!(o, "    clk, rst     : in  std_logic;");
-        let _ = writeln!(o, "    retire_valid : in  std_logic;  -- a packet left the pipeline");
-        let _ = writeln!(o, "    busy         : in  std_logic;  -- packets are in flight");
-        let _ = writeln!(o, "    drain        : out std_logic;  -- request safe drain");
-        let _ = writeln!(o, "    reinit       : out std_logic   -- map-preserving pipeline reset");
-        let _ = writeln!(o, "  );");
-        let _ = writeln!(o, "end entity {name}_watchdog;");
-        let _ = writeln!(o);
+        o.push_str("-- Pipeline watchdog: retire timer + safe-drain/reinit sequencer.\n");
+        put!(o, "entity ", name, "_watchdog is\n");
+        o.push_str(
+            "  generic ( TIMEOUT_CYCLES : natural := 1024 );
+  port (
+    clk, rst     : in  std_logic;
+    retire_valid : in  std_logic;  -- a packet left the pipeline
+    busy         : in  std_logic;  -- packets are in flight
+    drain        : out std_logic;  -- request safe drain
+    reinit       : out std_logic   -- map-preserving pipeline reset
+  );
+",
+        );
+        put!(o, "end entity ", name, "_watchdog;\n\n");
     }
 
     // Flush evaluation block component, emitted once if needed.
     if !design.hazards.febs.is_empty() {
-        let _ = writeln!(o, "-- Flush Evaluation Block: snoops unconfirmed read addresses and");
-        let _ = writeln!(o, "-- raises `flush` when a write hits one of them (sec. 4.1.2).");
-        let _ = writeln!(o, "entity {name}_feb is");
-        let _ = writeln!(o, "  generic ( WINDOW : natural; ADDR_BITS : natural := 32 );");
-        let _ = writeln!(o, "  port (");
-        let _ = writeln!(o, "    clk, rst   : in  std_logic;");
-        let _ = writeln!(o, "    rd_valid   : in  std_logic;");
-        let _ = writeln!(o, "    rd_addr    : in  std_logic_vector(ADDR_BITS-1 downto 0);");
-        let _ = writeln!(o, "    wr_valid   : in  std_logic;");
-        let _ = writeln!(o, "    wr_addr    : in  std_logic_vector(ADDR_BITS-1 downto 0);");
-        let _ = writeln!(o, "    flush      : out std_logic");
-        let _ = writeln!(o, "  );");
-        let _ = writeln!(o, "end entity {name}_feb;");
-        let _ = writeln!(o);
+        o.push_str(
+            "-- Flush Evaluation Block: snoops unconfirmed read addresses and
+-- raises `flush` when a write hits one of them (sec. 4.1.2).
+",
+        );
+        put!(o, "entity ", name, "_feb is\n");
+        o.push_str(
+            "  generic ( WINDOW : natural; ADDR_BITS : natural := 32 );
+  port (
+    clk, rst   : in  std_logic;
+    rd_valid   : in  std_logic;
+    rd_addr    : in  std_logic_vector(ADDR_BITS-1 downto 0);
+    wr_valid   : in  std_logic;
+    wr_addr    : in  std_logic_vector(ADDR_BITS-1 downto 0);
+    flush      : out std_logic
+  );
+",
+        );
+        put!(o, "end entity ", name, "_feb;\n\n");
     }
 
     // Top-level pipeline entity.
-    let _ = writeln!(o, "entity {name}_pipeline is");
-    let _ = writeln!(o, "  generic (");
-    let _ = writeln!(o, "    FRAME_BYTES : natural := {}", design.framing.frame_size);
-    let _ = writeln!(o, "  );");
-    let _ = writeln!(o, "  port (");
-    let _ = writeln!(o, "    clk           : in  std_logic;  -- pipeline clock (250 MHz)");
-    let _ = writeln!(o, "    rst           : in  std_logic;");
-    let _ = writeln!(o, "    s_axis_tdata  : in  std_logic_vector(FRAME_BYTES*8-1 downto 0);");
-    let _ = writeln!(o, "    s_axis_tkeep  : in  std_logic_vector(FRAME_BYTES-1 downto 0);");
-    let _ = writeln!(o, "    s_axis_tvalid : in  std_logic;");
-    let _ = writeln!(o, "    s_axis_tlast  : in  std_logic;");
-    let _ = writeln!(o, "    s_axis_tready : out std_logic;");
-    let _ = writeln!(o, "    m_axis_tdata  : out std_logic_vector(FRAME_BYTES*8-1 downto 0);");
-    let _ = writeln!(o, "    m_axis_tkeep  : out std_logic_vector(FRAME_BYTES-1 downto 0);");
-    let _ = writeln!(o, "    m_axis_tvalid : out std_logic;");
-    let _ = writeln!(o, "    m_axis_tlast  : out std_logic;");
-    let _ = writeln!(o, "    m_axis_tready : in  std_logic;");
-    let _ = writeln!(o, "    xdp_action    : out std_logic_vector(2 downto 0)");
-    let _ = writeln!(o, "  );");
-    let _ = writeln!(o, "end entity {name}_pipeline;");
-    let _ = writeln!(o);
+    put!(o, "entity ", name, "_pipeline is\n  generic (\n    FRAME_BYTES : natural := ");
+    put!(o, design.framing.frame_size, "\n");
+    o.push_str(
+        "  );
+  port (
+    clk           : in  std_logic;  -- pipeline clock (250 MHz)
+    rst           : in  std_logic;
+    s_axis_tdata  : in  std_logic_vector(FRAME_BYTES*8-1 downto 0);
+    s_axis_tkeep  : in  std_logic_vector(FRAME_BYTES-1 downto 0);
+    s_axis_tvalid : in  std_logic;
+    s_axis_tlast  : in  std_logic;
+    s_axis_tready : out std_logic;
+    m_axis_tdata  : out std_logic_vector(FRAME_BYTES*8-1 downto 0);
+    m_axis_tkeep  : out std_logic_vector(FRAME_BYTES-1 downto 0);
+    m_axis_tvalid : out std_logic;
+    m_axis_tlast  : out std_logic;
+    m_axis_tready : in  std_logic;
+    xdp_action    : out std_logic_vector(2 downto 0)
+  );
+",
+    );
+    put!(o, "end entity ", name, "_pipeline;\n\n");
 
     // Architecture.
-    let _ = writeln!(o, "architecture rtl of {name}_pipeline is");
     let nstages = design.stages.len();
-    let _ = writeln!(o, "  -- {} stages; per-boundary pruned state registers (sec. 4.3)", nstages);
-    for (i, _) in design.stages.iter().enumerate() {
+    put!(o, "architecture rtl of ", name, "_pipeline is\n  -- ", nstages);
+    o.push_str(" stages; per-boundary pruned state registers (sec. 4.3)\n");
+    for i in 0..nstages {
         let regs = design.prune.live_regs.get(i).copied().unwrap_or(0);
         let stack = design.prune.live_stack_bytes.get(i).copied().unwrap_or(0);
-        let _ = writeln!(o, "  signal st{i}_frame : std_logic_vector(FRAME_BYTES*8-1 downto 0);");
+        put!(o, "  signal st", i, "_frame : std_logic_vector(FRAME_BYTES*8-1 downto 0);\n");
         for r in 0..11u8 {
             if regs & (1 << r) != 0 {
-                let _ = writeln!(o, "  signal st{i}_r{r} : std_logic_vector(63 downto 0);");
+                put!(o, "  signal st", i, "_r", r, " : std_logic_vector(63 downto 0);\n");
             }
         }
         if stack > 0 {
-            let _ =
-                writeln!(o, "  signal st{i}_stack : std_logic_vector({} downto 0);", stack * 8 - 1);
+            put!(o, "  signal st", i, "_stack : std_logic_vector(", stack * 8 - 1, " downto 0);\n");
         }
-        let _ = writeln!(o, "  signal st{i}_en : std_logic;");
+        put!(o, "  signal st", i, "_en : std_logic;\n");
         if design.protect.parity() {
-            let _ = writeln!(o, "  signal st{i}_par : std_logic;  -- parity over carried state");
-            let _ = writeln!(o, "  signal st{i}_par_err : std_logic;");
+            put!(o, "  signal st", i, "_par : std_logic;  -- parity over carried state\n");
+            put!(o, "  signal st", i, "_par_err : std_logic;\n");
         }
     }
     if design.protect.watchdog() {
-        let _ = writeln!(o, "  signal wd_drain, wd_reinit : std_logic;");
+        o.push_str("  signal wd_drain, wd_reinit : std_logic;\n");
     }
     for feb in &design.hazards.febs {
-        let _ = writeln!(o, "  signal flush_m{}_w{} : std_logic;", feb.map, feb.write_stage);
+        put!(o, "  signal flush_m", feb.map, "_w", feb.write_stage, " : std_logic;\n");
     }
     // Branch-outcome signals for every block ending in a conditional.
-    let mut branch_blocks: Vec<usize> = design
-        .stages
-        .iter()
-        .flat_map(|s| {
-            s.ops.iter().filter_map(move |op| {
-                matches!(
-                    op.insn,
-                    crate::ir::HwInsn::Simple(Instruction::Jump { cond: Some(_), .. })
-                )
-                .then_some(s.block)
-            })
-        })
-        .collect();
-    branch_blocks.sort_unstable();
-    branch_blocks.dedup();
-    for b in &branch_blocks {
-        let _ = writeln!(o, "  signal blk{b}_taken : std_logic;");
+    let mut branches = vec![false; design.blocks.len()];
+    for s in &design.stages {
+        let cond = |op: &crate::pipeline::StageOp| {
+            matches!(op.insn, HwInsn::Simple(Instruction::Jump { cond: Some(_), .. }))
+        };
+        if s.ops.iter().any(cond) {
+            branches[s.block] = true;
+        }
     }
-    let _ = writeln!(o, "  signal blk0_en : std_logic;");
+    for (b, _) in branches.iter().enumerate().filter(|(_, &t)| t) {
+        put!(o, "  signal blk", b, "_taken : std_logic;\n");
+    }
+    o.push_str("  signal blk0_en : std_logic;\n");
     for (b, _) in crate::predicate::gated(&design.blocks) {
-        let _ = writeln!(o, "  signal blk{b}_en : std_logic;");
+        put!(o, "  signal blk", b, "_en : std_logic;\n");
     }
-    let _ = writeln!(o, "begin");
-    let _ = writeln!(o, "  s_axis_tready <= not rst;");
-    let _ = writeln!(o);
-    let _ = writeln!(o, "  -- Predication (sec. 3.5): one enable per control block, one term");
-    let _ = writeln!(o, "  -- per incoming edge; every stage takes its block's enable.");
-    let _ = writeln!(o, "  blk0_en <= '1';");
+    o.push_str(
+        "begin
+  s_axis_tready <= not rst;
+
+  -- Predication (sec. 3.5): one enable per control block, one term
+  -- per incoming edge; every stage takes its block's enable.
+  blk0_en <= '1';
+",
+    );
     for (b, info) in crate::predicate::gated(&design.blocks) {
-        let _ = write!(o, "  blk{b}_en <= ");
-        crate::predicate::write_terms(&mut o, info);
+        put!(o, "  blk", b, "_en <= ");
+        crate::predicate::write_terms(o, info);
         o.push_str(";\n");
     }
     for (i, stage) in design.stages.iter().enumerate() {
-        let _ = writeln!(o, "  st{i}_en <= blk{}_en;", stage.block);
+        put!(o, "  st", i, "_en <= blk", stage.block, "_en;\n");
     }
     for &(block, min_len) in &design.guards {
-        let _ = writeln!(
-            o,
-            "  -- implicit bounds guard: packets shorter than {min_len} B reaching block {block} are dropped"
-        );
+        put!(o, "  -- implicit bounds guard: packets shorter than ", min_len);
+        put!(o, " B reaching block ", block, " are dropped\n");
     }
 
     // Each op's comment heads its stage and again its statements: rendered
     // once, then copied from its byte range in `o`.
-    let mut notes = Vec::new();
+    let widest = design.stages.iter().map(|s| s.ops.len()).max().unwrap_or(0);
+    let mut notes = Vec::with_capacity(widest);
     for (i, stage) in design.stages.iter().enumerate() {
-        let _ = write!(o, "\n  -- stage {i} (block {}, {:?}): ", stage.block, stage.kind);
+        put!(o, "\n  -- stage ", i, " (block ", stage.block, ", ", stage.kind, "): ");
         if stage.ops.is_empty() {
             o.push_str("pass-through");
         }
@@ -296,136 +281,135 @@ pub fn emit(design: &PipelineDesign) -> String {
         for (k, op) in stage.ops.iter().enumerate() {
             o.push_str(if k == 0 { "" } else { " || " });
             let start = o.len();
-            op_comment(&mut o, op);
+            op_comment(o, op);
             notes.push(start..o.len());
         }
-        let _ = writeln!(o);
-        let _ = writeln!(o, "  stage_{i} : process (clk)");
-        let _ = writeln!(o, "  begin");
-        let _ = writeln!(o, "    if rising_edge(clk) then");
-        let _ = writeln!(o, "      if st{i}_en = '1' then");
+        put!(o, "\n  stage_", i, " : process (clk)\n  begin\n    if rising_edge(clk) then\n");
+        put!(o, "      if st", i, "_en = '1' then\n");
         for (op, note) in stage.ops.iter().zip(&notes) {
             o.push_str("        -- ");
             o.extend_from_within(note.clone());
             o.push('\n');
-            op_vhdl(&mut o, i, stage.block, op);
+            op_vhdl(o, i, stage.block, op);
         }
         if stage.ops.is_empty() {
-            let _ = writeln!(o, "        null;  -- disabled/wait stage forwards state");
+            o.push_str("        null;  -- disabled/wait stage forwards state\n");
         }
-        let _ = writeln!(o, "      end if;");
-        let _ = writeln!(o, "    end if;");
-        let _ = writeln!(o, "  end process stage_{i};");
+        put!(o, "      end if;\n    end if;\n  end process stage_", i, ";\n");
     }
 
     for feb in &design.hazards.febs {
-        let _ = writeln!(o);
-        let _ = writeln!(
-            o,
-            "  feb_m{}_w{} : entity work.{name}_feb generic map (WINDOW => {})",
-            feb.map, feb.write_stage, feb.window
-        );
-        let _ = writeln!(
-            o,
-            "    port map (clk => clk, rst => rst, rd_valid => st{}_en, rd_addr => (others => '0'), wr_valid => st{}_en, wr_addr => (others => '0'), flush => flush_m{}_w{});",
-            feb.read_stage, feb.write_stage, feb.map, feb.write_stage
-        );
+        put!(o, "\n  feb_m", feb.map, "_w", feb.write_stage, " : entity work.", name);
+        put!(o, "_feb generic map (WINDOW => ", feb.window, ")\n");
+        put!(o, "    port map (clk => clk, rst => rst, rd_valid => st", feb.read_stage);
+        put!(o, "_en, rd_addr => (others => '0'), wr_valid => st", feb.write_stage);
+        put!(o, "_en, wr_addr => (others => '0'), flush => flush_m", feb.map, "_w");
+        put!(o, feb.write_stage, ");\n");
     }
 
     if design.protect.parity() {
-        let _ = writeln!(o);
-        let _ = writeln!(o, "  -- Parity guards: one parity bit per stage boundary; a mismatch");
-        let _ = writeln!(o, "  -- aborts the packet and requests recovery-by-replay from the");
-        let _ = writeln!(o, "  -- nearest checkpoint (hazard elastic buffers are reused).");
+        o.push_str(
+            "
+  -- Parity guards: one parity bit per stage boundary; a mismatch
+  -- aborts the packet and requests recovery-by-replay from the
+  -- nearest checkpoint (hazard elastic buffers are reused).
+",
+        );
         for i in 0..nstages {
-            let _ = writeln!(
+            put!(
                 o,
-                "  parity_guard_{i} : st{i}_par_err <= st{i}_par xor xor_reduce(st{i}_frame);"
+                "  parity_guard_",
+                i,
+                " : st",
+                i,
+                "_par_err <= st",
+                i,
+                "_par xor xor_reduce(st"
             );
+            put!(o, i, "_frame);\n");
         }
     }
     if design.protect.ecc() {
         for m in &design.maps {
-            let _ = writeln!(o);
-            let _ = writeln!(
+            put!(
                 o,
-                "  secded_m{0} : entity work.{name}_map{0}_secded port map (clk => clk, rst => rst, enc_in => (others => '0'), enc_out => open, dec_in => (others => '0'), dec_out => open, corrected => open, uncorrectable => open, scrub_addr => open, scrub_active => open);",
-                m.id
+                "\n  secded_m",
+                m.id,
+                " : entity work.",
+                name,
+                "_map",
+                m.id,
+                "_secded port map "
             );
+            o.push_str("(clk => clk, rst => rst, enc_in => (others => '0'), enc_out => open, dec_in => (others => '0'), dec_out => open, corrected => open, uncorrectable => open, scrub_addr => open, scrub_active => open);\n");
         }
     }
+    let last = nstages.saturating_sub(1);
     if design.protect.watchdog() {
-        let _ = writeln!(o);
-        let _ = writeln!(
+        put!(
             o,
-            "  watchdog : entity work.{name}_watchdog generic map (TIMEOUT_CYCLES => 1024)"
+            "\n  watchdog : entity work.",
+            name,
+            "_watchdog generic map (TIMEOUT_CYCLES => 1024)\n"
         );
-        let _ = writeln!(
-            o,
-            "    port map (clk => clk, rst => rst, retire_valid => st{}_en, busy => s_axis_tvalid, drain => wd_drain, reinit => wd_reinit);",
-            nstages.saturating_sub(1)
-        );
+        put!(o, "    port map (clk => clk, rst => rst, retire_valid => st", last);
+        o.push_str("_en, busy => s_axis_tvalid, drain => wd_drain, reinit => wd_reinit);\n");
     }
 
-    let _ = writeln!(o);
-    let _ = writeln!(o, "  m_axis_tvalid <= st{}_en;", nstages.saturating_sub(1));
-    let _ = writeln!(o, "  m_axis_tlast  <= '1';");
-    let _ = writeln!(o, "end architecture rtl;");
-    o
+    put!(
+        o,
+        "\n  m_axis_tvalid <= st",
+        last,
+        "_en;\n  m_axis_tlast  <= '1';\nend architecture rtl;\n"
+    );
+    text
 }
 
 fn header(o: &mut String, design: &PipelineDesign) {
-    let _ = writeln!(o, "--------------------------------------------------------------------");
-    let _ = writeln!(o, "-- Generated by eHDL from eBPF program `{}`", design.name);
+    const RULE: &str = "--------------------------------------------------------------------\n";
+    put!(o, RULE, "-- Generated by eHDL from eBPF program `", &design.name, "`\n");
     if design.protect != crate::pipeline::Protection::None {
-        let _ = writeln!(o, "-- protection: {}", design.protect.name());
+        put!(o, "-- protection: ", design.protect.name(), "\n");
     }
-    let _ = writeln!(
-        o,
-        "-- {} stages | {} source insns -> {} hw insns | ILP max {} avg {:.2}",
-        design.stages.len(),
-        design.stats.source_insns,
-        design.stats.hw_insns,
-        design.stats.ilp.max,
-        design.stats.ilp.avg
-    );
-    let _ = writeln!(
-        o,
-        "-- frame {} B | {} wait stages | {} FEB | {} WAR buffer | {} atomic block",
-        design.framing.frame_size,
-        design.framing.wait_stages,
-        design.hazards.febs.len(),
-        design.hazards.war_buffers.len(),
-        design.hazards.atomic_stages.len()
-    );
-    let _ = writeln!(o, "--------------------------------------------------------------------");
+    let (stats, ilp) = (&design.stats, &design.stats.ilp);
+    put!(o, "-- ", design.stages.len(), " stages | ", stats.source_insns, " source insns -> ");
+    put!(o, stats.hw_insns, " hw insns | ILP max ", ilp.max, " avg ", Fixed2(ilp.avg), "\n");
+    let hz = &design.hazards;
+    put!(o, "-- frame ", design.framing.frame_size, " B | ", design.framing.wait_stages);
+    put!(o, " wait stages | ", hz.febs.len(), " FEB | ", hz.war_buffers.len(), " WAR buffer | ");
+    put!(o, hz.atomic_stages.len(), " atomic block\n", RULE);
 }
 
 fn sanitize(name: &str) -> String {
-    name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
+    let mut out = String::with_capacity(name.len());
+    out.extend(name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }));
+    out
 }
 
 /// Append the one-line comment naming `op`.
 fn op_comment(o: &mut String, op: &crate::pipeline::StageOp) {
     match op.insn {
         HwInsn::Alu3 { op: alu, dst, a, b, .. } => {
-            let _ = write!(o, "r{dst} = r{a} {} {b}", alu.symbol());
+            put!(o, 'r', dst, " = r", a, ' ', alu.symbol(), ' ', b);
         }
-        HwInsn::Simple(i) => o.push_str(&crate::disasm_one(&i)),
+        // Jump offsets are shown relative to slot 0.
+        HwInsn::Simple(insn) => {
+            ehdl_ebpf::disasm::write_insn(o, &Decoded { pc: 0, slots: 1, insn })
+        }
     }
     if let Some(p) = op.proof {
-        let _ = write!(o, "  [unguarded: proven in [{}, {}], len >= {}]", p.lo, p.hi, p.min_len);
+        put!(o, "  [unguarded: proven in [", p.lo, ", ", p.hi, "], len >= ", p.min_len, ']');
     }
 }
 
-/// A source operand of stage `stage`: its input register or an immediate.
+/// A source operand of stage `.0`: its input register or an immediate.
 struct Src(usize, Operand);
 
-impl std::fmt::Display for Src {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl Piece for Src {
+    fn put(self, o: &mut String) {
         match self.1 {
-            Operand::Reg(r) => write!(f, "st{}_r{r}", self.0),
-            Operand::Imm(v) => write!(f, "std_logic_vector(to_signed({v}, 64))"),
+            Operand::Reg(r) => put!(o, "st", self.0, "_r", r),
+            Operand::Imm(v) => put!(o, "std_logic_vector(to_signed(", v, ", 64))"),
         }
     }
 }
@@ -436,61 +420,71 @@ fn op_vhdl(o: &mut String, stage: usize, block: usize, op: &crate::pipeline::Sta
     const INDENT: &str = "        ";
     let start = o.len();
     o.push_str(INDENT);
-    let _ = match op.insn {
+    match op.insn {
         HwInsn::Alu3 { dst, a, b, .. } => {
-            write!(o, "st{nxt}_r{dst} <= alu_op(st{stage}_r{a}, {});", Src(stage, b))
+            put!(
+                o,
+                "st",
+                nxt,
+                "_r",
+                dst,
+                " <= alu_op(st",
+                stage,
+                "_r",
+                a,
+                ", ",
+                Src(stage, b),
+                ");"
+            );
         }
         HwInsn::Simple(i) => match i {
             Instruction::Alu { dst, src, .. } => {
-                write!(o, "st{nxt}_r{dst} <= alu_op(st{stage}_r{dst}, {});", Src(stage, src))
+                put!(o, "st", nxt, "_r", dst, " <= alu_op(st", stage, "_r", dst, ", ");
+                put!(o, Src(stage, src), ");");
             }
             Instruction::Endian { dst, bits, .. } => {
-                write!(o, "st{nxt}_r{dst} <= bswap{bits}(st{stage}_r{dst});")
+                put!(o, "st", nxt, "_r", dst, " <= bswap", bits, "(st", stage, "_r", dst, ");");
             }
             Instruction::LoadImm64 { dst, imm, .. } => {
-                write!(o, "st{nxt}_r{dst} <= x\"{imm:016x}\";")
+                put!(o, "st", nxt, "_r", dst, " <= x\"", Hex(imm, 16), "\";");
             }
-            Instruction::Load { dst, off, .. } => match op.label {
-                MemLabel::Packet(iv) => write!(
-                    o,
-                    "st{nxt}_r{dst} <= pkt_bytes(st{stage}_frame, {});  -- packet{iv}",
-                    iv.lo.max(0)
-                ),
-                MemLabel::Stack(iv) => write!(
-                    o,
-                    "st{nxt}_r{dst} <= stack_bytes(st{stage}_stack, {});  -- stack{iv}",
-                    iv.lo
-                ),
-                MemLabel::Map(m) => {
-                    write!(o, "st{nxt}_r{dst} <= map{m}_rd_value;  -- map value load")
+            Instruction::Load { dst, off, .. } => {
+                put!(o, "st", nxt, "_r", dst, " <= ");
+                match op.label {
+                    MemLabel::Packet(iv) => {
+                        put!(o, "pkt_bytes(st", stage, "_frame, ", iv.lo.max(0));
+                        put!(o, ");  -- packet", iv);
+                    }
+                    MemLabel::Stack(iv) => {
+                        put!(o, "stack_bytes(st", stage, "_stack, ", iv.lo, ");  -- stack", iv);
+                    }
+                    MemLabel::Map(m) => put!(o, "map", m, "_rd_value;  -- map value load"),
+                    _ => put!(o, "ctx_field(", off, ");"),
                 }
-                _ => write!(o, "st{nxt}_r{dst} <= ctx_field({off});"),
-            },
+            }
             Instruction::Store { src, .. } => {
                 let s = Src(stage, src);
                 match op.label {
-                    MemLabel::Packet(iv) => write!(
-                        o,
-                        "st{nxt}_frame <= pkt_store(st{stage}_frame, {}, {s});  -- packet{iv}",
-                        iv.lo.max(0)
-                    ),
-                    MemLabel::Stack(iv) => write!(
-                        o,
-                        "st{nxt}_stack <= stack_store(st{stage}_stack, {}, {s});  -- stack{iv}",
-                        iv.lo
-                    ),
-                    MemLabel::Map(m) => {
-                        write!(o, "map{m}_wr_value <= {s}; map{m}_wr_en <= '1';")
+                    MemLabel::Packet(iv) => {
+                        put!(o, "st", nxt, "_frame <= pkt_store(st", stage, "_frame, ");
+                        put!(o, iv.lo.max(0), ", ", s, ");  -- packet", iv);
                     }
-                    _ => Ok(()),
+                    MemLabel::Stack(iv) => {
+                        put!(o, "st", nxt, "_stack <= stack_store(st", stage, "_stack, ");
+                        put!(o, iv.lo, ", ", s, ");  -- stack", iv);
+                    }
+                    MemLabel::Map(m) => {
+                        put!(o, "map", m, "_wr_value <= ", s, "; map", m, "_wr_en <= '1';");
+                    }
+                    _ => {}
                 }
             }
             Instruction::Atomic { src, .. } => match op.label {
-                MemLabel::Map(m) => write!(
-                    o,
-                    "map{m}_atomic_en <= '1';\n        map{m}_atomic_delta <= st{stage}_r{src};"
-                ),
-                _ => write!(o, "-- atomic on local state"),
+                MemLabel::Map(m) => {
+                    put!(o, "map", m, "_atomic_en <= '1';\n        map", m, "_atomic_delta <= st");
+                    put!(o, stage, "_r", src, ';');
+                }
+                _ => o.push_str("-- atomic on local state"),
             },
             Instruction::Jump { cond: Some(c), .. } => {
                 let cmp = match c.op.symbol() {
@@ -498,20 +492,19 @@ fn op_vhdl(o: &mut String, stage: usize, block: usize, op: &crate::pipeline::Sta
                     "!=" => "/=",
                     s => s,
                 };
-                let _ =
-                    write!(o, "blk{block}_taken <= '1' when signed(st{stage}_r{}) {cmp} ", c.lhs);
+                put!(o, "blk", block, "_taken <= '1' when signed(st", stage, "_r", c.lhs, ") ");
                 match c.rhs {
-                    Operand::Reg(r) => write!(o, "st{stage}_r{r} else '0';"),
-                    Operand::Imm(v) => write!(o, "to_signed({v}, 64) else '0';"),
+                    Operand::Reg(r) => put!(o, cmp, " st", stage, "_r", r, " else '0';"),
+                    Operand::Imm(v) => put!(o, cmp, " to_signed(", v, ", 64) else '0';"),
                 }
             }
-            Instruction::Jump { cond: None, .. } => Ok(()),
+            Instruction::Jump { cond: None, .. } => {}
             Instruction::Call { helper } => {
-                write!(o, "-- helper block instance: {}", ehdl_ebpf::helpers::helper_name(helper))
+                put!(o, "-- helper block instance: ", ehdl_ebpf::helpers::helper_name(helper));
             }
-            Instruction::Exit => write!(o, "xdp_action <= st{stage}_r0(2 downto 0);"),
+            Instruction::Exit => put!(o, "xdp_action <= st", stage, "_r0(2 downto 0);"),
         },
-    };
+    }
     if o.len() == start + INDENT.len() {
         o.truncate(start); // an op with no statement of its own
     } else {
@@ -626,105 +619,5 @@ mod tests {
         assert!(vp.contains("st0_par"));
         assert!(!vp.contains("secded"), "parity level has no map ECC");
         assert!(!vp.contains("watchdog"), "parity level has no watchdog");
-    }
-}
-
-/// Emit a self-checking VHDL testbench for a design: it drives `n_packets`
-/// synthetic frames into the pipeline at one frame per cycle and asserts
-/// that an `xdp_action` is produced for each. Together with [`emit`] this
-/// gives the complete simulation artifact a hardware engineer would expect
-/// next to a generated core.
-pub fn emit_testbench(design: &PipelineDesign, n_packets: usize) -> String {
-    let name = sanitize(&design.name);
-    let mut o = String::new();
-    let _ = writeln!(o, "-- Auto-generated testbench for {name}_pipeline");
-    let _ = writeln!(o, "library ieee;");
-    let _ = writeln!(o, "use ieee.std_logic_1164.all;");
-    let _ = writeln!(o, "use ieee.numeric_std.all;");
-    let _ = writeln!(o);
-    let _ = writeln!(o, "entity {name}_tb is");
-    let _ = writeln!(o, "end entity {name}_tb;");
-    let _ = writeln!(o);
-    let _ = writeln!(o, "architecture sim of {name}_tb is");
-    let _ = writeln!(o, "  constant CLK_PERIOD : time := 4 ns;  -- 250 MHz");
-    let _ = writeln!(o, "  constant FRAME_BYTES : natural := {};", design.framing.frame_size);
-    let _ = writeln!(o, "  signal clk, rst : std_logic := '0';");
-    let _ = writeln!(
-        o,
-        "  signal s_tdata  : std_logic_vector(FRAME_BYTES*8-1 downto 0) := (others => '0');"
-    );
-    let _ = writeln!(
-        o,
-        "  signal s_tkeep  : std_logic_vector(FRAME_BYTES-1 downto 0) := (others => '1');"
-    );
-    let _ = writeln!(o, "  signal s_tvalid, s_tlast, s_tready : std_logic := '0';");
-    let _ = writeln!(o, "  signal m_tdata  : std_logic_vector(FRAME_BYTES*8-1 downto 0);");
-    let _ = writeln!(o, "  signal m_tkeep  : std_logic_vector(FRAME_BYTES-1 downto 0);");
-    let _ = writeln!(o, "  signal m_tvalid, m_tlast : std_logic;");
-    let _ = writeln!(o, "  signal action : std_logic_vector(2 downto 0);");
-    let _ = writeln!(o, "  signal done : boolean := false;");
-    let _ = writeln!(o, "begin");
-    let _ = writeln!(o, "  clk <= not clk after CLK_PERIOD / 2 when not done else '0';");
-    let _ = writeln!(o);
-    let _ = writeln!(o, "  dut : entity work.{name}_pipeline");
-    let _ = writeln!(o, "    generic map (FRAME_BYTES => FRAME_BYTES)");
-    let _ = writeln!(o, "    port map (");
-    let _ = writeln!(o, "      clk => clk, rst => rst,");
-    let _ = writeln!(o, "      s_axis_tdata => s_tdata, s_axis_tkeep => s_tkeep,");
-    let _ = writeln!(o, "      s_axis_tvalid => s_tvalid, s_axis_tlast => s_tlast,");
-    let _ = writeln!(o, "      s_axis_tready => s_tready,");
-    let _ = writeln!(o, "      m_axis_tdata => m_tdata, m_axis_tkeep => m_tkeep,");
-    let _ = writeln!(o, "      m_axis_tvalid => m_tvalid, m_axis_tlast => m_tlast,");
-    let _ = writeln!(o, "      m_axis_tready => '1',");
-    let _ = writeln!(o, "      xdp_action => action);");
-    let _ = writeln!(o);
-    let _ = writeln!(o, "  stimulus : process");
-    let _ = writeln!(o, "  begin");
-    let _ = writeln!(o, "    rst <= '1';");
-    let _ = writeln!(o, "    wait for 5 * CLK_PERIOD;");
-    let _ = writeln!(o, "    rst <= '0';");
-    let _ = writeln!(o, "    for pkt in 0 to {} loop", n_packets.saturating_sub(1));
-    let _ = writeln!(o, "      wait until rising_edge(clk) and s_tready = '1';");
-    let _ = writeln!(o, "      -- one minimum-size packet: a single frame");
-    let _ = writeln!(o, "      s_tdata <= std_logic_vector(to_unsigned(pkt, FRAME_BYTES*8));");
-    let _ = writeln!(o, "      s_tvalid <= '1';");
-    let _ = writeln!(o, "      s_tlast <= '1';");
-    let _ = writeln!(o, "      wait until rising_edge(clk);");
-    let _ = writeln!(o, "      s_tvalid <= '0';");
-    let _ = writeln!(o, "      s_tlast <= '0';");
-    let _ = writeln!(o, "    end loop;");
-    let _ = writeln!(o, "    -- drain: every packet must emerge with a verdict");
-    let _ = writeln!(o, "    for pkt in 0 to {} loop", n_packets.saturating_sub(1));
-    let _ = writeln!(o, "      wait until rising_edge(clk) and m_tvalid = '1';");
-    let _ =
-        writeln!(o, "      assert action /= \"111\" report \"invalid verdict\" severity failure;");
-    let _ = writeln!(o, "    end loop;");
-    let _ =
-        writeln!(o, "    report \"{name}_tb: all {n_packets} packets completed\" severity note;");
-    let _ = writeln!(o, "    done <= true;");
-    let _ = writeln!(o, "    wait;");
-    let _ = writeln!(o, "  end process stimulus;");
-    let _ = writeln!(o, "end architecture sim;");
-    o
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used)]
-mod testbench_tests {
-    use crate::Compiler;
-    use ehdl_ebpf::asm::Asm;
-    use ehdl_ebpf::Program;
-
-    #[test]
-    fn testbench_emits_and_references_dut() {
-        let mut a = Asm::new();
-        a.mov64_imm(0, 2);
-        a.exit();
-        let d = Compiler::new().compile(&Program::from_insns(a.into_insns())).unwrap();
-        let tb = super::emit_testbench(&d, 16);
-        assert!(tb.contains("entity anonymous_tb is"));
-        assert!(tb.contains("entity work.anonymous_pipeline"));
-        assert!(tb.contains("for pkt in 0 to 15 loop"));
-        assert!(tb.contains("severity failure"));
     }
 }

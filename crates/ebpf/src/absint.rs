@@ -503,6 +503,10 @@ impl Guard {
 struct State {
     regs: [AbsVal; 11],
     stack: [AbsVal; STACK_SLOTS],
+    /// The slots some path to here may have stored to, one bit each; every
+    /// other slot holds the entry zero. Joins and the slot summary visit
+    /// only these.
+    written: u64,
     /// Proven minimum of `data_end - data` on every path reaching here.
     pkt_len_min: i64,
     /// Constraints on original-packet bytes at [`GUARD_OFFSETS`], learned
@@ -523,6 +527,7 @@ impl State {
             regs,
             // The VM zero-fills the stack, so unwritten slots read as 0.
             stack: [AbsVal::constant(0); STACK_SLOTS],
+            written: 0,
             pkt_len_min: 0,
             pkt_guard: [Guard::Top; GUARD_OFFSETS.len()],
             pkt_dirty: false,
@@ -534,15 +539,18 @@ impl State {
         self.pkt_len_min = 0;
         self.pkt_guard = [Guard::Top; GUARD_OFFSETS.len()];
         self.pkt_dirty = true;
-        for v in self.regs.iter_mut().chain(self.stack.iter_mut()) {
+        let forget = |v: &mut AbsVal| {
             if matches!(v.prov, Prov::PacketPtr | Prov::PacketEnd) {
                 *v = AbsVal::TOP;
             }
-        }
+        };
+        self.regs.iter_mut().for_each(forget);
+        slots(self.written).for_each(|s| forget(&mut self.stack[s]));
     }
 
     fn clobber_stack(&mut self) {
         self.stack = [AbsVal::TOP; STACK_SLOTS];
+        self.written = u64::MAX;
     }
 
     /// Model a store of `val` (or an unknown value) to stack bytes
@@ -554,6 +562,7 @@ impl State {
         }
         let first = (base / 8) as usize;
         let last = ((base + len - 1) / 8) as usize;
+        self.written |= (u64::MAX >> (63 - last)) & (u64::MAX << first);
         if len == 8 && base % 8 == 0 {
             self.stack[first] = val.unwrap_or(AbsVal::TOP);
             return;
@@ -626,6 +635,15 @@ impl State {
     }
 }
 
+/// The indices of the set bits of `mask`, ascending.
+fn slots(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let s = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (s < 64).then_some(s)
+    })
+}
+
 fn join_states(old: &mut State, new: &State, widen: bool) -> bool {
     let mut changed = false;
     let widen_iv = |prev: Iv, j: Iv| -> Iv {
@@ -634,13 +652,11 @@ fn join_states(old: &mut State, new: &State, widen: bool) -> bool {
             hi: if j.hi > prev.hi { Iv::TOP.hi } else { j.hi },
         }
     };
-    for (o, n) in
-        old.regs.iter_mut().zip(new.regs.iter()).chain(old.stack.iter_mut().zip(&new.stack))
-    {
-        if o == n {
-            continue; // join is idempotent; most slots agree at a merge
+    let mut join = |o: &mut AbsVal, n: AbsVal| {
+        if *o == n {
+            return; // join is idempotent; most slots agree at a merge
         }
-        let mut j = o.join(*n);
+        let mut j = o.join(n);
         if widen && j != *o {
             j.iv = widen_iv(o.iv, j.iv);
         }
@@ -648,6 +664,14 @@ fn join_states(old: &mut State, new: &State, widen: bool) -> bool {
             *o = j;
             changed = true;
         }
+    };
+    for (o, n) in old.regs.iter_mut().zip(new.regs) {
+        join(o, n);
+    }
+    // A slot neither side wrote is the entry zero on both: nothing to join.
+    old.written |= new.written;
+    for s in slots(old.written) {
+        join(&mut old.stack[s], new.stack[s]);
     }
     let m = old.pkt_len_min.min(new.pkt_len_min);
     if m < old.pkt_len_min {
@@ -1579,7 +1603,9 @@ pub fn analyze_with(
     // entry state (which every join below covers). `seen` is the stack as
     // last folded in: joining a value twice changes nothing, so a slot is
     // folded only when it differs, and looked at only after an instruction
-    // that can write the stack or at a block start.
+    // that can write the stack or at a block start. A slot outside the
+    // state's `written` mask holds the entry zero, already folded in, and
+    // join(x, 0) = x once x covers 0: only the written slots are visited.
     let mut slot_acc = State::entry().stack;
     let mut seen = slot_acc;
     // Constant tracking ignores the implicit zero initialization:
@@ -1592,7 +1618,8 @@ pub fn analyze_with(
             visit(i, &st.regs);
             let d = &decoded[i];
             if i == b || may_write_stack(&decoded[i - 1].insn) {
-                for (s, v) in st.stack.iter().enumerate() {
+                for s in slots(st.written) {
+                    let v = &st.stack[s];
                     if *v == seen[s] {
                         continue;
                     }
@@ -1607,7 +1634,14 @@ pub fn analyze_with(
                     }
                 }
             }
-            debug_assert!(st.stack == seen, "only stores, atomics and calls write the stack");
+            debug_assert!(
+                (0..STACK_SLOTS).all(|s| if st.written >> s & 1 == 1 {
+                    st.stack[s] == seen[s]
+                } else {
+                    st.stack[s] == AbsVal::constant(0)
+                }),
+                "only stores, atomics and calls write the stack, and only the slots in `written`"
+            );
             match d.insn {
                 Instruction::Call { helper }
                     if matches!(

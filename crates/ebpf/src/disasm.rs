@@ -6,52 +6,46 @@
 use crate::insn::{Decoded, Instruction, Operand};
 use crate::opcode::{AluOp, AtomicOp, Width};
 use crate::program::Program;
+use crate::put;
+use crate::put::Piece;
 use std::fmt::Write as _;
 
 /// Render one decoded instruction.
 pub fn format_insn(d: &Decoded) -> String {
     let mut s = String::new();
+    write_insn(&mut s, d);
+    s
+}
+
+/// Append one decoded instruction to `o`, as [`format_insn`] renders it.
+pub fn write_insn(o: &mut String, d: &Decoded) {
     match d.insn {
         Instruction::Alu { op, width, dst, src } => {
-            let (d32, s32) = match width {
-                Width::W64 => ("r", "r"),
-                Width::W32 => ("w", "w"),
+            let w = match width {
+                Width::W64 => 'r',
+                Width::W32 => 'w',
             };
             match (op, src) {
-                (AluOp::Mov, Operand::Reg(r)) => {
-                    let _ = write!(s, "{d32}{dst} = {s32}{r}");
-                }
-                (AluOp::Mov, Operand::Imm(i)) => {
-                    let _ = write!(s, "{d32}{dst} = {i}");
-                }
-                (AluOp::Neg, _) => {
-                    let _ = write!(s, "{d32}{dst} = -{d32}{dst}");
-                }
-                (_, Operand::Reg(r)) => {
-                    let _ = write!(s, "{d32}{dst} {} {s32}{r}", op.symbol());
-                }
-                (_, Operand::Imm(i)) => {
-                    let _ = write!(s, "{d32}{dst} {} {i}", op.symbol());
-                }
+                (AluOp::Mov, Operand::Reg(r)) => put!(o, w, dst, " = ", w, r),
+                (AluOp::Mov, Operand::Imm(i)) => put!(o, w, dst, " = ", i),
+                (AluOp::Neg, _) => put!(o, w, dst, " = -", w, dst),
+                (_, Operand::Reg(r)) => put!(o, w, dst, ' ', op.symbol(), ' ', w, r),
+                (_, Operand::Imm(i)) => put!(o, w, dst, ' ', op.symbol(), ' ', i),
             }
         }
         Instruction::Endian { dst, bits, to_be } => {
-            let dir = if to_be { "be" } else { "le" };
-            let _ = write!(s, "r{dst} = {dir}{bits} r{dst}");
+            let dir = if to_be { " = be" } else { " = le" };
+            put!(o, 'r', dst, dir, bits, " r", dst);
         }
         Instruction::LoadImm64 { dst, imm, map } => match map {
-            Some(id) => {
-                let _ = write!(s, "r{dst} = map[{id}] ll");
-            }
-            None => {
-                let _ = write!(s, "r{dst} = {imm} ll");
-            }
+            Some(id) => put!(o, 'r', dst, " = map[", id, "] ll"),
+            None => put!(o, 'r', dst, " = ", imm, " ll"),
         },
         Instruction::Load { size, dst, src, off } => {
-            let _ = write!(s, "r{dst} = *({} *)(r{src} {off:+})", size.c_type());
+            put!(o, 'r', dst, " = *(", size.c_type(), " *)(r", src, ' ', Signed(off.into()), ')');
         }
         Instruction::Store { size, dst, off, src } => {
-            let _ = write!(s, "*({} *)(r{dst} {off:+}) = {src}", size.c_type());
+            put!(o, "*(", size.c_type(), " *)(r", dst, ' ', Signed(off.into()), ") = ", src);
         }
         Instruction::Atomic { op, size, dst, off, src } => {
             let opname = match op {
@@ -62,38 +56,39 @@ pub fn format_insn(d: &Decoded) -> String {
                 AtomicOp::Xchg => "xchg",
                 AtomicOp::Cmpxchg => "cmpxchg",
             };
+            let (ty, off) = (size.c_type(), Signed(off.into()));
             match op {
                 AtomicOp::Xchg | AtomicOp::Cmpxchg => {
-                    let _ =
-                        write!(s, "lock {opname} *({} *)(r{dst} {off:+}), r{src}", size.c_type());
+                    put!(o, "lock ", opname, " *(", ty, " *)(r", dst, ' ', off, "), r", src);
                 }
-                _ => {
-                    let _ =
-                        write!(s, "lock *({} *)(r{dst} {off:+}) {opname} r{src}", size.c_type());
-                }
+                _ => put!(o, "lock *(", ty, " *)(r", dst, ' ', off, ") ", opname, " r", src),
             }
         }
         Instruction::Jump { cond, target } => {
-            let rel = target as i64 - d.pc as i64 - 1;
+            let rel = Signed(target as i64 - d.pc as i64 - 1);
             match cond {
-                None => {
-                    let _ = write!(s, "goto {rel:+}");
-                }
+                None => put!(o, "goto ", rel),
                 Some(c) => {
-                    let l = match c.width {
-                        Width::W64 => format!("r{}", c.lhs),
-                        Width::W32 => format!("w{}", c.lhs),
-                    };
-                    let _ = write!(s, "if {l} {} {} goto {rel:+}", c.op.symbol(), c.rhs);
+                    let l = if c.width == Width::W64 { "if r" } else { "if w" };
+                    put!(o, l, c.lhs, ' ', c.op.symbol(), ' ', c.rhs, " goto ", rel);
                 }
             }
         }
-        Instruction::Call { helper } => {
-            let _ = write!(s, "call {helper}");
-        }
-        Instruction::Exit => s.push_str("exit"),
+        Instruction::Call { helper } => put!(o, "call ", helper),
+        Instruction::Exit => o.push_str("exit"),
     }
-    s
+}
+
+/// A signed offset with its sign always shown, as `{:+}` prints it.
+struct Signed(i64);
+
+impl Piece for Signed {
+    fn put(self, o: &mut String) {
+        if self.0 >= 0 {
+            o.push('+');
+        }
+        self.0.put(o);
+    }
 }
 
 /// Render a whole program, one numbered line per instruction, in the style

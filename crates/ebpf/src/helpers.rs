@@ -185,12 +185,18 @@ pub fn helper_name(id: u32) -> HelperName {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HelperName(u32);
 
+impl crate::put::Piece for HelperName {
+    fn put(self, o: &mut String) {
+        match helper_info(self.0) {
+            Some(h) => o.push_str(h.name),
+            None => crate::put!(o, "helper_", self.0),
+        }
+    }
+}
+
 impl fmt::Display for HelperName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match helper_info(self.0) {
-            Some(h) => f.write_str(h.name),
-            None => write!(f, "helper_{}", self.0),
-        }
+        crate::put::fmt(*self, f)
     }
 }
 

@@ -64,12 +64,19 @@ pub enum Operand {
     Imm(i32),
 }
 
+impl crate::put::Piece for Operand {
+    #[inline]
+    fn put(self, o: &mut String) {
+        match self {
+            Operand::Reg(r) => crate::put!(o, 'r', r),
+            Operand::Imm(i) => crate::put!(o, i),
+        }
+    }
+}
+
 impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Operand::Reg(r) => write!(f, "r{r}"),
-            Operand::Imm(i) => write!(f, "{i}"),
-        }
+        crate::put::fmt(*self, f)
     }
 }
 

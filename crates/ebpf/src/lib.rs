@@ -44,6 +44,7 @@ pub mod insn;
 pub mod maps;
 pub mod opcode;
 pub mod program;
+pub mod put;
 pub mod text;
 pub mod verifier;
 pub mod vm;

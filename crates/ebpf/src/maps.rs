@@ -57,16 +57,21 @@ pub enum MapKind {
     LpmTrie,
 }
 
-impl fmt::Display for MapKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl crate::put::Piece for MapKind {
+    fn put(self, o: &mut String) {
+        o.push_str(match self {
             MapKind::Array => "array",
             MapKind::PerCpuArray => "percpu_array",
             MapKind::Hash => "hash",
             MapKind::LruHash => "lru_hash",
             MapKind::LpmTrie => "lpm_trie",
-        };
-        f.write_str(s)
+        });
+    }
+}
+
+impl fmt::Display for MapKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        crate::put::fmt(*self, f)
     }
 }
 

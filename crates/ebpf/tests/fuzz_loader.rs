@@ -10,7 +10,7 @@
 use ehdl_ebpf::absint;
 use ehdl_ebpf::asm::Asm;
 use ehdl_ebpf::elf;
-use ehdl_ebpf::insn::{decode, Insn};
+use ehdl_ebpf::insn::{decode, Decoded, Insn};
 use ehdl_ebpf::maps::{MapDef, MapKind};
 use ehdl_ebpf::opcode::{AluOp, JmpOp, MemSize};
 use ehdl_ebpf::verifier::verify;
@@ -47,13 +47,44 @@ fn sample_object() -> Vec<u8> {
     elf::write(&program)
 }
 
+/// Fold every field of `a` into the running FNV-1a-64 digest `h`, order
+/// independently: the packet facts sorted by pc, the decided branches in
+/// stream order, then the public fields as printed. A campaign's digest
+/// pins each fact the analysis derived on every input it reached.
+fn fold_analysis(h: &mut u64, a: &absint::Analysis, decoded: &[Decoded]) {
+    let mut facts: Vec<_> = a.facts().copied().collect();
+    facts.sort_by_key(|f| f.pc);
+    let branches: Vec<_> =
+        decoded.iter().filter_map(|d| Some((d.pc, a.branch_outcome(d.pc)?))).collect();
+    assert_eq!(branches.len(), a.decided_branches());
+    let text = format!(
+        "{facts:?} {branches:?} {} {} {:?} {} {:?} {:?} {:?}",
+        a.packet_accesses,
+        a.proven_accesses,
+        a.max_proven_end,
+        a.all_packet_proven,
+        a.stack_slots,
+        a.map_keys,
+        a.map_val_accesses
+    );
+    for &b in text.as_bytes() {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// Whatever the loader accepts must survive the whole downstream
 /// pipeline: decode, verify, abstract-interpret, instantiate, execute.
 /// When the stream decodes, the abstract interpretation must be total
 /// (never panic, never hang) and its proofs must hold on the concrete
-/// run — soundness is fuzzed, not assumed.
-fn exercise_loaded(program: &Program) {
-    let analysis = program.decode().map(|d| absint::analyze(&d));
+/// run — soundness is fuzzed, not assumed. Its facts go into `digest`.
+fn exercise_loaded(program: &Program, digest: &mut u64) {
+    let analysis = program.decode().map(|d| {
+        let a = absint::analyze(&d);
+        fold_analysis(digest, &a, &d);
+        a
+    });
     let _ = verify(program);
     if let Ok(mut vm) = Vm::try_new(program) {
         if let Ok(a) = analysis {
@@ -84,7 +115,9 @@ fn loader_never_panics_on_garbage() {
             bytes[18..20].copy_from_slice(&247u16.to_le_bytes()); // EM_BPF
         }
         if let Ok(p) = elf::load(&bytes) {
-            exercise_loaded(&p);
+            // Which garbage loads is the loader's business: its facts
+            // are not pinned.
+            exercise_loaded(&p, &mut 0);
         }
     }
 }
@@ -93,6 +126,7 @@ fn loader_never_panics_on_garbage() {
 fn loader_never_panics_on_mutated_objects() {
     let object = sample_object();
     let mut rng = Rng::seed_from_u64(0xe1f_b17f);
+    let mut digest = FNV_OFFSET;
     for _ in 0..4000u32 {
         let mut bytes = object.clone();
         match rng.gen_index(4) {
@@ -120,14 +154,16 @@ fn loader_never_panics_on_mutated_objects() {
             }
         }
         if let Ok(p) = elf::load(&bytes) {
-            exercise_loaded(&p);
+            exercise_loaded(&p, &mut digest);
         }
     }
+    assert_eq!(digest, 0x767e_1f72_d2c8_3f17, "the campaign's value-analysis facts moved");
 }
 
 #[test]
 fn decoder_and_verifier_never_panic_on_random_bytecode() {
     let mut rng = Rng::seed_from_u64(0xdec0_de00);
+    let mut digest = FNV_OFFSET;
     for case in 0..3000u32 {
         let n = 1 + rng.gen_index(32);
         let mut insns = Vec::with_capacity(n);
@@ -143,7 +179,11 @@ fn decoder_and_verifier_never_panic_on_random_bytecode() {
             }
             insns.push(Insn::from_bytes(raw));
         }
-        let analysis = decode(&insns).map(|d| absint::analyze(&d));
+        let analysis = decode(&insns).map(|d| {
+            let a = absint::analyze(&d);
+            fold_analysis(&mut digest, &a, &d);
+            a
+        });
         let program = Program::from_insns(insns);
         let _ = verify(&program);
         if let Ok(mut vm) = Vm::try_new(&program) {
@@ -158,4 +198,5 @@ fn decoder_and_verifier_never_panic_on_random_bytecode() {
             );
         }
     }
+    assert_eq!(digest, 0x1c40_93d1_2893_8345, "the campaign's value-analysis facts moved");
 }

@@ -17,7 +17,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  ehdl list\n  ehdl disasm <app>\n  ehdl emit-obj <app> <file.o>\n  ehdl compile <app|file.o> [--summary] [--vhdl FILE] [--testbench FILE] [--dot FILE] \
+        "usage:\n  ehdl list\n  ehdl disasm <app>\n  ehdl emit-obj <app> <file.o>\n  ehdl compile <app|file.o> [--summary] [--vhdl FILE] [--dot FILE] \
          [--frame-size N] [--no-prune] [--no-fusion] [--no-parallelize] [--keep-bounds-checks]\n  \
          ehdl run <app> [--packets N] [--flows N] [--size BYTES]\n\napps: firewall router tunnel dnat suricata"
     );
@@ -139,14 +139,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
                 println!("VHDL written to {path}");
-            }
-            if let Some(path) = flag_value(&args, "--testbench") {
-                let tb = vhdl::emit_testbench(&design, 64);
-                if let Err(e) = std::fs::write(&path, tb) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("testbench written to {path}");
             }
             if let Some(path) = flag_value(&args, "--dot") {
                 if let Err(e) = std::fs::write(&path, design.to_dot()) {

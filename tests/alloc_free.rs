@@ -453,3 +453,32 @@ fn an_array_store_costs_the_same_heap_calls_at_any_size() {
         assert_eq!(cost(max_entries), one, "{max_entries} entries");
     }
 }
+
+/// Emission writes one buffer: a fixed number of heap calls per design
+/// (the buffer, the sanitized name, two scratch vectors, the growth of
+/// the buffer) on top of what the control inventory it prints costs on
+/// its own — never one per line or per formatted piece.
+#[test]
+fn vhdl_emission_costs_a_constant_number_of_heap_calls() {
+    use ehdl::core::{control_inventory, vhdl};
+    use ehdl::programs::{leaky_bucket, toy_counter};
+    let mut zoo: Vec<Program> = App::ALL.iter().map(|a| a.program()).collect();
+    zoo.push(toy_counter::program());
+    zoo.push(leaky_bucket::program());
+    for program in &zoo {
+        let design = Compiler::new().compile(program).expect("zoo programs compile");
+        let before = allocs();
+        let inventory = control_inventory(&design);
+        let inventory_calls = allocs() - before;
+        drop(inventory);
+        let before = allocs();
+        let text = vhdl::emit(&design);
+        let spent = allocs() - before;
+        assert!(!text.is_empty());
+        assert!(
+            spent <= 8 + inventory_calls,
+            "{}: emit made {spent} heap calls, the inventory {inventory_calls}",
+            program.name
+        );
+    }
+}

@@ -262,12 +262,22 @@ fn all_apps_roundtrip_through_elf_objects() {
 /// change must not move: stages, hw insns, FEBs, max `L`, max `K`,
 /// carried register slots, carried stack bytes, LUTs, FFs, VHDL bytes,
 /// reads sunk by the hazard-window pass.
-type Fingerprint = [u64; 11];
+type Fingerprint = [u64; 12];
 
-fn fingerprint(program: &ehdl::ebpf::Program) -> (Fingerprint, String) {
+/// FNV-1a-64: pins a text by its bytes, not only its length.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+fn fingerprint(
+    program: &ehdl::ebpf::Program,
+    options: ehdl::core::CompilerOptions,
+) -> (Fingerprint, String) {
     use ehdl::core::fusion::{lower, FusionOptions};
     use ehdl::core::{cfg::Cfg, ddg, hazardopt, label::label, schedule::schedule, vhdl};
-    let design = Compiler::new().compile(program).unwrap();
+    let design = Compiler::with_options(options).compile(program).unwrap();
     let est = resource::estimate_with_shell(&design);
     let text = vhdl::emit(&design);
     // The hazard-window pass on its own, on the plain lowering.
@@ -291,37 +301,136 @@ fn fingerprint(program: &ehdl::ebpf::Program) -> (Fingerprint, String) {
         text.len(),
         report.sunk_reads,
     ];
-    (counts.map(|c| c as u64), text)
+    let mut fp = [0; 12];
+    fp[..11].copy_from_slice(&counts.map(|c| c as u64));
+    fp[11] = fnv1a(text.as_bytes());
+    (fp, text)
 }
 
 /// The designs of the seven bundled programs, pinned: a refactor of the
 /// compile path (scheduling, flush scoring, liveness, value analysis,
 /// emission) that changes what comes out fails here rather than only in
-/// `perf/`. A change that means to alter a design updates its row.
+/// `perf/`. The last column is the VHDL text's digest; the firewall is
+/// also pinned under each protection level, whose blocks only `emit`
+/// prints. A change that means to alter a design updates its row.
 #[test]
 fn bundled_designs_match_their_golden_fingerprints() {
-    let golden: [(&str, ehdl::ebpf::Program, Fingerprint); 7] = [
+    use ehdl::core::{CompilerOptions, Protection};
+    let plain = CompilerOptions::default();
+    let protect = |protect| CompilerOptions { protect, ..CompilerOptions::default() };
+    let golden: [(&str, ehdl::ebpf::Program, CompilerOptions, Fingerprint); 9] = [
         (
             "firewall",
             App::Firewall.program(),
-            [54, 79, 1, 22, 26, 136, 660, 76547, 123308, 44776, 0],
+            plain,
+            [54, 79, 1, 22, 26, 136, 660, 76547, 123308, 44776, 0, 0x898f_0d21_ed1e_7f14],
         ),
-        ("router", App::Router.program(), [60, 87, 0, 0, 0, 218, 84, 76816, 126691, 49487, 0]),
-        ("tunnel", App::Tunnel.program(), [75, 114, 0, 0, 0, 287, 92, 80406, 137988, 62512, 0]),
-        ("dnat", App::Dnat.program(), [72, 115, 1, 12, 20, 290, 548, 84543, 143537, 63852, 2]),
-        ("suricata", App::Suricata.program(), [87, 112, 0, 0, 0, 247, 76, 83949, 142498, 64814, 0]),
-        ("toy_counter", toy_counter::program(), [19, 27, 0, 0, 0, 42, 48, 61411, 92959, 16946, 0]),
+        (
+            "firewall/parity",
+            App::Firewall.program(),
+            protect(Protection::Parity),
+            [54, 79, 1, 22, 26, 136, 660, 79617, 128505, 54056, 0, 0xabbc_facc_5da0_a00c],
+        ),
+        (
+            "firewall/ecc+watchdog",
+            App::Firewall.program(),
+            protect(Protection::EccWatchdog),
+            [54, 79, 1, 22, 26, 136, 660, 80627, 128929, 57112, 0, 0xbe56_8765_51af_e1af],
+        ),
+        (
+            "router",
+            App::Router.program(),
+            plain,
+            [60, 87, 0, 0, 0, 218, 84, 76816, 126691, 49487, 0, 0xa55e_fd1a_b09f_a492],
+        ),
+        (
+            "tunnel",
+            App::Tunnel.program(),
+            plain,
+            [75, 114, 0, 0, 0, 287, 92, 80406, 137988, 62512, 0, 0xc89f_06c5_77d6_db14],
+        ),
+        (
+            "dnat",
+            App::Dnat.program(),
+            plain,
+            [72, 115, 1, 12, 20, 290, 548, 84543, 143537, 63852, 2, 0x2c6a_68f2_0ed5_c0c3],
+        ),
+        (
+            "suricata",
+            App::Suricata.program(),
+            plain,
+            [87, 112, 0, 0, 0, 247, 76, 83949, 142498, 64814, 0, 0xd09b_848d_a6e1_89f3],
+        ),
+        (
+            "toy_counter",
+            toy_counter::program(),
+            plain,
+            [19, 27, 0, 0, 0, 42, 48, 61411, 92959, 16946, 0, 0x1106_0b74_6a50_8800],
+        ),
         (
             "leaky_bucket",
             leaky_bucket::program(),
-            [48, 69, 4, 25, 29, 153, 277, 76335, 118570, 41437, 1],
+            plain,
+            [48, 69, 4, 25, 29, 153, 277, 76335, 118570, 41437, 1, 0xb358_6218_0e64_6b19],
         ),
     ];
-    for (name, program, want) in golden {
-        let (got, text) = fingerprint(&program);
-        assert_eq!(got, want, "{name}");
-        let (again, text_again) = fingerprint(&program);
-        assert_eq!(again, want, "{name}: second compile");
+    let mut moved = Vec::new();
+    for (name, program, options, want) in golden {
+        let (got, text) = fingerprint(&program, options);
+        if got != want {
+            moved.push(format!("{name}: {got:?}"));
+        }
+        let (again, text_again) = fingerprint(&program, options);
+        assert_eq!(again, got, "{name}: second compile");
         assert!(text == text_again, "{name}: two compiles emit different VHDL");
     }
+    assert!(moved.is_empty(), "designs moved:\n{}", moved.join("\n"));
+}
+
+/// An order-independent digest of every field of a value analysis: the
+/// packet facts sorted by pc, the decided branches in stream order, then
+/// the public fields as printed.
+fn analysis_digest(a: &ehdl::ebpf::absint::Analysis, decoded: &[ehdl::ebpf::insn::Decoded]) -> u64 {
+    let mut facts: Vec<_> = a.facts().copied().collect();
+    facts.sort_by_key(|f| f.pc);
+    let branches: Vec<_> =
+        decoded.iter().filter_map(|d| Some((d.pc, a.branch_outcome(d.pc)?))).collect();
+    assert_eq!(branches.len(), a.decided_branches());
+    let text = format!(
+        "{facts:?} {branches:?} {} {} {:?} {} {:?} {:?} {:?}",
+        a.packet_accesses,
+        a.proven_accesses,
+        a.max_proven_end,
+        a.all_packet_proven,
+        a.stack_slots,
+        a.map_keys,
+        a.map_val_accesses
+    );
+    fnv1a(text.as_bytes())
+}
+
+/// The value analysis of the seven bundled programs, pinned fact for
+/// fact: a change to how absint joins or summarises states that alters
+/// one access proof, branch outcome, slot summary or key provenance
+/// fails here.
+#[test]
+fn bundled_programs_keep_their_value_analysis() {
+    let golden: [(&str, ehdl::ebpf::Program, u64); 7] = [
+        ("firewall", App::Firewall.program(), 0xa079_3679_7816_df4e),
+        ("router", App::Router.program(), 0x471b_c620_e91a_29f0),
+        ("tunnel", App::Tunnel.program(), 0x49de_a4ad_110e_e7f2),
+        ("dnat", App::Dnat.program(), 0x687f_6685_5ae3_3b21),
+        ("suricata", App::Suricata.program(), 0xcd15_122b_7021_4938),
+        ("toy_counter", toy_counter::program(), 0x86a1_9c24_c9bc_2dac),
+        ("leaky_bucket", leaky_bucket::program(), 0xe6a0_2073_31f2_971a),
+    ];
+    let mut moved = Vec::new();
+    for (name, program, want) in golden {
+        let decoded = program.decode().unwrap();
+        let got = analysis_digest(&ehdl::ebpf::absint::analyze(&decoded), &decoded);
+        if got != want {
+            moved.push(format!("{name}: {got:#018x}"));
+        }
+    }
+    assert!(moved.is_empty(), "analyses moved:\n{}", moved.join("\n"));
 }

@@ -2,8 +2,7 @@
 //! dominators and reverse-postorder — the backbone of labeling,
 //! scheduling and predication.
 
-use ehdl_ebpf::insn::{Decoded, Instruction, JumpCond};
-use std::collections::BTreeMap;
+use ehdl_ebpf::insn::{index_of, Decoded, Instruction, JumpCond};
 
 /// Block terminator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,10 +66,8 @@ impl Cfg {
     /// Panics if a jump targets a slot that is not an instruction boundary
     /// (the verifier rejects such programs first).
     pub fn build(decoded: &[Decoded]) -> Cfg {
-        let index_of: BTreeMap<usize, usize> =
-            decoded.iter().enumerate().map(|(i, d)| (d.pc, i)).collect();
         let didx = |slot: usize| -> usize {
-            *index_of.get(&slot).expect("jump target on instruction boundary")
+            index_of(decoded, slot).expect("jump target on instruction boundary")
         };
 
         // Leaders: entry, jump targets, instruction after any terminator.
@@ -150,7 +147,8 @@ impl Cfg {
             blocks[b].succs = succs;
         }
         for b in 0..blocks.len() {
-            for s in blocks[b].succs.clone() {
+            for k in 0..blocks[b].succs.len() {
+                let s = blocks[b].succs[k];
                 blocks[s].preds.push(b);
             }
         }

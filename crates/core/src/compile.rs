@@ -1,7 +1,8 @@
-//! The compiler driver: verify → unroll → analyze (decode + CFG) → absint
-//! (the one abstract interpretation, with the §3.1 labels projected from
-//! its register states) → fuse → schedule → assemble → frame →
-//! hazard-plan → prune.
+//! The compiler driver: verify (the one decode) → analyze (the CFG) →
+//! unroll (loops only, re-decoding what it rewrites) → absint (the one
+//! abstract interpretation, with the §3.1 labels projected from its
+//! register states) → fuse → schedule → assemble → frame → hazard-plan →
+//! prune.
 
 use crate::cfg::Cfg;
 use crate::ddg;
@@ -28,11 +29,12 @@ use std::time::{Duration, Instant};
 /// the report makes the budget visible.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PassTimings {
-    /// Verification.
+    /// Verification, including the compile's one decode.
     pub verify: Duration,
-    /// Bounded-loop unrolling.
+    /// Bounded-loop unrolling, with the decode and CFG of each rewrite;
+    /// zero for a loop-free program, which skips the pass.
     pub unroll: Duration,
-    /// Decode + CFG construction.
+    /// CFG construction over the verifier's decode.
     pub analyze: Duration,
     /// The abstract interpretation and the labels projected from it.
     pub absint: Duration,
@@ -163,28 +165,36 @@ impl Compiler {
         let mut t = PassTimings::default();
         let t0 = Instant::now();
 
-        // 1. Verify (bounded loops allowed: we unroll them next).
+        // 1. Verify (bounded loops allowed: we unroll them next). Its
+        // decode is the compile's decode.
         let mark = Instant::now();
-        verifier::verify(program)?;
-        let source_insns = program.insn_count();
+        let decoded = verifier::verify(program)?.decoded;
+        let source_insns = decoded.len();
         t.verify = mark.elapsed();
 
-        // 2. Unroll bounded loops so the pipeline is strictly forward.
+        // 2. Build the CFG.
         let mark = Instant::now();
-        let program = unroll::unroll(program, o.max_unroll)?;
-        t.unroll = mark.elapsed();
-
-        // 3. Decode and build the CFG.
-        let mark = Instant::now();
-        let decoded = program.decode()?;
         let cfg = Cfg::build(&decoded);
         t.analyze = mark.elapsed();
+
+        // 3. Unroll bounded loops so the pipeline is strictly forward. A
+        // loop-free program skips this; a looped one comes back with the
+        // decode and CFG of its unrolled form.
+        let unrolled;
+        let (program, decoded, cfg) = if cfg.back_edges().is_empty() {
+            (program, decoded, cfg)
+        } else {
+            let mark = Instant::now();
+            unrolled = unroll::unroll(program, decoded, cfg, o.max_unroll)?;
+            t.unroll = mark.elapsed();
+            (&unrolled.program, unrolled.decoded, unrolled.cfg)
+        };
 
         // 3b. Abstract interpretation over the unrolled stream: the §3.1
         // labels, packet bounds proofs, decided branches, frame-slice
         // narrowing.
         let mark = Instant::now();
-        let (labeling, analysis) = label::label(&program, &decoded)?;
+        let (labeling, analysis) = label::label(program, &decoded)?;
         let facts = o.absint.then_some(&analysis);
         t.absint = mark.elapsed();
 
@@ -193,7 +203,7 @@ impl Compiler {
         let mut lowered = fusion::lower(
             &decoded,
             &labeling,
-            &cfg,
+            cfg,
             FusionOptions {
                 fuse: o.fusion,
                 dce: o.dce,
@@ -216,7 +226,7 @@ impl Compiler {
 
         // 6-9. Assemble, frame, plan hazards, prune.
         let mark = Instant::now();
-        let assembled = assemble(&lowered, &schedules);
+        let assembled = assemble(&lowered, schedules);
         let packet_cap = facts.filter(|an| an.all_packet_proven).and_then(|an| an.max_proven_end);
         let (stages, framing_info) = framing::apply(
             assembled.stages,

@@ -14,26 +14,10 @@ use ehdl_ebpf::helpers::{helper_info, BPF_GET_PRANDOM_U32, BPF_KTIME_GET_NS};
 use ehdl_ebpf::insn::{Instruction, Operand};
 use ehdl_ebpf::opcode::AluOp;
 
-/// Read/write resource sets of one instruction.
-#[derive(Debug, Clone, Default)]
-pub struct Effects {
-    /// State elements read.
-    pub reads: Vec<Resource>,
-    /// State elements written.
-    pub writes: Vec<Resource>,
-}
-
-/// Compute the architectural effects of one labeled instruction.
-pub fn effects(insn: &LabeledInsn) -> Effects {
-    let mut e = Effects::default();
-    visit_effects(insn, |r, write| if write { e.writes.push(r) } else { e.reads.push(r) });
-    e
-}
-
 /// Report every state element `insn` reads (`f(r, false)`) or writes
-/// (`f(r, true)`). [`effects`] collects them; the dependence tests keep
-/// them inline.
-fn visit_effects(insn: &LabeledInsn, mut f: impl FnMut(Resource, bool)) {
+/// (`f(r, true)`): the one effect model under the DDG, the same-stage
+/// check and state pruning, which all visit the effects in place.
+pub fn visit_effects(insn: &LabeledInsn, mut f: impl FnMut(Resource, bool)) {
     let reg = Resource::Reg;
     let mem_resource = |label: MemLabel| -> Option<Resource> {
         match label {
@@ -229,47 +213,76 @@ impl Access {
 
 /// The non-register resources of one access side. No instruction reads
 /// or writes more than four (a helper call: its key/value bytes or the
-/// whole stack and packet, its map, the packet geometry).
+/// whole stack and packet, its map, the packet geometry). `kinds` has one
+/// bit per kind of resource held, `reach` one per kind any of them can
+/// conflict with, so most pairs are told apart without comparing items.
 #[derive(Clone, Copy)]
 struct Resources {
     items: [Resource; 4],
-    len: usize,
+    len: u8,
+    kinds: u8,
+    reach: u8,
 }
 
 impl Default for Resources {
     fn default() -> Resources {
-        Resources { items: [Resource::HelperState; 4], len: 0 }
+        Resources { items: [Resource::HelperState; 4], len: 0, kinds: 0, reach: 0 }
     }
 }
 
 impl Resources {
     fn push(&mut self, r: Resource) {
-        self.items[self.len] = r;
+        const STACK: u8 = 1;
+        const PACKET: u8 = 2;
+        const MAP: u8 = 4;
+        const HELPER: u8 = 8;
+        const GEOMETRY: u8 = 16;
+        let (kind, reach) = match r {
+            Resource::Reg(_) => (0, 0),
+            Resource::Stack(_) => (STACK, STACK),
+            // Moving the packet head conflicts with any packet access.
+            Resource::Packet(_) => (PACKET, PACKET | GEOMETRY),
+            Resource::PacketGeometry => (GEOMETRY, PACKET | GEOMETRY),
+            Resource::MapMem(_) => (MAP, MAP),
+            Resource::HelperState => (HELPER, HELPER),
+        };
+        self.items[usize::from(self.len)] = r;
         self.len += 1;
+        self.kinds |= kind;
+        self.reach |= reach;
     }
 
     fn any_conflict(&self, other: &Resources) -> bool {
-        let ys = &other.items[..other.len];
-        self.items[..self.len].iter().any(|x| ys.iter().any(|y| x.conflicts(*y)))
+        if self.kinds & other.reach == 0 {
+            return false;
+        }
+        let ys = &other.items[..usize::from(other.len)];
+        self.items[..usize::from(self.len)].iter().any(|x| ys.iter().any(|y| x.conflicts(*y)))
     }
 }
 
-/// Build per-block dependency lists for the whole program.
+/// Build per-block dependency lists for the whole program. One buffer of
+/// accesses and one of edges serve every block; each block's edges are
+/// then copied out once, at their final length.
 pub fn build(p: &LoweredProgram) -> Vec<BlockDeps> {
+    let mut acc: Vec<Access> = Vec::with_capacity(p.blocks.iter().map(Vec::len).max().unwrap_or(0));
+    let mut edges = Vec::new();
     p.blocks
         .iter()
         .map(|insns| {
-            let acc: Vec<Access> = insns.iter().map(Access::of).collect();
-            let mut edges = Vec::new();
-            let ends = (0..acc.len())
-                .map(|j| {
-                    edges.extend(
-                        (0..j).filter_map(|i| depends(&acc[i], &acc[j]).map(|kind| (i, kind))),
-                    );
-                    edges.len()
-                })
-                .collect();
-            BlockDeps { edges, ends }
+            acc.clear();
+            acc.extend(insns.iter().map(Access::of));
+            edges.clear();
+            let mut ends = Vec::with_capacity(acc.len());
+            for (j, b) in acc.iter().enumerate() {
+                for (i, a) in acc[..j].iter().enumerate() {
+                    if let Some(kind) = depends(a, b) {
+                        edges.push((i, kind));
+                    }
+                }
+                ends.push(edges.len());
+            }
+            BlockDeps { edges: edges.clone(), ends }
         })
         .collect()
 }
@@ -322,7 +335,7 @@ mod tests {
         let lowered = lower(
             &decoded,
             &lab,
-            &cfg,
+            cfg,
             FusionOptions { fuse: false, dce: false, elide_bounds_checks: false },
         );
         let deps = build(&lowered);

@@ -47,11 +47,12 @@ impl Default for FusionOptions {
 }
 
 /// Lower a labeled program into per-block hardware instructions, applying
-/// fusion, bounds-check elision marking and DCE.
+/// fusion, bounds-check elision marking and DCE. The CFG moves into the
+/// result.
 pub fn lower(
     decoded: &[Decoded],
     labeling: &Labeling,
-    cfg: &Cfg,
+    cfg: Cfg,
     opts: FusionOptions,
 ) -> LoweredProgram {
     let mut blocks: Vec<Vec<LabeledInsn>> = Vec::with_capacity(cfg.blocks.len());
@@ -61,12 +62,13 @@ pub fn lower(
         let mut insns: Vec<LabeledInsn> = Vec::with_capacity(blk.end - blk.start);
         for idx in blk.start..blk.end {
             let d = &decoded[idx];
-            let elided =
-                if opts.elide_bounds_checks && bounds_check_elidable(decoded, cfg, idx, labeling) {
-                    labeling.bounds_checks[idx]
-                } else {
-                    None
-                };
+            let elided = if opts.elide_bounds_checks
+                && bounds_check_elidable(decoded, &cfg, idx, labeling)
+            {
+                labeling.bounds_checks[idx]
+            } else {
+                None
+            };
             insns.push(LabeledInsn {
                 pc: d.pc,
                 insn: HwInsn::Simple(d.insn),
@@ -85,7 +87,7 @@ pub fn lower(
             fuse_block(b);
         }
     }
-    let mut lowered = LoweredProgram { blocks, terms, cfg: cfg.clone() };
+    let mut lowered = LoweredProgram { blocks, terms, cfg };
     if opts.dce {
         eliminate_dead_code(&mut lowered);
     }
@@ -200,11 +202,13 @@ fn fuse_block(insns: &mut Vec<LabeledInsn>) {
 /// register is dead. Loads are kept (they can fault and drop the packet);
 /// stores, calls, atomics and branches always stay.
 fn eliminate_dead_code(p: &mut LoweredProgram) {
+    let nb = p.blocks.len();
+    let (mut live_in, mut live_out) = (vec![0u16; nb], vec![0u16; nb]);
+    let mut keep = Vec::new();
     loop {
         // live-in/out per block, to fixpoint.
-        let nb = p.blocks.len();
-        let mut live_in: Vec<u16> = vec![0; nb];
-        let mut live_out: Vec<u16> = vec![0; nb];
+        live_in.fill(0);
+        live_out.fill(0);
         let mut changed = true;
         while changed {
             changed = false;
@@ -231,7 +235,8 @@ fn eliminate_dead_code(p: &mut LoweredProgram) {
         let mut removed = false;
         for (block, &out) in p.blocks.iter_mut().zip(&live_out) {
             let mut live = out;
-            let mut keep = vec![true; block.len()];
+            keep.clear();
+            keep.resize(block.len(), true);
             for (i, insn) in block.iter().enumerate().rev() {
                 let (reads, writes, pure) = reg_effects(insn);
                 if pure && writes != 0 && (writes & live) == 0 {
@@ -346,7 +351,7 @@ mod tests {
         let decoded = p.decode().unwrap();
         let cfg = Cfg::build(&decoded);
         let (lab, _) = label(p, &decoded).unwrap();
-        lower(&decoded, &lab, &cfg, opts)
+        lower(&decoded, &lab, cfg, opts)
     }
 
     fn total_insns(l: &LoweredProgram) -> usize {

@@ -13,7 +13,8 @@
 //! later and give the window back.
 //!
 //! The candidate schedule is accepted only if the analytical model
-//! predicts no more throughput loss than the baseline. With checkpointed
+//! predicts no more throughput loss than the baseline; the model is
+//! evaluated only when some read actually sank. With checkpointed
 //! partial flushes the flush cost is `K = L + FLUSH_RELOAD_CYCLES`, so
 //! shrinking the window attacks both factors of `p_flush × K` at once.
 
@@ -35,7 +36,8 @@ pub const MODEL_FLOWS: usize = 50_000;
 pub struct HazardOptReport {
     /// Map reads moved to a later row.
     pub sunk_reads: usize,
-    /// Σ `p_flush_zipf(L, n) · K` over all FEBs before motion.
+    /// Σ `p_flush_zipf(L, n) · K` over all FEBs before motion; scored only
+    /// when some read could sink (0 otherwise).
     pub predicted_loss_before: f64,
     /// Same after motion (equals `before` when the baseline won).
     pub predicted_loss_after: f64,
@@ -54,27 +56,46 @@ pub fn optimize(
 }
 
 /// As [`optimize`], also reporting the motion and model scores.
+///
+/// Only a block holding a map read is re-levelled, from the ASAP levels
+/// the scheduler kept. Where no read sinks, the levels are the ASAP ones
+/// and the block keeps its baseline rows; where none sinks anywhere, the
+/// loss model is not evaluated at all.
 pub fn optimize_with_report(
     p: &LoweredProgram,
     deps: &[BlockDeps],
-    baseline: Vec<BlockSchedule>,
+    mut baseline: Vec<BlockSchedule>,
 ) -> (Vec<BlockSchedule>, HazardOptReport) {
     let mut report = HazardOptReport::default();
-    let mut candidate = Vec::with_capacity(p.blocks.len());
-    for (insns, bd) in p.blocks.iter().zip(deps) {
-        let (rows, sunk) = sink_reads(insns, bd);
-        report.sunk_reads += sunk;
-        candidate.push(rows);
+    let mut sunk_blocks: Vec<(usize, BlockSchedule)> = Vec::new();
+    for (b, (insns, bd)) in p.blocks.iter().zip(deps).enumerate() {
+        if !insns.iter().any(|op| is_map_read(op.map_use)) {
+            continue;
+        }
+        if let Some((rows, sunk)) = sink_reads(insns, bd, &baseline[b].levels) {
+            report.sunk_reads += sunk;
+            sunk_blocks.push((b, rows));
+        }
     }
-    report.predicted_loss_before = predicted_loss(&baseline, MODEL_FLOWS);
-    report.predicted_loss_after = predicted_loss(&candidate, MODEL_FLOWS);
-    if report.sunk_reads > 0 && report.predicted_loss_after <= report.predicted_loss_before {
-        (candidate, report)
+    if sunk_blocks.is_empty() {
+        return (baseline, report);
+    }
+    let mut memo = Vec::new();
+    report.predicted_loss_before = predicted_loss(baseline.iter(), MODEL_FLOWS, &mut memo);
+    let candidate = baseline
+        .iter()
+        .enumerate()
+        .map(|(b, base)| sunk_blocks.iter().find(|(c, _)| *c == b).map_or(base, |(_, sunk)| sunk));
+    report.predicted_loss_after = predicted_loss(candidate, MODEL_FLOWS, &mut memo);
+    if report.predicted_loss_after <= report.predicted_loss_before {
+        for (b, sunk) in sunk_blocks {
+            baseline[b] = sunk;
+        }
     } else {
         report.predicted_loss_after = report.predicted_loss_before;
         report.sunk_reads = 0;
-        (baseline, report)
     }
+    (baseline, report)
 }
 
 fn is_map_read(mu: Option<MapUse>) -> bool {
@@ -85,25 +106,16 @@ fn is_map_write(mu: Option<MapUse>) -> bool {
     matches!(mu, Some(MapUse::HelperWrite(_) | MapUse::StoreValue(_)))
 }
 
-/// Re-level one block: ASAP everywhere except map reads, which move to
+/// Re-level one block from its ASAP levels `asap`: map reads move to
 /// their ALAP row unless that would drag a same-block map write along.
-fn sink_reads(insns: &[crate::ir::LabeledInsn], bd: &BlockDeps) -> (BlockSchedule, usize) {
+/// `None` when no read moves (the levels stay `asap`).
+fn sink_reads(
+    insns: &[crate::ir::LabeledInsn],
+    bd: &BlockDeps,
+    asap: &[usize],
+) -> Option<(BlockSchedule, usize)> {
     let n = insns.len();
-    // ASAP levels — identical to the ILP scheduler's.
-    let mut asap = vec![0usize; n];
-    for j in 0..n {
-        for &(i, kind) in &bd[j] {
-            let min = match kind {
-                DepKind::Hard => asap[i] + 1,
-                DepKind::Soft => asap[i],
-            };
-            asap[j] = asap[j].max(min);
-        }
-    }
-    let nrows = asap.iter().map(|l| l + 1).max().unwrap_or(0);
-    if nrows == 0 {
-        return (BlockSchedule { rows: vec![] }, 0);
-    }
+    let nrows = asap.iter().map(|l| l + 1).max()?;
     // ALAP levels from the existing last row — sinking never adds rows.
     let mut alap = vec![nrows - 1; n];
     for j in (0..n).rev() {
@@ -114,6 +126,11 @@ fn sink_reads(insns: &[crate::ir::LabeledInsn], bd: &BlockDeps) -> (BlockSchedul
             };
             alap[i] = alap[i].min(cap);
         }
+    }
+    // A read without slack stays at its ASAP row, and then so does
+    // everything else.
+    if !(0..n).any(|j| is_map_read(insns[j].map_use) && alap[j] > asap[j]) {
+        return None;
     }
     // Reads feeding a map write (transitively) must not sink: the repair
     // pass below would push the write past its ASAP row and re-widen the
@@ -147,25 +164,23 @@ fn sink_reads(insns: &[crate::ir::LabeledInsn], bd: &BlockDeps) -> (BlockSchedul
             sunk += 1;
         }
     }
-    // Row emission — same procedure as the scheduler (drop elided bounds
-    // checks, then empty rows).
-    let mut rows: Vec<Vec<crate::ir::LabeledInsn>> = vec![Vec::new(); nrows];
-    for (j, insn) in insns.iter().enumerate() {
-        if insn.elided.is_some() {
-            continue;
-        }
-        rows[level[j]].push(*insn);
-    }
-    rows.retain(|r| !r.is_empty());
-    (BlockSchedule { rows }, sunk)
+    // With no read moved every level is its ASAP one: `want` is, and so,
+    // inductively, is every repair.
+    debug_assert!(sunk > 0 || level == asap);
+    (sunk > 0).then(|| (BlockSchedule::from_levels(insns, level), sunk))
 }
 
 /// Σ `p_flush_zipf(L, n) · (L + reload)` over the FEBs the schedule would
 /// produce, with stage indices estimated as assembly does: one stage per
 /// row plus helper-latency expansion. Framing's frame-wait stages are not
 /// modeled — they shift reads and writes together, and the score is only
-/// ever compared between schedules of the same program.
-fn predicted_loss(schedules: &[BlockSchedule], n_flows: usize) -> f64 {
+/// ever compared between schedules of the same program. `memo` holds the
+/// `(L, p_flush_zipf(L, n))` pairs already evaluated for this `n`.
+fn predicted_loss<'a>(
+    schedules: impl Iterator<Item = &'a BlockSchedule>,
+    n_flows: usize,
+    memo: &mut Vec<(usize, f64)>,
+) -> f64 {
     let mut stage = 0usize;
     let mut reads: Vec<(u32, usize)> = Vec::new();
     let mut writes: Vec<(u32, usize)> = Vec::new();
@@ -198,7 +213,15 @@ fn predicted_loss(schedules: &[BlockSchedule], n_flows: usize) -> f64 {
         let first_read = reads.iter().filter(|&&(m, r)| m == map && r < w).map(|&(_, r)| r).min();
         if let Some(r) = first_read {
             let l = w - r;
-            loss += p_flush_zipf(l, n_flows) * (l + FLUSH_RELOAD_CYCLES) as f64;
+            let pf = match memo.iter().find(|&&(k, _)| k == l) {
+                Some(&(_, pf)) => pf,
+                None => {
+                    let pf = p_flush_zipf(l, n_flows);
+                    memo.push((l, pf));
+                    pf
+                }
+            };
+            loss += pf * (l + FLUSH_RELOAD_CYCLES) as f64;
         }
     }
     loss
@@ -223,7 +246,7 @@ mod tests {
         let decoded = p.decode().unwrap();
         let cfg = Cfg::build(&decoded);
         let (lab, _) = label(p, &decoded).unwrap();
-        let lowered = lower(&decoded, &lab, &cfg, FusionOptions::default());
+        let lowered = lower(&decoded, &lab, cfg, FusionOptions::default());
         let deps = ddg::build(&lowered);
         let s = schedule(&lowered, &deps, true);
         (lowered, deps, s)
@@ -232,6 +255,12 @@ mod tests {
     /// Lookup early, result consumed only at the end of a long
     /// independent chain: the read has slack to sink into.
     fn slack_program() -> Program {
+        slack_program_with(7)
+    }
+
+    /// As [`slack_program`], with `chain` ALU steps between the lookup
+    /// and its use.
+    fn slack_program_with(chain: usize) -> Program {
         let mut a = Asm::new();
         let miss = a.new_label();
         a.mov64_imm(2, 7);
@@ -244,13 +273,10 @@ mod tests {
         // Long independent ALU chain on a callee-saved register the call
         // does not clobber (r0–r5 would pick up a WAW edge on the call).
         a.mov64_imm(7, 1);
-        a.alu64_imm(AluOp::Add, 7, 2);
-        a.alu64_imm(AluOp::Mul, 7, 3);
-        a.alu64_imm(AluOp::Add, 7, 4);
-        a.alu64_imm(AluOp::Mul, 7, 5);
-        a.alu64_imm(AluOp::Add, 7, 6);
-        a.alu64_imm(AluOp::Mul, 7, 7);
-        a.alu64_imm(AluOp::Add, 7, 8);
+        for k in 0..chain {
+            let op = if k % 2 == 0 { AluOp::Add } else { AluOp::Mul };
+            a.alu64_imm(op, 7, k as i32 + 2);
+        }
         // Only now consume the lookup result.
         a.jmp_reg(JmpOp::Jeq, 6, 7, miss);
         a.mov64_imm(0, 2);
@@ -259,6 +285,29 @@ mod tests {
         a.mov64_imm(0, 1);
         a.exit();
         Program::new("slack", a.into_insns(), vec![MapDef::new(0, "m", MapKind::Hash, 4, 8, 64)])
+    }
+
+    /// The row of the block-0 lookup.
+    fn lookup_row(s: &[BlockSchedule]) -> usize {
+        s[0].rows
+            .iter()
+            .position(|r| r.iter().any(|i| matches!(i.map_use, Some(MapUse::Lookup(_)))))
+            .unwrap()
+    }
+
+    /// A read sinks as far as its slack allows, one row of slack
+    /// included: each chain step adds at most one row of slack.
+    #[test]
+    fn a_read_sinks_exactly_as_far_as_its_slack() {
+        let sunk_by: Vec<usize> = (0..=7)
+            .map(|chain| {
+                let (lowered, deps, base) = schedules_of(&slack_program_with(chain));
+                let (opt, _) = optimize_with_report(&lowered, &deps, base.clone());
+                lookup_row(&opt) - lookup_row(&base)
+            })
+            .collect();
+        assert!(sunk_by.windows(2).all(|w| w[0] <= w[1] && w[1] <= w[0] + 1), "{sunk_by:?}");
+        assert!(sunk_by.contains(&1) && sunk_by[7] > 1, "{sunk_by:?}");
     }
 
     #[test]
@@ -280,13 +329,7 @@ mod tests {
             assert_eq!(bi, oi);
         }
         // The lookup moved to a strictly later row.
-        let row_of_call = |s: &[BlockSchedule]| -> usize {
-            s[0].rows
-                .iter()
-                .position(|r| r.iter().any(|i| matches!(i.map_use, Some(MapUse::Lookup(_)))))
-                .unwrap()
-        };
-        assert!(row_of_call(&opt) > row_of_call(&base));
+        assert!(lookup_row(&opt) > lookup_row(&base));
     }
 
     #[test]
@@ -313,7 +356,8 @@ mod tests {
         let p =
             Program::new("rmw", a.into_insns(), vec![MapDef::new(0, "m", MapKind::Hash, 4, 8, 64)]);
         let (lowered, deps, base) = schedules_of(&p);
-        let (opt, _) = optimize_with_report(&lowered, &deps, base.clone());
+        let (opt, report) = optimize_with_report(&lowered, &deps, base.clone());
+        assert_eq!(report, HazardOptReport::default(), "nothing sank, nothing was scored");
         let row_of = |s: &[BlockSchedule], pred: &dyn Fn(Option<MapUse>) -> bool| -> usize {
             s[0].rows.iter().position(|r| r.iter().any(|i| pred(i.map_use))).unwrap()
         };
@@ -334,7 +378,7 @@ mod tests {
         let p = Program::from_insns(a.into_insns());
         let (lowered, deps, base) = schedules_of(&p);
         let (opt, report) = optimize_with_report(&lowered, &deps, base.clone());
-        assert_eq!(report.sunk_reads, 0);
+        assert_eq!(report, HazardOptReport::default(), "nothing sank, nothing was scored");
         assert_eq!(base.len(), opt.len());
         for (b, o) in base.iter().zip(&opt) {
             assert_eq!(b.rows.len(), o.rows.len());

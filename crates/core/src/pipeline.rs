@@ -281,8 +281,8 @@ pub struct Assembled {
 
 /// Linearize the block schedules into pipeline stages, applying
 /// bounds-check elision to the control structure and expanding multi-cycle
-/// helper blocks.
-pub fn assemble(p: &LoweredProgram, schedules: &[BlockSchedule]) -> Assembled {
+/// helper blocks. Each schedule row moves into its stage.
+pub fn assemble(p: &LoweredProgram, mut schedules: Vec<BlockSchedule>) -> Assembled {
     let nb = p.blocks.len();
 
     // Effective terminator per block: an elided bounds check turns the
@@ -306,20 +306,6 @@ pub fn assemble(p: &LoweredProgram, schedules: &[BlockSchedule]) -> Assembled {
     }
 
     // Reachability over the effective graph.
-    let succs = |b: usize| -> Vec<usize> {
-        match eff_term[b] {
-            Terminator::Exit => vec![],
-            Terminator::Jump { target } => vec![target],
-            Terminator::FallThrough { next } => vec![next],
-            Terminator::Cond { taken, fall, .. } => {
-                if taken == fall {
-                    vec![taken]
-                } else {
-                    vec![taken, fall]
-                }
-            }
-        }
-    };
     let mut reachable = vec![false; nb];
     let mut stack = vec![0usize];
     while let Some(b) = stack.pop() {
@@ -327,7 +313,13 @@ pub fn assemble(p: &LoweredProgram, schedules: &[BlockSchedule]) -> Assembled {
             continue;
         }
         reachable[b] = true;
-        stack.extend(succs(b));
+        match eff_term[b] {
+            Terminator::Exit => {}
+            Terminator::Jump { target: next } | Terminator::FallThrough { next } => {
+                stack.push(next)
+            }
+            Terminator::Cond { taken, fall, .. } => stack.extend([taken, fall]),
+        }
     }
 
     // Topological order of the (acyclic) effective graph: since unrolling
@@ -353,12 +345,11 @@ pub fn assemble(p: &LoweredProgram, schedules: &[BlockSchedule]) -> Assembled {
     }
 
     // Stage emission.
-    let mut stages = Vec::new();
+    let mut stages = Vec::with_capacity(order.iter().map(|&b| schedules[b].rows.len()).sum());
     let mut hw_insns = 0;
     for &b in &order {
-        for row in &schedules[b].rows {
+        for row in std::mem::take(&mut schedules[b].rows) {
             hw_insns += row.len();
-            stages.push(Stage { block: b, ops: row.clone(), kind: StageKind::Normal });
             // Helper latency expansion.
             let extra = row
                 .iter()
@@ -370,6 +361,7 @@ pub fn assemble(p: &LoweredProgram, schedules: &[BlockSchedule]) -> Assembled {
                 })
                 .max()
                 .unwrap_or(0);
+            stages.push(Stage { block: b, ops: row, kind: StageKind::Normal });
             for _ in 0..extra {
                 stages.push(Stage { block: b, ops: vec![], kind: StageKind::HelperLatency });
             }
@@ -396,10 +388,10 @@ mod tests {
         let decoded = p.decode().unwrap();
         let cfg = Cfg::build(&decoded);
         let (lab, _) = label(p, &decoded).unwrap();
-        let lowered = lower(&decoded, &lab, &cfg, FusionOptions::default());
+        let lowered = lower(&decoded, &lab, cfg, FusionOptions::default());
         let deps = ddg::build(&lowered);
         let s = schedule(&lowered, &deps, true);
-        assemble(&lowered, &s)
+        assemble(&lowered, s)
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! pending use only if the writing block dominates every block still
 //! waiting to read the value.
 
-use crate::ddg::effects;
+use crate::ddg::visit_effects;
 use crate::ir::Resource;
 use crate::pipeline::{BlockInfo, Stage};
 use ehdl_ebpf::vm::STACK_SIZE;
@@ -26,7 +26,7 @@ pub struct PruneInfo {
     /// Per stage: number of live stack bytes the stage must receive.
     pub live_stack_bytes: Vec<usize>,
     /// Per stage: live stack byte map (bit per byte, 512 bits).
-    pub live_stack: Vec<Box<[u64; 8]>>,
+    pub live_stack: Vec<[u64; 8]>,
     /// Whether pruning was enabled (false = §5.4 ablation baseline).
     pub enabled: bool,
 }
@@ -131,7 +131,7 @@ pub fn analyze(stages: &[Stage], blocks: &[BlockInfo], enabled: bool) -> PruneIn
         return PruneInfo {
             live_regs: vec![0x7ff; n],
             live_stack_bytes: vec![STACK_SIZE as usize; n],
-            live_stack: vec![Box::new([u64::MAX; 8]); n],
+            live_stack: vec![[u64::MAX; 8]; n],
             enabled: false,
         };
     }
@@ -145,36 +145,45 @@ pub fn analyze(stages: &[Stage], blocks: &[BlockInfo], enabled: bool) -> PruneIn
 
     let mut live_regs = vec![0u16; n];
     let mut live_stack_bytes = vec![0usize; n];
-    let mut live_stack: Vec<Box<[u64; 8]>> = vec![Box::new([0u64; 8]); n];
+    let mut live_stack: Vec<[u64; 8]> = vec![[0u64; 8]; n];
 
     for (i, stage) in stages.iter().enumerate().rev() {
         let b = stage.block;
         let keep_b = &keep[b * nw..(b + 1) * nw];
-        let effs: Vec<_> = stage.ops.iter().map(effects).collect();
 
         // Ops in a stage are parallel and all act on the *input* state, so
         // first every write kills the pending uses its block dominates,
         // then every read becomes a pending use of this block.
-        for w in effs.iter().flat_map(|e| &e.writes) {
-            for s in slots(*w, true) {
-                if live[s / 64] & (1 << (s % 64)) == 0 {
-                    continue;
+        for op in &stage.ops {
+            visit_effects(op, |w, write| {
+                if !write {
+                    return;
                 }
-                let mut left = 0;
-                for (p, k) in pending[s * nw..(s + 1) * nw].iter_mut().zip(keep_b) {
-                    *p &= k;
-                    left |= *p;
+                for s in slots(w, true) {
+                    if live[s / 64] & (1 << (s % 64)) == 0 {
+                        continue;
+                    }
+                    let mut left = 0;
+                    for (p, k) in pending[s * nw..(s + 1) * nw].iter_mut().zip(keep_b) {
+                        *p &= k;
+                        left |= *p;
+                    }
+                    if left == 0 {
+                        live[s / 64] &= !(1 << (s % 64));
+                    }
                 }
-                if left == 0 {
-                    live[s / 64] &= !(1 << (s % 64));
-                }
-            }
+            });
         }
-        for r in effs.iter().flat_map(|e| &e.reads) {
-            for s in slots(*r, false) {
-                pending[s * nw + b / 64] |= 1 << (b % 64);
-                live[s / 64] |= 1 << (s % 64);
-            }
+        for op in &stage.ops {
+            visit_effects(op, |r, write| {
+                if write {
+                    return;
+                }
+                for s in slots(r, false) {
+                    pending[s * nw + b / 64] |= 1 << (b % 64);
+                    live[s / 64] |= 1 << (s % 64);
+                }
+            });
         }
 
         // Record the boundary entering this stage.
@@ -207,12 +216,12 @@ mod tests {
         let lowered = lower(
             &decoded,
             &lab,
-            &cfg,
+            cfg,
             FusionOptions { fuse: false, dce: false, elide_bounds_checks: false },
         );
         let deps = ddg::build(&lowered);
         let s = schedule(&lowered, &deps, false);
-        let asm = assemble(&lowered, &s);
+        let asm = assemble(&lowered, s);
         let info = analyze(&asm.stages, &asm.blocks, true);
         (asm.stages, info)
     }
@@ -312,10 +321,10 @@ mod tests {
         let decoded = p.decode().unwrap();
         let cfg = Cfg::build(&decoded);
         let (lab, _) = label(&p, &decoded).unwrap();
-        let lowered = lower(&decoded, &lab, &cfg, FusionOptions::default());
+        let lowered = lower(&decoded, &lab, cfg, FusionOptions::default());
         let deps = ddg::build(&lowered);
         let s = schedule(&lowered, &deps, true);
-        let asm = assemble(&lowered, &s);
+        let asm = assemble(&lowered, s);
         let info = analyze(&asm.stages, &asm.blocks, false);
         assert!(info.live_regs.iter().all(|&m| m == 0x7ff));
         assert!(info.live_stack_bytes.iter().all(|&b| b == 512));

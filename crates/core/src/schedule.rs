@@ -15,6 +15,41 @@ use crate::ir::LabeledInsn;
 pub struct BlockSchedule {
     /// Rows in execution order; each row is a set of parallel instructions.
     pub rows: Vec<Vec<LabeledInsn>>,
+    /// The level each instruction of the block was placed at, before
+    /// elided instructions and then empty rows were dropped.
+    pub levels: Vec<usize>,
+}
+
+impl BlockSchedule {
+    /// The rows `levels` gives `insns`: each level's instructions in block
+    /// order, elided bounds checks dropped, empty rows dropped.
+    pub(crate) fn from_levels(insns: &[LabeledInsn], levels: Vec<usize>) -> BlockSchedule {
+        let nrows = levels.iter().map(|l| l + 1).max().unwrap_or(0);
+        let mut rows: Vec<Vec<LabeledInsn>> = vec![Vec::new(); nrows];
+        for (insn, &l) in insns.iter().zip(&levels) {
+            if insn.elided.is_none() {
+                rows[l].push(*insn);
+            }
+        }
+        rows.retain(|r| !r.is_empty());
+        BlockSchedule { rows, levels }
+    }
+}
+
+/// ASAP levels of one block over its DDG: a hard dependence puts an
+/// instruction below its source, a soft one no earlier than it.
+fn asap_levels(bd: &BlockDeps, n: usize) -> Vec<usize> {
+    let mut level = vec![0usize; n];
+    for j in 0..n {
+        for &(i, kind) in &bd[j] {
+            let min = match kind {
+                DepKind::Hard => level[i] + 1,
+                DepKind::Soft => level[i],
+            };
+            level[j] = level[j].max(min);
+        }
+    }
+    level
 }
 
 /// Schedule every block with ASAP list scheduling over the DDG.
@@ -29,33 +64,9 @@ pub fn schedule(p: &LoweredProgram, deps: &[BlockDeps], parallelize: bool) -> Ve
         .iter()
         .zip(deps)
         .map(|(insns, bd)| {
-            let n = insns.len();
-            let mut level = vec![0usize; n];
-            if parallelize {
-                for j in 0..n {
-                    for &(i, kind) in &bd[j] {
-                        let min = match kind {
-                            DepKind::Hard => level[i] + 1,
-                            DepKind::Soft => level[i],
-                        };
-                        level[j] = level[j].max(min);
-                    }
-                }
-            } else {
-                for (j, l) in level.iter_mut().enumerate() {
-                    *l = j;
-                }
-            }
-            let nrows = level.iter().map(|l| l + 1).max().unwrap_or(0);
-            let mut rows: Vec<Vec<LabeledInsn>> = vec![Vec::new(); nrows];
-            for (j, insn) in insns.iter().enumerate() {
-                if insn.elided.is_some() {
-                    continue;
-                }
-                rows[level[j]].push(*insn);
-            }
-            rows.retain(|r| !r.is_empty());
-            BlockSchedule { rows }
+            let levels =
+                if parallelize { asap_levels(bd, insns.len()) } else { (0..insns.len()).collect() };
+            BlockSchedule::from_levels(insns, levels)
         })
         .collect()
 }
@@ -108,7 +119,7 @@ mod tests {
         let lowered = lower(
             &decoded,
             &lab,
-            &cfg,
+            cfg,
             FusionOptions { fuse: false, dce: false, elide_bounds_checks: false },
         );
         let deps = ddg::build(&lowered);

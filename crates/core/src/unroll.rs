@@ -15,32 +15,49 @@
 
 use crate::cfg::{Cfg, Terminator};
 use crate::error::CompileError;
-use ehdl_ebpf::insn::{Instruction, Operand};
+use ehdl_ebpf::insn::{index_of, Decoded, Instruction, Operand};
 use ehdl_ebpf::opcode::{AluOp, JmpOp, Width};
 use ehdl_ebpf::vm::cond_eval;
 use ehdl_ebpf::{Insn, Program};
 
+/// A strictly forward program with the decode and CFG it was checked on.
+#[derive(Debug, Clone)]
+pub struct Unrolled {
+    /// The rewritten program.
+    pub program: Program,
+    /// Its decode.
+    pub decoded: Vec<Decoded>,
+    /// Its CFG, which has no back edge.
+    pub cfg: Cfg,
+}
+
 /// Remove all backward branches from `program` by unrolling bounded loops.
-///
-/// Programs without back edges are returned unchanged. Nested loops are
-/// unrolled innermost-first.
+/// `decoded` and `cfg` are the program's decode and CFG; each unrolled
+/// loop is decoded and built once, and the last of those comes back with
+/// the program. Nested loops are unrolled innermost-first.
 ///
 /// # Errors
 ///
 /// [`CompileError::UnsupportedLoop`] when a back edge does not match the
 /// recognized counted-loop shape, and [`CompileError::UnrollBudget`] when
 /// the trip count exceeds `max_unroll`.
-pub fn unroll(program: &Program, max_unroll: usize) -> Result<Program, CompileError> {
+pub fn unroll(
+    program: &Program,
+    mut decoded: Vec<Decoded>,
+    mut cfg: Cfg,
+    max_unroll: usize,
+) -> Result<Unrolled, CompileError> {
     let mut insns = program.insns.clone();
     // Each unroll step removes one back edge; bound iterations defensively.
-    for _ in 0..64 {
-        let decoded = ehdl_ebpf::insn::decode(&insns)?;
-        let cfg = Cfg::build(&decoded);
+    for round in 0..64 {
+        if round > 0 {
+            decoded = ehdl_ebpf::insn::decode(&insns)?;
+            cfg = Cfg::build(&decoded);
+        }
         let back = cfg.back_edges();
         if back.is_empty() {
-            let mut out = program.clone();
-            out.insns = insns;
-            return Ok(out);
+            let program = Program { insns, maps: program.maps.clone(), name: program.name.clone() };
+            return Ok(Unrolled { program, decoded, cfg });
         }
         // Pick an innermost loop: a back edge whose body contains no other
         // back edge strictly inside it.
@@ -59,7 +76,7 @@ pub fn unroll(program: &Program, max_unroll: usize) -> Result<Program, CompileEr
 
 fn unroll_one(
     insns: &[Insn],
-    decoded: &[ehdl_ebpf::insn::Decoded],
+    decoded: &[Decoded],
     cfg: &Cfg,
     header: usize,
     latch: usize,
@@ -271,15 +288,15 @@ fn unroll_one(
     Ok(out)
 }
 
-fn decoded_at(decoded: &[ehdl_ebpf::insn::Decoded], slot: usize) -> &ehdl_ebpf::insn::Decoded {
-    decoded.iter().find(|d| d.pc == slot).expect("slot is an instruction boundary")
+fn decoded_at(decoded: &[Decoded], slot: usize) -> &Decoded {
+    &decoded[index_of(decoded, slot).expect("slot is an instruction boundary")]
 }
 
 fn fixup_jump(
     mut insn: Insn,
     old_slot: usize,
     new_slot: usize,
-    d: &ehdl_ebpf::insn::Decoded,
+    d: &Decoded,
     target_map: &dyn Fn(usize) -> usize,
 ) -> Result<Insn, CompileError> {
     if let Instruction::Jump { target, .. } = d.insn {
@@ -312,6 +329,13 @@ mod tests {
     use ehdl_ebpf::asm::Asm;
     use ehdl_ebpf::vm::Vm;
 
+    /// `unroll` from the program alone, as the compiler calls it.
+    fn unrolled(p: &Program, max_unroll: usize) -> Result<Program, CompileError> {
+        let decoded = p.decode().unwrap();
+        let cfg = Cfg::build(&decoded);
+        unroll(p, decoded, cfg, max_unroll).map(|u| u.program)
+    }
+
     /// r1 counts 0..n, r2 accumulates r1; returns r2 in r0.
     fn counted_loop(n: i32) -> Program {
         let mut a = Asm::new();
@@ -333,7 +357,7 @@ mod tests {
         a.mov64_imm(0, 2);
         a.exit();
         let p = Program::from_insns(a.into_insns());
-        let q = unroll(&p, 64).unwrap();
+        let q = unrolled(&p, 64).unwrap();
         assert_eq!(p.insns, q.insns);
     }
 
@@ -341,10 +365,14 @@ mod tests {
     fn counted_loop_unrolls_and_preserves_semantics() {
         for n in [1, 2, 5, 10] {
             let p = counted_loop(n);
-            let q = unroll(&p, 64).unwrap();
-            // No back edges remain.
-            let cfg = Cfg::build(&q.decode().unwrap());
-            assert!(cfg.back_edges().is_empty(), "n={n}");
+            let decoded = p.decode().unwrap();
+            let u = unroll(&p, decoded.clone(), Cfg::build(&decoded), 64).unwrap();
+            let q = u.program;
+            // The decode and CFG that come back are the unrolled
+            // program's, and no back edges remain.
+            assert_eq!(u.decoded, q.decode().unwrap(), "n={n}");
+            assert_eq!(u.cfg.blocks, Cfg::build(&u.decoded).blocks, "n={n}");
+            assert!(u.cfg.back_edges().is_empty(), "n={n}");
             // Differential check against the original.
             let r_orig = Vm::new(&p).run(&mut vec![0; 64], 0).unwrap();
             let r_unrolled = Vm::new(&q).run(&mut vec![0; 64], 0).unwrap();
@@ -366,7 +394,7 @@ mod tests {
         a.mov64_reg(0, 2);
         a.exit();
         let p = Program::from_insns(a.into_insns());
-        let q = unroll(&p, 64).unwrap();
+        let q = unrolled(&p, 64).unwrap();
         assert!(Cfg::build(&q.decode().unwrap()).back_edges().is_empty());
         assert_eq!(Vm::new(&q).run(&mut vec![0; 64], 0).unwrap().r0, 18);
     }
@@ -374,7 +402,7 @@ mod tests {
     #[test]
     fn unroll_budget_enforced() {
         let p = counted_loop(100);
-        match unroll(&p, 16) {
+        match unrolled(&p, 16) {
             Err(CompileError::UnrollBudget { trips, max: 16, .. }) => assert!(trips > 16),
             other => panic!("expected budget error, got {other:?}"),
         }
@@ -392,7 +420,7 @@ mod tests {
         a.mov64_imm(0, 2);
         a.exit();
         let p = Program::from_insns(a.into_insns());
-        assert!(matches!(unroll(&p, 64), Err(CompileError::UnsupportedLoop { .. })));
+        assert!(matches!(unrolled(&p, 64), Err(CompileError::UnsupportedLoop { .. })));
     }
 
     #[test]
@@ -418,7 +446,7 @@ mod tests {
         a.mov64_reg(0, 2);
         a.exit();
         let p = Program::from_insns(a.into_insns());
-        let q = unroll(&p, 64).unwrap();
+        let q = unrolled(&p, 64).unwrap();
         assert!(Cfg::build(&q.decode().unwrap()).back_edges().is_empty());
         // 3 even (0,2,4) * 10 + 3 odd * 1 = 33.
         assert_eq!(Vm::new(&q).run(&mut vec![0; 64], 0).unwrap().r0, 33);

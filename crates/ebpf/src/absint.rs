@@ -33,7 +33,6 @@
 use crate::insn::{Decoded, Instruction, Operand};
 use crate::opcode::{AluOp, AtomicOp, JmpOp, MemSize, Width};
 use crate::vm::{alu_eval, cond_eval, endian_eval};
-use std::collections::HashMap;
 
 /// Number of tracked 8-byte stack slots (512-byte frame).
 pub const STACK_SLOTS: usize = 64;
@@ -499,7 +498,9 @@ impl Guard {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+/// Not `Clone`: a copy goes through [`State::copy_from`], which moves
+/// only the slots a path wrote.
+#[derive(Debug, PartialEq)]
 struct State {
     regs: [AbsVal; 11],
     stack: [AbsVal; STACK_SLOTS],
@@ -519,11 +520,13 @@ struct State {
 }
 
 impl State {
-    fn entry() -> State {
+    /// The state at program entry, on the heap: a state is never passed
+    /// or returned by value.
+    fn entry() -> Box<State> {
         let mut regs = [AbsVal::TOP; 11];
         regs[1] = AbsVal::pointer(Prov::Ctx, 0);
         regs[10] = AbsVal::pointer(Prov::StackPtr, 0);
-        State {
+        Box::new(State {
             regs,
             // The VM zero-fills the stack, so unwritten slots read as 0.
             stack: [AbsVal::constant(0); STACK_SLOTS],
@@ -531,7 +534,21 @@ impl State {
             pkt_len_min: 0,
             pkt_guard: [Guard::Top; GUARD_OFFSETS.len()],
             pkt_dirty: false,
+        })
+    }
+
+    /// Become a copy of `src`: the registers, the packet facts and the
+    /// stack slots either side wrote. Every other slot holds the entry
+    /// zero on both sides already.
+    fn copy_from(&mut self, src: &State) {
+        self.regs = src.regs;
+        for s in slots(self.written | src.written) {
+            self.stack[s] = src.stack[s];
         }
+        self.written = src.written;
+        self.pkt_len_min = src.pkt_len_min;
+        self.pkt_guard = src.pkt_guard;
+        self.pkt_dirty = src.pkt_dirty;
     }
 
     /// Drop everything derived from packet geometry (`xdp_adjust_*`).
@@ -792,8 +809,10 @@ pub struct MapValAccessFact {
 /// The products of the abstract interpretation.
 #[derive(Debug, Clone, Default)]
 pub struct Analysis {
-    facts: HashMap<usize, AccessFact>,
-    branches: HashMap<usize, bool>,
+    /// Sorted by `pc`: the final pass visits instructions in stream order.
+    facts: Vec<AccessFact>,
+    /// `(pc, outcome)`, sorted by `pc` likewise.
+    branches: Vec<(usize, bool)>,
     /// Total packet accesses seen (reachable loads/stores/atomics through
     /// a packet pointer).
     pub packet_accesses: usize,
@@ -816,17 +835,17 @@ impl Analysis {
     /// The packet access fact at bytecode slot `pc`, if the access goes
     /// through a packet pointer.
     pub fn packet_fact(&self, pc: usize) -> Option<&AccessFact> {
-        self.facts.get(&pc)
+        self.facts.binary_search_by_key(&pc, |f| f.pc).ok().map(|i| &self.facts[i])
     }
 
     /// Statically-decided outcome of the conditional branch at `pc`.
     pub fn branch_outcome(&self, pc: usize) -> Option<bool> {
-        self.branches.get(&pc).copied()
+        self.branches.binary_search_by_key(&pc, |&(p, _)| p).ok().map(|i| self.branches[i].1)
     }
 
-    /// All packet access facts (arbitrary order).
+    /// All packet access facts, in `pc` order.
     pub fn facts(&self) -> impl Iterator<Item = &AccessFact> {
-        self.facts.values()
+        self.facts.iter()
     }
 
     /// Number of statically decided branches.
@@ -1432,24 +1451,18 @@ fn store_effect(st: &mut State, base: AbsVal, off: i16, size: MemSize, val: Opti
 
 /// The instruction stream cut at its block leaders — the entry and every
 /// jump target, the only instructions with more than one way in. Only a
-/// leader keeps a state; between leaders one state is moved down the
-/// straight-line code, so a state is cloned per block and per branch
-/// rather than per instruction.
+/// leader keeps a state; between leaders one scratch state is stepped
+/// down the straight-line code, so a state is copied (sparsely, with
+/// [`State::copy_from`]) per block and per branch rather than per
+/// instruction.
 struct Blocks<'a> {
     decoded: &'a [Decoded],
-    /// Slot pc → decoded index (`usize::MAX` inside a wide instruction).
-    idx_of: Vec<usize>,
     leader: Vec<bool>,
 }
 
 impl<'a> Blocks<'a> {
     fn new(decoded: &'a [Decoded]) -> Blocks<'a> {
-        let max_slot = decoded.last().map(|d| d.pc + d.slots).unwrap_or(0);
-        let mut idx_of = vec![usize::MAX; max_slot + 1];
-        for (i, d) in decoded.iter().enumerate() {
-            idx_of[d.pc] = i;
-        }
-        let mut blocks = Blocks { decoded, idx_of, leader: vec![false; decoded.len()] };
+        let mut blocks = Blocks { decoded, leader: vec![false; decoded.len()] };
         blocks.leader[0] = true;
         for d in decoded {
             if let Instruction::Jump { target, .. } = d.insn {
@@ -1461,26 +1474,30 @@ impl<'a> Blocks<'a> {
         blocks
     }
 
+    /// The decoded index of the instruction at `slot` (`None` inside a
+    /// wide instruction or past the end).
     fn target_idx(&self, slot: usize) -> Option<usize> {
-        self.idx_of.get(slot).copied().filter(|&i| i != usize::MAX)
+        crate::insn::index_of(self.decoded, slot)
     }
 
-    /// Walk from leader `b` until the code ends, exits, jumps away or runs
-    /// into the next leader: `visit(i, &st)` sees the state in front of
-    /// every instruction reached, `flow(j, st)` the state each edge carries
-    /// into leader `j`.
+    /// Walk from leader `b`, whose state `st` holds, until the code ends,
+    /// exits, jumps away or runs into the next leader: `visit(i, st)` sees
+    /// the state in front of every instruction reached, `flow(j, st)` the
+    /// state each edge carries into leader `j`. `taken` is scratch for a
+    /// branch's taken edge.
     fn walk(
         &self,
         b: usize,
-        mut st: State,
+        st: &mut State,
+        taken: &mut State,
         mut visit: impl FnMut(usize, &State),
-        mut flow: impl FnMut(usize, State),
+        mut flow: impl FnMut(usize, &State),
     ) {
         for i in b..self.decoded.len() {
             if i > b && self.leader[i] {
                 return flow(i, st);
             }
-            visit(i, &st);
+            visit(i, st);
             match self.decoded[i].insn {
                 Instruction::Jump { cond: None, target } => {
                     if let Some(j) = self.target_idx(target) {
@@ -1490,10 +1507,10 @@ impl<'a> Blocks<'a> {
                 }
                 Instruction::Jump { cond: Some(c), target } => {
                     let l = st.regs[c.lhs as usize];
-                    let r = operand_val(&st, c.rhs);
+                    let r = operand_val(st, c.rhs);
                     let outcome = decide(c.op, c.width, l, r);
-                    let mut taken = st.clone();
-                    refine_edges(c, l, r, &mut taken, &mut st);
+                    taken.copy_from(st);
+                    refine_edges(c, l, r, taken, st);
                     if outcome != Some(false) {
                         if let Some(j) = self.target_idx(target) {
                             flow(j, taken);
@@ -1504,7 +1521,7 @@ impl<'a> Blocks<'a> {
                     }
                 }
                 ref insn => {
-                    if !step(&mut st, insn) {
+                    if !step(st, insn) {
                         return;
                     }
                 }
@@ -1556,9 +1573,11 @@ pub fn analyze_with(
     }
     let blocks = Blocks::new(decoded);
 
-    let mut states: Vec<Option<Box<State>>> = vec![None; n];
+    let mut states: Vec<Option<Box<State>>> = (0..n).map(|_| None).collect();
     let mut joins = vec![0u32; n];
-    states[0] = Some(Box::new(State::entry()));
+    states[0] = Some(State::entry());
+    // The walk's two scratch states, reused for every block.
+    let (mut cur, mut taken) = (State::entry(), State::entry());
     let mut work = std::collections::VecDeque::with_capacity(n);
     work.push_back(0usize);
     let mut queued = vec![false; n];
@@ -1567,20 +1586,24 @@ pub fn analyze_with(
     let mut pops = 0usize;
     while let Some(b) = work.pop_front() {
         queued[b] = false;
-        let Some(st) = states[b].as_deref().cloned() else { continue };
+        let Some(st) = states[b].as_deref() else { continue };
+        cur.copy_from(st);
         blocks.walk(
             b,
-            st,
+            &mut cur,
+            &mut taken,
             |_, _| pops += 1,
             |j, out| {
                 let changed = match &mut states[j] {
                     slot @ None => {
-                        *slot = Some(Box::new(out));
+                        let mut first = State::entry();
+                        first.copy_from(out);
+                        *slot = Some(first);
                         true
                     }
                     Some(prev) => {
                         joins[j] += 1;
-                        join_states(prev, &out, joins[j] >= WIDEN_AFTER)
+                        join_states(prev, out, joins[j] >= WIDEN_AFTER)
                     }
                 };
                 if changed && !queued[j] {
@@ -1606,7 +1629,7 @@ pub fn analyze_with(
     // that can write the stack or at a block start. A slot outside the
     // state's `written` mask holds the entry zero, already folded in, and
     // join(x, 0) = x once x covers 0: only the written slots are visited.
-    let mut slot_acc = State::entry().stack;
+    let mut slot_acc = [AbsVal::constant(0); STACK_SLOTS];
     let mut seen = slot_acc;
     // Constant tracking ignores the implicit zero initialization:
     // None = only zeros seen, Some(Some(k)) = zeros and the constant k,
@@ -1724,7 +1747,7 @@ pub fn analyze_with(
                     let l = st.regs[c.lhs as usize];
                     let r = operand_val(st, c.rhs);
                     if let Some(b) = decide(c.op, c.width, l, r) {
-                        analysis.branches.insert(d.pc, b);
+                        analysis.branches.push((d.pc, b));
                     }
                     None
                 }
@@ -1738,11 +1761,17 @@ pub fn analyze_with(
                     analysis.max_proven_end =
                         Some(analysis.max_proven_end.map_or(end, |m: i64| m.max(end)));
                 }
-                analysis.facts.insert(f.pc, f);
+                analysis.facts.push(f);
             }
         };
-        blocks.walk(b, leader_state.clone(), facts, |_, _| {});
+        cur.copy_from(leader_state);
+        blocks.walk(b, &mut cur, &mut taken, facts, |_, _| {});
     }
+    debug_assert!(
+        analysis.facts.windows(2).all(|w| w[0].pc < w[1].pc)
+            && analysis.branches.windows(2).all(|w| w[0].0 < w[1].0),
+        "the final pass visits each reached instruction once, in stream order"
+    );
     analysis.all_packet_proven = analysis.proven_accesses == analysis.packet_accesses;
     for ((info, v), cacc) in analysis.stack_slots.iter_mut().zip(slot_acc).zip(const_acc) {
         if v.prov == Prov::Scalar {

@@ -252,6 +252,13 @@ pub struct Decoded {
     pub insn: Instruction,
 }
 
+/// The index of the instruction that starts at `slot` in a decoded stream
+/// (`None` for a slot inside a wide instruction or past the end). A
+/// decode is sorted by `pc`, so this is a binary search.
+pub fn index_of(decoded: &[Decoded], slot: usize) -> Option<usize> {
+    decoded.binary_search_by_key(&slot, |d| d.pc).ok()
+}
+
 /// Decode a raw slot stream into instructions.
 ///
 /// # Errors

@@ -8,9 +8,8 @@
 //! enforce packet bounds dynamically).
 
 use crate::helpers::helper_info;
-use crate::insn::{Decoded, Instruction, Operand};
+use crate::insn::{index_of, Decoded, Instruction, Operand};
 use crate::program::Program;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Why verification failed.
@@ -152,13 +151,12 @@ pub fn verify_with(
     if decoded.is_empty() {
         return Err(VerifyError::Empty);
     }
-    let valid_slots: BTreeSet<usize> = decoded.iter().map(|d| d.pc).collect();
     let n_slots = program.insns.len();
 
     let mut back_edges = Vec::new();
     let mut stack_depth = 0u32;
-    let mut used_maps = BTreeSet::new();
-    let mut used_helpers = BTreeSet::new();
+    let mut used_maps = Vec::new();
+    let mut used_helpers = Vec::new();
 
     for d in &decoded {
         let pc = d.pc;
@@ -176,7 +174,9 @@ pub fn verify_with(
                     if program.maps.iter().all(|m| m.id != id) {
                         return Err(VerifyError::UnknownMap { pc, map: id });
                     }
-                    used_maps.insert(id);
+                    if !used_maps.contains(&id) {
+                        used_maps.push(id);
+                    }
                 }
             }
             Instruction::Load { dst, src, off, .. } => {
@@ -203,7 +203,7 @@ pub fn verify_with(
                 }
             }
             Instruction::Jump { cond, target } => {
-                if !valid_slots.contains(&target) || target >= n_slots {
+                if index_of(&decoded, target).is_none() || target >= n_slots {
                     return Err(VerifyError::BadJumpTarget { pc, target });
                 }
                 if let Some(c) = cond {
@@ -223,15 +223,15 @@ pub fn verify_with(
                 if helper_info(helper).is_none() {
                     return Err(VerifyError::UnknownHelper { pc, helper });
                 }
-                used_helpers.insert(helper);
+                if !used_helpers.contains(&helper) {
+                    used_helpers.push(helper);
+                }
             }
             Instruction::Exit => {}
         }
     }
 
     // Reachability + fall-through analysis over decoded indices.
-    let index_of: std::collections::BTreeMap<usize, usize> =
-        decoded.iter().enumerate().map(|(i, d)| (d.pc, i)).collect();
     let mut reachable = vec![false; decoded.len()];
     let mut work = vec![0usize];
     while let Some(i) = work.pop() {
@@ -243,8 +243,7 @@ pub fn verify_with(
         match d.insn {
             Instruction::Exit => {}
             Instruction::Jump { cond, target } => {
-                let ti = *index_of
-                    .get(&target)
+                let ti = index_of(&decoded, target)
                     .ok_or(VerifyError::BadJumpTarget { pc: d.pc, target })?;
                 work.push(ti);
                 if cond.is_some() {
@@ -266,13 +265,9 @@ pub fn verify_with(
         return Err(VerifyError::Unreachable { pc: decoded[i].pc });
     }
 
-    Ok(VerifiedProgram {
-        decoded,
-        back_edges,
-        stack_depth,
-        used_maps: used_maps.into_iter().collect(),
-        used_helpers: used_helpers.into_iter().collect(),
-    })
+    used_maps.sort_unstable();
+    used_helpers.sort_unstable();
+    Ok(VerifiedProgram { decoded, back_edges, stack_depth, used_maps, used_helpers })
 }
 
 /// Verify with bounded loops allowed (the eHDL front-end entry point).
@@ -300,8 +295,6 @@ pub fn verify(program: &Program) -> Result<VerifiedProgram, VerifyError> {
 pub fn check_initialized(program: &Program) -> Result<(), VerifyError> {
     let v = verify(program)?;
     let decoded = &v.decoded;
-    let index_of: std::collections::BTreeMap<usize, usize> =
-        decoded.iter().enumerate().map(|(i, d)| (d.pc, i)).collect();
 
     // Per decoded-instruction entry masks, fixpoint with intersection at
     // joins. Bit r set = register r definitely initialized.
@@ -378,7 +371,7 @@ pub fn check_initialized(program: &Program) -> Result<(), VerifyError> {
                     }
                     succs.push(i + 1);
                 }
-                succs.push(index_of[&target]);
+                succs.push(index_of(decoded, target).expect("verified jump target"));
             }
             Instruction::Call { .. } => {
                 // Arguments are the helper's business (it may take 0-5);

@@ -284,7 +284,7 @@ fn fingerprint(
     let decoded = program.decode().unwrap();
     let cfg = Cfg::build(&decoded);
     let (lab, _) = label(program, &decoded).unwrap();
-    let lowered = lower(&decoded, &lab, &cfg, FusionOptions::default());
+    let lowered = lower(&decoded, &lab, cfg, FusionOptions::default());
     let deps = ddg::build(&lowered);
     let (_, report) =
         hazardopt::optimize_with_report(&lowered, &deps, schedule(&lowered, &deps, true));
@@ -307,18 +307,65 @@ fn fingerprint(
     (fp, text)
 }
 
+/// A bounded loop (the loop-free zoo never takes the unrolling path):
+/// sum the first eight packet bytes, then count the sum's low byte in a
+/// hash map with a lookup and a map-value store.
+fn counted_loop_program() -> ehdl::ebpf::Program {
+    use ehdl::ebpf::asm::Asm;
+    use ehdl::ebpf::helpers::BPF_MAP_LOOKUP_ELEM;
+    use ehdl::ebpf::maps::{MapDef, MapKind};
+    use ehdl::ebpf::opcode::{AluOp, JmpOp, MemSize};
+    let mut a = Asm::new();
+    let drop = a.new_label();
+    let top = a.new_label();
+    let miss = a.new_label();
+    a.load(MemSize::W, 7, 1, 0);
+    a.load(MemSize::W, 8, 1, 4);
+    a.mov64_reg(1, 7);
+    a.alu64_imm(AluOp::Add, 1, 16);
+    a.jmp_reg(JmpOp::Jgt, 1, 8, drop);
+    a.mov64_imm(2, 0); // induction
+    a.mov64_imm(3, 0); // accumulator
+    a.bind(top);
+    a.mov64_reg(4, 7);
+    a.alu64_reg(AluOp::Add, 4, 2);
+    a.load(MemSize::B, 5, 4, 0);
+    a.alu64_reg(AluOp::Add, 3, 5);
+    a.alu64_imm(AluOp::Add, 2, 1);
+    a.jmp_imm(JmpOp::Jlt, 2, 8, top);
+    a.alu64_imm(AluOp::And, 3, 0xff);
+    a.store_reg(MemSize::W, 10, -4, 3);
+    a.ld_map_fd(1, 0);
+    a.mov64_reg(2, 10);
+    a.alu64_imm(AluOp::Add, 2, -4);
+    a.call(BPF_MAP_LOOKUP_ELEM);
+    a.jmp_imm(JmpOp::Jeq, 0, 0, miss);
+    a.load(MemSize::Dw, 6, 0, 0);
+    a.alu64_imm(AluOp::Add, 6, 1);
+    a.store_reg(MemSize::Dw, 0, 0, 6);
+    a.bind(miss);
+    a.mov64_imm(0, 2);
+    a.exit();
+    a.bind(drop);
+    a.mov64_imm(0, 1);
+    a.exit();
+    let maps = vec![MapDef::new(0, "sums", MapKind::Hash, 4, 8, 256)];
+    ehdl::ebpf::Program::new("counted_loop", a.into_insns(), maps)
+}
+
 /// The designs of the seven bundled programs, pinned: a refactor of the
 /// compile path (scheduling, flush scoring, liveness, value analysis,
 /// emission) that changes what comes out fails here rather than only in
 /// `perf/`. The last column is the VHDL text's digest; the firewall is
 /// also pinned under each protection level, whose blocks only `emit`
-/// prints. A change that means to alter a design updates its row.
+/// prints, and a counted loop pins the unrolling path. A change that
+/// means to alter a design updates its row.
 #[test]
 fn bundled_designs_match_their_golden_fingerprints() {
     use ehdl::core::{CompilerOptions, Protection};
     let plain = CompilerOptions::default();
     let protect = |protect| CompilerOptions { protect, ..CompilerOptions::default() };
-    let golden: [(&str, ehdl::ebpf::Program, CompilerOptions, Fingerprint); 9] = [
+    let golden: [(&str, ehdl::ebpf::Program, CompilerOptions, Fingerprint); 10] = [
         (
             "firewall",
             App::Firewall.program(),
@@ -372,6 +419,12 @@ fn bundled_designs_match_their_golden_fingerprints() {
             leaky_bucket::program(),
             plain,
             [48, 69, 4, 25, 29, 153, 277, 76335, 118570, 41437, 1, 0xb358_6218_0e64_6b19],
+        ),
+        (
+            "counted_loop",
+            counted_loop_program(),
+            plain,
+            [35, 48, 1, 4, 8, 125, 4, 66084, 105492, 28981, 0, 0xebd3_ac0e_5816_cca1],
         ),
     ];
     let mut moved = Vec::new();

@@ -28,7 +28,7 @@ use ehdl_hwsim::{
 };
 use ehdl_programs::{dnat, simple_firewall, App};
 use ehdl_runtime::json::Json;
-use ehdl_runtime::{RetryPolicy, Runtime, RuntimeOptions};
+use ehdl_runtime::{Runtime, RuntimeOptions};
 use ehdl_traffic::{FlowSet, Popularity, Workload};
 
 /// Replicas in every fault scenario.
@@ -250,7 +250,6 @@ fn replay(loss_rate: f64) -> (Vec<Result<HostOpResult, MapError>>, Runtime) {
             sim: SimOptions { freeze_time_ns: Some(1000), ..Default::default() },
             ctrl: CtrlOptions { latency_cycles: 4, queue_depth: 8 },
             loss: CtrlLossConfig::uniform(0xC4A0, loss_rate),
-            retry: RetryPolicy { timeout_cycles: 64, ..Default::default() },
             ..Default::default()
         },
     );

@@ -322,7 +322,8 @@ pub fn same_stage_dependence(ops: &[LabeledInsn]) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::cfg::Cfg;
-    use crate::fusion::{lower, FusionOptions};
+    use crate::compile::CompilerOptions;
+    use crate::fusion::lower;
     use crate::label::label;
     use ehdl_ebpf::asm::Asm;
     use ehdl_ebpf::opcode::MemSize;
@@ -336,7 +337,12 @@ mod tests {
             &decoded,
             &lab,
             cfg,
-            FusionOptions { fuse: false, dce: false, elide_bounds_checks: false },
+            &CompilerOptions {
+                fusion: false,
+                dce: false,
+                elide_bounds_checks: false,
+                ..Default::default()
+            },
         );
         let deps = build(&lowered);
         (lowered, deps)

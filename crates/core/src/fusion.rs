@@ -10,6 +10,7 @@
 //! ~50%).
 
 use crate::cfg::{Cfg, Terminator};
+use crate::compile::CompilerOptions;
 use crate::ir::{HwInsn, LabeledInsn, MemLabel};
 use crate::label::Labeling;
 use ehdl_ebpf::insn::{Decoded, Instruction, Operand};
@@ -28,32 +29,16 @@ pub struct LoweredProgram {
     pub cfg: Cfg,
 }
 
-/// Options controlling the fusion pass.
-#[derive(Debug, Clone, Copy)]
-pub struct FusionOptions {
-    /// Enable three-operand fusion and constant forwarding.
-    pub fuse: bool,
-    /// Enable dead-code elimination.
-    pub dce: bool,
-    /// Drop branches recognized as packet bounds checks whose failing
-    /// target is a plain drop block (§4.4).
-    pub elide_bounds_checks: bool,
-}
-
-impl Default for FusionOptions {
-    fn default() -> FusionOptions {
-        FusionOptions { fuse: true, dce: true, elide_bounds_checks: true }
-    }
-}
-
 /// Lower a labeled program into per-block hardware instructions, applying
-/// fusion, bounds-check elision marking and DCE. The CFG moves into the
-/// result.
+/// fusion (`opts.fusion`: three-operand ALU ops and constant forwarding),
+/// bounds-check elision marking (`opts.elide_bounds_checks`: branches
+/// recognized as packet bounds checks whose failing target is a plain drop
+/// block, §4.4) and DCE (`opts.dce`). The CFG moves into the result.
 pub fn lower(
     decoded: &[Decoded],
     labeling: &Labeling,
     cfg: Cfg,
-    opts: FusionOptions,
+    opts: &CompilerOptions,
 ) -> LoweredProgram {
     let mut blocks: Vec<Vec<LabeledInsn>> = Vec::with_capacity(cfg.blocks.len());
     let mut terms = Vec::with_capacity(cfg.blocks.len());
@@ -82,7 +67,7 @@ pub fn lower(
         blocks.push(insns);
     }
 
-    if opts.fuse {
+    if opts.fusion {
         for b in &mut blocks {
             fuse_block(b);
         }
@@ -347,11 +332,11 @@ mod tests {
     use ehdl_ebpf::opcode::JmpOp;
     use ehdl_ebpf::Program;
 
-    fn lower_prog(p: &Program, opts: FusionOptions) -> LoweredProgram {
+    fn lower_prog(p: &Program, opts: CompilerOptions) -> LoweredProgram {
         let decoded = p.decode().unwrap();
         let cfg = Cfg::build(&decoded);
         let (lab, _) = label(p, &decoded).unwrap();
-        lower(&decoded, &lab, cfg, opts)
+        lower(&decoded, &lab, cfg, &opts)
     }
 
     fn total_insns(l: &LoweredProgram) -> usize {
@@ -366,7 +351,7 @@ mod tests {
         a.mov64_reg(0, 2);
         a.exit();
         let p = Program::from_insns(a.into_insns());
-        let l = lower_prog(&p, FusionOptions { dce: false, ..Default::default() });
+        let l = lower_prog(&p, CompilerOptions { dce: false, ..Default::default() });
         let has_alu3 = l.blocks[0]
             .iter()
             .any(|i| matches!(i.insn, HwInsn::Alu3 { op: AluOp::Add, dst: 2, a: 10, .. }));
@@ -383,7 +368,7 @@ mod tests {
         a.mov64_reg(0, 2);
         a.exit();
         let p = Program::from_insns(a.into_insns());
-        let l = lower_prog(&p, FusionOptions::default());
+        let l = lower_prog(&p, CompilerOptions::default());
         let folded = l.blocks[0].iter().any(|i| {
             matches!(
                 i.insn,
@@ -410,7 +395,7 @@ mod tests {
         a.mov64_imm(0, 2);
         a.exit();
         let p = Program::from_insns(a.into_insns());
-        let l = lower_prog(&p, FusionOptions::default());
+        let l = lower_prog(&p, CompilerOptions::default());
         assert!(!l.blocks[0]
             .iter()
             .any(|i| matches!(i.insn, HwInsn::Simple(Instruction::Alu { dst: 3, .. }))));
@@ -434,7 +419,7 @@ mod tests {
         a.mov64_imm(0, 1);
         a.exit();
         let p = Program::from_insns(a.into_insns());
-        let l = lower_prog(&p, FusionOptions::default());
+        let l = lower_prog(&p, CompilerOptions::default());
         let marked = l.blocks.iter().flatten().any(|i| i.elided.is_some());
         assert!(marked);
 
@@ -452,7 +437,7 @@ mod tests {
         a.mov64_imm(0, 2);
         a.exit();
         let p = Program::from_insns(a.into_insns());
-        let l = lower_prog(&p, FusionOptions::default());
+        let l = lower_prog(&p, CompilerOptions::default());
         assert!(!l.blocks.iter().flatten().any(|i| i.elided.is_some()));
     }
 
@@ -469,7 +454,7 @@ mod tests {
         a.mov64_reg(0, 3);
         a.exit();
         let p = Program::from_insns(a.into_insns());
-        let l = lower_prog(&p, FusionOptions::default());
+        let l = lower_prog(&p, CompilerOptions::default());
         assert!(l.blocks[0]
             .iter()
             .any(|i| matches!(i.insn, HwInsn::Simple(Instruction::Alu { dst: 3, .. }))));

@@ -232,8 +232,9 @@ fn predicted_loss<'a>(
 mod tests {
     use super::*;
     use crate::cfg::Cfg;
+    use crate::compile::CompilerOptions;
     use crate::ddg;
-    use crate::fusion::{lower, FusionOptions};
+    use crate::fusion::lower;
     use crate::label::label;
     use crate::schedule::schedule;
     use ehdl_ebpf::asm::Asm;
@@ -246,7 +247,7 @@ mod tests {
         let decoded = p.decode().unwrap();
         let cfg = Cfg::build(&decoded);
         let (lab, _) = label(p, &decoded).unwrap();
-        let lowered = lower(&decoded, &lab, cfg, FusionOptions::default());
+        let lowered = lower(&decoded, &lab, cfg, &CompilerOptions::default());
         let deps = ddg::build(&lowered);
         let s = schedule(&lowered, &deps, true);
         (lowered, deps, s)

@@ -376,8 +376,9 @@ pub fn assemble(p: &LoweredProgram, mut schedules: Vec<BlockSchedule>) -> Assemb
 mod tests {
     use super::*;
     use crate::cfg::Cfg;
+    use crate::compile::CompilerOptions;
     use crate::ddg;
-    use crate::fusion::{lower, FusionOptions};
+    use crate::fusion::lower;
     use crate::label::label;
     use crate::schedule::schedule;
     use ehdl_ebpf::asm::Asm;
@@ -388,7 +389,7 @@ mod tests {
         let decoded = p.decode().unwrap();
         let cfg = Cfg::build(&decoded);
         let (lab, _) = label(p, &decoded).unwrap();
-        let lowered = lower(&decoded, &lab, cfg, FusionOptions::default());
+        let lowered = lower(&decoded, &lab, cfg, &CompilerOptions::default());
         let deps = ddg::build(&lowered);
         let s = schedule(&lowered, &deps, true);
         assemble(&lowered, s)

@@ -200,8 +200,9 @@ pub fn analyze(stages: &[Stage], blocks: &[BlockInfo], enabled: bool) -> PruneIn
 mod tests {
     use super::*;
     use crate::cfg::Cfg;
+    use crate::compile::CompilerOptions;
     use crate::ddg;
-    use crate::fusion::{lower, FusionOptions};
+    use crate::fusion::lower;
     use crate::label::label;
     use crate::pipeline::assemble;
     use crate::schedule::schedule;
@@ -217,7 +218,12 @@ mod tests {
             &decoded,
             &lab,
             cfg,
-            FusionOptions { fuse: false, dce: false, elide_bounds_checks: false },
+            &CompilerOptions {
+                fusion: false,
+                dce: false,
+                elide_bounds_checks: false,
+                ..Default::default()
+            },
         );
         let deps = ddg::build(&lowered);
         let s = schedule(&lowered, &deps, false);
@@ -321,7 +327,7 @@ mod tests {
         let decoded = p.decode().unwrap();
         let cfg = Cfg::build(&decoded);
         let (lab, _) = label(&p, &decoded).unwrap();
-        let lowered = lower(&decoded, &lab, cfg, FusionOptions::default());
+        let lowered = lower(&decoded, &lab, cfg, &CompilerOptions::default());
         let deps = ddg::build(&lowered);
         let s = schedule(&lowered, &deps, true);
         let asm = assemble(&lowered, s);

@@ -105,8 +105,9 @@ pub fn ilp_stats(schedules: &[BlockSchedule]) -> IlpStats {
 mod tests {
     use super::*;
     use crate::cfg::Cfg;
+    use crate::compile::CompilerOptions;
     use crate::ddg;
-    use crate::fusion::{lower, FusionOptions};
+    use crate::fusion::lower;
     use crate::label::label;
     use ehdl_ebpf::asm::Asm;
     use ehdl_ebpf::opcode::{AluOp, MemSize};
@@ -120,7 +121,12 @@ mod tests {
             &decoded,
             &lab,
             cfg,
-            FusionOptions { fuse: false, dce: false, elide_bounds_checks: false },
+            &CompilerOptions {
+                fusion: false,
+                dce: false,
+                elide_bounds_checks: false,
+                ..Default::default()
+            },
         );
         let deps = ddg::build(&lowered);
         let s = schedule(&lowered, &deps, parallelize);

@@ -324,14 +324,20 @@ fn reference_depends(a: &Effects, b: &Effects) -> Option<DepKind> {
 
 fn assert_ddg_matches_reference(program: &Program) {
     use ehdl_core::cfg::Cfg;
-    use ehdl_core::fusion::{lower, FusionOptions};
+    use ehdl_core::fusion::lower;
     use ehdl_core::label::label;
+    use ehdl_core::CompilerOptions;
     let decoded = program.decode().unwrap();
     let cfg = Cfg::build(&decoded);
     let (lab, _) = label(program, &decoded).unwrap();
-    let plain = FusionOptions { fuse: false, dce: false, elide_bounds_checks: false };
-    for opts in [FusionOptions::default(), plain] {
-        let lowered = lower(&decoded, &lab, cfg.clone(), opts);
+    let plain = CompilerOptions {
+        fusion: false,
+        dce: false,
+        elide_bounds_checks: false,
+        ..Default::default()
+    };
+    for opts in [CompilerOptions::default(), plain] {
+        let lowered = lower(&decoded, &lab, cfg.clone(), &opts);
         for (insns, got) in lowered.blocks.iter().zip(ddg::build(&lowered)) {
             let eff: Vec<Effects> = insns.iter().map(effects).collect();
             for j in 0..eff.len() {

@@ -31,12 +31,18 @@ use ehdl_hwsim::{
     SharedMapOptions, SimOptions,
 };
 use ehdl_programs::simple_firewall;
-use ehdl_runtime::{RetryPolicy, RuntimeOptions, SloSnapshot};
+use ehdl_runtime::{RuntimeOptions, SloSnapshot};
 use ehdl_traffic::{ClientWorkload, FlowSet, OpMix, Popularity, Workload};
 
 use crate::client::{AdmissionConfig, ClientId};
 use crate::reactor::{Reactor, ReactorOptions, ReactorStats};
 use crate::slo::SloConfig;
+
+/// Simulator cycles per reactor turn.
+const TURN_CYCLES: u64 = 32;
+
+/// Loss rate of the `lossyops` phase's control channel.
+const CTRL_LOSS: f64 = 0.10;
 
 /// Campaign knobs. The defaults run in a few seconds and are what
 /// `BENCH_slo.json` records.
@@ -52,10 +58,6 @@ pub struct CampaignConfig {
     pub packets_per_phase: usize,
     /// Ops submitted per reactor phase.
     pub ops_per_phase: usize,
-    /// Simulator cycles per reactor turn.
-    pub turn_cycles: u64,
-    /// Loss rate of the `lossyops` phase's control channel.
-    pub ctrl_loss: f64,
     /// Replicas in the `killstorm` phase.
     pub replicas: usize,
     /// Packets offered in the `killstorm` phase.
@@ -72,8 +74,6 @@ impl Default for CampaignConfig {
             flows: 256,
             packets_per_phase: 1500,
             ops_per_phase: 300,
-            turn_cycles: 32,
-            ctrl_loss: 0.10,
             replicas: 4,
             kill_packets: 6_000,
             slo: SloConfig::default(),
@@ -183,7 +183,6 @@ fn drive(
     ops: &mut ClientWorkload,
     packets: &[Vec<u8>],
     nops: usize,
-    turn_cycles: u64,
 ) {
     let mut pi = 0;
     let mut oi = 0;
@@ -205,7 +204,7 @@ fn drive(
                 }
             }
         }
-        reactor.turn(turn_cycles);
+        reactor.turn(TURN_CYCLES);
         turn += 1;
     }
     reactor.drain();
@@ -279,7 +278,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             cfg.seed ^ 0x12,
         )
         .expect("default mix is valid");
-        drive(&mut reactor, &clients, &mut ops, &packets, cfg.ops_per_phase, cfg.turn_cycles);
+        drive(&mut reactor, &clients, &mut ops, &packets, cfg.ops_per_phase);
         phases.push(meter.finish("churn", &reactor));
     }
 
@@ -300,7 +299,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             cfg.seed ^ 0x22,
         )
         .expect("storm mix is valid");
-        drive(&mut reactor, &clients, &mut ops, &packets, cfg.ops_per_phase * 2, cfg.turn_cycles);
+        drive(&mut reactor, &clients, &mut ops, &packets, cfg.ops_per_phase * 2);
         phases.push(meter.finish("hotkey", &reactor));
     }
 
@@ -321,7 +320,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             cfg.seed ^ 0x33,
         )
         .expect("default mix is valid");
-        drive(&mut reactor, &clients, &mut ops, &packets, cfg.ops_per_phase / 2, cfg.turn_cycles);
+        drive(&mut reactor, &clients, &mut ops, &packets, cfg.ops_per_phase / 2);
         phases.push(meter.finish("synflood", &reactor));
     }
 
@@ -343,25 +342,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         )
         .expect("default mix is valid");
         let half = packets.len() / 2;
-        drive(
-            &mut reactor,
-            &clients,
-            &mut ops,
-            &packets[..half],
-            cfg.ops_per_phase / 2,
-            cfg.turn_cycles,
-        );
+        drive(&mut reactor, &clients, &mut ops, &packets[..half], cfg.ops_per_phase / 2);
         let swap = reactor.reload(&firewall_design(), 1_000_000).expect("live swap succeeds");
         swap_downtime_cycles = swap.downtime_cycles;
         swaps = 1;
-        drive(
-            &mut reactor,
-            &clients,
-            &mut ops,
-            &packets[half..],
-            cfg.ops_per_phase / 2,
-            cfg.turn_cycles,
-        );
+        drive(&mut reactor, &clients, &mut ops, &packets[half..], cfg.ops_per_phase / 2);
         phases.push(meter.finish("reload", &reactor));
     }
 
@@ -434,8 +419,7 @@ pub fn lossy_ops(cfg: &CampaignConfig) -> LossyReport {
         ReactorOptions {
             runtime: RuntimeOptions {
                 ctrl: CtrlOptions { latency_cycles: 4, queue_depth: 8 },
-                loss: CtrlLossConfig::uniform(cfg.seed ^ 0x61, cfg.ctrl_loss),
-                retry: RetryPolicy { timeout_cycles: 64, ..Default::default() },
+                loss: CtrlLossConfig::uniform(cfg.seed ^ 0x61, CTRL_LOSS),
                 ..Default::default()
             },
             admission: AdmissionConfig::default(),
@@ -458,7 +442,7 @@ pub fn lossy_ops(cfg: &CampaignConfig) -> LossyReport {
     .expect("default mix is valid");
     let packets = Workload::new(flows, Popularity::Uniform, 64, cfg.seed ^ 0x64)
         .packets(cfg.ops_per_phase / 2);
-    drive(&mut reactor, &clients, &mut ops, &packets, cfg.ops_per_phase, cfg.turn_cycles);
+    drive(&mut reactor, &clients, &mut ops, &packets, cfg.ops_per_phase);
     let stats = reactor.stats();
     let rel = reactor.runtime_stats().reliability.unwrap_or_default();
     LossyReport {

@@ -6,7 +6,7 @@ use ehdl_core::{Compiler, PipelineDesign};
 use ehdl_ebpf::maps::{MapError, UpdateFlags};
 use ehdl_hwsim::{CtrlLossConfig, CtrlOptions, HostOp, HostOpResult};
 use ehdl_programs::simple_firewall;
-use ehdl_runtime::{json, RetryPolicy, RuntimeOptions};
+use ehdl_runtime::{json, RuntimeOptions};
 use ehdl_serve::{
     run_campaign, Ack, AdmissionConfig, CampaignConfig, Reactor, ReactorOptions, ServeError,
 };
@@ -262,7 +262,6 @@ fn lossy_channel_acks_are_exactly_once() {
             runtime: RuntimeOptions {
                 ctrl: CtrlOptions { latency_cycles: 4, queue_depth: 8 },
                 loss: CtrlLossConfig::uniform(0xD1CE, 0.10),
-                retry: RetryPolicy { timeout_cycles: 64, ..Default::default() },
                 ..Default::default()
             },
             ..Default::default()

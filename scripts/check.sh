@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: build, every test, the recorded sweeps and the long-form map
-# property, lints, docs, perf smoke.
+# Repo gate: no hidden environment switch, build, every test, the recorded
+# sweeps and the long-form map property, lints, docs, perf smoke.
 #
 # The BENCH_*.json recordings are checked for equality by tests/recorded.rs
 # (the test names say what each one claims). After an intended change:
@@ -9,6 +9,17 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== library code reads no environment switch =="
+# The one environment variable library code reads is EHDL_WRITE_BENCH
+# (re-record the BENCH_*.json files, above). Any other is a hidden setting
+# no test or benchmark turns on: make it an option with a caller, or delete
+# it. Cargo's compile-time CARGO_* variables are not switches.
+if grep -rnE 'env::var|env!\(|\bvar(s|_os|s_os)?\(' crates/*/src \
+  | grep -vE '"EHDL_WRITE_BENCH"|env!\("CARGO_'; then
+  echo "library code above reads an environment variable other than EHDL_WRITE_BENCH" >&2
+  exit 1
+fi
 
 echo "== build (release) =="
 cargo build --release --workspace

@@ -275,7 +275,7 @@ fn fingerprint(
     program: &ehdl::ebpf::Program,
     options: ehdl::core::CompilerOptions,
 ) -> (Fingerprint, String) {
-    use ehdl::core::fusion::{lower, FusionOptions};
+    use ehdl::core::fusion::lower;
     use ehdl::core::{cfg::Cfg, ddg, hazardopt, label::label, schedule::schedule, vhdl};
     let design = Compiler::with_options(options).compile(program).unwrap();
     let est = resource::estimate_with_shell(&design);
@@ -284,7 +284,7 @@ fn fingerprint(
     let decoded = program.decode().unwrap();
     let cfg = Cfg::build(&decoded);
     let (lab, _) = label(program, &decoded).unwrap();
-    let lowered = lower(&decoded, &lab, cfg, FusionOptions::default());
+    let lowered = lower(&decoded, &lab, cfg, &ehdl::core::CompilerOptions::default());
     let deps = ddg::build(&lowered);
     let (_, report) =
         hazardopt::optimize_with_report(&lowered, &deps, schedule(&lowered, &deps, true));

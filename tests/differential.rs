@@ -370,6 +370,60 @@ fn exotic_atomics_equivalent() {
     }
 }
 
+#[test]
+fn alu32_mov32_and_jmp32_follow_the_isa_on_vm_and_pipeline() {
+    // Each case starts from a register whose upper half is set, so a
+    // 64-bit slip shows in the stored word. Expected values are read off
+    // the ISA: 32-bit moves and ALU ops zero-extend, jmp32 compares the
+    // low halves.
+    let mut a = Asm::new();
+    let drop = a.new_label();
+    let taken = a.new_label();
+    a.load(MemSize::W, 2, 1, 0);
+    a.load(MemSize::W, 3, 1, 4);
+    a.mov64_reg(4, 2);
+    a.alu64_imm(AluOp::Add, 4, 32);
+    a.jmp_reg(JmpOp::Jgt, 4, 3, drop);
+    // Word 0: mov32_reg keeps the low half only.
+    a.ld_imm64(5, 0xFFFF_FFFF_8000_0005);
+    a.mov32_reg(6, 5);
+    a.store_reg(MemSize::Dw, 2, 0, 6);
+    // Word 1: 0x1_0000_0003 equals 3 in its low half, so the jump is taken.
+    a.ld_imm64(7, 0x1_0000_0003);
+    a.mov64_imm(8, 1);
+    a.jmp32_imm(JmpOp::Jeq, 7, 3, taken);
+    a.mov64_imm(8, 2);
+    a.bind(taken);
+    a.store_reg(MemSize::Dw, 2, 8, 8);
+    // Word 2: mov32_imm -1 zero-extends.
+    a.ld_imm64(9, u64::MAX);
+    a.mov32_imm(9, -1);
+    a.store_reg(MemSize::Dw, 2, 16, 9);
+    // Word 3: the 32-bit add wraps and zero-extends.
+    a.ld_imm64(1, 0xFFFF_FFFF_FFFF_FFF0);
+    a.alu32_imm(AluOp::Add, 1, 0x20);
+    a.store_reg(MemSize::Dw, 2, 24, 1);
+    a.mov64_imm(0, 3); // XDP_TX
+    a.exit();
+    a.bind(drop);
+    a.mov64_imm(0, 1); // XDP_DROP
+    a.exit();
+    let program = Program::from_insns(a.into_insns());
+    let want: [u64; 4] = [0x8000_0005, 1, 0xFFFF_FFFF, 0x10];
+
+    let mut packet = vec![0xA5; 64];
+    let out = ehdl::ebpf::vm::Vm::new(&program).run(&mut packet, 0).expect("program runs");
+    assert_eq!(out.action, XdpAction::Tx);
+    let got: Vec<u64> = packet[..32]
+        .chunks(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")))
+        .collect();
+    assert_eq!(got, want);
+
+    let packets: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 64]).collect();
+    equivalent(&program, CompilerOptions::default(), &packets, &|_| {});
+}
+
 /// The verifier rejects unknown helpers at load time, so splice one into an
 /// already-compiled design.
 #[test]

@@ -250,7 +250,6 @@ fn replay(loss_rate: f64) -> (Vec<Result<HostOpResult, MapError>>, Runtime) {
             sim: SimOptions { freeze_time_ns: Some(1000), ..Default::default() },
             ctrl: CtrlOptions { latency_cycles: 4, queue_depth: 8 },
             loss: CtrlLossConfig::uniform(0xC4A0, loss_rate),
-            ..Default::default()
         },
     );
     for op in op_schedule() {

@@ -45,7 +45,6 @@ pub mod maps;
 pub mod opcode;
 pub mod program;
 pub mod put;
-pub mod text;
 pub mod verifier;
 pub mod vm;
 

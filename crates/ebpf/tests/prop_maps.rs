@@ -481,41 +481,6 @@ fn vm_stack_roundtrip() {
     }
 }
 
-/// The text parser never panics on arbitrary input.
-#[test]
-fn text_parser_never_panics() {
-    let mut rng = Rng::seed_from_u64(0x7e87);
-    for _ in 0..512 {
-        let len = rng.gen_index(121);
-        let input: String = (0..len)
-            .map(|_| {
-                // Mostly printable ASCII with occasional arbitrary chars.
-                if rng.gen_index(8) == 0 {
-                    char::from_u32(rng.next_u32() % 0xD800).unwrap_or('\u{fffd}')
-                } else {
-                    (0x20 + rng.gen_index(0x5f) as u8) as char
-                }
-            })
-            .collect();
-        let _ = ehdl_ebpf::text::parse_program(&input);
-    }
-}
-
-/// ... and on near-miss statement-shaped strings.
-#[test]
-fn text_parser_survives_statement_soup() {
-    const PARTS: [&str; 13] = [
-        "r1", "w3", "=", "+=", "*(u32 *)", "(r1 +4)", "goto", "+2", "if", "lock", "ll", "-17",
-        "exit",
-    ];
-    let mut rng = Rng::seed_from_u64(0x50f7);
-    for _ in 0..512 {
-        let n = rng.gen_index(8);
-        let line = (0..n).map(|_| PARTS[rng.gen_index(PARTS.len())]).collect::<Vec<_>>().join(" ");
-        let _ = ehdl_ebpf::text::parse_program(&line);
-    }
-}
-
 /// `decode(encode(i))` is the identity on every decodable stream the
 /// assembler can produce.
 #[test]

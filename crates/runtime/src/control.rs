@@ -3,7 +3,6 @@
 
 use crate::retry::ReliableCtrl;
 use crate::telemetry::{MapTelemetry, RuntimeStats, StageTelemetry};
-use ehdl_core::shardcheck::ShardError;
 use ehdl_core::PipelineDesign;
 use ehdl_ebpf::maps::{MapDef, MapStore, UpdateFlags};
 use ehdl_hwsim::sim::CLOCK_NS;
@@ -15,9 +14,7 @@ use ehdl_traffic::{ControlOp, ControlOpKind, ScheduleItem};
 
 /// The new-design map that receives `old`'s state across a swap: the
 /// keyspec-compatible (same name + shape) map, preferring an id match
-/// when several qualify so two same-shaped maps cannot cross-bind. Both
-/// the placement guard and the state-migration loop pair maps through
-/// this one function, so what the guard checks is exactly what migrates.
+/// when several qualify so two same-shaped maps cannot cross-bind.
 fn migration_target<'a>(old: &MapDef, new_maps: &'a [MapDef]) -> Option<&'a MapDef> {
     let mut compat = new_maps.iter().filter(|n| old.compatible_with(n));
     let first = compat.next()?;
@@ -45,12 +42,6 @@ pub struct RuntimeOptions {
     /// runtime routes submissions through the reliable (sequence-
     /// numbered, retried, deduplicated) frame protocol automatically.
     pub loss: CtrlLossConfig,
-    /// Deployment scale reloads are validated against: when above 1, a
-    /// new design whose [`ShardPlan`](ehdl_core::ShardPlan) is unsound
-    /// at this replica count — or that moves a surviving map across the
-    /// private/shared placement boundary, which no live migration can
-    /// express — is rejected before the drain handshake starts.
-    pub replicas: usize,
 }
 
 impl Default for RuntimeOptions {
@@ -59,7 +50,6 @@ impl Default for RuntimeOptions {
             sim: SimOptions::default(),
             ctrl: CtrlOptions::default(),
             loss: CtrlLossConfig::lossless(),
-            replicas: 1,
         }
     }
 }
@@ -398,34 +388,6 @@ impl Runtime {
         new_design: &PipelineDesign,
         drain_budget_cycles: u64,
     ) -> Result<SwapReport, SwapError> {
-        // Sharding guard, before any state is touched: at scale, the
-        // fleet runs every replica from the same image, so a design that
-        // cannot shard soundly (or whose surviving maps change placement
-        // under live traffic) must never start the drain.
-        if self.options.replicas > 1 {
-            if let Err(errs) = new_design.shard.require_sound(self.options.replicas) {
-                return Err(SwapError::ShardUnsound {
-                    replicas: self.options.replicas,
-                    errors: errs.len(),
-                    first: errs[0],
-                });
-            }
-            if self.design.shard.analyzed {
-                for old_def in &self.design.maps {
-                    let Some(new_def) = migration_target(old_def, &new_design.maps) else {
-                        continue;
-                    };
-                    let (Some(old_plan), Some(new_plan)) =
-                        (self.design.shard.map(old_def.id), new_design.shard.map(new_def.id))
-                    else {
-                        continue;
-                    };
-                    if old_plan.placement != new_plan.placement {
-                        return Err(SwapError::ShardPlacementChanged { map: new_def.id });
-                    }
-                }
-            }
-        }
         let quiesce_cycle = self.sim.cycle();
         // Drain: no new arrivals; everything in flight retires.
         let mut waited = 0u64;
@@ -526,22 +488,6 @@ pub enum SwapError {
         /// resolution at abort time.
         host_ops_pending: usize,
     },
-    /// The new design's shard plan is unsound at the runtime's
-    /// deployment scale ([`RuntimeOptions::replicas`]).
-    ShardUnsound {
-        /// Replica count the reload was validated against.
-        replicas: usize,
-        /// Total violations the static pass reported.
-        errors: usize,
-        /// The first violation, with its map and instruction anchors.
-        first: ShardError,
-    },
-    /// A map surviving the swap would cross the private/shared placement
-    /// boundary, which a live fleet cannot migrate consistently.
-    ShardPlacementChanged {
-        /// Offending map id in the new design.
-        map: u32,
-    },
 }
 
 impl std::fmt::Display for SwapError {
@@ -552,14 +498,6 @@ impl std::fmt::Display for SwapError {
                 "drain timed out after {waited_cycles} cycles \
                  ({in_flight} packets in flight, {host_ops_pending} host ops pending)"
             ),
-            SwapError::ShardUnsound { replicas, errors, first } => write!(
-                f,
-                "new design is unsound at {replicas} replicas \
-                 ({errors} violation(s); first: {first})"
-            ),
-            SwapError::ShardPlacementChanged { map } => {
-                write!(f, "map {map} changes private/shared placement across the reload")
-            }
         }
     }
 }

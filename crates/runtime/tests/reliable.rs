@@ -70,7 +70,6 @@ fn runtime(loss: CtrlLossConfig) -> Runtime {
             sim: SimOptions { freeze_time_ns: Some(1000), ..Default::default() },
             ctrl: CtrlOptions { latency_cycles: 4, queue_depth: 8 },
             loss,
-            ..Default::default()
         },
     )
 }
@@ -248,9 +247,7 @@ fn reload_rolls_back_cleanly_when_the_drain_times_out() {
     // starts; a 10-cycle budget cannot drain it.
     rt.submit(HostOp::Lookup { map: 0, key: key(1) }).expect("submit");
     let err = rt.try_reload(&bigger, 10).expect_err("drain cannot finish in 10 cycles");
-    let SwapError::DrainTimeout { waited_cycles, host_ops_pending, .. } = err else {
-        panic!("expected a drain timeout, got {err}");
-    };
+    let SwapError::DrainTimeout { waited_cycles, host_ops_pending, .. } = err;
     assert_eq!(waited_cycles, 10);
     assert!(host_ops_pending > 0, "the undrained op is visible in the error");
     // Clean rollback: the old design is still loaded and serving, the

@@ -233,69 +233,3 @@ fn repeated_swaps_accumulate_epochs_and_total_cycles() {
         assert_eq!(u64::from_le_bytes(v.try_into().expect("8-byte value")), 3);
     }
 }
-
-/// A one-cell stats counter: a blind add classifies private/SumDelta, a
-/// fetch-add classifies shared/SharedAtomic — same map name and shape,
-/// so it survives migration and only the placement differs.
-fn stats_program(fetch: bool) -> Program {
-    use ehdl_ebpf::opcode::AtomicOp;
-    let mut a = Asm::new();
-    let out = a.new_label();
-    a.mov64_imm(1, 0);
-    a.store_reg(MemSize::W, 10, -4, 1);
-    a.ld_map_fd(1, 0);
-    a.mov64_reg(2, 10);
-    a.alu64_imm(AluOp::Add, 2, -4);
-    a.call(BPF_MAP_LOOKUP_ELEM);
-    a.jmp_imm(JmpOp::Jeq, 0, 0, out);
-    a.mov64_imm(2, 1);
-    a.atomic(AtomicOp::Add { fetch }, MemSize::Dw, 0, 0, 2);
-    a.bind(out);
-    a.mov64_imm(0, 2);
-    a.exit();
-    Program::new("stats", a.into_insns(), vec![MapDef::new(0, "stats", MapKind::Array, 4, 8, 1)])
-}
-
-#[test]
-fn reload_rejects_design_unsound_at_deployment_scale() {
-    use ehdl_core::shardcheck::ShardError;
-    use ehdl_runtime::SwapError;
-    let sound = compile(&stats_program(false));
-    let mut rt = Runtime::new(&sound, RuntimeOptions { replicas: 4, ..Default::default() });
-    // counter_program is an unfenced lookup/load/update RMW — sound on
-    // one replica, a cross-replica race on four.
-    let rmw = compile(&counter_program(16));
-    let err = rt.try_reload(&rmw, 50_000_000).expect_err("unsound design rejected");
-    let SwapError::ShardUnsound { replicas, errors, first } = err else {
-        panic!("expected ShardUnsound, got {err}");
-    };
-    assert_eq!(replicas, 4);
-    assert_eq!(errors, 1);
-    assert!(matches!(first, ShardError::CrossReplicaRace { map: 0, .. }));
-    // Clean rejection: nothing drained, nothing recorded, old design serving.
-    assert!(rt.swap_history().is_empty());
-    assert_eq!(rt.design().maps[0].name, "stats");
-    assert!(rt.enqueue(vec![0u8; 64]));
-    rt.settle();
-    assert_eq!(rt.drain().len(), 1);
-    // The same reload is legal on a single-replica runtime.
-    let mut solo = runtime_for(&sound);
-    solo.try_reload(&rmw, 50_000_000).expect("sound at one replica");
-}
-
-#[test]
-fn reload_rejects_surviving_map_changing_placement() {
-    use ehdl_runtime::SwapError;
-    let private = compile(&stats_program(false));
-    let shared = compile(&stats_program(true));
-    let mut rt = Runtime::new(&private, RuntimeOptions { replicas: 2, ..Default::default() });
-    let err = rt.try_reload(&shared, 50_000_000).expect_err("placement flip rejected");
-    assert_eq!(err, SwapError::ShardPlacementChanged { map: 0 });
-    assert!(rt.swap_history().is_empty());
-    // Flipping back the other way is rejected symmetrically.
-    let mut rt = Runtime::new(&shared, RuntimeOptions { replicas: 2, ..Default::default() });
-    assert_eq!(
-        rt.try_reload(&private, 50_000_000),
-        Err(SwapError::ShardPlacementChanged { map: 0 })
-    );
-}

@@ -64,12 +64,6 @@ pub enum VerifyError {
         /// First unreachable slot.
         pc: usize,
     },
-    /// A backward edge was found that is not part of a bounded loop the
-    /// compiler can unroll.
-    UnboundedLoop {
-        /// Slot of the back-edge jump.
-        pc: usize,
-    },
     /// A register is read before any path initializes it (the kernel
     /// verifier's `R{n} !read_ok` error). Helper calls clobber `r1`–`r5`.
     UninitializedRead {
@@ -100,9 +94,6 @@ impl fmt::Display for VerifyError {
                 write!(f, "control can fall off the end after {pc}")
             }
             VerifyError::Unreachable { pc } => write!(f, "unreachable instruction at {pc}"),
-            VerifyError::UnboundedLoop { pc } => {
-                write!(f, "backward jump at {pc} is not a bounded loop")
-            }
             VerifyError::UninitializedRead { pc, reg } => {
                 write!(f, "r{reg} is read at {pc} before initialization on some path")
             }
@@ -133,20 +124,16 @@ pub struct VerifiedProgram {
     pub used_helpers: Vec<u32>,
 }
 
-/// Verify `program`.
+/// Verify `program` (the eHDL front-end entry point).
 ///
-/// Backward jumps are *reported*, not rejected: the caller (the eHDL
-/// compiler) decides whether it can unroll them; the plain [`verify`] entry
-/// point used before interpretation rejects them only when
-/// `allow_bounded_loops` is false.
+/// Backward jumps are *reported* in [`VerifiedProgram::back_edges`], not
+/// rejected: the caller (the eHDL compiler) decides whether it can unroll
+/// them.
 ///
 /// # Errors
 ///
 /// Returns the first [`VerifyError`] encountered.
-pub fn verify_with(
-    program: &Program,
-    allow_bounded_loops: bool,
-) -> Result<VerifiedProgram, VerifyError> {
+pub fn verify(program: &Program) -> Result<VerifiedProgram, VerifyError> {
     let decoded = program.decode()?;
     if decoded.is_empty() {
         return Err(VerifyError::Empty);
@@ -213,9 +200,6 @@ pub fn verify_with(
                     }
                 }
                 if target <= pc {
-                    if !allow_bounded_loops {
-                        return Err(VerifyError::UnboundedLoop { pc });
-                    }
                     back_edges.push(pc);
                 }
             }
@@ -268,15 +252,6 @@ pub fn verify_with(
     used_maps.sort_unstable();
     used_helpers.sort_unstable();
     Ok(VerifiedProgram { decoded, back_edges, stack_depth, used_maps, used_helpers })
-}
-
-/// Verify with bounded loops allowed (the eHDL front-end entry point).
-///
-/// # Errors
-///
-/// See [`verify_with`].
-pub fn verify(program: &Program) -> Result<VerifiedProgram, VerifyError> {
-    verify_with(program, true)
 }
 
 /// Kernel-style definite-initialization analysis: every register read must
@@ -599,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn back_edges_reported_or_rejected() {
+    fn back_edges_are_reported() {
         let mut a = Asm::new();
         let top = a.new_label();
         a.mov64_imm(1, 4);
@@ -611,6 +586,5 @@ mod tests {
         let p = prog(a);
         let v = verify(&p).unwrap();
         assert_eq!(v.back_edges, vec![2]);
-        assert_eq!(verify_with(&p, false), Err(VerifyError::UnboundedLoop { pc: 2 }));
     }
 }

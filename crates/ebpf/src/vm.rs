@@ -45,6 +45,9 @@ pub const MAP_WINDOW_BITS: u32 = 22;
 pub const MAP_HANDLE_BASE: u64 = 0x7000_0000;
 /// Headroom reserved in front of the packet for `bpf_xdp_adjust_head`.
 pub const XDP_HEADROOM: usize = 256;
+/// Instructions one [`Vm::run`] may execute before it gives up on a
+/// runaway program.
+const STEP_LIMIT: usize = 1_000_000;
 
 /// Offsets of `struct xdp_md` fields in the context region.
 pub mod xdp_md {
@@ -218,7 +221,6 @@ pub struct Vm {
     /// Map from slot index to decoded-instruction index.
     slot_index: Vec<Option<usize>>,
     maps: MapStore,
-    step_limit: usize,
     prandom_state: u64,
     /// Nanosecond clock returned by `bpf_ktime_get_ns`; advance it between
     /// packets via [`Vm::set_time_ns`].
@@ -275,7 +277,6 @@ impl Vm {
             decoded,
             slot_index,
             maps: MapStore::new(&program.maps),
-            step_limit: 1_000_000,
             prandom_state: 0x9e37_79b9_7f4a_7c15,
             time_ns: 0,
             cpu_id: 0,
@@ -316,11 +317,6 @@ impl Vm {
         self.time_ns = t;
     }
 
-    /// Set the execution step budget.
-    pub fn set_step_limit(&mut self, limit: usize) {
-        self.step_limit = limit;
-    }
-
     /// Execute the program over `packet` arriving on `ingress_ifindex`.
     ///
     /// On return the packet has been rewritten in place (including any
@@ -354,8 +350,8 @@ impl Vm {
         let mut helper_calls = 0usize;
         let mut atomic_ops = 0usize;
         loop {
-            if executed >= self.step_limit {
-                return Err(VmError::StepLimit { limit: self.step_limit });
+            if executed >= STEP_LIMIT {
+                return Err(VmError::StepLimit { limit: STEP_LIMIT });
             }
             let Some(&d) = self.decoded.get(pc) else {
                 return Err(VmError::FellThrough);
@@ -1185,9 +1181,10 @@ mod tests {
         a.bind(top);
         a.jmp(top);
         let p = Program::from_insns(a.into_insns());
-        let mut vm = Vm::new(&p);
-        vm.set_step_limit(100);
-        assert_eq!(vm.run(&mut vec![0; 64], 0), Err(VmError::StepLimit { limit: 100 }));
+        assert_eq!(
+            Vm::new(&p).run(&mut vec![0; 64], 0),
+            Err(VmError::StepLimit { limit: 1_000_000 })
+        );
     }
 
     #[test]

@@ -1624,6 +1624,70 @@ mod tests {
     }
 
     #[test]
+    fn reconcile_merges_a_dead_replicas_maps_by_policy() {
+        // Canonical and every replica start with session k(1) and
+        // counter 0 at 100; replica 1 then diverges: k(1) rebound, k(2)
+        // opened, counters 0 and 1 bumped. Killing it merges its private
+        // copies under the attached policies.
+        use simple_firewall::{SESSIONS_MAP, STATS_MAP};
+        let k = |b: u8| vec![b; 13];
+        let word = |x: u64| x.to_le_bytes().to_vec();
+        let idx = |i: u32| i.to_le_bytes().to_vec();
+        let contents = |nic: &ShardedNic, map: u32| {
+            let m = nic.shared_store().get(map).expect("map present");
+            let mut rows: Vec<(Vec<u8>, Vec<u8>)> =
+                m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
+            rows.sort();
+            rows
+        };
+        let run = |sessions: MergePolicy, stats: MergePolicy| {
+            let d = firewall_design();
+            let mut nic = ShardedNic::new(&d, 4, 7, opts(), SharedMapOptions::default());
+            nic.setup_maps(|s| {
+                let sess = s.get_mut(SESSIONS_MAP).expect("sessions");
+                sess.update(&k(1), &word(10), UpdateFlags::Any).expect("seed session");
+                let st = s.get_mut(STATS_MAP).expect("stats");
+                st.update(&idx(0), &word(100), UpdateFlags::Any).expect("seed counter");
+            });
+            let own = nic.sim_mut(1).maps_mut();
+            let sess = own.get_mut(SESSIONS_MAP).expect("sessions");
+            sess.update(&k(1), &word(11), UpdateFlags::Any).expect("rebind");
+            sess.update(&k(2), &word(20), UpdateFlags::Any).expect("open");
+            let st = own.get_mut(STATS_MAP).expect("stats");
+            st.update(&idx(0), &word(105), UpdateFlags::Any).expect("bump");
+            st.update(&idx(1), &word(7), UpdateFlags::Any).expect("bump");
+            let kill = ReplicaFault { at: 0, replica: 1, kind: ReplicaFaultKind::Kill };
+            nic.attach_replica_faults(
+                ReplicaFaultConfig { schedule: vec![kill], watchdog_budget: 8, reset_cycles: 0 },
+                vec![(SESSIONS_MAP, sessions), (STATS_MAP, stats)],
+            );
+            let report = nic.run(Vec::<Vec<u8>>::new());
+            assert_eq!(report.failover.detected, 1);
+            let rows = (contents(&nic, SESSIONS_MAP), contents(&nic, STATS_MAP));
+            (report.failover.reconciled_entries, rows)
+        };
+        // Union adopts only k(2), the key canonical storage lacks; SumDelta
+        // adds the replica's counter words to the canonical ones.
+        let (reconciled, (sessions, stats)) = run(MergePolicy::Union, MergePolicy::SumDelta);
+        assert_eq!(sessions, vec![(k(1), word(10)), (k(2), word(20))]);
+        assert_eq!(
+            stats,
+            vec![(idx(0), word(205)), (idx(1), word(7)), (idx(2), word(0)), (idx(3), word(0))]
+        );
+        assert_eq!(reconciled, 1 + 4);
+        // Swapped: SumDelta adds into a present session and adopts an
+        // absent one; Union finds every array index present and adopts
+        // nothing.
+        let (reconciled, (sessions, stats)) = run(MergePolicy::SumDelta, MergePolicy::Union);
+        assert_eq!(sessions, vec![(k(1), word(21)), (k(2), word(20))]);
+        assert_eq!(
+            stats,
+            vec![(idx(0), word(100)), (idx(1), word(0)), (idx(2), word(0)), (idx(3), word(0))]
+        );
+        assert_eq!(reconciled, 2);
+    }
+
+    #[test]
     fn host_ops_fence_clears_despite_dead_replica() {
         let mut nic = faulted_nic(
             vec![ReplicaFault { at: 30, replica: 0, kind: ReplicaFaultKind::Kill }],

@@ -994,31 +994,27 @@ impl ShardedNic {
     /// words in (zero-initialised accumulators). Direct and Ignore leave
     /// the canonical copy untouched.
     fn reconcile(&mut self, r: usize) {
-        let merge = self.merge.clone();
-        for (map, strat) in merge {
+        for &(map, strat) in &self.merge {
             if self.shared_ids.binary_search(&map).is_ok() {
                 continue; // Shared maps are already canonical.
             }
-            let entries: Vec<(Vec<u8>, Vec<u8>)> = match self.sims[r].maps_mut().get(map) {
-                Some(m) => m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect(),
-                None => continue,
-            };
+            let Some(src) = self.sims[r].maps().get(map) else { continue };
             let Some(dst) = self.shared_store.get_mut(map) else { continue };
-            for (k, v) in entries {
+            for (_, k, v) in src.iter() {
                 match strat {
                     MergePolicy::Union => {
-                        if matches!(dst.lookup(&k), Ok(None))
-                            && dst.update(&k, &v, UpdateFlags::Any).is_ok()
+                        if matches!(dst.lookup(k), Ok(None))
+                            && dst.update(k, v, UpdateFlags::Any).is_ok()
                         {
                             self.fstats.reconciled_entries += 1;
                         }
                     }
                     MergePolicy::SumDelta => {
-                        let merged = match dst.lookup(&k) {
-                            Ok(Some(slot)) => add_words(dst.try_value(slot).unwrap_or(&[]), &v),
-                            _ => v,
+                        let merged = match dst.lookup(k) {
+                            Ok(Some(slot)) => add_words(dst.try_value(slot).unwrap_or(&[]), v),
+                            _ => v.to_vec(),
                         };
-                        if dst.update(&k, &merged, UpdateFlags::Any).is_ok() {
+                        if dst.update(k, &merged, UpdateFlags::Any).is_ok() {
                             self.fstats.reconciled_entries += 1;
                         }
                     }

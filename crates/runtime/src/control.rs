@@ -431,14 +431,12 @@ impl Runtime {
                 dropped_maps.push(old_def.id);
                 continue;
             };
-            let entries: Vec<(Vec<u8>, Vec<u8>)> =
-                old_map.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
             let Some(new_map) = new_sim.maps_mut().get_mut(new_def.id) else {
                 dropped_maps.push(old_def.id);
                 continue;
             };
-            for (k, v) in entries {
-                match new_map.update(&k, &v, UpdateFlags::Any) {
+            for (_, k, v) in old_map.iter() {
+                match new_map.update(k, v, UpdateFlags::Any) {
                     Ok(_) => migrated_entries += 1,
                     Err(_) => dropped_entries += 1,
                 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo gate: no hidden environment switch, build, every test, the recorded
-# sweeps and the long-form map property, lints, docs, perf smoke.
+# Repo gate: no hidden environment switch, no unused public module, build,
+# every test, the recorded sweeps and the long-form map property, lints,
+# docs, perf smoke.
 #
 # The BENCH_*.json recordings are checked for equality by tests/recorded.rs
 # (the test names say what each one claims). After an intended change:
@@ -20,6 +21,25 @@ if grep -rnE 'env::var|env!\(|\bvar(s|_os|s_os)?\(' crates/*/src \
   echo "library code above reads an environment variable other than EHDL_WRITE_BENCH" >&2
   exit 1
 fi
+
+echo "== every public module has a user =="
+# Each `pub mod m;` in a crate's lib.rs must be named as `m::` by a source
+# file other than its own (`m.rs` or `m/`): library code in crates/*/src,
+# the CLI in src/, the benchmark in perf/src or the root tests/. A crate's
+# own tests/ do not count: a module only they reach is dead weight.
+unused=0
+for lib in crates/*/src/lib.rs; do
+  dir=$(dirname "$lib")
+  for m in $(sed -nE 's/^pub mod ([a-z0-9_]+);.*/\1/p' "$lib"); do
+    users=$(grep -rlE --include='*.rs' "\b${m}::" crates/*/src src perf/src tests \
+      | grep -vE "^${dir}/${m}(\.rs|/)" || true)
+    if [ -z "$users" ]; then
+      echo "${lib}: pub mod ${m} is named by no file outside its own" >&2
+      unused=1
+    fi
+  done
+done
+[ "$unused" = 0 ] || exit 1
 
 echo "== build (release) =="
 cargo build --release --workspace

@@ -276,6 +276,15 @@ pub enum LowerError {
         /// Its predecessor at the same or a later index.
         pred: usize,
     },
+    /// Stage `stage` belongs to a block below the block of the stage
+    /// before it. The executor skips a disabled block's stages as one run,
+    /// which needs one contiguous run per block, the runs in block order.
+    StageOrder {
+        /// The first stage out of order.
+        stage: usize,
+        /// Its block.
+        block: usize,
+    },
 }
 
 impl std::fmt::Display for LowerError {
@@ -295,6 +304,9 @@ impl std::fmt::Display for LowerError {
             }
             LowerError::PredecessorOrder { block, pred } => {
                 write!(f, "block {block} has predecessor {pred} out of topological order")
+            }
+            LowerError::StageOrder { stage, block } => {
+                write!(f, "stage {stage} of block {block} follows a later block's stage")
             }
         }
     }
@@ -634,6 +646,12 @@ pub struct LoweredStage {
     pub guard_min_len: i64,
     /// Index range into the plan's fused-op array.
     ops: (u32, u32),
+    /// The first stage of its block's run that carries ops: the block's
+    /// enable is evaluated here, and nowhere else.
+    pub entry: bool,
+    /// One past the last stage of the block's run: a packet whose block
+    /// is disabled does nothing below it.
+    pub run_end: u32,
     /// A FEB-protected read stage: a packet entering it takes a
     /// checkpoint for partial flushes.
     pub checkpoint: bool,
@@ -715,8 +733,10 @@ impl LoweredPlan {
     /// [`LowerError::UnresolvedMap`] for a map helper call with no map,
     /// [`LowerError::SameStageDependence`] when an op of a stage depends
     /// on an earlier op of the same stage, [`LowerError::PredecessorOrder`]
-    /// when the blocks are not in topological order. The simulator cannot
-    /// execute a design that does not lower.
+    /// when the blocks are not in topological order,
+    /// [`LowerError::StageOrder`] when a block's stages are split or out
+    /// of block order. The simulator cannot execute a design that does not
+    /// lower.
     pub fn try_lower(design: &PipelineDesign) -> Result<LoweredPlan, LowerError> {
         let mut preds = Vec::new();
         let mut block_preds = Vec::with_capacity(design.blocks.len());
@@ -740,14 +760,24 @@ impl LoweredPlan {
         let mut stages = Vec::with_capacity(design.stages.len());
         let nops = design.stages.iter().map(|st| st.ops.len()).sum();
         let mut ops = Vec::with_capacity(nops);
+        let mut entered = None;
         for (s, stage) in design.stages.iter().enumerate() {
             if let Some(op) = same_stage_dependence(&stage.ops) {
                 return Err(LowerError::SameStageDependence { stage: s, op });
+            }
+            if s > 0 && stage.block < design.stages[s - 1].block {
+                return Err(LowerError::StageOrder { stage: s, block: stage.block });
+            }
+            let entry = !stage.ops.is_empty() && entered != Some(stage.block);
+            if entry {
+                entered = Some(stage.block);
             }
             let mut st = LoweredStage {
                 block: stage.block as u32,
                 guard_min_len: guard_min_len.get(stage.block).copied().unwrap_or(i64::MIN),
                 ops: (ops.len() as u32, 0),
+                entry,
+                run_end: 0,
                 checkpoint: checkpoint[s],
                 lookup: false,
                 effect_maps: 0,
@@ -767,6 +797,13 @@ impl LoweredPlan {
             }
             st.ops.1 = ops.len() as u32;
             stages.push(st);
+        }
+        let mut run_end = stages.len() as u32;
+        for s in (0..stages.len()).rev() {
+            if stages.get(s + 1).is_some_and(|next| next.block != stages[s].block) {
+                run_end = s as u32 + 1;
+            }
+            stages[s].run_end = run_end;
         }
         let mut feb_write_max = vec![None; design.maps.len()];
         for f in &design.hazards.febs {
@@ -789,6 +826,12 @@ impl LoweredPlan {
     #[inline]
     pub fn stage_count(&self) -> usize {
         self.stages.len()
+    }
+
+    /// Number of control blocks (equals the design's).
+    #[inline]
+    pub fn block_count(&self) -> usize {
+        self.block_preds.len()
     }
 
     /// Stage `s`'s lowered descriptor.
@@ -1086,6 +1129,18 @@ mod tests {
         let err = LoweredPlan::try_lower(&design).expect_err("a back-edge does not lower");
         assert_eq!(err, LowerError::PredecessorOrder { block: 1, pred: last });
         assert!(err.to_string().contains("topological order"), "display: {err}");
+    }
+
+    #[test]
+    fn a_split_block_is_a_typed_error() {
+        let mut design = branchy_design();
+        let last = design.stages.len() - 1;
+        let first = design.stages[0].block;
+        assert!(design.stages[last - 1].block > first, "branchy design spans several blocks");
+        design.stages[last].block = first;
+        let err = LoweredPlan::try_lower(&design).expect_err("a split block does not lower");
+        assert_eq!(err, LowerError::StageOrder { stage: last, block: first });
+        assert!(err.to_string().contains("later block"), "display: {err}");
     }
 
     #[test]

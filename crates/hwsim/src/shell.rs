@@ -131,7 +131,11 @@ impl NicShell {
             latency_sum_ns += o.latency_ns;
         }
         let seconds = ((self.sim.cycle() - start) as f64 * CLOCK_NS / 1e9).max(1e-12);
-        self.completed.append(&mut outs);
+        if self.completed.is_empty() {
+            self.completed = outs;
+        } else {
+            self.completed.append(&mut outs);
+        }
         ShellReport {
             offered,
             completed,

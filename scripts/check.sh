@@ -66,6 +66,9 @@ echo "== docs (rustdoc warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== perf smoke (six workloads at 1/50 size, outputs checked against the VM) =="
-bash perf/run.sh --smoke
+# Traced: each workload also runs a unit that drives the simulator's
+# enqueue/step/settle/drain itself, and that unit must land on the shell
+# unit's cycle count, counters and outputs.
+bash perf/run.sh --smoke --trace
 
 echo "check.sh: all gates passed"

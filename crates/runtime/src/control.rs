@@ -304,9 +304,9 @@ impl Runtime {
         let stages = self
             .sim
             .stage_occupancy()
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(stage, &occupied_cycles)| StageTelemetry {
+            .map(|(stage, occupied_cycles)| StageTelemetry {
                 stage,
                 occupied_cycles,
                 utilization: if cycle == 0 { 0.0 } else { occupied_cycles as f64 / cycle as f64 },
